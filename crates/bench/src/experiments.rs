@@ -197,7 +197,7 @@ pub fn fig6(quick: bool) -> ExperimentResult {
     let exec = ExecMode::auto();
     for (name, pkt) in [("IPv4", 64), ("IPsec", 64), ("DPI", 512)] {
         // The 11 grid points are independent deployments: fan out.
-        let series: Vec<f64> = par_map(exec, (0..=10).collect(), |_, r: u32| {
+        let series: Vec<f64> = par_map(exec, (0..=10).collect(), move |_, r: u32| {
             let ratio = f64::from(r) / 10.0;
             let policy = if ratio == 0.0 {
                 Policy::CpuOnly
@@ -270,7 +270,7 @@ pub fn fig7(quick: bool) -> ExperimentResult {
         .iter()
         .flat_map(|(label, chain)| policies.iter().map(|p| (*label, chain.clone(), *p)))
         .collect();
-    let flat = par_map(ExecMode::auto(), points, |_, (label, chain, p)| {
+    let flat = par_map(ExecMode::auto(), points, move |_, (label, chain, p)| {
         let sfc = Sfc::new(label, chain.iter().map(|n| nf_by_name(n)).collect());
         let spec = TrafficSpec::udp(SizeDist::Fixed(64));
         run(sfc, p, spec, 256, batches(quick), 7)
@@ -488,7 +488,7 @@ pub fn fig15(quick: bool) -> ExperimentResult {
     let mut single_gains = Vec::new();
     let mut chain_gains = Vec::new();
     // Each setup's four policy runs are one pool task; setups fan out.
-    let measured = par_map(ExecMode::auto(), setups, |_, (label, chain)| {
+    let measured = par_map(ExecMode::auto(), setups, move |_, (label, chain)| {
         let spec = if label == "IPv6" {
             TrafficSpec::udp(SizeDist::Imix).with_ip_version(IpVersion::V6)
         } else {
@@ -596,17 +596,21 @@ pub fn fig17(quick: bool) -> ExperimentResult {
             })
         })
         .collect();
-    let measured = par_map(ExecMode::auto(), cells, |_, (pname, policy, rules, pkt)| {
-        let o = run(
-            mk(rules),
-            policy,
-            TrafficSpec::udp(SizeDist::Fixed(pkt)),
-            256,
-            batches(quick),
-            23,
-        );
-        (pname, rules, pkt, o.report)
-    });
+    let measured = par_map(
+        ExecMode::auto(),
+        cells,
+        move |_, (pname, policy, rules, pkt)| {
+            let o = run(
+                mk(rules),
+                policy,
+                TrafficSpec::udp(SizeDist::Fixed(pkt)),
+                256,
+                batches(quick),
+                23,
+            );
+            (pname, rules, pkt, o.report)
+        },
+    );
     for (pname, rules, pkt, report) in measured {
         println!(
             "{:<11} {:>6} {:>6} | {:>9} {:>12} {:>12}",

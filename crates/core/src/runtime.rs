@@ -1737,7 +1737,6 @@ impl PreparedSfc {
                 );
             }
         }
-        let tel = &self.tel;
         // Worker-local sketch shards: when the health plane is armed,
         // each branch closure records its per-stage wall times into a
         // private shard (lock-free by ownership) returned with the
@@ -1746,13 +1745,27 @@ impl PreparedSfc {
         // shape whatever thread interleaving occurred.
         let health_on = self.health.is_some();
         let sketch_alpha = nfc_telemetry::DEFAULT_SKETCH_ALPHA;
-        let branch_refs: Vec<&mut Vec<StageExec>> = self.stages.iter_mut().collect();
-        let results: Vec<(Batch, Vec<StageCharge>, Option<SketchSet>)> =
-            par_map_traced(self.exec_mode, branch_refs, tel, |bi, branch, rec| {
+        // Units are owned (the pool's threads outlive this call): each
+        // branch's stages and its CoW duplicate of the batch move into
+        // the unit, and the stages come back with its results. A unit
+        // that panics takes its stages with it: `par_map_traced`
+        // re-raises the panic with `self.stages` left empty, so this
+        // `PreparedSfc` is poisoned and must not be reused after a
+        // caught unwind.
+        let units: Vec<(Vec<StageExec>, Batch)> = std::mem::take(&mut self.stages)
+            .into_iter()
+            .map(|branch| (branch, batch.clone()))
+            .collect();
+        type BranchResult = (Batch, Vec<StageCharge>, Option<SketchSet>);
+        let (stages, results): (Vec<Vec<StageExec>>, Vec<BranchResult>) = par_map_traced(
+            self.exec_mode,
+            units,
+            &self.tel,
+            move |bi, (mut branch, dup_batch), rec| {
                 rec.set_batch(seq);
                 let mut cur = match dup {
-                    Duplication::Cow => batch.clone(),
-                    Duplication::DeepCopy => batch.deep_clone(),
+                    Duplication::Cow => dup_batch,
+                    Duplication::DeepCopy => dup_batch.deep_clone(),
                 };
                 let mut charges = Vec::with_capacity(branch.len());
                 let mut shard = health_on.then(|| SketchSet::new(sketch_alpha));
@@ -1786,8 +1799,12 @@ impl PreparedSfc {
                     cur = out;
                     charges.push(charge);
                 }
-                (cur, charges, shard)
-            });
+                (branch, (cur, charges, shard))
+            },
+        )
+        .into_iter()
+        .unzip();
+        self.stages = stages;
         // Temporal replay: sequential, in fixed branch-major stage order —
         // exactly the order the serial engine schedules in, so the
         // simulated timeline is bit-identical regardless of ExecMode.

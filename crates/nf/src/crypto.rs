@@ -238,25 +238,51 @@ impl Sha1 {
     }
 }
 
-/// HMAC-SHA1 (RFC 2104). Returns the full 20-byte tag; IPsec truncates to
-/// 12 bytes (HMAC-SHA1-96) at the ESP layer.
-pub fn hmac_sha1(key: &[u8], data: &[u8]) -> [u8; 20] {
-    let mut k = [0u8; 64];
-    if key.len() > 64 {
-        k[..20].copy_from_slice(&Sha1::digest(key));
-    } else {
-        k[..key.len()].copy_from_slice(key);
+/// An HMAC-SHA1 key (RFC 2104) prepared for repeated use: the SHA-1
+/// states after absorbing `key ^ ipad` and `key ^ opad`. Tagging a
+/// message then costs the message's own blocks plus two finishing
+/// compressions, with no per-message key schedule or allocation.
+#[derive(Debug, Clone)]
+pub struct HmacSha1Key {
+    inner: Sha1,
+    outer: Sha1,
+}
+
+impl HmacSha1Key {
+    /// Derives the key block (keys longer than 64 bytes are hashed
+    /// first) and compresses both pads.
+    pub fn new(key: &[u8]) -> Self {
+        let mut k = [0u8; 64];
+        if key.len() > 64 {
+            k[..20].copy_from_slice(&Sha1::digest(key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let midstate = |pad: u8| {
+            let mut h = Sha1::new();
+            h.update(&k.map(|b| b ^ pad));
+            h
+        };
+        HmacSha1Key {
+            inner: midstate(0x36),
+            outer: midstate(0x5C),
+        }
     }
-    let mut inner = Sha1::new();
-    let ipad: Vec<u8> = k.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
-    inner.update(data);
-    let inner_digest = inner.finish();
-    let mut outer = Sha1::new();
-    let opad: Vec<u8> = k.iter().map(|b| b ^ 0x5C).collect();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finish()
+
+    /// The full 20-byte tag of `data`; IPsec truncates to 12 bytes
+    /// (HMAC-SHA1-96) at the ESP layer.
+    pub fn tag(&self, data: &[u8]) -> [u8; 20] {
+        let mut inner = self.inner.clone();
+        inner.update(data);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finish());
+        outer.finish()
+    }
+}
+
+/// One-shot HMAC-SHA1; use [`HmacSha1Key`] when the key is reused.
+pub fn hmac_sha1(key: &[u8], data: &[u8]) -> [u8; 20] {
+    HmacSha1Key::new(key).tag(data)
 }
 
 #[cfg(test)]
@@ -362,24 +388,51 @@ mod tests {
 
     #[test]
     fn hmac_rfc2202_vectors() {
-        // Case 1.
-        assert_eq!(
-            hmac_sha1(&[0x0b; 20], b"Hi There").to_vec(),
-            hex("b617318655057264e28bc0b6fb378c8ef146be00")
-        );
-        // Case 2.
-        assert_eq!(
-            hmac_sha1(b"Jefe", b"what do ya want for nothing?").to_vec(),
-            hex("effcdf6ae5eb2fa2d27416d5f184df9c259a7c79")
-        );
-        // Case 6: key longer than block size.
-        assert_eq!(
-            hmac_sha1(
-                &[0xaa; 80],
-                b"Test Using Larger Than Block-Size Key - Hash Key First"
-            )
-            .to_vec(),
-            hex("aa4ae5e15272d00e95705637ce8a3b55ed402112")
-        );
+        let cases: [(Vec<u8>, Vec<u8>, &str); 7] = [
+            (
+                vec![0x0b; 20],
+                b"Hi There".to_vec(),
+                "b617318655057264e28bc0b6fb378c8ef146be00",
+            ),
+            (
+                b"Jefe".to_vec(),
+                b"what do ya want for nothing?".to_vec(),
+                "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79",
+            ),
+            (
+                vec![0xaa; 20],
+                vec![0xdd; 50],
+                "125d7342b9ac11cd91a39af48aa17b4f63f175d3",
+            ),
+            (
+                (1..=25).collect(),
+                vec![0xcd; 50],
+                "4c9007f4026250c6bc8414f9bf50c86c2d7235da",
+            ),
+            (
+                vec![0x0c; 20],
+                b"Test With Truncation".to_vec(),
+                "4c1a03424b55e07fe7f27be1d58bb9324a9a5a04",
+            ),
+            // Keys longer than the block size are hashed first.
+            (
+                vec![0xaa; 80],
+                b"Test Using Larger Than Block-Size Key - Hash Key First".to_vec(),
+                "aa4ae5e15272d00e95705637ce8a3b55ed402112",
+            ),
+            (
+                vec![0xaa; 80],
+                b"Test Using Larger Than Block-Size Key and Larger Than One Block-Size Data"
+                    .to_vec(),
+                "e8e99d0f45237d786d6bbaa7965c7808bbff1a91",
+            ),
+        ];
+        for (key, data, want) in &cases {
+            assert_eq!(hmac_sha1(key, data).to_vec(), hex(want));
+            // A prepared key is reusable: tagging twice changes nothing.
+            let prepared = HmacSha1Key::new(key);
+            assert_eq!(prepared.tag(data).to_vec(), hex(want));
+            assert_eq!(prepared.tag(data).to_vec(), hex(want));
+        }
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::ac::AhoCorasick;
 use crate::acl::{AclTable, Action};
-use crate::crypto::{hmac_sha1, Aes128};
+use crate::crypto::{Aes128, HmacSha1Key};
 use crate::dfa::Dfa;
 use crate::flowcache::ClockTable;
 use crate::lpm::{Dir24_8, WaldvogelV6};
@@ -353,6 +353,7 @@ const ESP_HDR_LEN: usize = 16; // spi(4) + seq(4) + iv(8)
 pub struct IpsecEncrypt {
     sa: IpsecSa,
     aes: Aes128,
+    hmac: HmacSha1Key,
     seq: u64,
 }
 
@@ -360,7 +361,13 @@ impl IpsecEncrypt {
     /// Creates the encryptor.
     pub fn new(sa: IpsecSa) -> Self {
         let aes = Aes128::new(&sa.aes_key);
-        IpsecEncrypt { sa, aes, seq: 0 }
+        let hmac = HmacSha1Key::new(&sa.hmac_key);
+        IpsecEncrypt {
+            sa,
+            aes,
+            hmac,
+            seq: 0,
+        }
     }
 }
 
@@ -404,7 +411,7 @@ impl Element for IpsecEncrypt {
             esp.extend_from_slice(&(self.seq as u32).to_be_bytes());
             esp.extend_from_slice(&iv.to_be_bytes());
             esp.extend_from_slice(&body);
-            let tag = hmac_sha1(&self.sa.hmac_key, &esp);
+            let tag = self.hmac.tag(&esp);
             esp.extend_from_slice(&tag[..ESP_TAG_LEN]);
             let _ = p.replace_l4_payload(&esp);
         }
@@ -435,6 +442,7 @@ impl Element for IpsecEncrypt {
 pub struct IpsecDecrypt {
     sa: IpsecSa,
     aes: Aes128,
+    hmac: HmacSha1Key,
     auth_failures: u64,
 }
 
@@ -442,9 +450,11 @@ impl IpsecDecrypt {
     /// Creates the decryptor.
     pub fn new(sa: IpsecSa) -> Self {
         let aes = Aes128::new(&sa.aes_key);
+        let hmac = HmacSha1Key::new(&sa.hmac_key);
         IpsecDecrypt {
             sa,
             aes,
+            hmac,
             auth_failures: 0,
         }
     }
@@ -491,7 +501,7 @@ impl Element for IpsecDecrypt {
                     return None;
                 }
                 let (msg, tag) = esp.split_at(esp.len() - ESP_TAG_LEN);
-                let expect = hmac_sha1(&self.sa.hmac_key, msg);
+                let expect = self.hmac.tag(msg);
                 if tag != &expect[..ESP_TAG_LEN] {
                     return None;
                 }

@@ -3,7 +3,10 @@
 //! parallel CoW runs of the same deployment must agree on every egress
 //! byte, every per-element statistic, and every simulated timing.
 
-use nfc_core::{Deployment, Duplication, ExecMode, Policy, RunOutcome, Sfc};
+use nfc_core::{
+    ControllerConfig, ControllerReport, Deployment, Duplication, ExecMode, FlowCacheMode, Policy,
+    RunOutcome, Sfc,
+};
 use nfc_hetero::GpuMode;
 use nfc_nf::Nf;
 use nfc_packet::traffic::{PayloadPolicy, SizeDist, TrafficGenerator, TrafficSpec};
@@ -181,6 +184,96 @@ fn dropped_packets_merge_identically_in_parallel() {
         "full-match traffic must see IDS drops"
     );
     assert_equivalent("drop merge", &baseline, &par);
+}
+
+/// Four phases swinging between benign and all-hostile payloads: the
+/// controller's detector trips at the boundaries and re-partitions.
+fn swinging_phases() -> Vec<TrafficGenerator> {
+    [0.0, 1.0, 0.0, 1.0]
+        .iter()
+        .enumerate()
+        .map(|(i, &ratio)| {
+            TrafficGenerator::new(
+                TrafficSpec::udp(SizeDist::Fixed(128))
+                    .with_rate_gbps(10.0)
+                    .with_payload(PayloadPolicy::MatchRatio {
+                        patterns: Nf::default_ids_signatures(),
+                        ratio,
+                    }),
+                61 + i as u64,
+            )
+        })
+        .collect()
+}
+
+fn long_lived_deployment(exec: ExecMode) -> Deployment {
+    Deployment::new(mixed_chain(), Policy::nfcompass())
+        .with_batch_size(32)
+        .with_exec_mode(exec)
+        .with_flow_cache(FlowCacheMode::On { capacity: 4096 })
+}
+
+/// Every branch's stages move out of the `PreparedSfc` into the pool's
+/// units and back on each batch, while the controller (`repartition`)
+/// and the phase re-profiler (`readapt`) rewrite those same stages
+/// between batches. One prepared SFC carried through more than 2000
+/// batches of that must not depend on the engine mode in any observable.
+#[test]
+fn one_prepared_sfc_survives_plan_swaps_identically_in_every_mode() {
+    const PHASE_BATCHES: usize = 520; // x 4 phases = 2080 batches
+    let cfg = ControllerConfig {
+        epoch_batches: 8,
+        ..ControllerConfig::default()
+    };
+    let adaptive = |exec| -> (Vec<RunOutcome>, ControllerReport, Vec<Batch>) {
+        long_lived_deployment(exec).run_adaptive_collect(
+            &mut swinging_phases(),
+            PHASE_BATCHES,
+            &cfg,
+        )
+    };
+    let readapted = |exec| -> Vec<RunOutcome> {
+        long_lived_deployment(exec).run_phases(&mut swinging_phases(), PHASE_BATCHES, true)
+    };
+    let assert_phases = |label: &str, want: &[RunOutcome], got: &[RunOutcome]| {
+        assert_eq!(want.len(), got.len(), "{label}");
+        for (i, (a, b)) in want.iter().zip(got).enumerate() {
+            assert_eq!(a.report, b.report, "{label} phase {i}: SimReport");
+            assert_eq!(a.stage_stats, b.stage_stats, "{label} phase {i}");
+            assert_eq!(a.stage_offloads, b.stage_offloads, "{label} phase {i}");
+            assert_eq!(a.flow_cache, b.flow_cache, "{label} phase {i}");
+            assert_eq!(a.egress_packets, b.egress_packets, "{label} phase {i}");
+            assert_eq!(a.egress_bytes, b.egress_bytes, "{label} phase {i}");
+            assert_eq!(a.merge_conflicts, b.merge_conflicts, "{label} phase {i}");
+        }
+    };
+    let serial = adaptive(ExecMode::Serial);
+    let serial_readapted = readapted(ExecMode::Serial);
+    assert!(
+        serial.0[0].width > 1,
+        "the chain must fan out to reach the pool"
+    );
+    assert!(
+        serial.1.applied() > 0,
+        "the controller must swap plans mid-run"
+    );
+    assert!(
+        serial.0[0].flow_cache.hits > 0,
+        "the firewall branches must run behind their flow caches"
+    );
+    for threads in [2, 4, 16] {
+        let label = format!("parallel{threads}");
+        let exec = ExecMode::Parallel { threads };
+        let got = adaptive(exec);
+        assert_eq!(serial.2, got.2, "{label}: egress must be byte-identical");
+        assert_eq!(serial.1, got.1, "{label}: controller timeline");
+        assert_phases(&label, &serial.0, &got.0);
+        assert_phases(
+            &format!("{label} readapt"),
+            &serial_readapted,
+            &readapted(exec),
+        );
+    }
 }
 
 proptest! {

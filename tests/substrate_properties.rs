@@ -4,7 +4,7 @@
 use nfc_click::element::RunCtx;
 use nfc_click::Element;
 use nfc_nf::ac::AhoCorasick;
-use nfc_nf::crypto::{hmac_sha1, Aes128, Sha1};
+use nfc_nf::crypto::{hmac_sha1, Aes128, HmacSha1Key, Sha1};
 use nfc_nf::elements::{IpsecDecrypt, IpsecEncrypt, IpsecSa, Nat};
 use nfc_nf::lpm::{Dir24_8, RouteV4, TrieV4, WaldvogelV6};
 use nfc_packet::{checksum, Batch, Packet};
@@ -69,6 +69,31 @@ proptest! {
         let mut k2 = key.clone();
         k2[0] ^= 1;
         prop_assert_ne!(hmac_sha1(&k2, &msg), tag);
+    }
+
+    #[test]
+    fn hmac_prepared_key_matches_rfc2104_definition(
+        key in proptest::collection::vec(any::<u8>(), 0..200),
+        first in proptest::collection::vec(any::<u8>(), 0..300),
+        second in proptest::collection::vec(any::<u8>(), 0..300),
+    ) {
+        // H((K ^ opad) || H((K ^ ipad) || m)), spelled out with one-shot
+        // digests so it shares nothing with the midstate implementation.
+        let mut k = if key.len() > 64 { Sha1::digest(&key).to_vec() } else { key.clone() };
+        k.resize(64, 0);
+        let by_definition = |msg: &[u8]| {
+            let mut inner: Vec<u8> = k.iter().map(|b| b ^ 0x36).collect();
+            inner.extend_from_slice(msg);
+            let mut outer: Vec<u8> = k.iter().map(|b| b ^ 0x5C).collect();
+            outer.extend_from_slice(&Sha1::digest(&inner));
+            Sha1::digest(&outer)
+        };
+        // One prepared key tags both messages: reuse must not leak state.
+        let prepared = HmacSha1Key::new(&key);
+        for msg in [&first, &second] {
+            prop_assert_eq!(prepared.tag(msg), by_definition(msg));
+            prop_assert_eq!(hmac_sha1(&key, msg), by_definition(msg));
+        }
     }
 
     #[test]
