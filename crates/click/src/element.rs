@@ -1,6 +1,6 @@
 //! The [`Element`] trait and its metadata types.
 
-use nfc_packet::{Batch, Packet};
+use nfc_packet::{Batch, HeaderLanes, Packet};
 
 /// Traffic classes of Click elements, as used by the NF synthesizer's
 /// reorder rules (paper §IV-B2: "classifiers are not allowed to move across
@@ -197,7 +197,7 @@ impl WorkProfile {
 /// restricts verdicts to [`ElementClass::Classifier`]-like read-only
 /// elements — the compile-time check in `ElementGraph::compile` enforces
 /// it from the element's declared class and [`ElementActions`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlowVerdict {
     /// Forward every packet of the flow on this output port.
     Forward {
@@ -386,6 +386,32 @@ pub trait Element: std::fmt::Debug + Send {
     /// packets whose flow missed the cache.
     fn flow_verdict(&self, _pkt: &Packet) -> Option<FlowVerdict> {
         None
+    }
+
+    /// [`Element::flow_verdict`] as a column: appends to `out` one
+    /// verdict per entry of `rows` (indices into `batch`, in that order)
+    /// and returns `true`, or returns `false` as soon as one row has no
+    /// verdict (`out` is then unspecified and the caller falls back to
+    /// the slow path for the whole batch). `lanes` is `batch`'s gathered
+    /// [`HeaderLanes`] view, so lane-capable elements answer with the
+    /// same column sweep their [`Element::process`] runs; the default
+    /// asks [`Element::flow_verdict`] row by row, which is the contract
+    /// every override must match exactly.
+    fn flow_verdicts(
+        &self,
+        batch: &Batch,
+        _lanes: &HeaderLanes,
+        rows: &[u32],
+        out: &mut Vec<FlowVerdict>,
+    ) -> bool {
+        for &row in rows {
+            let pkt = batch.get(row as usize).expect("row within the batch");
+            match self.flow_verdict(pkt) {
+                Some(v) => out.push(v),
+                None => return false,
+            }
+        }
+        true
     }
 
     /// Drains buffered [`SessionRecord`]s (session-logging elements

@@ -3,7 +3,7 @@
 use crate::element::{
     config_hash, Element, ElementActions, ElementClass, ElementSignature, FlowVerdict, RunCtx,
 };
-use nfc_packet::{Batch, Packet};
+use nfc_packet::{Batch, HeaderLanes, Packet};
 
 /// Counts packets and bytes passing through (Click `Counter`).
 #[derive(Debug, Clone)]
@@ -185,6 +185,24 @@ impl ProtocolClassifier {
             protos,
         }
     }
+
+    /// Output port of `p` from its parsed headers.
+    fn route(&self, p: &Packet) -> usize {
+        match p.ip_protocol() {
+            Ok(proto) if self.protos.contains(&proto) => 0,
+            _ => 1,
+        }
+    }
+
+    /// Output port of row `i` (packet `p`) off the proto lane; rows the
+    /// lane does not cover (IPv6, non-IP) take [`Self::route`].
+    fn route_row(&self, lanes: &HeaderLanes, i: usize, p: &Packet) -> usize {
+        if lanes.l3v4_mask()[i] {
+            usize::from(!self.protos.contains(&lanes.proto()[i]))
+        } else {
+            self.route(p)
+        }
+    }
 }
 
 impl Element for ProtocolClassifier {
@@ -209,24 +227,14 @@ impl Element for ProtocolClassifier {
             // Columnar sweep: one chunked pass over the proto lane for
             // IPv4 rows, per-packet fallback (IPv6, non-IP) elsewhere.
             let lanes = batch.shared_lanes();
-            let mut routes: Vec<usize> = Vec::with_capacity(batch.len());
-            for (i, p) in batch.iter().enumerate() {
-                routes.push(if lanes.l3v4_mask()[i] {
-                    usize::from(!self.protos.contains(&lanes.proto()[i]))
-                } else {
-                    match p.ip_protocol() {
-                        Ok(proto) if self.protos.contains(&proto) => 0,
-                        _ => 1,
-                    }
-                });
-            }
+            let routes: Vec<usize> = batch
+                .iter()
+                .enumerate()
+                .map(|(i, p)| self.route_row(&lanes, i, p))
+                .collect();
             return batch.split_by(2, |i, _| routes[i]);
         }
-        let protos = self.protos.clone();
-        batch.split_by(2, |_, p| match p.ip_protocol() {
-            Ok(proto) if protos.contains(&proto) => 0,
-            _ => 1,
-        })
+        batch.split_by(2, |_, p| self.route(p))
     }
 
     fn clone_box(&self) -> Box<dyn Element> {
@@ -246,10 +254,26 @@ impl Element for ProtocolClassifier {
     }
 
     fn flow_verdict(&self, pkt: &Packet) -> Option<FlowVerdict> {
-        Some(match pkt.ip_protocol() {
-            Ok(proto) if self.protos.contains(&proto) => FlowVerdict::Forward { port: 0 },
-            _ => FlowVerdict::Forward { port: 1 },
+        Some(FlowVerdict::Forward {
+            port: self.route(pkt),
         })
+    }
+
+    fn flow_verdicts(
+        &self,
+        batch: &Batch,
+        lanes: &HeaderLanes,
+        rows: &[u32],
+        out: &mut Vec<FlowVerdict>,
+    ) -> bool {
+        out.extend(rows.iter().map(|&row| {
+            let i = row as usize;
+            let p = batch.get(i).expect("row within the batch");
+            FlowVerdict::Forward {
+                port: self.route_row(lanes, i, p),
+            }
+        }));
+        true
     }
 }
 

@@ -1,8 +1,10 @@
 //! Element graphs: validated DAGs with a push-based batch engine.
 
 use crate::element::{config_hash, Element, ElementClass, FlowVerdict, RunCtx};
-use nfc_packet::{Batch, Packet};
+use nfc_packet::{Batch, HeaderLanes, Packet};
 use nfc_telemetry::{EventKind, Recorder};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Environment variable controlling the default of
 /// [`CompiledGraph::set_lanes`]: set to `0`, `false`, `off` or `no` to
@@ -491,6 +493,135 @@ impl FlowPath {
     }
 }
 
+/// Marks the root of the prefix tree in [`FlowTraces`]: rows that have
+/// not left the entry node yet.
+const NO_PREFIX: u32 = u32::MAX;
+
+/// One node of the prefix tree [`CompiledGraph::trace_flows`] grows per
+/// batch: the walk of its parent extended by one hop. Rows that share a
+/// prefix and receive the same verdict at the next node share the child.
+#[derive(Debug, Clone, Copy)]
+struct Prefix {
+    parent: u32,
+    hop: FlowHop,
+    anno: Option<(usize, u64)>,
+    end: PrefixEnd,
+}
+
+/// Where a [`Prefix`]'s last hop leads.
+#[derive(Debug, Clone, Copy)]
+enum PrefixEnd {
+    /// The rows move on to this node.
+    Next(NodeId),
+    /// The walk ended (drop or graph egress); index of the finished path
+    /// in [`FlowTraces::distinct`].
+    Path(u32),
+}
+
+/// Reusable scratch and result of [`CompiledGraph::trace_flows`]: one
+/// shared [`FlowPath`] per *distinct* walk the traced rows took, plus
+/// which of them each row took. Keep one per caller and hand it back
+/// for every batch, so the steady state allocates only the distinct
+/// paths themselves.
+#[derive(Debug, Clone, Default)]
+pub struct FlowTraces {
+    /// Rows waiting at each node (node-indexed, drained as the walk
+    /// passes the node).
+    at_node: Vec<Vec<u32>>,
+    /// Per batch row: the prefix the row has walked so far.
+    prefix_of: Vec<u32>,
+    /// One element's verdict column.
+    verdicts: Vec<FlowVerdict>,
+    prefixes: Vec<Prefix>,
+    /// `(prefix, verdict at the next node)` → child prefix.
+    children: HashMap<(u32, FlowVerdict), u32>,
+    distinct: Vec<Arc<FlowPath>>,
+    /// Per traced row `k`: index into `distinct`.
+    row_path: Vec<u32>,
+}
+
+impl FlowTraces {
+    /// Number of rows the last successful trace resolved.
+    pub fn len(&self) -> usize {
+        self.row_path.len()
+    }
+
+    /// True if the last trace resolved no rows.
+    pub fn is_empty(&self) -> bool {
+        self.row_path.is_empty()
+    }
+
+    /// The path of `rows[k]` — what [`CompiledGraph::trace_flow`] returns
+    /// for that packet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is out of range.
+    pub fn path(&self, k: usize) -> &Arc<FlowPath> {
+        &self.distinct[self.row_path[k] as usize]
+    }
+
+    /// Every distinct path of the last trace, each exactly once.
+    pub fn distinct(&self) -> &[Arc<FlowPath>] {
+        &self.distinct
+    }
+
+    /// The child of `parent` for `verdict` taken at `node`, created (and,
+    /// if the walk ends there, materialised as a path) on first sight.
+    fn child(
+        &mut self,
+        wiring: &[Vec<Option<(NodeId, usize)>>],
+        parent: u32,
+        node: NodeId,
+        verdict: FlowVerdict,
+    ) -> u32 {
+        if let Some(&id) = self.children.get(&(parent, verdict)) {
+            return id;
+        }
+        let (port, anno) = match verdict {
+            FlowVerdict::Drop => (None, None),
+            FlowVerdict::Forward { port } => (Some(port), None),
+            FlowVerdict::Annotate { port, slot, value } => (Some(port), Some((slot, value))),
+        };
+        let target = port.and_then(|p| wiring[node.0].get(p).copied().flatten());
+        let hop = FlowHop {
+            node,
+            port,
+            edge: target.map(|(_, edge)| edge),
+        };
+        let end = match target {
+            Some((to, _)) => PrefixEnd::Next(to),
+            None => {
+                let (mut hops, mut annos) = (vec![hop], Vec::from_iter(anno));
+                let mut up = parent;
+                while up != NO_PREFIX {
+                    let p = &self.prefixes[up as usize];
+                    hops.push(p.hop);
+                    annos.extend(p.anno);
+                    up = p.parent;
+                }
+                hops.reverse();
+                annos.reverse();
+                self.distinct.push(Arc::new(FlowPath {
+                    hops,
+                    dropped: port.is_none(),
+                    annos,
+                }));
+                PrefixEnd::Path(self.distinct.len() as u32 - 1)
+            }
+        };
+        let id = self.prefixes.len() as u32;
+        self.prefixes.push(Prefix {
+            parent,
+            hop,
+            anno,
+            end,
+        });
+        self.children.insert((parent, verdict), id);
+        id
+    }
+}
+
 /// A batch that left the graph through an unwired output port.
 #[derive(Debug)]
 pub struct Egress {
@@ -813,6 +944,85 @@ impl CompiledGraph {
         }
     }
 
+    /// [`CompiledGraph::trace_flow`] for many packets at once: resolves
+    /// the walk of every `batch[rows[k]]` into `traces`
+    /// ([`FlowTraces::path`]`(k)`), mutating no element and no counter.
+    /// `lanes` must be `batch`'s gathered [`HeaderLanes`] view and `rows`
+    /// distinct indices into `batch`.
+    ///
+    /// Instead of walking the graph once per packet, the graph is walked
+    /// once, node by node in topological order, over the *set* of rows
+    /// standing at each node: the element answers with one verdict
+    /// column ([`Element::flow_verdicts`] — a lane sweep where the
+    /// element has one), rows are grouped by `(walk so far, verdict)`,
+    /// and each distinct complete walk becomes one shared [`FlowPath`].
+    /// Paths are equal, field by field, to what `trace_flow` returns.
+    ///
+    /// Returns `false` — with `traces` unspecified — if the graph is not
+    /// flow-cacheable or any element declines a verdict for any row;
+    /// callers fall back to the slow path for the whole batch.
+    pub fn trace_flows(
+        &self,
+        entry: NodeId,
+        batch: &Batch,
+        lanes: &HeaderLanes,
+        rows: &[u32],
+        traces: &mut FlowTraces,
+    ) -> bool {
+        if !self.flow_cacheable {
+            return false;
+        }
+        debug_assert!(
+            {
+                let mut seen = vec![false; batch.len()];
+                rows.iter()
+                    .all(|&r| !std::mem::replace(&mut seen[r as usize], true))
+            },
+            "rows must be distinct"
+        );
+        let t = traces;
+        t.at_node.resize_with(self.graph.node_count(), Vec::new);
+        t.at_node.iter_mut().for_each(Vec::clear);
+        t.prefix_of.clear();
+        t.prefix_of.resize(batch.len(), NO_PREFIX);
+        t.prefixes.clear();
+        t.children.clear();
+        t.distinct.clear();
+        t.row_path.clear();
+        t.at_node[entry.0].extend_from_slice(rows);
+        for &nid in &self.order {
+            if t.at_node[nid.0].is_empty() {
+                continue;
+            }
+            // Taken out while the walk below pushes onto other nodes'
+            // lists and grows the prefix tree; handed back afterwards (a
+            // declined trace forfeits the two allocations).
+            let here = std::mem::take(&mut t.at_node[nid.0]);
+            let mut verdicts = std::mem::take(&mut t.verdicts);
+            verdicts.clear();
+            if !self.graph.nodes[nid.0].flow_verdicts(batch, lanes, &here, &mut verdicts) {
+                return false;
+            }
+            debug_assert_eq!(verdicts.len(), here.len(), "one verdict per row");
+            for (&row, &verdict) in here.iter().zip(&verdicts) {
+                let id = t.child(&self.wiring, t.prefix_of[row as usize], nid, verdict);
+                t.prefix_of[row as usize] = id;
+                if let PrefixEnd::Next(to) = t.prefixes[id as usize].end {
+                    t.at_node[to.0].push(row);
+                }
+            }
+            t.verdicts = verdicts;
+            t.at_node[nid.0] = here;
+        }
+        for &row in rows {
+            match t.prefixes[t.prefix_of[row as usize] as usize].end {
+                PrefixEnd::Path(i) => t.row_path.push(i),
+                PrefixEnd::Next(_) => unreachable!("topological walk ends every row"),
+            }
+        }
+        true
+    }
+
     /// Accounts one packet of `bytes` wire bytes travelling `path`, as if
     /// the slow path had processed it: per-node packet/byte/drop counters
     /// and per-edge counters advance identically. The byte count is
@@ -1087,6 +1297,206 @@ mod tests {
             build(vec![ip_proto::TCP], false),
             build(vec![ip_proto::TCP], true)
         );
+    }
+
+    mod trace_proptests {
+        use super::*;
+        use crate::element::ElementActions;
+        use proptest::prelude::*;
+
+        /// Verdict-capable test element with the *default* (row-by-row)
+        /// `flow_verdicts`: annotates `slot` with the packet's wire
+        /// length and forwards.
+        #[derive(Debug, Clone)]
+        struct Tagger {
+            slot: usize,
+        }
+
+        impl Element for Tagger {
+            fn name(&self) -> &str {
+                "tagger"
+            }
+            fn class(&self) -> ElementClass {
+                ElementClass::Inspector
+            }
+            fn actions(&self) -> ElementActions {
+                ElementActions::read_header()
+            }
+            fn process(&mut self, mut batch: Batch, _ctx: &mut RunCtx) -> Vec<Batch> {
+                for p in batch.iter_mut() {
+                    p.meta.anno[self.slot] = p.len() as u64;
+                }
+                vec![batch]
+            }
+            fn clone_box(&self) -> Box<dyn Element> {
+                Box::new(self.clone())
+            }
+            fn verdict_capable(&self) -> bool {
+                true
+            }
+            fn flow_verdict(&self, pkt: &Packet) -> Option<FlowVerdict> {
+                Some(FlowVerdict::Annotate {
+                    port: 0,
+                    slot: self.slot,
+                    value: pkt.len() as u64,
+                })
+            }
+        }
+
+        /// UDP / TCP / ICMP over IPv4, IPv6 UDP, non-IP frames and
+        /// headers truncated inside L4 and inside L3, over a small
+        /// address space so one batch repeats flows.
+        fn mixed_batch(rows: &[(u8, u8, u16)]) -> Batch {
+            rows.iter()
+                .enumerate()
+                .map(|(i, &(kind, a, sp))| {
+                    let a = a % 4;
+                    let udp =
+                        Packet::ipv4_udp([10, 0, 0, a], [8, 8, a, 8], sp % 4 + 1, 53, b"udp!");
+                    let mut p = match kind % 7 {
+                        0 => udp,
+                        1 => Packet::ipv4_tcp([9, a, 9, 9], [7, 7, a, 7], sp % 4 + 1, 443, b"t", 2),
+                        2 => {
+                            let mut icmp = udp;
+                            let mut ip = icmp.ipv4().expect("built as IPv4");
+                            ip.protocol = 1; // ICMP
+                            ip.compute_checksum();
+                            icmp.set_ipv4(&ip);
+                            icmp
+                        }
+                        3 => Packet::ipv6_udp([a; 16], [2; 16], sp % 4 + 1, 5353, b"6"),
+                        4 => Packet::from_bytes(vec![a; 60]),
+                        5 => Packet::from_bytes(udp.data()[..38].to_vec()),
+                        _ => Packet::from_bytes(udp.data()[..20 + usize::from(a)].to_vec()),
+                    };
+                    p.meta.seq = i as u64;
+                    p
+                })
+                .collect()
+        }
+
+        /// The rows of `n` selected by the bits of `pick`, rotated so
+        /// they are not in ascending order.
+        fn pick_rows(n: usize, pick: u64) -> Vec<u32> {
+            let mut rows: Vec<u32> = (0..n as u32)
+                .filter(|r| pick >> (r % 64) & 1 == 1)
+                .collect();
+            let by = pick as usize % rows.len().max(1);
+            rows.rotate_left(by);
+            rows
+        }
+
+        /// `trace_flows(rows)[k]` ≡ `trace_flow(batch[rows[k]])`, with
+        /// `traces` carrying an earlier batch's state into the call.
+        fn assert_traces_match(
+            run: &CompiledGraph,
+            entry: NodeId,
+            batch: &Batch,
+            rows: &[u32],
+            traces: &mut FlowTraces,
+        ) -> Result<(), TestCaseError> {
+            let lanes = batch.header_lanes();
+            prop_assert!(run.trace_flows(entry, batch, &lanes, rows, traces));
+            prop_assert_eq!(traces.len(), rows.len());
+            for (k, &row) in rows.iter().enumerate() {
+                let scalar = run.trace_flow(entry, batch.get(row as usize).unwrap());
+                prop_assert_eq!(Some(&**traces.path(k)), scalar.as_ref(), "row {}", row);
+            }
+            // Shared, not copied: no two distinct paths are equal.
+            let distinct = traces.distinct();
+            for (i, a) in distinct.iter().enumerate() {
+                prop_assert!(distinct[..i].iter().all(|b| b != a));
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// A diamond — classifier, two branches, merge — so rows
+            /// reach the merge node with different walks behind them and
+            /// the same verdict ahead, plus annotations on one branch
+            /// and after the merge.
+            #[test]
+            fn diamond_traces_match_per_packet_walks(
+                rows in collection::vec((0u8..7, any::<u8>(), any::<u16>()), 0..48),
+                pick in any::<u64>(),
+            ) {
+                let mut g = ElementGraph::new();
+                let cl = g.add(ProtocolClassifier::new("cl", vec![ip_proto::TCP]));
+                let tcp = g.add(Tagger { slot: 2 });
+                let rest = g.add(ProtocolClassifier::new("rest", vec![ip_proto::UDP]));
+                let join = g.add(Tagger { slot: 3 });
+                g.connect(cl, 0, tcp).unwrap();
+                g.connect(cl, 1, rest).unwrap();
+                g.connect(tcp, 0, join).unwrap();
+                g.connect(rest, 0, join).unwrap(); // port 1 (neither): egress
+                let run = g.compile().unwrap();
+                prop_assert!(run.flow_cacheable());
+
+                let batch = mixed_batch(&rows);
+                let mut traces = FlowTraces::default();
+                let all: Vec<u32> = (0..batch.len() as u32).collect();
+                assert_traces_match(&run, cl, &batch, &all, &mut traces)?;
+                assert_traces_match(&run, cl, &batch, &pick_rows(batch.len(), pick), &mut traces)?;
+                // Entering mid-graph works the same way.
+                assert_traces_match(&run, rest, &batch, &all, &mut traces)?;
+
+                // The classifier's lane column is its scalar verdict.
+                let lanes = batch.header_lanes();
+                let sub = pick_rows(batch.len(), pick);
+                let mut column = Vec::new();
+                prop_assert!(run.graph().element(cl).flow_verdicts(&batch, &lanes, &sub, &mut column));
+                let scalar: Vec<_> = sub
+                    .iter()
+                    .map(|&r| run.graph().element(cl).flow_verdict(batch.get(r as usize).unwrap()).unwrap())
+                    .collect();
+                prop_assert_eq!(column, scalar);
+            }
+        }
+
+        /// One declining row declines the whole trace.
+        #[test]
+        fn a_declined_row_declines_the_trace() {
+            #[derive(Debug, Clone)]
+            struct DeclineTcp;
+            impl Element for DeclineTcp {
+                fn name(&self) -> &str {
+                    "decline-tcp"
+                }
+                fn class(&self) -> ElementClass {
+                    ElementClass::Inspector
+                }
+                fn actions(&self) -> ElementActions {
+                    ElementActions::read_header()
+                }
+                fn process(&mut self, batch: Batch, _ctx: &mut RunCtx) -> Vec<Batch> {
+                    vec![batch]
+                }
+                fn clone_box(&self) -> Box<dyn Element> {
+                    Box::new(self.clone())
+                }
+                fn verdict_capable(&self) -> bool {
+                    true
+                }
+                fn flow_verdict(&self, pkt: &Packet) -> Option<FlowVerdict> {
+                    (pkt.ip_protocol() != Ok(ip_proto::TCP))
+                        .then_some(FlowVerdict::Forward { port: 0 })
+                }
+            }
+            let mut g = ElementGraph::new();
+            let n = g.add(DeclineTcp);
+            let run = g.compile().unwrap();
+            let batch: Batch = [pkt_udp(0), pkt_tcp(1), pkt_udp(2)].into_iter().collect();
+            let lanes = batch.header_lanes();
+            let mut traces = FlowTraces::default();
+            assert!(run.trace_flows(n, &batch, &lanes, &[0, 2], &mut traces));
+            assert_eq!(traces.distinct().len(), 1, "two rows, one shared path");
+            assert!(!run.trace_flows(n, &batch, &lanes, &[0, 1, 2], &mut traces));
+            // The scratch survives a declined trace.
+            assert!(run.trace_flows(n, &batch, &lanes, &[2], &mut traces));
+            assert_eq!(traces.len(), 1);
+        }
     }
 
     #[test]

@@ -49,5 +49,6 @@ pub use element::{
     SessionRecord, SessionState, WorkProfile,
 };
 pub use graph::{
-    CompiledGraph, Edge, ElementGraph, FlowHop, FlowPath, GraphError, GraphStats, NodeId, LANES_ENV,
+    CompiledGraph, Edge, ElementGraph, FlowHop, FlowPath, FlowTraces, GraphError, GraphStats,
+    NodeId, LANES_ENV,
 };

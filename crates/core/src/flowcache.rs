@@ -21,11 +21,12 @@
 //!
 //! [`GraphStats`]: nfc_click::GraphStats
 
-use nfc_click::{CompiledGraph, FlowPath, NodeId};
+use nfc_click::{CompiledGraph, FlowPath, FlowTraces, NodeId};
 use nfc_nf::flowcache::{CacheCounters, ClockTable};
 use nfc_packet::batch::BatchLineage;
 use nfc_packet::{Batch, FlowKey, Packet};
 use nfc_telemetry::{EventKind, Recorder};
+use std::sync::Arc;
 
 /// Environment variable toggling the flow cache (`NFC_FLOW_CACHE`):
 /// unset/`0`/`off`/`false` disables (the differential baseline), `1`/
@@ -94,21 +95,37 @@ pub struct CachedRun {
 
 /// One stage's flow table: a bounded CLOCK cache of whole-graph
 /// [`FlowPath`]s stamped with the graph configuration it was filled
-/// under.
+/// under. Flows that walk the graph the same way share one path.
 #[derive(Debug, Clone)]
 pub struct StageFlowCache {
-    table: ClockTable<FlowKey, FlowPath>,
+    table: ClockTable<FlowKey, Arc<FlowPath>>,
     config_hash: u64,
     // Scratch reused across batches so the steady state allocates
-    // nothing per batch.
+    // nothing per batch beyond the two batches handed on (the miss
+    // partition and the egress) and the distinct new paths.
     keys: Vec<FlowKey>,
-    traced: Vec<Option<FlowPath>>,
-    miss_pkts: Vec<Packet>,
+    /// Per ingress packet: the table entry it hit, if any.
+    lookups: Vec<Option<Hit>>,
+    /// Hit packets in ingress order; doubles as the egress assembly
+    /// buffer.
     hit_pkts: Vec<Packet>,
+    /// `0..misses`: the rows handed to `trace_flows` (all of them).
+    miss_rows: Vec<u32>,
+    traces: FlowTraces,
     node_traffic: Vec<NodeTraffic>,
     edge_traffic: Vec<bool>,
     /// `(node, port)` egress exits with at least one packet this batch.
     egress_live: Vec<(usize, usize)>,
+    /// Per node: the lineage its output carries this batch.
+    lineage_out: Vec<Option<BatchLineage>>,
+}
+
+/// A cache hit: the slot to account once the batch is known to take the
+/// fast path, and the memoized path.
+#[derive(Debug, Clone)]
+struct Hit {
+    slot: usize,
+    path: Arc<FlowPath>,
 }
 
 /// Which partition(s) reached a node in the current batch.
@@ -121,16 +138,19 @@ struct NodeTraffic {
 impl StageFlowCache {
     /// Creates a cache for `run` with room for `capacity` flows.
     pub fn new(capacity: usize, run: &CompiledGraph) -> Self {
+        let nodes = run.graph().node_count();
         StageFlowCache {
             table: ClockTable::with_capacity(capacity),
             config_hash: run.flow_config_hash(),
             keys: Vec::new(),
-            traced: Vec::new(),
-            miss_pkts: Vec::new(),
+            lookups: Vec::new(),
             hit_pkts: Vec::new(),
-            node_traffic: vec![NodeTraffic::default(); run.graph().node_count()],
+            miss_rows: Vec::new(),
+            traces: FlowTraces::default(),
+            node_traffic: vec![NodeTraffic::default(); nodes],
             edge_traffic: vec![false; run.graph().edges().len()],
             egress_live: Vec::new(),
+            lineage_out: vec![None; nodes],
         }
     }
 
@@ -204,7 +224,7 @@ impl StageFlowCache {
             });
         }
         let mut batch = batch;
-        // ---- pass 1: flow keys (memoized on the packet) -------------
+        // ---- flow keys (memoized on the packet) ----------------------
         self.keys.clear();
         for p in batch.iter_mut() {
             match p.flow_key() {
@@ -214,94 +234,116 @@ impl StageFlowCache {
                 Err(_) => return Self::fall_back(run, entry, batch, rec),
             }
         }
-        // ---- pass 2: classify hit/miss, trace misses ----------------
-        // Nothing below mutates graph stats until every packet has a
-        // resolution, so a mid-batch fallback stays consistent.
-        self.traced.clear();
-        for (i, key) in self.keys.iter().enumerate() {
-            let hash = u64::from(key.hash());
-            if self.table.get(hash, key).is_some() {
-                self.traced.push(None);
-            } else {
-                match run.trace_flow(entry, batch.get(i).expect("index in range")) {
-                    Some(path) => self.traced.push(Some(path)),
-                    None => return Self::fall_back(run, entry, batch, rec),
-                }
+        // ---- lookups against the pre-batch table state ---------------
+        // Peeks only: counters and referenced bits move once the batch is
+        // known to take the fast path, so a fallback leaves no trace.
+        self.lookups.clear();
+        for key in &self.keys {
+            let found = self.table.peek_slot(u64::from(key.hash()), key);
+            self.lookups.push(found.map(|(slot, path)| Hit {
+                slot,
+                path: Arc::clone(path),
+            }));
+        }
+        // ---- partition: hit packets / one miss batch -----------------
+        let lineage_in = batch.lineage;
+        let hits = self.lookups.iter().flatten().count();
+        let misses = self.keys.len() - hits;
+        self.hit_pkts.clear();
+        let mut miss_batch = Batch::with_capacity(misses);
+        for (pkt, lookup) in batch.into_iter().zip(&self.lookups) {
+            match lookup {
+                Some(_) => self.hit_pkts.push(pkt),
+                None => miss_batch.push(pkt),
             }
         }
-        // ---- pass 3: apply hits, collect misses ---------------------
-        let lineage_in = batch.lineage;
+        miss_batch.lineage = lineage_in;
+        // ---- resolve every miss once: gather, column verdicts, paths --
+        // The gathered lanes stay memoized on the miss batch, so the slow
+        // path's first lane element below does not gather again.
+        let lanes = miss_batch.shared_lanes();
+        self.miss_rows.clear();
+        self.miss_rows.extend(0..misses as u32);
+        if !run.trace_flows(
+            entry,
+            &miss_batch,
+            &lanes,
+            &self.miss_rows,
+            &mut self.traces,
+        ) {
+            // An element declined a verdict: put the ingress batch back
+            // together in its original order and take the slow path.
+            let (mut hit, mut miss) = (self.hit_pkts.drain(..), miss_batch.into_iter());
+            let mut whole: Batch = self
+                .lookups
+                .iter()
+                .map(|l| if l.is_some() { hit.next() } else { miss.next() })
+                .map(|p| p.expect("partitioned by the same flags"))
+                .collect();
+            whole.lineage = lineage_in;
+            return Self::fall_back(run, entry, whole, rec);
+        }
+        self.table
+            .commit_lookups(self.lookups.iter().flatten().map(|h| h.slot), misses as u64);
+        // ---- apply hits -----------------------------------------------
         self.node_traffic
             .iter_mut()
             .for_each(|t| *t = NodeTraffic::default());
         self.edge_traffic.iter_mut().for_each(|t| *t = false);
         self.egress_live.clear();
-        self.miss_pkts.clear();
-        self.hit_pkts.clear();
-        let mut miss_bytes = 0u64;
-        for (i, mut pkt) in batch.into_iter().enumerate() {
-            let key = self.keys[i];
-            let hash = u64::from(key.hash());
-            match &self.traced[i] {
-                Some(path) => {
-                    mark_traffic(
-                        path,
-                        false,
-                        &mut self.node_traffic,
-                        &mut self.edge_traffic,
-                        &mut self.egress_live,
-                    );
-                    miss_bytes += pkt.len() as u64;
-                    self.miss_pkts.push(pkt);
+        {
+            let Self {
+                lookups,
+                hit_pkts,
+                node_traffic,
+                edge_traffic,
+                egress_live,
+                ..
+            } = self;
+            let mut hit = lookups.iter().flatten();
+            hit_pkts.retain_mut(|pkt| {
+                let path = &hit.next().expect("one lookup per hit packet").path;
+                mark_traffic(path, true, node_traffic, edge_traffic, egress_live);
+                run.replay_flow_stats(path, pkt.len() as u64);
+                for &(slot, value) in &path.annos {
+                    pkt.meta.anno[slot] = value;
                 }
-                None => {
-                    let path = self
-                        .table
-                        .peek(hash, &key)
-                        .expect("hit classified in pass 2");
-                    mark_traffic(
-                        path,
-                        true,
-                        &mut self.node_traffic,
-                        &mut self.edge_traffic,
-                        &mut self.egress_live,
-                    );
-                    run.replay_flow_stats(path, pkt.len() as u64);
-                    for &(slot, value) in &path.annos {
-                        pkt.meta.anno[slot] = value;
-                    }
-                    if !path.dropped {
-                        self.hit_pkts.push(pkt);
-                    }
-                }
-            }
+                !path.dropped
+            });
         }
-        // Insert the freshly traced paths only now: inserting inside the
-        // loop above could evict a same-set entry that a later hit
-        // packet (classified against the pre-batch table state) still
-        // needs to peek.
-        for (i, slot) in self.traced.iter_mut().enumerate() {
-            if let Some(path) = slot.take() {
-                let key = self.keys[i];
-                self.table.insert(u64::from(key.hash()), key, path);
-            }
+        for path in self.traces.distinct() {
+            mark_traffic(
+                path,
+                false,
+                &mut self.node_traffic,
+                &mut self.edge_traffic,
+                &mut self.egress_live,
+            );
         }
-        let hits = (self.keys.len() - self.miss_pkts.len()) as u64;
-        let misses = self.miss_pkts.len() as u64;
+        // ---- insert the new paths ---------------------------------------
+        // Only now: an insert may evict a same-set entry, and every hit
+        // above was classified against the pre-batch table state.
+        let missed = self
+            .keys
+            .iter()
+            .zip(&self.lookups)
+            .filter(|(_, l)| l.is_none());
+        for (k, (key, _)) in missed.enumerate() {
+            let path = Arc::clone(self.traces.path(k));
+            self.table.insert(u64::from(key.hash()), *key, path);
+        }
         rec.instant(EventKind::FlowCacheBatch {
             hits: hits as u32,
             misses: misses as u32,
         });
         // ---- miss partition: one slow-path batch --------------------
+        let miss_bytes = miss_batch.total_bytes() as u64;
         let (mut miss_new_splits, mut miss_new_merges) = (0, 0);
-        let mut out_pkts = std::mem::take(&mut self.hit_pkts);
-        if !self.miss_pkts.is_empty() {
-            let mut miss_batch: Batch = self.miss_pkts.drain(..).collect();
-            miss_batch.lineage = lineage_in;
+        if !miss_batch.is_empty() {
             let miss_out = run.push_merged_traced(entry, miss_batch, rec);
             miss_new_splits = miss_out.lineage.splits.saturating_sub(lineage_in.splits);
             miss_new_merges = miss_out.lineage.merges.saturating_sub(lineage_in.merges);
-            out_pkts.extend(miss_out);
+            self.hit_pkts.extend(miss_out);
         }
         // Batch counters: the slow path counts one batch per node that
         // receives non-empty input. The miss push covered miss-reached
@@ -314,14 +356,13 @@ impl StageFlowCache {
         // Restore slow-path packet order (batches are seq-sorted
         // throughout the engine; verdict-capable graphs never duplicate
         // packets, so seq order is total).
-        out_pkts.sort_by_key(|p| p.meta.seq);
-        let mut out: Batch = out_pkts.drain(..).collect();
+        self.hit_pkts.sort_by_key(|p| p.meta.seq);
+        let mut out: Batch = self.hit_pkts.drain(..).collect();
         out.lineage = self.simulate_lineage(run, entry, lineage_in);
-        self.hit_pkts = out_pkts; // hand the allocation back
         CachedRun {
             out,
-            hits,
-            misses,
+            hits: hits as u64,
+            misses: misses as u64,
             miss_bytes,
             miss_new_splits,
             miss_new_merges,
@@ -354,14 +395,16 @@ impl StageFlowCache {
     /// merges at nodes fed by several live edges and at the final
     /// egress merge — exactly `CompiledGraph::push_merged`'s accounting.
     fn simulate_lineage(
-        &self,
+        &mut self,
         run: &CompiledGraph,
         entry: NodeId,
         lineage_in: BatchLineage,
     ) -> BatchLineage {
         let edges = run.graph().edges();
-        let mut l_out: Vec<Option<BatchLineage>> = vec![None; self.node_traffic.len()];
-        let mut egress_parts: Vec<BatchLineage> = Vec::new();
+        let l_out = &mut self.lineage_out;
+        l_out.iter_mut().for_each(|l| *l = None);
+        // Egress parts so far, and the largest counts among them.
+        let (mut parts, mut splits, mut merges) = (0usize, 0, 0);
         for &nid in run.order() {
             let t = self.node_traffic[nid.0];
             if !t.by_hit && !t.by_miss {
@@ -400,17 +443,16 @@ impl StageFlowCache {
             for port in 0..run.graph().element(nid).n_outputs() {
                 if run.port_target(nid, port).is_none() && self.egress_live.contains(&(nid.0, port))
                 {
-                    egress_parts.push(l);
+                    parts += 1;
+                    splits = splits.max(l.splits);
+                    merges = merges.max(l.merges);
                 }
             }
         }
-        match egress_parts.len() {
-            0 => BatchLineage::default(),
-            1 => egress_parts[0],
-            _ => BatchLineage {
-                splits: egress_parts.iter().map(|l| l.splits).max().unwrap_or(0),
-                merges: egress_parts.iter().map(|l| l.merges).max().unwrap_or(0) + 1,
-            },
+        // A single part passes through; several pay the egress merge.
+        BatchLineage {
+            splits,
+            merges: merges + u32::from(parts > 1),
         }
     }
 }
@@ -440,5 +482,107 @@ fn mark_traffic(
             }
             (None, None) => {} // dropped here
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nfc_click::element::{ElementActions, ElementClass, FlowVerdict, RunCtx};
+    use nfc_click::elements::ProtocolClassifier;
+    use nfc_click::{Element, ElementGraph};
+    use nfc_packet::headers::ip_proto;
+
+    /// Destination port that [`DeclineMarked`] has no verdict for.
+    const MARK: u16 = 9;
+
+    /// Verdict-capable pass-through that declines a verdict for packets
+    /// to port [`MARK`].
+    #[derive(Debug, Clone)]
+    struct DeclineMarked;
+
+    impl Element for DeclineMarked {
+        fn name(&self) -> &str {
+            "decline-marked"
+        }
+        fn class(&self) -> ElementClass {
+            ElementClass::Inspector
+        }
+        fn actions(&self) -> ElementActions {
+            ElementActions::read_header()
+        }
+        fn process(&mut self, batch: Batch, _ctx: &mut RunCtx) -> Vec<Batch> {
+            vec![batch]
+        }
+        fn clone_box(&self) -> Box<dyn Element> {
+            Box::new(self.clone())
+        }
+        fn verdict_capable(&self) -> bool {
+            true
+        }
+        fn flow_verdict(&self, pkt: &Packet) -> Option<FlowVerdict> {
+            let marked = pkt.five_tuple().is_ok_and(|t| t.dst_port == MARK);
+            (!marked).then_some(FlowVerdict::Forward { port: 0 })
+        }
+    }
+
+    fn flow(id: u8, dst_port: u16, seq: u64) -> Packet {
+        let mut p = Packet::ipv4_udp([10, 0, 0, id], [10, 0, 1, id], 1000, dst_port, b"flow");
+        p.meta.seq = seq;
+        p
+    }
+
+    fn key(id: u8) -> FlowKey {
+        flow(id, 53, 0).flow_key().expect("UDP flow")
+    }
+
+    /// A batch one element declines mid-trace takes the slow path whole
+    /// and leaves the cache exactly as if it had never been looked up:
+    /// same counters, same referenced bits (so the same later victims).
+    #[test]
+    fn declined_batch_falls_back_without_a_trace() {
+        let mut g = ElementGraph::new();
+        let cl = g.add(ProtocolClassifier::new("cl", vec![ip_proto::UDP]));
+        let dm = g.add(DeclineMarked);
+        g.connect(cl, 0, dm).unwrap();
+        let mut run = g.compile().unwrap();
+        assert!(run.flow_cacheable());
+        // One 4-way set: five flows fill it and evict flow 3, which
+        // leaves flows 2, 1, 0 unreferenced, in the hand's order.
+        let mut cache = StageFlowCache::new(4, &run);
+        let warm: Batch = (0..5).map(|id| flow(id, 53, u64::from(id))).collect();
+        assert!(!cache.process(&mut run, cl, warm).fell_back);
+        let live = |c: &StageFlowCache| (0..32).filter(|&id| c.probe(&key(id))).collect::<Vec<_>>();
+        assert_eq!(live(&cache), [0, 1, 2, 4]);
+
+        // The twin never sees the declined batch in its cache.
+        let (mut twin, mut twin_run) = (cache.clone(), run.clone());
+        let before = cache.counters();
+
+        // A hit (flow 2), a plain miss and the marked miss.
+        let mut declined: Batch = [flow(2, 53, 10), flow(7, 53, 11), flow(8, MARK, 12)]
+            .into_iter()
+            .collect();
+        declined.lineage = BatchLineage {
+            splits: 1,
+            merges: 2,
+        };
+        let fast = cache.process(&mut run, cl, declined.clone());
+        assert!(fast.fell_back);
+        assert_eq!((fast.hits, fast.misses), (0, 0));
+        assert_eq!(fast.out, twin_run.push_merged(cl, declined), "egress");
+        assert_eq!(run.stats(), twin_run.stats(), "GraphStats");
+        assert_eq!(cache.counters(), before, "CacheCounters");
+
+        // Two more inserts take the hand's first two unreferenced
+        // entries, flows 2 and 1 — had the declined batch's hit marked
+        // flow 2 referenced, flows 1 and 0 would go instead.
+        let next: Batch = [flow(20, 53, 20), flow(21, 53, 21)].into_iter().collect();
+        let a = cache.process(&mut run, cl, next.clone());
+        let b = twin.process(&mut twin_run, cl, next);
+        assert_eq!(a.out, b.out);
+        assert_eq!(cache.counters(), twin.counters());
+        assert_eq!(live(&cache), live(&twin));
+        assert_eq!(live(&cache), [0, 4, 20, 21]);
     }
 }

@@ -17,7 +17,7 @@ use nfc_click::element::{
     Offload, RunCtx, SessionRecord, SessionState, WorkProfile,
 };
 use nfc_packet::headers::{tcp_flags, MacAddr};
-use nfc_packet::{checksum, Batch, FiveTuple, FlowKey, Packet};
+use nfc_packet::{checksum, Batch, FiveTuple, FlowKey, HeaderLanes, Packet};
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
@@ -44,6 +44,71 @@ impl IpLookup {
     pub fn new(table: Arc<Dir24_8>, cfg: u64) -> Self {
         IpLookup { table, cfg }
     }
+
+    /// Next hop of `p` from its parsed header (`None`: unroutable).
+    fn next_hop(&self, p: &Packet) -> Option<u32> {
+        p.ipv4().ok().and_then(|ip| self.table.lookup(ip.dst_u32()))
+    }
+
+    /// Next hop of each of `rows` off the destination column, handed to
+    /// `sink` in order. `ipv4()` succeeds exactly on masked rows, so
+    /// unmasked rows are unroutable just like the accessor chain says.
+    /// With `simd` the sweep widens to [`Dir24_8::lookup8`] — eight
+    /// first-level loads in flight per chunk of rows (invalid rows hold
+    /// zeroed lanes, which index table entry 0 harmlessly and are
+    /// discarded); a trailing partial chunk is looked up row by row.
+    fn next_hops(
+        &self,
+        lanes: &HeaderLanes,
+        simd: bool,
+        mut rows: impl Iterator<Item = usize>,
+        mut sink: impl FnMut(Option<u32>),
+    ) {
+        const W: usize = nfc_packet::simd::LANES;
+        let (dst, ipv4) = (lanes.dst_ip(), lanes.ipv4_mask());
+        let scalar = |i: usize| ipv4[i].then(|| self.table.lookup(dst[i])).flatten();
+        if !simd {
+            rows.for_each(|i| sink(scalar(i)));
+            return;
+        }
+        loop {
+            let mut chunk = [0usize; W];
+            let mut filled = 0;
+            for (slot, i) in chunk.iter_mut().zip(rows.by_ref()) {
+                *slot = i;
+                filled += 1;
+            }
+            if filled < W {
+                chunk[..filled].iter().for_each(|&i| sink(scalar(i)));
+                return;
+            }
+            if chunk.iter().any(|&i| ipv4[i]) {
+                let wide = self.table.lookup8(&chunk.map(|i| dst[i]));
+                for (&i, nh) in chunk.iter().zip(wide) {
+                    sink(if ipv4[i] { nh } else { None });
+                }
+            } else {
+                chunk.iter().for_each(|_| sink(None));
+            }
+        }
+    }
+}
+
+/// The [`ANNO_NEXT_HOP`] value publishing next hop `nh` (0 is "none").
+fn hop_anno(nh: u32) -> u64 {
+    u64::from(nh) + 1
+}
+
+/// The flow verdict of a route lookup that found `nh`.
+fn hop_verdict(nh: Option<u32>) -> FlowVerdict {
+    match nh {
+        Some(nh) => FlowVerdict::Annotate {
+            port: 0,
+            slot: ANNO_NEXT_HOP,
+            value: hop_anno(nh),
+        },
+        None => FlowVerdict::Drop,
+    }
 }
 
 impl Element for IpLookup {
@@ -67,68 +132,24 @@ impl Element for IpLookup {
 
     fn process(&mut self, mut batch: Batch, ctx: &mut RunCtx) -> Vec<Batch> {
         let mut keep = Vec::with_capacity(batch.len());
+        let mut apply = |p: &mut Packet, nh: Option<u32>| match nh {
+            Some(nh) => {
+                p.meta.anno[ANNO_NEXT_HOP] = hop_anno(nh);
+                keep.push(true);
+            }
+            None => keep.push(false),
+        };
         if ctx.lanes {
-            // The destination column sweeps the DIR-24-8 table without
-            // re-parsing headers; `ipv4()` succeeds exactly on masked
-            // rows, so unmasked rows drop just like the accessor chain.
-            // Under `ctx.simd` the sweep widens to [`Dir24_8::lookup8`]
-            // — eight first-level loads in flight per chunk, results
-            // masked by the packed IPv4 bits (invalid rows hold zeroed
-            // lanes, which index table entry 0 harmlessly and are
-            // discarded).
             let lanes = batch.shared_lanes();
-            let mut nh_col: Vec<Option<u32>> = Vec::new();
-            if ctx.simd {
-                let n = lanes.len();
-                let dst = lanes.dst_ip();
-                let bits = lanes.ipv4_bits();
-                nh_col = vec![None; n];
-                let chunks = n / nfc_packet::simd::LANES;
-                for c in 0..chunks {
-                    let m = nfc_packet::simd::mask8(bits, c);
-                    if m == 0 {
-                        continue;
-                    }
-                    let base = c * nfc_packet::simd::LANES;
-                    let a: [u32; 8] = dst[base..base + 8].try_into().expect("chunk");
-                    let wide = self.table.lookup8(&a);
-                    for (l, nh) in wide.into_iter().enumerate() {
-                        if m >> l & 1 == 1 {
-                            nh_col[base + l] = nh;
-                        }
-                    }
-                }
-                for i in chunks * nfc_packet::simd::LANES..n {
-                    if nfc_packet::simd::get_bit(bits, i) {
-                        nh_col[i] = self.table.lookup(dst[i]);
-                    }
-                }
-            }
-            for (i, p) in batch.iter_mut().enumerate() {
-                let nh = if ctx.simd {
-                    nh_col[i]
-                } else if lanes.ipv4_mask()[i] {
-                    self.table.lookup(lanes.dst_ip()[i])
-                } else {
-                    None
-                };
-                match nh {
-                    Some(nh) => {
-                        p.meta.anno[ANNO_NEXT_HOP] = u64::from(nh) + 1;
-                        keep.push(true);
-                    }
-                    None => keep.push(false),
-                }
-            }
+            let n = batch.len();
+            let mut pkts = batch.iter_mut();
+            self.next_hops(&lanes, ctx.simd, 0..n, |nh| {
+                apply(pkts.next().expect("one row per packet"), nh)
+            });
         } else {
             for p in batch.iter_mut() {
-                match p.ipv4().ok().and_then(|ip| self.table.lookup(ip.dst_u32())) {
-                    Some(nh) => {
-                        p.meta.anno[ANNO_NEXT_HOP] = u64::from(nh) + 1;
-                        keep.push(true);
-                    }
-                    None => keep.push(false),
-                }
+                let nh = self.next_hop(p);
+                apply(p, nh);
             }
         }
         let mut i = 0;
@@ -158,20 +179,19 @@ impl Element for IpLookup {
     }
 
     fn flow_verdict(&self, pkt: &Packet) -> Option<FlowVerdict> {
-        Some(
-            match pkt
-                .ipv4()
-                .ok()
-                .and_then(|ip| self.table.lookup(ip.dst_u32()))
-            {
-                Some(nh) => FlowVerdict::Annotate {
-                    port: 0,
-                    slot: ANNO_NEXT_HOP,
-                    value: u64::from(nh) + 1,
-                },
-                None => FlowVerdict::Drop,
-            },
-        )
+        Some(hop_verdict(self.next_hop(pkt)))
+    }
+
+    fn flow_verdicts(
+        &self,
+        _batch: &Batch,
+        lanes: &HeaderLanes,
+        rows: &[u32],
+        out: &mut Vec<FlowVerdict>,
+    ) -> bool {
+        let rows = rows.iter().map(|&r| r as usize);
+        self.next_hops(lanes, true, rows, |nh| out.push(hop_verdict(nh)));
+        true
     }
 }
 
@@ -738,6 +758,69 @@ impl FirewallFilter {
     pub fn rule_count(&self) -> usize {
         self.acl.len()
     }
+
+    /// Whether `p` matches a deny rule, from its parsed headers
+    /// (anything without a 5-tuple is denied).
+    fn denies_packet(&self, p: &Packet) -> bool {
+        p.five_tuple()
+            .map(|t| self.acl.classify(&t).action == Action::Deny)
+            .unwrap_or(true)
+    }
+
+    /// The deny decision of each of `rows`, handed to `sink` in order,
+    /// classified straight off the u32/u16 columns; rows outside the
+    /// tuple mask (IPv6, non-UDP/TCP) take the per-packet path so the
+    /// verdicts stay bit-identical. With `simd` the tuple rows set in
+    /// `selected` — which must cover every tuple row of `rows` —
+    /// classify in one wide-word batch sweep (eight rows per rule
+    /// compare, partitions and first-match order preserved — see
+    /// [`AclTable::classify_v4_batch`]).
+    fn denies(
+        &self,
+        batch: &Batch,
+        lanes: &HeaderLanes,
+        simd: bool,
+        selected: &[u64],
+        rows: impl Iterator<Item = usize>,
+        mut sink: impl FnMut(bool),
+    ) {
+        let batched = simd.then(|| {
+            self.acl.classify_v4_batch(
+                lanes.src_ip(),
+                lanes.dst_ip(),
+                lanes.src_port(),
+                lanes.dst_port(),
+                lanes.proto(),
+                selected,
+            )
+        });
+        for i in rows {
+            sink(if lanes.tuple_mask()[i] {
+                let verdict = match &batched {
+                    Some(v) => v[i].expect("tuple row has a batched verdict"),
+                    None => self.acl.classify_v4(
+                        lanes.src_ip()[i],
+                        lanes.dst_ip()[i],
+                        lanes.src_port()[i],
+                        lanes.dst_port()[i],
+                        lanes.proto()[i],
+                    ),
+                };
+                verdict.action == Action::Deny
+            } else {
+                self.denies_packet(batch.get(i).expect("row within the batch"))
+            });
+        }
+    }
+
+    /// The flow verdict of a packet the ACL denies (or not).
+    fn verdict(&self, deny: bool) -> FlowVerdict {
+        if deny && self.enforce {
+            FlowVerdict::Drop
+        } else {
+            FlowVerdict::Forward { port: 0 }
+        }
+    }
 }
 
 impl Element for FirewallFilter {
@@ -765,62 +848,17 @@ impl Element for FirewallFilter {
     }
 
     fn process(&mut self, mut batch: Batch, ctx: &mut RunCtx) -> Vec<Batch> {
-        let mut denied = 0u64;
         let mut deny_flags = Vec::with_capacity(batch.len());
         if ctx.lanes {
-            // Classify straight off the u32/u16 columns; rows outside the
-            // tuple mask (IPv6, non-UDP/TCP) take the per-packet path so
-            // the verdicts stay bit-identical. Under `ctx.simd` all tuple
-            // rows classify in one wide-word batch sweep (eight rows per
-            // rule compare, partitions and first-match order preserved —
-            // see [`AclTable::classify_v4_batch`]).
             let lanes = batch.shared_lanes();
-            let batched = ctx.simd.then(|| {
-                self.acl.classify_v4_batch(
-                    lanes.src_ip(),
-                    lanes.dst_ip(),
-                    lanes.src_port(),
-                    lanes.dst_port(),
-                    lanes.proto(),
-                    lanes.tuple_bits(),
-                )
+            let rows = 0..batch.len();
+            self.denies(&batch, &lanes, ctx.simd, lanes.tuple_bits(), rows, |d| {
+                deny_flags.push(d)
             });
-            for (i, p) in batch.iter().enumerate() {
-                let deny = if lanes.tuple_mask()[i] {
-                    let verdict = match &batched {
-                        Some(v) => v[i].expect("tuple row has a batched verdict"),
-                        None => self.acl.classify_v4(
-                            lanes.src_ip()[i],
-                            lanes.dst_ip()[i],
-                            lanes.src_port()[i],
-                            lanes.dst_port()[i],
-                            lanes.proto()[i],
-                        ),
-                    };
-                    verdict.action == Action::Deny
-                } else {
-                    p.five_tuple()
-                        .map(|t| self.acl.classify(&t).action == Action::Deny)
-                        .unwrap_or(true)
-                };
-                if deny {
-                    denied += 1;
-                }
-                deny_flags.push(deny);
-            }
         } else {
-            for p in batch.iter() {
-                let deny = p
-                    .five_tuple()
-                    .map(|t| self.acl.classify(&t).action == Action::Deny)
-                    .unwrap_or(true);
-                if deny {
-                    denied += 1;
-                }
-                deny_flags.push(deny);
-            }
+            deny_flags.extend(batch.iter().map(|p| self.denies_packet(p)));
         }
-        self.denied += denied;
+        self.denied += deny_flags.iter().filter(|&&d| d).count() as u64;
         if self.enforce {
             let mut i = 0;
             batch.retain(|_| {
@@ -856,17 +894,30 @@ impl Element for FirewallFilter {
     }
 
     fn flow_verdict(&self, pkt: &Packet) -> Option<FlowVerdict> {
-        let deny = pkt
-            .five_tuple()
-            .map(|t| self.acl.classify(&t).action == Action::Deny)
-            .unwrap_or(true);
         // Note: the `denied` telemetry counter only advances on the slow
         // path; cache hits bypass it by design (GraphStats stay exact).
-        Some(if deny && self.enforce {
-            FlowVerdict::Drop
-        } else {
-            FlowVerdict::Forward { port: 0 }
-        })
+        Some(self.verdict(self.denies_packet(pkt)))
+    }
+
+    fn flow_verdicts(
+        &self,
+        batch: &Batch,
+        lanes: &HeaderLanes,
+        rows: &[u32],
+        out: &mut Vec<FlowVerdict>,
+    ) -> bool {
+        // Only the asked-for tuple rows go through the batch sweep.
+        let mut selected = vec![0u64; lanes.tuple_bits().len()];
+        for &r in rows {
+            if lanes.tuple_mask()[r as usize] {
+                nfc_packet::simd::set_bit(&mut selected, r as usize);
+            }
+        }
+        let rows = rows.iter().map(|&r| r as usize);
+        self.denies(batch, lanes, true, &selected, rows, |d| {
+            out.push(self.verdict(d))
+        });
+        true
     }
 }
 
@@ -1320,6 +1371,33 @@ impl LoadBalancer {
             backends,
         }
     }
+
+    /// Backend of `p` from its parsed headers.
+    fn backend(&self, p: &Packet) -> usize {
+        let h = p
+            .five_tuple()
+            .map(|t| t.symmetric_hash())
+            .unwrap_or(p.meta.flow_hash);
+        (h as usize) % self.backends
+    }
+
+    /// Backend of row `i` (packet `p`) hashed off the columns —
+    /// `symmetric_hash_v4` is the same FNV-1a fold
+    /// `FiveTuple::symmetric_hash` computes; rows outside the tuple mask
+    /// take [`Self::backend`].
+    fn backend_row(&self, lanes: &HeaderLanes, i: usize, p: &Packet) -> usize {
+        if !lanes.tuple_mask()[i] {
+            return self.backend(p);
+        }
+        let h = nfc_packet::flow::symmetric_hash_v4(
+            lanes.src_ip()[i],
+            lanes.dst_ip()[i],
+            lanes.src_port()[i],
+            lanes.dst_port()[i],
+            lanes.proto()[i],
+        );
+        (h as usize) % self.backends
+    }
 }
 
 impl Element for LoadBalancer {
@@ -1342,38 +1420,15 @@ impl Element for LoadBalancer {
     fn process(&mut self, mut batch: Batch, ctx: &mut RunCtx) -> Vec<Batch> {
         let n = self.backends;
         if ctx.lanes {
-            // Hash the columns directly; `symmetric_hash_v4` is the same
-            // FNV-1a fold `FiveTuple::symmetric_hash` computes.
             let lanes = batch.shared_lanes();
             let routes: Vec<usize> = batch
                 .iter()
                 .enumerate()
-                .map(|(i, p)| {
-                    let h = if lanes.tuple_mask()[i] {
-                        nfc_packet::flow::symmetric_hash_v4(
-                            lanes.src_ip()[i],
-                            lanes.dst_ip()[i],
-                            lanes.src_port()[i],
-                            lanes.dst_port()[i],
-                            lanes.proto()[i],
-                        )
-                    } else {
-                        p.five_tuple()
-                            .map(|t| t.symmetric_hash())
-                            .unwrap_or(p.meta.flow_hash)
-                    };
-                    (h as usize) % n
-                })
+                .map(|(i, p)| self.backend_row(&lanes, i, p))
                 .collect();
             return batch.split_by(n, |i, _| routes[i]);
         }
-        batch.split_by(n, |_, p| {
-            let h = p
-                .five_tuple()
-                .map(|t| t.symmetric_hash())
-                .unwrap_or(p.meta.flow_hash);
-            (h as usize) % n
-        })
+        batch.split_by(n, |_, p| self.backend(p))
     }
 
     fn clone_box(&self) -> Box<dyn Element> {
@@ -1393,13 +1448,26 @@ impl Element for LoadBalancer {
     }
 
     fn flow_verdict(&self, pkt: &Packet) -> Option<FlowVerdict> {
-        let h = pkt
-            .five_tuple()
-            .map(|t| t.symmetric_hash())
-            .unwrap_or(pkt.meta.flow_hash);
         Some(FlowVerdict::Forward {
-            port: (h as usize) % self.backends,
+            port: self.backend(pkt),
         })
+    }
+
+    fn flow_verdicts(
+        &self,
+        batch: &Batch,
+        lanes: &HeaderLanes,
+        rows: &[u32],
+        out: &mut Vec<FlowVerdict>,
+    ) -> bool {
+        out.extend(rows.iter().map(|&row| {
+            let i = row as usize;
+            let p = batch.get(i).expect("row within the batch");
+            FlowVerdict::Forward {
+                port: self.backend_row(lanes, i, p),
+            }
+        }));
+        true
     }
 }
 
@@ -2206,6 +2274,7 @@ mod tests {
 
     mod lane_proptests {
         use super::*;
+        use nfc_click::{ElementGraph, FlowTraces};
         use proptest::prelude::*;
 
         /// Random traffic mixing v4 UDP/TCP, v6 UDP and junk, with
@@ -2236,6 +2305,45 @@ mod tests {
                 }
             }
             b
+        }
+
+        /// Traffic for the verdict properties: UDP / TCP / ICMP over
+        /// IPv4, IPv6 UDP, a non-IP frame, and UDP frames cut inside the
+        /// L4 and inside the L3 header — drawn from a small address and
+        /// port space so one batch repeats flows.
+        fn verdict_batch(rows: &[(u8, u8, u8, u16, u16)]) -> Batch {
+            rows.iter()
+                .enumerate()
+                .map(|(i, &(kind, a, c, sp, dp))| {
+                    let (a, c) = (a % 8, c % 2);
+                    let (sp, dp) = (1000 + sp % 2, if dp % 2 == 0 { 80 } else { 40000 });
+                    let udp = Packet::ipv4_udp([10, a, c, 1], [172, 16 + a, a, c], sp, dp, b"udp!");
+                    let mut p = match kind {
+                        0 | 1 => udp,
+                        2 => Packet::ipv4_tcp([10, a, 1, c], [192, 168, a, c], sp, dp, b"t", 0x10),
+                        3 => {
+                            let mut icmp =
+                                Packet::ipv4_udp([10, a, c, 1], [8, 8, a, c], sp, dp, b"i");
+                            let mut ip = icmp.ipv4().expect("built as IPv4");
+                            ip.protocol = 1;
+                            ip.compute_checksum();
+                            icmp.set_ipv4(&ip);
+                            icmp
+                        }
+                        4 => {
+                            let (mut src, mut dst) = ([0u8; 16], [0u8; 16]);
+                            (src[0], src[15], dst[0], dst[15]) = (0x20, a, 0x20, c);
+                            Packet::ipv6_udp(src, dst, sp, dp, b"s")
+                        }
+                        5 => Packet::from_bytes(vec![a; 60]),
+                        6 => Packet::from_bytes(udp.data()[..38].to_vec()),
+                        _ => Packet::from_bytes(udp.data()[..20 + usize::from(a)].to_vec()),
+                    };
+                    p.meta.seq = i as u64;
+                    p.meta.flow_hash = u32::from(a) * 31 + u32::from(c);
+                    p
+                })
+                .collect()
         }
 
         proptest! {
@@ -2373,6 +2481,88 @@ mod tests {
                         rt_l2.process(fwd.clone(), &mut lanes_ctx()),
                         rt_w2.process(fwd, &mut simd_ctx())
                     );
+                }
+            }
+
+            /// Verdict columns are the scalar verdicts: per element,
+            /// `flow_verdicts(rows)[k]` ≡ `flow_verdict(batch[rows[k]])`,
+            /// and per graph — the catalog firewall (enforcing or not), a
+            /// bare `IpLookup`, a load balancer — `trace_flows(rows)[k]`
+            /// ≡ `trace_flow(batch[rows[k]])`, for arbitrary row subsets
+            /// of traffic that repeats flows and includes everything the
+            /// lanes do not cover.
+            #[test]
+            fn verdict_columns_match_scalar_verdicts(
+                rows in collection::vec(
+                    (0u8..8, any::<u8>(), any::<u8>(), any::<u16>(), any::<u16>()),
+                    0..48,
+                ),
+                pick in any::<u64>(),
+                acl_seed in any::<u64>(),
+                enforce in any::<bool>(),
+                backends in 1usize..9,
+            ) {
+                let batch = verdict_batch(&rows);
+                let mut sub: Vec<u32> = (0..batch.len() as u32)
+                    .filter(|r| pick >> (r % 64) & 1 == 1)
+                    .collect();
+                let by = pick as usize % sub.len().max(1);
+                sub.rotate_left(by);
+                let all: Vec<u32> = (0..batch.len() as u32).collect();
+
+                // One deny rule that bites this traffic ahead of rules
+                // that mostly do not.
+                let mut rules = vec![Rule {
+                    dst: (u32::from_be_bytes([172, 16, 0, 0]), 14),
+                    dport: (0, 32767),
+                    ..Rule::any(Action::Deny)
+                }];
+                rules.extend(synth::generate(96, acl_seed));
+                // 0.0.0.0/1 also covers the zeroed lanes of rows the
+                // IPv4 mask excludes, which must stay unroutable.
+                let routes = [
+                    ([0, 0, 0, 0], 1, 1),
+                    ([10, 0, 0, 0], 8, 3),
+                    ([172, 16, 0, 0], 12, 5),
+                    ([192, 168, 0, 0], 16, 9),
+                ]
+                .map(|(prefix, len, next_hop)| RouteV4 {
+                    prefix: u32::from_be_bytes(prefix),
+                    len,
+                    next_hop,
+                });
+                let lookup = IpLookup::new(Arc::new(Dir24_8::from_routes(&routes, 16)), 1);
+                let mut bare_lookup = ElementGraph::new();
+                bare_lookup.add(lookup);
+                let graphs = [
+                    crate::Nf::firewall_with("fw", rules, enforce).into_graph(),
+                    bare_lookup,
+                    crate::Nf::load_balancer("lb", backends).into_graph(),
+                ];
+                let lanes = batch.header_lanes();
+                let mut traces = FlowTraces::default();
+                for graph in graphs {
+                    let entry = graph.entries()[0];
+                    let run = graph.compile().expect("verdict-capable graph");
+                    prop_assert!(run.flow_cacheable());
+                    for rows in [&all, &sub] {
+                        prop_assert!(run.trace_flows(entry, &batch, &lanes, rows, &mut traces));
+                        prop_assert_eq!(traces.len(), rows.len());
+                        for (k, &row) in rows.iter().enumerate() {
+                            let scalar = run.trace_flow(entry, batch.get(row as usize).unwrap());
+                            prop_assert_eq!(Some(&**traces.path(k)), scalar.as_ref(), "row {}", row);
+                        }
+                        for id in run.graph().node_ids() {
+                            let el = run.graph().element(id);
+                            let mut column = Vec::new();
+                            prop_assert!(el.flow_verdicts(&batch, &lanes, rows, &mut column));
+                            let scalar: Vec<_> = rows
+                                .iter()
+                                .map(|&r| el.flow_verdict(batch.get(r as usize).unwrap()).unwrap())
+                                .collect();
+                            prop_assert_eq!(column, scalar, "{}", el.name());
+                        }
+                    }
                 }
             }
         }

@@ -135,19 +135,44 @@ impl<K: Eq + Clone + Debug, V: Debug> ClockTable<K, V> {
         None
     }
 
-    /// Looks up `key` without touching counters or referenced bits —
-    /// for re-reading an entry already accounted by a prior
-    /// [`ClockTable::get`] in the same pass.
+    /// Looks up `key` without touching counters or referenced bits.
     pub fn peek(&self, hash: u64, key: &K) -> Option<&V> {
+        self.peek_slot(hash, key).map(|(_, value)| value)
+    }
+
+    /// [`ClockTable::peek`] that also names the slot holding the entry,
+    /// for callers that classify a whole batch first and account it
+    /// afterwards with [`ClockTable::commit_lookups`] — or not at all, if
+    /// the batch ends up not using the table.
+    pub fn peek_slot(&self, hash: u64, key: &K) -> Option<(usize, &V)> {
         let base = self.set_base(hash);
         for way in 0..WAYS {
             if let Some(slot) = &self.slots[base + way] {
                 if slot.generation == self.generation && slot.key == *key {
-                    return Some(&slot.value);
+                    return Some((base + way, &slot.value));
                 }
             }
         }
         None
+    }
+
+    /// Accounts lookups classified by [`ClockTable::peek_slot`] exactly
+    /// as the same sequence of [`ClockTable::get`] calls would have: one
+    /// hit and a set referenced bit per entry of `hit_slots`, `misses`
+    /// misses. The table must not have been modified in between.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slot index does not name an occupied slot.
+    pub fn commit_lookups(&mut self, hit_slots: impl IntoIterator<Item = usize>, misses: u64) {
+        for slot in hit_slots {
+            self.slots[slot]
+                .as_mut()
+                .expect("slot named by peek_slot")
+                .referenced = true;
+            self.counters.hits += 1;
+        }
+        self.counters.misses += misses;
     }
 
     /// Like [`ClockTable::get`] but returns a mutable value reference.
@@ -258,6 +283,43 @@ mod tests {
         assert_eq!(t.len(), 2);
         let c = t.counters();
         assert_eq!((c.hits, c.misses), (2, 1));
+    }
+
+    #[test]
+    fn deferred_accounting_matches_get_and_is_optional() {
+        // One full set: every insert below lands in it.
+        let fill = || {
+            let mut t = ClockTable::with_capacity(WAYS);
+            for k in 0..WAYS as u32 + 1 {
+                t.insert(0, k, k); // the last insert clears every referenced bit
+            }
+            t
+        };
+        let (mut eager, mut deferred, mut unused) = (fill(), fill(), fill());
+        let before = unused.counters();
+        // Classifying with peek_slot and never committing leaves no trace.
+        assert!(unused.peek_slot(0, &2).is_some());
+        assert!(unused.peek_slot(0, &99).is_none());
+        assert_eq!(unused.counters(), before);
+        // Committing is the same as having called `get`.
+        assert_eq!(eager.get(0, &2), Some(&2));
+        assert_eq!(eager.get(0, &99), None);
+        let (slot, value) = deferred.peek_slot(0, &2).expect("live entry");
+        assert_eq!(*value, 2);
+        deferred.commit_lookups([slot], 1);
+        assert_eq!(deferred.counters(), eager.counters());
+        // The referenced bit decides the victims of the next two inserts:
+        // key 2 survives where the lookup was accounted and is evicted
+        // where it was not.
+        for t in [&mut eager, &mut deferred, &mut unused] {
+            t.insert(0, 100, 100);
+            t.insert(0, 101, 101);
+        }
+        let live = |t: &ClockTable<u32, u32>| -> Vec<u32> {
+            (0..102).filter(|k| t.peek(0, k).is_some()).collect()
+        };
+        assert_eq!(live(&eager), live(&deferred));
+        assert_ne!(live(&eager), live(&unused));
     }
 
     #[test]
