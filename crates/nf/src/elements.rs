@@ -419,21 +419,29 @@ impl Element for IpsecEncrypt {
 
     fn process(&mut self, mut batch: Batch, _ctx: &mut RunCtx) -> Vec<Batch> {
         for p in batch.iter_mut() {
-            let Ok(payload) = p.l4_payload().map(<[u8]>::to_vec) else {
+            let Ok(plain_len) = p.l4_payload().map(<[u8]>::len) else {
                 continue;
             };
-            self.seq += 1;
-            let iv = self.seq;
-            let mut body = payload;
-            self.aes.ctr_apply(self.sa.nonce, iv, &mut body);
-            let mut esp = Vec::with_capacity(ESP_HDR_LEN + body.len() + ESP_TAG_LEN);
-            esp.extend_from_slice(&self.sa.spi.to_be_bytes());
-            esp.extend_from_slice(&(self.seq as u32).to_be_bytes());
-            esp.extend_from_slice(&iv.to_be_bytes());
-            esp.extend_from_slice(&body);
-            let tag = self.hmac.tag(&esp);
-            esp.extend_from_slice(&tag[..ESP_TAG_LEN]);
-            let _ = p.replace_l4_payload(&esp);
+            let seq = self.seq + 1;
+            // The ESP payload is assembled where it will stay: plaintext
+            // copied into its slot, encrypted there, tagged in place.
+            let wrote =
+                p.rewrite_l4_payload(ESP_HDR_LEN + plain_len + ESP_TAG_LEN, |plain, esp| {
+                    let (msg, tag) = esp.split_at_mut(ESP_HDR_LEN + plain_len);
+                    msg[0..4].copy_from_slice(&self.sa.spi.to_be_bytes());
+                    msg[4..8].copy_from_slice(&(seq as u32).to_be_bytes());
+                    msg[8..ESP_HDR_LEN].copy_from_slice(&seq.to_be_bytes());
+                    msg[ESP_HDR_LEN..].copy_from_slice(plain);
+                    self.aes
+                        .ctr_apply(self.sa.nonce, seq, &mut msg[ESP_HDR_LEN..]);
+                    tag.copy_from_slice(&self.hmac.tag(msg)[..ESP_TAG_LEN]);
+                });
+            // A frame that cannot take the encapsulation (cut inside its
+            // L4 header, or too long for the IP length field) is forwarded
+            // as it came and consumes no sequence number.
+            if wrote.is_ok() {
+                self.seq = seq;
+            }
         }
         vec![batch]
     }
@@ -516,24 +524,30 @@ impl Element for IpsecDecrypt {
         let mut failures = 0u64;
         for p in batch.iter_mut() {
             let ok = (|| -> Option<()> {
-                let esp = p.l4_payload().ok()?.to_vec();
+                // Verified on the (possibly shared) frame itself; only the
+                // plaintext is copied out.
+                let esp = p.l4_payload().ok()?;
                 if esp.len() < ESP_HDR_LEN + ESP_TAG_LEN {
                     return None;
                 }
                 let (msg, tag) = esp.split_at(esp.len() - ESP_TAG_LEN);
                 let expect = self.hmac.tag(msg);
-                if tag != &expect[..ESP_TAG_LEN] {
+                // Constant time: no early exit on the first differing byte.
+                let diff =
+                    (tag.iter().zip(&expect[..ESP_TAG_LEN])).fold(0, |acc, (a, b)| acc | (a ^ b));
+                if diff != 0 {
                     return None;
                 }
                 let spi = u32::from_be_bytes(msg[0..4].try_into().ok()?);
                 if spi != self.sa.spi {
                     return None;
                 }
-                let iv = u64::from_be_bytes(msg[8..16].try_into().ok()?);
-                let mut body = msg[ESP_HDR_LEN..].to_vec();
-                self.aes.ctr_apply(self.sa.nonce, iv, &mut body);
-                p.replace_l4_payload(&body).ok()?;
-                Some(())
+                let iv = u64::from_be_bytes(msg[8..ESP_HDR_LEN].try_into().ok()?);
+                p.rewrite_l4_payload(msg.len() - ESP_HDR_LEN, |esp, plain| {
+                    plain.copy_from_slice(&esp[ESP_HDR_LEN..ESP_HDR_LEN + plain.len()]);
+                    self.aes.ctr_apply(self.sa.nonce, iv, plain);
+                })
+                .ok()
             })()
             .is_some();
             if !ok {
@@ -1907,6 +1921,100 @@ mod tests {
         let out = dec.process(one(tampered), &mut ctx());
         assert!(out[0].is_empty());
         assert_eq!(dec.auth_failures(), 1);
+    }
+
+    #[test]
+    fn ipsec_decrypt_rejects_every_single_bit_flip() {
+        let sa = IpsecSa::example();
+        let mut enc = IpsecEncrypt::new(sa.clone());
+        let mut dec = IpsecDecrypt::new(sa);
+        let plain = pkt(b"payload-bytes-here");
+        let out = enc.process(one(plain.clone()), &mut ctx());
+        let sealed = out[0].get(0).unwrap().clone();
+        // Every bit of the SPI, of one ciphertext byte and of the tag.
+        let esp = sealed.l4_payload_offset().unwrap();
+        let tag = sealed.len() - ESP_TAG_LEN;
+        let bytes = (esp..esp + 4)
+            .chain([esp + ESP_HDR_LEN + 3])
+            .chain(tag..sealed.len());
+        let mut flips = 0;
+        for byte in bytes {
+            for bit in 0..8 {
+                let mut tampered = sealed.clone();
+                tampered.data_mut()[byte] ^= 1 << bit;
+                let out = dec.process(one(tampered), &mut ctx());
+                flips += 1;
+                assert!(out[0].is_empty(), "byte {byte} bit {bit} got through");
+                assert_eq!(dec.auth_failures(), flips);
+            }
+        }
+        assert_eq!(flips, (4 + 1 + 12) * 8);
+        // The packet all those copies were made from still verifies.
+        let out = dec.process(one(sealed), &mut ctx());
+        assert_eq!(out[0].get(0), Some(&plain));
+        assert_eq!(dec.auth_failures(), flips);
+    }
+
+    #[test]
+    fn ipsec_encrypt_equals_the_spelled_out_encapsulation() {
+        let sa = IpsecSa::example();
+        let payload: Vec<u8> = (0..1318).map(|i| (i * 31) as u8).collect();
+        let frames = [
+            pkt(&payload),
+            pkt(b""),
+            Packet::ipv4_tcp([10, 0, 0, 1], [10, 0, 0, 2], 5, 443, &payload[..77], 0x18),
+            Packet::ipv6_udp([3; 16], [4; 16], 9, 53, &payload[..64]),
+        ];
+        let mut enc = IpsecEncrypt::new(sa.clone());
+        // The input frames stay shared with `frames`, as they are with the
+        // IDS branch of a re-organized chain.
+        let sealed = enc.process(frames.iter().cloned().collect(), &mut ctx());
+        let (aes, hmac) = (Aes128::new(&sa.aes_key), HmacSha1Key::new(&sa.hmac_key));
+        for (i, (frame, sealed)) in frames.iter().zip(sealed[0].iter()).enumerate() {
+            let seq = i as u64 + 1;
+            let mut body = frame.l4_payload().unwrap().to_vec();
+            aes.ctr_apply(sa.nonce, seq, &mut body);
+            let mut esp = sa.spi.to_be_bytes().to_vec();
+            esp.extend_from_slice(&(seq as u32).to_be_bytes());
+            esp.extend_from_slice(&seq.to_be_bytes());
+            esp.extend_from_slice(&body);
+            let tag = hmac.tag(&esp);
+            esp.extend_from_slice(&tag[..ESP_TAG_LEN]);
+            let mut want = frame.clone();
+            want.replace_l4_payload(&esp).unwrap();
+            assert_eq!(sealed.data(), want.data(), "frame {i}");
+            // The other owner of the input buffer still reads plaintext.
+            assert!(!sealed.shares_buffer(frame));
+            assert_eq!(frame.buffer_refcount(), 1);
+        }
+        assert_eq!(frames[0].l4_payload().unwrap(), &payload[..]);
+        let mut dec = IpsecDecrypt::new(sa);
+        let opened = dec.process(sealed.into_iter().next().unwrap(), &mut ctx());
+        assert!(opened[0].iter().eq(frames.iter()));
+        assert_eq!(dec.auth_failures(), 0);
+    }
+
+    #[test]
+    fn ipsec_encrypt_forwards_what_it_cannot_encapsulate() {
+        let whole = pkt(&[0x5A; 64]);
+        // Cut inside the UDP header: there is no payload slot to replace.
+        let cut_at = whole.l4_payload_offset().unwrap() - 2;
+        let cut = Packet::from_bytes(whole.data()[..cut_at].to_vec());
+        // 28 bytes of ESP would push the IP length past 16 bits.
+        let jumbo = pkt(&[0; 65_500]);
+        let mut arp = vec![0u8; 60];
+        arp[12..14].copy_from_slice(&[0x08, 0x06]);
+        let arp = Packet::from_bytes(arp);
+        let mut enc = IpsecEncrypt::new(IpsecSa::example());
+        let batch = [cut.clone(), jumbo.clone(), arp.clone(), whole].into_iter();
+        let out = enc.process(batch.collect(), &mut ctx());
+        for (i, refused) in [cut, jumbo, arp].iter().enumerate() {
+            assert_eq!(out[0].get(i), Some(refused));
+            assert!(out[0].get(i).unwrap().shares_buffer(refused));
+        }
+        // None of the three consumed a sequence number.
+        let sealed = out[0].get(3).unwrap().l4_payload().unwrap();
+        assert_eq!(sealed[4..8], 1u32.to_be_bytes());
     }
 
     #[test]
