@@ -1,7 +1,7 @@
 //! Engine benchmark: CoW branch duplication + worker-pool execution vs
 //! the serial deep-copy baseline on a 4-branch re-organized SFC.
 //!
-//! Six configurations run the same chain on the same traffic:
+//! Four configurations run the same chain on the same traffic:
 //!
 //! * `serial_deepcopy` — the pre-engine behavior: branches run one after
 //!   another and each receives an eagerly copied batch.
@@ -11,17 +11,12 @@
 //!   least two threads (`NFC_THREADS` / available parallelism when that
 //!   is more): a configuration labelled parallel never silently runs
 //!   the serial engine.
-//! * `parallel_cow_lanes_off` — `parallel_cow` with the SoA header-lane
-//!   sweep disabled, isolating what the columnar path buys on top of the
-//!   engine.
-//! * `parallel_cow_simd_off` — `parallel_cow` with the wide-word SIMD
-//!   kernels disabled (scalar lane sweep), isolating what the batched
-//!   compares buy on top of the columnar layout.
-//! * `serial_cow_simd_off` — the same switch on `serial_cow`, where no
-//!   second thread overlaps the sweep: the ratio the SIMD gate was
-//!   calibrated on.
+//! * `parallel_cow_lanes_off` — `parallel_cow` on the per-packet
+//!   reference path (`Deployment::with_lanes(false)`) instead of the SoA
+//!   header-lane sweeps, showing what the shipped lane + SWAR path buys
+//!   on top of the engine.
 //!
-//! Egress must be byte-identical across all six; the measured
+//! Egress must be byte-identical across all four; the measured
 //! throughputs and the speedups are recorded in `BENCH_engine.json` at
 //! the repository root.
 
@@ -48,42 +43,20 @@ fn parallel_mode() -> ExecMode {
     }
 }
 
-fn configs() -> Vec<(&'static str, ExecMode, Duplication, bool, bool)> {
+fn configs() -> Vec<(&'static str, ExecMode, Duplication, bool)> {
     vec![
         (
             "serial_deepcopy",
             ExecMode::Serial,
             Duplication::DeepCopy,
             true,
-            true,
         ),
-        ("serial_cow", ExecMode::Serial, Duplication::Cow, true, true),
-        (
-            "parallel_cow",
-            parallel_mode(),
-            Duplication::Cow,
-            true,
-            true,
-        ),
+        ("serial_cow", ExecMode::Serial, Duplication::Cow, true),
+        ("parallel_cow", parallel_mode(), Duplication::Cow, true),
         (
             "parallel_cow_lanes_off",
             parallel_mode(),
             Duplication::Cow,
-            false,
-            true,
-        ),
-        (
-            "parallel_cow_simd_off",
-            parallel_mode(),
-            Duplication::Cow,
-            true,
-            false,
-        ),
-        (
-            "serial_cow_simd_off",
-            ExecMode::Serial,
-            Duplication::Cow,
-            true,
             false,
         ),
     ]
@@ -100,7 +73,7 @@ fn chain() -> Sfc {
     )
 }
 
-fn deployment(exec: ExecMode, dup: Duplication, lanes: bool, simd: bool) -> Deployment {
+fn deployment(exec: ExecMode, dup: Duplication, lanes: bool) -> Deployment {
     let policy = Policy::ReorgOnly {
         max_branches: 4,
         synthesize: false,
@@ -112,7 +85,6 @@ fn deployment(exec: ExecMode, dup: Duplication, lanes: bool, simd: bool) -> Depl
         .with_exec_mode(exec)
         .with_duplication(dup)
         .with_lanes(lanes)
-        .with_simd(simd)
         .without_slo()
         .without_flow_trace()
 }
@@ -128,21 +100,19 @@ fn run_config(
     exec: ExecMode,
     dup: Duplication,
     lanes: bool,
-    simd: bool,
     batches: &[Batch],
 ) -> (f64, RunOutcome, Vec<Batch>) {
-    run_with_telemetry(exec, dup, lanes, simd, TelemetryMode::Off, batches)
+    run_with_telemetry(exec, dup, lanes, TelemetryMode::Off, batches)
 }
 
 fn run_with_telemetry(
     exec: ExecMode,
     dup: Duplication,
     lanes: bool,
-    simd: bool,
     telemetry: TelemetryMode,
     batches: &[Batch],
 ) -> (f64, RunOutcome, Vec<Batch>) {
-    let mut dep = deployment(exec, dup, lanes, simd).with_telemetry(telemetry);
+    let mut dep = deployment(exec, dup, lanes).with_telemetry(telemetry);
     let mut traffic = TrafficGenerator::new(TrafficSpec::udp(SizeDist::Fixed(PKT_BYTES)), 7);
     let start = Instant::now();
     let (out, egress) = dep.run_replay(&mut traffic, batches);
@@ -228,16 +198,16 @@ fn flow_plane_overhead_pct(packets: u64, wall_s: f64) -> f64 {
 fn engine_benches(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
     let batches = workload(10);
-    for (label, exec, dup, lanes, simd) in configs() {
+    for (label, exec, dup, lanes) in configs() {
         let batches = &batches;
         g.bench_function(BenchmarkId::new("4branch_x10batches", label), move |b| {
-            b.iter(|| black_box(run_config(exec, dup, lanes, simd, batches)))
+            b.iter(|| black_box(run_config(exec, dup, lanes, batches)))
         });
     }
     g.finish();
 }
 
-/// Measures all six configurations, checks functional equivalence, and
+/// Measures all four configurations, checks functional equivalence, and
 /// writes `BENCH_engine.json` at the repository root.
 fn emit_report(full: bool) {
     let n_batches = if full { 64 } else { 16 };
@@ -245,11 +215,11 @@ fn emit_report(full: bool) {
     let batches = workload(n_batches);
     let mut rows = Vec::new();
     let mut reference: Option<(RunOutcome, Vec<Batch>)> = None;
-    for (label, exec, dup, lanes, simd) in configs() {
+    for (label, exec, dup, lanes) in configs() {
         let mut best = f64::INFINITY;
         let mut kept = None;
         for _ in 0..reps {
-            let (secs, out, egress) = run_config(exec, dup, lanes, simd, &batches);
+            let (secs, out, egress) = run_config(exec, dup, lanes, &batches);
             best = best.min(secs);
             kept = Some((out, egress));
         }
@@ -274,7 +244,7 @@ fn emit_report(full: bool) {
             "{label:<18} {:>8.1} ms for {n_batches} batches  ({gbps:.2} Gbit/s offered)",
             best * 1e3
         );
-        rows.push((label, best, gbps, out.width, lanes, simd));
+        rows.push((label, best, gbps, out.width, lanes));
     }
     let baseline = rows[0].1;
     let cow = baseline / rows[1].1;
@@ -288,37 +258,22 @@ fn emit_report(full: bool) {
         parallel >= 2.0,
         "engine must be >= 2x over the deep-copy serial baseline, got {parallel:.2}x"
     );
-    // SoA header-lane rider: same parallel CoW engine with the columnar
-    // sweep off vs on. The egress equality above already proved the two
-    // paths byte-identical; here the lanes must also pay for themselves.
+    // SoA header-lane rider: same parallel CoW engine on the per-packet
+    // reference path vs the shipped lane + SWAR sweeps. The egress
+    // equality above already proved the two paths byte-identical; here
+    // the lanes must also pay for themselves.
     let lanes_gain = rows[3].1 / rows[2].1;
     println!("speedup lanes on vs off (parallel_cow): {lanes_gain:.2}x");
     assert!(
         lanes_gain >= 1.3,
         "SoA header lanes must be >= 1.3x over the per-packet path, got {lanes_gain:.2}x"
     );
-    // Wide-word SIMD rider: the CoW engine sweeping lanes either with
-    // the batched 8-wide kernels or the scalar per-row path. Egress
-    // equality above already proved them byte-identical; the wide words
-    // must also pay for themselves. Gated on the serial engine, where
-    // the sweep is not overlapped with anything; with the branches on
-    // two threads it is a smaller share of a batch's wall time, so that
-    // ratio is reported, not gated.
-    let simd_gain = rows[5].1 / rows[1].1;
-    println!("speedup simd on vs off (serial_cow): {simd_gain:.2}x");
-    assert!(
-        simd_gain >= 1.2,
-        "wide-word SIMD kernels must be >= 1.2x over the scalar lane sweep, got {simd_gain:.2}x"
-    );
-    let simd_gain_parallel = rows[4].1 / rows[2].1;
-    println!("speedup simd on vs off (parallel_cow): {simd_gain_parallel:.2}x");
     // Telemetry rider: an instrumented run must keep byte-identical
     // egress, and the disabled hooks left in the hot path must cost
     // under 1% of the telemetry-off parallel configuration.
     let (tel_secs, tel_out, tel_egress) = run_with_telemetry(
         parallel_mode(),
         Duplication::Cow,
-        true,
         true,
         TelemetryMode::Memory,
         &batches,
@@ -347,7 +302,7 @@ fn emit_report(full: bool) {
     // Health-plane rider: arming an SLO keeps egress byte-identical and
     // the armed accounting (burn windows, sketches, drift watchdog)
     // stays under 1% of the telemetry-off parallel wall time.
-    let mut armed = deployment(parallel_mode(), Duplication::Cow, true, true)
+    let mut armed = deployment(parallel_mode(), Duplication::Cow, true)
         .with_telemetry(TelemetryMode::Memory)
         .with_slo(SloSpec {
             p99_latency_ns: 1.0,
@@ -373,7 +328,7 @@ fn emit_report(full: bool) {
     // Flow-forensics rider: arming 1/256 deterministic flow tracing
     // keeps egress byte-identical, and the per-packet sampling decision
     // costs under 1% of the telemetry-off parallel wall time.
-    let mut traced = deployment(parallel_mode(), Duplication::Cow, true, true)
+    let mut traced = deployment(parallel_mode(), Duplication::Cow, true)
         .with_telemetry(TelemetryMode::Memory)
         .with_flow_trace(256);
     let mut traced_traffic = TrafficGenerator::new(TrafficSpec::udp(SizeDist::Fixed(PKT_BYTES)), 7);
@@ -393,13 +348,12 @@ fn emit_report(full: bool) {
         "the armed flow plane must stay under 1% of the hot path, got {flow_pct:.4}%"
     );
     let mut cfgs = serde_json::Value::Object(Default::default());
-    for (label, secs, gbps, _, lanes, simd) in &rows {
+    for (label, secs, gbps, _, lanes) in &rows {
         cfgs[*label] = json!({
             "wall_s": secs,
             "offered_gbps": gbps,
             "speedup_vs_serial_deepcopy": baseline / secs,
             "soa_lanes": lanes,
-            "simd": simd,
         });
     }
     let report = json!({
@@ -417,8 +371,6 @@ fn emit_report(full: bool) {
         "speedup_parallel_cow_vs_serial_deepcopy": parallel,
         "speedup_parallel_cow_vs_serial_cow": pool,
         "speedup_soa_lanes_on_vs_off": lanes_gain,
-        "speedup_simd_on_vs_off": simd_gain,
-        "speedup_simd_on_vs_off_parallel_cow": simd_gain_parallel,
         "telemetry": {
             "events": digest.events,
             "instrumented_wall_s": tel_secs,

@@ -28,18 +28,11 @@
 //!   plan *is* launch-per-batch, so persistence demonstrably degraded
 //!   instead of oversubscribing the array.
 //!
-//! The persistent run is additionally repeated under both SM-residency
-//! packers — the first-fit-decreasing baseline and the pressure-aware
-//! spread packer — and the spread packer must dominate FFD at every
-//! sweep point (strictly better on at least one): balancing resident
-//! kernels across the device complex keeps peak slot utilization, and
-//! with it the co-residency multiplier, no higher than FFD's.
-//!
 //! The curves and the crossover are recorded in `BENCH_soa.json` at the
 //! repository root.
 
 use nfc_core::{Deployment, Policy, RunOutcome, Sfc};
-use nfc_hetero::{residency::PackStrategy, GpuMode};
+use nfc_hetero::GpuMode;
 use nfc_nf::Nf;
 use nfc_packet::traffic::{SizeDist, TrafficGenerator, TrafficSpec};
 use serde_json::json;
@@ -53,16 +46,14 @@ const PKT_BYTES: usize = 256;
 /// 48-slot complex.
 const BATCHES: [usize; 5] = [256, 512, 1024, 2048, 4096];
 
-fn run_point(batch: usize, mode: GpuMode, packer: PackStrategy, n_batches: usize) -> RunOutcome {
+fn run_point(batch: usize, mode: GpuMode, n_batches: usize) -> RunOutcome {
     let sfc = Sfc::new(
         "ipsec-x4",
         (0..CHAIN_LEN)
             .map(|i| Nf::ipsec(format!("ipsec{i}")))
             .collect(),
     );
-    let mut dep = Deployment::new(sfc, Policy::GpuOnly { mode })
-        .with_batch_size(batch)
-        .with_packer(packer);
+    let mut dep = Deployment::new(sfc, Policy::GpuOnly { mode }).with_batch_size(batch);
     let mut traffic = TrafficGenerator::new(TrafficSpec::udp(SizeDist::Fixed(PKT_BYTES)), 42);
     dep.run(&mut traffic, n_batches)
 }
@@ -73,8 +64,6 @@ struct Point {
     spilled: usize,
     max_occupancy_pct: usize,
     persistent_gbps: f64,
-    ffd_gbps: f64,
-    ffd_max_occupancy_pct: usize,
     launch_gbps: f64,
     advantage: f64,
 }
@@ -90,39 +79,21 @@ fn main() {
     let full = std::env::args().any(|a| a == "--bench");
     let n_batches = if full { 24 } else { 10 };
     let mut points: Vec<Point> = Vec::new();
-    println!("batch  resident spilled  occ%  spread      ffd         launch/batch  advantage");
+    println!("batch  resident spilled  occ%  persistent  launch/batch  advantage");
     for &batch in &BATCHES {
-        let pers = run_point(batch, GpuMode::Persistent, PackStrategy::Spread, n_batches);
-        let ffd = run_point(batch, GpuMode::Persistent, PackStrategy::Ffd, n_batches);
-        let lpb = run_point(
-            batch,
-            GpuMode::LaunchPerBatch,
-            PackStrategy::Spread,
-            n_batches,
-        );
+        let pers = run_point(batch, GpuMode::Persistent, n_batches);
+        let lpb = run_point(batch, GpuMode::LaunchPerBatch, n_batches);
         assert!(
             pers.residency.within_capacity(),
             "batch {batch}: adopted plan exceeds SM capacity"
         );
-        assert!(
-            ffd.residency.within_capacity(),
-            "batch {batch}: FFD plan exceeds SM capacity"
-        );
-        // Both packers obey the same never-oversubscribe spill rule, so
-        // they must agree on how many kernels stay resident.
-        assert_eq!(
-            pers.residency.resident.len(),
-            ffd.residency.resident.len(),
-            "batch {batch}: packers disagree on the resident set size"
-        );
         let max_occ = max_occupancy_pct(&pers);
         let advantage = pers.report.throughput_gbps / lpb.report.throughput_gbps;
         println!(
-            "{batch:>5}  {:>8} {:>7}  {max_occ:>3}%  {:>8.2} G  {:>8.2} G  {:>10.2} G  {advantage:>8.2}x",
+            "{batch:>5}  {:>8} {:>7}  {max_occ:>3}%  {:>8.2} G  {:>10.2} G  {advantage:>8.2}x",
             pers.residency.resident.len(),
             pers.residency.spilled.len(),
             pers.report.throughput_gbps,
-            ffd.report.throughput_gbps,
             lpb.report.throughput_gbps,
         );
         points.push(Point {
@@ -131,8 +102,6 @@ fn main() {
             spilled: pers.residency.spilled.len(),
             max_occupancy_pct: max_occ,
             persistent_gbps: pers.report.throughput_gbps,
-            ffd_gbps: ffd.report.throughput_gbps,
-            ffd_max_occupancy_pct: max_occupancy_pct(&ffd),
             launch_gbps: lpb.report.throughput_gbps,
             advantage,
         });
@@ -182,32 +151,6 @@ fn main() {
         crossover >= first_spill,
         "persistence stopped paying at batch {crossover}, before the first spill at {first_spill}"
     );
-    // Packer ablation: the pressure-aware spread packer must dominate
-    // first-fit-decreasing at every sweep point — balancing resident
-    // kernels never raises the peak co-residency multiplier — and must
-    // be strictly better wherever FFD crowds a device past the pressure
-    // knee that spreading avoids.
-    for p in &points {
-        assert!(
-            p.persistent_gbps >= p.ffd_gbps,
-            "batch {}: spread packer {:.3} G below FFD {:.3} G",
-            p.batch,
-            p.persistent_gbps,
-            p.ffd_gbps
-        );
-    }
-    let strict = points
-        .iter()
-        .filter(|p| p.persistent_gbps > p.ffd_gbps * 1.001)
-        .count();
-    assert!(
-        strict >= 1,
-        "spread packer never strictly beat FFD anywhere on the sweep"
-    );
-    println!(
-        "spread packer strictly beats FFD at {strict} of {} sweep points",
-        points.len()
-    );
     let report = json!({
         "benchmark": "soa_lanes_residency_ablation",
         "chain": format!("ipsec x{CHAIN_LEN}, GPU-only"),
@@ -217,19 +160,13 @@ fn main() {
         "payoff_threshold": PAYOFF,
         "first_spill_batch": first_spill,
         "crossover_batch": crossover,
-        "packer_strictly_better_points": points
-            .iter()
-            .filter(|p| p.persistent_gbps > p.ffd_gbps * 1.001)
-            .count(),
         "points": points.iter().map(|p| json!({
             "batch_size": p.batch,
             "slots_per_kernel": p.batch.div_ceil(128),
             "resident_kernels": p.resident,
             "spilled_kernels": p.spilled,
             "max_device_occupancy_pct": p.max_occupancy_pct,
-            "ffd_max_device_occupancy_pct": p.ffd_max_occupancy_pct,
             "persistent_gbps": p.persistent_gbps,
-            "persistent_ffd_gbps": p.ffd_gbps,
             "launch_per_batch_gbps": p.launch_gbps,
             "persistent_advantage": p.advantage,
         })).collect::<Vec<_>>(),

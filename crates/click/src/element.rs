@@ -264,15 +264,12 @@ pub struct RunCtx {
     /// Current simulated time in nanoseconds.
     pub now_ns: u64,
     /// True when header-only elements should sweep the batch's columnar
-    /// header lanes ([`nfc_packet::HeaderLanes`]) instead of per-packet
-    /// header parses. Either view must produce bit-identical output; the
-    /// flag only selects the faster implementation.
+    /// header lanes ([`nfc_packet::HeaderLanes`], wide-word kernels from
+    /// [`nfc_packet::simd`] included) instead of per-packet header
+    /// parses. Compiled graphs always set it; `false` (the `Default`) is
+    /// the per-packet reference the differential tests compare against,
+    /// and either view must produce bit-identical output.
     pub lanes: bool,
-    /// True when lane sweeps may additionally use the wide-word SWAR
-    /// kernels ([`nfc_packet::simd`]) — eight rows per step instead of
-    /// one. Only meaningful when `lanes` is set; bit-identical to the
-    /// row-at-a-time sweep by the same contract.
-    pub simd: bool,
 }
 
 /// A Click-style packet-processing element.

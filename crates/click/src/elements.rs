@@ -415,6 +415,20 @@ impl DecTtl {
     }
 }
 
+/// The non-IPv4 arm of [`DecTtl`], shared by the lane sweep's uncovered
+/// rows and the per-packet path: decrements an IPv6 hop limit in place.
+/// `false` drops the packet (hop limit expiring, or not IP at all).
+fn dec_hop_limit(p: &mut Packet) -> bool {
+    match p.ipv6() {
+        Ok(mut ip6) if ip6.hop_limit > 1 => {
+            ip6.hop_limit -= 1;
+            p.set_ipv6(&ip6);
+            true
+        }
+        _ => false,
+    }
+}
+
 impl Element for DecTtl {
     fn name(&self) -> &str {
         "dec-ttl"
@@ -433,42 +447,19 @@ impl Element for DecTtl {
     fn process(&mut self, mut batch: Batch, ctx: &mut RunCtx) -> Vec<Batch> {
         let mut keep: Vec<bool> = Vec::with_capacity(batch.len());
         if ctx.lanes {
-            // Columnar sweep of the TTL lane; the scatter pass fixes the
+            // One SWAR pass over the TTL lane — eight TTL bytes per word —
+            // decrements every IPv4 row; the scatter pass fixes the
             // checksum with the same RFC 1624 update the per-packet path
             // uses, so egress bytes are identical. IPv6 and non-IP rows
-            // fall back to the per-packet logic below. With `ctx.simd`
-            // the whole IPv4 sweep collapses into one SWAR pass — eight
-            // TTL bytes per word — whose keep-bits are provably the
-            // row-at-a-time verdicts.
+            // take the per-packet arm.
             let mut lanes = batch.header_lanes();
-            let swar_keep = ctx.simd.then(|| lanes.dec_ttl_ipv4());
+            let ipv4_keep = lanes.dec_ttl_ipv4();
             for i in 0..lanes.len() {
-                if lanes.ipv4_mask()[i] {
-                    if let Some(bits) = &swar_keep {
-                        keep.push(nfc_packet::simd::get_bit(bits, i));
-                    } else {
-                        let ttl = lanes.ttl()[i];
-                        if ttl <= 1 {
-                            keep.push(false);
-                        } else {
-                            lanes.set_ttl(i, ttl - 1);
-                            keep.push(true);
-                        }
-                    }
+                keep.push(if lanes.ipv4_mask()[i] {
+                    nfc_packet::simd::get_bit(&ipv4_keep, i)
                 } else {
-                    let p = batch.get_mut(i).expect("lane index in range");
-                    if let Ok(mut ip6) = p.ipv6() {
-                        if ip6.hop_limit <= 1 {
-                            keep.push(false);
-                            continue;
-                        }
-                        ip6.hop_limit -= 1;
-                        p.set_ipv6(&ip6);
-                        keep.push(true);
-                    } else {
-                        keep.push(false);
-                    }
-                }
+                    dec_hop_limit(batch.get_mut(i).expect("lane index in range"))
+                });
             }
             lanes.write_back(&mut batch);
         } else {
@@ -484,16 +475,8 @@ impl Element for DecTtl {
                     ip.checksum = nfc_packet::checksum::update16(ip.checksum, old, new);
                     p.set_ipv4(&ip);
                     keep.push(true);
-                } else if let Ok(mut ip6) = p.ipv6() {
-                    if ip6.hop_limit <= 1 {
-                        keep.push(false);
-                        continue;
-                    }
-                    ip6.hop_limit -= 1;
-                    p.set_ipv6(&ip6);
-                    keep.push(true);
                 } else {
-                    keep.push(false);
+                    keep.push(dec_hop_limit(p));
                 }
             }
         }
@@ -885,14 +868,6 @@ mod tests {
         }
     }
 
-    fn simd_ctx() -> RunCtx {
-        RunCtx {
-            lanes: true,
-            simd: true,
-            ..RunCtx::default()
-        }
-    }
-
     #[test]
     fn protocol_classifier_lanes_match_per_packet() {
         let mut scalar = ProtocolClassifier::new("c", vec![ip_proto::UDP]);
@@ -906,11 +881,9 @@ mod tests {
     fn dec_ttl_lanes_match_per_packet() {
         let mut scalar = DecTtl::new();
         let mut vectored = DecTtl::new();
-        let mut swar = DecTtl::new();
         let a = scalar.process(mixed_traffic(), &mut ctx());
         let b = vectored.process(mixed_traffic(), &mut lanes_ctx());
         assert_eq!(a, b);
-        assert_eq!(a, swar.process(mixed_traffic(), &mut simd_ctx()));
         // Lane path really decremented and kept checksums valid.
         let after = b[0].get(0).unwrap().ipv4().unwrap();
         let mut check = after;
@@ -956,9 +929,10 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
-            /// DecTtl (checksum-updating) and ProtocolClassifier lane
-            /// sweeps stay bit-identical to their per-packet paths on
-            /// arbitrary traffic, including TTL-expiring packets.
+            /// DecTtl (checksum-updating SWAR sweep) and
+            /// ProtocolClassifier lane sweeps stay bit-identical to their
+            /// per-packet paths on arbitrary traffic: ragged sizes,
+            /// TTL-expiring packets, rows outside the lane masks.
             #[test]
             fn dec_ttl_and_classifier_lanes_match_scalar(
                 rows in collection::vec(
@@ -970,18 +944,9 @@ mod tests {
                 let batch = build_batch(&rows);
                 let mut ttl_s = DecTtl::new();
                 let mut ttl_l = DecTtl::new();
-                let mut ttl_w = DecTtl::new();
-                let scalar_out = ttl_s.process(batch.clone(), &mut ctx());
                 prop_assert_eq!(
-                    &scalar_out,
-                    &ttl_l.process(batch.clone(), &mut lanes_ctx())
-                );
-                // SWAR TTL sweep: bit-identical to both on the same
-                // arbitrary batches (ragged sizes, expiring TTLs,
-                // invalid rows).
-                prop_assert_eq!(
-                    &scalar_out,
-                    &ttl_w.process(batch.clone(), &mut simd_ctx())
+                    ttl_s.process(batch.clone(), &mut ctx()),
+                    ttl_l.process(batch.clone(), &mut lanes_ctx())
                 );
                 let mut cl_s = ProtocolClassifier::new("c", protos.clone());
                 let mut cl_l = cl_s.clone();

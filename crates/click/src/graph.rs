@@ -6,37 +6,6 @@ use nfc_telemetry::{EventKind, Recorder};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Environment variable controlling the default of
-/// [`CompiledGraph::set_lanes`]: set to `0`, `false`, `off` or `no` to
-/// disable columnar header-lane sweeps and force the per-packet path.
-/// Lanes are on by default — both paths are bit-identical by contract
-/// (and differential tests), the flag exists for A/B benchmarking.
-pub const LANES_ENV: &str = "NFC_LANES";
-
-/// Environment variable controlling the default of
-/// [`CompiledGraph::set_simd`]: set to `0`, `false`, `off` or `no` to
-/// disable the wide-word (SWAR) lane kernels and sweep lane columns one
-/// row at a time. On by default; bit-identical either way, the flag
-/// exists for A/B benchmarking and as a scalar-path CI gate. Only
-/// consulted when lanes are on — the per-packet path has no wide-word
-/// variant.
-pub const SIMD_ENV: &str = "NFC_SIMD";
-
-fn env_flag_default(var: &str) -> bool {
-    match std::env::var(var) {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
-        Err(_) => true,
-    }
-}
-
-fn lanes_env_default() -> bool {
-    env_flag_default(LANES_ENV)
-}
-
-fn simd_env_default() -> bool {
-    env_flag_default(SIMD_ENV)
-}
-
 /// Identifier of a node (element instance) within one graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
@@ -335,8 +304,7 @@ impl ElementGraph {
             inbox,
             flow_cacheable,
             flow_config_hash,
-            lanes: lanes_env_default(),
-            simd: simd_env_default(),
+            lanes: true,
         })
     }
 }
@@ -651,12 +619,9 @@ pub struct CompiledGraph {
     /// wiring; changes whenever a configuration swap or rewire could
     /// change cached verdicts.
     flow_config_hash: u64,
-    /// Whether elements are asked to sweep columnar header lanes
-    /// (see [`LANES_ENV`]); forwarded to every [`RunCtx`].
+    /// Whether elements are asked to sweep columnar header lanes;
+    /// forwarded to every [`RunCtx`] (see [`CompiledGraph::set_lanes`]).
     lanes: bool,
-    /// Whether lane sweeps may use the wide-word SWAR kernels (see
-    /// [`SIMD_ENV`]); forwarded to every [`RunCtx`].
-    simd: bool,
 }
 
 impl CompiledGraph {
@@ -689,27 +654,16 @@ impl CompiledGraph {
         self.stats.reset();
     }
 
-    /// Whether header-only elements sweep columnar lanes (see
-    /// [`LANES_ENV`]).
+    /// Whether header-only elements sweep columnar lanes.
     pub fn lanes(&self) -> bool {
         self.lanes
     }
 
-    /// Overrides the [`LANES_ENV`]-derived lane default for this graph.
+    /// Turns the lane sweeps off (or back on) for this graph. Off is the
+    /// per-packet reference the differential tests compare the shipped
+    /// lane path against, not a deployment setting.
     pub fn set_lanes(&mut self, on: bool) {
         self.lanes = on;
-    }
-
-    /// Whether lane sweeps use the wide-word SWAR kernels (see
-    /// [`SIMD_ENV`]).
-    pub fn simd(&self) -> bool {
-        self.simd
-    }
-
-    /// Overrides the [`SIMD_ENV`]-derived wide-word default for this
-    /// graph.
-    pub fn set_simd(&mut self, on: bool) {
-        self.simd = on;
     }
 
     /// Starts a fresh profiling window on every element (see
@@ -758,7 +712,6 @@ impl CompiledGraph {
         let mut ctx = RunCtx {
             now_ns,
             lanes: self.lanes,
-            simd: self.simd,
         };
         debug_assert!(
             self.inbox.iter().all(Vec::is_empty),

@@ -50,5 +50,5 @@ pub use element::{
 };
 pub use graph::{
     CompiledGraph, Edge, ElementGraph, FlowHop, FlowPath, FlowTraces, GraphError, GraphStats,
-    NodeId, LANES_ENV,
+    NodeId,
 };

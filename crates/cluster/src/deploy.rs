@@ -158,9 +158,9 @@ pub struct ClusterDeployment {
 
 impl ClusterDeployment {
     /// Deploys `sfc` under `policy` across the rack. `configure` is
-    /// applied to every per-server [`Deployment`] (batch size, packer,
-    /// telemetry, …) so the N=1 differential can build the cluster and
-    /// its oracle from the same closure.
+    /// applied to every per-server [`Deployment`] (batch size, exec
+    /// mode, telemetry, …) so the N=1 differential can build the cluster
+    /// and its oracle from the same closure.
     ///
     /// In [`PlacementMode::Segment`] the chain is first min-cut into
     /// contiguous per-server segments ([`place_chain`]) using per-NF

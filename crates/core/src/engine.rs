@@ -89,8 +89,9 @@ pub enum Duplication {
     /// branch's buffers are materialized only when it actually writes.
     #[default]
     Cow,
-    /// Eagerly copy every packet buffer (the pre-CoW engine behavior,
-    /// kept as a benchmarking baseline).
+    /// Eagerly copy every packet buffer (the pre-CoW engine behavior).
+    /// Kept as the reference `tests/engine_determinism.rs` and the engine
+    /// bench compare the CoW engine against, not as a deployment setting.
     DeepCopy,
 }
 

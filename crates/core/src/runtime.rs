@@ -307,23 +307,16 @@ pub struct Deployment {
     /// never perturbs determinism: egress, statistics and the simulated
     /// timeline are bit-identical with telemetry on or off.
     pub telemetry: TelemetryMode,
-    /// SoA header-lane override for every compiled stage graph. `None`
-    /// keeps the `NFC_LANES` environment default (lanes on unless the
-    /// variable disables them); egress is bit-identical either way.
-    pub lanes: Option<bool>,
-    /// Wide-word (SWAR) lane-kernel override for every compiled stage
-    /// graph. `None` keeps the `NFC_SIMD` environment default (on unless
-    /// the variable disables it); egress is bit-identical either way.
-    pub simd: Option<bool>,
-    /// Strategy for packing persistent kernels onto SM slots (default
-    /// pressure-aware spread; `PackStrategy::Ffd` restores the PR 6
-    /// first-fit packer for A/B comparison). Both obey the same
-    /// never-oversubscribe spill rule.
-    pub packer: residency::PackStrategy,
+    /// Whether header-only elements sweep SoA header lanes (wide-word
+    /// kernels included) — `true` in every deployment. `false` is the
+    /// per-packet reference path the differential tests compare against
+    /// ([`Deployment::with_lanes`]), not a deployment setting; egress is
+    /// bit-identical either way.
+    pub lanes: bool,
     /// Re-calibrated co-residency pressure coefficient. `None` (the
     /// default) keeps the compiled-in
     /// [`calib::GPU_RESIDENCY_PRESSURE`] anchor and the stock spread
-    /// packer — byte-identical to earlier releases. `Some(p)` — fed
+    /// packer ([`residency::spread_pack`]). `Some(p)` — fed
     /// from `nfc-trace calibrate`'s re-fitted `gpu_residency_pressure`
     /// — makes `p` both the charged co-residency cost *and* the packing
     /// objective: kernels are placed by marginal pressure-weighted cost
@@ -376,9 +369,7 @@ impl Deployment {
             duplication: Duplication::Cow,
             flow_cache: FlowCacheMode::auto(),
             telemetry: TelemetryMode::auto(),
-            lanes: None,
-            simd: None,
-            packer: residency::PackStrategy::default(),
+            lanes: true,
             residency_pressure: None,
             slo: SloSpec::from_env(),
             flow_trace: FlowSampler::from_env().rate(),
@@ -430,25 +421,13 @@ impl Deployment {
         self
     }
 
-    /// Forces SoA header lanes on or off for every stage, overriding the
-    /// `NFC_LANES` environment default. Lanes are a pure execution-path
-    /// choice: egress is bit-identical with lanes on or off.
+    /// `with_lanes(false)` runs every stage on the per-packet reference
+    /// path instead of the shipped SoA lane sweeps. It exists for the
+    /// differential tests (`tests/lanes_differential.rs`), which require
+    /// egress, statistics and the simulated timeline to be bit-identical
+    /// either way; it is not a deployment setting.
     pub fn with_lanes(mut self, on: bool) -> Self {
-        self.lanes = Some(on);
-        self
-    }
-
-    /// Forces the wide-word (SWAR) lane kernels on or off for every
-    /// stage, overriding the `NFC_SIMD` environment default. Like lanes,
-    /// a pure execution-path choice: egress is bit-identical either way.
-    pub fn with_simd(mut self, on: bool) -> Self {
-        self.simd = Some(on);
-        self
-    }
-
-    /// Selects the SM-residency packer (see [`residency::PackStrategy`]).
-    pub fn with_packer(mut self, packer: residency::PackStrategy) -> Self {
-        self.packer = packer;
+        self.lanes = on;
         self
     }
 
@@ -1002,12 +981,7 @@ impl Deployment {
                     .clone()
                     .compile()
                     .expect("catalog/synthesized graphs compile");
-                if let Some(on) = self.lanes {
-                    run.set_lanes(on);
-                }
-                if let Some(on) = self.simd {
-                    run.set_simd(on);
-                }
+                run.set_lanes(self.lanes);
                 let flow_cache = match self.flow_cache {
                     FlowCacheMode::On { capacity } if run.flow_cacheable() => {
                         Some(StageFlowCache::new(capacity, &run))
@@ -1068,13 +1042,7 @@ impl Deployment {
         // Persistent kernels are bin-packed into SM slots; plans whose
         // kernels do not fit are degraded per stage to launch-per-batch
         // instead of being adopted oversubscribed.
-        let residency = apply_residency(
-            &mut stages,
-            &self.model,
-            mode,
-            self.packer,
-            self.residency_pressure,
-        );
+        let residency = apply_residency(&mut stages, &self.model, mode, self.residency_pressure);
         let stage_offloads: Vec<(String, f64)> = stages
             .iter()
             .flat_map(|b| b.iter())
@@ -1114,7 +1082,6 @@ impl Deployment {
             batch_seq: seq_base,
             swap_spans: Vec::new(),
             residency,
-            packer: self.packer,
             res_pressure: self.residency_pressure,
             health: self.slo.map(HealthPlane::new),
             sampler: FlowSampler::new(self.flow_trace),
@@ -1267,8 +1234,8 @@ fn stage_gpu_packets(stage: &StageExec) -> usize {
     packets
 }
 
-/// SM-residency pass: bin-packs every offloading stage's persistent
-/// kernel into SM slots ([`residency::bin_pack`]), granting resident
+/// SM-residency pass: packs every offloading stage's persistent
+/// kernel into SM slots ([`residency::spread_pack`]), granting resident
 /// placements and downgrading the spillover to launch-per-batch
 /// dispatch. Run after every (re-)planning step so the constraint holds
 /// for the plans actually in effect; a no-op (all stages keep `mode`)
@@ -1277,7 +1244,6 @@ fn apply_residency(
     stages: &mut [Vec<StageExec>],
     model: &CostModel,
     mode: GpuMode,
-    packer: residency::PackStrategy,
     pressure: Option<f64>,
 ) -> ResidencyReport {
     let gpu = model.platform().gpu;
@@ -1308,8 +1274,8 @@ fn apply_residency(
     // multiplier both use it; without, the stock packer and the
     // compiled-in anchor apply, byte-for-byte.
     let pack = match pressure {
-        Some(p) => residency::pack_with_pressure(&demands, &gpu, packer, p),
-        None => residency::pack(&demands, &gpu, packer),
+        Some(p) => residency::pack_with_pressure(&demands, &gpu, p),
+        None => residency::spread_pack(&demands, &gpu),
     };
     for (k, &fi) in idx.iter().enumerate() {
         match pack.placements[k] {
@@ -1401,9 +1367,6 @@ pub struct PreparedSfc {
     /// SM-residency placement currently in effect; refreshed whenever
     /// plans change (initial preparation, re-adaptation, live swaps).
     residency: ResidencyReport,
-    /// Packer strategy the deployment selected; re-used verbatim by
-    /// every re-pack (re-adaptation, live repartitions).
-    packer: residency::PackStrategy,
     /// Recalibrated pressure coefficient carried from the deployment so
     /// every re-pack keeps the same objective (`None` = stock anchor).
     res_pressure: Option<f64>,
@@ -1579,12 +1542,27 @@ fn slo_signal_metric(objective: &'static str) -> &'static str {
 impl PreparedSfc {
     /// Pushes one batch through the prepared SFC, scheduling its costs on
     /// the shared simulator.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic from a branch unit, and panics on every later
+    /// call: the unit took the chain's stages with it, and a chain
+    /// without stages would forward traffic unprocessed.
     pub fn process_batch(
         &mut self,
         sim: &mut PipelineSim,
         res: &PlatformResources,
         batch: Batch,
     ) -> BatchResult {
+        // Without its stages (see the unit hand-off below) the chain
+        // would run zero branches and merge every packet through as
+        // unmodified, i.e. fail open.
+        assert_eq!(
+            self.stages.len(),
+            self.width,
+            "PreparedSfc is poisoned: a branch unit panicked in an earlier process_batch \
+             and took the chain's stages with it"
+        );
         let first_arrival = batch.get(0).map(|p| p.meta.arrival_ns).unwrap_or(0) as f64;
         let arrival = batch.iter().last().map(|p| p.meta.arrival_ns).unwrap_or(0) as f64;
         let mean_arrival = (first_arrival + arrival) / 2.0;
@@ -1750,8 +1728,8 @@ impl PreparedSfc {
         // the unit, and the stages come back with its results. A unit
         // that panics takes its stages with it: `par_map_traced`
         // re-raises the panic with `self.stages` left empty, so this
-        // `PreparedSfc` is poisoned and must not be reused after a
-        // caught unwind.
+        // `PreparedSfc` is poisoned, and the guard at the top of this
+        // function fails every later call after a caught unwind.
         let units: Vec<(Vec<StageExec>, Batch)> = std::mem::take(&mut self.stages)
             .into_iter()
             .map(|branch| (branch, batch.clone()))
@@ -2360,13 +2338,7 @@ impl PreparedSfc {
         self.tel.absorb(rec);
         // Fresh plans mean fresh slot demands: re-pack, re-granting or
         // spilling each stage against the policy's requested mode.
-        self.residency = apply_residency(
-            &mut self.stages,
-            &self.model,
-            mode,
-            self.packer,
-            self.res_pressure,
-        );
+        self.residency = apply_residency(&mut self.stages, &self.model, mode, self.res_pressure);
     }
 
     /// Mean offload ratio per stage (branch-major), refreshed after
@@ -2602,13 +2574,8 @@ impl PreparedSfc {
             // Adopted plans shift slot demands; re-pack against the
             // policy's requested mode so spilled stages can win their
             // residency back (and newly heavy ones spill).
-            self.residency = apply_residency(
-                &mut self.stages,
-                &self.model,
-                self.mode,
-                self.packer,
-                self.res_pressure,
-            );
+            self.residency =
+                apply_residency(&mut self.stages, &self.model, self.mode, self.res_pressure);
         }
         any
     }
@@ -3099,76 +3066,6 @@ mod tests {
         assert_eq!(egress_on, egress_off, "lane egress must be bit-identical");
         assert_eq!(out_on.egress_packets, out_off.egress_packets);
         assert_eq!(out_on.egress_bytes, out_off.egress_bytes);
-    }
-
-    #[test]
-    fn simd_on_off_egress_is_byte_identical() {
-        // The wide-word SIMD kernels are likewise a pure execution-path
-        // choice inside the lane sweep: with lanes forced on, simd on
-        // and off must yield byte-identical egress and identical
-        // statistics for a header-heavy chain. CI re-runs this test
-        // under both NFC_SIMD=0 and NFC_SIMD=1 to cover the env default.
-        let sfc = || {
-            Sfc::new(
-                "fw-lb",
-                vec![
-                    Nf::firewall("fw", 100, 1),
-                    Nf::ipv4_forwarder("rt", 64, 3),
-                    Nf::nat("nat", [203, 0, 113, 1]),
-                ],
-            )
-        };
-        let collect = |simd: bool| {
-            let mut dep = Deployment::new(sfc(), Policy::nfcompass())
-                .with_batch_size(128)
-                .with_lanes(true)
-                .with_simd(simd);
-            dep.run_collect(&mut traffic(256, 7), 12)
-        };
-        let (out_on, egress_on) = collect(true);
-        let (out_off, egress_off) = collect(false);
-        assert_eq!(egress_on, egress_off, "simd egress must be bit-identical");
-        assert_eq!(out_on.egress_packets, out_off.egress_packets);
-        assert_eq!(out_on.egress_bytes, out_off.egress_bytes);
-    }
-
-    #[test]
-    fn packer_choice_never_changes_packet_contents() {
-        // The SM-residency packer only moves kernels between devices —
-        // it must never perturb packet contents. FFD and spread runs of
-        // an oversubscribing chain produce byte-identical egress, and
-        // both obey the same spill rule.
-        let run = |packer: residency::PackStrategy| {
-            let mut dep = Deployment::new(
-                ipsec_chain(4),
-                Policy::GpuOnly {
-                    mode: GpuMode::Persistent,
-                },
-            )
-            .with_batch_size(1024)
-            .with_packer(packer);
-            dep.run_collect(&mut traffic(256, 42), 12)
-        };
-        let (out_ffd, egress_ffd) = run(residency::PackStrategy::Ffd);
-        let (out_spread, egress_spread) = run(residency::PackStrategy::Spread);
-        assert_eq!(egress_ffd, egress_spread, "packer egress must match");
-        assert_eq!(
-            out_ffd.residency.resident.len(),
-            out_spread.residency.resident.len(),
-            "packers must agree on the resident set size"
-        );
-        assert_eq!(out_ffd.residency.spilled, out_spread.residency.spilled);
-        // Spreading 4 kernels of 8 slots each balances 16/16 instead of
-        // FFD's 24/8, so the spread run's peak device occupancy is
-        // strictly lower and its simulated throughput at least as high.
-        let peak = |out: &RunOutcome| {
-            (0..out.residency.devices)
-                .map(|d| out.residency.device_slots_used(d))
-                .max()
-                .unwrap_or(0)
-        };
-        assert!(peak(&out_spread) < peak(&out_ffd));
-        assert!(out_spread.report.throughput_gbps >= out_ffd.report.throughput_gbps);
     }
 
     #[test]

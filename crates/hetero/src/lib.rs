@@ -43,5 +43,5 @@ pub use cost::{CostModel, ElementLoad, GpuMode};
 pub use interference::CoRunContext;
 pub use link::LinkSpec;
 pub use platform::PlatformConfig;
-pub use residency::{PackStrategy, Placement, ResidencyPlan};
+pub use residency::{Placement, ResidencyPlan};
 pub use sim::{PipelineSim, ResourceId, SimReport, Stage};

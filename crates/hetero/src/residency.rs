@@ -14,7 +14,10 @@
 //!   first-fit-decreasing heuristic; demands that fit nowhere become
 //!   [`Placement::Spill`] and the allocator must degrade those stages to
 //!   launch-per-batch dispatch instead of adopting an oversubscribed
-//!   plan.
+//!   plan. It decides *which* kernels are resident; [`spread_pack`]
+//!   (and [`pack_with_pressure`] under a recalibrated coefficient) —
+//!   the packers deployments run — then decide *where*, balancing that
+//!   same set across devices.
 //! * [`pressure_multiplier`] charges the co-residency cost on kernel
 //!   time once a device's slots pass half utilization
 //!   ([`calib::GPU_RESIDENCY_PRESSURE`]).
@@ -135,32 +138,49 @@ pub fn bin_pack(demands: &[usize], gpu: &GpuSpec) -> ResidencyPlan {
     }
 }
 
-/// Residency packer selection (see [`pack`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PackStrategy {
-    /// First-fit decreasing ([`bin_pack`]): packs device 0 tight, paying
-    /// the co-residency pressure early. Kept for A/B comparison.
-    Ffd,
-    /// Pressure-aware spread ([`spread_pack`]): same resident set as
-    /// FFD, balanced across devices to minimize the peak utilization —
-    /// and with it the co-residency multiplier. The default.
-    #[default]
-    Spread,
-}
-
-/// Packs `demands` with the chosen strategy.
-pub fn pack(demands: &[usize], gpu: &GpuSpec, strategy: PackStrategy) -> ResidencyPlan {
-    match strategy {
-        PackStrategy::Ffd => bin_pack(demands, gpu),
-        PackStrategy::Spread => spread_pack(demands, gpu),
+/// The placement loop behind both spread packers: admits exactly the
+/// kernels [`bin_pack`] admits (FFD maximizes the resident set, so the
+/// never-oversubscribe spill rule is byte-for-byte the FFD one), then
+/// re-places them largest-first, each on the device `choose` picks from
+/// the per-device used-slot counts and the kernel's demand. `choose`
+/// must only return a device the demand fits on; `None` means its rule
+/// stranded a kernel FFD had room for, and FFD's placement is returned
+/// wholesale rather than spill more than it would.
+fn place_largest_first(
+    demands: &[usize],
+    gpu: &GpuSpec,
+    choose: impl Fn(&[usize], usize) -> Option<usize>,
+) -> ResidencyPlan {
+    let ffd = bin_pack(demands, gpu);
+    let capacity = gpu.sm_count;
+    let mut order: Vec<usize> = (0..demands.len())
+        .filter(|&i| matches!(ffd.placements[i], Placement::Resident { .. }))
+        .collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(demands[i]));
+    let mut used = vec![0usize; gpu.count.max(1)];
+    let mut placements = vec![Placement::Spill; demands.len()];
+    for &i in &order {
+        let d = demands[i];
+        let Some(dev) = choose(&used, d) else {
+            return ffd;
+        };
+        used[dev] += d;
+        placements[i] = Placement::Resident {
+            device: dev,
+            slots: d,
+        };
+    }
+    ResidencyPlan {
+        placements,
+        free: used.iter().map(|&u| capacity - u).collect(),
+        capacity,
     }
 }
 
-/// Pressure-aware spread pack: admits exactly the kernels [`bin_pack`]
-/// admits (FFD maximizes the resident set, so the never-oversubscribe
-/// spill rule is byte-for-byte the FFD one), then re-places them
-/// largest-first, each on the *least-loaded* device that still fits it
-/// (worst-fit decreasing, ties to the lowest device index).
+/// Pressure-aware spread pack, the packer deployments run: same
+/// resident set as [`bin_pack`], each kernel on the *least-loaded*
+/// device that still fits it (worst-fit decreasing, ties to the lowest
+/// device index).
 ///
 /// [`pressure_multiplier`] is non-decreasing in device utilization with
 /// a knee at 50%, so for a homogeneous device complex the placement
@@ -171,49 +191,17 @@ pub fn pack(demands: &[usize], gpu: &GpuSpec, strategy: PackStrategy) -> Residen
 /// fragments differently); in that case the FFD placement is returned
 /// unchanged, so the spread plan never spills more than FFD.
 pub fn spread_pack(demands: &[usize], gpu: &GpuSpec) -> ResidencyPlan {
-    let ffd = bin_pack(demands, gpu);
     let capacity = gpu.sm_count;
-    let n_dev = gpu.count.max(1);
-    let mut order: Vec<usize> = (0..demands.len())
-        .filter(|&i| matches!(ffd.placements[i], Placement::Resident { .. }))
-        .collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(demands[i]));
-    let mut free = vec![capacity; n_dev];
-    let mut placements = vec![Placement::Spill; demands.len()];
-    for &i in &order {
-        let d = demands[i];
-        let mut best: Option<usize> = None;
-        for (dev, &f) in free.iter().enumerate() {
-            if f >= d && best.map(|b| f > free[b]).unwrap_or(true) {
-                best = Some(dev);
-            }
-        }
-        let Some(dev) = best else {
-            // Balancing stranded a kernel FFD had room for: keep FFD's
-            // placement wholesale rather than spill more than it would.
-            return ffd;
-        };
-        free[dev] -= d;
-        placements[i] = Placement::Resident {
-            device: dev,
-            slots: d,
-        };
-    }
-    ResidencyPlan {
-        placements,
-        free,
-        capacity,
-    }
+    place_largest_first(demands, gpu, |used, d| {
+        (0..used.len())
+            .filter(|&dev| used[dev] + d <= capacity)
+            .min_by_key(|&dev| used[dev])
+    })
 }
 
-/// Packs `demands` with the chosen strategy under an explicit,
-/// recalibrated pressure coefficient. [`PackStrategy::Ffd`] ignores the
-/// coefficient (FFD's objective is fit, not pressure). For
-/// [`PackStrategy::Spread`] the placement objective becomes the
-/// coefficient itself: kernels are admitted exactly as FFD admits them
-/// (same never-oversubscribe spill rule), then re-placed largest-first,
-/// each on the device with the smallest *marginal pressure-weighted
-/// cost*
+/// [`spread_pack`] under an explicit, recalibrated pressure coefficient,
+/// which becomes the placement objective: each kernel goes on the device
+/// with the smallest *marginal pressure-weighted cost*
 ///
 /// ```text
 /// Δ(dev) = (used+d)·m((used+d)/cap) − used·m(used/cap)
@@ -226,36 +214,15 @@ pub fn spread_pack(demands: &[usize], gpu: &GpuSpec) -> ResidencyPlan {
 /// expensive and the pack spreads earlier — so a recalibrated
 /// coefficient genuinely changes pack order. If cost-greedy placement
 /// strands a kernel FFD had room for, the FFD placement is returned
-/// wholesale (never spill more than FFD), mirroring [`spread_pack`].
-pub fn pack_with_pressure(
-    demands: &[usize],
-    gpu: &GpuSpec,
-    strategy: PackStrategy,
-    pressure: f64,
-) -> ResidencyPlan {
-    match strategy {
-        PackStrategy::Ffd => bin_pack(demands, gpu),
-        PackStrategy::Spread => spread_pack_with_pressure(demands, gpu, pressure),
-    }
-}
-
-fn spread_pack_with_pressure(demands: &[usize], gpu: &GpuSpec, pressure: f64) -> ResidencyPlan {
-    let ffd = bin_pack(demands, gpu);
+/// wholesale (never spill more than FFD), as in [`spread_pack`].
+pub fn pack_with_pressure(demands: &[usize], gpu: &GpuSpec, pressure: f64) -> ResidencyPlan {
     let capacity = gpu.sm_count;
-    let n_dev = gpu.count.max(1);
-    let mut order: Vec<usize> = (0..demands.len())
-        .filter(|&i| matches!(ffd.placements[i], Placement::Resident { .. }))
-        .collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(demands[i]));
     let cap = capacity.max(1) as f64;
     let cost = |used: usize| {
         let u = used as f64;
         u * pressure_multiplier_with(pressure, u / cap)
     };
-    let mut used = vec![0usize; n_dev];
-    let mut placements = vec![Placement::Spill; demands.len()];
-    for &i in &order {
-        let d = demands[i];
+    place_largest_first(demands, gpu, |used, d| {
         let mut best: Option<(usize, f64)> = None;
         for (dev, &u) in used.iter().enumerate() {
             if u + d > capacity {
@@ -266,23 +233,8 @@ fn spread_pack_with_pressure(demands: &[usize], gpu: &GpuSpec, pressure: f64) ->
                 best = Some((dev, delta));
             }
         }
-        let Some((dev, _)) = best else {
-            // Cost-greedy placement stranded a kernel FFD had room for:
-            // keep FFD's placement wholesale rather than spill more.
-            return ffd;
-        };
-        used[dev] += d;
-        placements[i] = Placement::Resident {
-            device: dev,
-            slots: d,
-        };
-    }
-    let free = used.iter().map(|&u| capacity - u).collect();
-    ResidencyPlan {
-        placements,
-        free,
-        capacity,
-    }
+        best.map(|(dev, _)| dev)
+    })
 }
 
 #[cfg(test)]
@@ -419,21 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn pack_dispatches_on_strategy() {
-        let demands = [4, 4, 4, 4];
-        let g = gpu();
-        assert_eq!(
-            pack(&demands, &g, PackStrategy::Ffd).placements,
-            bin_pack(&demands, &g).placements
-        );
-        assert_eq!(
-            pack(&demands, &g, PackStrategy::Spread).placements,
-            spread_pack(&demands, &g).placements
-        );
-        assert_eq!(PackStrategy::default(), PackStrategy::Spread);
-    }
-
-    #[test]
     fn recalibrated_pressure_changes_pack_order() {
         // Three 8-slot kernels on 2×24-SM devices. With a zero pressure
         // coefficient crossing the knee is free, so cost-greedy packing
@@ -441,12 +378,12 @@ mod tests {
         // the second placement would cross the 50% knee on device 0
         // (Δ = 16·1.1167 − 8 ≈ 9.87 > 8), so it moves to device 1.
         let g = gpu();
-        let tight = pack_with_pressure(&[8, 8, 8], &g, PackStrategy::Spread, 0.0);
+        let tight = pack_with_pressure(&[8, 8, 8], &g, 0.0);
         assert!(tight
             .placements
             .iter()
             .all(|p| matches!(p, Placement::Resident { device: 0, .. })));
-        let spread = pack_with_pressure(&[8, 8, 8], &g, PackStrategy::Spread, 0.35);
+        let spread = pack_with_pressure(&[8, 8, 8], &g, 0.35);
         assert_eq!(
             spread.placements[1],
             Placement::Resident {
@@ -455,13 +392,6 @@ mod tests {
             }
         );
         assert_ne!(tight.placements, spread.placements);
-        // FFD ignores the coefficient entirely.
-        for p in [0.0, 0.35, 2.0] {
-            assert_eq!(
-                pack_with_pressure(&[8, 8, 8], &g, PackStrategy::Ffd, p).placements,
-                bin_pack(&[8, 8, 8], &g).placements
-            );
-        }
     }
 
     #[test]
@@ -480,7 +410,7 @@ mod tests {
             }
             let p = [0.0, 0.2, 0.35, 1.0][round % 4];
             let ffd = bin_pack(&demands, &g);
-            let plan = pack_with_pressure(&demands, &g, PackStrategy::Spread, p);
+            let plan = pack_with_pressure(&demands, &g, p);
             assert_eq!(plan.resident(), ffd.resident(), "demands {demands:?} p={p}");
             for d in 0..g.count {
                 assert!(plan.device_slots_used(d) <= plan.capacity);

@@ -53,24 +53,18 @@ impl IpLookup {
     /// Next hop of each of `rows` off the destination column, handed to
     /// `sink` in order. `ipv4()` succeeds exactly on masked rows, so
     /// unmasked rows are unroutable just like the accessor chain says.
-    /// With `simd` the sweep widens to [`Dir24_8::lookup8`] — eight
-    /// first-level loads in flight per chunk of rows (invalid rows hold
-    /// zeroed lanes, which index table entry 0 harmlessly and are
-    /// discarded); a trailing partial chunk is looked up row by row.
+    /// Rows go through [`Dir24_8::lookup8`] eight at a time — eight
+    /// first-level loads in flight per chunk (invalid rows hold zeroed
+    /// lanes, which index table entry 0 harmlessly and are discarded); a
+    /// trailing partial chunk is looked up row by row.
     fn next_hops(
         &self,
         lanes: &HeaderLanes,
-        simd: bool,
         mut rows: impl Iterator<Item = usize>,
         mut sink: impl FnMut(Option<u32>),
     ) {
         const W: usize = nfc_packet::simd::LANES;
         let (dst, ipv4) = (lanes.dst_ip(), lanes.ipv4_mask());
-        let scalar = |i: usize| ipv4[i].then(|| self.table.lookup(dst[i])).flatten();
-        if !simd {
-            rows.for_each(|i| sink(scalar(i)));
-            return;
-        }
         loop {
             let mut chunk = [0usize; W];
             let mut filled = 0;
@@ -79,7 +73,9 @@ impl IpLookup {
                 filled += 1;
             }
             if filled < W {
-                chunk[..filled].iter().for_each(|&i| sink(scalar(i)));
+                for &i in &chunk[..filled] {
+                    sink(ipv4[i].then(|| self.table.lookup(dst[i])).flatten());
+                }
                 return;
             }
             if chunk.iter().any(|&i| ipv4[i]) {
@@ -143,7 +139,7 @@ impl Element for IpLookup {
             let lanes = batch.shared_lanes();
             let n = batch.len();
             let mut pkts = batch.iter_mut();
-            self.next_hops(&lanes, ctx.simd, 0..n, |nh| {
+            self.next_hops(&lanes, 0..n, |nh| {
                 apply(pkts.next().expect("one row per packet"), nh)
             });
         } else {
@@ -190,7 +186,7 @@ impl Element for IpLookup {
         out: &mut Vec<FlowVerdict>,
     ) -> bool {
         let rows = rows.iter().map(|&r| r as usize);
-        self.next_hops(lanes, true, rows, |nh| out.push(hop_verdict(nh)));
+        self.next_hops(lanes, rows, |nh| out.push(hop_verdict(nh)));
         true
     }
 }
@@ -781,45 +777,33 @@ impl FirewallFilter {
             .unwrap_or(true)
     }
 
-    /// The deny decision of each of `rows`, handed to `sink` in order,
-    /// classified straight off the u32/u16 columns; rows outside the
-    /// tuple mask (IPv6, non-UDP/TCP) take the per-packet path so the
-    /// verdicts stay bit-identical. With `simd` the tuple rows set in
-    /// `selected` — which must cover every tuple row of `rows` —
-    /// classify in one wide-word batch sweep (eight rows per rule
-    /// compare, partitions and first-match order preserved — see
-    /// [`AclTable::classify_v4_batch`]).
+    /// The deny decision of each of `rows`, handed to `sink` in order.
+    /// The tuple rows set in `selected` — which must cover every tuple
+    /// row of `rows` — classify straight off the u32/u16 columns in one
+    /// wide-word batch sweep (eight rows per rule compare, partitions
+    /// and first-match order preserved — see
+    /// [`AclTable::classify_v4_batch`]); rows outside the tuple mask
+    /// (IPv6, non-UDP/TCP) take the per-packet path so the verdicts stay
+    /// bit-identical.
     fn denies(
         &self,
         batch: &Batch,
         lanes: &HeaderLanes,
-        simd: bool,
         selected: &[u64],
         rows: impl Iterator<Item = usize>,
         mut sink: impl FnMut(bool),
     ) {
-        let batched = simd.then(|| {
-            self.acl.classify_v4_batch(
-                lanes.src_ip(),
-                lanes.dst_ip(),
-                lanes.src_port(),
-                lanes.dst_port(),
-                lanes.proto(),
-                selected,
-            )
-        });
+        let batched = self.acl.classify_v4_batch(
+            lanes.src_ip(),
+            lanes.dst_ip(),
+            lanes.src_port(),
+            lanes.dst_port(),
+            lanes.proto(),
+            selected,
+        );
         for i in rows {
             sink(if lanes.tuple_mask()[i] {
-                let verdict = match &batched {
-                    Some(v) => v[i].expect("tuple row has a batched verdict"),
-                    None => self.acl.classify_v4(
-                        lanes.src_ip()[i],
-                        lanes.dst_ip()[i],
-                        lanes.src_port()[i],
-                        lanes.dst_port()[i],
-                        lanes.proto()[i],
-                    ),
-                };
+                let verdict = batched[i].expect("tuple row has a batched verdict");
                 verdict.action == Action::Deny
             } else {
                 self.denies_packet(batch.get(i).expect("row within the batch"))
@@ -866,7 +850,7 @@ impl Element for FirewallFilter {
         if ctx.lanes {
             let lanes = batch.shared_lanes();
             let rows = 0..batch.len();
-            self.denies(&batch, &lanes, ctx.simd, lanes.tuple_bits(), rows, |d| {
+            self.denies(&batch, &lanes, lanes.tuple_bits(), rows, |d| {
                 deny_flags.push(d)
             });
         } else {
@@ -928,9 +912,7 @@ impl Element for FirewallFilter {
             }
         }
         let rows = rows.iter().map(|&r| r as usize);
-        self.denies(batch, lanes, true, &selected, rows, |d| {
-            out.push(self.verdict(d))
-        });
+        self.denies(batch, lanes, &selected, rows, |d| out.push(self.verdict(d)));
         true
     }
 }
@@ -2261,14 +2243,6 @@ mod tests {
         }
     }
 
-    fn simd_ctx() -> RunCtx {
-        RunCtx {
-            lanes: true,
-            simd: true,
-            ..RunCtx::default()
-        }
-    }
-
     /// Mixed traffic: v4 UDP (varied tuples), v4 TCP, v6 UDP, raw junk.
     fn mixed_traffic() -> Batch {
         let mut b = Batch::new();
@@ -2510,13 +2484,13 @@ mod tests {
                 prop_assert_eq!(nat_s.state_bytes(), nat_l.state_bytes());
             }
 
-            /// The wide-word (SWAR) kernels must be bit-identical to the
-            /// row-at-a-time lane sweep on arbitrary batches: ragged
-            /// (non-multiple-of-8) sizes, invalid rows interleaved (v6 /
-            /// junk outside the masks), memoized + CoW-shared buffers,
-            /// and mid-batch CoW mutations between stages. Output
-            /// batches, element state and write-back scatters all
-            /// compared via full batch equality.
+            /// The wide-word (SWAR) kernels inside the lane sweeps must
+            /// be bit-identical to the per-packet reference on arbitrary
+            /// batches: ragged (non-multiple-of-8) sizes, invalid rows
+            /// interleaved (v6 / junk outside the masks), memoized +
+            /// CoW-shared buffers, and mid-batch CoW mutations between
+            /// stages. Output batches, element state and write-back
+            /// scatters all compared via full batch equality.
             #[test]
             fn simd_lane_kernels_match_scalar_lanes(
                 rows in collection::vec(
@@ -2546,11 +2520,11 @@ mod tests {
                 // 160 rules => both UDP/TCP partitions multi-chunk.
                 let rules = synth::generate(160, acl_seed);
                 let acl = Arc::new(AclTable::new(rules, Action::Allow));
-                let mut fw_l = FirewallFilter::new(Arc::clone(&acl), true);
-                let mut fw_w = FirewallFilter::new(acl, true);
+                let mut fw_s = FirewallFilter::new(Arc::clone(&acl), true);
+                let mut fw_l = FirewallFilter::new(acl, true);
                 let fw_out = fw_l.process(batch.clone(), &mut lanes_ctx());
-                prop_assert_eq!(&fw_out, &fw_w.process(batch.clone(), &mut simd_ctx()));
-                prop_assert_eq!(fw_l.denied(), fw_w.denied());
+                prop_assert_eq!(&fw_out, &fw_s.process(batch.clone(), &mut ctx()));
+                prop_assert_eq!(fw_l.denied(), fw_s.denied());
 
                 let routes = vec![
                     RouteV4 {
@@ -2565,15 +2539,15 @@ mod tests {
                     },
                 ];
                 let table = Arc::new(Dir24_8::from_routes(&routes, 16));
-                let mut rt_l = IpLookup::new(Arc::clone(&table), 1);
-                let mut rt_w = IpLookup::new(table, 1);
+                let mut rt_s = IpLookup::new(Arc::clone(&table), 1);
+                let mut rt_l = IpLookup::new(table, 1);
                 prop_assert_eq!(
                     rt_l.process(batch.clone(), &mut lanes_ctx()),
-                    rt_w.process(batch.clone(), &mut simd_ctx())
+                    rt_s.process(batch.clone(), &mut ctx())
                 );
 
                 // Chained: the firewall's surviving batch feeds the
-                // router, exercising SIMD sweeps over an already
+                // router, exercising the wide sweeps over an already
                 // retained/mutated batch.
                 if let Some(fwd) = fw_out.into_iter().next() {
                     let mut rt_l2 = IpLookup::new(
@@ -2584,10 +2558,10 @@ mod tests {
                         }], 16)),
                         1,
                     );
-                    let mut rt_w2 = rt_l2.clone();
+                    let mut rt_s2 = rt_l2.clone();
                     prop_assert_eq!(
                         rt_l2.process(fwd.clone(), &mut lanes_ctx()),
-                        rt_w2.process(fwd, &mut simd_ctx())
+                        rt_s2.process(fwd, &mut ctx())
                     );
                 }
             }

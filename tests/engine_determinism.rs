@@ -3,15 +3,19 @@
 //! parallel CoW runs of the same deployment must agree on every egress
 //! byte, every per-element statistic, and every simulated timing.
 
+use nfc_click::element::RunCtx;
+use nfc_click::{Element, ElementActions, ElementClass, ElementGraph};
 use nfc_core::{
-    ControllerConfig, ControllerReport, Deployment, Duplication, ExecMode, FlowCacheMode, Policy,
-    RunOutcome, Sfc,
+    BatchResult, ControllerConfig, ControllerReport, Deployment, Duplication, ExecMode,
+    FlowCacheMode, PlatformResources, Policy, RunOutcome, Sfc,
 };
-use nfc_hetero::GpuMode;
-use nfc_nf::Nf;
+use nfc_hetero::{GpuMode, PipelineSim};
+use nfc_nf::{Nf, NfKind};
 use nfc_packet::traffic::{PayloadPolicy, SizeDist, TrafficGenerator, TrafficSpec};
-use nfc_packet::Batch;
+use nfc_packet::{Batch, Packet};
+use nfc_telemetry::TelemetryHandle;
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A mixed chain the analyzer re-organizes: read-only firewall and IDS
 /// parallelize; IDS also drops, exercising drop-wins merging.
@@ -272,6 +276,98 @@ fn one_prepared_sfc_survives_plan_swaps_identically_in_every_mode() {
             &format!("{label} readapt"),
             &serial_readapted,
             &readapted(exec),
+        );
+    }
+}
+
+/// A probe that forwards everything but panics on a [`TRIPWIRE`]
+/// payload — a stand-in for an element bug only some packet reaches.
+#[derive(Debug, Clone)]
+struct Tripwire;
+
+const TRIPWIRE: &[u8] = b"tripwire";
+
+impl Element for Tripwire {
+    fn name(&self) -> &str {
+        "tripwire"
+    }
+
+    fn class(&self) -> ElementClass {
+        ElementClass::Inspector
+    }
+
+    fn actions(&self) -> ElementActions {
+        ElementActions::read_all()
+    }
+
+    fn process(&mut self, batch: Batch, _ctx: &mut RunCtx) -> Vec<Batch> {
+        assert!(
+            batch.iter().all(|p| p.l4_payload().ok() != Some(TRIPWIRE)),
+            "tripwire payload reached the probe"
+        );
+        vec![batch]
+    }
+
+    fn clone_box(&self) -> Box<dyn Element> {
+        Box::new(self.clone())
+    }
+}
+
+/// A unit that panics takes its branch's stages with it. If the embedding
+/// caller catches the unwind and keeps calling `process_batch`, the chain
+/// must refuse to run: with no stages left it would execute zero
+/// branches, merge every packet through as untouched and report the
+/// batch completed — a firewall failing open.
+#[test]
+fn a_prepared_sfc_poisoned_by_a_unit_panic_refuses_later_batches() {
+    for exec in [ExecMode::Serial, ExecMode::Parallel { threads: 2 }] {
+        let mut probe = ElementGraph::new();
+        probe.add(Tripwire);
+        let sfc = Sfc::new(
+            "fw-probe",
+            vec![
+                Nf::firewall("fw", 64, 1),
+                Nf::from_graph("probe", NfKind::Probe, probe),
+            ],
+        );
+        let mut dep = Deployment::new(sfc, Policy::CpuOnly)
+            .with_batch_size(32)
+            .with_forced_branches(vec![vec![0], vec![1]])
+            .with_exec_mode(exec);
+        let mut sim = PipelineSim::new();
+        let res = PlatformResources::register(&mut sim, dep.model());
+        // Warm-up draws generated payloads, none of them the tripwire.
+        let mut prep = dep.prepare(
+            &mut sim,
+            &res,
+            &mut traffic(7, 128, 0.0),
+            &[],
+            &mut 1,
+            &TelemetryHandle::disabled(),
+        );
+        let marked = || -> Batch {
+            (0..32u8)
+                .map(|i| Packet::ipv4_udp([10, 0, 0, i], [172, 16, 0, 1], 4000, 80, TRIPWIRE))
+                .collect()
+        };
+        let first = catch_unwind(AssertUnwindSafe(|| {
+            prep.process_batch(&mut sim, &res, marked());
+        }));
+        assert!(first.is_err(), "{exec:?}: the probe's panic must surface");
+        let second = catch_unwind(AssertUnwindSafe(|| {
+            match prep.process_batch(&mut sim, &res, marked()) {
+                BatchResult::Completed { out, .. } => out.len(),
+                BatchResult::Dropped { .. } => 0,
+            }
+        }));
+        let payload = match second {
+            Ok(forwarded) => panic!("{exec:?}: poisoned chain forwarded {forwarded} packets"),
+            Err(payload) => payload,
+        };
+        let msg = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(
+            msg.contains("poisoned"),
+            "{exec:?}: unexpected panic: {msg}"
         );
     }
 }
