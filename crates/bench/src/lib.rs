@@ -4,8 +4,7 @@
 //! rows as JSON-serializable records and pretty-prints the same series
 //! the paper reports. The `figures` binary drives them
 //! (`cargo run --release -p nfc-bench --bin figures -- all`), writing
-//! machine-readable results under `results/`. The Criterion benches in
-//! `benches/` measure the real substrate operations behind each figure.
+//! machine-readable results under `results/`.
 
 pub mod experiments;
 pub mod util;

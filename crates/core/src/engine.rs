@@ -33,8 +33,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-/// Environment variable overriding the worker count (mirrors
-/// `workspace.metadata.engine.threads-env` in the root manifest).
+/// Environment variable overriding the worker count.
 pub const THREADS_ENV: &str = "NFC_THREADS";
 
 /// How the engine schedules independent work units.
@@ -90,8 +89,8 @@ pub enum Duplication {
     #[default]
     Cow,
     /// Eagerly copy every packet buffer (the pre-CoW engine behavior).
-    /// Kept as the reference `tests/engine_determinism.rs` and the engine
-    /// bench compare the CoW engine against, not as a deployment setting.
+    /// Kept as the reference `tests/engine_determinism.rs` compares the
+    /// CoW engine against, not as a deployment setting.
     DeepCopy,
 }
 

@@ -3122,6 +3122,22 @@ mod tests {
         assert_eq!(out.residency.spilled.len(), 0);
         assert_eq!(out.residency.resident.len(), 2);
         assert!(out.residency.within_capacity());
+        // Unpressured, persistence pays (simulated clock): frequent
+        // small-batch launches are what resident kernels amortize away.
+        let lpb = run(
+            ipsec_chain(2),
+            Policy::GpuOnly {
+                mode: GpuMode::LaunchPerBatch,
+            },
+            256,
+            20,
+        );
+        assert!(
+            out.report.throughput_gbps >= 1.05 * lpb.report.throughput_gbps,
+            "resident {} vs launch-per-batch {}",
+            out.report.throughput_gbps,
+            lpb.report.throughput_gbps
+        );
     }
 
     #[test]
@@ -3157,6 +3173,31 @@ mod tests {
         let (lpb_out, lpb_egress) = lpb.run_collect(&mut traffic(256, 42), 10);
         assert_eq!(egress, lpb_egress);
         assert!(lpb_out.residency.resident.is_empty());
+        // With two kernels still resident the partly spilled plan keeps
+        // paying (simulated clock): persistence never stops paying
+        // before the first spill.
+        assert!(
+            out.report.throughput_gbps >= 1.05 * lpb_out.report.throughput_gbps,
+            "partly spilled {} vs launch-per-batch {}",
+            out.report.throughput_gbps,
+            lpb_out.report.throughput_gbps
+        );
+        // At batch 4096 no kernel fits (32 slots each): the plan spills
+        // whole, and a fully spilled plan *is* launch-per-batch, so the
+        // two modes meet at parity.
+        let at_4096 = |mode: GpuMode| {
+            Deployment::new(ipsec_chain(4), Policy::GpuOnly { mode })
+                .with_batch_size(4096)
+                .run(&mut traffic(64, 42), 2)
+        };
+        let spilled = at_4096(GpuMode::Persistent);
+        let launch = at_4096(GpuMode::LaunchPerBatch).report.throughput_gbps;
+        assert!(spilled.residency.resident.is_empty());
+        assert!(
+            (spilled.report.throughput_gbps / launch - 1.0).abs() < 0.02,
+            "fully spilled {} vs launch-per-batch {launch}",
+            spilled.report.throughput_gbps
+        );
     }
 
     #[test]
@@ -3315,13 +3356,13 @@ mod adaptive_tests {
 
     #[test]
     fn controller_absorbs_match_ratio_flip() {
-        let run = |cfg: &ControllerConfig| {
+        let run = |policy: Policy, cfg: &ControllerConfig| {
             let sfc = Sfc::new("dpi", vec![Nf::dpi("dpi")]);
-            let mut dep = Deployment::new(sfc, Policy::nfcompass()).with_batch_size(256);
+            let mut dep = Deployment::new(sfc, policy).with_batch_size(256);
             dep.run_adaptive(&mut dpi_phases(40.0), 48, cfg)
         };
-        let (adapted, report) = run(&cfg());
-        let (stale, oracle_report) = run(&ControllerConfig::disabled());
+        let (adapted, report) = run(Policy::nfcompass(), &cfg());
+        let (stale, oracle_report) = run(Policy::nfcompass(), &ControllerConfig::disabled());
         assert!(report.epochs >= 8);
         assert!(report.triggers >= 1, "shift must trip the detector");
         assert!(report.applied() >= 1, "fast re-partition must adopt a plan");
@@ -3339,6 +3380,22 @@ mod adaptive_tests {
         assert!(applied
             .iter()
             .all(|a| a.swap_ns > 0.0 || a.old_ratio == 0.0));
+        // The one-processor statics lose on both sides of the flip
+        // (simulated clock).
+        let gpu_only = Policy::GpuOnly {
+            mode: GpuMode::Persistent,
+        };
+        for policy in [Policy::CpuOnly, gpu_only] {
+            let (fixed, _) = run(policy, &ControllerConfig::disabled());
+            for (a, f) in adapted.iter().zip(&fixed) {
+                assert!(
+                    a.report.throughput_gbps > f.report.throughput_gbps,
+                    "adaptive {} vs {policy:?} {}",
+                    a.report.throughput_gbps,
+                    f.report.throughput_gbps
+                );
+            }
+        }
     }
 
     #[test]

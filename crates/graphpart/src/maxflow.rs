@@ -7,8 +7,8 @@
 //! binary CPU/GPU labeling minimizing `Σ unary(v, side) + Σ w_e · [cut]`
 //! reduces to an s–t min cut, solved with Dinic's algorithm. It is exact
 //! for that energy but blind to load *balance*, which is why the paper
-//! (and our allocator) layer KL's balance term on top — the ablation
-//! bench quantifies the gap.
+//! (and our allocator) layer KL's balance term on top — `figures
+//! ablations` quantifies the gap.
 
 /// Dinic max-flow solver over an explicit residual graph.
 #[derive(Debug, Clone)]

@@ -178,6 +178,17 @@ fn hostile_flood() {
             o.migrated_bytes as f64 / 1024.0
         );
     }
+    // Both runs are deterministic on the simulated clock.
+    assert!(
+        adaptive.rebalances >= 1,
+        "the flood must trip the cluster controller"
+    );
+    assert!(
+        adaptive.report.throughput_gbps > static_map.report.throughput_gbps,
+        "adaptive {:.2} Gbps must beat the static shard map's {:.2} Gbps",
+        adaptive.report.throughput_gbps,
+        static_map.report.throughput_gbps
+    );
     println!(
         "\nfinal shard map (adaptive): {} arcs across {} servers",
         adaptive.shard_map.len(),
