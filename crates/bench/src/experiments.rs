@@ -13,7 +13,7 @@ use crate::util::{gbps, header, us, ExperimentResult};
 use nfc_click::elements::SyntheticWork;
 use nfc_click::ElementGraph;
 use nfc_core::allocator::PartitionAlgo;
-use nfc_core::{par_map, Deployment, ExecMode, Policy, ReorgSfc, Sfc};
+use nfc_core::{par_map, ControllerConfig, Deployment, ExecMode, Policy, ReorgSfc, Sfc};
 use nfc_hetero::{CoRunContext, GpuMode};
 use nfc_nf::{Nf, NfKind};
 use nfc_packet::traffic::{IpVersion, PayloadPolicy, SizeDist, TrafficGenerator, TrafficSpec};
@@ -775,8 +775,9 @@ pub fn ablations(quick: bool) -> ExperimentResult {
 
 /// Traffic-churn adaptation (the paper's "fast-switching network
 /// traffics" motivation): an SFC profiled on one traffic mix faces a
-/// shifted mix; with re-adaptation the runtime re-profiles and
-/// re-allocates at the phase boundary.
+/// shifted mix it is never told about; the same `run_adaptive` loop runs
+/// with the epoch controller disabled (the static plan) and enabled
+/// (the controller detects the shift and re-partitions online).
 pub fn churn(quick: bool) -> ExperimentResult {
     header("Traffic churn: static plan vs dynamic re-adaptation");
     let mut res = ExperimentResult::new("churn", "adaptation under traffic churn");
@@ -798,10 +799,12 @@ pub fn churn(quick: bool) -> ExperimentResult {
         "{:<22} {:>12} {:>12}",
         "variant", "phase1 Gbps", "phase2 Gbps"
     );
-    for (label, adapt) in [("static plan", false), ("re-adapted", true)] {
+    for (label, cfg) in [
+        ("static plan", ControllerConfig::disabled()),
+        ("re-adapted", ControllerConfig::default()),
+    ] {
         let mut dep = Deployment::new(sfc(), Policy::nfcompass()).with_batch_size(256);
-        let mut ph = phases();
-        let outs = dep.run_phases(&mut ph, batches(quick), adapt);
+        let (outs, _) = dep.run_adaptive(&mut phases(), batches(quick), &cfg);
         println!(
             "{:<22} {:>12.2} {:>12.2}",
             label, outs[0].report.throughput_gbps, outs[1].report.throughput_gbps

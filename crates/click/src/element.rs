@@ -348,12 +348,6 @@ pub trait Element: std::fmt::Debug + Send {
         0.0
     }
 
-    /// Starts a fresh profiling window: elements tracking recent traffic
-    /// statistics ([`Element::content_factor`], [`Element::divergence`])
-    /// discard them so the next measurements reflect only upcoming
-    /// traffic. Functional state (flow tables, caches) is kept.
-    fn begin_profile_window(&mut self) {}
-
     /// Bytes of per-flow/per-connection state the element currently
     /// holds (NAT port maps, reassembly buffers, token buckets). A live
     /// reconfiguration that moves the element between processors must

@@ -666,13 +666,6 @@ impl CompiledGraph {
         self.lanes = on;
     }
 
-    /// Starts a fresh profiling window on every element (see
-    /// [`Element::begin_profile_window`]).
-    pub fn begin_profile_window(&mut self) {
-        self.graph
-            .for_each_element_mut(|el| el.begin_profile_window());
-    }
-
     /// Drains buffered session records from every element (see
     /// [`Element::take_session_records`]), in topological node order so
     /// the record stream is deterministic.

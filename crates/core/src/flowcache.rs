@@ -28,15 +28,6 @@ use nfc_packet::{Batch, FlowKey, Packet};
 use nfc_telemetry::{EventKind, Recorder};
 use std::sync::Arc;
 
-/// Environment variable toggling the flow cache (`NFC_FLOW_CACHE`):
-/// unset/`0`/`off`/`false` disables (the differential baseline), `1`/
-/// `on`/`true` enables with the default capacity, a number enables with
-/// that capacity.
-pub const FLOW_CACHE_ENV: &str = "NFC_FLOW_CACHE";
-
-/// Default flow-table capacity when enabled without an explicit size.
-pub const DEFAULT_CAPACITY: usize = 1 << 16;
-
 /// Whether deployments run the flow-aware fast path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowCacheMode {
@@ -50,23 +41,6 @@ pub enum FlowCacheMode {
 }
 
 impl FlowCacheMode {
-    /// Reads the mode from [`FLOW_CACHE_ENV`]; defaults to off.
-    pub fn auto() -> Self {
-        match std::env::var(FLOW_CACHE_ENV) {
-            Ok(v) => match v.trim() {
-                "" | "0" | "off" | "false" => FlowCacheMode::Off,
-                "1" | "on" | "true" => FlowCacheMode::On {
-                    capacity: DEFAULT_CAPACITY,
-                },
-                other => match other.parse::<usize>() {
-                    Ok(n) => FlowCacheMode::On { capacity: n.max(1) },
-                    Err(_) => FlowCacheMode::Off,
-                },
-            },
-            Err(_) => FlowCacheMode::Off,
-        }
-    }
-
     /// True when the fast path is enabled.
     pub fn is_on(&self) -> bool {
         matches!(self, FlowCacheMode::On { .. })

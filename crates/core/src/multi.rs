@@ -235,6 +235,41 @@ mod tests {
     }
 
     #[test]
+    fn one_tenant_equals_single_box() {
+        // The single-box member of the "N = 1 cluster ≡ single box"
+        // family: a lone tenant has no co-runners, so the shared-platform
+        // loop must reproduce `Deployment::run` bit for bit.
+        let dep = || {
+            let chain = vec![
+                Nf::firewall("fw", 200, 1),
+                Nf::ipsec("ipsec"),
+                Nf::dpi("dpi"),
+            ];
+            Deployment::new(Sfc::new("fw-ipsec-dpi", chain), Policy::nfcompass())
+                .with_batch_size(128)
+        };
+        let solo = dep().run(&mut gen(512, 7, 30.0), 40);
+        let mut outs = MultiDeployment::new(vec![dep()]).run(&mut [gen(512, 7, 30.0)], 40);
+        let multi = outs.pop().expect("one tenant");
+        assert!(outs.is_empty());
+        assert_eq!(solo.report, multi.report);
+        assert_eq!(solo.stage_stats, multi.stage_stats);
+        assert_eq!(solo.stage_offloads, multi.stage_offloads);
+        assert_eq!(
+            (solo.egress_packets, solo.egress_bytes, solo.merge_conflicts),
+            (
+                multi.egress_packets,
+                multi.egress_bytes,
+                multi.merge_conflicts
+            )
+        );
+        assert_eq!(
+            (solo.width, solo.effective_length, solo.flow_cache),
+            (multi.width, multi.effective_length, multi.flow_cache)
+        );
+    }
+
+    #[test]
     fn empty_multi_run() {
         let mut multi = MultiDeployment::new(vec![]);
         assert!(multi.is_empty());

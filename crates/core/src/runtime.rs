@@ -367,7 +367,7 @@ impl Deployment {
             forced_branches: None,
             exec_mode: ExecMode::auto(),
             duplication: Duplication::Cow,
-            flow_cache: FlowCacheMode::auto(),
+            flow_cache: FlowCacheMode::Off,
             telemetry: TelemetryMode::auto(),
             lanes: true,
             residency_pressure: None,
@@ -405,9 +405,10 @@ impl Deployment {
         self
     }
 
-    /// Sets the flow-cache mode, overriding the `NFC_FLOW_CACHE`
-    /// environment default. Cache-off is the differential baseline:
-    /// egress and per-element statistics are bit-identical either way.
+    /// Sets the flow-cache mode (default [`FlowCacheMode::Off`]; this is
+    /// the only way to turn the cache on). Cache-off is the differential
+    /// baseline: egress and per-element statistics are bit-identical
+    /// either way.
     pub fn with_flow_cache(mut self, mode: FlowCacheMode) -> Self {
         self.flow_cache = mode;
         self
@@ -501,7 +502,7 @@ impl Deployment {
     /// Runs `n_batches` batches from `traffic` through the deployment,
     /// returning functional and temporal results.
     pub fn run(&mut self, traffic: &mut TrafficGenerator, n_batches: usize) -> RunOutcome {
-        self.run_inner(traffic, n_batches, false).0
+        self.run_collect_inner(traffic, n_batches, None, false).0
     }
 
     /// Like [`Deployment::run`], additionally returning every egress
@@ -513,7 +514,7 @@ impl Deployment {
         traffic: &mut TrafficGenerator,
         n_batches: usize,
     ) -> (RunOutcome, Vec<Batch>) {
-        self.run_inner(traffic, n_batches, true)
+        self.run_collect_inner(traffic, n_batches, None, true)
     }
 
     /// Like [`Deployment::run_collect`], but processes pre-generated
@@ -525,158 +526,27 @@ impl Deployment {
         traffic: &mut TrafficGenerator,
         batches: &[Batch],
     ) -> (RunOutcome, Vec<Batch>) {
-        self.run_loop(traffic, batches.len(), true, Some(batches))
+        self.run_collect_inner(traffic, batches.len(), Some(batches), true)
     }
 
-    fn run_inner(
+    /// The one-phase, no-controller face of [`Deployment::run_loop`].
+    fn run_collect_inner(
         &mut self,
         traffic: &mut TrafficGenerator,
         n_batches: usize,
-        collect: bool,
-    ) -> (RunOutcome, Vec<Batch>) {
-        self.run_loop(traffic, n_batches, collect, None)
-    }
-
-    fn run_loop(
-        &mut self,
-        traffic: &mut TrafficGenerator,
-        n_batches: usize,
-        collect: bool,
         replay: Option<&[Batch]>,
+        collect: bool,
     ) -> (RunOutcome, Vec<Batch>) {
-        let tel = Telemetry::new(self.telemetry.clone());
-        let handle = tel.handle();
-        let mut sim = PipelineSim::new();
-        // Install the simulator's event lane before resources register so
-        // every lane name is announced.
-        sim.set_recorder(handle.recorder());
-        let res = PlatformResources::register(&mut sim, &self.model);
-        let mut user_base = 1u64;
-        let mut prep = self.prepare(&mut sim, &res, traffic, &[], &mut user_base, &handle);
-        let batch_size = self.batch_size;
-        let mut egress = Vec::new();
-        for i in 0..n_batches {
-            let batch = match replay {
-                Some(rec) => rec[i].clone(),
-                None => traffic.batch(batch_size),
-            };
-            match prep.process_batch(&mut sim, &res, batch) {
-                BatchResult::Completed {
-                    mean_arrival,
-                    completed,
-                    out,
-                } => {
-                    handle.observe_ns("batch_latency_ns", completed - mean_arrival);
-                    sim.record_completion(mean_arrival, completed, out.len(), out.total_bytes());
-                    if collect {
-                        egress.push(out);
-                    }
-                }
-                BatchResult::Dropped { mean_arrival } => sim.record_drop(mean_arrival),
-            }
-        }
-        if let Some(rec) = sim.take_recorder() {
-            handle.absorb(rec);
-        }
-        let mut outcome = prep.into_outcome(sim.report());
-        outcome.telemetry = tel.finish();
-        (outcome, egress)
-    }
-
-    /// Runs a sequence of traffic *phases* on one continuous timeline,
-    /// returning one outcome per phase. With `adapt`, the runtime
-    /// re-profiles and re-allocates at every phase boundary (the paper's
-    /// answer to "fast-switching network traffics"); without it, the
-    /// plan computed for the first phase is kept throughout — the
-    /// behaviour the paper criticizes in static frameworks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `phases` is empty.
-    pub fn run_phases(
-        &mut self,
-        phases: &mut [TrafficGenerator],
-        n_batches: usize,
-        adapt: bool,
-    ) -> Vec<RunOutcome> {
-        assert!(!phases.is_empty(), "need at least one phase");
-        let tel = Telemetry::new(self.telemetry.clone());
-        let handle = tel.handle();
-        let mut sim = PipelineSim::new();
-        sim.set_recorder(handle.recorder());
-        let res = PlatformResources::register(&mut sim, &self.model);
-        let mut user_base = 1u64;
-        let (first, rest) = phases.split_first_mut().expect("non-empty");
-        let mut prep = self.prepare(&mut sim, &res, first, &[], &mut user_base, &handle);
-        let batch_size = self.batch_size;
-        let mut outcomes = Vec::with_capacity(1 + rest.len());
-        let mut clock = 0u64;
-        let run_phase = |prep: &mut PreparedSfc,
-                         sim: &mut PipelineSim,
-                         traffic: &mut TrafficGenerator|
-         -> (nfc_hetero::sim::StatsAccumulator, u64) {
-            let mut stats = nfc_hetero::sim::StatsAccumulator::new();
-            let mut last = traffic.now_ns();
-            for _ in 0..n_batches {
-                let batch = traffic.batch(batch_size);
-                match prep.process_batch(sim, &res, batch) {
-                    BatchResult::Completed {
-                        mean_arrival,
-                        completed,
-                        out,
-                    } => {
-                        handle.observe_ns("batch_latency_ns", completed - mean_arrival);
-                        last = last.max(completed as u64);
-                        stats.record_completion(
-                            mean_arrival,
-                            completed,
-                            out.len(),
-                            out.total_bytes(),
-                        );
-                    }
-                    BatchResult::Dropped { mean_arrival } => stats.record_drop(mean_arrival),
-                }
-            }
-            (stats, last)
-        };
-        let (stats, last) = run_phase(&mut prep, &mut sim, first);
-        clock = clock.max(last);
-        outcomes.push((stats, prep.current_offloads()));
-        for traffic in rest {
-            traffic.advance_to(clock);
-            if adapt {
-                prep.readapt(
-                    self.policy,
-                    self.delta,
-                    traffic,
-                    self.warmup_batches,
-                    batch_size,
-                );
-            }
-            let (stats, last) = run_phase(&mut prep, &mut sim, traffic);
-            clock = clock.max(last);
-            outcomes.push((stats, prep.current_offloads()));
-        }
-        if let Some(rec) = sim.take_recorder() {
-            handle.absorb(rec);
-        }
-        let mut template = prep.into_outcome(SimReport::default());
-        // One telemetry session spans the whole multi-phase timeline, so
-        // every phase outcome carries the same digest.
-        template.telemetry = tel.finish();
-        outcomes
-            .into_iter()
-            .map(|(stats, offloads)| RunOutcome {
-                report: stats.report(),
-                stage_offloads: offloads,
-                ..template.clone()
-            })
-            .collect()
+        let phases = std::slice::from_mut(traffic);
+        let (mut outcomes, _, egress) = self.run_loop(phases, n_batches, None, replay, collect);
+        (outcomes.pop().expect("one phase"), egress)
     }
 
     /// Runs a sequence of traffic phases on one continuous timeline with
     /// the epoch-based adaptive controller closing the
-    /// profile → partition → deploy loop *online*: every
+    /// profile → partition → deploy loop *online* — the paper's answer
+    /// to "fast-switching network traffics" (§IV-C3) and the runtime's
+    /// only adaptation mechanism: every
     /// [`ControllerConfig::epoch_batches`] batches the runtime condenses
     /// its observation window into a [`WorkloadSignature`]; when the
     /// change detector trips (threshold + hysteresis + cooldown), the
@@ -688,15 +558,15 @@ impl Deployment {
     /// flow-cache generation bump), all charged on the simulated
     /// timeline.
     ///
-    /// Unlike [`Deployment::run_phases`] with `adapt`, no traffic is ever
-    /// consumed for re-profiling and no statistics are reset: adaptation
-    /// is driven entirely by passive window deltas, which is what makes
-    /// the controller *provably loss-free* — with
+    /// The caller never tells the runtime where a phase boundary is, no
+    /// traffic is ever consumed for re-profiling and no statistics are
+    /// reset: adaptation is driven entirely by passive window deltas,
+    /// which is what makes the controller *provably loss-free* — with
     /// [`ControllerConfig::disabled`] this method is the differential
-    /// oracle, and as long as neither run tail-drops, egress and
-    /// per-element statistics are bit-identical whatever plans the
-    /// enabled controller swaps in (plans only move work between
-    /// processors on the temporal layer).
+    /// oracle (and the static-plan baseline), and as long as neither run
+    /// tail-drops, egress and per-element statistics are bit-identical
+    /// whatever plans the enabled controller swaps in (plans only move
+    /// work between processors on the temporal layer).
     ///
     /// Phase boundaries advance each generator to the previous phase's
     /// traffic clock (not the simulation clock), so the arrival process
@@ -715,7 +585,7 @@ impl Deployment {
         n_batches: usize,
         cfg: &ControllerConfig,
     ) -> (Vec<RunOutcome>, ControllerReport) {
-        let (outcomes, report, _) = self.run_adaptive_inner(phases, n_batches, cfg, false);
+        let (outcomes, report, _) = self.run_loop(phases, n_batches, Some(cfg), None, false);
         (outcomes, report)
     }
 
@@ -729,27 +599,35 @@ impl Deployment {
         n_batches: usize,
         cfg: &ControllerConfig,
     ) -> (Vec<RunOutcome>, ControllerReport, Vec<Batch>) {
-        self.run_adaptive_inner(phases, n_batches, cfg, true)
+        self.run_loop(phases, n_batches, Some(cfg), None, true)
     }
 
-    fn run_adaptive_inner(
+    /// The single-box batch loop behind every `run*` entry point:
+    /// `n_batches` per phase, drawn from the phase's generator or — with
+    /// `replay` — taken in order from pre-generated batches. Without a
+    /// controller there is no epoch cadence at all (no `Epoch` markers,
+    /// no signature or snapshot work), so a plain run records exactly
+    /// the per-batch events; with one, even a disabled one, the epoch
+    /// boundary runs every [`ControllerConfig::epoch_batches`] batches.
+    fn run_loop(
         &mut self,
         phases: &mut [TrafficGenerator],
         n_batches: usize,
-        cfg: &ControllerConfig,
+        cfg: Option<&ControllerConfig>,
+        replay: Option<&[Batch]>,
         collect: bool,
     ) -> (Vec<RunOutcome>, ControllerReport, Vec<Batch>) {
         assert!(!phases.is_empty(), "need at least one phase");
         let tel = Telemetry::new(self.telemetry.clone());
         let handle = tel.handle();
         let mut sim = PipelineSim::new();
+        // Install the simulator's event lane before resources register so
+        // every lane name is announced.
         sim.set_recorder(handle.recorder());
         let res = PlatformResources::register(&mut sim, &self.model);
         let mut user_base = 1u64;
-        let (first, rest) = phases.split_first_mut().expect("non-empty");
-        let mut prep = self.prepare(&mut sim, &res, first, &[], &mut user_base, &handle);
+        let mut prep = self.prepare(&mut sim, &res, &mut phases[0], &[], &mut user_base, &handle);
         let batch_size = self.batch_size;
-        let epoch_batches = cfg.epoch_batches.max(1);
         // The fast path is always the O(k log k) agglomerative
         // partitioner; the background refinement uses the policy's own
         // partitioner (KL when the policy already runs agglomerative, so
@@ -767,21 +645,29 @@ impl Deployment {
             PartitionAlgo::Agglomerative => "agglomerative",
             PartitionAlgo::Mfmc => "mfmc",
         };
-        let mut controller = Controller::new(cfg.clone());
+        let mut controller = cfg.map(|c| Controller::new(c.clone()));
+        let epoch_batches = cfg.map_or(1, |c| c.epoch_batches.max(1));
         let mut report = ControllerReport::default();
         let mut egress = Vec::new();
-        let mut phase_results = Vec::with_capacity(1 + rest.len());
+        let mut phase_results = Vec::with_capacity(phases.len());
+        let mut fed = 0usize;
         let mut since_epoch = 0usize;
         let mut now = 0f64;
         let mut traffic_clock = 0u64;
-        prep.snapshot_window();
-        for (pi, traffic) in std::iter::once(first).chain(rest.iter_mut()).enumerate() {
+        if controller.is_some() {
+            prep.snapshot_window();
+        }
+        for (pi, traffic) in phases.iter_mut().enumerate() {
             if pi > 0 {
                 traffic.advance_to(traffic_clock);
             }
             let mut stats = nfc_hetero::sim::StatsAccumulator::new();
             for _ in 0..n_batches {
-                let batch = traffic.batch(batch_size);
+                let batch = match replay {
+                    Some(rec) => rec[fed].clone(),
+                    None => traffic.batch(batch_size),
+                };
+                fed += 1;
                 match prep.process_batch(&mut sim, &res, batch) {
                     BatchResult::Completed {
                         mean_arrival,
@@ -802,6 +688,9 @@ impl Deployment {
                     }
                     BatchResult::Dropped { mean_arrival } => stats.record_drop(mean_arrival),
                 }
+                let Some(controller) = controller.as_mut() else {
+                    continue;
+                };
                 since_epoch += 1;
                 if since_epoch < epoch_batches {
                     continue;
@@ -826,43 +715,32 @@ impl Deployment {
                         },
                     );
                 }
-                match action {
-                    Action::Hold => {}
+                let replan = match action {
+                    Action::Hold => None,
                     Action::FastRepartition(why) => {
                         report.triggers += 1;
-                        if can_replan
-                            && prep.repartition(
-                                &mut sim,
-                                &res,
-                                PartitionAlgo::Agglomerative,
-                                "agglomerative",
-                                &why.summary(),
-                                self.delta,
-                                now,
-                                controller.epoch(),
-                                &mut report,
-                            )
-                        {
-                            controller.note_swap();
-                        }
+                        Some((PartitionAlgo::Agglomerative, "agglomerative", why.summary()))
                     }
                     Action::Refine => {
                         report.refines += 1;
-                        if can_replan
-                            && prep.repartition(
-                                &mut sim,
-                                &res,
-                                refine_algo,
-                                refine_label,
-                                "refine",
-                                self.delta,
-                                now,
-                                controller.epoch(),
-                                &mut report,
-                            )
-                        {
-                            controller.note_swap();
-                        }
+                        Some((refine_algo, refine_label, "refine".to_string()))
+                    }
+                };
+                if let Some((algo, label, reason)) = replan {
+                    if can_replan
+                        && prep.repartition(
+                            &mut sim,
+                            &res,
+                            algo,
+                            label,
+                            &reason,
+                            self.delta,
+                            now,
+                            controller.epoch(),
+                            &mut report,
+                        )
+                    {
+                        controller.note_swap();
                     }
                 }
                 prep.snapshot_window();
@@ -874,6 +752,8 @@ impl Deployment {
             handle.absorb(rec);
         }
         let mut template = prep.into_outcome(SimReport::default());
+        // One telemetry session spans the whole multi-phase timeline, so
+        // every phase outcome carries the same digest.
         template.telemetry = tel.finish();
         let outcomes = phase_results
             .into_iter()
@@ -1141,10 +1021,10 @@ impl Deployment {
 }
 
 /// Profiles one stage from its accumulated statistics and computes its
-/// allocation plan under `policy` (shared by initial preparation and
-/// mid-run re-adaptation). Every planning decision — whatever the
-/// policy — is recorded into `rec` as an
-/// [`EventKind::PartitionDecision`] instant; the graph-partition
+/// allocation plan under `policy` at preparation time (the controller's
+/// live swaps go through [`PreparedSfc::repartition`] instead). Every
+/// planning decision — whatever the policy — is recorded into `rec` as
+/// an [`EventKind::PartitionDecision`] instant; the graph-partition
 /// policies additionally stream their per-pass refinement events.
 fn plan_stage(
     stage: &mut StageExec,
@@ -1365,7 +1245,7 @@ pub struct PreparedSfc {
     /// `drain` bucket instead of generic queueing.
     swap_spans: Vec<(f64, f64)>,
     /// SM-residency placement currently in effect; refreshed whenever
-    /// plans change (initial preparation, re-adaptation, live swaps).
+    /// plans change (initial preparation, live swaps).
     residency: ResidencyReport,
     /// Recalibrated pressure coefficient carried from the deployment so
     /// every re-pack keeps the same objective (`None` = stock anchor).
@@ -1575,10 +1455,8 @@ impl PreparedSfc {
             .map(|s| sim.backlog_ns(s.cpu_res, arrival))
             .fold(sim.backlog_ns(res.io_rx, arrival), f64::max);
         if worst_backlog > sim.max_queue_ns {
-            if self.health.is_some() {
-                if let Some(h) = &mut self.health {
-                    h.state.observe_drop();
-                }
+            if let Some(h) = &mut self.health {
+                h.state.observe_drop();
                 self.health_epoch_tick(sim, res, arrival);
             }
             return BatchResult::Dropped { mean_arrival };
@@ -1610,6 +1488,24 @@ impl PreparedSfc {
         // pays one hash-mod per packet plus key extraction for sampled
         // packets only.
         let forensics = recording && self.sampler.armed();
+        // The one flow-forensics stamper: carries the lineage tag, the
+        // server id and the flight ring to every touchpoint below.
+        let server = self.server;
+        let flight = &mut self.flight;
+        let mut stamp =
+            |sim: &mut PipelineSim, track: u32, at: f64, flow: u32, point: &'static str, n: u32| {
+                stamp_flow_point(
+                    sim.recorder_mut(),
+                    flight,
+                    seq,
+                    track,
+                    at,
+                    flow,
+                    point,
+                    server,
+                    n,
+                )
+            };
         let mut flows: Vec<(FlowKey, u32)> = Vec::new();
         if forensics {
             for p in batch.iter() {
@@ -1641,17 +1537,7 @@ impl PreparedSfc {
             }
             let rx = res.io_rx.index() as u32;
             for (k, n) in &flows {
-                stamp_flow_point(
-                    sim.recorder_mut(),
-                    &mut self.flight,
-                    seq,
-                    rx,
-                    mean_arrival,
-                    k.hash(),
-                    "ingress",
-                    self.server,
-                    *n,
-                );
+                stamp(sim, rx, mean_arrival, k.hash(), "ingress", *n);
             }
         }
         // Ingress I/O.
@@ -1702,17 +1588,7 @@ impl PreparedSfc {
             // otherwise) — the flow's headers now live in SoA columns.
             let rx = res.io_rx.index() as u32;
             for (k, n) in &flows {
-                stamp_flow_point(
-                    sim.recorder_mut(),
-                    &mut self.flight,
-                    seq,
-                    rx,
-                    t0,
-                    k.hash(),
-                    "lanes",
-                    self.server,
-                    *n,
-                );
+                stamp(sim, rx, t0, k.hash(), "lanes", *n);
             }
         }
         // Worker-local sketch shards: when the health plane is armed,
@@ -1790,8 +1666,11 @@ impl PreparedSfc {
         let mut t_join = t0;
         let mut t_b0 = t0;
         // Reference chain for the bucket decomposition: branch 0's
-        // dominating spans, classified compute vs PCIe transfer. Only
-        // populated while recording — the disabled path pays nothing.
+        // dominating spans, classified compute vs PCIe transfer. Walked
+        // for the trace while recording and for the drift watchdog while
+        // the health plane is armed (controller decisions must not
+        // depend on the telemetry mode); otherwise nothing is paid.
+        let attribute = recording || self.health.is_some();
         let mut hops: Vec<((f64, f64), bool)> = Vec::new();
         let mut flat = 0usize;
         for (bi, (branch, (out, charges, shard))) in self.stages.iter().zip(results).enumerate() {
@@ -1817,7 +1696,7 @@ impl PreparedSfc {
                     res.pcie_h2d,
                     res.pcie_d2h,
                 );
-                if recording && bi == 0 {
+                if attribute && bi == 0 {
                     // The stage's latency contribution follows whichever
                     // side released last: the PCIe/kernel chain when the
                     // device was the straggler, the CPU span otherwise.
@@ -1849,43 +1728,13 @@ impl PreparedSfc {
                         cache_probes.get(flat - 1).map(Vec::as_slice).unwrap_or(&[])
                     {
                         let point = if hit { "cache_hit" } else { "cache_miss" };
-                        stamp_flow_point(
-                            sim.recorder_mut(),
-                            &mut self.flight,
-                            seq,
-                            track,
-                            t,
-                            flow,
-                            point,
-                            self.server,
-                            n,
-                        );
+                        stamp(sim, track, t, flow, point, n);
                     }
                     for (k, n) in &flows {
                         if let Some([_, kernel, _]) = rp.gpu {
-                            stamp_flow_point(
-                                sim.recorder_mut(),
-                                &mut self.flight,
-                                seq,
-                                track,
-                                kernel.1,
-                                k.hash(),
-                                "kernel",
-                                self.server,
-                                *n,
-                            );
+                            stamp(sim, track, kernel.1, k.hash(), "kernel", *n);
                         }
-                        stamp_flow_point(
-                            sim.recorder_mut(),
-                            &mut self.flight,
-                            seq,
-                            track,
-                            rp.end,
-                            k.hash(),
-                            "stage",
-                            self.server,
-                            *n,
-                        );
+                        stamp(sim, track, rp.end, k.hash(), "stage", *n);
                     }
                 }
                 t = rp.end;
@@ -1915,17 +1764,7 @@ impl PreparedSfc {
             let tx = res.io_tx.index() as u32;
             if merge_span.is_some() {
                 for (k, n) in &flows {
-                    stamp_flow_point(
-                        sim.recorder_mut(),
-                        &mut self.flight,
-                        seq,
-                        tx,
-                        t_done,
-                        k.hash(),
-                        "merge",
-                        self.server,
-                        *n,
-                    );
+                    stamp(sim, tx, t_done, k.hash(), "merge", *n);
                 }
             }
             // Egress recounts the flow from the egress batch, so an
@@ -1933,20 +1772,10 @@ impl PreparedSfc {
             // against the flow's ingress stamp.
             for (k, _) in &flows {
                 let n_out = out.iter().filter(|p| p.meta.flow_hash == k.hash()).count() as u32;
-                stamp_flow_point(
-                    sim.recorder_mut(),
-                    &mut self.flight,
-                    seq,
-                    tx,
-                    completed,
-                    k.hash(),
-                    "egress",
-                    self.server,
-                    n_out,
-                );
+                stamp(sim, tx, completed, k.hash(), "egress", n_out);
             }
         }
-        if recording {
+        if attribute {
             self.attribute_batch(
                 sim,
                 res,
@@ -1961,15 +1790,15 @@ impl PreparedSfc {
                 egress_span,
                 &out,
             );
+        }
+        if recording {
             sim.recorder_mut().set_batch(0);
         }
-        if self.health.is_some() {
-            if let Some(h) = &mut self.health {
-                let e2e = completed - mean_arrival;
-                h.state
-                    .observe_batch(e2e, out.total_bytes() as u64, mean_arrival, completed);
-                h.sketches.record(SketchKey::chain("e2e_ns"), e2e);
-            }
+        if let Some(h) = &mut self.health {
+            let e2e = completed - mean_arrival;
+            h.state
+                .observe_batch(e2e, out.total_bytes() as u64, mean_arrival, completed);
+            h.sketches.record(SketchKey::chain("e2e_ns"), e2e);
             self.health_epoch_tick(sim, res, completed);
         }
         BatchResult::Completed {
@@ -2182,13 +2011,14 @@ impl PreparedSfc {
     }
 
     /// Computes the five-bucket latency decomposition for one completed
-    /// batch and emits the egress/attribution instants. Walks the
-    /// reference chain (ingress I/O → split → branch-0 dominating spans
-    /// → join → merge → egress I/O): busy time lands in compute or
-    /// transfer, the merge barrier is charged as `merge_wait`, gap time
-    /// overlapping a live reconfiguration window becomes `drain`, and
-    /// queueing is the exact residual — so the buckets reconstruct the
-    /// end-to-end latency bit-for-bit.
+    /// batch, feeds the drift watchdog and — only while recording —
+    /// emits the egress/attribution instants. Walks the reference chain
+    /// (ingress I/O → split → branch-0 dominating spans → join → merge →
+    /// egress I/O): busy time lands in compute or transfer, the merge
+    /// barrier is charged as `merge_wait`, gap time overlapping a live
+    /// reconfiguration window becomes `drain`, and queueing is the exact
+    /// residual — so the buckets reconstruct the end-to-end latency
+    /// bit-for-bit.
     #[allow(clippy::too_many_arguments)]
     fn attribute_batch(
         &mut self,
@@ -2205,14 +2035,16 @@ impl PreparedSfc {
         egress_span: (f64, f64),
         out: &Batch,
     ) {
+        let recording = sim.recorder_mut().is_enabled();
         let completed = egress_span.1;
         let e2e = completed - mean_arrival;
         let mut compute = 0.0f64;
         let mut transfer = 0.0f64;
+        // Gaps only ever become `drain`, a recorded bucket.
         let mut gaps: Vec<(f64, f64)> = Vec::new();
         let mut frontier = mean_arrival;
         let mut walk = |span: (f64, f64), is_transfer: bool, frontier: &mut f64| {
-            if span.0 > *frontier {
+            if recording && span.0 > *frontier {
                 gaps.push((*frontier, span.0));
             }
             if is_transfer {
@@ -2237,6 +2069,24 @@ impl PreparedSfc {
             walk(m, false, &mut frontier);
         }
         walk(egress_span, false, &mut frontier);
+        // Drift watchdog: the model's prediction for this batch is the
+        // busy time it generated (compute + transfer); everything else
+        // (queueing, merge barriers, drain) is emergent platform
+        // behaviour the model must have budgeted for. A sustained
+        // observed/predicted ratio above the threshold means the cost
+        // constants no longer describe the platform.
+        if let Some(h) = &mut self.health {
+            let predicted = compute + transfer;
+            h.watchdog.observe(predicted, e2e, &mut h.sketches);
+            if predicted > 0.0 && e2e.is_finite() {
+                h.pred_sum += predicted;
+                h.obs_sum += e2e;
+                h.drift_batches += 1;
+            }
+        }
+        if !recording {
+            return;
+        }
         // Gap time spent behind an in-flight reconfiguration is drain;
         // prune spans that can no longer overlap any future batch.
         self.swap_spans.retain(|&(_, se)| se > mean_arrival);
@@ -2253,21 +2103,6 @@ impl PreparedSfc {
         // Queueing is the residual, so the five buckets telescope to
         // the end-to-end latency exactly (modulo float rounding).
         let queue = (e2e - compute - transfer - merge_wait - drain).max(0.0);
-        // Drift watchdog: the model's prediction for this batch is the
-        // busy time it generated (compute + transfer); everything else
-        // (queueing, merge barriers, drain) is emergent platform
-        // behaviour the model must have budgeted for. A sustained
-        // observed/predicted ratio above the threshold means the cost
-        // constants no longer describe the platform.
-        if let Some(h) = &mut self.health {
-            let predicted = compute + transfer;
-            h.watchdog.observe(predicted, e2e, &mut h.sketches);
-            if predicted > 0.0 && e2e.is_finite() {
-                h.pred_sum += predicted;
-                h.obs_sum += e2e;
-                h.drift_batches += 1;
-            }
-        }
         let rec = sim.recorder_mut();
         let tx = res.io_tx.index() as u32;
         rec.sim_instant(
@@ -2294,55 +2129,8 @@ impl PreparedSfc {
         );
     }
 
-    /// Re-profiles every stage against fresh traffic and recomputes its
-    /// allocation — the mid-run adaptation the paper motivates with
-    /// "fast-switching network traffics". Consumes `warmup` batches
-    /// functionally (they are not scheduled or counted).
-    pub fn readapt(
-        &mut self,
-        policy: Policy,
-        delta: f64,
-        traffic: &mut TrafficGenerator,
-        warmup: usize,
-        batch_size: usize,
-    ) {
-        for branch in self.stages.iter_mut() {
-            for stage in branch.iter_mut() {
-                stage.run.reset_stats();
-                stage.run.begin_profile_window();
-            }
-        }
-        for _ in 0..warmup {
-            let batch = traffic.batch(batch_size);
-            for branch in self.stages.iter_mut() {
-                let mut cur = batch.clone();
-                for stage in branch.iter_mut() {
-                    cur = stage.run.push_merged(stage.nf.entry(), cur);
-                }
-            }
-        }
-        // Discard session records cut by the re-profiling batches (they
-        // are consumed functionally, outside the recorded timeline).
-        for branch in self.stages.iter_mut() {
-            for stage in branch.iter_mut() {
-                stage.run.take_session_records();
-            }
-        }
-        let mode = self.mode;
-        let mut rec = self.tel.recorder();
-        for branch in self.stages.iter_mut() {
-            for stage in branch.iter_mut() {
-                plan_stage(stage, policy, mode, delta, &mut rec);
-            }
-        }
-        self.tel.absorb(rec);
-        // Fresh plans mean fresh slot demands: re-pack, re-granting or
-        // spilling each stage against the policy's requested mode.
-        self.residency = apply_residency(&mut self.stages, &self.model, mode, self.res_pressure);
-    }
-
-    /// Mean offload ratio per stage (branch-major), refreshed after
-    /// re-adaptation.
+    /// Mean offload ratio per stage (branch-major) under the plans
+    /// currently in effect.
     pub fn current_offloads(&self) -> Vec<(String, f64)> {
         self.stages
             .iter()
@@ -3245,84 +3033,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod churn_tests {
-    use super::*;
-    use nfc_packet::traffic::{PayloadPolicy, SizeDist, TrafficSpec};
-
-    /// Traffic switches from no-match to full-match DPI load: with
-    /// adaptation the runtime re-balances; the adapted phase-2 throughput
-    /// must beat the stale plan's.
-    #[test]
-    fn adaptation_tracks_traffic_churn() {
-        let phases = || {
-            vec![
-                TrafficGenerator::new(
-                    TrafficSpec::udp(SizeDist::Fixed(512)).with_payload(
-                        PayloadPolicy::MatchRatio {
-                            patterns: nfc_nf::Nf::default_ids_signatures(),
-                            ratio: 0.0,
-                        },
-                    ),
-                    5,
-                ),
-                TrafficGenerator::new(
-                    TrafficSpec::udp(SizeDist::Fixed(512)).with_payload(
-                        PayloadPolicy::MatchRatio {
-                            patterns: nfc_nf::Nf::default_ids_signatures(),
-                            ratio: 1.0,
-                        },
-                    ),
-                    6,
-                ),
-            ]
-        };
-        let sfc = || Sfc::new("dpi", vec![nfc_nf::Nf::dpi("dpi")]);
-        let run = |adapt: bool| {
-            let mut dep = Deployment::new(sfc(), Policy::nfcompass()).with_batch_size(256);
-            let mut ph = phases();
-            dep.run_phases(&mut ph, 20, adapt)
-        };
-        let stale = run(false);
-        let adapted = run(true);
-        assert_eq!(stale.len(), 2);
-        // Phase 1 (profiled traffic) similar either way.
-        let ratio1 = adapted[0].report.throughput_gbps / stale[0].report.throughput_gbps;
-        assert!((0.8..=1.25).contains(&ratio1), "phase 1 ratio {ratio1}");
-        // Phase 2 (shifted traffic): adaptation must not lose, and should
-        // typically win.
-        assert!(
-            adapted[1].report.throughput_gbps >= 0.95 * stale[1].report.throughput_gbps,
-            "adapted {} vs stale {}",
-            adapted[1].report.throughput_gbps,
-            stale[1].report.throughput_gbps
-        );
-    }
-
-    #[test]
-    fn phases_share_a_monotonic_timeline() {
-        let mut dep = Deployment::new(Sfc::new("p", vec![nfc_nf::Nf::probe("p")]), Policy::CpuOnly)
-            .with_batch_size(64);
-        let mut phases = vec![
-            TrafficGenerator::new(TrafficSpec::udp(SizeDist::Fixed(64)), 1),
-            TrafficGenerator::new(TrafficSpec::udp(SizeDist::Fixed(128)), 2),
-        ];
-        let outs = dep.run_phases(&mut phases, 10, true);
-        assert_eq!(outs.len(), 2);
-        for o in &outs {
-            assert!(o.report.throughput_gbps > 0.0);
-            assert_eq!(o.report.offered_batches, 10);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one phase")]
-    fn empty_phases_panic() {
-        let mut dep = Deployment::new(Sfc::new("p", vec![nfc_nf::Nf::probe("p")]), Policy::CpuOnly);
-        dep.run_phases(&mut [], 1, true);
-    }
-}
-
-#[cfg(test)]
 mod adaptive_tests {
     use super::*;
     use nfc_packet::traffic::{PayloadPolicy, SizeDist, TrafficSpec};
@@ -3410,8 +3120,15 @@ mod adaptive_tests {
         };
         let (on_out, on_rep, on_egress) = run(&cfg());
         let (off_out, _, off_egress) = run(&ControllerConfig::disabled());
+        assert_eq!(
+            (on_out.len(), off_out.len()),
+            (2, 2),
+            "one outcome per phase"
+        );
         for o in on_out.iter().chain(off_out.iter()) {
             assert_eq!(o.report.dropped_batches, 0, "must stay under capacity");
+            assert_eq!(o.report.offered_batches, 40, "phases are accounted apart");
+            assert!(o.report.throughput_gbps > 0.0);
         }
         assert_eq!(on_egress, off_egress, "egress must be byte-identical");
         assert_eq!(on_out[0].stage_stats, off_out[0].stage_stats);

@@ -726,11 +726,6 @@ impl Element for IdsMatch {
         let f = self.match_fraction();
         4.0 * f * (1.0 - f)
     }
-
-    fn begin_profile_window(&mut self) {
-        self.recent_alerts = 0.0;
-        self.recent_processed = 0.0;
-    }
 }
 
 // ---------------------------------------------------------------------

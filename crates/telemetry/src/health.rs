@@ -56,8 +56,9 @@ pub struct SloSpec {
     /// Fraction of batches allowed to be tail-dropped (`0` = unset;
     /// use a small value such as `1e-6` for "effectively none").
     pub drop_budget: f64,
-    /// Health-evaluation epoch length in batches for non-adaptive
-    /// runs (adaptive runs reuse the controller's epoch).
+    /// Health-evaluation epoch length in batches, in every kind of run:
+    /// the health plane counts its own epochs, independent of the
+    /// adaptive controller's cadence.
     pub epoch_batches: usize,
     /// Fast burn window in epochs.
     pub fast_window_epochs: usize,

@@ -7,13 +7,13 @@ use nfc_click::element::RunCtx;
 use nfc_click::{Element, ElementActions, ElementClass, ElementGraph};
 use nfc_core::{
     BatchResult, ControllerConfig, ControllerReport, Deployment, Duplication, ExecMode,
-    FlowCacheMode, PlatformResources, Policy, RunOutcome, Sfc,
+    FlowCacheMode, PlatformResources, Policy, RunOutcome, Sfc, TelemetryMode,
 };
 use nfc_hetero::{GpuMode, PipelineSim};
 use nfc_nf::{Nf, NfKind};
 use nfc_packet::traffic::{PayloadPolicy, SizeDist, TrafficGenerator, TrafficSpec};
 use nfc_packet::{Batch, Packet};
-use nfc_telemetry::TelemetryHandle;
+use nfc_telemetry::{Event, EventKind, TelemetryHandle};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -219,9 +219,9 @@ fn long_lived_deployment(exec: ExecMode) -> Deployment {
 
 /// Every branch's stages move out of the `PreparedSfc` into the pool's
 /// units and back on each batch, while the controller (`repartition`)
-/// and the phase re-profiler (`readapt`) rewrite those same stages
-/// between batches. One prepared SFC carried through more than 2000
-/// batches of that must not depend on the engine mode in any observable.
+/// rewrites those same stages between batches. One prepared SFC carried
+/// through more than 2000 batches of that must not depend on the engine
+/// mode in any observable.
 #[test]
 fn one_prepared_sfc_survives_plan_swaps_identically_in_every_mode() {
     const PHASE_BATCHES: usize = 520; // x 4 phases = 2080 batches
@@ -236,9 +236,6 @@ fn one_prepared_sfc_survives_plan_swaps_identically_in_every_mode() {
             &cfg,
         )
     };
-    let readapted = |exec| -> Vec<RunOutcome> {
-        long_lived_deployment(exec).run_phases(&mut swinging_phases(), PHASE_BATCHES, true)
-    };
     let assert_phases = |label: &str, want: &[RunOutcome], got: &[RunOutcome]| {
         assert_eq!(want.len(), got.len(), "{label}");
         for (i, (a, b)) in want.iter().zip(got).enumerate() {
@@ -252,7 +249,6 @@ fn one_prepared_sfc_survives_plan_swaps_identically_in_every_mode() {
         }
     };
     let serial = adaptive(ExecMode::Serial);
-    let serial_readapted = readapted(ExecMode::Serial);
     assert!(
         serial.0[0].width > 1,
         "the chain must fan out to reach the pool"
@@ -272,11 +268,98 @@ fn one_prepared_sfc_survives_plan_swaps_identically_in_every_mode() {
         assert_eq!(serial.2, got.2, "{label}: egress must be byte-identical");
         assert_eq!(serial.1, got.1, "{label}: controller timeline");
         assert_phases(&label, &serial.0, &got.0);
-        assert_phases(
-            &format!("{label} readapt"),
-            &serial_readapted,
-            &readapted(exec),
-        );
+    }
+}
+
+/// `run_collect`, `run_replay` (of the very batches `run_collect`'s
+/// generator produced) and `run_adaptive_collect` with a disabled
+/// controller are one loop: on one phase they must agree on every
+/// `SimReport` field, every egress byte and every per-element counter,
+/// with telemetry off and recording. The only trace difference allowed
+/// is the controller's `Epoch` markers.
+#[test]
+fn single_box_entry_points_agree() {
+    const BATCH: usize = 128;
+    const N: usize = 40;
+    let chain = || {
+        Sfc::new(
+            "fw-ipsec-dpi",
+            vec![
+                Nf::firewall("fw", 200, 1),
+                Nf::ipsec("ipsec"),
+                Nf::dpi("dpi"),
+            ],
+        )
+    };
+    let gen = || {
+        TrafficGenerator::new(
+            TrafficSpec::udp(SizeDist::Fixed(512)).with_rate_gbps(30.0),
+            7,
+        )
+    };
+    // Everything a trace holds that is not wall-clock: the simulated
+    // timeline in recorded order, and the total event count.
+    let timeline = |out: &RunOutcome| {
+        let trace = &out.telemetry.as_ref().expect("digest").trace;
+        let kept = |ev: &&Event| !matches!(ev.kind, EventKind::Epoch { .. });
+        let sim: Vec<_> = trace
+            .iter()
+            .filter(kept)
+            .filter(|ev| ev.sim.is_some())
+            .map(|ev| (ev.sim, ev.track, ev.batch, ev.kind.clone()))
+            .collect();
+        (sim, trace.iter().filter(kept).count())
+    };
+    for mode in [TelemetryMode::Off, TelemetryMode::Memory] {
+        let dep = || {
+            Deployment::new(chain(), Policy::nfcompass())
+                .with_batch_size(BATCH)
+                .with_exec_mode(ExecMode::Serial)
+                .with_telemetry(mode.clone())
+                .without_slo()
+                .without_flow_trace()
+        };
+        let collected = dep().run_collect(&mut gen(), N);
+        // The batches `run_collect` processed: what the same generator
+        // yields once warm-up has drawn its share.
+        let mut source = gen();
+        for _ in 0..dep().warmup_batches {
+            source.batch(BATCH);
+        }
+        let recorded: Vec<Batch> = (0..N).map(|_| source.batch(BATCH)).collect();
+        let replayed = dep().run_replay(&mut gen(), &recorded);
+        let (mut phases, report, egress) =
+            dep().run_adaptive_collect(&mut [gen()], N, &ControllerConfig::disabled());
+        assert_eq!(report.applied(), 0, "{mode:?}: a disabled controller holds");
+        let adaptive = (phases.pop().expect("one phase"), egress);
+        assert!(phases.is_empty());
+        for (label, got) in [("run_replay", &replayed), ("run_adaptive", &adaptive)] {
+            let label = format!("{mode:?} {label}");
+            assert_equivalent(&label, &collected, got);
+            assert_eq!(collected.0.report, got.0.report, "{label}: SimReport");
+            assert_eq!(collected.0.stage_offloads, got.0.stage_offloads, "{label}");
+            assert_eq!(collected.0.flow_cache, got.0.flow_cache, "{label}");
+            assert_eq!(
+                collected.0.telemetry.is_some(),
+                got.0.telemetry.is_some(),
+                "{label}"
+            );
+            if mode.is_on() {
+                assert_eq!(timeline(&collected.0), timeline(&got.0), "{label}: trace");
+            }
+        }
+        if mode.is_on() {
+            let epochs = |out: &RunOutcome| {
+                let trace = &out.telemetry.as_ref().expect("digest").trace;
+                trace
+                    .iter()
+                    .filter(|ev| matches!(ev.kind, EventKind::Epoch { .. }))
+                    .count()
+            };
+            assert_eq!(epochs(&collected.0), 0, "no controller, no epoch cadence");
+            assert_eq!(epochs(&adaptive.0) as u64, report.epochs);
+            assert!(report.epochs > 0);
+        }
     }
 }
 

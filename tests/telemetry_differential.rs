@@ -6,7 +6,9 @@
 //! category the runtime emits.
 
 use nfc_core::flowcache::FlowCacheMode;
-use nfc_core::{Deployment, Duplication, ExecMode, Policy, RunOutcome, Sfc, TelemetryMode};
+use nfc_core::{
+    ControllerConfig, Deployment, Duplication, ExecMode, Policy, RunOutcome, Sfc, TelemetryMode,
+};
 use nfc_hetero::{CostModel, GpuMode, PlatformConfig};
 use nfc_nf::acl::synth;
 use nfc_nf::Nf;
@@ -296,6 +298,48 @@ fn health_plane_never_perturbs_serial_or_parallel_runs() {
                 .is_some_and(|v| v > 0.0),
             "{label}: burn-rate gauges are published at epoch close"
         );
+    }
+}
+
+/// The drift watchdog feeds the adaptive controller (`model_drift`
+/// signals), so it must see every batch whether or not anything is
+/// recording: the same adaptive run under `Off` and `Memory` must reach
+/// the same controller timeline, phase reports and egress.
+#[test]
+fn controller_decisions_do_not_depend_on_the_telemetry_mode() {
+    let run = |telemetry: TelemetryMode| {
+        let mut dep = Deployment::new(Sfc::new("dpi", vec![Nf::dpi("dpi")]), Policy::nfcompass())
+            .with_batch_size(256)
+            .with_telemetry(telemetry)
+            .with_slo(SloSpec {
+                epoch_batches: 8,
+                drift_threshold: 0.05,
+                drift_hysteresis_epochs: 1,
+                ..Default::default()
+            });
+        let mut phases = [TrafficGenerator::new(
+            TrafficSpec::udp(SizeDist::Fixed(512)).with_rate_gbps(20.0),
+            7,
+        )];
+        let cfg = ControllerConfig {
+            epoch_batches: 8,
+            ..Default::default()
+        };
+        dep.run_adaptive_collect(&mut phases, 96, &cfg)
+    };
+    let (dark_out, dark_report, dark_egress) = run(TelemetryMode::Off);
+    let (lit_out, lit_report, lit_egress) = run(TelemetryMode::Memory);
+    assert!(
+        lit_report.triggers > 0,
+        "a 5 % drift ceiling must raise model_drift and trip the detector: {lit_report:?}"
+    );
+    assert_eq!(dark_report, lit_report, "controller timeline");
+    assert_eq!(dark_egress, lit_egress, "egress must be byte-identical");
+    assert_eq!(dark_out.len(), lit_out.len());
+    for (dark, lit) in dark_out.iter().zip(&lit_out) {
+        assert_eq!(dark.report, lit.report, "phase SimReport");
+        assert_eq!(dark.stage_stats, lit.stage_stats);
+        assert_eq!(dark.stage_offloads, lit.stage_offloads);
     }
 }
 
