@@ -42,7 +42,7 @@ use nfc_packet::traffic::TrafficGenerator;
 use nfc_packet::{Batch, FlowKey};
 use nfc_telemetry::{
     wall_now_ns, DriftWatchdog, Event, EventKind, FlightRecorder, FlowSampler, HealthState,
-    Recorder, SimStamp, SketchKey, SketchSet, SloSpec, Telemetry, TelemetryHandle, TelemetryMode,
+    QuantileSketch, Recorder, SimStamp, SloSpec, Telemetry, TelemetryHandle, TelemetryMode,
     TelemetrySummary,
 };
 
@@ -313,16 +313,6 @@ pub struct Deployment {
     /// ([`Deployment::with_lanes`]), not a deployment setting; egress is
     /// bit-identical either way.
     pub lanes: bool,
-    /// Re-calibrated co-residency pressure coefficient. `None` (the
-    /// default) keeps the compiled-in
-    /// [`calib::GPU_RESIDENCY_PRESSURE`] anchor and the stock spread
-    /// packer ([`residency::spread_pack`]). `Some(p)` — fed
-    /// from `nfc-trace calibrate`'s re-fitted `gpu_residency_pressure`
-    /// — makes `p` both the charged co-residency cost *and* the packing
-    /// objective: kernels are placed by marginal pressure-weighted cost
-    /// ([`residency::pack_with_pressure`]), so a recalibrated machine
-    /// genuinely changes pack order.
-    pub residency_pressure: Option<f64>,
     /// Service-level objective driving the live health plane (default
     /// from the `NFC_SLO` environment variable; off when unset). When
     /// set, the runtime streams per-batch latencies into mergeable
@@ -370,7 +360,6 @@ impl Deployment {
             flow_cache: FlowCacheMode::Off,
             telemetry: TelemetryMode::auto(),
             lanes: true,
-            residency_pressure: None,
             slo: SloSpec::from_env(),
             flow_trace: FlowSampler::from_env().rate(),
             flight_stem: None,
@@ -429,17 +418,6 @@ impl Deployment {
     /// either way; it is not a deployment setting.
     pub fn with_lanes(mut self, on: bool) -> Self {
         self.lanes = on;
-        self
-    }
-
-    /// Overrides the co-residency pressure coefficient with a
-    /// re-calibrated value (typically `nfc-trace calibrate`'s re-fitted
-    /// `gpu_residency_pressure`). The coefficient becomes both the
-    /// charged kernel-time multiplier and the spread packer's placement
-    /// objective; without the override the compiled-in anchor and the
-    /// stock packer are used, byte-for-byte.
-    pub fn with_residency_pressure(mut self, pressure: f64) -> Self {
-        self.residency_pressure = Some(pressure.max(0.0));
         self
     }
 
@@ -922,7 +900,7 @@ impl Deployment {
         // Persistent kernels are bin-packed into SM slots; plans whose
         // kernels do not fit are degraded per stage to launch-per-batch
         // instead of being adopted oversubscribed.
-        let residency = apply_residency(&mut stages, &self.model, mode, self.residency_pressure);
+        let residency = apply_residency(&mut stages, &self.model, mode);
         let stage_offloads: Vec<(String, f64)> = stages
             .iter()
             .flat_map(|b| b.iter())
@@ -962,7 +940,6 @@ impl Deployment {
             batch_seq: seq_base,
             swap_spans: Vec::new(),
             residency,
-            res_pressure: self.residency_pressure,
             health: self.slo.map(HealthPlane::new),
             sampler: FlowSampler::new(self.flow_trace),
             flight: (self.flow_trace != 0).then(|| match &self.flight_stem {
@@ -1124,7 +1101,6 @@ fn apply_residency(
     stages: &mut [Vec<StageExec>],
     model: &CostModel,
     mode: GpuMode,
-    pressure: Option<f64>,
 ) -> ResidencyReport {
     let gpu = model.platform().gpu;
     let mut report = ResidencyReport {
@@ -1150,13 +1126,7 @@ fn apply_residency(
             demands.push(residency::slot_demand(packets));
         }
     }
-    // With a recalibrated coefficient the pack objective and the charged
-    // multiplier both use it; without, the stock packer and the
-    // compiled-in anchor apply, byte-for-byte.
-    let pack = match pressure {
-        Some(p) => residency::pack_with_pressure(&demands, &gpu, p),
-        None => residency::spread_pack(&demands, &gpu),
-    };
+    let pack = residency::spread_pack(&demands, &gpu);
     for (k, &fi) in idx.iter().enumerate() {
         match pack.placements[k] {
             residency::Placement::Resident { device, slots } => {
@@ -1166,10 +1136,7 @@ fn apply_residency(
                 flat[fi].residency = Some(ResidencySlot {
                     device,
                     occupancy_pct,
-                    pressure: match pressure {
-                        Some(p) => residency::pressure_multiplier_with(p, util),
-                        None => residency::pressure_multiplier(util),
-                    },
+                    pressure: residency::pressure_multiplier(util),
                 });
                 report
                     .resident
@@ -1247,9 +1214,6 @@ pub struct PreparedSfc {
     /// SM-residency placement currently in effect; refreshed whenever
     /// plans change (initial preparation, live swaps).
     residency: ResidencyReport,
-    /// Recalibrated pressure coefficient carried from the deployment so
-    /// every re-pack keeps the same objective (`None` = stock anchor).
-    res_pressure: Option<f64>,
     /// Live health plane (`None` when no SLO is armed): streaming
     /// quantile sketches, multi-window SLO burn accounting, and the
     /// cost-model drift watchdog. Strictly observational — it reads the
@@ -1283,11 +1247,9 @@ struct StageObs {
 
 /// Health-plane state carried by a prepared SFC.
 ///
-/// Sketches are recorded lock-free: each pool worker fills a private
-/// per-batch [`SketchSet`] shard inside the functional closure, and the
-/// shards are folded into the registry here in deterministic
-/// branch-major order after the join — no shared mutable state is ever
-/// touched concurrently. Epochs close every
+/// Everything is fed on the sequential temporal replay from simulated
+/// timestamps, so the plane is deterministic whatever the execution
+/// mode. Epochs close every
 /// [`SloSpec::epoch_batches`] processed batches, independent of the
 /// adaptive controller's cadence; breach/drift signals accumulate in
 /// `pending` until the controller's next boundary drains them.
@@ -1296,8 +1258,8 @@ struct HealthPlane {
     state: HealthState,
     /// Predicted-vs-observed latency residual watchdog.
     watchdog: DriftWatchdog,
-    /// Merged sketch registry (chain e2e, drift ratios, per-stage times).
-    sketches: SketchSet,
+    /// End-to-end batch latency, ns, over the whole run.
+    e2e: QuantileSketch,
     /// Health epochs closed so far.
     epoch: u64,
     /// Batches (completed or dropped) since the last epoch boundary.
@@ -1319,7 +1281,7 @@ impl HealthPlane {
         HealthPlane {
             state: HealthState::new(spec),
             watchdog: DriftWatchdog::new(spec.drift_threshold, spec.drift_hysteresis_epochs),
-            sketches: SketchSet::new(nfc_telemetry::DEFAULT_SKETCH_ALPHA),
+            e2e: QuantileSketch::new(),
             epoch: 0,
             since_epoch: 0,
             pred_sum: 0.0,
@@ -1591,14 +1553,6 @@ impl PreparedSfc {
                 stamp(sim, rx, t0, k.hash(), "lanes", *n);
             }
         }
-        // Worker-local sketch shards: when the health plane is armed,
-        // each branch closure records its per-stage wall times into a
-        // private shard (lock-free by ownership) returned with the
-        // batch; the shards merge into the registry below in fixed
-        // branch order, so the merged sketches are deterministic in
-        // shape whatever thread interleaving occurred.
-        let health_on = self.health.is_some();
-        let sketch_alpha = nfc_telemetry::DEFAULT_SKETCH_ALPHA;
         // Units are owned (the pool's threads outlive this call): each
         // branch's stages and its CoW duplicate of the batch move into
         // the unit, and the stages come back with its results. A unit
@@ -1610,7 +1564,7 @@ impl PreparedSfc {
             .into_iter()
             .map(|branch| (branch, batch.clone()))
             .collect();
-        type BranchResult = (Batch, Vec<StageCharge>, Option<SketchSet>);
+        type BranchResult = (Batch, Vec<StageCharge>);
         let (stages, results): (Vec<Vec<StageExec>>, Vec<BranchResult>) = par_map_traced(
             self.exec_mode,
             units,
@@ -1622,23 +1576,10 @@ impl PreparedSfc {
                     Duplication::DeepCopy => dup_batch.deep_clone(),
                 };
                 let mut charges = Vec::with_capacity(branch.len());
-                let mut shard = health_on.then(|| SketchSet::new(sketch_alpha));
                 for (si, stage) in branch.iter_mut().enumerate() {
                     let packets = cur.len();
                     let t = rec.start();
-                    let wall = shard.is_some().then(std::time::Instant::now);
                     let (out, charge) = exec_stage_functional(stage, cur, rec);
-                    if let (Some(shard), Some(wall)) = (shard.as_mut(), wall) {
-                        let device = if charge.gpu_packets > 0 { "gpu" } else { "cpu" };
-                        shard.record(
-                            SketchKey::stage(
-                                "stage_wall_ns",
-                                ((bi as u32) << 8) | si as u32,
-                                device,
-                            ),
-                            wall.elapsed().as_nanos() as f64,
-                        );
-                    }
                     if rec.is_enabled() {
                         rec.wall_span(
                             t,
@@ -1653,7 +1594,7 @@ impl PreparedSfc {
                     cur = out;
                     charges.push(charge);
                 }
-                (branch, (cur, charges, shard))
+                (branch, (cur, charges))
             },
         )
         .into_iter()
@@ -1673,12 +1614,9 @@ impl PreparedSfc {
         let attribute = recording || self.health.is_some();
         let mut hops: Vec<((f64, f64), bool)> = Vec::new();
         let mut flat = 0usize;
-        for (bi, (branch, (out, charges, shard))) in self.stages.iter().zip(results).enumerate() {
-            if let (Some(h), Some(shard)) = (self.health.as_mut(), shard.as_ref()) {
-                h.sketches.merge_from(shard);
-            }
+        for (bi, (branch, (out, charges))) in self.stages.iter().zip(results).enumerate() {
             let mut t = t0;
-            for (si, (stage, charge)) in branch.iter().zip(&charges).enumerate() {
+            for (stage, charge) in branch.iter().zip(&charges) {
                 let o = &mut self.obs[flat];
                 o.batches += 1;
                 o.packets += charge.in_packets as u64;
@@ -1708,15 +1646,6 @@ impl PreparedSfc {
                         }
                         _ => hops.push((rp.cpu, false)),
                     }
-                }
-                if let Some(h) = self.health.as_mut() {
-                    // Simulated per-stage latency (ready → released),
-                    // keyed by the same stage id as the wall shard.
-                    let device = if charge.gpu_packets > 0 { "gpu" } else { "cpu" };
-                    h.sketches.record(
-                        SketchKey::stage("stage_sim_ns", ((bi as u32) << 8) | si as u32, device),
-                        rp.end - t,
-                    );
                 }
                 if forensics && !flows.is_empty() {
                     // Per-flow stamps on this stage's timeline: the
@@ -1798,7 +1727,7 @@ impl PreparedSfc {
             let e2e = completed - mean_arrival;
             h.state
                 .observe_batch(e2e, out.total_bytes() as u64, mean_arrival, completed);
-            h.sketches.record(SketchKey::chain("e2e_ns"), e2e);
+            h.e2e.record(e2e);
             self.health_epoch_tick(sim, res, completed);
         }
         BatchResult::Completed {
@@ -1892,17 +1821,20 @@ impl PreparedSfc {
         h.obs_sum = 0.0;
         h.drift_batches = 0;
         if recording {
-            if let Some(s) = h.sketches.sketch(&SketchKey::chain("e2e_ns")) {
+            if h.e2e.count() > 0 {
                 for q in [0.5, 0.95, 0.99, 0.999] {
-                    self.tel
-                        .set_gauge(&format!("health_e2e_ns{{quantile=\"{q}\"}}"), s.quantile(q));
+                    self.tel.set_gauge(
+                        &format!("health_e2e_ns{{quantile=\"{q}\"}}"),
+                        h.e2e.quantile(q),
+                    );
                 }
             }
-            if let Some(s) = h.sketches.sketch(&SketchKey::chain("drift_ratio")) {
+            let ratios = h.watchdog.ratios();
+            if ratios.count() > 0 {
                 for q in [0.5, 0.99] {
                     self.tel.set_gauge(
                         &format!("health_drift_ratio{{quantile=\"{q}\"}}"),
-                        s.quantile(q),
+                        ratios.quantile(q),
                     );
                 }
             }
@@ -2077,7 +2009,7 @@ impl PreparedSfc {
         // constants no longer describe the platform.
         if let Some(h) = &mut self.health {
             let predicted = compute + transfer;
-            h.watchdog.observe(predicted, e2e, &mut h.sketches);
+            h.watchdog.observe(predicted, e2e);
             if predicted > 0.0 && e2e.is_finite() {
                 h.pred_sum += predicted;
                 h.obs_sum += e2e;
@@ -2362,8 +2294,7 @@ impl PreparedSfc {
             // Adopted plans shift slot demands; re-pack against the
             // policy's requested mode so spilled stages can win their
             // residency back (and newly heavy ones spill).
-            self.residency =
-                apply_residency(&mut self.stages, &self.model, self.mode, self.res_pressure);
+            self.residency = apply_residency(&mut self.stages, &self.model, self.mode);
         }
         any
     }
@@ -2854,44 +2785,6 @@ mod tests {
         assert_eq!(egress_on, egress_off, "lane egress must be bit-identical");
         assert_eq!(out_on.egress_packets, out_off.egress_packets);
         assert_eq!(out_on.egress_bytes, out_off.egress_bytes);
-    }
-
-    #[test]
-    fn recalibrated_residency_pressure_changes_pack_order() {
-        // Three IPsec kernels at batch 1024 demand 8 SM slots each.
-        // With a recalibrated coefficient of zero, crossing the pressure
-        // knee is free and the cost-greedy packer piles all 24 slots on
-        // device 0; at the 0.35 anchor value the second kernel moves to
-        // device 1 (16/8 split). Either way egress is byte-identical —
-        // the coefficient only moves kernels between devices.
-        let run = |pressure: Option<f64>| {
-            let mut dep = Deployment::new(
-                ipsec_chain(3),
-                Policy::GpuOnly {
-                    mode: GpuMode::Persistent,
-                },
-            )
-            .with_batch_size(1024);
-            if let Some(p) = pressure {
-                dep = dep.with_residency_pressure(p);
-            }
-            dep.run_collect(&mut traffic(256, 42), 10)
-        };
-        let (out_zero, egress_zero) = run(Some(0.0));
-        let (out_anchor, egress_anchor) = run(Some(0.35));
-        let (out_default, egress_default) = run(None);
-        assert_eq!(out_zero.residency.device_slots_used(0), 24);
-        assert_eq!(out_zero.residency.device_slots_used(1), 0);
-        assert_eq!(out_anchor.residency.device_slots_used(0), 16);
-        assert_eq!(out_anchor.residency.device_slots_used(1), 8);
-        assert_ne!(out_zero.residency.resident, out_anchor.residency.resident);
-        // The override never changes the resident set or packet bytes.
-        for out in [&out_zero, &out_anchor, &out_default] {
-            assert_eq!(out.residency.resident.len(), 3);
-            assert!(out.residency.spilled.is_empty());
-        }
-        assert_eq!(egress_zero, egress_anchor);
-        assert_eq!(egress_zero, egress_default);
     }
 
     #[test]

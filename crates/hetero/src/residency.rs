@@ -14,10 +14,9 @@
 //!   first-fit-decreasing heuristic; demands that fit nowhere become
 //!   [`Placement::Spill`] and the allocator must degrade those stages to
 //!   launch-per-batch dispatch instead of adopting an oversubscribed
-//!   plan. It decides *which* kernels are resident; [`spread_pack`]
-//!   (and [`pack_with_pressure`] under a recalibrated coefficient) —
-//!   the packers deployments run — then decide *where*, balancing that
-//!   same set across devices.
+//!   plan. It decides *which* kernels are resident; [`spread_pack`] —
+//!   the one packer deployments run — then decides *where*, balancing
+//!   that same set across devices.
 //! * [`pressure_multiplier`] charges the co-residency cost on kernel
 //!   time once a device's slots pass half utilization
 //!   ([`calib::GPU_RESIDENCY_PRESSURE`]).
@@ -40,21 +39,10 @@ pub fn slot_demand(gpu_packets_per_batch: usize) -> usize {
 /// the oversubscription beyond it, reaching
 /// `1 + `[`calib::GPU_RESIDENCY_PRESSURE`] at a fully packed device.
 pub fn pressure_multiplier(utilization: f64) -> f64 {
-    pressure_multiplier_with(calib::GPU_RESIDENCY_PRESSURE, utilization)
-}
-
-/// [`pressure_multiplier`] with an explicit pressure coefficient instead
-/// of the compiled-in [`calib::GPU_RESIDENCY_PRESSURE`] anchor. The
-/// calibrate loop (`nfc-trace calibrate`) re-fits the coefficient from
-/// observed `sm_occupancy`-joined kernel spans; feeding the re-fitted
-/// value back in here (via `Deployment::with_residency_pressure`) makes
-/// both the charged co-residency cost and the packing objective track
-/// the measured machine rather than the paper's anchor.
-pub fn pressure_multiplier_with(pressure: f64, utilization: f64) -> f64 {
     if utilization <= 0.5 {
         1.0
     } else {
-        1.0 + pressure.max(0.0) * (utilization.min(1.0) - 0.5) / 0.5
+        1.0 + calib::GPU_RESIDENCY_PRESSURE * (utilization.min(1.0) - 0.5) / 0.5
     }
 }
 
@@ -138,19 +126,22 @@ pub fn bin_pack(demands: &[usize], gpu: &GpuSpec) -> ResidencyPlan {
     }
 }
 
-/// The placement loop behind both spread packers: admits exactly the
-/// kernels [`bin_pack`] admits (FFD maximizes the resident set, so the
-/// never-oversubscribe spill rule is byte-for-byte the FFD one), then
-/// re-places them largest-first, each on the device `choose` picks from
-/// the per-device used-slot counts and the kernel's demand. `choose`
-/// must only return a device the demand fits on; `None` means its rule
-/// stranded a kernel FFD had room for, and FFD's placement is returned
-/// wholesale rather than spill more than it would.
-fn place_largest_first(
-    demands: &[usize],
-    gpu: &GpuSpec,
-    choose: impl Fn(&[usize], usize) -> Option<usize>,
-) -> ResidencyPlan {
+/// Pressure-aware spread pack, the packer deployments run: admits
+/// exactly the kernels [`bin_pack`] admits (FFD maximizes the resident
+/// set, so the never-oversubscribe spill rule is byte-for-byte the FFD
+/// one), then re-places them largest-first, each on the *least-loaded*
+/// device that still fits it (worst-fit decreasing, ties to the lowest
+/// device index).
+///
+/// [`pressure_multiplier`] is non-decreasing in device utilization with
+/// a knee at 50%, so for a homogeneous device complex the placement
+/// minimizing the peak utilization also minimizes the worst co-residency
+/// multiplier any kernel pays — FFD instead drives device 0 through the
+/// knee while its peers idle. Balanced placement can, in adversarial
+/// demand mixes, fail to re-fit a set FFD packed exactly (worst-fit
+/// fragments differently); in that case the FFD placement is returned
+/// unchanged, so the spread plan never spills more than FFD.
+pub fn spread_pack(demands: &[usize], gpu: &GpuSpec) -> ResidencyPlan {
     let ffd = bin_pack(demands, gpu);
     let capacity = gpu.sm_count;
     let mut order: Vec<usize> = (0..demands.len())
@@ -161,7 +152,10 @@ fn place_largest_first(
     let mut placements = vec![Placement::Spill; demands.len()];
     for &i in &order {
         let d = demands[i];
-        let Some(dev) = choose(&used, d) else {
+        let Some(dev) = (0..used.len())
+            .filter(|&dev| used[dev] + d <= capacity)
+            .min_by_key(|&dev| used[dev])
+        else {
             return ffd;
         };
         used[dev] += d;
@@ -175,66 +169,6 @@ fn place_largest_first(
         free: used.iter().map(|&u| capacity - u).collect(),
         capacity,
     }
-}
-
-/// Pressure-aware spread pack, the packer deployments run: same
-/// resident set as [`bin_pack`], each kernel on the *least-loaded*
-/// device that still fits it (worst-fit decreasing, ties to the lowest
-/// device index).
-///
-/// [`pressure_multiplier`] is non-decreasing in device utilization with
-/// a knee at 50%, so for a homogeneous device complex the placement
-/// minimizing the peak utilization also minimizes the worst co-residency
-/// multiplier any kernel pays — FFD instead drives device 0 through the
-/// knee while its peers idle. Balanced placement can, in adversarial
-/// demand mixes, fail to re-fit a set FFD packed exactly (worst-fit
-/// fragments differently); in that case the FFD placement is returned
-/// unchanged, so the spread plan never spills more than FFD.
-pub fn spread_pack(demands: &[usize], gpu: &GpuSpec) -> ResidencyPlan {
-    let capacity = gpu.sm_count;
-    place_largest_first(demands, gpu, |used, d| {
-        (0..used.len())
-            .filter(|&dev| used[dev] + d <= capacity)
-            .min_by_key(|&dev| used[dev])
-    })
-}
-
-/// [`spread_pack`] under an explicit, recalibrated pressure coefficient,
-/// which becomes the placement objective: each kernel goes on the device
-/// with the smallest *marginal pressure-weighted cost*
-///
-/// ```text
-/// Δ(dev) = (used+d)·m((used+d)/cap) − used·m(used/cap)
-/// ```
-///
-/// where `m` is [`pressure_multiplier_with`] at the given coefficient
-/// (ties to the lowest device index). At `pressure = 0` every placement
-/// costs its own slots and the pack collapses onto device 0 like FFD; as
-/// the coefficient grows, crossing the 50% knee gets progressively more
-/// expensive and the pack spreads earlier — so a recalibrated
-/// coefficient genuinely changes pack order. If cost-greedy placement
-/// strands a kernel FFD had room for, the FFD placement is returned
-/// wholesale (never spill more than FFD), as in [`spread_pack`].
-pub fn pack_with_pressure(demands: &[usize], gpu: &GpuSpec, pressure: f64) -> ResidencyPlan {
-    let capacity = gpu.sm_count;
-    let cap = capacity.max(1) as f64;
-    let cost = |used: usize| {
-        let u = used as f64;
-        u * pressure_multiplier_with(pressure, u / cap)
-    };
-    place_largest_first(demands, gpu, |used, d| {
-        let mut best: Option<(usize, f64)> = None;
-        for (dev, &u) in used.iter().enumerate() {
-            if u + d > capacity {
-                continue;
-            }
-            let delta = cost(u + d) - cost(u);
-            if best.map(|(_, b)| delta < b - 1e-12).unwrap_or(true) {
-                best = Some((dev, delta));
-            }
-        }
-        best.map(|(dev, _)| dev)
-    })
 }
 
 #[cfg(test)]
@@ -368,69 +302,6 @@ mod tests {
         assert_eq!(plan.spilled(), 0);
         let ffd = bin_pack(&[13, 11, 9, 9, 6], &gpu());
         assert_eq!(plan.placements, ffd.placements);
-    }
-
-    #[test]
-    fn recalibrated_pressure_changes_pack_order() {
-        // Three 8-slot kernels on 2×24-SM devices. With a zero pressure
-        // coefficient crossing the knee is free, so cost-greedy packing
-        // collapses onto device 0 (8, 16, 24 slots). At the 0.35 anchor
-        // the second placement would cross the 50% knee on device 0
-        // (Δ = 16·1.1167 − 8 ≈ 9.87 > 8), so it moves to device 1.
-        let g = gpu();
-        let tight = pack_with_pressure(&[8, 8, 8], &g, 0.0);
-        assert!(tight
-            .placements
-            .iter()
-            .all(|p| matches!(p, Placement::Resident { device: 0, .. })));
-        let spread = pack_with_pressure(&[8, 8, 8], &g, 0.35);
-        assert_eq!(
-            spread.placements[1],
-            Placement::Resident {
-                device: 1,
-                slots: 8
-            }
-        );
-        assert_ne!(tight.placements, spread.placements);
-    }
-
-    #[test]
-    fn pressure_aware_pack_keeps_ffd_spill_rule() {
-        // Same resident count as FFD (and no device over capacity) for
-        // random demand mixes across a range of coefficients.
-        let g = gpu();
-        let mut state = 0x5bd1_e995_u64;
-        for round in 0..300 {
-            let mut demands = Vec::new();
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let n = 1 + (state >> 33) as usize % 8;
-            for _ in 0..n {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                demands.push(1 + (state >> 40) as usize % 24);
-            }
-            let p = [0.0, 0.2, 0.35, 1.0][round % 4];
-            let ffd = bin_pack(&demands, &g);
-            let plan = pack_with_pressure(&demands, &g, p);
-            assert_eq!(plan.resident(), ffd.resident(), "demands {demands:?} p={p}");
-            for d in 0..g.count {
-                assert!(plan.device_slots_used(d) <= plan.capacity);
-            }
-        }
-    }
-
-    #[test]
-    fn pressure_multiplier_with_generalizes_the_anchor() {
-        for u in [0.0, 0.3, 0.5, 0.75, 1.0] {
-            assert_eq!(
-                pressure_multiplier(u),
-                pressure_multiplier_with(calib::GPU_RESIDENCY_PRESSURE, u)
-            );
-        }
-        assert_eq!(pressure_multiplier_with(0.0, 1.0), 1.0);
-        assert!((pressure_multiplier_with(0.8, 1.0) - 1.8).abs() < 1e-12);
-        // Negative fits are clamped: a refit can never make co-residency
-        // a discount.
-        assert_eq!(pressure_multiplier_with(-0.5, 1.0), 1.0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! dropped (tail drop at the NIC ring), which is what bounds the paper's
 //! worst-case latencies at saturation.
 
-use nfc_telemetry::{EventKind, LogHistogram, Recorder};
+use nfc_telemetry::{EventKind, QuantileSketch, Recorder};
 
 /// Identifies a resource registered with [`PipelineSim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,17 +63,25 @@ pub struct SimReport {
     pub max_latency_ns: f64,
 }
 
+/// Batch latencies [`StatsAccumulator`] keeps verbatim, so reports over
+/// up to this many completions are exact.
+const EXACT_BATCHES: usize = 1 << 16;
+
 /// Accumulates per-batch completions into a [`SimReport`]; used
 /// internally by [`PipelineSim`] and directly by multi-tenant runs that
 /// need one report per tenant over a shared simulator.
 #[derive(Debug, Clone, Default)]
 pub struct StatsAccumulator {
-    /// Streaming latency histogram: bounded memory on long runs, exact
-    /// percentiles (matching the historical sorted-index formula) below
-    /// `nfc_telemetry::EXACT_CAP` samples, and within the histogram's
-    /// documented ~1.6% bucket error beyond. Mean and max stay exact in
-    /// both modes.
-    latency: LogHistogram,
+    /// Raw batch latencies while at most [`EXACT_BATCHES`] completed:
+    /// percentiles then follow the sorted-index formula exactly.
+    /// Released on the first completion past the cap.
+    exact: Vec<f64>,
+    /// Set once `exact` has been released.
+    spilled: bool,
+    /// Every latency, for bounded memory past the cap: percentiles
+    /// within [`nfc_telemetry::SKETCH_ALPHA`] relative error, mean and
+    /// max exact.
+    latency: QuantileSketch,
     packets: u64,
     bytes: u64,
     dropped: u64,
@@ -98,7 +106,17 @@ impl StatsAccumulator {
     ) {
         self.offered += 1;
         self.first_arrival.get_or_insert(arrival_ns);
-        self.latency.record(completion_ns - arrival_ns);
+        let lat = completion_ns - arrival_ns;
+        self.latency.record(lat);
+        if !self.spilled {
+            if self.exact.len() < EXACT_BATCHES {
+                self.exact
+                    .push(if lat.is_finite() { lat.max(0.0) } else { 0.0 });
+            } else {
+                self.exact = Vec::new();
+                self.spilled = true;
+            }
+        }
         self.packets += packets as u64;
         self.bytes += bytes as u64;
         self.last_completion = self.last_completion.max(completion_ns);
@@ -113,35 +131,36 @@ impl StatsAccumulator {
 
     /// Builds the aggregate report.
     pub fn report(&self) -> SimReport {
-        // Exact mode replicates the historical Vec-backed computation
-        // bit for bit (percentile index formula, mean summed over the
-        // sorted values); bucketed mode kicks in only past EXACT_CAP
-        // samples, where percentiles carry the documented bucket error.
-        let (mean, p50, p99, max) = match self.latency.sorted_exact() {
-            Some(lat) => {
-                let pct = |p: f64| -> f64 {
-                    if lat.is_empty() {
-                        0.0
-                    } else {
-                        lat[((lat.len() - 1) as f64 * p) as usize]
-                    }
-                };
-                let mean = if lat.is_empty() {
+        // Within the exact window: sorted-index percentiles and the mean
+        // summed over the sorted values; past it, the sketch.
+        let (mean, p50, p99, max) = if self.spilled {
+            (
+                self.latency.mean(),
+                self.latency.quantile(0.50),
+                self.latency.quantile(0.99),
+                self.latency.max(),
+            )
+        } else {
+            let mut lat = self.exact.clone();
+            lat.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+            let pct = |p: f64| -> f64 {
+                if lat.is_empty() {
                     0.0
                 } else {
-                    lat.iter().sum::<f64>() / lat.len() as f64
-                };
-                (
-                    mean,
-                    pct(0.50),
-                    pct(0.99),
-                    lat.last().copied().unwrap_or(0.0),
-                )
-            }
-            None => {
-                let ps = self.latency.percentiles(&[0.50, 0.99]);
-                (self.latency.mean(), ps[0], ps[1], self.latency.max())
-            }
+                    lat[((lat.len() - 1) as f64 * p) as usize]
+                }
+            };
+            let mean = if lat.is_empty() {
+                0.0
+            } else {
+                lat.iter().sum::<f64>() / lat.len() as f64
+            };
+            (
+                mean,
+                pct(0.50),
+                pct(0.99),
+                lat.last().copied().unwrap_or(0.0),
+            )
         };
         let span = (self.last_completion - self.first_arrival.unwrap_or(0.0)).max(1.0);
         let framed_bits = (self.bytes + 20 * self.packets) as f64 * 8.0;
@@ -669,7 +688,7 @@ mod tests {
         // Spill past the exact cap: the accumulator must keep working
         // with bounded memory and small relative percentile error.
         let mut acc = StatsAccumulator::new();
-        let n = nfc_telemetry::EXACT_CAP + 5_000;
+        let n = EXACT_BATCHES + 5_000;
         for i in 0..n {
             let lat = 1_000.0 + (i % 1_000) as f64 * 50.0;
             acc.record_completion(i as f64 * 10.0, i as f64 * 10.0 + lat, 1, 64);
@@ -687,6 +706,69 @@ mod tests {
         assert_eq!(r.max_latency_ns, 1_000.0 + 999.0 * 50.0, "max stays exact");
         let true_mean = 1_000.0 + 999.0 * 50.0 / 2.0;
         assert!((r.mean_latency_ns - true_mean).abs() / true_mean < 0.01);
+    }
+
+    #[test]
+    fn exact_window_ends_at_its_cap() {
+        // Integer latencies keep every running sum exact, so the
+        // sketch's mean can be compared bit for bit.
+        let lat = |i: usize| 1_000.0 + (i % 1_000) as f64;
+        let mut acc = StatsAccumulator::new();
+        for i in 0..EXACT_BATCHES {
+            acc.record_completion(0.0, lat(i), 1, 64);
+        }
+        let mut sorted: Vec<f64> = (0..EXACT_BATCHES).map(lat).collect();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let pct = |p: f64| sorted[((sorted.len() - 1) as f64 * p) as usize];
+        let r = acc.report();
+        assert!(!acc.spilled);
+        assert_eq!(r.p50_latency_ns, pct(0.50));
+        assert_eq!(r.p99_latency_ns, pct(0.99));
+
+        acc.record_completion(0.0, lat(EXACT_BATCHES), 1, 64);
+        assert!(acc.spilled);
+        assert_eq!(acc.exact.capacity(), 0, "samples released");
+        let r = acc.report();
+        let n = EXACT_BATCHES + 1;
+        let sum: f64 = (0..n).map(lat).sum();
+        assert_eq!(r.mean_latency_ns, sum / n as f64);
+        assert_eq!(r.max_latency_ns, 1_999.0);
+        assert!(
+            (r.p50_latency_ns - pct(0.50)).abs() / pct(0.50) <= nfc_telemetry::SKETCH_ALPHA,
+            "p50 {} vs {}",
+            r.p50_latency_ns,
+            pct(0.50)
+        );
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Inside the exact window the report is the sorted-index
+            /// formula, bit for bit.
+            #[test]
+            fn exact_window_matches_sorted_index_formula(
+                lats in proptest::collection::vec(0.0f64..1e9, 1..300),
+            ) {
+                let mut acc = StatsAccumulator::new();
+                for &l in &lats {
+                    acc.record_completion(0.0, l, 1, 64);
+                }
+                let r = acc.report();
+                let mut sorted = lats.clone();
+                sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                let pct = |p: f64| sorted[((sorted.len() - 1) as f64 * p) as usize];
+                let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
+                prop_assert_eq!(r.p50_latency_ns.to_bits(), pct(0.50).to_bits());
+                prop_assert_eq!(r.p99_latency_ns.to_bits(), pct(0.99).to_bits());
+                prop_assert_eq!(r.mean_latency_ns.to_bits(), mean.to_bits());
+                prop_assert_eq!(r.max_latency_ns.to_bits(), sorted[sorted.len() - 1].to_bits());
+            }
+        }
     }
 
     #[test]

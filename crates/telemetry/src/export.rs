@@ -433,7 +433,7 @@ pub fn prometheus_snapshot(sink: &MemorySink) -> String {
         out.push_str(&format!("nfc_{name}_total {v}\n"));
     }
     for (name, h) in sink.histograms() {
-        let ps = h.percentiles(&[0.5, 0.95, 0.99, 0.999]);
+        let ps = h.quantiles(&[0.5, 0.95, 0.99, 0.999]);
         out.push_str(&format!("# TYPE nfc_{name} summary\n"));
         for (q, v) in [
             ("0.5", ps[0]),
@@ -465,6 +465,7 @@ mod tests {
     use super::*;
     use crate::event::SimStamp;
     use crate::sink::TelemetrySink;
+    use crate::sketch::SKETCH_ALPHA;
 
     #[test]
     fn path_sequencing_preserves_extension() {
@@ -555,7 +556,13 @@ mod tests {
         }
         let body = prometheus_snapshot(&sink);
         assert!(body.contains("nfc_flow_cache_hits_total 42"));
-        assert!(body.contains("nfc_batch_latency_ns{quantile=\"0.5\"} 2"));
+        let p50: f64 = body
+            .lines()
+            .find_map(|l| l.strip_prefix("nfc_batch_latency_ns{quantile=\"0.5\"} "))
+            .expect("p50 line")
+            .parse()
+            .expect("p50 value");
+        assert!((p50 - 2.0).abs() / 2.0 <= SKETCH_ALPHA, "p50 {p50}");
         assert!(body.contains("nfc_batch_latency_ns_count 4"));
     }
 

@@ -29,7 +29,7 @@
 //! the instances, feeds them deterministic simulated-time quantities,
 //! and emits `health`-category telemetry instants from the verdicts.
 
-use crate::sketch::{QuantileSketch, SketchKey, SketchSet, DEFAULT_SKETCH_ALPHA};
+use crate::sketch::QuantileSketch;
 use std::collections::VecDeque;
 
 /// Environment variable holding the SLO spec for [`SloSpec::from_env`].
@@ -318,6 +318,7 @@ pub struct DriftWatchdog {
     hysteresis: usize,
     streak: usize,
     epoch_ratios: QuantileSketch,
+    ratios: QuantileSketch,
 }
 
 impl DriftWatchdog {
@@ -328,21 +329,26 @@ impl DriftWatchdog {
             threshold,
             hysteresis: hysteresis.max(1),
             streak: 0,
-            epoch_ratios: QuantileSketch::new(DEFAULT_SKETCH_ALPHA),
+            epoch_ratios: QuantileSketch::new(),
+            ratios: QuantileSketch::new(),
         }
     }
 
-    /// Streams one batch's predicted-vs-observed pair. The ratio is
-    /// also recorded into `sketches` under the chain-level
-    /// `drift_ratio` key so the residual distribution exports with the
-    /// other health quantiles.
-    pub fn observe(&mut self, predicted_ns: f64, observed_ns: f64, sketches: &mut SketchSet) {
+    /// Streams one batch's predicted-vs-observed pair into both the
+    /// current epoch's sketch and the run-cumulative [`Self::ratios`].
+    pub fn observe(&mut self, predicted_ns: f64, observed_ns: f64) {
         if predicted_ns <= 0.0 || !observed_ns.is_finite() {
             return;
         }
         let ratio = observed_ns / predicted_ns;
         self.epoch_ratios.record(ratio);
-        sketches.record(SketchKey::chain("drift_ratio"), ratio);
+        self.ratios.record(ratio);
+    }
+
+    /// Every `observed / predicted` ratio streamed so far, across
+    /// epochs — the residual distribution the health gauges export.
+    pub fn ratios(&self) -> &QuantileSketch {
+        &self.ratios
     }
 
     /// Closes the epoch: returns the median-residual verdict, or
@@ -353,7 +359,7 @@ impl DriftWatchdog {
             return None;
         }
         let ratio = self.epoch_ratios.quantile(0.5);
-        self.epoch_ratios = QuantileSketch::new(DEFAULT_SKETCH_ALPHA);
+        self.epoch_ratios = QuantileSketch::new();
         let drift = (ratio - 1.0).max(0.0);
         if drift > self.threshold {
             self.streak += 1;
@@ -533,12 +539,11 @@ mod tests {
 
     #[test]
     fn drift_watchdog_needs_sustained_drift() {
-        let mut sk = SketchSet::default();
         let mut wd = DriftWatchdog::new(0.5, 2);
         // Healthy epochs: observed ~= predicted.
         for _ in 0..3 {
             for _ in 0..8 {
-                wd.observe(1_000.0, 1_100.0, &mut sk);
+                wd.observe(1_000.0, 1_100.0);
             }
             let v = wd.epoch().unwrap();
             assert!(!v.raised, "{v:?}");
@@ -548,7 +553,7 @@ mod tests {
         // second raises.
         for epoch in 0..2 {
             for _ in 0..8 {
-                wd.observe(1_000.0, 2_200.0, &mut sk);
+                wd.observe(1_000.0, 2_200.0);
             }
             let v = wd.epoch().unwrap();
             assert_eq!(v.raised, epoch == 1, "{v:?}");
@@ -556,23 +561,21 @@ mod tests {
         }
         // A healthy epoch resets the streak.
         for _ in 0..8 {
-            wd.observe(1_000.0, 1_000.0, &mut sk);
+            wd.observe(1_000.0, 1_000.0);
         }
         assert!(!wd.epoch().unwrap().raised);
-        // Residuals were streamed into the shared sketch registry.
-        let drift_sketch = sk.sketch(&SketchKey::chain("drift_ratio")).unwrap();
-        assert_eq!(drift_sketch.count(), 48);
+        // Residuals accumulate across epochs in the cumulative sketch.
+        assert_eq!(wd.ratios().count(), 48);
         // Empty epoch yields no verdict and keeps the streak.
         assert!(wd.epoch().is_none());
     }
 
     #[test]
     fn drift_ignores_degenerate_predictions() {
-        let mut sk = SketchSet::default();
         let mut wd = DriftWatchdog::new(0.5, 1);
-        wd.observe(0.0, 1_000.0, &mut sk);
-        wd.observe(-5.0, 1_000.0, &mut sk);
-        wd.observe(1_000.0, f64::NAN, &mut sk);
+        wd.observe(0.0, 1_000.0);
+        wd.observe(-5.0, 1_000.0);
+        wd.observe(1_000.0, f64::NAN);
         assert!(wd.epoch().is_none());
     }
 }

@@ -11,9 +11,9 @@
 //!    each worker records into its own ring and rings are merged in
 //!    deterministic input order after the parallel section joins.
 //! 2. **Histograms and counters** behind the [`TelemetrySink`] trait —
-//!    log-bucketed HDR-style [`LogHistogram`]s (p50/p95/p99/p999 within
-//!    a documented ~1.6% bucket error, exact below 65k samples) and
-//!    monotonic counters, aggregated by the in-memory [`MemorySink`].
+//!    [`QuantileSketch`]es (p50/p95/p99/p999 within [`SKETCH_ALPHA`] =
+//!    1% relative error, the one quantile structure in the workspace)
+//!    and monotonic counters, aggregated by the in-memory [`MemorySink`].
 //! 3. **Exporters** — Chrome-trace-format JSONL (loadable in
 //!    `chrome://tracing` / Perfetto) and a Prometheus-style text
 //!    snapshot, plus the `nfc-trace` CLI in `nfc-bench`.
@@ -39,7 +39,6 @@ pub mod event;
 pub mod export;
 pub mod flow;
 pub mod health;
-pub mod hist;
 pub mod ring;
 pub mod sink;
 pub mod sketch;
@@ -55,12 +54,11 @@ pub use flow::{
     FLOW_TRACE_ENV,
 };
 pub use health::{DriftVerdict, DriftWatchdog, HealthState, SloSpec, SloVerdict, SLO_ENV};
-pub use hist::{LogHistogram, EXACT_CAP, SUB_BUCKET_BITS};
 pub use ring::{Recorder, DEFAULT_RING_CAPACITY};
 pub use sink::{
     HistogramSummary, MemorySink, Telemetry, TelemetryHandle, TelemetrySink, TelemetrySummary,
 };
-pub use sketch::{QuantileSketch, SketchKey, SketchSet, DEFAULT_SKETCH_ALPHA};
+pub use sketch::{QuantileSketch, SKETCH_ALPHA};
 
 /// Environment variable controlling the default telemetry mode (read by
 /// [`TelemetryMode::auto`]): unset/`0`/`off`/`false` → off; `1`/`on`/

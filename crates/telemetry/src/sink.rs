@@ -10,8 +10,8 @@
 
 use crate::event::{Event, EventKind};
 use crate::export;
-use crate::hist::LogHistogram;
 use crate::ring::{Recorder, DEFAULT_RING_CAPACITY};
+use crate::sketch::QuantileSketch;
 use crate::TelemetryMode;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -39,7 +39,7 @@ pub struct MemorySink {
     dropped: u64,
     dropped_by_cat: BTreeMap<&'static str, u64>,
     counters: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, LogHistogram>,
+    histograms: BTreeMap<&'static str, QuantileSketch>,
     gauges: BTreeMap<String, f64>,
 }
 
@@ -217,7 +217,7 @@ impl MemorySink {
     }
 
     /// Derived and observed histograms.
-    pub fn histograms(&self) -> &BTreeMap<&'static str, LogHistogram> {
+    pub fn histograms(&self) -> &BTreeMap<&'static str, QuantileSketch> {
         &self.histograms
     }
 
@@ -406,8 +406,8 @@ pub struct HistogramSummary {
 
 impl HistogramSummary {
     /// Summarizes a histogram.
-    pub fn of(h: &LogHistogram) -> Self {
-        let ps = h.percentiles(&[0.5, 0.95, 0.99, 0.999]);
+    pub fn of(h: &QuantileSketch) -> Self {
+        let ps = h.quantiles(&[0.5, 0.95, 0.99, 0.999]);
         HistogramSummary {
             count: h.count(),
             mean: h.mean(),

@@ -1,32 +1,27 @@
-//! Mergeable, relative-error-bounded quantile sketches for the live
-//! health plane.
+//! The one quantile structure: a mergeable, relative-error-bounded
+//! sketch.
 //!
 //! [`QuantileSketch`] is a DDSketch-style log-bucketed sketch: a value
 //! `v > 0` lands in bucket `ceil(log_gamma v)` with
-//! `gamma = (1 + alpha) / (1 - alpha)`, so the mid-point representative
-//! returned for any quantile is within a relative error of `alpha` of
-//! the true sample. Buckets are sparse (`BTreeMap`), so memory scales
-//! with the *spread* of the data, not the sample count, and merging two
-//! sketches is a bucket-wise add — exactly associative and commutative,
-//! which is what lets each worker keep a private, lock-free sketch on
-//! the hot path and the engine merge the shards at batch/epoch
-//! boundaries without any ordering sensitivity.
+//! `gamma = (1 + alpha) / (1 - alpha)`, `alpha` = [`SKETCH_ALPHA`], so
+//! the mid-point representative returned for any quantile is within a
+//! relative error of `alpha` of the true sample. Buckets are sparse
+//! (`BTreeMap`), so memory scales with the *spread* of the data, not the
+//! sample count, and merging two sketches is a bucket-wise add — exactly
+//! associative and commutative, so any split of a stream merges back to
+//! the single-stream sketch bit for bit.
 //!
-//! [`SketchSet`] is the keyed registry used by the runtime: one sketch
-//! per `(kind, stage, device)` triple, e.g. per-stage simulated
-//! latency, wall-clock stage latency per worker, end-to-end batch
-//! latency, and cost-model drift residuals.
+//! It backs every distribution the workspace keeps: the [`MemorySink`]
+//! histograms and their Prometheus summaries, the health plane's
+//! end-to-end latency and drift-ratio quantiles, and `StatsAccumulator`
+//! past its exact window.
 //!
-//! Unlike [`crate::hist::LogHistogram`] (which backs one-shot
-//! `SimReport` percentiles and keeps an exact mode for bit-identical
-//! short runs), these sketches are built for *live* paths: bounded
-//! relative error at every size, cheap merge, and no exact-mode state
-//! to invalidate.
+//! [`MemorySink`]: crate::MemorySink
 
 use std::collections::BTreeMap;
 
-/// Default relative-error bound (1%).
-pub const DEFAULT_SKETCH_ALPHA: f64 = 0.01;
+/// Relative-error bound of every [`QuantileSketch`] (1%).
+pub const SKETCH_ALPHA: f64 = 0.01;
 
 /// Values at or below this threshold are counted in the exact zero
 /// bucket instead of a log bucket.
@@ -36,7 +31,6 @@ const ZERO_EPS: f64 = 1e-9;
 /// error.
 #[derive(Debug, Clone)]
 pub struct QuantileSketch {
-    alpha: f64,
     gamma_ln: f64,
     zero_count: u64,
     buckets: BTreeMap<i32, u64>,
@@ -48,22 +42,15 @@ pub struct QuantileSketch {
 
 impl Default for QuantileSketch {
     fn default() -> Self {
-        QuantileSketch::new(DEFAULT_SKETCH_ALPHA)
+        QuantileSketch::new()
     }
 }
 
 impl QuantileSketch {
-    /// An empty sketch with relative-error bound `alpha` (clamped to a
-    /// sane `(0, 0.5]` range).
-    pub fn new(alpha: f64) -> Self {
-        let alpha = if alpha.is_finite() {
-            alpha.clamp(1e-4, 0.5)
-        } else {
-            DEFAULT_SKETCH_ALPHA
-        };
-        let gamma = (1.0 + alpha) / (1.0 - alpha);
+    /// An empty sketch with relative-error bound [`SKETCH_ALPHA`].
+    pub fn new() -> Self {
+        let gamma = (1.0 + SKETCH_ALPHA) / (1.0 - SKETCH_ALPHA);
         QuantileSketch {
-            alpha,
             gamma_ln: gamma.ln(),
             zero_count: 0,
             buckets: BTreeMap::new(),
@@ -72,11 +59,6 @@ impl QuantileSketch {
             min: f64::INFINITY,
             max: 0.0,
         }
-    }
-
-    /// The configured relative-error bound.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// Records one sample. Negative and non-finite values clamp to
@@ -128,13 +110,8 @@ impl QuantileSketch {
         self.max
     }
 
-    /// Number of occupied log buckets (excluding the zero bucket).
-    pub fn bucket_len(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// The `q`-th quantile (`q` in `[0, 1]`), within `alpha` relative
-    /// error of the true sample at the same nearest-rank position.
+    /// The `q`-th quantile (`q` in `[0, 1]`), within [`SKETCH_ALPHA`]
+    /// relative error of the true sample at the same nearest-rank position.
     /// Returns `0` when empty.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
@@ -163,17 +140,8 @@ impl QuantileSketch {
         qs.iter().map(|&q| self.quantile(q)).collect()
     }
 
-    /// Merges another sketch into this one (bucket-wise add). Both
-    /// sketches must share the same `alpha`; mismatched resolutions
-    /// would silently change the error bound, so this panics in debug
-    /// builds and keeps `self`'s resolution otherwise.
+    /// Merges another sketch into this one (bucket-wise add).
     pub fn merge(&mut self, other: &QuantileSketch) {
-        debug_assert!(
-            (self.alpha - other.alpha).abs() < 1e-12,
-            "merging sketches with different alpha ({} vs {})",
-            self.alpha,
-            other.alpha
-        );
         if other.count == 0 {
             return;
         }
@@ -188,109 +156,6 @@ impl QuantileSketch {
     }
 }
 
-/// Key for one sketch in a [`SketchSet`]: what is being measured
-/// (`kind`), for which flat stage index, on which device/bucket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SketchKey {
-    /// What is being measured (e.g. `"batch_e2e"`, `"stage_sim"`,
-    /// `"stage_wall"`, `"drift_ratio"`).
-    pub kind: &'static str,
-    /// Flat stage index, or `u32::MAX` for chain-level sketches.
-    pub stage: u32,
-    /// Device / bucket label (e.g. `"cpu"`, `"gpu"`, `"chain"`).
-    pub device: &'static str,
-}
-
-impl SketchKey {
-    /// A chain-level key (no stage, no device split).
-    pub fn chain(kind: &'static str) -> Self {
-        SketchKey {
-            kind,
-            stage: u32::MAX,
-            device: "chain",
-        }
-    }
-
-    /// A per-stage key.
-    pub fn stage(kind: &'static str, stage: u32, device: &'static str) -> Self {
-        SketchKey {
-            kind,
-            stage,
-            device,
-        }
-    }
-}
-
-/// A keyed registry of sketches, all sharing one `alpha`. Workers keep
-/// private `SketchSet` shards on the hot path and the engine merges
-/// them (in deterministic branch order) at batch/epoch boundaries.
-#[derive(Debug, Clone)]
-pub struct SketchSet {
-    alpha: f64,
-    map: BTreeMap<SketchKey, QuantileSketch>,
-}
-
-impl Default for SketchSet {
-    fn default() -> Self {
-        SketchSet::new(DEFAULT_SKETCH_ALPHA)
-    }
-}
-
-impl SketchSet {
-    /// An empty registry whose sketches use relative error `alpha`.
-    pub fn new(alpha: f64) -> Self {
-        SketchSet {
-            alpha,
-            map: BTreeMap::new(),
-        }
-    }
-
-    /// Records one sample under `key`, creating the sketch on first
-    /// use.
-    pub fn record(&mut self, key: SketchKey, v: f64) {
-        self.map
-            .entry(key)
-            .or_insert_with(|| QuantileSketch::new(self.alpha))
-            .record(v);
-    }
-
-    /// The sketch for `key`, if any samples were recorded.
-    pub fn sketch(&self, key: &SketchKey) -> Option<&QuantileSketch> {
-        self.map.get(key)
-    }
-
-    /// Iterates all `(key, sketch)` pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&SketchKey, &QuantileSketch)> {
-        self.map.iter()
-    }
-
-    /// Number of distinct keys.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Merges every sketch from `other` into this registry
-    /// (bucket-wise; associative and commutative across shards).
-    pub fn merge_from(&mut self, other: &SketchSet) {
-        for (key, sk) in &other.map {
-            self.map
-                .entry(*key)
-                .or_insert_with(|| QuantileSketch::new(self.alpha))
-                .merge(sk);
-        }
-    }
-
-    /// Drops all recorded samples, keeping the configuration.
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,7 +167,7 @@ mod tests {
     #[test]
     fn quantiles_stay_within_alpha_of_exact() {
         let vals = stream(50_000, 1525.7, 1e3, 1e8);
-        let mut sk = QuantileSketch::new(0.01);
+        let mut sk = QuantileSketch::new();
         for &v in &vals {
             sk.record(v);
         }
@@ -313,7 +178,7 @@ mod tests {
             let got = sk.quantile(q);
             let rel = (got - want).abs() / want;
             assert!(
-                rel <= sk.alpha() * 1.0001,
+                rel <= SKETCH_ALPHA * 1.0001,
                 "q{q}: got {got}, want {want}, rel err {rel}"
             );
         }
@@ -326,9 +191,9 @@ mod tests {
     fn merge_equals_concatenation_exactly() {
         let a_vals = stream(10_000, 777.3, 1e3, 3e7);
         let b_vals = stream(10_000, 331.9, 5e2, 9e7);
-        let mut a = QuantileSketch::new(0.01);
-        let mut b = QuantileSketch::new(0.01);
-        let mut concat = QuantileSketch::new(0.01);
+        let mut a = QuantileSketch::new();
+        let mut b = QuantileSketch::new();
+        let mut concat = QuantileSketch::new();
         for &v in &a_vals {
             a.record(v);
             concat.record(v);
@@ -349,13 +214,13 @@ mod tests {
         }
         // Merging an empty sketch is a no-op.
         let before = merged.count();
-        merged.merge(&QuantileSketch::new(0.01));
+        merged.merge(&QuantileSketch::new());
         assert_eq!(merged.count(), before);
     }
 
     #[test]
     fn zero_and_pathological_inputs_clamp() {
-        let mut sk = QuantileSketch::new(0.01);
+        let mut sk = QuantileSketch::new();
         sk.record(-5.0);
         sk.record(f64::NAN);
         sk.record(f64::INFINITY);
@@ -368,40 +233,27 @@ mod tests {
         sk.record(100.0);
         assert_eq!(sk.quantile(0.0), 0.0);
         let p100 = sk.quantile(1.0);
-        assert!((p100 - 100.0).abs() / 100.0 <= sk.alpha());
+        assert!((p100 - 100.0).abs() / 100.0 <= SKETCH_ALPHA);
     }
 
     #[test]
     fn empty_sketch_reports_zeros() {
-        let sk = QuantileSketch::new(0.01);
+        let sk = QuantileSketch::new();
         assert_eq!(sk.count(), 0);
         assert_eq!(sk.mean(), 0.0);
         assert_eq!(sk.min(), 0.0);
         assert_eq!(sk.max(), 0.0);
         assert_eq!(sk.quantile(0.99), 0.0);
         assert_eq!(sk.quantiles(&[0.0, 0.5, 1.0]), [0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn sketch_set_routes_and_merges_by_key() {
-        let mut shard_a = SketchSet::new(0.01);
-        let mut shard_b = SketchSet::new(0.01);
-        let k_chain = SketchKey::chain("batch_e2e");
-        let k_stage = SketchKey::stage("stage_sim", 2, "gpu");
-        for i in 0..100 {
-            shard_a.record(k_chain, 1_000.0 + i as f64);
-            shard_b.record(k_chain, 2_000.0 + i as f64);
-            shard_b.record(k_stage, 50.0 + i as f64);
-        }
-        let mut merged = SketchSet::new(0.01);
-        merged.merge_from(&shard_a);
-        merged.merge_from(&shard_b);
-        assert_eq!(merged.len(), 2);
-        assert_eq!(merged.sketch(&k_chain).unwrap().count(), 200);
-        assert_eq!(merged.sketch(&k_stage).unwrap().count(), 100);
-        assert!(merged.sketch(&SketchKey::chain("nope")).is_none());
-        merged.clear();
-        assert!(merged.is_empty());
+        // A single sample is every quantile: the bucket representative
+        // clamps to the exact `[min, max]`.
+        let mut sk = QuantileSketch::new();
+        sk.record(1234.5);
+        assert_eq!(sk.count(), 1);
+        assert_eq!(sk.min(), 1234.5);
+        assert_eq!(sk.max(), 1234.5);
+        assert_eq!(sk.mean(), 1234.5);
+        assert_eq!(sk.quantiles(&[0.0, 0.5, 0.999, 1.0]), [1234.5; 4]);
     }
 
     mod prop {
@@ -409,7 +261,7 @@ mod tests {
         use proptest::prelude::*;
 
         fn sketch_of(vals: &[f64]) -> QuantileSketch {
-            let mut sk = QuantileSketch::new(DEFAULT_SKETCH_ALPHA);
+            let mut sk = QuantileSketch::new();
             for &v in vals {
                 sk.record(v);
             }
@@ -478,7 +330,7 @@ mod tests {
                 shards in 1usize..8,
             ) {
                 let whole = sketch_of(&stream);
-                let mut merged = QuantileSketch::new(DEFAULT_SKETCH_ALPHA);
+                let mut merged = QuantileSketch::new();
                 for chunk in stream.chunks(stream.len().div_ceil(shards)) {
                     merged.merge(&sketch_of(chunk));
                 }
@@ -499,7 +351,7 @@ mod tests {
                 let got = sk.quantile(q);
                 let rel = (got - want).abs() / want;
                 prop_assert!(
-                    rel <= sk.alpha() * 1.0001,
+                    rel <= SKETCH_ALPHA * 1.0001,
                     "q{}: got {}, want {}, rel err {}", q, got, want, rel
                 );
             }

@@ -345,10 +345,10 @@ fn controller_decisions_do_not_depend_on_the_telemetry_mode() {
 
 #[test]
 fn worker_shard_sketches_merge_deterministically_across_exec_modes() {
-    // Per-worker sketch shards are merged in branch-major order after
-    // the parallel join, so the health gauges computed from sim-derived
-    // samples are bit-identical between serial and parallel execution
-    // (wall-clock shards exist too but never feed a gauge).
+    // The health sketches are fed only on the sequential temporal
+    // replay, from simulated timestamps, so the gauges computed from
+    // them are bit-identical between serial and parallel execution
+    // (no worker touches a sketch).
     let serial = run_with_slo(
         ExecMode::Serial,
         TelemetryMode::Memory,
