@@ -3,72 +3,82 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p nfc-bench --bin figures -- all [--quick]
+//! cargo run --release -p nfc-bench --bin figures -- all
 //! cargo run --release -p nfc-bench --bin figures -- fig6 fig15
+//! cargo run --release -p nfc-bench --bin figures -- fig7 --quick
 //! ```
 //!
 //! Results print to stdout in the paper's row/series layout and are
-//! written as JSON under `results/`.
+//! written as JSON under `results/`, the committed records `ci/record.sh`
+//! regenerates. A `--quick` sweep is a smoke run: it prints its tables
+//! and writes nothing. An unknown experiment name or a failed write
+//! exits non-zero.
 
 use nfc_bench::experiments as exp;
 use nfc_bench::util::ExperimentResult;
 use std::path::Path;
+use std::process::ExitCode;
 
-fn main() {
+/// One experiment; the flag is `--quick`.
+type Experiment = fn(bool) -> ExperimentResult;
+
+/// Every experiment, in `all` order.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("table2", |_| exp::table2()),
+    ("table3", |_| exp::table3()),
+    ("fig5", exp::fig5),
+    ("fig6", exp::fig6),
+    ("fig7", exp::fig7),
+    ("fig8", exp::fig8),
+    ("fig8e", |_| exp::fig8e()),
+    ("fig13", |_| exp::fig13_structure()),
+    ("fig14", exp::fig14),
+    ("fig15", exp::fig15),
+    ("fig17", exp::fig17),
+    ("ablations", exp::ablations),
+    ("churn", exp::churn),
+    ("corun_sim", exp::corun_sim),
+];
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let mut wanted: Vec<String> = args.into_iter().filter(|a| a != "--quick").collect();
-    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = [
-            "table2",
-            "table3",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig8e",
-            "fig13",
-            "fig14",
-            "fig15",
-            "fig17",
-            "ablations",
-            "churn",
-            "corun_sim",
-        ]
+    let wanted: Vec<&str> = args
         .iter()
-        .map(|s| s.to_string())
+        .map(String::as_str)
+        .filter(|a| *a != "--quick")
         .collect();
-    }
-    let out_dir = Path::new("results");
-    let mut ran = 0usize;
-    for w in &wanted {
-        let result: ExperimentResult = match w.as_str() {
-            "table2" => exp::table2(),
-            "table3" => exp::table3(),
-            "fig5" => exp::fig5(quick),
-            "fig6" => exp::fig6(quick),
-            "fig7" => exp::fig7(quick),
-            "fig8" => exp::fig8(quick),
-            "fig8e" => exp::fig8e(),
-            "fig13" => exp::fig13_structure(),
-            "fig14" => exp::fig14(quick),
-            "fig15" => exp::fig15(quick),
-            "fig17" => exp::fig17(quick),
-            "ablations" => exp::ablations(quick),
-            "churn" => exp::churn(quick),
-            "corun_sim" => exp::corun_sim(quick),
-            other => {
-                eprintln!("unknown experiment: {other}");
-                continue;
+    let runs: Vec<_> = if wanted.is_empty() || wanted.contains(&"all") {
+        EXPERIMENTS.iter().collect()
+    } else {
+        let mut runs = Vec::new();
+        for w in wanted {
+            match EXPERIMENTS.iter().find(|(id, _)| *id == w) {
+                Some(e) => runs.push(e),
+                None => {
+                    eprintln!("unknown experiment: {w}");
+                    return ExitCode::FAILURE;
+                }
             }
-        };
-        if let Err(e) = result.save(out_dir) {
-            eprintln!("warning: could not save {}: {e}", result.id);
         }
-        ran += 1;
+        runs
+    };
+    let out_dir = Path::new("results");
+    for (_, experiment) in &runs {
+        let result = experiment(quick);
+        if quick {
+            continue;
+        }
+        if let Err(e) = result.save(out_dir) {
+            eprintln!("could not save {}: {e}", result.id);
+            return ExitCode::FAILURE;
+        }
     }
-    println!(
-        "\n{ran} experiments regenerated; JSON written to {}",
-        out_dir.display()
-    );
+    let written = if quick {
+        "nothing written (--quick)"
+    } else {
+        "JSON written to results"
+    };
+    println!("\n{} experiments run; {written}", runs.len());
+    ExitCode::SUCCESS
 }

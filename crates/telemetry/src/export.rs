@@ -464,7 +464,6 @@ pub fn prometheus_snapshot(sink: &MemorySink) -> String {
 mod tests {
     use super::*;
     use crate::event::SimStamp;
-    use crate::sink::TelemetrySink;
     use crate::sketch::SKETCH_ALPHA;
 
     #[test]

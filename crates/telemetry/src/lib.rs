@@ -10,10 +10,10 @@
 //!    wall-clock and simulated-time stamps. Ownership replaces locking:
 //!    each worker records into its own ring and rings are merged in
 //!    deterministic input order after the parallel section joins.
-//! 2. **Histograms and counters** behind the [`TelemetrySink`] trait —
+//! 2. **Histograms and counters** in the in-memory [`MemorySink`] —
 //!    [`QuantileSketch`]es (p50/p95/p99/p999 within [`SKETCH_ALPHA`] =
 //!    1% relative error, the one quantile structure in the workspace)
-//!    and monotonic counters, aggregated by the in-memory [`MemorySink`].
+//!    and monotonic counters.
 //! 3. **Exporters** — Chrome-trace-format JSONL (loadable in
 //!    `chrome://tracing` / Perfetto) and a Prometheus-style text
 //!    snapshot, plus the `nfc-trace` CLI in `nfc-bench`.
@@ -55,9 +55,7 @@ pub use flow::{
 };
 pub use health::{DriftVerdict, DriftWatchdog, HealthState, SloSpec, SloVerdict, SLO_ENV};
 pub use ring::{Recorder, DEFAULT_RING_CAPACITY};
-pub use sink::{
-    HistogramSummary, MemorySink, Telemetry, TelemetryHandle, TelemetrySink, TelemetrySummary,
-};
+pub use sink::{HistogramSummary, MemorySink, Telemetry, TelemetryHandle, TelemetrySummary};
 pub use sketch::{QuantileSketch, SKETCH_ALPHA};
 
 /// Environment variable controlling the default telemetry mode (read by

@@ -19,17 +19,6 @@ use std::sync::{Arc, Mutex};
 /// Default maximum events retained by a [`MemorySink`].
 pub const DEFAULT_SINK_CAPACITY: usize = 1 << 20;
 
-/// Destination for telemetry data: events, monotonic counters, and
-/// histogram observations.
-pub trait TelemetrySink {
-    /// Stores one event (sinks may drop under their retention policy).
-    fn record_event(&mut self, event: Event);
-    /// Adds `delta` to the named monotonic counter.
-    fn add_counter(&mut self, name: &'static str, delta: u64);
-    /// Records one observation into the named histogram.
-    fn observe_ns(&mut self, name: &'static str, value_ns: f64);
-}
-
 /// The in-memory sink backing every telemetry session: a bounded event
 /// store plus derived counters and histograms.
 #[derive(Debug, Default)]
@@ -232,10 +221,10 @@ impl MemorySink {
     pub fn gauges(&self) -> &BTreeMap<String, f64> {
         &self.gauges
     }
-}
 
-impl TelemetrySink for MemorySink {
-    fn record_event(&mut self, event: Event) {
+    /// Stores one event, or counts it as dropped once the sink holds
+    /// `capacity` events.
+    pub fn record_event(&mut self, event: Event) {
         if self.events.len() >= self.capacity {
             self.dropped += 1;
             *self
@@ -247,11 +236,13 @@ impl TelemetrySink for MemorySink {
         self.events.push(event);
     }
 
-    fn add_counter(&mut self, name: &'static str, delta: u64) {
+    /// Adds `delta` to the named monotonic counter.
+    pub fn add_counter(&mut self, name: &'static str, delta: u64) {
         *self.counters.entry(name).or_insert(0) += delta;
     }
 
-    fn observe_ns(&mut self, name: &'static str, value_ns: f64) {
+    /// Records one observation into the named histogram.
+    pub fn observe_ns(&mut self, name: &'static str, value_ns: f64) {
         self.histograms.entry(name).or_default().record(value_ns);
     }
 }

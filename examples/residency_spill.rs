@@ -11,9 +11,10 @@
 //!
 //! The run prints the residency placement and per-mode throughput, and —
 //! like every deployment — exports a trace when `NFC_TELEMETRY` is set.
-//! CI diffs that trace's latency attribution against
-//! `ci/residency_baseline.json`, pinning the residency-constrained
-//! plan's simulated-time behaviour.
+//! That trace's `nfc-trace attribution --json` is committed as
+//! `ci/residency_baseline.json`: `ci/record.sh` re-records it and CI
+//! fails on any `git diff`, pinning the residency-constrained plan's
+//! simulated-time behaviour.
 //!
 //! Run with: `cargo run --release -p nfc-core --example residency_spill`
 
