@@ -387,6 +387,37 @@ mod tests {
         assert_eq!(report.removed, 1);
     }
 
+    #[test]
+    fn distinct_ids_rule_sets_both_survive_synthesis() {
+        use nfc_nf::elements::IdsMode;
+        let ids = |name: &str, literals: [&str; 2]| {
+            let literals = literals.map(|l| l.as_bytes().to_vec()).to_vec();
+            Nf::ids_with(name, literals, Vec::new(), IdsMode::Drop)
+        };
+        // The two rule sets concatenate to the same bytes: only the
+        // shared header classifier is redundant.
+        let (a, b) = (ids("a", ["AB", "C"]), ids("b", ["A", "BC"]));
+        let (merged, report) = synthesize(&[&a, &b]);
+        assert_eq!(report.removed, 1, "{report:?}");
+        // Payloads built from A and C, never AB or BC: `a` drops those
+        // with a C, `b` those with an A.
+        let batch: Batch = [&b"xxAxx"[..], b"xxCxx", b"xAxCx", b"CxxA", b"benign"]
+            .iter()
+            .enumerate()
+            .map(|(i, payload)| {
+                let mut p =
+                    nfc_packet::Packet::ipv4_udp([10, 0, 0, 1], [172, 16, 0, 9], 4444, 80, payload);
+                p.meta.seq = i as u64;
+                p
+            })
+            .collect();
+        let seq_out = drive(&b, drive(&a, batch.clone()));
+        let syn_out = drive(&merged, batch);
+        let seqs = |b: &Batch| b.iter().map(|p| p.meta.seq).collect::<Vec<_>>();
+        assert_eq!(seqs(&seq_out), [4]);
+        assert_eq!(seqs(&syn_out), seqs(&seq_out));
+    }
+
     /// An enforcing, classifier-free firewall (a single-output dropper).
     fn filter_only_fw(seed: u64) -> Nf {
         use nfc_nf::acl::{synth, AclTable, Action};

@@ -6,6 +6,15 @@
 //! into a dense DFA (one 256-way transition row per state) — the same
 //! "DFA table lookup per payload byte" access pattern whose memory
 //! behaviour drives the paper's full-match vs no-match throughput gap.
+//!
+//! [`IdsMatch`] does not run this automaton per packet: it scans one
+//! product of this table and the rule set's regex DFAs, and
+//! [`AhoCorasick::is_match`] is the reference that scan is tested
+//! against. [`StreamIds`] scans with [`AhoCorasick::scan_streaming`],
+//! which needs the real automaton state across packets.
+//!
+//! [`IdsMatch`]: crate::elements::IdsMatch
+//! [`StreamIds`]: crate::stateful::StreamIds
 
 /// A compiled Aho–Corasick automaton.
 #[derive(Debug, Clone)]
@@ -101,6 +110,17 @@ impl AhoCorasick {
     /// The patterns this automaton was built from.
     pub fn patterns(&self) -> &[Vec<u8>] {
         &self.patterns
+    }
+
+    /// The dense transition table, `next[state * 256 + byte]` from start
+    /// state 0.
+    pub(crate) fn transitions(&self) -> &[u32] {
+        &self.next
+    }
+
+    /// True if some pattern ends in `state`.
+    pub(crate) fn accepts(&self, state: usize) -> bool {
+        !self.output[state].is_empty()
     }
 
     /// Scans `haystack`, returning every match (all patterns, all

@@ -210,7 +210,7 @@ impl AclTable {
     /// [`AclTable::classify`] on raw IPv4 lane values, one row at a
     /// time: the oracle [`AclTable::classify_v4_batch`] — what the
     /// header-lane sweep runs — is tested against. Scans the pre-lowered
-    /// [`MaskRule`]s (one AND + compare per prefix, no per-row shifts or
+    /// `MaskRule`s (one AND + compare per prefix, no per-row shifts or
     /// `IpAddr` unwrapping).
     /// UDP and TCP packets scan only their protocol partition — rules a
     /// packet of that protocol could never match are skipped wholesale,

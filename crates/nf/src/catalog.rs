@@ -244,7 +244,7 @@ impl Nf {
         .collect()
     }
 
-    fn default_ids_dfas() -> Vec<Dfa> {
+    pub(crate) fn default_ids_dfas() -> Vec<Dfa> {
         vec![
             Dfa::compile(r"GET /[\w/]*\.php\?\w+=").expect("static pattern compiles"),
             Dfa::compile(r"USER \w+ PASS \w+").expect("static pattern compiles"),
@@ -278,13 +278,7 @@ impl Nf {
         dfas: Vec<Dfa>,
         mode: IdsMode,
     ) -> Self {
-        let cfg = config_hash(&patterns.concat())
-            ^ config_hash(
-                dfas.iter()
-                    .flat_map(|d| d.pattern().bytes())
-                    .collect::<Vec<_>>()
-                    .as_slice(),
-            );
+        let cfg = ids_rules_hash(&patterns, dfas.iter().map(|d| d.pattern()));
         let ac = Arc::new(AhoCorasick::new(patterns));
         let kind = if mode == IdsMode::Drop {
             NfKind::Ids
@@ -381,7 +375,7 @@ impl Nf {
     pub fn stream_ids(name: impl Into<String>) -> Self {
         use crate::stateful::{StreamIds, StreamReassembly};
         let patterns = Self::default_ids_signatures();
-        let cfg = config_hash(&patterns.concat());
+        let cfg = ids_rules_hash(&patterns, []);
         let ac = Arc::new(AhoCorasick::new(patterns));
         let mut g = ElementGraph::new();
         let re = g.add(StreamReassembly::new());
@@ -401,6 +395,24 @@ impl Nf {
         g.add(IpsecEncrypt::new(sa));
         Nf::from_graph(name, NfKind::IpsecGateway, g)
     }
+}
+
+/// Configuration hash of an IDS rule set: one hash over every literal
+/// and regex, each length-prefixed behind a domain tag, so no two
+/// distinct rule sets share a signature by how their bytes concatenate
+/// (`["AB", "C"]` vs `["A", "BC"]`).
+fn ids_rules_hash<'a>(literals: &[Vec<u8>], regexes: impl IntoIterator<Item = &'a str>) -> u64 {
+    let mut bytes = Vec::new();
+    let rules = literals
+        .iter()
+        .map(|l| (b'L', l.as_slice()))
+        .chain(regexes.into_iter().map(|r| (b'R', r.as_bytes())));
+    for (tag, rule) in rules {
+        bytes.push(tag);
+        bytes.extend_from_slice(&(rule.len() as u64).to_be_bytes());
+        bytes.extend_from_slice(rule);
+    }
+    config_hash(&bytes)
 }
 
 /// Generates `n` deterministic IPv4 routes covering the traffic
@@ -573,6 +585,28 @@ mod tests {
     }
 
     #[test]
+    fn distinct_ids_rule_sets_have_distinct_signatures() {
+        let sig = |literals: &[&str], regex: Option<&str>| {
+            let literals = literals.iter().map(|l| l.as_bytes().to_vec()).collect();
+            let dfas = regex
+                .map(|r| Dfa::compile(r).expect("compiles"))
+                .into_iter()
+                .collect();
+            let nf = Nf::ids_with("ids", literals, dfas, IdsMode::Drop);
+            let g = nf.graph();
+            let sigs: Vec<_> = g.node_ids().map(|id| g.element(id).signature()).collect();
+            sigs.into_iter()
+                .find(|s| s.kind == "ids-match")
+                .expect("has matcher")
+        };
+        // Same bytes, split differently.
+        assert_ne!(sig(&["AB", "C"], None), sig(&["A", "BC"], None));
+        // Same bytes as a literal and as a regex.
+        assert_ne!(sig(&["A.B"], None), sig(&[], Some("A.B")));
+        assert_eq!(sig(&["AB", "C"], None), sig(&["AB", "C"], None));
+    }
+
+    #[test]
     fn synth_routes_cover_defaults() {
         let routes = synth_routes_v4(100, 1);
         let table = Dir24_8::from_routes(&routes, 16);
@@ -654,5 +688,212 @@ mod stream_ids_tests {
         let nf = Nf::stream_ids("sids");
         let p = nf.action_profile();
         assert!(p.may_drop && p.reads_payload && !p.writes_payload);
+    }
+}
+
+/// The IDS against its reference scans (`AhoCorasick::is_match` and
+/// `Dfa::is_match`, packet by packet) on well-formed and hostile frames.
+#[cfg(test)]
+mod ids_tests {
+    use super::*;
+    use nfc_click::element::{Element, RunCtx};
+    use nfc_packet::headers::tcp_flags;
+    use nfc_packet::{Batch, Packet};
+    use proptest::prelude::*;
+
+    /// Payload pieces: signatures, halves that join into one, regex
+    /// material, and filler.
+    const TOKENS: [&[u8]; 8] = [
+        b"ATTACK_SHELLCODE",
+        b"SQL_UNION",
+        b"_SELECT",
+        b"GET /a/b.php?id=",
+        b"USER bob PASS pw",
+        b"USER ",
+        b"zzzzzzzzzzzzzzzzzzzzzzzz",
+        b"q",
+    ];
+
+    /// UDP/TCP over IPv4, IPv6 UDP, and hostile frames: cut anywhere
+    /// (zero-length included), non-IP, and cut inside the L4 header.
+    fn frame(kind: u8, tokens: &[usize], cut: usize, seq: usize) -> Packet {
+        let payload: Vec<u8> = tokens.iter().flat_map(|&t| TOKENS[t]).copied().collect();
+        let (src, dst) = ([10, 0, 0, 1], [172, 16, 0, 9]);
+        let udp = Packet::ipv4_udp(src, dst, 4444, 80, &payload);
+        let tcp = Packet::ipv4_tcp(src, dst, 5555, 443, &payload, tcp_flags::ACK);
+        let cut_to = |p: &Packet, len: usize| Packet::from_bytes(p.data()[..len].to_vec());
+        let mut p = match kind {
+            0 | 1 => udp,
+            2 => tcp,
+            3 => {
+                let (mut s6, mut d6) = ([0u8; 16], [0u8; 16]);
+                (s6[0], s6[15], d6[0], d6[15]) = (0x20, 1, 0x20, 2);
+                Packet::ipv6_udp(s6, d6, 6666, 53, &payload)
+            }
+            4 => cut_to(&udp, cut % (udp.len() + 1)),
+            5 => Packet::from_bytes(Vec::new()),
+            6 => {
+                let mut bytes = udp.data().to_vec();
+                bytes[12..14].copy_from_slice(&[0x88, 0xB5]);
+                Packet::from_bytes(bytes)
+            }
+            7 => cut_to(&udp, 34 + cut % 8),
+            _ => cut_to(&tcp, 34 + cut % 20),
+        };
+        p.meta.seq = seq as u64;
+        p
+    }
+
+    fn frames(rows: &[(u8, Vec<usize>, usize)], first_seq: usize) -> Batch {
+        rows.iter()
+            .enumerate()
+            .map(|(i, (kind, tokens, cut))| frame(*kind, tokens, *cut, first_seq + i))
+            .collect()
+    }
+
+    fn rows(max: usize) -> impl Strategy<Value = Vec<(u8, Vec<usize>, usize)>> {
+        collection::vec(
+            (
+                0u8..9,
+                collection::vec(0usize..TOKENS.len(), 0..8),
+                any::<usize>(),
+            ),
+            0..max,
+        )
+    }
+
+    fn seqs(b: &Batch) -> Vec<u64> {
+        b.iter().map(|p| p.meta.seq).collect()
+    }
+
+    /// `IdsMatch` as it was before the product automaton: the reference
+    /// scans per packet, with the element's alert accounting.
+    struct Reference {
+        ac: AhoCorasick,
+        dfas: Vec<Dfa>,
+        drop: bool,
+        alerts: u64,
+        recent_alerts: f64,
+        recent_processed: f64,
+    }
+
+    impl Reference {
+        fn hit(&self, p: &Packet) -> bool {
+            let payload = p.l4_payload().unwrap_or(&[]);
+            self.ac.is_match(payload) || self.dfas.iter().any(|d| d.is_match(payload))
+        }
+
+        fn process(&mut self, batch: &Batch) -> Batch {
+            let hit: Vec<bool> = batch.iter().map(|p| self.hit(p)).collect();
+            let alerts = hit.iter().filter(|&&h| h).count();
+            self.alerts += alerts as u64;
+            self.recent_alerts += alerts as f64;
+            self.recent_processed += hit.len() as f64;
+            if self.recent_processed > 2048.0 {
+                self.recent_alerts /= 2.0;
+                self.recent_processed /= 2.0;
+            }
+            batch
+                .iter()
+                .zip(&hit)
+                .filter(|&(_, &h)| !(self.drop && h))
+                .map(|(p, _)| p.clone())
+                .collect()
+        }
+
+        fn match_fraction(&self) -> f64 {
+            if self.recent_processed < 1.0 {
+                0.0
+            } else {
+                (self.recent_alerts / self.recent_processed).clamp(0.0, 1.0)
+            }
+        }
+    }
+
+    fn rule_set(match_empty: bool) -> (Vec<Vec<u8>>, Vec<Dfa>) {
+        let mut dfas = Nf::default_ids_dfas();
+        if match_empty {
+            dfas.push(Dfa::compile("").expect("compiles"));
+        }
+        (Nf::default_ids_signatures(), dfas)
+    }
+
+    #[test]
+    fn unparseable_frames_scan_as_the_empty_payload() {
+        // A non-IP frame carrying a signature: no L4 payload to scan.
+        let junk: Batch = [frame(6, &[0], 0, 0)].into_iter().collect();
+        assert!(junk.get(0).expect("one frame").l4_payload().is_err());
+        for (match_empty, alerts) in [(false, 0), (true, 1)] {
+            let (literals, dfas) = rule_set(match_empty);
+            let ac = Arc::new(AhoCorasick::new(literals));
+            let mut ids = IdsMatch::new(ac, Arc::new(dfas), IdsMode::Alert, 0);
+            ids.process(junk.clone(), &mut RunCtx::default());
+            assert_eq!(ids.alerts(), alerts, "match_empty = {match_empty}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Egress, `alerts()` and `match_fraction()` bits equal the
+        /// per-packet reference, in both modes, over enough batches for
+        /// the recent-match window to decay.
+        #[test]
+        fn ids_match_equals_per_packet_reference(
+            batches in collection::vec(rows(400), 1..10),
+            drop in any::<bool>(),
+            match_empty in any::<bool>(),
+        ) {
+            let (literals, dfas) = rule_set(match_empty);
+            let mode = if drop { IdsMode::Drop } else { IdsMode::Alert };
+            let ac = Arc::new(AhoCorasick::new(&literals));
+            let mut ids = IdsMatch::new(ac, Arc::new(dfas.clone()), mode, 0);
+            let mut reference = Reference {
+                ac: AhoCorasick::new(&literals),
+                dfas,
+                drop,
+                alerts: 0,
+                recent_alerts: 0.0,
+                recent_processed: 0.0,
+            };
+            let mut seq = 0;
+            for rows in &batches {
+                let batch = frames(rows, seq);
+                seq += rows.len();
+                let want = reference.process(&batch);
+                let got = ids.process(batch, &mut RunCtx::default());
+                prop_assert_eq!(got, vec![want]);
+            }
+            prop_assert_eq!(ids.alerts(), reference.alerts);
+            prop_assert_eq!(ids.match_fraction().to_bits(), reference.match_fraction().to_bits());
+        }
+
+        /// Hostile frames through the catalog IDS and DPI: nothing
+        /// panics, the DPI passes everything, and the IDS drops exactly
+        /// the TCP/UDP frames whose payload (empty when it does not
+        /// parse) matches.
+        #[test]
+        fn hostile_frames_through_ids_and_dpi(rows in rows(64)) {
+            let batch = frames(&rows, 0);
+            let (literals, dfas) = rule_set(false);
+            let reference = Reference {
+                ac: AhoCorasick::new(literals),
+                dfas,
+                drop: true,
+                alerts: 0,
+                recent_alerts: 0.0,
+                recent_processed: 0.0,
+            };
+            let scanned = |p: &Packet| {
+                matches!(p.ip_protocol(), Ok(ip_proto::TCP | ip_proto::UDP)) && reference.hit(p)
+            };
+            let want: Vec<u64> = batch.iter().filter(|p| !scanned(p)).map(|p| p.meta.seq).collect();
+            let run = |nf: Nf| {
+                let mut run = nf.graph().clone().compile().expect("compiles");
+                run.push_merged(nf.entry(), batch.clone())
+            };
+            prop_assert_eq!(seqs(&run(Nf::ids("ids"))), want);
+            prop_assert_eq!(seqs(&run(Nf::dpi("dpi"))), seqs(&batch));
+        }
     }
 }

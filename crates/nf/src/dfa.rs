@@ -449,6 +449,17 @@ impl Dfa {
         self.accepting.len()
     }
 
+    /// The dense transition table, `next[state * 256 + byte]` from start
+    /// state 0.
+    pub(crate) fn transitions(&self) -> &[u32] {
+        &self.next
+    }
+
+    /// True if `state` has seen a match.
+    pub(crate) fn accepts(&self, state: usize) -> bool {
+        self.accepting[state]
+    }
+
     /// Returns true if the pattern occurs anywhere in `haystack`.
     pub fn is_match(&self, haystack: &[u8]) -> bool {
         let mut s = 0usize;

@@ -12,6 +12,7 @@ use crate::crypto::{Aes128, HmacSha1Key};
 use crate::dfa::Dfa;
 use crate::flowcache::ClockTable;
 use crate::lpm::{Dir24_8, WaldvogelV6};
+use crate::matchset::MatchSet;
 use nfc_click::element::{
     config_hash, Element, ElementActions, ElementClass, ElementSignature, FlowVerdict, KernelClass,
     Offload, RunCtx, SessionRecord, SessionState, WorkProfile,
@@ -592,11 +593,11 @@ pub enum IdsMode {
     Drop,
 }
 
-/// Aho–Corasick + DFA payload inspection.
+/// Aho–Corasick + DFA payload inspection, scanned as one product
+/// automaton of the literals and regexes, four packets at a time.
 #[derive(Debug, Clone)]
 pub struct IdsMatch {
-    ac: Arc<AhoCorasick>,
-    dfas: Arc<Vec<Dfa>>,
+    rules: Arc<MatchSet>,
     mode: IdsMode,
     alerts: u64,
     recent_alerts: f64,
@@ -606,12 +607,12 @@ pub struct IdsMatch {
 }
 
 impl IdsMatch {
-    /// Creates the matcher from shared engines; `cfg` identifies the rule
-    /// set for de-duplication.
+    /// Creates the matcher from shared engines, building their product
+    /// automaton once (clones share it); `cfg` identifies the rule set for
+    /// de-duplication.
     pub fn new(ac: Arc<AhoCorasick>, dfas: Arc<Vec<Dfa>>, mode: IdsMode, cfg: u64) -> Self {
         IdsMatch {
-            ac,
-            dfas,
+            rules: Arc::new(MatchSet::new(&ac, &dfas)),
             mode,
             alerts: 0,
             recent_alerts: 0.0,
@@ -669,17 +670,12 @@ impl Element for IdsMatch {
     }
 
     fn process(&mut self, mut batch: Batch, _ctx: &mut RunCtx) -> Vec<Batch> {
-        let mut alerts = 0u64;
         let mut hit = Vec::with_capacity(batch.len());
-        for p in batch.iter() {
-            let payload = p.l4_payload().unwrap_or(&[]);
-            let matched =
-                self.ac.is_match(payload) || self.dfas.iter().any(|d| d.is_match(payload));
-            if matched {
-                alerts += 1;
-            }
-            hit.push(matched);
-        }
+        self.rules.scan(
+            batch.iter().map(|p| p.l4_payload().unwrap_or(&[])),
+            &mut hit,
+        );
+        let alerts = hit.iter().filter(|&&h| h).count() as u64;
         self.alerts += alerts;
         self.processed += hit.len() as u64;
         self.recent_alerts += alerts as f64;

@@ -33,6 +33,7 @@ pub mod dfa;
 pub mod elements;
 pub mod flowcache;
 pub mod lpm;
+mod matchset;
 pub mod stateful;
 
 pub use catalog::{Nf, NfKind};

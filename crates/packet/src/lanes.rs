@@ -1,6 +1,6 @@
 //! Columnar (SoA) header lanes over a [`Batch`].
 //!
-//! The per-packet accessors ([`Packet::ipv4`], [`Packet::five_tuple`], …)
+//! The per-packet accessors ([`Packet::ipv4`](crate::Packet::ipv4), [`Packet::five_tuple`](crate::Packet::five_tuple), …)
 //! re-parse Ethernet and IPv4 headers on every call, striding across
 //! `Arc`-backed buffers. Header-only elements (ACL classifiers, LPM
 //! lookups, load balancers, TTL decrementers, NAT's tuple extraction)
@@ -16,7 +16,7 @@
 //! replicate the exact accessor predicates:
 //!
 //! * [`HeaderLanes::ipv4_mask`] — `Packet::ipv4()` succeeds. Note the
-//!   accessor parses at [`Packet::L3_OFFSET`] *without* consulting the
+//!   accessor parses at [`Packet::L3_OFFSET`](crate::Packet::L3_OFFSET) *without* consulting the
 //!   ethertype, so the mask does the same.
 //! * [`HeaderLanes::l3v4_mask`] — `Packet::ip_protocol()` succeeds via
 //!   the IPv4 arm (Ethernet parses, ethertype is IPv4, IPv4 parses).
@@ -29,7 +29,7 @@
 //! [`HeaderLanes::write_back`] scatters changed fields home. Untouched
 //! packets are never written, preserving copy-on-write buffer sharing
 //! and [`crate::FlowKey`] memos; changed packets go through
-//! [`Packet::data_mut`], which triggers exactly the same CoW clone and
+//! [`Packet::data_mut`](crate::Packet::data_mut), which triggers exactly the same CoW clone and
 //! memo invalidation as the per-packet setters. Checksums are fixed
 //! incrementally (RFC 1624) in a canonical field order — src IP, dst IP,
 //! src port, dst port, TTL — matching the update sequences the
@@ -313,7 +313,7 @@ impl HeaderLanes {
     ///
     /// Packets whose columns are unchanged are never touched: their
     /// buffers stay shared and their flow-key memos survive. Changed
-    /// packets take one [`Packet::data_mut`] (CoW clone + memo
+    /// packets take one [`Packet::data_mut`](crate::Packet::data_mut) (CoW clone + memo
     /// invalidation, exactly like the per-packet setters) and receive
     /// per-field updates in the canonical order src IP, dst IP, src
     /// port, dst port, TTL. A zero UDP checksum is left untouched

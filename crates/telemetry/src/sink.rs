@@ -1,9 +1,9 @@
 //! Telemetry sinks, the shared handle, and the per-run session.
 //!
 //! The flow is: a [`Telemetry`] session is created from a
-//! [`TelemetryMode`](crate::TelemetryMode); instrumented code clones its
+//! [`TelemetryMode`]; instrumented code clones its
 //! cheap [`TelemetryHandle`] and obtains per-worker
-//! [`Recorder`](crate::Recorder)s from it; after parallel sections join,
+//! [`Recorder`]s from it; after parallel sections join,
 //! recorders are absorbed into the session's [`MemorySink`] in
 //! deterministic order; [`Telemetry::finish`] exports the sink (Chrome
 //! trace or Prometheus snapshot) and returns a [`TelemetrySummary`].

@@ -32,10 +32,22 @@ fn main() {
     let after_fw = fw_run.push_merged(fw.entry(), batch);
     println!("firewall: {} packets pass", after_fw.len());
 
-    // Stage 2: inline IDS drops signature hits.
+    // Stage 2: inline IDS drops signature hits — exactly the packets a
+    // naive substring search finds a default signature in.
     let ids = Nf::ids("ids");
     let mut ids_run = ids.graph().clone().compile().expect("ids compiles");
     let before = after_fw.len();
+    let sigs = Nf::default_ids_signatures();
+    let clean: Vec<u64> = after_fw
+        .iter()
+        .filter(|p| {
+            let payload = p.l4_payload().unwrap_or(&[]);
+            !sigs
+                .iter()
+                .any(|s| payload.windows(s.len()).any(|w| w == s))
+        })
+        .map(|p| p.meta.seq)
+        .collect();
     let after_ids = ids_run.push_merged(ids.entry(), after_fw);
     println!(
         "ids: dropped {} malicious of {} ({:.1}%)",
@@ -43,6 +55,8 @@ fn main() {
         before,
         (before - after_ids.len()) as f64 / before as f64 * 100.0
     );
+    let passed: Vec<u64> = after_ids.iter().map(|p| p.meta.seq).collect();
+    assert_eq!(passed, clean, "the IDS drops exactly the signature hits");
 
     // Stage 3: NAT to a public address, checksums fixed incrementally.
     let nat = Nf::nat("nat", [203, 0, 113, 1]);
@@ -124,6 +138,11 @@ fn main() {
          (signature was split across packets)",
         2 - survivors.len()
     );
+    assert_eq!(
+        survivors.len(),
+        1,
+        "stream-ids drops the completing segment"
+    );
     println!("pipeline OK");
 }
 
@@ -131,6 +150,3 @@ fn verify_ip_checksum(p: &nfc_packet::Packet) -> bool {
     let hdr = &p.data()[14..34];
     nfc_packet::checksum::fold(nfc_packet::checksum::sum(hdr, 0)) == 0xFFFF
 }
-
-#[allow(dead_code)]
-fn unused(_: &Batch) {}
