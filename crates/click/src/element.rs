@@ -128,13 +128,6 @@ pub enum Offload {
     },
 }
 
-impl Offload {
-    /// True for [`Offload::Offloadable`].
-    pub fn is_offloadable(&self) -> bool {
-        matches!(self, Offload::Offloadable { .. })
-    }
-}
-
 /// Structural identity of an element used for redundancy elimination: two
 /// elements with equal signatures compute the same function on every packet
 /// and may be de-duplicated by the NF synthesizer.
@@ -451,14 +444,5 @@ mod tests {
     fn config_hash_distinguishes_configs() {
         assert_ne!(config_hash(b"acl-200"), config_hash(b"acl-1000"));
         assert_eq!(config_hash(b"same"), config_hash(b"same"));
-    }
-
-    #[test]
-    fn offload_predicate() {
-        assert!(!Offload::CpuOnly.is_offloadable());
-        assert!(Offload::Offloadable {
-            kernel: KernelClass::Crypto
-        }
-        .is_offloadable());
     }
 }

@@ -27,26 +27,16 @@ pub struct RebalanceConfig {
 }
 
 impl RebalanceConfig {
-    /// Live rebalancing with rack defaults: 16-batch epochs, trip at
-    /// 25 % above mean for 2 consecutive epochs, 2-epoch cooldown, one
-    /// vnode per move.
-    pub fn default_rack() -> Self {
-        RebalanceConfig {
-            epoch_batches: 16,
-            imbalance_threshold: 1.25,
-            hysteresis_epochs: 2,
-            cooldown_epochs: 2,
-            vnodes_per_move: 1,
-        }
-    }
-
     /// Observation only: epochs tick and loads are rolled up, but no
     /// move is ever suggested (the static-map baseline and the N=1
     /// differential oracle).
     pub fn disabled() -> Self {
         RebalanceConfig {
+            epoch_batches: 16,
             imbalance_threshold: f64::INFINITY,
-            ..RebalanceConfig::default_rack()
+            hysteresis_epochs: 2,
+            cooldown_epochs: 2,
+            vnodes_per_move: 1,
         }
     }
 

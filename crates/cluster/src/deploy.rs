@@ -7,9 +7,8 @@
 //! re-merged in packet-sequence order, so per-flow order is preserved
 //! by construction. *Temporally*, every machine's CPU cores, GPU
 //! queues and PCIe links register with ONE shared [`PipelineSim`], and
-//! shard hand-offs, chain-segment hops and state migrations are
-//! charged on per-server link resources exactly like DMA is charged on
-//! `pcie-h2d` inside a box.
+//! shard hand-offs and state migrations are charged on per-server link
+//! resources exactly like DMA is charged on `pcie-h2d` inside a box.
 //!
 //! Two proof obligations anchor the design (tested in
 //! `tests/cluster_differential.rs`):
@@ -33,7 +32,6 @@ use nfc_packet::Batch;
 use nfc_telemetry::{EventKind, Telemetry, TelemetrySummary};
 
 use crate::balance::{ClusterController, RebalanceConfig};
-use crate::place::{place_chain, NfWeight, PlacementMode};
 use crate::ring::{HashRing, ShardRange, FLOW_SPACE};
 
 /// MTU used to convert migrated state bytes into link packets.
@@ -48,15 +46,13 @@ pub struct ClusterSpec {
     pub link: LinkSpec,
     /// Virtual ring nodes per server (shard granularity).
     pub vnodes_per_server: usize,
-    /// How the chain maps onto the rack.
-    pub mode: PlacementMode,
     /// Live shard rebalancing policy (disabled = static map).
     pub rebalance: RebalanceConfig,
 }
 
 impl ClusterSpec {
     /// `n` identical Table-I servers on a 40 GbE rack link, 64 vnodes
-    /// each, shard placement, static map.
+    /// each, static map.
     ///
     /// # Panics
     ///
@@ -67,33 +63,8 @@ impl ClusterSpec {
             servers: vec![PlatformConfig::hpca18(); n],
             link: LinkSpec::rack_40g(),
             vnodes_per_server: 64,
-            mode: PlacementMode::Shard,
             rebalance: RebalanceConfig::disabled(),
         }
-    }
-
-    /// Replaces the inter-server link model.
-    pub fn with_link(mut self, link: LinkSpec) -> Self {
-        self.link = link;
-        self
-    }
-
-    /// Appends a (possibly different) server platform.
-    pub fn with_server(mut self, platform: PlatformConfig) -> Self {
-        self.servers.push(platform);
-        self
-    }
-
-    /// Sets the shard granularity (vnodes per server).
-    pub fn with_vnodes(mut self, vnodes: usize) -> Self {
-        self.vnodes_per_server = vnodes.max(1);
-        self
-    }
-
-    /// Selects the placement mode.
-    pub fn with_mode(mut self, mode: PlacementMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Arms (or re-tunes) live shard rebalancing.
@@ -119,8 +90,8 @@ pub struct ClusterOutcome {
     /// Aggregate temporal report (cluster-level completions: a batch
     /// completes when its slowest shard clears the egress link).
     pub report: SimReport,
-    /// Per-server outcomes (per-segment in [`PlacementMode::Segment`]),
-    /// each with its own temporal report and per-element statistics.
+    /// Per-server outcomes, each with its own temporal report and
+    /// per-element statistics.
     pub per_server: Vec<RunOutcome>,
     /// Packets that left the cluster.
     pub egress_packets: u64,
@@ -130,10 +101,7 @@ pub struct ClusterOutcome {
     pub rebalances: u64,
     /// Stateful-NF bytes migrated over the links by those moves.
     pub migrated_bytes: u64,
-    /// NF index → server assignment ([`PlacementMode::Segment`]; empty
-    /// in shard mode, where every server runs the full chain).
-    pub placement: Vec<usize>,
-    /// Final shard map (empty in segment mode).
+    /// Final shard map.
     pub shard_map: Vec<ShardRange>,
     /// End-of-run telemetry digest (`None` when telemetry is off).
     pub telemetry: Option<TelemetrySummary>,
@@ -148,24 +116,15 @@ struct ServerLinks {
 /// One SFC deployed across a [`ClusterSpec`] rack.
 pub struct ClusterDeployment {
     spec: ClusterSpec,
-    /// One deployment per server (shard) or per chain segment (segment).
+    /// One full-chain deployment per server.
     tenants: Vec<Deployment>,
-    /// Server hosting each tenant (identity in shard mode).
-    tenant_servers: Vec<usize>,
-    /// NF → server assignment (segment mode; empty in shard mode).
-    placement: Vec<usize>,
 }
 
 impl ClusterDeployment {
-    /// Deploys `sfc` under `policy` across the rack. `configure` is
-    /// applied to every per-server [`Deployment`] (batch size, exec
-    /// mode, telemetry, …) so the N=1 differential can build the cluster
-    /// and its oracle from the same closure.
-    ///
-    /// In [`PlacementMode::Segment`] the chain is first min-cut into
-    /// contiguous per-server segments ([`place_chain`]) using per-NF
-    /// element counts as compute weights and core-capacity as the
-    /// balance bias; each segment becomes its own sub-chain deployment.
+    /// Deploys `sfc` under `policy` on every server of the rack.
+    /// `configure` is applied to every per-server [`Deployment`] (batch
+    /// size, exec mode, telemetry, …) so the N=1 differential can build
+    /// the cluster and its oracle from the same closure.
     ///
     /// # Panics
     ///
@@ -177,82 +136,23 @@ impl ClusterDeployment {
         configure: impl Fn(Deployment) -> Deployment,
     ) -> Self {
         assert!(!spec.is_empty(), "a cluster needs at least one server");
-        match spec.mode {
-            PlacementMode::Shard => {
-                let tenants: Vec<Deployment> = spec
-                    .servers
-                    .iter()
-                    .map(|p| {
-                        configure(Deployment::with_model(
-                            sfc.clone(),
-                            policy,
-                            CostModel::new(*p),
-                        ))
-                    })
-                    .collect();
-                let tenant_servers = (0..tenants.len()).collect();
-                ClusterDeployment {
-                    spec,
-                    tenants,
-                    tenant_servers,
-                    placement: Vec::new(),
-                }
-            }
-            PlacementMode::Segment => {
-                let weights: Vec<NfWeight> = sfc
-                    .nfs()
-                    .iter()
-                    .map(|nf| NfWeight {
-                        compute: nf.graph().node_count() as f64,
-                        edge_bytes: MIGRATION_MTU as f64,
-                    })
-                    .collect();
-                let capacities: Vec<f64> = spec
-                    .servers
-                    .iter()
-                    .map(|p| (p.cpu.sockets * p.cpu.cores_per_socket) as f64 * p.cpu.freq_ghz)
-                    .collect();
-                let placement = place_chain(&weights, spec.len(), &capacities, &spec.link);
-                // Group the (contiguous, monotone) assignment into
-                // per-server sub-chains.
-                let mut tenants = Vec::new();
-                let mut tenant_servers = Vec::new();
-                let mut start = 0usize;
-                while start < placement.len() {
-                    let server = placement[start];
-                    let end = placement[start..]
-                        .iter()
-                        .position(|&s| s != server)
-                        .map(|off| start + off)
-                        .unwrap_or(placement.len());
-                    let seg_nfs = sfc.nfs()[start..end].to_vec();
-                    let seg_sfc = Sfc::new(format!("{}-seg{}", sfc.name(), tenants.len()), seg_nfs);
-                    tenants.push(configure(Deployment::with_model(
-                        seg_sfc,
-                        policy,
-                        CostModel::new(spec.servers[server]),
-                    )));
-                    tenant_servers.push(server);
-                    start = end;
-                }
-                ClusterDeployment {
-                    spec,
-                    tenants,
-                    tenant_servers,
-                    placement,
-                }
-            }
-        }
+        let tenants = spec
+            .servers
+            .iter()
+            .map(|p| {
+                configure(Deployment::with_model(
+                    sfc.clone(),
+                    policy,
+                    CostModel::new(*p),
+                ))
+            })
+            .collect();
+        ClusterDeployment { spec, tenants }
     }
 
     /// The rack description.
     pub fn spec(&self) -> &ClusterSpec {
         &self.spec
-    }
-
-    /// NF → server assignment (empty in shard mode).
-    pub fn placement(&self) -> &[usize] {
-        &self.placement
     }
 
     /// Runs `n_batches` batches from `traffic` across the rack.
@@ -268,12 +168,7 @@ impl ClusterDeployment {
         traffic: &mut TrafficGenerator,
         n_batches: usize,
     ) -> (ClusterOutcome, Vec<Batch>) {
-        match self.spec.mode {
-            PlacementMode::Shard => {
-                self.run_sharded(std::slice::from_mut(traffic), n_batches, true, &[])
-            }
-            PlacementMode::Segment => self.run_segmented(traffic, n_batches, true),
-        }
+        self.run_sharded(std::slice::from_mut(traffic), n_batches, true, &[])
     }
 
     /// Runs a sequence of traffic *phases* on one continuous timeline
@@ -283,42 +178,28 @@ impl ClusterDeployment {
     ///
     /// # Panics
     ///
-    /// Panics if `phases` is empty, or in segment mode.
+    /// Panics if `phases` is empty.
     pub fn run_phased(
         &mut self,
         phases: &mut [TrafficGenerator],
         batches_per_phase: usize,
     ) -> ClusterOutcome {
         assert!(!phases.is_empty(), "need at least one phase");
-        assert_eq!(
-            self.spec.mode,
-            PlacementMode::Shard,
-            "phased traffic needs shard placement"
-        );
         self.run_sharded(phases, batches_per_phase, false, &[]).0
     }
 
-    /// Shard-mode run with a *forced* rebalance schedule: before batch
-    /// `i`, each `(i, from, to)` entry moves one ring vnode from `from`
-    /// to `to` through the full two-phase swap (state migration charged
-    /// over the links, flow caches invalidated on both ends). The
+    /// Run with a *forced* rebalance schedule: before batch `i`, each
+    /// `(i, from, to)` entry moves one ring vnode from `from` to `to`
+    /// through the full two-phase swap (state migration charged over the
+    /// links, flow caches invalidated on both ends). The
     /// order-preservation proptest drives arbitrary schedules through
     /// this; the live controller path shares the same apply code.
-    ///
-    /// # Panics
-    ///
-    /// Panics in segment mode (rebalancing is a shard-mode concept).
     pub fn run_with_moves(
         &mut self,
         traffic: &mut TrafficGenerator,
         n_batches: usize,
         moves: &[(usize, u32, u32)],
     ) -> (ClusterOutcome, Vec<Batch>) {
-        assert_eq!(
-            self.spec.mode,
-            PlacementMode::Shard,
-            "forced shard moves need shard placement"
-        );
         self.run_sharded(std::slice::from_mut(traffic), n_batches, true, moves)
     }
 
@@ -794,136 +675,7 @@ impl ClusterDeployment {
             egress_bytes,
             rebalances,
             migrated_bytes,
-            placement: Vec::new(),
             shard_map: ring.shard_map(),
-            telemetry: tel.finish(),
-        };
-        (outcome, egress)
-    }
-
-    fn run_segmented(
-        &mut self,
-        traffic: &mut TrafficGenerator,
-        n_batches: usize,
-        collect: bool,
-    ) -> (ClusterOutcome, Vec<Batch>) {
-        let k = self.tenants.len();
-        let tel = Telemetry::new(self.tenants[0].telemetry.clone());
-        let handle = tel.handle();
-        let mut sim = PipelineSim::new();
-        sim.set_recorder(handle.recorder());
-        let mut user_base = 1u64;
-        let mut res = Vec::with_capacity(k);
-        let mut preps = Vec::with_capacity(k);
-        let mut links = Vec::with_capacity(k);
-        for (t, dep) in self.tenants.iter_mut().enumerate() {
-            let server = self.tenant_servers[t];
-            let (r, p, l) =
-                Self::prepare_server(dep, &mut sim, traffic, &mut user_base, &handle, server);
-            res.push(r);
-            preps.push(p);
-            links.push(l);
-        }
-        let batch_size = self.tenants[0].batch_size;
-        let mut cluster_stats = StatsAccumulator::new();
-        let mut seg_stats: Vec<StatsAccumulator> =
-            (0..k).map(|_| StatsAccumulator::new()).collect();
-        let mut egress = Vec::new();
-        let (mut egress_packets, mut egress_bytes) = (0u64, 0u64);
-        for _ in 0..n_batches {
-            let batch = traffic.batch(batch_size);
-            let first = batch.get(0).map(|p| p.meta.arrival_ns).unwrap_or(0) as f64;
-            let last = batch.iter().last().map(|p| p.meta.arrival_ns).unwrap_or(0) as f64;
-            let mean_arrival = (first + last) / 2.0;
-            let mut cur = Some(batch);
-            let mut prev_done = 0f64;
-            for t in 0..k {
-                let mut input = match cur.take() {
-                    Some(b) if !b.is_empty() => b,
-                    other => {
-                        cur = other;
-                        break;
-                    }
-                };
-                if t > 0 {
-                    // Segment hop: the survivors ship to the next
-                    // server; arrivals shift up to wire delivery.
-                    let (_, delivered) = Self::charge_link(
-                        &mut sim,
-                        &self.spec.link,
-                        links[t].rx,
-                        prev_done,
-                        input.len(),
-                        input.total_bytes(),
-                    );
-                    let delivered_ns = delivered.ceil() as u64;
-                    for i in 0..input.len() {
-                        if let Some(p) = input.get_mut(i) {
-                            if p.meta.arrival_ns < delivered_ns {
-                                p.meta.arrival_ns = delivered_ns;
-                            }
-                        }
-                    }
-                }
-                match preps[t].process_batch(&mut sim, &res[t], input) {
-                    BatchResult::Completed {
-                        mean_arrival: seg_arrival,
-                        completed,
-                        out,
-                    } => {
-                        seg_stats[t].record_completion(
-                            seg_arrival,
-                            completed,
-                            out.len(),
-                            out.total_bytes(),
-                        );
-                        prev_done = completed;
-                        cur = Some(out);
-                    }
-                    BatchResult::Dropped {
-                        mean_arrival: seg_arrival,
-                    } => {
-                        seg_stats[t].record_drop(seg_arrival);
-                        break;
-                    }
-                }
-            }
-            match cur {
-                None => cluster_stats.record_drop(mean_arrival),
-                Some(out) => {
-                    let done = prev_done.max(mean_arrival);
-                    handle.observe_ns("batch_latency_ns", done - mean_arrival);
-                    egress_packets += out.len() as u64;
-                    egress_bytes += out.total_bytes() as u64;
-                    cluster_stats.record_completion(
-                        mean_arrival,
-                        done,
-                        out.len(),
-                        out.total_bytes(),
-                    );
-                    if collect {
-                        egress.push(out);
-                    }
-                }
-            }
-        }
-        if let Some(rec) = sim.take_recorder() {
-            handle.absorb(rec);
-        }
-        let per_server: Vec<RunOutcome> = preps
-            .into_iter()
-            .zip(seg_stats)
-            .map(|(p, s)| p.into_outcome(s.report()))
-            .collect();
-        let outcome = ClusterOutcome {
-            report: cluster_stats.report(),
-            per_server,
-            egress_packets,
-            egress_bytes,
-            rebalances: 0,
-            migrated_bytes: 0,
-            placement: self.placement.clone(),
-            shard_map: Vec::new(),
             telemetry: tel.finish(),
         };
         (outcome, egress)

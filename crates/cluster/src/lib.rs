@@ -7,12 +7,8 @@
 //! serialization are charged on the same simulated timeline as
 //! everything else.
 //!
-//! The crate answers three questions:
+//! Every server runs the full chain; the crate answers two questions:
 //!
-//! * **Where does the chain run?** [`place_chain`] min-cuts the SFC
-//!   across servers (via `nfc-graphpart`'s max-flow solver) in
-//!   [`PlacementMode::Segment`], or replicates it everywhere in
-//!   [`PlacementMode::Shard`].
 //! * **Which server owns which flow?** A consistent-hash [`HashRing`]
 //!   shards the 32-bit flow-hash space so stateful NFs stay sticky:
 //!   every packet of a flow lands on the server holding its state.
@@ -33,10 +29,8 @@
 
 pub mod balance;
 pub mod deploy;
-pub mod place;
 pub mod ring;
 
 pub use balance::{ClusterController, RebalanceConfig, ShardMove};
 pub use deploy::{ClusterDeployment, ClusterOutcome, ClusterSpec};
-pub use place::{place_chain, NfWeight, PlacementMode};
 pub use ring::{HashRing, ShardRange, FLOW_SPACE};

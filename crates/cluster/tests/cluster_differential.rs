@@ -1,8 +1,8 @@
 //! Differential proof obligations for the cluster runtime:
 //!
-//! 1. An N=1 cluster (shard or segment mode) is *byte-identical* to the
-//!    plain single-box [`Deployment`] oracle — same egress bytes, same
-//!    packet order, same per-element statistics, same egress counters.
+//! 1. An N=1 cluster is *byte-identical* to the plain single-box
+//!    [`Deployment`] oracle — same egress bytes, same packet order, same
+//!    simulated report, same per-element statistics and counters.
 //! 2. At any N, flow-space sharding preserves per-flow packet order and
 //!    loses nothing — including under *arbitrary* forced rebalance
 //!    schedules (proptested), where state migrates between servers
@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use nfc_cluster::{ClusterDeployment, ClusterSpec, PlacementMode, RebalanceConfig};
+use nfc_cluster::{ClusterDeployment, ClusterSpec, RebalanceConfig};
 use nfc_core::{Deployment, Policy, Sfc};
 use nfc_nf::Nf;
 use nfc_packet::traffic::{FlowSpec, PayloadPolicy, SizeDist, TrafficGenerator, TrafficSpec};
@@ -61,62 +61,37 @@ fn assert_per_flow_order(egress: &[Batch], label: &str) {
     }
 }
 
-/// Asserts two egress streams carry the same packets in the same order
-/// (payload bytes and sequence numbers). Unlike full [`Batch`] equality
-/// this ignores `arrival_ns`, which link hops legitimately shift.
-fn assert_same_payloads(a: &[Batch], b: &[Batch], label: &str) {
-    assert_eq!(a.len(), b.len(), "{label}: egress batch counts differ");
-    for (i, (ba, bb)) in a.iter().zip(b).enumerate() {
-        assert_eq!(ba.len(), bb.len(), "{label}: batch {i} sizes differ");
-        for (pa, pb) in ba.iter().zip(bb.iter()) {
-            assert_eq!(pa.meta.seq, pb.meta.seq, "{label}: batch {i} order");
-            assert_eq!(pa.data(), pb.data(), "{label}: batch {i} payload");
-        }
-    }
-}
-
-fn assert_matches_oracle(mode: PlacementMode, label: &str) {
-    let spec = ClusterSpec::uniform(1).with_mode(mode);
+#[test]
+fn n1_shard_cluster_is_byte_identical_to_the_single_box_oracle() {
+    let spec = ClusterSpec::uniform(1);
     let mut cluster = ClusterDeployment::build(spec, &sfc(), Policy::nfcompass(), configure);
     let (outcome, egress) = cluster.run_collect(&mut traffic(7), 60);
 
     let mut oracle = configure(Deployment::new(sfc(), Policy::nfcompass()));
     let (oracle_out, oracle_egress) = oracle.run_collect(&mut traffic(7), 60);
 
+    assert_eq!(oracle_out.report.dropped_batches, 0, "oracle dropped");
+    assert_eq!(egress, oracle_egress, "egress must be byte-identical");
+    // The whole simulated report, at the cluster level and for the one
+    // server.
+    assert_eq!(outcome.report, oracle_out.report);
+    let server = &outcome.per_server[0];
+    assert_eq!(server.report, oracle_out.report);
     assert_eq!(
-        oracle_out.report.dropped_batches, 0,
-        "{label}: oracle dropped"
+        server.stage_stats, oracle_out.stage_stats,
+        "per-element statistics must match"
     );
+    assert_eq!(server.stage_offloads, oracle_out.stage_offloads);
+    assert_eq!(server.flow_cache, oracle_out.flow_cache);
     assert_eq!(
-        outcome.report.dropped_batches, 0,
-        "{label}: cluster dropped"
+        (server.width, server.effective_length),
+        (oracle_out.width, oracle_out.effective_length)
     );
+    assert_eq!(server.merge_conflicts, oracle_out.merge_conflicts);
     assert_eq!(
-        egress, oracle_egress,
-        "{label}: egress must be byte-identical"
+        (outcome.egress_packets, outcome.egress_bytes),
+        (oracle_out.egress_packets, oracle_out.egress_bytes)
     );
-    assert_eq!(
-        outcome.per_server[0].stage_stats, oracle_out.stage_stats,
-        "{label}: per-element statistics must match"
-    );
-    assert_eq!(outcome.egress_packets, oracle_out.egress_packets, "{label}");
-    assert_eq!(outcome.egress_bytes, oracle_out.egress_bytes, "{label}");
-    assert_eq!(
-        outcome.per_server[0].merge_conflicts, oracle_out.merge_conflicts,
-        "{label}"
-    );
-    assert_eq!(outcome.report.packets, oracle_out.report.packets, "{label}");
-    assert_eq!(outcome.report.bytes, oracle_out.report.bytes, "{label}");
-}
-
-#[test]
-fn n1_shard_cluster_is_byte_identical_to_the_single_box_oracle() {
-    assert_matches_oracle(PlacementMode::Shard, "shard");
-}
-
-#[test]
-fn n1_segment_cluster_is_byte_identical_to_the_single_box_oracle() {
-    assert_matches_oracle(PlacementMode::Segment, "segment");
 }
 
 #[test]
@@ -140,33 +115,6 @@ fn sharded_cluster_preserves_per_flow_order_and_loses_nothing() {
         .filter(|o| o.egress_packets > 0)
         .count();
     assert!(active > 1, "sharding should engage multiple servers");
-}
-
-#[test]
-fn segment_cluster_is_byte_identical_at_n2() {
-    // Segment mode routes EVERY packet through every segment in chain
-    // order, so its functional path is the single box's regardless of N
-    // (state included: each NF lives on exactly one server). Only the
-    // warm-up draw differs per tenant, so compare two segment runs of
-    // different rack shapes batch-for-batch instead of against the
-    // single-box oracle: identical chains, identical measured traffic.
-    let mk = |n: usize| {
-        let spec = ClusterSpec::uniform(n).with_mode(PlacementMode::Segment);
-        let mut c = ClusterDeployment::build(spec, &sfc(), Policy::nfcompass(), |d| {
-            let mut d = configure(d);
-            d.warmup_batches = 0;
-            d
-        });
-        c.run_collect(&mut traffic(13), 40)
-    };
-    let (out1, egress1) = mk(1);
-    let (out2, egress2) = mk(2);
-    assert_eq!(out1.report.dropped_batches, 0);
-    assert_eq!(out2.report.dropped_batches, 0);
-    assert_same_payloads(&egress1, &egress2, "segment egress must not depend on N");
-    assert_eq!(out1.egress_packets, out2.egress_packets);
-    assert_eq!(out1.egress_bytes, out2.egress_bytes);
-    assert_eq!(out2.placement.len(), sfc().len());
 }
 
 #[test]

@@ -2220,13 +2220,7 @@ impl PreparedSfc {
                 if applied {
                     let was = stage.plan.ratios.iter().any(|&r| r > 0.0);
                     let will = plan.ratios.iter().any(|&r| r > 0.0);
-                    let gpu = match mode {
-                        GpuMode::Persistent => match stage.residency {
-                            Some(slot) => res.gpu_queues[slot.device % res.gpu_queues.len()],
-                            None => res.gpu_queues[(stage.user as usize) % res.gpu_queues.len()],
-                        },
-                        GpuMode::LaunchPerBatch => res.gpu_queues[0],
-                    };
+                    let gpu = stage_gpu_queue(stage, &res.gpu_queues);
                     let mut t = now;
                     if was {
                         t = sim.schedule(gpu, t, stage.model.kernel_teardown_ns(), stage.user);
@@ -2519,6 +2513,21 @@ struct StageReplay {
     gpu: Option<[(f64, f64); 3]>,
 }
 
+/// The GPU queue a stage's kernels run on. Persistent kernels run on the
+/// device the residency pass placed them on (one queue per device);
+/// launch-per-batch kernels run in the default stream and serialize the
+/// whole device — the root of the paper's aggregated offloading
+/// overhead (Figure 7).
+fn stage_gpu_queue(stage: &StageExec, gpu_queues: &[ResourceId]) -> ResourceId {
+    match stage.mode {
+        GpuMode::Persistent => match stage.residency {
+            Some(slot) => gpu_queues[slot.device % gpu_queues.len()],
+            None => gpu_queues[(stage.user as usize) % gpu_queues.len()],
+        },
+        GpuMode::LaunchPerBatch => gpu_queues[0],
+    }
+}
+
 /// Replays one stage's charge onto the shared simulator, returning the
 /// placed spans and the stage completion time.
 fn replay_stage(
@@ -2533,17 +2542,7 @@ fn replay_stage(
     let model = stage.model;
     let cpu = sim.schedule_span(stage.cpu_res, t, charge.cpu_ns, stage.user);
     if charge.any_offload {
-        // Persistent kernels run on the device the residency pass placed
-        // them on (one queue per device); launch-per-batch kernels run
-        // in the default stream and serialize the whole device — the
-        // root of the paper's aggregated offloading overhead (Figure 7).
-        let gpu = match stage.mode {
-            GpuMode::Persistent => match stage.residency {
-                Some(slot) => gpu_queues[slot.device % gpu_queues.len()],
-                None => gpu_queues[(stage.user as usize) % gpu_queues.len()],
-            },
-            GpuMode::LaunchPerBatch => gpu_queues[0],
-        };
+        let gpu = stage_gpu_queue(stage, gpu_queues);
         // Co-residency pressure: kernel time stretches once the hosting
         // device's SM slots pass half utilization.
         let kernel_ns = charge.kernel_ns * stage.residency.map_or(1.0, |s| s.pressure);

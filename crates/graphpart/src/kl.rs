@@ -100,11 +100,6 @@ pub fn refine_partition_traced(
     part
 }
 
-/// [`refine_partition_traced`] without telemetry.
-pub fn refine_partition(g: &PartGraph, warm: &Partition, opts: KlOptions) -> Partition {
-    refine_partition_traced(g, warm, opts, &mut Recorder::disabled())
-}
-
 fn multilevel(g: &PartGraph, opts: &KlOptions, depth: usize, rec: &mut Recorder) -> Partition {
     if g.len() <= opts.coarsen_to || depth > 20 {
         return partition_flat_traced(g, *opts, rec);
@@ -464,16 +459,19 @@ mod tests {
         let obj = Objective::default();
         // Stale warm start: everything on the CPU (e.g. the plan from a
         // no-offload traffic mix). Refinement must recover the offload.
+        let refine = |warm: &Partition| {
+            refine_partition_traced(&g, warm, KlOptions::default(), &mut Recorder::disabled())
+        };
         let warm = Partition::all(g.len(), Side::Cpu);
-        let refined = refine_partition(&g, &warm, KlOptions::default());
+        let refined = refine(&warm);
         assert!(refined.respects_pins(&g));
         assert!(obj.cost(&g, &refined) <= obj.cost(&g, &warm));
         assert_eq!(refined.side(1), Side::Gpu);
         // Warm-starting from the optimum keeps it.
-        let again = refine_partition(&g, &refined, KlOptions::default());
+        let again = refine(&refined);
         assert_eq!(obj.cost(&g, &again), obj.cost(&g, &refined));
         // A wrong-length warm partition falls back to a greedy seed.
-        let fallback = refine_partition(&g, &Partition(Vec::new()), KlOptions::default());
+        let fallback = refine(&Partition(Vec::new()));
         assert!(fallback.respects_pins(&g));
     }
 

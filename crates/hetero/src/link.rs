@@ -1,7 +1,7 @@
 //! Inter-server link cost model for the simulated rack.
 //!
-//! A cluster deployment cuts one SFC across several servers; every
-//! batch shard that crosses a machine boundary pays for the wire the
+//! A cluster deployment shards one SFC's flows across several servers;
+//! every batch shard that crosses a machine boundary pays for the wire the
 //! same way a GPU offload pays for PCIe today: a serialization cost
 //! proportional to bytes, a per-packet framing cost, and a fixed
 //! propagation/NIC latency. The cost is *charged on the simulated
@@ -24,16 +24,6 @@ pub struct LinkSpec {
 }
 
 impl LinkSpec {
-    /// Top-of-rack 10 GbE: 1.5 µs one-way latency, 50 ns/packet
-    /// serialization.
-    pub fn rack_10g() -> Self {
-        LinkSpec {
-            bandwidth_gbps: 10.0,
-            latency_ns: 1_500.0,
-            per_packet_ns: 50.0,
-        }
-    }
-
     /// Top-of-rack 40 GbE: 1.2 µs one-way latency, 30 ns/packet
     /// serialization.
     pub fn rack_40g() -> Self {
@@ -62,25 +52,29 @@ mod tests {
 
     #[test]
     fn empty_shard_is_free() {
-        assert_eq!(LinkSpec::rack_10g().transfer_ns(0, 0), 0.0);
+        assert_eq!(LinkSpec::rack_40g().transfer_ns(0, 0), 0.0);
         assert_eq!(LinkSpec::rack_40g().transfer_ns(0, 4096), 0.0);
     }
 
     #[test]
     fn transfer_charges_latency_framing_and_wire_time() {
-        let link = LinkSpec::rack_10g();
-        // 64 packets x 1500 B at 10 Gbps: 96000 b / 10 Gbps = 9600 ns
-        // wire, 64 x 50 = 3200 ns framing, 1500 ns latency... recompute:
-        // 64 * 1500 * 8 = 768000 bits / 10 = 76800 ns.
+        let link = LinkSpec::rack_40g();
+        // 64 packets x 1500 B at 40 Gbps: 768000 bits / 40 = 19200 ns
+        // wire, 64 x 30 = 1920 ns framing, 1200 ns latency.
         let got = link.transfer_ns(64, 64 * 1500);
-        let want = 1_500.0 + 64.0 * 50.0 + 76_800.0;
+        let want = 1_200.0 + 64.0 * 30.0 + 19_200.0;
         assert!((got - want).abs() < 1e-9, "got {got}, want {want}");
     }
 
     #[test]
     fn faster_link_is_cheaper_for_bulk() {
         let bulk = 256 * 1500;
-        let slow = LinkSpec::rack_10g().transfer_ns(256, bulk);
+        let ten_g = LinkSpec {
+            bandwidth_gbps: 10.0,
+            latency_ns: 1_500.0,
+            per_packet_ns: 50.0,
+        };
+        let slow = ten_g.transfer_ns(256, bulk);
         let fast = LinkSpec::rack_40g().transfer_ns(256, bulk);
         assert!(fast < slow);
     }

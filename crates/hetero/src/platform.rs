@@ -18,11 +18,6 @@ pub struct CpuSpec {
 }
 
 impl CpuSpec {
-    /// Total physical cores.
-    pub fn total_cores(&self) -> usize {
-        self.sockets * self.cores_per_socket
-    }
-
     /// Nanoseconds per cycle.
     pub fn ns_per_cycle(&self) -> f64 {
         1.0 / self.freq_ghz
@@ -106,11 +101,6 @@ impl PlatformConfig {
             },
         }
     }
-
-    /// Total offered line rate the testbed can absorb, Gbps.
-    pub fn line_rate_gbps(&self) -> f64 {
-        self.nic.ports as f64 * self.nic.gbps_per_port
-    }
 }
 
 impl Default for PlatformConfig {
@@ -126,10 +116,10 @@ mod tests {
     #[test]
     fn table1_constants() {
         let p = PlatformConfig::hpca18();
-        assert_eq!(p.cpu.total_cores(), 24);
+        assert_eq!((p.cpu.sockets, p.cpu.cores_per_socket), (4, 6));
         assert!((p.cpu.ns_per_cycle() - 0.5263).abs() < 1e-3);
         assert_eq!(p.gpu.count, 2);
         assert_eq!(p.gpu.cuda_cores, 3072);
-        assert_eq!(p.line_rate_gbps(), 40.0);
+        assert_eq!((p.nic.ports, p.nic.gbps_per_port), (4, 10.0));
     }
 }

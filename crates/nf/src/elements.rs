@@ -755,11 +755,6 @@ impl FirewallFilter {
         self.denied
     }
 
-    /// Number of rules (for cost models).
-    pub fn rule_count(&self) -> usize {
-        self.acl.len()
-    }
-
     /// Whether `p` matches a deny rule, from its parsed headers
     /// (anything without a 5-tuple is denied).
     fn denies_packet(&self, p: &Packet) -> bool {

@@ -224,11 +224,6 @@ impl Dir24_8 {
         }
         out
     }
-
-    /// Memory footprint in bytes (for the DESIGN.md substrate notes).
-    pub fn memory_bytes(&self) -> usize {
-        (self.tbl1.len() + self.tbl2.len()) * 4
-    }
 }
 
 /// A route: IPv6 `prefix/len -> next_hop`.
@@ -346,11 +341,6 @@ impl WaldvogelV6 {
             }
         }
         best
-    }
-
-    /// Worst-case number of hash probes for this table.
-    pub fn max_probes(&self) -> u32 {
-        (self.lens.len() as f64).log2().ceil() as u32 + 1
     }
 
     /// Oracle linear-scan lookup used by tests.
@@ -537,7 +527,6 @@ mod tests {
             })
             .collect();
         let w = WaldvogelV6::build(&routes);
-        assert!(w.max_probes() <= 7);
         for _ in 0..2000 {
             // Probe near route prefixes to exercise matches.
             let r = routes[rng.gen_range(0..routes.len())];
@@ -552,12 +541,5 @@ mod tests {
             let addr2: u128 = rng.gen();
             assert_eq!(w.lookup(addr2), WaldvogelV6::lookup_linear(&routes, addr2));
         }
-    }
-
-    #[test]
-    fn dir_memory_accounting() {
-        let routes = vec![r4([10, 0, 0, 0], 8, 1)];
-        let d = Dir24_8::from_routes(&routes, 16);
-        assert_eq!(d.memory_bytes(), (1 << 16) * 4);
     }
 }

@@ -252,20 +252,6 @@ impl Batch {
             lanes_memo: None,
         }
     }
-
-    /// Splits off the first `n` packets into a new batch (used to carve
-    /// offload fractions: `n = ratio * len` packets go to the GPU).
-    pub fn split_off_front(&mut self, n: usize) -> Batch {
-        let n = n.min(self.pkts.len());
-        let rest = self.pkts.split_off(n);
-        let front = std::mem::replace(&mut self.pkts, rest);
-        self.lanes_memo = None;
-        Batch {
-            pkts: front,
-            lineage: self.lineage,
-            lanes_memo: None,
-        }
-    }
 }
 
 impl FromIterator<Packet> for Batch {
@@ -359,20 +345,6 @@ mod tests {
         let dropped = batch.retain(|p| p.meta.seq % 2 == 0);
         assert_eq!(dropped, 5);
         assert_eq!(batch.len(), 5);
-    }
-
-    #[test]
-    fn split_off_front_takes_prefix() {
-        let mut batch: Batch = (0..10).map(pkt).collect();
-        let front = batch.split_off_front(3);
-        assert_eq!(front.len(), 3);
-        assert_eq!(batch.len(), 7);
-        assert_eq!(front.get(0).unwrap().meta.seq, 0);
-        assert_eq!(batch.get(0).unwrap().meta.seq, 3);
-        // Oversized request takes everything.
-        let all = batch.split_off_front(100);
-        assert_eq!(all.len(), 7);
-        assert!(batch.is_empty());
     }
 
     #[test]

@@ -14,12 +14,6 @@ pub struct MacAddr(pub [u8; 6]);
 impl MacAddr {
     /// The broadcast address `ff:ff:ff:ff:ff:ff`.
     pub const BROADCAST: MacAddr = MacAddr([0xFF; 6]);
-
-    /// Returns true if the least-significant bit of the first octet is set
-    /// (group/multicast address).
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 1 == 1
-    }
 }
 
 impl std::fmt::Display for MacAddr {
@@ -561,12 +555,10 @@ mod tests {
     }
 
     #[test]
-    fn mac_display_and_multicast() {
+    fn mac_display() {
         assert_eq!(
             MacAddr([0xDE, 0xAD, 0, 0, 0, 1]).to_string(),
             "de:ad:00:00:00:01"
         );
-        assert!(MacAddr::BROADCAST.is_multicast());
-        assert!(!MacAddr([2, 0, 0, 0, 0, 0]).is_multicast());
     }
 }

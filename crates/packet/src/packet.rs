@@ -255,12 +255,6 @@ impl Packet {
         self.buf_mut()
     }
 
-    /// Consumes the packet, returning its buffer (cloning only if the
-    /// buffer is still shared with another packet).
-    pub fn into_bytes(self) -> Vec<u8> {
-        Arc::try_unwrap(self.buf).unwrap_or_else(|shared| shared.as_ref().clone())
-    }
-
     /// Parses the Ethernet header.
     ///
     /// # Errors
@@ -775,16 +769,6 @@ mod tests {
         let b = a.deep_clone();
         assert!(!a.shares_buffer(&b));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn into_bytes_on_shared_buffer_copies() {
-        let a = Packet::ipv4_udp([1, 2, 3, 4], [5, 6, 7, 8], 1, 2, b"payload");
-        let b = a.clone();
-        let bytes = b.into_bytes();
-        assert_eq!(bytes, a.data());
-        // `a` still owns a valid buffer.
-        assert_eq!(a.buffer_refcount(), 1);
     }
 
     #[test]

@@ -223,13 +223,6 @@ impl TrafficSpec {
         self.rate_gbps = rate;
         self
     }
-
-    /// Offered load in packets per second given the mean frame size
-    /// (20 bytes/frame of Ethernet preamble+IFG overhead included, as a
-    /// line-rate calculation would).
-    pub fn rate_pps(&self) -> f64 {
-        self.rate_gbps * 1e9 / ((self.size.mean() + 20.0) * 8.0)
-    }
 }
 
 #[derive(Debug, Clone)]

@@ -146,11 +146,6 @@ impl SloSpec {
     pub fn from_env() -> Option<SloSpec> {
         std::env::var(SLO_ENV).ok().and_then(|v| SloSpec::parse(&v))
     }
-
-    /// True when at least one objective is configured.
-    pub fn has_objectives(&self) -> bool {
-        self.p99_latency_ns > 0.0 || self.min_throughput_gbps > 0.0 || self.drop_budget > 0.0
-    }
 }
 
 /// One objective's burn state at an epoch boundary.
@@ -400,7 +395,6 @@ mod tests {
         assert_eq!(spec.drop_budget, 0.01);
         assert_eq!(spec.epoch_batches, 8);
         assert_eq!(spec.drift_threshold, 0.4);
-        assert!(spec.has_objectives());
 
         assert!(SloSpec::parse("").is_none());
         assert!(SloSpec::parse("off").is_none());
