@@ -1,22 +1,28 @@
 //! `nfc-trace`: inspect, validate and analyze Chrome-trace JSON files
 //! exported by the `nfc-telemetry` runtime (`NFC_TELEMETRY=trace.json`).
 //!
+//! Every subcommand first decodes the file strictly: each exported line
+//! turns back into the [`Event`] the exporter was given, or the command
+//! fails naming the event and the field. A missing or mistyped arg, an
+//! unknown event name, a name, category or phase that differs from what
+//! its [`EventKind`] exports, a negative or non-finite `ts`/`dur`, a
+//! simulated-timeline event without `args.wall_ns` and an SM occupancy
+//! above 100 % are all errors. Checks and reports then match on kinds.
+//!
 //! Subcommands:
 //!
-//! * `summary <trace.json>` — event totals, per-category counts, span
-//!   durations and the wall/sim timeline extents.
-//! * `validate <trace.json> [--require cat1,cat2,...]` — schema-check
-//!   every event, reject overlapping/non-monotonic simulated spans
-//!   within a `(track, name)` lane, spans ending before their start,
-//!   non-monotonic controller `epoch` markers, overlapping live swap
-//!   windows on one track, overlapping `link_transfer` spans per link
-//!   track, and cluster shard maps that fail to tile the 32-bit flow
-//!   space; exits non-zero on any violation, for CI smoke tests.
-//! * `prom <trace.json>` — re-derive a Prometheus-style text snapshot
-//!   from the trace's events.
+//! * `summary <trace.json>` — event totals, per-category counts, the
+//!   wall/sim timeline extents and one line per observability plane.
+//! * `validate <trace.json>... [--require cat1,cat2,...]` — decode every
+//!   file, then reject overlapping simulated `resource_busy` spans on one
+//!   track, non-monotonic controller `epoch` markers, overlapping live
+//!   swap windows on one track, overlapping `link_transfer` spans per
+//!   link track, cluster shard maps that fail to tile the 32-bit flow
+//!   space, out-of-order or leaked flow timelines and session records
+//!   without a `built`; exits non-zero on any violation, for CI.
 //! * `controller <trace.json>` — the adaptive control plane's
-//!   adaptation timeline: trigger reason, old → new offload ratio and
-//!   charged swap latency for every controller decision.
+//!   adaptation timeline on the simulated clock: trigger reason, old →
+//!   new offload ratio and charged swap latency for every decision.
 //! * `attribution <trace.json> [--json]` — per-batch latency
 //!   decomposition into compute/transfer/queue/drain/merge-wait
 //!   buckets, aggregated over the trace.
@@ -46,22 +52,25 @@
 //! committed as `ci/*_baseline.json`. `ci/record.sh` rewrites them from
 //! fresh traces, and CI fails if that leaves a `git diff`.
 
+use nfc_telemetry::attr::resource_names;
 use nfc_telemetry::{
     attribution, calibrate, critical_paths, folded_stacks, folded_stacks_wall, whatif,
     AttributionReport, Buckets, CalibAnchors, Event, EventKind, SimStamp, WhatIfReport,
+    DUMP_REASONS, FLOW_POINTS, PARTITION_ALGOS, SESSION_STATES, SLO_OBJECTIVES,
 };
 use serde_json::{json, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
-/// One parsed trace: metadata records and regular events.
+/// One decoded trace.
+#[derive(Debug)]
 struct Trace {
-    /// Non-metadata events (`ph` != `"M"`).
-    events: Vec<Value>,
+    /// The events the exporter was given: lane names (the pid-2
+    /// `thread_name` metadata) as `ResourceName` events first, then every
+    /// other event in file order.
+    events: Vec<Event>,
     /// Dropped-event count from the `nfc_dropped_events` metadata.
     dropped: u64,
-    /// Simulated-timeline lane names from pid-2 `thread_name` metadata.
-    thread_names: BTreeMap<u64, String>,
 }
 
 fn fail(msg: &str) -> ExitCode {
@@ -84,41 +93,38 @@ fn parse(body: &str, path: &str) -> Result<Trace, String> {
             })
             .collect::<Result<Vec<_>, _>>()?,
     };
-    let mut events = Vec::new();
-    let mut dropped = 0u64;
-    let mut thread_names = BTreeMap::new();
-    for v in values {
-        let ph = v.get("ph").and_then(Value::as_str).unwrap_or_default();
-        if ph == "M" {
-            match v.get("name").and_then(Value::as_str) {
-                Some("nfc_dropped_events") => {
-                    dropped = v
-                        .get("args")
-                        .and_then(|a| a.get("dropped"))
-                        .and_then(Value::as_u64)
-                        .unwrap_or(0);
-                }
-                Some("thread_name") if v.get("pid").and_then(Value::as_u64) == Some(2) => {
-                    if let (Some(tid), Some(name)) = (
-                        v.get("tid").and_then(Value::as_u64),
-                        v.get("args")
-                            .and_then(|a| a.get("name"))
-                            .and_then(Value::as_str),
-                    ) {
-                        thread_names.insert(tid, name.to_string());
-                    }
-                }
-                _ => {}
+    let mut trace = Trace {
+        events: Vec::new(),
+        dropped: 0,
+    };
+    for (i, v) in values.iter().enumerate() {
+        let at = |e: String| format!("{path}: event {i}: {e}");
+        let ph = v.get("ph").and_then(Value::as_str);
+        let args = Args {
+            event: v.get("name").and_then(Value::as_str).unwrap_or("?"),
+            args: v.get("args"),
+        };
+        match (ph, args.event) {
+            (Some("M"), "nfc_dropped_events") => trace.dropped = args.u64("dropped").map_err(at)?,
+            (Some("M"), "thread_name") => {
+                let resource = tid(v, args.event).map_err(at)?;
+                trace.events.push(Event {
+                    wall_ns: 0,
+                    wall_dur_ns: 0,
+                    sim: None,
+                    track: resource,
+                    batch: 0,
+                    kind: EventKind::ResourceName {
+                        resource,
+                        name: args.str("name").map_err(at)?.to_string(),
+                    },
+                });
             }
-            continue;
+            (Some("M"), _) => {}
+            _ => trace.events.push(decode(v).map_err(at)?),
         }
-        events.push(v);
     }
-    Ok(Trace {
-        events,
-        dropped,
-        thread_names,
-    })
+    Ok(trace)
 }
 
 fn load(path: &str) -> Result<Trace, String> {
@@ -127,390 +133,373 @@ fn load(path: &str) -> Result<Trace, String> {
 }
 
 /// Parses a flow key (the RSS hash) as decimal or `0x`-prefixed hex.
-fn parse_flow_key(s: &str) -> Option<u64> {
-    let key = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        Some(hex) => u32::from_str_radix(hex, 16).ok()?,
-        None => s.parse::<u32>().ok()?,
-    };
-    Some(u64::from(key))
+fn parse_flow_key(s: &str) -> Option<u32> {
+    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        Some(hex) => u32::from_str_radix(hex, 16).ok(),
+        None => s.parse::<u32>().ok(),
+    }
 }
 
-fn str_field<'a>(ev: &'a Value, key: &str) -> Option<&'a str> {
-    ev.get(key).and_then(Value::as_str)
+/// One event's `args`, read by type: a missing or mistyped key is an
+/// error naming the event and the key.
+struct Args<'a> {
+    event: &'a str,
+    args: Option<&'a Value>,
 }
 
-fn num_field(ev: &Value, key: &str) -> Option<f64> {
-    ev.get(key).and_then(Value::as_f64)
-}
-
-fn arg_u64(ev: &Value, key: &str) -> u64 {
-    ev.get("args")
-        .and_then(|a| a.get(key))
-        .and_then(Value::as_u64)
-        .unwrap_or(0)
-}
-
-fn arg_f64(ev: &Value, key: &str) -> f64 {
-    ev.get("args")
-        .and_then(|a| a.get(key))
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0)
-}
-
-fn arg_str<'a>(ev: &'a Value, key: &str) -> &'a str {
-    ev.get("args")
-        .and_then(|a| a.get(key))
-        .and_then(Value::as_str)
-        .unwrap_or("")
-}
-
-/// Re-types the exported JSON back into `nfc-telemetry` [`Event`]s so
-/// the attribution analyses run identically on a re-parsed trace and on
-/// the in-memory stream. Events the analyses don't consume are skipped;
-/// lane names are re-synthesized as `ResourceName` events from the
-/// `thread_name` metadata.
-fn typed_events(trace: &Trace) -> Vec<Event> {
-    let mut out: Vec<Event> = trace
-        .thread_names
-        .iter()
-        .map(|(tid, name)| Event {
-            wall_ns: 0,
-            wall_dur_ns: 0,
-            sim: None,
-            track: *tid as u32,
-            batch: 0,
-            kind: EventKind::ResourceName {
-                resource: *tid as u32,
-                name: name.clone(),
-            },
+impl<'a> Args<'a> {
+    fn read<T>(&self, key: &str, typed: impl FnOnce(&'a Value) -> Option<T>) -> Result<T, String> {
+        self.args
+            .and_then(|a| a.get(key))
+            .and_then(typed)
+            .ok_or_else(|| format!("{}: missing or mistyped args.{key}", self.event))
+    }
+    fn u64(&self, key: &str) -> Result<u64, String> {
+        self.read(key, Value::as_u64)
+    }
+    fn u32(&self, key: &str) -> Result<u32, String> {
+        self.read(key, |v| u32::try_from(v.as_u64()?).ok())
+    }
+    fn f64(&self, key: &str) -> Result<f64, String> {
+        self.read(key, |v| v.as_f64().filter(|x| x.is_finite()))
+    }
+    fn str(&self, key: &str) -> Result<&'a str, String> {
+        self.read(key, Value::as_str)
+    }
+    /// A `0`/`1` integer flag.
+    fn flag(&self, key: &str) -> Result<bool, String> {
+        self.read(key, |v| match v.as_u64()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
         })
-        .collect();
-    for ev in &trace.events {
-        let name = str_field(ev, "name").unwrap_or_default();
-        let kind = match name {
-            "resource_busy" => EventKind::ResourceBusy {
-                resource: arg_u64(ev, "resource") as u32,
-                user: arg_u64(ev, "user"),
-                queued_ns: arg_f64(ev, "queued_ns"),
-            },
-            "kernel_launch" => EventKind::KernelLaunch {
-                queue: arg_u64(ev, "queue") as u32,
-                user: arg_u64(ev, "user"),
-                bytes: arg_u64(ev, "bytes"),
-                packets: arg_u64(ev, "packets") as u32,
-                kernels: arg_u64(ev, "kernels") as u32,
-            },
-            "kernel_teardown" => EventKind::KernelTeardown {
-                resource: arg_u64(ev, "resource") as u32,
-                from_user: arg_u64(ev, "from_user"),
-                to_user: arg_u64(ev, "to_user"),
-                penalty_ns: arg_f64(ev, "penalty_ns"),
-            },
-            "dma_h2d" | "dma_d2h" => EventKind::Dma {
-                to_device: name == "dma_h2d",
-                bytes: arg_u64(ev, "bytes"),
-            },
-            "sm_occupancy" => EventKind::SmOccupancy {
-                queue: arg_u64(ev, "queue") as u32,
-                occupancy_pct: arg_u64(ev, "occupancy_pct") as u8,
-            },
-            "batch_ingress" => EventKind::BatchIngress {
-                seq: arg_u64(ev, "seq"),
-                packets: arg_u64(ev, "packets") as u32,
-                wire_bytes: arg_u64(ev, "wire_bytes"),
-            },
-            "batch_egress" => EventKind::BatchEgress {
-                seq: arg_u64(ev, "seq"),
-                packets: arg_u64(ev, "packets") as u32,
-                bytes: arg_u64(ev, "bytes"),
-            },
-            "batch_attribution" => EventKind::BatchAttribution {
-                seq: arg_u64(ev, "seq"),
-                e2e_ns: arg_f64(ev, "e2e_ns"),
-                compute_ns: arg_f64(ev, "compute_ns"),
-                transfer_ns: arg_f64(ev, "transfer_ns"),
-                queue_ns: arg_f64(ev, "queue_ns"),
-                drain_ns: arg_f64(ev, "drain_ns"),
-                merge_wait_ns: arg_f64(ev, "merge_wait_ns"),
-            },
-            "epoch" => EventKind::Epoch {
-                epoch: arg_u64(ev, "epoch"),
-            },
-            "slo_burn" => EventKind::SloBurn {
-                epoch: arg_u64(ev, "epoch"),
-                objective: match arg_str(ev, "objective") {
-                    "p99_latency" => "p99_latency",
-                    "throughput" => "throughput",
-                    "drops" => "drops",
-                    _ => "objective",
-                },
-                fast_burn: arg_f64(ev, "fast_burn"),
-                slow_burn: arg_f64(ev, "slow_burn"),
-                breached: arg_u64(ev, "breached") != 0,
-            },
-            "model_drift" => EventKind::ModelDrift {
-                epoch: arg_u64(ev, "epoch"),
-                predicted_ns: arg_f64(ev, "predicted_ns"),
-                observed_ns: arg_f64(ev, "observed_ns"),
-                drift: arg_f64(ev, "drift"),
-                raised: arg_u64(ev, "raised") != 0,
-            },
-            "shard_range" => EventKind::ShardRange {
-                epoch: arg_u64(ev, "epoch"),
-                server: arg_u64(ev, "server") as u32,
-                start: arg_u64(ev, "start"),
-                end: arg_u64(ev, "end"),
-            },
-            "link_transfer" => EventKind::LinkTransfer {
-                link: arg_u64(ev, "link") as u32,
-                packets: arg_u64(ev, "packets") as u32,
-                bytes: arg_u64(ev, "bytes"),
-            },
-            "cluster_rebalance" => EventKind::ClusterRebalance {
-                epoch: arg_u64(ev, "epoch"),
-                from: arg_u64(ev, "from") as u32,
-                to: arg_u64(ev, "to") as u32,
-                vnodes: arg_u64(ev, "vnodes") as u32,
-                migrated_bytes: arg_u64(ev, "migrated_bytes"),
-                swap_ns: arg_f64(ev, "swap_ns"),
-            },
-            n if n.starts_with("stage:") => EventKind::Stage {
-                branch: arg_u64(ev, "branch") as u32,
-                stage: arg_u64(ev, "stage") as u32,
-                name: arg_str(ev, "nf").to_string(),
-                packets: arg_u64(ev, "packets") as u32,
-            },
-            n if n.starts_with("flow_") => EventKind::FlowPoint {
-                flow: arg_u64(ev, "flow") as u32,
-                point: match &n[5..] {
-                    "ingress" => "ingress",
-                    "lanes" => "lanes",
-                    "cache_hit" => "cache_hit",
-                    "cache_miss" => "cache_miss",
-                    "stage" => "stage",
-                    "kernel" => "kernel",
-                    "shard" => "shard",
-                    "migrate" => "migrate",
-                    "merge" => "merge",
-                    "egress" => "egress",
-                    _ => "point",
-                },
-                server: arg_u64(ev, "server") as u32,
-                packets: arg_u64(ev, "packets") as u32,
-            },
-            n if n.starts_with("session_") => EventKind::Session {
-                state: match &n[8..] {
-                    "built" => "built",
-                    "teardown" => "teardown",
-                    "deny" => "deny",
-                    _ => "state",
-                },
-                flow: arg_u64(ev, "flow") as u32,
-                packets: arg_u64(ev, "packets"),
-                bytes: arg_u64(ev, "bytes"),
-            },
-            "flight_dump" => EventKind::FlightDump {
-                reason: match arg_str(ev, "reason") {
-                    "slo_burn" => "slo_burn",
-                    "model_drift" => "model_drift",
-                    "manual" => "manual",
-                    _ => "reason",
-                },
-                events: arg_u64(ev, "events") as u32,
-            },
-            _ => continue,
-        };
-        let ts_us = num_field(ev, "ts").unwrap_or(0.0);
-        let dur_us = num_field(ev, "dur").unwrap_or(0.0);
-        let (sim, wall_ns, wall_dur_ns) = if ev.get("pid").and_then(Value::as_u64) == Some(2) {
-            (
-                Some(SimStamp {
-                    start_ns: ts_us * 1000.0,
-                    end_ns: (ts_us + dur_us) * 1000.0,
-                }),
-                arg_f64(ev, "wall_ns") as u64,
-                0,
-            )
-        } else {
-            (
-                None,
-                (ts_us * 1000.0).round() as u64,
-                (dur_us * 1000.0).round() as u64,
-            )
-        };
-        out.push(Event {
-            wall_ns,
-            wall_dur_ns,
-            sim,
-            track: ev.get("tid").and_then(Value::as_u64).unwrap_or(0) as u32,
-            batch: arg_u64(ev, "batch"),
-            kind,
-        });
     }
-    out
+    /// A string from a closed vocabulary, as the `&'static str` the
+    /// event carries.
+    fn one_of(&self, key: &str, known: &[&'static str]) -> Result<&'static str, String> {
+        let s = self.str(key)?;
+        let found = known.iter().find(|k| **k == s).copied();
+        found.ok_or_else(|| format!("{}: unknown args.{key} {s:?}", self.event))
+    }
 }
 
-/// Schema-checks one event, returning a violation message if any.
-fn check_event(ev: &Value) -> Option<String> {
-    let ph = match str_field(ev, "ph") {
-        Some(p) => p,
-        None => return Some("event without ph".into()),
+/// The event's `tid`: its track, or for `thread_name` metadata the
+/// resource it names.
+fn tid(v: &Value, event: &str) -> Result<u32, String> {
+    let tid = v.get("tid").and_then(Value::as_u64);
+    tid.and_then(|t| u32::try_from(t).ok())
+        .ok_or_else(|| format!("{event}: missing or mistyped tid"))
+}
+
+/// Decodes one exported event line back into the [`Event`] the
+/// exporter was given; the error names the event and the field.
+fn decode(v: &Value) -> Result<Event, String> {
+    let name = v
+        .get("name")
+        .and_then(Value::as_str)
+        .ok_or("event without a name")?;
+    let a = Args {
+        event: name,
+        args: v.get("args"),
     };
-    for key in ["name", "cat"] {
-        if str_field(ev, key).is_none() {
-            return Some(format!("event without {key}"));
-        }
-    }
-    for key in ["pid", "tid"] {
-        if ev.get(key).and_then(Value::as_u64).is_none() {
-            return Some(format!("event without integer {key}"));
-        }
-    }
-    let ts = match num_field(ev, "ts") {
-        Some(t) => t,
-        None => return Some("event without ts".into()),
-    };
-    if !ts.is_finite() || ts < 0.0 {
-        return Some(format!("non-finite or negative ts {ts}"));
-    }
-    match ph {
-        "X" => match num_field(ev, "dur") {
-            // A negative dur is a span ending before its start.
-            Some(d) if d.is_finite() && d >= 0.0 => {}
-            _ => return Some("complete event without valid dur (span ends before start)".into()),
+    let kind = match name {
+        "batch_split" => EventKind::BatchSplit {
+            node: a.u32("node")?,
+            parts: a.u32("parts")?,
         },
-        "i" => {}
-        other => return Some(format!("unexpected phase {other:?}")),
+        "batch_merge" => EventKind::BatchMerge {
+            node: a.u32("node")?,
+            parts: a.u32("parts")?,
+        },
+        "flow_cache_batch" => EventKind::FlowCacheBatch {
+            hits: a.u32("hits")?,
+            misses: a.u32("misses")?,
+        },
+        "flow_cache_invalidate" => EventKind::FlowCacheInvalidate {
+            generation: a.u64("generation")?,
+        },
+        "kernel_launch" => EventKind::KernelLaunch {
+            queue: a.u32("queue")?,
+            user: a.u64("user")?,
+            bytes: a.u64("bytes")?,
+            packets: a.u32("packets")?,
+            kernels: a.u32("kernels")?,
+        },
+        "kernel_teardown" => EventKind::KernelTeardown {
+            resource: a.u32("resource")?,
+            from_user: a.u64("from_user")?,
+            to_user: a.u64("to_user")?,
+            penalty_ns: a.f64("penalty_ns")?,
+        },
+        "dma_h2d" | "dma_d2h" => EventKind::Dma {
+            to_device: a.one_of("dir", &["h2d", "d2h"])? == "h2d",
+            bytes: a.u64("bytes")?,
+        },
+        // A device cannot host more resident warps than it has SMs, so
+        // any share above 100 % of sm_count means residency broke.
+        "sm_occupancy" => match a.u64("occupancy_pct")? {
+            pct @ 0..=100 => EventKind::SmOccupancy {
+                queue: a.u32("queue")?,
+                occupancy_pct: pct as u8,
+            },
+            pct => return Err(format!("{name}: {pct}% is outside 0-100% of sm_count")),
+        },
+        "resource_busy" => EventKind::ResourceBusy {
+            resource: a.u32("resource")?,
+            user: a.u64("user")?,
+            queued_ns: a.f64("queued_ns")?,
+        },
+        "controller_decision" => EventKind::ControllerDecision {
+            epoch: a.u64("epoch")?,
+            reason: a.str("reason")?.to_string(),
+            stage: a.str("stage")?.to_string(),
+            old_ratio: a.f64("old_ratio")?,
+            new_ratio: a.f64("new_ratio")?,
+            swap_ns: a.f64("swap_ns")?,
+        },
+        "worker_unit" => EventKind::Worker {
+            worker: a.u32("worker")?,
+            unit: a.u32("unit")?,
+        },
+        "batch_ingress" => EventKind::BatchIngress {
+            seq: a.u64("seq")?,
+            packets: a.u32("packets")?,
+            wire_bytes: a.u64("wire_bytes")?,
+        },
+        "batch_egress" => EventKind::BatchEgress {
+            seq: a.u64("seq")?,
+            packets: a.u32("packets")?,
+            bytes: a.u64("bytes")?,
+        },
+        "batch_attribution" => EventKind::BatchAttribution {
+            seq: a.u64("seq")?,
+            e2e_ns: a.f64("e2e_ns")?,
+            compute_ns: a.f64("compute_ns")?,
+            transfer_ns: a.f64("transfer_ns")?,
+            queue_ns: a.f64("queue_ns")?,
+            drain_ns: a.f64("drain_ns")?,
+            merge_wait_ns: a.f64("merge_wait_ns")?,
+        },
+        "epoch" => EventKind::Epoch {
+            epoch: a.u64("epoch")?,
+        },
+        "slo_burn" => EventKind::SloBurn {
+            epoch: a.u64("epoch")?,
+            objective: a.one_of("objective", SLO_OBJECTIVES)?,
+            fast_burn: a.f64("fast_burn")?,
+            slow_burn: a.f64("slow_burn")?,
+            breached: a.flag("breached")?,
+        },
+        "model_drift" => EventKind::ModelDrift {
+            epoch: a.u64("epoch")?,
+            predicted_ns: a.f64("predicted_ns")?,
+            observed_ns: a.f64("observed_ns")?,
+            drift: a.f64("drift")?,
+            raised: a.flag("raised")?,
+        },
+        "shard_range" => EventKind::ShardRange {
+            epoch: a.u64("epoch")?,
+            server: a.u32("server")?,
+            start: a.u64("start")?,
+            end: a.u64("end")?,
+        },
+        "link_transfer" => EventKind::LinkTransfer {
+            link: a.u32("link")?,
+            packets: a.u32("packets")?,
+            bytes: a.u64("bytes")?,
+        },
+        "cluster_rebalance" => EventKind::ClusterRebalance {
+            epoch: a.u64("epoch")?,
+            from: a.u32("from")?,
+            to: a.u32("to")?,
+            vnodes: a.u32("vnodes")?,
+            migrated_bytes: a.u64("migrated_bytes")?,
+            swap_ns: a.f64("swap_ns")?,
+        },
+        "flight_dump" => EventKind::FlightDump {
+            reason: a.one_of("reason", DUMP_REASONS)?,
+            events: a.u32("events")?,
+        },
+        n if n.starts_with("stage:") => EventKind::Stage {
+            branch: a.u32("branch")?,
+            stage: a.u32("stage")?,
+            name: a.str("nf")?.to_string(),
+            packets: a.u32("packets")?,
+        },
+        n if n.starts_with("element:") => EventKind::Element {
+            node: a.u32("node")?,
+            name: a.str("element")?.to_string(),
+            packets_in: a.u32("packets_in")?,
+            packets_out: a.u32("packets_out")?,
+        },
+        n if n.starts_with("partition_pass:") => EventKind::PartitionPass {
+            algo: a.one_of("algo", PARTITION_ALGOS)?,
+            pass: a.u32("pass")?,
+            moved: a.u32("moved")?,
+            cost_before: a.f64("cost_before")?,
+            cost_after: a.f64("cost_after")?,
+        },
+        n if n.starts_with("partition_decision:") => EventKind::PartitionDecision {
+            algo: a.one_of("algo", PARTITION_ALGOS)?,
+            stage: a.str("stage")?.to_string(),
+            predicted_cost_ns: a.f64("predicted_cost_ns")?,
+            mean_ratio: a.f64("mean_ratio")?,
+        },
+        n if n.starts_with("flow_") => EventKind::FlowPoint {
+            flow: a.u32("flow")?,
+            point: a.one_of("point", FLOW_POINTS)?,
+            server: a.u32("server")?,
+            packets: a.u32("packets")?,
+        },
+        n if n.starts_with("session_") => EventKind::Session {
+            state: a.one_of("state", SESSION_STATES)?,
+            flow: a.u32("flow")?,
+            packets: a.u64("packets")?,
+            bytes: a.u64("bytes")?,
+        },
+        _ => return Err(format!("unknown event {name:?}")),
+    };
+    let field = |key: &str| v.get(key).and_then(Value::as_str).unwrap_or("?");
+    let got = (name, field("cat"), field("ph"));
+    let label = kind.label();
+    let want = (
+        label.as_str(),
+        kind.category(),
+        if kind.is_span() { "X" } else { "i" },
+    );
+    if got != want {
+        return Err(format!(
+            "{name}: name/cat/ph {got:?} differ from its kind's {want:?}"
+        ));
     }
-    // Simulated-timeline events (pid 2) cross-reference the wall clock.
-    if ev.get("pid").and_then(Value::as_u64) == Some(2)
-        && ev
-            .get("args")
-            .and_then(|a| a.get("wall_ns"))
-            .and_then(Value::as_f64)
-            .is_none()
-    {
-        return Some("sim event without args.wall_ns".into());
+    let time = |key: &str| match v.get(key).and_then(Value::as_f64) {
+        Some(t) if t.is_finite() && t >= 0.0 => Ok(t),
+        _ => Err(format!("{name}: missing, negative or non-finite {key}")),
+    };
+    let ts = time("ts")?;
+    let dur = if kind.is_span() { time("dur")? } else { 0.0 };
+    let track = tid(v, name)?;
+    let batch = match v.get("args").and_then(|x| x.get("batch")) {
+        Some(_) => a.u64("batch")?,
+        None => 0,
+    };
+    let (wall_ns, wall_dur_ns, sim) = match v.get("pid").and_then(Value::as_u64) {
+        Some(1) => ((ts * 1e3).round() as u64, (dur * 1e3).round() as u64, None),
+        Some(2) => {
+            let sim = SimStamp {
+                start_ns: ts * 1e3,
+                end_ns: (ts + dur) * 1e3,
+            };
+            (a.u64("wall_ns")?, 0, Some(sim))
+        }
+        _ => return Err(format!("{name}: pid is neither 1 (wall) nor 2 (sim)")),
+    };
+    Ok(Event {
+        wall_ns,
+        wall_dur_ns,
+        sim,
+        track,
+        batch,
+        kind,
+    })
+}
+
+/// An event's exported `ts` and `dur`, in microseconds of its own clock.
+fn ts_dur_us(ev: &Event) -> (f64, f64) {
+    match ev.sim {
+        Some(s) => (s.start_ns / 1e3, s.dur_ns() / 1e3),
+        None => (ev.wall_ns as f64 / 1e3, ev.wall_dur_ns as f64 / 1e3),
     }
-    // SM-occupancy instants report the share of one device's SM slots;
-    // a device cannot host more resident warps than it has SMs, so any
-    // value above 100 % of sm_count means residency accounting broke.
-    if str_field(ev, "name") == Some("sm_occupancy") {
-        match ev
-            .get("args")
-            .and_then(|a| a.get("occupancy_pct"))
-            .and_then(Value::as_f64)
-        {
-            Some(pct) if pct.is_finite() && (0.0..=100.0).contains(&pct) => {}
-            Some(pct) => {
-                return Some(format!(
-                    "sm_occupancy of {pct}% is outside 0-100% of sm_count"
-                ))
-            }
-            None => return Some("sm_occupancy event without args.occupancy_pct".into()),
+}
+
+/// Simulated spans of one kind with a positive duration, per track, as
+/// `[start, end)` in microseconds.
+fn sim_spans(trace: &Trace, of_kind: fn(&EventKind) -> bool) -> BTreeMap<u32, Vec<(f64, f64)>> {
+    let mut lanes: BTreeMap<u32, Vec<(f64, f64)>> = BTreeMap::new();
+    for ev in trace.events.iter().filter(|ev| of_kind(&ev.kind)) {
+        let (ts, dur) = ts_dur_us(ev);
+        if ev.sim.is_some() && dur > 0.0 {
+            lanes.entry(ev.track).or_default().push((ts, ts + dur));
         }
     }
-    None
+    lanes
+}
+
+/// The first span that starts before the previous one (in start order)
+/// ends: `(its start, the previous end)`.
+fn first_overlap(mut spans: Vec<(f64, f64)>) -> Option<(f64, f64)> {
+    spans.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+    let w = spans.windows(2).find(|w| w[1].0 < w[0].1 - 1e-9)?;
+    Some((w[1].0, w[0].1))
 }
 
 /// Rejects overlapping (non-monotonic) simulated `resource_busy` spans
 /// within one track. The simulator places busy intervals on each
 /// resource without intersection by construction, so two busy spans on
-/// the same track overlapping means the trace is corrupt. Instants are
-/// exempt, as are the semantic GPU/DMA spans (`kernel_launch`, `dma_*`)
-/// — those stretch from request to completion and legitimately cover
-/// queueing behind an earlier batch.
+/// the same track overlapping means the trace is corrupt. The semantic
+/// GPU/DMA spans (`kernel_launch`, `dma_*`) are exempt: they stretch
+/// from request to completion and legitimately cover queueing behind an
+/// earlier batch.
 fn check_sim_lanes(trace: &Trace, path: &str) -> Result<(), String> {
-    let mut lanes: BTreeMap<(u64, &str), Vec<(f64, f64)>> = BTreeMap::new();
-    for ev in &trace.events {
-        if ev.get("pid").and_then(Value::as_u64) != Some(2)
-            || str_field(ev, "ph") != Some("X")
-            || str_field(ev, "name") != Some("resource_busy")
-        {
-            continue;
-        }
-        let (Some(tid), Some(name), Some(ts)) = (
-            ev.get("tid").and_then(Value::as_u64),
-            str_field(ev, "name"),
-            num_field(ev, "ts"),
-        ) else {
-            continue;
-        };
-        let dur = num_field(ev, "dur").unwrap_or(0.0);
-        if dur <= 0.0 {
-            continue; // zero-width spans cannot overlap
-        }
-        lanes.entry((tid, name)).or_default().push((ts, ts + dur));
-    }
-    for ((tid, name), mut spans) in lanes {
-        spans.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-        for w in spans.windows(2) {
-            if w[1].0 < w[0].1 - 1e-9 {
-                return Err(format!(
-                    "{path}: non-monotonic sim timeline on track {tid} ({name}): span at \
-                     {:.3} us starts before the previous span ends at {:.3} us",
-                    w[1].0, w[0].1
-                ));
-            }
+    let lanes = sim_spans(trace, |k| matches!(k, EventKind::ResourceBusy { .. }));
+    for (tid, spans) in lanes {
+        if let Some((start, end)) = first_overlap(spans) {
+            return Err(format!(
+                "{path}: non-monotonic sim timeline on track {tid} (resource_busy): span at \
+                 {start:.3} us starts before the previous span ends at {end:.3} us"
+            ));
         }
     }
     Ok(())
 }
 
-/// Rejects corrupt control-plane timelines: `epoch` markers must be
-/// strictly increasing per track (the controller's epoch counter is
-/// monotonic by construction), and the reconfiguration windows implied
-/// by applied `controller_decision` swaps (`[ts, ts + swap_ns]`) must
+/// Rejects corrupt control-plane timelines on the simulated clock:
+/// `epoch` markers must be strictly increasing per track (the
+/// controller's epoch counter is monotonic by construction), and the
+/// reconfiguration windows of charged `controller_decision` swaps must
 /// not overlap on one track — two live swaps cannot be in flight on the
 /// same chain at once (the two-phase swap drains before it applies).
+/// A repartition re-plans every stage at one instant and records one
+/// decision per stage, so the decisions sharing a track, epoch and `ts`
+/// are one chain swap, with window `[ts, ts + max swap_ns]`.
 fn check_control_plane(trace: &Trace, path: &str) -> Result<(), String> {
-    let mut epochs: BTreeMap<u64, Vec<(f64, u64)>> = BTreeMap::new();
-    let mut swaps: BTreeMap<u64, Vec<(f64, f64)>> = BTreeMap::new();
-    for ev in &trace.events {
-        if ev.get("pid").and_then(Value::as_u64) != Some(2) {
-            continue;
-        }
-        let tid = ev.get("tid").and_then(Value::as_u64).unwrap_or(0);
-        let ts = num_field(ev, "ts").unwrap_or(0.0);
-        match str_field(ev, "name") {
-            Some("epoch") => epochs
-                .entry(tid)
-                .or_default()
-                .push((ts, arg_u64(ev, "epoch"))),
-            Some("controller_decision") => {
-                let swap_ns = arg_f64(ev, "swap_ns");
-                let applied = (arg_f64(ev, "old_ratio") - arg_f64(ev, "new_ratio")).abs() > 1e-9
-                    || swap_ns > 0.0;
-                if applied && swap_ns > 0.0 {
-                    // ts is in us; swap_ns is charged in ns.
-                    swaps.entry(tid).or_default().push((ts, ts + swap_ns / 1e3));
-                }
+    let mut epochs: BTreeMap<u32, Vec<(f64, u64)>> = BTreeMap::new();
+    let mut swaps: BTreeMap<(u32, u64, u64), (f64, f64)> = BTreeMap::new();
+    for ev in trace.events.iter().filter(|ev| ev.sim.is_some()) {
+        let (ts, _) = ts_dur_us(ev);
+        match ev.kind {
+            EventKind::Epoch { epoch } => epochs.entry(ev.track).or_default().push((ts, epoch)),
+            // ts is in us; swap_ns is charged in ns.
+            EventKind::ControllerDecision { epoch, swap_ns, .. } if swap_ns > 0.0 => {
+                let end = ts + swap_ns / 1e3;
+                let window = swaps
+                    .entry((ev.track, epoch, ts.to_bits()))
+                    .or_insert((ts, end));
+                window.1 = window.1.max(end);
             }
             _ => {}
         }
     }
+    let mut swaps_per_track: BTreeMap<u32, Vec<(f64, f64)>> = BTreeMap::new();
+    for ((track, ..), window) in swaps {
+        swaps_per_track.entry(track).or_default().push(window);
+    }
     for (tid, mut markers) in epochs {
         markers.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for w in markers.windows(2) {
-            if w[1].1 <= w[0].1 {
-                return Err(format!(
-                    "{path}: non-monotonic epoch markers on track {tid}: epoch {} at \
-                     {:.3} us follows epoch {} at {:.3} us",
-                    w[1].1, w[1].0, w[0].1, w[0].0
-                ));
-            }
+        if let Some(w) = markers.windows(2).find(|w| w[1].1 <= w[0].1) {
+            return Err(format!(
+                "{path}: non-monotonic epoch markers on track {tid}: epoch {} at \
+                 {:.3} us follows epoch {} at {:.3} us",
+                w[1].1, w[1].0, w[0].1, w[0].0
+            ));
         }
     }
-    for (tid, mut windows) in swaps {
-        windows.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-        for w in windows.windows(2) {
-            if w[1].0 < w[0].1 - 1e-9 {
-                return Err(format!(
-                    "{path}: overlapping swap windows on track {tid}: swap at {:.3} us \
-                     starts before the previous swap drains at {:.3} us",
-                    w[1].0, w[0].1
-                ));
-            }
+    for (tid, windows) in swaps_per_track {
+        if let Some((start, end)) = first_overlap(windows) {
+            return Err(format!(
+                "{path}: overlapping swap windows on track {tid}: swap at {start:.3} us \
+                 starts before the previous swap drains at {end:.3} us"
+            ));
         }
     }
     Ok(())
@@ -524,38 +513,22 @@ fn check_control_plane(trace: &Trace, path: &str) -> Result<(), String> {
 /// unowned (or doubly owned) would lose or duplicate flows.
 fn check_cluster_plane(trace: &Trace, path: &str) -> Result<(), String> {
     const FLOW_SPACE: u64 = 1 << 32;
-    let mut lanes: BTreeMap<u64, Vec<(f64, f64)>> = BTreeMap::new();
-    let mut maps: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
-    for ev in &trace.events {
-        if ev.get("pid").and_then(Value::as_u64) != Some(2) {
-            continue;
-        }
-        match str_field(ev, "name") {
-            Some("link_transfer") if str_field(ev, "ph") == Some("X") => {
-                let tid = ev.get("tid").and_then(Value::as_u64).unwrap_or(0);
-                let ts = num_field(ev, "ts").unwrap_or(0.0);
-                let dur = num_field(ev, "dur").unwrap_or(0.0);
-                if dur > 0.0 {
-                    lanes.entry(tid).or_default().push((ts, ts + dur));
-                }
-            }
-            Some("shard_range") => maps
-                .entry(arg_u64(ev, "epoch"))
-                .or_default()
-                .push((arg_u64(ev, "start"), arg_u64(ev, "end"))),
-            _ => {}
+    let lanes = sim_spans(trace, |k| matches!(k, EventKind::LinkTransfer { .. }));
+    for (tid, spans) in lanes {
+        if let Some((start, end)) = first_overlap(spans) {
+            return Err(format!(
+                "{path}: overlapping link-busy spans on link track {tid}: transfer at \
+                 {start:.3} us starts before the previous transfer ends at {end:.3} us"
+            ));
         }
     }
-    for (tid, mut spans) in lanes {
-        spans.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-        for w in spans.windows(2) {
-            if w[1].0 < w[0].1 - 1e-9 {
-                return Err(format!(
-                    "{path}: overlapping link-busy spans on link track {tid}: transfer at \
-                     {:.3} us starts before the previous transfer ends at {:.3} us",
-                    w[1].0, w[0].1
-                ));
-            }
+    let mut maps: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
+    for ev in &trace.events {
+        if let EventKind::ShardRange {
+            epoch, start, end, ..
+        } = ev.kind
+        {
+            maps.entry(epoch).or_default().push((start, end));
         }
     }
     for (epoch, mut ranges) in maps {
@@ -567,15 +540,13 @@ fn check_cluster_plane(trace: &Trace, path: &str) -> Result<(), String> {
                  first range starts at {first}, not 0"
             ));
         }
-        for w in ranges.windows(2) {
-            if w[1].0 != w[0].1 {
-                let what = if w[1].0 < w[0].1 { "overlap" } else { "gap" };
-                return Err(format!(
-                    "{path}: shard map for epoch {epoch} has a {what}: range ending at {} \
-                     is followed by a range starting at {}",
-                    w[0].1, w[1].0
-                ));
-            }
+        if let Some(w) = ranges.windows(2).find(|w| w[1].0 != w[0].1) {
+            let what = if w[1].0 < w[0].1 { "overlap" } else { "gap" };
+            return Err(format!(
+                "{path}: shard map for epoch {epoch} has a {what}: range ending at {} \
+                 is followed by a range starting at {}",
+                w[0].1, w[1].0
+            ));
         }
         let last = ranges.last().unwrap().1;
         if last != FLOW_SPACE {
@@ -606,45 +577,46 @@ fn check_cluster_plane(trace: &Trace, path: &str) -> Result<(), String> {
 ///    the migrate: batches dispatched before the move drain there
 ///    while the new owner is already receiving.)
 fn check_flow_plane(trace: &Trace, path: &str) -> Result<(), String> {
-    let mut lanes: BTreeMap<(u64, u64), f64> = BTreeMap::new();
-    let mut handover: BTreeMap<(u64, u64), (f64, u64)> = BTreeMap::new();
-    let mut sessions: BTreeMap<u64, Vec<(f64, String)>> = BTreeMap::new();
+    let mut lanes: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+    let mut handover: BTreeMap<(u32, u32), (f64, u32)> = BTreeMap::new();
+    let mut sessions: BTreeMap<u32, Vec<(f64, &str)>> = BTreeMap::new();
     for ev in &trace.events {
-        if ev.get("pid").and_then(Value::as_u64) != Some(2) {
-            continue;
-        }
-        let name = str_field(ev, "name").unwrap_or_default();
-        let ts = num_field(ev, "ts").unwrap_or(0.0);
-        if let Some(point) = name.strip_prefix("flow_") {
-            let flow = arg_u64(ev, "flow");
-            let server = arg_u64(ev, "server");
-            let tid = ev.get("tid").and_then(Value::as_u64).unwrap_or(0);
-            let last = lanes.entry((flow, tid)).or_insert(f64::NEG_INFINITY);
-            if ts < *last - 1e-9 {
-                return Err(format!(
-                    "{path}: flow {flow:#010x} timeline not time-ordered on track {tid}: \
-                     {name} at {ts:.3} us precedes the prior point at {:.3} us",
-                    *last
-                ));
-            }
-            *last = ts;
-            if let Some((mig_ts, mig_server)) = handover.remove(&(flow, tid)) {
-                if point != "shard" || server != mig_server || (ts - mig_ts).abs() > 1e-9 {
+        let (ts, _) = ts_dur_us(ev);
+        let tid = ev.track;
+        match ev.kind {
+            EventKind::FlowPoint {
+                flow,
+                point,
+                server,
+                ..
+            } if ev.sim.is_some() => {
+                let last = lanes.entry((flow, tid)).or_insert(f64::NEG_INFINITY);
+                if ts < *last - 1e-9 {
                     return Err(format!(
-                        "{path}: flow {flow:#010x} migrate handover on track {tid} leaked: \
-                         expected shard on server {mig_server} at {mig_ts:.3} us, \
-                         got {name} on server {server} at {ts:.3} us"
+                        "{path}: flow {flow:#010x} timeline not time-ordered on track {tid}: \
+                         {point} at {ts:.3} us precedes the prior point at {:.3} us",
+                        *last
                     ));
                 }
+                *last = ts;
+                if let Some((mig_ts, mig_server)) = handover.remove(&(flow, tid)) {
+                    if point != "shard" || server != mig_server || (ts - mig_ts).abs() > 1e-9 {
+                        return Err(format!(
+                            "{path}: flow {flow:#010x} migrate handover on track {tid} leaked: \
+                             expected shard on server {mig_server} at {mig_ts:.3} us, \
+                             got {point} on server {server} at {ts:.3} us"
+                        ));
+                    }
+                }
+                if point == "migrate" {
+                    handover.insert((flow, tid), (ts, server));
+                }
             }
-            if point == "migrate" {
-                handover.insert((flow, tid), (ts, server));
+            // Session records are wall-clock instants, in record order.
+            EventKind::Session { state, flow, .. } => {
+                sessions.entry(flow).or_default().push((ts, state))
             }
-        } else if let Some(state) = name.strip_prefix("session_") {
-            sessions
-                .entry(arg_u64(ev, "flow"))
-                .or_default()
-                .push((ts, state.to_string()));
+            _ => {}
         }
     }
     if let Some(((flow, tid), (ts, server))) = handover.into_iter().next() {
@@ -655,9 +627,8 @@ fn check_flow_plane(trace: &Trace, path: &str) -> Result<(), String> {
     }
     for (flow, mut recs) in sessions {
         recs.sort_by(|a, b| a.0.total_cmp(&b.0));
-        if let Some((ts, state)) = recs.iter().find(|(_, s)| s != "built") {
-            let built_before = recs.iter().any(|(t, s)| s == "built" && t <= ts);
-            if !built_before {
+        if let Some((ts, state)) = recs.iter().find(|(_, s)| *s != "built") {
+            if !recs.iter().any(|(t, s)| *s == "built" && t <= ts) {
                 return Err(format!(
                     "{path}: session {state} for flow {flow:#010x} at {ts:.3} us \
                      has no preceding built record"
@@ -675,13 +646,13 @@ fn check_flow_plane(trace: &Trace, path: &str) -> Result<(), String> {
 #[derive(Debug, Default)]
 struct FlowReport {
     /// touchpoint -> stamped instants.
-    points: BTreeMap<String, u64>,
+    points: BTreeMap<&'static str, u64>,
     /// Distinct sampled flow hashes seen on the flow plane.
-    flows: std::collections::BTreeSet<u64>,
+    flows: BTreeSet<u32>,
     /// session state -> (records, packets, bytes).
-    sessions: BTreeMap<String, (u64, u64, u64)>,
+    sessions: BTreeMap<&'static str, (u64, u64, u64)>,
     /// Distinct flow hashes with at least one session record.
-    session_flows: std::collections::BTreeSet<u64>,
+    session_flows: BTreeSet<u32>,
     /// Flight-recorder dumps and the events they carried.
     dumps: u64,
     dump_events: u64,
@@ -690,39 +661,52 @@ struct FlowReport {
 fn flow_report(trace: &Trace) -> FlowReport {
     let mut rep = FlowReport::default();
     for ev in &trace.events {
-        let name = str_field(ev, "name").unwrap_or_default();
-        if let Some(point) = name.strip_prefix("flow_") {
-            *rep.points.entry(point.to_string()).or_insert(0) += 1;
-            rep.flows.insert(arg_u64(ev, "flow"));
-        } else if let Some(state) = name.strip_prefix("session_") {
-            let s = rep.sessions.entry(state.to_string()).or_insert((0, 0, 0));
-            s.0 += 1;
-            s.1 += arg_u64(ev, "packets");
-            s.2 += arg_u64(ev, "bytes");
-            rep.session_flows.insert(arg_u64(ev, "flow"));
-        } else if name == "flight_dump" {
-            rep.dumps += 1;
-            rep.dump_events += arg_u64(ev, "events");
+        match ev.kind {
+            EventKind::FlowPoint { flow, point, .. } => {
+                *rep.points.entry(point).or_insert(0) += 1;
+                rep.flows.insert(flow);
+            }
+            EventKind::Session {
+                state,
+                flow,
+                packets,
+                bytes,
+            } => {
+                let s = rep.sessions.entry(state).or_insert((0, 0, 0));
+                s.0 += 1;
+                s.1 += packets;
+                s.2 += bytes;
+                rep.session_flows.insert(flow);
+            }
+            EventKind::FlightDump { events, .. } => {
+                rep.dumps += 1;
+                rep.dump_events += u64::from(events);
+            }
+            _ => {}
         }
     }
     rep
 }
 
+fn sessions_json(rep: &FlowReport) -> Value {
+    let mut sessions = json!({});
+    for (s, (records, packets, bytes)) in &rep.sessions {
+        sessions[*s] = json!({
+            "records": records, "packets": packets, "bytes": bytes,
+        });
+    }
+    sessions
+}
+
 fn flow_report_json(rep: &FlowReport) -> Value {
     let mut points = json!({});
     for (p, n) in &rep.points {
-        points[p.as_str()] = json!(n);
-    }
-    let mut sessions = json!({});
-    for (s, (records, packets, bytes)) in &rep.sessions {
-        sessions[s.as_str()] = json!({
-            "records": records, "packets": packets, "bytes": bytes,
-        });
+        points[*p] = json!(n);
     }
     json!({
         "points": points,
         "flows": rep.flows.len(),
-        "sessions": sessions,
+        "sessions": sessions_json(rep),
         "session_flows": rep.session_flows.len(),
         "dumps": rep.dumps,
         "dump_events": rep.dump_events,
@@ -733,40 +717,46 @@ fn flow_report_json(rep: &FlowReport) -> Value {
 /// (us), touchpoint, server, track and packet count.
 struct FlowRow {
     ts_us: f64,
-    point: String,
-    server: u64,
-    track: u64,
-    packets: u64,
+    point: &'static str,
+    server: u32,
+    track: u32,
+    packets: u32,
 }
 
 /// Collects and time-orders every flow point stamped for `key`,
 /// across tracks, servers and migrations — the stitched causal
 /// timeline `flow <key>` renders.
-fn flow_timeline(trace: &Trace, key: u64) -> Vec<FlowRow> {
+fn flow_timeline(trace: &Trace, key: u32) -> Vec<FlowRow> {
     let mut rows: Vec<FlowRow> = trace
         .events
         .iter()
-        .filter(|ev| arg_u64(ev, "flow") == key)
-        .filter_map(|ev| {
-            let point = str_field(ev, "name")?.strip_prefix("flow_")?;
-            Some(FlowRow {
-                ts_us: num_field(ev, "ts").unwrap_or(0.0),
-                point: point.to_string(),
-                server: arg_u64(ev, "server"),
-                track: ev.get("tid").and_then(Value::as_u64).unwrap_or(0),
-                packets: arg_u64(ev, "packets"),
-            })
+        .filter_map(|ev| match ev.kind {
+            EventKind::FlowPoint {
+                flow,
+                point,
+                server,
+                packets,
+            } if flow == key => Some(FlowRow {
+                ts_us: ts_dur_us(ev).0,
+                point,
+                server,
+                track: ev.track,
+                packets,
+            }),
+            _ => None,
         })
         .collect();
     rows.sort_by(|a, b| a.ts_us.total_cmp(&b.ts_us));
     rows
 }
 
-fn by_category(trace: &Trace) -> BTreeMap<String, u64> {
+/// Recorded events per category; lane names are metadata, not events.
+fn by_category(trace: &Trace) -> BTreeMap<&'static str, u64> {
     let mut cats = BTreeMap::new();
     for ev in &trace.events {
-        let cat = str_field(ev, "cat").unwrap_or("?").to_string();
-        *cats.entry(cat).or_insert(0) += 1;
+        if !matches!(ev.kind, EventKind::ResourceName { .. }) {
+            *cats.entry(ev.kind.category()).or_insert(0) += 1;
+        }
     }
     cats
 }
@@ -775,20 +765,26 @@ fn cmd_summary(path: &str) -> Result<(), String> {
     let trace = load(path)?;
     let cats = by_category(&trace);
     println!("trace     {path}");
-    println!("events    {}", trace.events.len());
+    println!("events    {}", cats.values().sum::<u64>());
     println!("dropped   {}", trace.dropped);
     let mut wall = (f64::INFINITY, f64::NEG_INFINITY);
     let mut sim = (f64::INFINITY, f64::NEG_INFINITY);
+    let (mut rebalances, mut transfers) = (0, 0);
     for ev in &trace.events {
-        let ts = num_field(ev, "ts").unwrap_or(0.0);
-        let end = ts + num_field(ev, "dur").unwrap_or(0.0);
-        let extent = if ev.get("pid").and_then(Value::as_u64) == Some(2) {
+        match ev.kind {
+            EventKind::ResourceName { .. } => continue,
+            EventKind::ClusterRebalance { .. } => rebalances += 1,
+            EventKind::LinkTransfer { .. } => transfers += 1,
+            _ => {}
+        }
+        let (ts, dur) = ts_dur_us(ev);
+        let clock = if ev.sim.is_some() {
             &mut sim
         } else {
             &mut wall
         };
-        extent.0 = extent.0.min(ts);
-        extent.1 = extent.1.max(end);
+        clock.0 = clock.0.min(ts);
+        clock.1 = clock.1.max(ts + dur);
     }
     if wall.0.is_finite() {
         println!("wall      {:.1} us .. {:.1} us", wall.0, wall.1);
@@ -805,16 +801,6 @@ fn cmd_summary(path: &str) -> Result<(), String> {
     // without a per-plane subcommand round-trip.
     let health = health_report(&trace);
     let flow = flow_report(&trace);
-    let rebalances = trace
-        .events
-        .iter()
-        .filter(|ev| str_field(ev, "name") == Some("cluster_rebalance"))
-        .count();
-    let transfers = trace
-        .events
-        .iter()
-        .filter(|ev| str_field(ev, "name") == Some("link_transfer"))
-        .count();
     if rebalances + transfers > 0
         || !health.objectives.is_empty()
         || health.drift_verdicts > 0
@@ -861,7 +847,7 @@ fn cmd_summary(path: &str) -> Result<(), String> {
 
 /// `flow <trace> <key>` — the stitched cross-server timeline of one
 /// sampled flow; `flow <trace>` — the flow-plane digest.
-fn cmd_flow(path: &str, key: Option<u64>, as_json: bool) -> Result<(), String> {
+fn cmd_flow(path: &str, key: Option<u32>, as_json: bool) -> Result<(), String> {
     let trace = load(path)?;
     let Some(key) = key else {
         let rep = flow_report(&trace);
@@ -927,14 +913,11 @@ fn cmd_flow(path: &str, key: Option<u64>, as_json: bool) -> Result<(), String> {
     );
     // Each hop is the delta to the previous touchpoint, so the hops
     // telescope: their sum IS the end-to-end latency, exactly.
+    let lanes = resource_names(&trace.events);
     let mut prev: Option<f64> = None;
     let mut hop_sum = 0.0;
     for r in &rows {
-        let lane = trace
-            .thread_names
-            .get(&r.track)
-            .map(String::as_str)
-            .unwrap_or("?");
+        let lane = lanes.get(&r.track).map_or("?", String::as_str);
         let hop = prev.map(|p| r.ts_us - p).unwrap_or(0.0);
         hop_sum += hop;
         println!(
@@ -944,7 +927,7 @@ fn cmd_flow(path: &str, key: Option<u64>, as_json: bool) -> Result<(), String> {
         prev = Some(r.ts_us);
     }
     let e2e = rows.last().unwrap().ts_us - rows[0].ts_us;
-    let servers: std::collections::BTreeSet<u64> = rows.iter().map(|r| r.server).collect();
+    let servers: BTreeSet<u32> = rows.iter().map(|r| r.server).collect();
     println!(
         "e2e       {e2e:.3} us over {} hop(s) across {} server(s) (hop sum {hop_sum:.3} us)",
         rows.len() - 1,
@@ -964,17 +947,11 @@ fn cmd_sessions(path: &str, as_json: bool) -> Result<(), String> {
         ));
     }
     if as_json {
-        let mut sessions = json!({});
-        for (s, (records, packets, bytes)) in &rep.sessions {
-            sessions[s.as_str()] = json!({
-                "records": records, "packets": packets, "bytes": bytes,
-            });
-        }
         println!(
             "{}",
             serde_json::to_string_pretty(&json!({
                 "flows": rep.session_flows.len(),
-                "sessions": sessions,
+                "sessions": sessions_json(&rep),
             }))
             .expect("serializable")
         );
@@ -997,31 +974,27 @@ fn cmd_sessions(path: &str, as_json: bool) -> Result<(), String> {
 /// deployment, and e.g. a CPU-only deployment legitimately has no GPU
 /// events).
 fn cmd_validate(paths: &[String], require: &[String]) -> Result<(), String> {
-    let mut union: BTreeMap<String, u64> = BTreeMap::new();
-    let mut total_events = 0usize;
+    let mut union: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut total_events = 0u64;
     let mut total_dropped = 0u64;
     for path in paths {
         let trace = load(path)?;
-        if trace.events.is_empty() {
+        let cats = by_category(&trace);
+        if cats.is_empty() {
             return Err(format!("{path}: trace has no events"));
-        }
-        for (i, ev) in trace.events.iter().enumerate() {
-            if let Some(violation) = check_event(ev) {
-                return Err(format!("{path}: event {i}: {violation}"));
-            }
         }
         check_sim_lanes(&trace, path)?;
         check_control_plane(&trace, path)?;
         check_cluster_plane(&trace, path)?;
         check_flow_plane(&trace, path)?;
-        for (cat, n) in by_category(&trace) {
+        for (cat, n) in cats {
             *union.entry(cat).or_insert(0) += n;
+            total_events += n;
         }
-        total_events += trace.events.len();
         total_dropped += trace.dropped;
     }
     for cat in require {
-        if !union.contains_key(cat) {
+        if !union.contains_key(cat.as_str()) {
             return Err(format!(
                 "required category {cat:?} absent (found: {:?})",
                 union.keys().collect::<Vec<_>>()
@@ -1038,33 +1011,18 @@ fn cmd_validate(paths: &[String], require: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_prom(path: &str) -> Result<(), String> {
-    let trace = load(path)?;
-    println!("# TYPE nfc_trace_events_total counter");
-    println!("nfc_trace_events_total {}", trace.events.len());
-    println!("# TYPE nfc_trace_events_dropped_total counter");
-    println!("nfc_trace_events_dropped_total {}", trace.dropped);
-    for (cat, n) in by_category(&trace) {
-        println!("nfc_trace_category_events_total{{cat=\"{cat}\"}} {n}");
-    }
-    Ok(())
-}
-
 /// Prints the adaptation timeline recorded by the control plane (one
 /// `controller_decision` instant per evaluated stage; `epoch` markers
 /// share the `control` category and are excluded).
 fn cmd_controller(path: &str) -> Result<(), String> {
     let trace = load(path)?;
-    let mut rows: Vec<&Value> = trace
+    let mut rows: Vec<(f64, &EventKind)> = trace
         .events
         .iter()
-        .filter(|ev| str_field(ev, "name") == Some("controller_decision"))
+        .filter(|ev| matches!(ev.kind, EventKind::ControllerDecision { .. }))
+        .map(|ev| (ts_dur_us(ev).0, &ev.kind))
         .collect();
-    rows.sort_by(|a, b| {
-        num_field(a, "ts")
-            .unwrap_or(0.0)
-            .total_cmp(&num_field(b, "ts").unwrap_or(0.0))
-    });
+    rows.sort_by(|a, b| a.0.total_cmp(&b.0));
     println!("trace       {path}");
     println!("decisions   {}", rows.len());
     if rows.is_empty() {
@@ -1077,20 +1035,22 @@ fn cmd_controller(path: &str) -> Result<(), String> {
         "{:>10}  {:>5}  {:<12}  {:>5} -> {:<5}  {:>9}  reason",
         "ts(us)", "epoch", "stage", "old", "new", "swap(us)"
     );
-    for ev in &rows {
-        let ts = num_field(ev, "ts").unwrap_or(0.0);
-        let epoch = arg_u64(ev, "epoch");
-        let stage = arg_str(ev, "stage");
-        let reason = arg_str(ev, "reason");
-        let old_ratio = arg_f64(ev, "old_ratio");
-        let new_ratio = arg_f64(ev, "new_ratio");
-        let swap_ns = arg_f64(ev, "swap_ns");
-        if (old_ratio - new_ratio).abs() > 1e-9 || swap_ns > 0.0 {
+    for (ts, kind) in rows {
+        let EventKind::ControllerDecision {
+            epoch,
+            reason,
+            stage,
+            old_ratio,
+            new_ratio,
+            swap_ns,
+        } = kind
+        else {
+            unreachable!("filtered to controller decisions")
+        };
+        if (old_ratio - new_ratio).abs() > 1e-9 || *swap_ns > 0.0 {
             swaps += 1;
             swap_total_ns += swap_ns;
         }
-        let stage = if stage.is_empty() { "?" } else { stage };
-        let reason = if reason.is_empty() { "?" } else { reason };
         let old = format!("{:.0}%", old_ratio * 100.0);
         let new = format!("{:.0}%", new_ratio * 100.0);
         println!(
@@ -1131,8 +1091,7 @@ fn attribution_json(rep: &AttributionReport) -> Value {
 }
 
 fn cmd_attribution(path: &str, as_json: bool) -> Result<(), String> {
-    let trace = load(path)?;
-    let events = typed_events(&trace);
+    let events = load(path)?.events;
     let rep = attribution(&events);
     if rep.batches == 0 {
         return Err(format!(
@@ -1170,7 +1129,7 @@ fn cmd_attribution(path: &str, as_json: bool) -> Result<(), String> {
 #[derive(Debug, Default)]
 struct HealthReport {
     /// objective -> (verdicts, breaches, max fast burn, max slow burn).
-    objectives: BTreeMap<String, (u64, u64, f64, f64)>,
+    objectives: BTreeMap<&'static str, (u64, u64, f64, f64)>,
     drift_verdicts: u64,
     drift_raised: u64,
     max_drift: f64,
@@ -1180,24 +1139,32 @@ struct HealthReport {
 fn health_report(trace: &Trace) -> HealthReport {
     let mut rep = HealthReport::default();
     for ev in &trace.events {
-        match str_field(ev, "name") {
-            Some("slo_burn") => {
-                let o = rep
-                    .objectives
-                    .entry(arg_str(ev, "objective").to_string())
-                    .or_insert((0, 0, 0.0, 0.0));
+        match ev.kind {
+            EventKind::SloBurn {
+                objective,
+                fast_burn,
+                slow_burn,
+                breached,
+                ..
+            } => {
+                let o = rep.objectives.entry(objective).or_insert((0, 0, 0.0, 0.0));
                 o.0 += 1;
-                o.1 += arg_u64(ev, "breached");
-                o.2 = o.2.max(arg_f64(ev, "fast_burn"));
-                o.3 = o.3.max(arg_f64(ev, "slow_burn"));
+                o.1 += u64::from(breached);
+                o.2 = o.2.max(fast_burn);
+                o.3 = o.3.max(slow_burn);
             }
-            Some("model_drift") => {
+            EventKind::ModelDrift {
+                epoch,
+                drift,
+                raised,
+                ..
+            } => {
                 rep.drift_verdicts += 1;
-                rep.max_drift = rep.max_drift.max(arg_f64(ev, "drift"));
-                if arg_u64(ev, "raised") != 0 {
+                rep.max_drift = rep.max_drift.max(drift);
+                if raised {
                     rep.drift_raised += 1;
                     if rep.first_raised_epoch == 0 {
-                        rep.first_raised_epoch = arg_u64(ev, "epoch");
+                        rep.first_raised_epoch = epoch;
                     }
                 }
             }
@@ -1210,7 +1177,7 @@ fn health_report(trace: &Trace) -> HealthReport {
 fn health_json(rep: &HealthReport) -> Value {
     let mut slo = json!({});
     for (name, (verdicts, breaches, fast, slow)) in &rep.objectives {
-        slo[name.as_str()] = json!({
+        slo[*name] = json!({
             "verdicts": verdicts,
             "breaches": breaches,
             "max_fast_burn": fast,
@@ -1292,8 +1259,7 @@ fn cmd_whatif(path: &str, speedup: &str, as_json: bool) -> Result<(), String> {
     if !(factor.is_finite() && factor > 0.0) {
         return Err(format!("--speedup factor must be positive, got {factor}"));
     }
-    let trace = load(path)?;
-    let events = typed_events(&trace);
+    let events = load(path)?.events;
     let rep = whatif(&events, element, factor);
     if rep.batches == 0 {
         return Err(format!("{path}: no attributed batches to project"));
@@ -1352,8 +1318,7 @@ fn cmd_whatif(path: &str, speedup: &str, as_json: bool) -> Result<(), String> {
 }
 
 fn cmd_critical(path: &str, as_json: bool) -> Result<(), String> {
-    let trace = load(path)?;
-    let events = typed_events(&trace);
+    let events = load(path)?.events;
     let paths = critical_paths(&events);
     if paths.is_empty() {
         return Err(format!("{path}: no attributed batches to walk"));
@@ -1411,8 +1376,7 @@ fn cmd_critical(path: &str, as_json: bool) -> Result<(), String> {
 }
 
 fn cmd_flame(path: &str, wall: bool) -> Result<(), String> {
-    let trace = load(path)?;
-    let events = typed_events(&trace);
+    let events = load(path)?.events;
     let folded = if wall {
         folded_stacks_wall(&events)
     } else {
@@ -1428,8 +1392,7 @@ fn cmd_flame(path: &str, wall: bool) -> Result<(), String> {
 }
 
 fn cmd_calibrate(path: &str, launch_per_batch: bool) -> Result<(), String> {
-    let trace = load(path)?;
-    let events = typed_events(&trace);
+    let events = load(path)?.events;
     let platform = nfc_hetero::PlatformConfig::hpca18();
     let anchors = CalibAnchors {
         gpu_ctx_switch_ns: nfc_hetero::calib::GPU_CONTEXT_SWITCH_NS,
@@ -1467,7 +1430,7 @@ fn cmd_calibrate(path: &str, launch_per_batch: bool) -> Result<(), String> {
     Ok(())
 }
 
-const USAGE: &str = "usage: nfc-trace <summary|validate|prom|controller|attribution|critical-path|\
+const USAGE: &str = "usage: nfc-trace <summary|validate|controller|attribution|critical-path|\
 flame|calibrate|health|whatif|flow|sessions> <trace.json>... [--require cat1,cat2] [--json] \
 [--wall] [--launch-per-batch] [--speedup element=k] \
 [flow key: decimal or 0x-hex after the trace path]";
@@ -1512,7 +1475,6 @@ fn main() -> ExitCode {
     let result = match cmd {
         "summary" => paths.iter().try_for_each(|p| cmd_summary(p)),
         "validate" => cmd_validate(&paths, &require),
-        "prom" => paths.iter().try_for_each(|p| cmd_prom(p)),
         "controller" => paths.iter().try_for_each(|p| cmd_controller(p)),
         "attribution" => paths.iter().try_for_each(|p| cmd_attribution(p, as_json)),
         "critical-path" => paths.iter().try_for_each(|p| cmd_critical(p, as_json)),
@@ -1550,17 +1512,143 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nfc_telemetry::export::chrome_trace;
 
-    fn busy_line(tid: u64, ts: f64, dur: f64, batch: u64) -> String {
-        format!(
-            "{{\"name\":\"resource_busy\",\"cat\":\"resource\",\"ph\":\"X\",\"pid\":2,\
-             \"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\"args\":{{\"wall_ns\":0,\
-             \"batch\":{batch},\"resource\":{tid},\"user\":1,\"queued_ns\":0}}}}"
-        )
+    /// A simulated-timeline event on `track` spanning `[start, end]` us.
+    fn sim(track: u32, start_us: f64, end_us: f64, kind: EventKind) -> Event {
+        Event {
+            wall_ns: 0,
+            wall_dur_ns: 0,
+            sim: Some(SimStamp {
+                start_ns: start_us * 1e3,
+                end_ns: end_us * 1e3,
+            }),
+            track,
+            batch: 0,
+            kind,
+        }
     }
 
-    fn wrap(lines: &[String]) -> String {
-        format!("[\n{}\n]\n", lines.join(",\n"))
+    /// Exports `events` and decodes the file back, as `nfc-trace` reads it.
+    fn exported(events: &[Event]) -> Trace {
+        parse(&chrome_trace(events, 0), "t.json").expect("decodes")
+    }
+
+    /// Exports `ev`, rewrites `from` to `to` in the file, and returns
+    /// the decoder's error.
+    fn rejected(ev: Event, from: &str, to: &str) -> String {
+        let body = chrome_trace(&[ev], 0);
+        assert!(body.contains(from), "{from} not in {body}");
+        parse(&body.replace(from, to), "t.json").expect_err(to)
+    }
+
+    fn busy(track: u32, start_us: f64, end_us: f64) -> Event {
+        let kind = EventKind::ResourceBusy {
+            resource: track,
+            user: 1,
+            queued_ns: 0.0,
+        };
+        sim(track, start_us, end_us, kind)
+    }
+
+    #[test]
+    fn exported_golden_decodes_and_re_exports_byte_for_byte() {
+        let golden = include_str!("../../../telemetry/tests/golden_trace.expected.json");
+        let trace = parse(golden, "golden").expect("decodes");
+        assert_eq!(chrome_trace(&trace.events, trace.dropped), golden);
+    }
+
+    /// Every word of every closed vocabulary survives export and decode,
+    /// so a word added in `nfc-telemetry` is one `decode` reads.
+    #[test]
+    fn every_vocabulary_word_decodes() {
+        let mut kinds = Vec::new();
+        for &algo in PARTITION_ALGOS {
+            kinds.push(EventKind::PartitionDecision {
+                algo,
+                stage: "s".into(),
+                predicted_cost_ns: 1.0,
+                mean_ratio: 0.5,
+            });
+        }
+        for &point in FLOW_POINTS {
+            kinds.push(EventKind::FlowPoint {
+                flow: 1,
+                point,
+                server: 0,
+                packets: 1,
+            });
+        }
+        for &state in SESSION_STATES {
+            kinds.push(EventKind::Session {
+                state,
+                flow: 1,
+                packets: 1,
+                bytes: 64,
+            });
+        }
+        for &objective in SLO_OBJECTIVES {
+            kinds.push(EventKind::SloBurn {
+                epoch: 1,
+                objective,
+                fast_burn: 1.0,
+                slow_burn: 1.0,
+                breached: false,
+            });
+        }
+        for &reason in DUMP_REASONS {
+            kinds.push(EventKind::FlightDump { reason, events: 1 });
+        }
+        let events: Vec<Event> = kinds.into_iter().map(|k| sim(0, 1.0, 1.0, k)).collect();
+        let decoded = exported(&events).events;
+        let kinds = |evs: &[Event]| evs.iter().map(|e| e.kind.clone()).collect::<Vec<_>>();
+        assert_eq!(kinds(&decoded), kinds(&events));
+    }
+
+    #[test]
+    fn decode_rejects_what_the_exporter_cannot_write() {
+        let err = rejected(busy(1, 10.0, 30.0), "\"user\":1,", "");
+        assert!(err.contains("args.user"), "{err}");
+        let err = rejected(busy(1, 10.0, 30.0), "\"wall_ns\":0,", "");
+        assert!(err.contains("args.wall_ns"), "{err}");
+        let err = rejected(
+            busy(1, 10.0, 30.0),
+            "\"cat\":\"resource\"",
+            "\"cat\":\"gpu\"",
+        );
+        assert!(err.contains("name/cat/ph"), "{err}");
+        let err = rejected(busy(1, 10.0, 30.0), "\"ph\":\"X\"", "\"ph\":\"i\"");
+        assert!(err.contains("name/cat/ph"), "{err}");
+        let err = rejected(busy(1, 10.0, 30.0), "resource_busy", "resource_idle");
+        assert!(err.contains("unknown event"), "{err}");
+        let err = rejected(busy(1, 10.0, 30.0), "\"user\":1", "\"user\":\"1\"");
+        assert!(err.contains("args.user"), "{err}");
+    }
+
+    #[test]
+    fn corrupt_trace_with_negative_dur_is_rejected() {
+        let err = rejected(busy(1, 10.0, 15.0), "\"dur\":5", "\"dur\":-5");
+        assert!(err.contains("negative or non-finite dur"), "{err}");
+        let err = rejected(busy(1, 10.0, 15.0), "\"ts\":10", "\"ts\":1e999");
+        assert!(err.contains("negative or non-finite ts"), "{err}");
+    }
+
+    #[test]
+    fn sm_occupancy_above_100_pct_is_rejected() {
+        let occupancy = |pct: u8| {
+            let kind = EventKind::SmOccupancy {
+                queue: 0,
+                occupancy_pct: pct,
+            };
+            sim(1, 10.0, 10.0, kind)
+        };
+        assert_eq!(exported(&[occupancy(100)]).events, [occupancy(100)]);
+
+        let err = parse(&chrome_trace(&[occupancy(104)], 0), "t.json").expect_err("rejected");
+        assert!(err.contains("outside 0-100%"), "{err}");
+
+        let err = rejected(occupancy(100), ",\"occupancy_pct\":100", "");
+        assert!(err.contains("occupancy_pct"), "{err}");
     }
 
     #[test]
@@ -1568,174 +1656,113 @@ mod tests {
         // Back-to-back spans on one lane ([10, 30) then [30, 50)) are
         // fine; overlapping ones are corrupt — the simulator places
         // busy intervals without intersection by construction.
-        let body = wrap(&[busy_line(3, 10.0, 20.0, 1), busy_line(3, 30.0, 20.0, 2)]);
-        let ok = parse(&body, "t.json").expect("parses");
+        let ok = exported(&[busy(3, 10.0, 30.0), busy(3, 30.0, 50.0)]);
         assert!(check_sim_lanes(&ok, "t.json").is_ok());
 
-        let body = wrap(&[busy_line(3, 10.0, 20.0, 1), busy_line(3, 15.0, 25.0, 2)]);
-        let bad = parse(&body, "t.json").expect("parses");
+        let bad = exported(&[busy(3, 10.0, 30.0), busy(3, 15.0, 40.0)]);
         let err = check_sim_lanes(&bad, "t.json").expect_err("overlap rejected");
         assert!(err.contains("non-monotonic"), "{err}");
 
-        // Different lanes (or instants) never conflict.
-        let body = wrap(&[busy_line(3, 10.0, 20.0, 1), busy_line(4, 15.0, 25.0, 2)]);
-        let other = parse(&body, "t.json").expect("parses");
+        // Different lanes never conflict.
+        let other = exported(&[busy(3, 10.0, 30.0), busy(4, 15.0, 40.0)]);
         assert!(check_sim_lanes(&other, "t.json").is_ok());
     }
 
-    #[test]
-    fn corrupt_trace_with_negative_dur_is_rejected() {
-        let line = "{\"name\":\"resource_busy\",\"cat\":\"resource\",\"ph\":\"X\",\"pid\":2,\
-             \"tid\":1,\"ts\":10,\"dur\":-5,\"args\":{\"wall_ns\":0}}"
-            .to_string();
-        let trace = parse(&wrap(&[line]), "t.json").expect("parses");
-        let violation = check_event(&trace.events[0]).expect("rejected");
-        assert!(violation.contains("span ends before start"), "{violation}");
+    fn epoch(track: u32, ts: f64, epoch: u64) -> Event {
+        sim(track, ts, ts, EventKind::Epoch { epoch })
     }
 
-    #[test]
-    fn sm_occupancy_above_100_pct_is_rejected() {
-        let line = |pct: i64| {
-            format!(
-                "{{\"name\":\"sm_occupancy\",\"cat\":\"gpu\",\"ph\":\"i\",\"s\":\"t\",\
-                 \"pid\":2,\"tid\":1,\"ts\":10,\"args\":{{\"wall_ns\":0,\"batch\":1,\
-                 \"queue\":0,\"occupancy_pct\":{pct}}}}}"
-            )
+    /// A charged swap, on the track and clock the runtime records it.
+    fn swap(track: u32, ts: f64, swap_ns: f64) -> Event {
+        let kind = EventKind::ControllerDecision {
+            epoch: 1,
+            reason: "x".into(),
+            stage: "dpi".into(),
+            old_ratio: 0.2,
+            new_ratio: 0.6,
+            swap_ns,
         };
-        let trace = parse(&wrap(&[line(100)]), "t.json").expect("parses");
-        assert!(check_event(&trace.events[0]).is_none());
-
-        let trace = parse(&wrap(&[line(104)]), "t.json").expect("parses");
-        let violation = check_event(&trace.events[0]).expect("rejected");
-        assert!(violation.contains("outside 0-100%"), "{violation}");
-
-        let stripped = "{\"name\":\"sm_occupancy\",\"cat\":\"gpu\",\"ph\":\"i\",\"s\":\"t\",\
-                        \"pid\":2,\"tid\":1,\"ts\":10,\"args\":{\"wall_ns\":0}}"
-            .to_string();
-        let trace = parse(&wrap(&[stripped]), "t.json").expect("parses");
-        let violation = check_event(&trace.events[0]).expect("rejected");
-        assert!(violation.contains("occupancy_pct"), "{violation}");
-    }
-
-    fn epoch_line(tid: u64, ts: f64, epoch: u64) -> String {
-        format!(
-            "{{\"name\":\"epoch\",\"cat\":\"control\",\"ph\":\"i\",\"s\":\"t\",\"pid\":2,\
-             \"tid\":{tid},\"ts\":{ts},\"args\":{{\"wall_ns\":0,\"batch\":0,\"epoch\":{epoch}}}}}"
-        )
-    }
-
-    fn swap_line(tid: u64, ts: f64, swap_ns: f64) -> String {
-        format!(
-            "{{\"name\":\"controller_decision\",\"cat\":\"control\",\"ph\":\"i\",\"s\":\"t\",\
-             \"pid\":2,\"tid\":{tid},\"ts\":{ts},\"args\":{{\"wall_ns\":0,\"batch\":0,\
-             \"epoch\":1,\"stage\":\"dpi\",\"reason\":\"x\",\"old_ratio\":0.2,\
-             \"new_ratio\":0.6,\"swap_ns\":{swap_ns}}}}}"
-        )
+        sim(track, ts, ts, kind)
     }
 
     #[test]
     fn corrupt_trace_with_non_monotonic_epochs_is_rejected() {
-        let ok = parse(
-            &wrap(&[epoch_line(1, 10.0, 1), epoch_line(1, 20.0, 2)]),
-            "t.json",
-        )
-        .expect("parses");
+        let ok = exported(&[epoch(1, 10.0, 1), epoch(1, 20.0, 2)]);
         assert!(check_control_plane(&ok, "t.json").is_ok());
 
         // Same epoch twice: the counter went backwards or stalled.
-        let bad = parse(
-            &wrap(&[epoch_line(1, 10.0, 2), epoch_line(1, 20.0, 2)]),
-            "t.json",
-        )
-        .expect("parses");
+        let bad = exported(&[epoch(1, 10.0, 2), epoch(1, 20.0, 2)]);
         let err = check_control_plane(&bad, "t.json").expect_err("rejected");
         assert!(err.contains("non-monotonic epoch markers"), "{err}");
 
         // A later marker with a smaller epoch (out-of-order writes).
-        let bad = parse(
-            &wrap(&[epoch_line(1, 10.0, 3), epoch_line(1, 20.0, 1)]),
-            "t.json",
-        )
-        .expect("parses");
+        let bad = exported(&[epoch(1, 10.0, 3), epoch(1, 20.0, 1)]);
         assert!(check_control_plane(&bad, "t.json").is_err());
 
         // Distinct tracks (co-deployed tenants) keep separate counters.
-        let multi = parse(
-            &wrap(&[epoch_line(1, 10.0, 5), epoch_line(2, 20.0, 1)]),
-            "t.json",
-        )
-        .expect("parses");
+        let multi = exported(&[epoch(1, 10.0, 5), epoch(2, 20.0, 1)]);
         assert!(check_control_plane(&multi, "t.json").is_ok());
     }
 
     #[test]
     fn corrupt_trace_with_overlapping_swap_windows_is_rejected() {
         // Swap at 10 us draining 5000 ns holds the lane until 15 us.
-        let ok = parse(
-            &wrap(&[swap_line(1, 10.0, 5_000.0), swap_line(1, 15.5, 5_000.0)]),
-            "t.json",
-        )
-        .expect("parses");
+        let ok = exported(&[swap(1, 10.0, 5_000.0), swap(1, 15.5, 5_000.0)]);
         assert!(check_control_plane(&ok, "t.json").is_ok());
 
-        let bad = parse(
-            &wrap(&[swap_line(1, 10.0, 5_000.0), swap_line(1, 12.0, 5_000.0)]),
-            "t.json",
-        )
-        .expect("parses");
+        let bad = exported(&[swap(1, 10.0, 5_000.0), swap(1, 12.0, 5_000.0)]);
         let err = check_control_plane(&bad, "t.json").expect_err("rejected");
         assert!(err.contains("overlapping swap windows"), "{err}");
 
         // Overlap on different tracks is two tenants swapping — fine.
-        let multi = parse(
-            &wrap(&[swap_line(1, 10.0, 5_000.0), swap_line(2, 12.0, 5_000.0)]),
-            "t.json",
-        )
-        .expect("parses");
+        let multi = exported(&[swap(1, 10.0, 5_000.0), swap(2, 12.0, 5_000.0)]);
         assert!(check_control_plane(&multi, "t.json").is_ok());
+
+        // Two stages re-planned at one instant are one chain swap, whose
+        // window ends with the longer of the two.
+        let stages = exported(&[swap(1, 10.0, 5_000.0), swap(1, 10.0, 8_000.0)]);
+        assert!(check_control_plane(&stages, "t.json").is_ok());
+        let after = [
+            swap(1, 10.0, 5_000.0),
+            swap(1, 10.0, 8_000.0),
+            swap(1, 16.0, 1.0),
+        ];
+        let err = check_control_plane(&exported(&after), "t.json").expect_err("rejected");
+        assert!(err.contains("previous swap drains at 18.000 us"), "{err}");
     }
 
-    fn link_line(tid: u64, ts: f64, dur: f64) -> String {
-        format!(
-            "{{\"name\":\"link_transfer\",\"cat\":\"cluster\",\"ph\":\"X\",\"pid\":2,\
-             \"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\"args\":{{\"wall_ns\":0,\"batch\":0,\
-             \"link\":{tid},\"packets\":64,\"bytes\":96000}}}}"
-        )
+    fn link(track: u32, start_us: f64, end_us: f64) -> Event {
+        let kind = EventKind::LinkTransfer {
+            link: track,
+            packets: 64,
+            bytes: 96_000,
+        };
+        sim(track, start_us, end_us, kind)
     }
 
-    fn shard_line(epoch: u64, server: u64, start: u64, end: u64) -> String {
-        format!(
-            "{{\"name\":\"shard_range\",\"cat\":\"cluster\",\"ph\":\"i\",\"s\":\"t\",\
-             \"pid\":2,\"tid\":1,\"ts\":10,\"args\":{{\"wall_ns\":0,\"batch\":0,\
-             \"epoch\":{epoch},\"server\":{server},\"start\":{start},\"end\":{end}}}}}"
-        )
+    fn shard(epoch: u64, server: u32, start: u64, end: u64) -> Event {
+        let kind = EventKind::ShardRange {
+            epoch,
+            server,
+            start,
+            end,
+        };
+        sim(1, 10.0, 10.0, kind)
     }
 
     #[test]
     fn corrupt_trace_with_overlapping_link_spans_is_rejected() {
         // A link serializes its transfers: back-to-back is fine,
         // overlap means two transfers shared the wire.
-        let ok = parse(
-            &wrap(&[link_line(7, 10.0, 5.0), link_line(7, 15.0, 5.0)]),
-            "t.json",
-        )
-        .expect("parses");
+        let ok = exported(&[link(7, 10.0, 15.0), link(7, 15.0, 20.0)]);
         assert!(check_cluster_plane(&ok, "t.json").is_ok());
 
-        let bad = parse(
-            &wrap(&[link_line(7, 10.0, 5.0), link_line(7, 12.0, 5.0)]),
-            "t.json",
-        )
-        .expect("parses");
+        let bad = exported(&[link(7, 10.0, 15.0), link(7, 12.0, 17.0)]);
         let err = check_cluster_plane(&bad, "t.json").expect_err("rejected");
         assert!(err.contains("overlapping link-busy spans"), "{err}");
 
         // Distinct links carry concurrent transfers — that's the rack.
-        let multi = parse(
-            &wrap(&[link_line(7, 10.0, 5.0), link_line(8, 12.0, 5.0)]),
-            "t.json",
-        )
-        .expect("parses");
+        let multi = exported(&[link(7, 10.0, 15.0), link(8, 12.0, 17.0)]);
         assert!(check_cluster_plane(&multi, "t.json").is_ok());
     }
 
@@ -1743,85 +1770,66 @@ mod tests {
     fn corrupt_shard_maps_are_rejected() {
         const FULL: u64 = 1 << 32;
         // A complete two-server map tiles [0, 2^32) exactly.
-        let ok = parse(
-            &wrap(&[
-                shard_line(1, 0, 0, 1 << 31),
-                shard_line(1, 1, 1 << 31, FULL),
-            ]),
-            "t.json",
-        )
-        .expect("parses");
+        let ok = exported(&[shard(1, 0, 0, 1 << 31), shard(1, 1, 1 << 31, FULL)]);
         assert!(check_cluster_plane(&ok, "t.json").is_ok());
 
         // A gap leaves flows unowned.
-        let bad = parse(
-            &wrap(&[shard_line(1, 0, 0, 1000), shard_line(1, 1, 2000, FULL)]),
-            "t.json",
-        )
-        .expect("parses");
+        let bad = exported(&[shard(1, 0, 0, 1000), shard(1, 1, 2000, FULL)]);
         let err = check_cluster_plane(&bad, "t.json").expect_err("gap rejected");
         assert!(err.contains("gap"), "{err}");
 
         // An overlap double-owns flows.
-        let bad = parse(
-            &wrap(&[shard_line(1, 0, 0, 2000), shard_line(1, 1, 1000, FULL)]),
-            "t.json",
-        )
-        .expect("parses");
+        let bad = exported(&[shard(1, 0, 0, 2000), shard(1, 1, 1000, FULL)]);
         let err = check_cluster_plane(&bad, "t.json").expect_err("overlap rejected");
         assert!(err.contains("overlap"), "{err}");
 
         // A truncated map does not reach 2^32.
-        let bad = parse(&wrap(&[shard_line(1, 0, 0, 5000)]), "t.json").expect("parses");
+        let bad = exported(&[shard(1, 0, 0, 5000)]);
         let err = check_cluster_plane(&bad, "t.json").expect_err("short map rejected");
         assert!(err.contains("not 2^32"), "{err}");
 
         // A map starting past zero strands the low hashes.
-        let bad = parse(&wrap(&[shard_line(1, 0, 5, FULL)]), "t.json").expect("parses");
+        let bad = exported(&[shard(1, 0, 5, FULL)]);
         let err = check_cluster_plane(&bad, "t.json").expect_err("late start rejected");
         assert!(err.contains("not 0"), "{err}");
 
         // Ranges from DIFFERENT epochs never cross-validate: two
         // disjoint-epoch half-maps are two incomplete maps.
-        let bad = parse(
-            &wrap(&[
-                shard_line(1, 0, 0, 1 << 31),
-                shard_line(2, 1, 1 << 31, FULL),
-            ]),
-            "t.json",
-        )
-        .expect("parses");
+        let bad = exported(&[shard(1, 0, 0, 1 << 31), shard(2, 1, 1 << 31, FULL)]);
         assert!(check_cluster_plane(&bad, "t.json").is_err());
     }
 
-    fn slo_line(ts: f64, epoch: u64, fast: f64, slow: f64, breached: u64) -> String {
-        format!(
-            "{{\"name\":\"slo_burn\",\"cat\":\"health\",\"ph\":\"i\",\"s\":\"t\",\"pid\":2,\
-             \"tid\":1,\"ts\":{ts},\"args\":{{\"wall_ns\":0,\"batch\":0,\"epoch\":{epoch},\
-             \"objective\":\"p99_latency\",\"fast_burn\":{fast},\"slow_burn\":{slow},\
-             \"breached\":{breached}}}}}"
-        )
+    fn slo(ts: f64, epoch: u64, fast_burn: f64, slow_burn: f64, breached: bool) -> Event {
+        let kind = EventKind::SloBurn {
+            epoch,
+            objective: "p99_latency",
+            fast_burn,
+            slow_burn,
+            breached,
+        };
+        sim(1, ts, ts, kind)
     }
 
-    fn drift_line(ts: f64, epoch: u64, drift: f64, raised: u64) -> String {
-        format!(
-            "{{\"name\":\"model_drift\",\"cat\":\"health\",\"ph\":\"i\",\"s\":\"t\",\"pid\":2,\
-             \"tid\":1,\"ts\":{ts},\"args\":{{\"wall_ns\":0,\"batch\":0,\"epoch\":{epoch},\
-             \"predicted_ns\":1000.0,\"observed_ns\":1800.0,\"drift\":{drift},\
-             \"raised\":{raised}}}}}"
-        )
+    fn drift(ts: f64, epoch: u64, drift: f64, raised: bool) -> Event {
+        let kind = EventKind::ModelDrift {
+            epoch,
+            predicted_ns: 1000.0,
+            observed_ns: 1800.0,
+            drift,
+            raised,
+        };
+        sim(1, ts, ts, kind)
     }
 
     #[test]
     fn health_report_aggregates_verdicts_and_drift() {
-        let body = wrap(&[
-            slo_line(10.0, 1, 0.5, 0.2, 0),
-            slo_line(20.0, 2, 3.0, 1.5, 1),
-            drift_line(10.0, 1, 0.1, 0),
-            drift_line(20.0, 2, 0.8, 1),
-            drift_line(30.0, 3, 0.9, 1),
+        let trace = exported(&[
+            slo(10.0, 1, 0.5, 0.2, false),
+            slo(20.0, 2, 3.0, 1.5, true),
+            drift(10.0, 1, 0.1, false),
+            drift(20.0, 2, 0.8, true),
+            drift(30.0, 3, 0.9, true),
         ]);
-        let trace = parse(&body, "t.json").expect("parses");
         let rep = health_report(&trace);
         let p99 = rep.objectives.get("p99_latency").expect("objective");
         assert_eq!((p99.0, p99.1), (2, 1));
@@ -1837,72 +1845,31 @@ mod tests {
         assert_eq!(js["drift"]["raised"].as_u64(), Some(2));
     }
 
-    #[test]
-    fn typed_events_roundtrip_health_instants() {
-        let trace = parse(
-            &wrap(&[slo_line(10.0, 1, 2.0, 1.0, 1), drift_line(10.0, 1, 0.5, 1)]),
-            "t.json",
-        )
-        .expect("parses");
-        let events = typed_events(&trace);
-        assert_eq!(events.len(), 2);
-        assert!(matches!(
-            events[0].kind,
-            EventKind::SloBurn {
-                objective: "p99_latency",
-                breached: true,
-                ..
-            }
-        ));
-        assert!(matches!(
-            events[1].kind,
-            EventKind::ModelDrift { raised: true, .. }
-        ));
+    fn point(flow: u32, point: &'static str, server: u32, track: u32, ts: f64) -> Event {
+        let kind = EventKind::FlowPoint {
+            flow,
+            point,
+            server,
+            packets: 4,
+        };
+        sim(track, ts, ts, kind)
     }
 
-    #[test]
-    fn typed_events_roundtrip_attribution() {
-        let attr = "{\"name\":\"batch_attribution\",\"cat\":\"attr\",\"ph\":\"i\",\"s\":\"t\",\
-                    \"pid\":2,\"tid\":1,\"ts\":50,\"args\":{\"wall_ns\":0,\"batch\":9,\
-                    \"seq\":9,\"e2e_ns\":1000,\"compute_ns\":600,\"transfer_ns\":100,\
-                    \"queue_ns\":200,\"drain_ns\":0,\"merge_wait_ns\":100}}"
-            .to_string();
-        let egress = "{\"name\":\"batch_egress\",\"cat\":\"attr\",\"ph\":\"i\",\"s\":\"t\",\
-                      \"pid\":2,\"tid\":1,\"ts\":50,\"args\":{\"wall_ns\":0,\"batch\":9,\
-                      \"seq\":9,\"packets\":64,\"bytes\":4096}}"
-            .to_string();
-        let name_meta = "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":1,\"ts\":0,\
-                         \"args\":{\"name\":\"io-tx\"}}"
-            .to_string();
-        let trace = parse(&wrap(&[name_meta, attr, egress]), "t.json").expect("parses");
-        assert_eq!(
-            trace.thread_names.get(&1).map(String::as_str),
-            Some("io-tx")
-        );
-        let events = typed_events(&trace);
-        // ResourceName synthesized + two instants.
-        assert_eq!(events.len(), 3);
-        let rep = attribution(&events);
-        assert_eq!(rep.batches, 1);
-        assert_eq!(rep.packets, 64);
-        assert!((rep.mean_e2e_ns - 1000.0).abs() < 1e-9);
-        assert!((rep.mean.total() - 1000.0).abs() < 1e-9);
-    }
-
-    fn flow_line(flow: u64, point: &str, server: u64, tid: u64, ts: f64, packets: u64) -> String {
-        format!(
-            "{{\"name\":\"flow_{point}\",\"cat\":\"flow\",\"ph\":\"i\",\"s\":\"t\",\"pid\":2,\
-             \"tid\":{tid},\"ts\":{ts},\"args\":{{\"wall_ns\":0,\"batch\":1,\"flow\":{flow},\
-             \"point\":\"{point}\",\"server\":{server},\"packets\":{packets}}}}}"
-        )
-    }
-
-    fn session_line(state: &str, flow: u64, ts: f64, packets: u64, bytes: u64) -> String {
-        format!(
-            "{{\"name\":\"session_{state}\",\"cat\":\"session\",\"ph\":\"i\",\"s\":\"t\",\
-             \"pid\":2,\"tid\":1,\"ts\":{ts},\"args\":{{\"wall_ns\":0,\"batch\":1,\
-             \"state\":\"{state}\",\"flow\":{flow},\"packets\":{packets},\"bytes\":{bytes}}}}}"
-        )
+    /// A session record, a wall-clock instant as `SessionLog` cuts it.
+    fn session(state: &'static str, flow: u32, wall_us: u64) -> Event {
+        Event {
+            wall_ns: wall_us * 1000,
+            wall_dur_ns: 0,
+            sim: None,
+            track: 0,
+            batch: 1,
+            kind: EventKind::Session {
+                state,
+                flow,
+                packets: 12,
+                bytes: 9000,
+            },
+        }
     }
 
     #[test]
@@ -1910,67 +1877,47 @@ mod tests {
         // In-order points on one lane, plus a clean migrate handover
         // (a same-instant shard on the destination track follows the
         // migrate, and the old server drains a late point), validate.
-        let ok = parse(
-            &wrap(&[
-                flow_line(7, "ingress", 0, 1, 10.0, 4),
-                flow_line(7, "stage", 0, 1, 20.0, 4),
-                flow_line(7, "migrate", 1, 5, 25.0, 0),
-                flow_line(7, "shard", 1, 5, 25.0, 4),
-                flow_line(7, "egress", 0, 1, 27.0, 4),
-                flow_line(7, "egress", 1, 5, 30.0, 4),
-            ]),
-            "t.json",
-        )
-        .expect("parses");
+        let ok = exported(&[
+            point(7, "ingress", 0, 1, 10.0),
+            point(7, "stage", 0, 1, 20.0),
+            point(7, "migrate", 1, 5, 25.0),
+            point(7, "shard", 1, 5, 25.0),
+            point(7, "egress", 0, 1, 27.0),
+            point(7, "egress", 1, 5, 30.0),
+        ]);
         assert!(check_flow_plane(&ok, "t.json").is_ok());
 
         // Time going backwards on one (flow, track) lane is corrupt.
-        let bad = parse(
-            &wrap(&[
-                flow_line(7, "stage", 0, 1, 20.0, 4),
-                flow_line(7, "ingress", 0, 1, 10.0, 4),
-            ]),
-            "t.json",
-        )
-        .expect("parses");
+        let bad = exported(&[
+            point(7, "stage", 0, 1, 20.0),
+            point(7, "ingress", 0, 1, 10.0),
+        ]);
         let err = check_flow_plane(&bad, "t.json").expect_err("rejected");
         assert!(err.contains("not time-ordered"), "{err}");
 
         // A migrate not answered by a same-instant shard on its own
         // track (wrong server, wrong point, or drifted instant) means
         // the two-phase swap leaked state.
-        let bad = parse(
-            &wrap(&[
-                flow_line(7, "migrate", 1, 5, 25.0, 0),
-                flow_line(7, "shard", 2, 5, 25.0, 4),
-            ]),
-            "t.json",
-        )
-        .expect("parses");
+        let bad = exported(&[
+            point(7, "migrate", 1, 5, 25.0),
+            point(7, "shard", 2, 5, 25.0),
+        ]);
         let err = check_flow_plane(&bad, "t.json").expect_err("rejected");
         assert!(err.contains("handover"), "{err}");
 
         // A migrate that is the lane's last word never handed the flow
         // over at all.
-        let bad =
-            parse(&wrap(&[flow_line(7, "migrate", 1, 5, 25.0, 0)]), "t.json").expect("parses");
+        let bad = exported(&[point(7, "migrate", 1, 5, 25.0)]);
         let err = check_flow_plane(&bad, "t.json").expect_err("rejected");
         assert!(err.contains("no handover shard"), "{err}");
     }
 
     #[test]
     fn session_records_without_a_built_are_rejected() {
-        let ok = parse(
-            &wrap(&[
-                session_line("built", 9, 10.0, 0, 0),
-                session_line("teardown", 9, 20.0, 12, 9000),
-            ]),
-            "t.json",
-        )
-        .expect("parses");
+        let ok = exported(&[session("built", 9, 10), session("teardown", 9, 20)]);
         assert!(check_flow_plane(&ok, "t.json").is_ok());
 
-        let bad = parse(&wrap(&[session_line("deny", 9, 10.0, 0, 0)]), "t.json").expect("parses");
+        let bad = exported(&[session("deny", 9, 10)]);
         let err = check_flow_plane(&bad, "t.json").expect_err("rejected");
         assert!(err.contains("no preceding built"), "{err}");
     }
@@ -1980,20 +1927,15 @@ mod tests {
         // The same flow touches three tracks on two servers; the
         // stitcher orders by simulated time and the consecutive hop
         // deltas sum to the end-to-end latency exactly.
-        let trace = parse(
-            &wrap(&[
-                flow_line(0xbeef, "shard", 1, 9, 15.0, 8),
-                flow_line(0xbeef, "ingress", 0, 1, 10.0, 8),
-                flow_line(0xbeef, "stage", 1, 3, 22.5, 8),
-                flow_line(0xbeef, "egress", 1, 9, 41.0, 8),
-                flow_line(0xdead, "ingress", 0, 1, 12.0, 2), // other flow
-            ]),
-            "t.json",
-        )
-        .expect("parses");
+        let trace = exported(&[
+            point(0xbeef, "shard", 1, 9, 15.0),
+            point(0xbeef, "ingress", 0, 1, 10.0),
+            point(0xbeef, "stage", 1, 3, 22.5),
+            point(0xbeef, "egress", 1, 9, 41.0),
+            point(0xdead, "ingress", 0, 1, 12.0), // other flow
+        ]);
         let rows = flow_timeline(&trace, 0xbeef);
-        assert_eq!(rows.len(), 4);
-        let points: Vec<&str> = rows.iter().map(|r| r.point.as_str()).collect();
+        let points: Vec<&str> = rows.iter().map(|r| r.point).collect();
         assert_eq!(points, ["ingress", "shard", "stage", "egress"]);
         let hop_sum: f64 = rows.windows(2).map(|w| w[1].ts_us - w[0].ts_us).sum();
         let e2e = rows.last().unwrap().ts_us - rows[0].ts_us;
@@ -2004,49 +1946,5 @@ mod tests {
         let rep = flow_report(&trace);
         assert_eq!(rep.flows.len(), 2);
         assert_eq!(rep.points.values().sum::<u64>(), 5);
-    }
-
-    #[test]
-    fn typed_events_roundtrip_flow_plane() {
-        let dump = "{\"name\":\"flight_dump\",\"cat\":\"flow\",\"ph\":\"i\",\"s\":\"t\",\
-                    \"pid\":2,\"tid\":1,\"ts\":50,\"args\":{\"wall_ns\":0,\"batch\":0,\
-                    \"reason\":\"slo_burn\",\"events\":42}}"
-            .to_string();
-        let trace = parse(
-            &wrap(&[
-                flow_line(7, "cache_hit", 0, 1, 10.0, 4),
-                session_line("teardown", 7, 20.0, 12, 9000),
-                dump,
-            ]),
-            "t.json",
-        )
-        .expect("parses");
-        let events = typed_events(&trace);
-        assert_eq!(events.len(), 3);
-        assert!(matches!(
-            events[0].kind,
-            EventKind::FlowPoint {
-                flow: 7,
-                point: "cache_hit",
-                packets: 4,
-                ..
-            }
-        ));
-        assert!(matches!(
-            events[1].kind,
-            EventKind::Session {
-                state: "teardown",
-                packets: 12,
-                bytes: 9000,
-                ..
-            }
-        ));
-        assert!(matches!(
-            events[2].kind,
-            EventKind::FlightDump {
-                reason: "slo_burn",
-                events: 42,
-            }
-        ));
     }
 }

@@ -117,6 +117,31 @@ impl Policy {
         }
     }
 
+    /// The `algo` label of the policy's `partition_decision` events, one
+    /// of [`nfc_telemetry::PARTITION_ALGOS`].
+    fn algo_label(&self) -> &'static str {
+        match self {
+            Policy::CpuOnly => "cpu-only",
+            Policy::GpuOnly { .. } => "gpu-only",
+            Policy::FixedRatio { .. } => "fixed-ratio",
+            Policy::ReorgOnly { .. } => "reorg-fixed-ratio",
+            Policy::NbaAdaptive => "nba-adaptive",
+            Policy::Optimal => "grid-search",
+            Policy::NfCompass {
+                algo: PartitionAlgo::Kl,
+                ..
+            } => "kl",
+            Policy::NfCompass {
+                algo: PartitionAlgo::Agglomerative,
+                ..
+            } => "agglomerative",
+            Policy::NfCompass {
+                algo: PartitionAlgo::Mfmc,
+                ..
+            } => "mfmc",
+        }
+    }
+
     /// Short label for experiment tables.
     pub fn label(&self) -> String {
         match self {
@@ -1038,29 +1063,9 @@ fn plan_stage(
         }
     };
     if rec.is_enabled() {
-        let algo: &'static str = match policy {
-            Policy::CpuOnly => "cpu-only",
-            Policy::GpuOnly { .. } => "gpu-only",
-            Policy::FixedRatio { .. } => "fixed-ratio",
-            Policy::ReorgOnly { .. } => "reorg-fixed-ratio",
-            Policy::NbaAdaptive => "nba-adaptive",
-            Policy::Optimal => "grid-search",
-            Policy::NfCompass {
-                algo: PartitionAlgo::Kl,
-                ..
-            } => "kl",
-            Policy::NfCompass {
-                algo: PartitionAlgo::Agglomerative,
-                ..
-            } => "agglomerative",
-            Policy::NfCompass {
-                algo: PartitionAlgo::Mfmc,
-                ..
-            } => "mfmc",
-        };
         let predicted = stage.plan.predicted_cost_ns;
         rec.instant(EventKind::PartitionDecision {
-            algo,
+            algo: policy.algo_label(),
             stage: stage.nf.name().to_string(),
             predicted_cost_ns: if predicted.is_finite() {
                 predicted
@@ -2173,7 +2178,7 @@ impl PreparedSfc {
     /// Returns `true` when at least one stage adopted a new plan. Every
     /// evaluated stage is appended to `report` (with `applied: false`
     /// when the warm re-partition kept the carried plan), and recorded as
-    /// an [`EventKind::ControllerDecision`] telemetry instant.
+    /// an [`EventKind::ControllerDecision`] instant on the simulated clock.
     #[allow(clippy::too_many_arguments)]
     pub fn repartition(
         &mut self,
@@ -2252,14 +2257,17 @@ impl PreparedSfc {
                     any = true;
                 }
                 if rec.is_enabled() {
-                    rec.instant(EventKind::ControllerDecision {
+                    // On the track and clock of the `Epoch` markers, so
+                    // swap windows `[now, now + swap_ns]` are comparable.
+                    let kind = EventKind::ControllerDecision {
                         epoch,
                         reason: reason.to_string(),
                         stage: stage.nf.name().to_string(),
                         old_ratio,
                         new_ratio,
                         swap_ns,
-                    });
+                    };
+                    rec.sim_instant(res.io_rx.index() as u32, now, kind);
                 }
                 report.adaptations.push(AdaptationRecord {
                     epoch,
@@ -2641,6 +2649,42 @@ mod tests {
             "ipsec-chain",
             (0..n).map(|i| Nf::ipsec(format!("ipsec{i}"))).collect(),
         )
+    }
+
+    #[test]
+    fn every_policy_label_is_in_the_trace_vocabulary() {
+        let mode = GpuMode::Persistent;
+        let mut policies = vec![
+            Policy::CpuOnly,
+            Policy::GpuOnly { mode },
+            Policy::FixedRatio { ratio: 0.5, mode },
+            Policy::NbaAdaptive,
+            Policy::Optimal,
+            Policy::ReorgOnly {
+                max_branches: 4,
+                synthesize: true,
+                ratio: 0.5,
+                mode,
+            },
+        ];
+        for algo in [
+            PartitionAlgo::Kl,
+            PartitionAlgo::Agglomerative,
+            PartitionAlgo::Mfmc,
+        ] {
+            policies.push(Policy::NfCompass {
+                algo,
+                max_branches: 4,
+                synthesize: true,
+            });
+        }
+        for p in policies {
+            let label = p.algo_label();
+            assert!(
+                nfc_telemetry::PARTITION_ALGOS.contains(&label),
+                "{p:?}: {label}"
+            );
+        }
     }
 
     #[test]

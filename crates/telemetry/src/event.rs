@@ -392,6 +392,40 @@ pub enum EventKind {
     },
 }
 
+/// Every `algo` label of [`EventKind::PartitionPass`] and
+/// [`EventKind::PartitionDecision`]: the partitioning passes, then the
+/// allocation policies.
+pub const PARTITION_ALGOS: &[&str] = &[
+    "kl",
+    "agglomerative",
+    "mfmc",
+    "cpu-only",
+    "gpu-only",
+    "fixed-ratio",
+    "reorg-fixed-ratio",
+    "nba-adaptive",
+    "grid-search",
+];
+/// Every [`EventKind::FlowPoint`] touchpoint, in pipeline order.
+pub const FLOW_POINTS: &[&str] = &[
+    "ingress",
+    "lanes",
+    "cache_hit",
+    "cache_miss",
+    "stage",
+    "kernel",
+    "shard",
+    "migrate",
+    "merge",
+    "egress",
+];
+/// Every [`EventKind::Session`] record state.
+pub const SESSION_STATES: &[&str] = &["built", "teardown", "deny"];
+/// Every [`EventKind::SloBurn`] objective.
+pub const SLO_OBJECTIVES: &[&str] = &["p99_latency", "throughput", "drops"];
+/// Every [`EventKind::FlightDump`] trigger.
+pub const DUMP_REASONS: &[&str] = &["slo_burn", "model_drift", "manual"];
+
 impl EventKind {
     /// Coarse category, used as the Chrome-trace `cat` field and by
     /// `nfc-trace` for per-category summaries: one of `stage`,
@@ -424,6 +458,24 @@ impl EventKind {
             EventKind::FlowPoint { .. } | EventKind::FlightDump { .. } => "flow",
             EventKind::Session { .. } => "session",
         }
+    }
+
+    /// Whether the kind's closed-vocabulary field (`algo`, `point`,
+    /// `state`, `objective` or `reason`) holds a word of its vocabulary
+    /// above; `true` for kinds without one. Recorders debug-assert it,
+    /// because `nfc-trace` refuses a trace with any other word.
+    pub fn in_vocabulary(&self) -> bool {
+        let (word, known) = match self {
+            EventKind::PartitionPass { algo, .. } | EventKind::PartitionDecision { algo, .. } => {
+                (algo, PARTITION_ALGOS)
+            }
+            EventKind::FlowPoint { point, .. } => (point, FLOW_POINTS),
+            EventKind::Session { state, .. } => (state, SESSION_STATES),
+            EventKind::SloBurn { objective, .. } => (objective, SLO_OBJECTIVES),
+            EventKind::FlightDump { reason, .. } => (reason, DUMP_REASONS),
+            _ => return true,
+        };
+        known.contains(word)
     }
 
     /// Display name for the event (the Chrome-trace `name` field).
@@ -490,6 +542,24 @@ mod tests {
         let a = wall_now_ns();
         let b = wall_now_ns();
         assert!(b >= a);
+    }
+
+    #[test]
+    fn words_outside_a_vocabulary_are_flagged() {
+        let point = |point| EventKind::FlowPoint {
+            flow: 1,
+            point,
+            server: 0,
+            packets: 1,
+        };
+        assert!(FLOW_POINTS.iter().all(|&p| point(p).in_vocabulary()));
+        assert!(!point("cache_batch").in_vocabulary());
+        assert!(!EventKind::FlightDump {
+            reason: "oom",
+            events: 1
+        }
+        .in_vocabulary());
+        assert!(EventKind::Epoch { epoch: 1 }.in_vocabulary());
     }
 
     #[test]

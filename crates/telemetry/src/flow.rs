@@ -154,6 +154,10 @@ impl FlightRecorder {
 
     /// Records one event copy, evicting the oldest at capacity.
     pub fn record(&mut self, ev: Event) {
+        debug_assert!(
+            ev.kind.in_vocabulary(),
+            "label outside its vocabulary: {ev:?}"
+        );
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
         }

@@ -48,7 +48,10 @@ pub use attr::{
     AttributionReport, BatchRow, Buckets, CalibAnchors, CalibEstimate, EpochPath, PathSegment,
     WhatIfEpoch, WhatIfReport,
 };
-pub use event::{wall_now_ns, Event, EventKind, SimStamp};
+pub use event::{
+    wall_now_ns, Event, EventKind, SimStamp, DUMP_REASONS, FLOW_POINTS, PARTITION_ALGOS,
+    SESSION_STATES, SLO_OBJECTIVES,
+};
 pub use flow::{
     FlightRecorder, FlowSampler, DEFAULT_FLIGHT_CAPACITY, DEFAULT_FLIGHT_STEM, FLIGHT_ENV,
     FLOW_TRACE_ENV,

@@ -156,6 +156,10 @@ impl Recorder {
 
     #[inline]
     fn push(&mut self, ev: Event) {
+        debug_assert!(
+            ev.kind.in_vocabulary(),
+            "label outside its vocabulary: {ev:?}"
+        );
         if self.ring.len() >= self.capacity {
             if let Some(old) = self.ring.pop_front() {
                 self.dropped += 1;
