@@ -216,8 +216,7 @@ impl ClusterDeployment {
         server: usize,
     ) -> (PlatformResources, PreparedSfc, ServerLinks) {
         let res = PlatformResources::register(sim, dep.model());
-        let mut prep = dep.prepare(sim, &res, traffic, &[], user_base, handle);
-        prep.set_server(server as u32);
+        let prep = dep.prepare(sim, &res, traffic, &[], user_base, handle);
         let links = ServerLinks {
             rx: sim.add_resource(format!("link{server}-rx"), 0.0),
             tx: sim.add_resource(format!("link{server}-tx"), 0.0),
@@ -378,8 +377,13 @@ impl ClusterDeployment {
         let mut preps = Vec::with_capacity(n);
         let mut links = Vec::with_capacity(n);
         for (s, dep) in self.tenants.iter_mut().enumerate() {
-            let (r, p, l) =
+            let (r, mut p, l) =
                 Self::prepare_server(dep, &mut sim, &mut phases[0], &mut user_base, &handle, s);
+            // One server is the single box: its flow points say server 0
+            // and its health gauges keep the single-box names.
+            if n > 1 {
+                p.set_server(s as u32);
+            }
             res.push(r);
             preps.push(p);
             links.push(l);
@@ -679,5 +683,52 @@ impl ClusterDeployment {
             telemetry: tel.finish(),
         };
         (outcome, egress)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nfc_nf::Nf;
+    use nfc_packet::traffic::{SizeDist, TrafficSpec};
+    use nfc_telemetry::{SloSpec, TelemetryMode};
+
+    /// The health gauges of `n` servers sharing one telemetry session.
+    fn health_gauges(n: usize) -> Vec<String> {
+        let sfc = Sfc::new("fw", vec![Nf::firewall("fw", 100, 1)]);
+        let slo = SloSpec {
+            p99_latency_ns: 1.0,
+            epoch_batches: 2,
+            ..Default::default()
+        };
+        let mut rack =
+            ClusterDeployment::build(ClusterSpec::uniform(n), &sfc, Policy::CpuOnly, |d| {
+                d.with_batch_size(128)
+                    .with_telemetry(TelemetryMode::Memory)
+                    .with_slo(slo)
+            });
+        let traffic = TrafficSpec::udp(SizeDist::Fixed(512));
+        let out = rack.run(&mut TrafficGenerator::new(traffic, 5), 16);
+        let digest = out.telemetry.expect("memory telemetry digest");
+        digest
+            .gauges
+            .into_iter()
+            .map(|(name, _)| name)
+            .filter(|name| name.starts_with("health_e2e_ns{quantile=\"0.99\""))
+            .collect()
+    }
+
+    /// Each server of a rack publishes its own health series; one
+    /// server keeps the single-box names.
+    #[test]
+    fn rack_servers_publish_their_own_health_gauges() {
+        assert_eq!(
+            health_gauges(2),
+            [
+                "health_e2e_ns{quantile=\"0.99\",server=\"0\"}",
+                "health_e2e_ns{quantile=\"0.99\",server=\"1\"}",
+            ]
+        );
+        assert_eq!(health_gauges(1), ["health_e2e_ns{quantile=\"0.99\"}"]);
     }
 }

@@ -209,7 +209,7 @@ fn traced(d: Deployment) -> Deployment {
 fn untraced(d: Deployment) -> Deployment {
     configure(d)
         .with_telemetry(nfc_core::TelemetryMode::Memory)
-        .without_flow_trace()
+        .with_flow_trace(0)
 }
 
 #[test]

@@ -53,6 +53,7 @@ pub mod engine;
 pub mod expansion;
 pub mod flowcache;
 pub mod multi;
+mod observe;
 pub mod orchestrator;
 pub mod profiler;
 pub mod runtime;

@@ -23,6 +23,7 @@
 use crate::allocator::{allocate_traced, allocate_warm_traced, AllocationPlan, PartitionAlgo};
 use crate::engine::{par_map_traced, Duplication, ExecMode};
 use crate::flowcache::{FlowCacheMode, StageFlowCache};
+use crate::observe::{BatchTimeline, Observer, StageSpan};
 use crate::orchestrator::{merge_branch_batches, ReorgSfc};
 use crate::profiler::{GraphWeights, Profiler};
 use crate::sfc::Sfc;
@@ -39,10 +40,9 @@ use nfc_hetero::{
 use nfc_nf::flowcache::CacheCounters;
 use nfc_nf::Nf;
 use nfc_packet::traffic::TrafficGenerator;
-use nfc_packet::{Batch, FlowKey};
+use nfc_packet::Batch;
 use nfc_telemetry::{
-    wall_now_ns, DriftWatchdog, Event, EventKind, FlightRecorder, FlowSampler, HealthState,
-    QuantileSketch, Recorder, SimStamp, SloSpec, Telemetry, TelemetryHandle, TelemetryMode,
+    EventKind, FlowSampler, Recorder, SloSpec, Telemetry, TelemetryHandle, TelemetryMode,
     TelemetrySummary,
 };
 
@@ -206,9 +206,9 @@ impl PlatformResources {
 }
 
 /// One executable NF stage (a possibly-synthesized NF bound to resources).
-struct StageExec {
+pub(crate) struct StageExec {
     nf: Nf,
-    run: CompiledGraph,
+    pub(crate) run: CompiledGraph,
     weights: Option<GraphWeights>,
     plan: AllocationPlan,
     cpu_res: ResourceId,
@@ -219,7 +219,7 @@ struct StageExec {
     model: CostModel,
     /// Flow-aware fast path, present iff the deployment enables it and
     /// this stage's graph is fully verdict-capable.
-    flow_cache: Option<StageFlowCache>,
+    pub(crate) flow_cache: Option<StageFlowCache>,
     /// Effective dispatch mode: the policy's mode, downgraded to
     /// launch-per-batch when the SM-residency pass spills this stage.
     mode: GpuMode,
@@ -353,11 +353,12 @@ pub struct Deployment {
     /// `flow`-category instant at every pipeline touchpoint (ingress,
     /// lane gather, cache hit/miss, stage, kernel, merge, egress — plus
     /// shard/migrate points under the cluster layer), and a bounded
-    /// flight recorder mirrors flow and health events for
-    /// breach-triggered postmortem dumps. Sampling is a pure function
-    /// of the hash and the plane is purely observational: egress,
-    /// statistics and the simulated timeline are bit-identical armed or
-    /// disarmed.
+    /// flight recorder keeps copies of flow and health events for
+    /// breach-triggered postmortem dumps. The plane arms at
+    /// [`Deployment::prepare`], and only with a live telemetry session.
+    /// Sampling is a pure function of the hash and the plane is purely
+    /// observational: egress, statistics and the simulated timeline are
+    /// bit-identical armed or disarmed.
     pub flow_trace: u32,
     /// Flight-recorder dump path stem override (`<stem>.<reason>.json`).
     /// `None` keeps the `NFC_FLIGHT` environment default.
@@ -463,19 +464,12 @@ impl Deployment {
     }
 
     /// Arms per-flow forensics at the given sampling rate (flows whose
-    /// RSS hash satisfies `hash % rate == 0` are traced), overriding
-    /// the `NFC_FLOW_TRACE` environment default. Purely observational:
-    /// egress, statistics and the simulated timeline are bit-identical
-    /// armed or disarmed.
+    /// RSS hash satisfies `hash % rate == 0` are traced; `0` disarms),
+    /// overriding the `NFC_FLOW_TRACE` environment default. Purely
+    /// observational: egress, statistics and the simulated timeline are
+    /// bit-identical armed or disarmed.
     pub fn with_flow_trace(mut self, rate: u32) -> Self {
         self.flow_trace = rate;
-        self
-    }
-
-    /// Disarms flow forensics regardless of `NFC_FLOW_TRACE` (the
-    /// differential baseline configuration).
-    pub fn without_flow_trace(mut self) -> Self {
-        self.flow_trace = 0;
         self
     }
 
@@ -963,17 +957,8 @@ impl Deployment {
             stats_base: Vec::new(),
             cache_base: Vec::new(),
             batch_seq: seq_base,
-            swap_spans: Vec::new(),
             residency,
-            health: self.slo.map(HealthPlane::new),
-            sampler: FlowSampler::new(self.flow_trace),
-            flight: (self.flow_trace != 0).then(|| match &self.flight_stem {
-                Some(stem) => {
-                    FlightRecorder::new(nfc_telemetry::DEFAULT_FLIGHT_CAPACITY, stem.clone())
-                }
-                None => FlightRecorder::from_env(),
-            }),
-            server: 0,
+            observer: Observer::new(self.slo, self.flow_trace, self.flight_stem.as_deref(), tel),
         }
     }
 
@@ -1211,32 +1196,12 @@ pub struct PreparedSfc {
     /// (shifted high) so tags stay unique across co-deployed SFCs and
     /// `0` stays reserved for "untagged".
     batch_seq: u64,
-    /// Simulated-time windows during which a live reconfiguration was
-    /// in flight (pushed by [`PreparedSfc::repartition`] while
-    /// recording); waiting that overlaps them is attributed to the
-    /// `drain` bucket instead of generic queueing.
-    swap_spans: Vec<(f64, f64)>,
     /// SM-residency placement currently in effect; refreshed whenever
     /// plans change (initial preparation, live swaps).
     residency: ResidencyReport,
-    /// Live health plane (`None` when no SLO is armed): streaming
-    /// quantile sketches, multi-window SLO burn accounting, and the
-    /// cost-model drift watchdog. Strictly observational — it reads the
-    /// same timestamps the stats accumulator reads and only ever emits
-    /// telemetry instants and gauges, so egress, statistics and the
-    /// simulated timeline are bit-identical with the plane on or off.
-    health: Option<HealthPlane>,
-    /// Deterministic per-flow sampler driving the forensics plane
-    /// (disarmed = zero rate, one branch per touchpoint).
-    sampler: FlowSampler,
-    /// Always-on bounded ring of recent flow-tagged and health events,
-    /// dumped to a postmortem trace on an SLO breach or drift raise
-    /// (`Some` only while the sampler is armed).
-    flight: Option<FlightRecorder>,
-    /// Server id stamped into this chain's flow points (0 for a
-    /// standalone deployment; the cluster layer sets the shard's id so
-    /// cross-server timelines stitch).
-    server: u32,
+    /// Health plane, flow forensics and latency attribution: everything
+    /// the chain holds only to observe its batches.
+    observer: Observer,
 }
 
 /// Cumulative temporal-charge observation for one stage.
@@ -1248,142 +1213,6 @@ struct StageObs {
     cpu_ns: f64,
     kernel_ns: f64,
     gpu_packets: u64,
-}
-
-/// Health-plane state carried by a prepared SFC.
-///
-/// Everything is fed on the sequential temporal replay from simulated
-/// timestamps, so the plane is deterministic whatever the execution
-/// mode. Epochs close every
-/// [`SloSpec::epoch_batches`] processed batches, independent of the
-/// adaptive controller's cadence; breach/drift signals accumulate in
-/// `pending` until the controller's next boundary drains them.
-struct HealthPlane {
-    /// Multi-window SLO burn-rate accounting.
-    state: HealthState,
-    /// Predicted-vs-observed latency residual watchdog.
-    watchdog: DriftWatchdog,
-    /// End-to-end batch latency, ns, over the whole run.
-    e2e: QuantileSketch,
-    /// Health epochs closed so far.
-    epoch: u64,
-    /// Batches (completed or dropped) since the last epoch boundary.
-    since_epoch: usize,
-    /// Current-epoch sum of model-predicted busy time, ns.
-    pred_sum: f64,
-    /// Current-epoch sum of observed end-to-end latency, ns.
-    obs_sum: f64,
-    /// Batches contributing to `pred_sum`/`obs_sum` this epoch.
-    drift_batches: u64,
-    /// Cumulative epochs with a raised drift verdict (gauge).
-    drift_raised: u64,
-    /// Signals awaiting the adaptive controller's next epoch boundary.
-    pending: Vec<HealthSignal>,
-}
-
-impl HealthPlane {
-    fn new(spec: SloSpec) -> Self {
-        HealthPlane {
-            state: HealthState::new(spec),
-            watchdog: DriftWatchdog::new(spec.drift_threshold, spec.drift_hysteresis_epochs),
-            e2e: QuantileSketch::new(),
-            epoch: 0,
-            since_epoch: 0,
-            pred_sum: 0.0,
-            obs_sum: 0.0,
-            drift_batches: 0,
-            drift_raised: 0,
-            pending: Vec::new(),
-        }
-    }
-}
-
-/// Emits one flow-forensics instant on the main recorder and mirrors a
-/// copy into the flight-recorder ring (when armed). A free function so
-/// call sites can split-borrow `PreparedSfc` fields while iterating
-/// stages.
-#[allow(clippy::too_many_arguments)]
-fn stamp_flow_point(
-    rec: &mut Recorder,
-    flight: &mut Option<FlightRecorder>,
-    seq: u64,
-    track: u32,
-    at: f64,
-    flow: u32,
-    point: &'static str,
-    server: u32,
-    packets: u32,
-) {
-    let kind = EventKind::FlowPoint {
-        flow,
-        point,
-        server,
-        packets,
-    };
-    rec.sim_instant(track, at, kind.clone());
-    if let Some(f) = flight.as_mut() {
-        f.record(Event {
-            wall_ns: wall_now_ns(),
-            wall_dur_ns: 0,
-            sim: Some(SimStamp {
-                start_ns: at,
-                end_ns: at,
-            }),
-            track,
-            batch: seq,
-            kind,
-        });
-    }
-}
-
-/// Mirrors one health-plane instant into the flight-recorder ring so a
-/// later dump carries the breach evidence alongside the flow stamps.
-fn mirror_health_event(flight: &mut Option<FlightRecorder>, track: u32, at: f64, kind: EventKind) {
-    if let Some(f) = flight.as_mut() {
-        f.record(Event {
-            wall_ns: wall_now_ns(),
-            wall_dur_ns: 0,
-            sim: Some(SimStamp {
-                start_ns: at,
-                end_ns: at,
-            }),
-            track,
-            batch: 0,
-            kind,
-        });
-    }
-}
-
-/// Dumps the flight ring as a postmortem trace for `reason` (first
-/// occurrence per reason only) and emits a `flight_dump` instant naming
-/// the file's evidence size on the main recorder.
-fn trigger_flight_dump(
-    flight: &mut Option<FlightRecorder>,
-    sim: &mut PipelineSim,
-    track: u32,
-    at: f64,
-    reason: &'static str,
-) {
-    let Some(f) = flight.as_mut() else { return };
-    let events = f.len() as u32;
-    match f.dump(reason) {
-        Ok(Some(_)) => {
-            sim.recorder_mut()
-                .sim_instant(track, at, EventKind::FlightDump { reason, events });
-        }
-        Ok(None) => {}
-        Err(e) => eprintln!("flight-recorder dump ({reason}) failed: {e}"),
-    }
-}
-
-/// Detector-facing label for a breached SLO objective.
-fn slo_signal_metric(objective: &'static str) -> &'static str {
-    match objective {
-        "p99_latency" => "slo:p99_latency",
-        "throughput" => "slo:throughput",
-        "drops" => "slo:drops",
-        _ => "slo:objective",
-    }
 }
 
 impl PreparedSfc {
@@ -1422,17 +1251,15 @@ impl PreparedSfc {
             .map(|s| sim.backlog_ns(s.cpu_res, arrival))
             .fold(sim.backlog_ns(res.io_rx, arrival), f64::max);
         if worst_backlog > sim.max_queue_ns {
-            if let Some(h) = &mut self.health {
-                h.state.observe_drop();
-                self.health_epoch_tick(sim, res, arrival);
-            }
+            self.observer.dropped(sim, res, arrival);
             return BatchResult::Dropped { mean_arrival };
         }
-        // Lineage tag: every event recorded while this batch is in
-        // flight carries `seq`, which is what lets the attribution
+        // Lineage tag: every event recorded while this batch is being
+        // processed carries `seq`, which is what lets the attribution
         // layer re-join spans, ingress/egress markers and the bucket
         // decomposition after the fact. Tag 0 stays reserved for
-        // untagged (out-of-batch) events.
+        // untagged (out-of-batch) events; the observer clears the tag
+        // after the batch's last tagged event.
         self.batch_seq += 1;
         let seq = self.batch_seq;
         let recording = sim.recorder_mut().is_enabled();
@@ -1449,64 +1276,8 @@ impl PreparedSfc {
                 },
             );
         }
-        // Flow forensics: sampled flows present in this batch, keyed by
-        // RSS hash with a representative FlowKey for cache probes. The
-        // disarmed path costs the one `armed()` branch; the armed path
-        // pays one hash-mod per packet plus key extraction for sampled
-        // packets only.
-        let forensics = recording && self.sampler.armed();
-        // The one flow-forensics stamper: carries the lineage tag, the
-        // server id and the flight ring to every touchpoint below.
-        let server = self.server;
-        let flight = &mut self.flight;
-        let mut stamp =
-            |sim: &mut PipelineSim, track: u32, at: f64, flow: u32, point: &'static str, n: u32| {
-                stamp_flow_point(
-                    sim.recorder_mut(),
-                    flight,
-                    seq,
-                    track,
-                    at,
-                    flow,
-                    point,
-                    server,
-                    n,
-                )
-            };
-        let mut flows: Vec<(FlowKey, u32)> = Vec::new();
-        if forensics {
-            for p in batch.iter() {
-                if self.sampler.sampled(p.meta.flow_hash) {
-                    if let Ok(key) = FlowKey::of(p) {
-                        match flows.iter_mut().find(|(k, _)| k.hash() == key.hash()) {
-                            Some((_, n)) => *n += 1,
-                            None => flows.push((key, 1)),
-                        }
-                    }
-                }
-            }
-        }
-        // Pure pre-dispatch cache probes (no counters, no CLOCK bits
-        // touched): whether each sampled flow will hit each cached
-        // stage. Stamped during temporal replay at the stage's start.
-        let mut cache_probes: Vec<Vec<(u32, u32, bool)>> = Vec::new();
-        if forensics && !flows.is_empty() {
-            for branch in &self.stages {
-                for stage in branch {
-                    cache_probes.push(match stage.flow_cache.as_ref() {
-                        Some(cache) => flows
-                            .iter()
-                            .map(|(k, n)| (k.hash(), *n, cache.probe(k)))
-                            .collect(),
-                        None => Vec::new(),
-                    });
-                }
-            }
-            let rx = res.io_rx.index() as u32;
-            for (k, n) in &flows {
-                stamp(sim, rx, mean_arrival, k.hash(), "ingress", *n);
-            }
-        }
+        let observed = self.observer.armed(recording);
+        self.observer.probe(&batch, &self.stages, recording);
         // Ingress I/O.
         let io_span = sim.schedule_span(res.io_rx, arrival, self.model.io_batch_ns(batch.len()), 0);
         let t0 = io_span.1;
@@ -1541,22 +1312,6 @@ impl PreparedSfc {
                 .is_some_and(|s| s.run.lanes())
         {
             batch.shared_lanes();
-        }
-        if forensics
-            && !flows.is_empty()
-            && self
-                .stages
-                .first()
-                .and_then(|b| b.first())
-                .is_some_and(|s| s.run.lanes())
-        {
-            // Columnar header lanes will be gathered for this batch
-            // (here for shared CoW branches, inside the first stage
-            // otherwise) — the flow's headers now live in SoA columns.
-            let rx = res.io_rx.index() as u32;
-            for (k, n) in &flows {
-                stamp(sim, rx, t0, k.hash(), "lanes", *n);
-            }
         }
         // Units are owned (the pool's threads outlive this call): each
         // branch's stages and its CoW duplicate of the batch move into
@@ -1608,18 +1363,19 @@ impl PreparedSfc {
         // Temporal replay: sequential, in fixed branch-major stage order —
         // exactly the order the serial engine schedules in, so the
         // simulated timeline is bit-identical regardless of ExecMode.
+        // The timeline records every stage only when it has a reader.
+        let mut timeline = BatchTimeline {
+            seq,
+            mean_arrival,
+            io: io_span,
+            split: split_span,
+            branch0: self.stages.first().map_or(0, Vec::len),
+            ..BatchTimeline::default()
+        };
         let mut branch_outputs: Vec<Batch> = Vec::with_capacity(self.width);
         let mut t_join = t0;
-        let mut t_b0 = t0;
-        // Reference chain for the bucket decomposition: branch 0's
-        // dominating spans, classified compute vs PCIe transfer. Walked
-        // for the trace while recording and for the drift watchdog while
-        // the health plane is armed (controller decisions must not
-        // depend on the telemetry mode); otherwise nothing is paid.
-        let attribute = recording || self.health.is_some();
-        let mut hops: Vec<((f64, f64), bool)> = Vec::new();
         let mut flat = 0usize;
-        for (bi, (branch, (out, charges))) in self.stages.iter().zip(results).enumerate() {
+        for (branch, (out, charges)) in self.stages.iter().zip(results) {
             let mut t = t0;
             for (stage, charge) in branch.iter().zip(&charges) {
                 let o = &mut self.obs[flat];
@@ -1630,51 +1386,11 @@ impl PreparedSfc {
                 o.kernel_ns += charge.kernel_ns;
                 o.gpu_packets += charge.gpu_packets as u64;
                 flat += 1;
-                let rp = replay_stage(
-                    sim,
-                    stage,
-                    charge,
-                    t,
-                    &res.gpu_queues,
-                    res.pcie_h2d,
-                    res.pcie_d2h,
-                );
-                if attribute && bi == 0 {
-                    // The stage's latency contribution follows whichever
-                    // side released last: the PCIe/kernel chain when the
-                    // device was the straggler, the CPU span otherwise.
-                    match rp.gpu {
-                        Some([h, k, d]) if d.1 >= rp.cpu.1 => {
-                            hops.push((h, true));
-                            hops.push((k, false));
-                            hops.push((d, true));
-                        }
-                        _ => hops.push((rp.cpu, false)),
-                    }
+                let span = replay_stage(sim, stage, charge, t, res);
+                if observed {
+                    timeline.stages.push(span);
                 }
-                if forensics && !flows.is_empty() {
-                    // Per-flow stamps on this stage's timeline: the
-                    // pre-dispatch cache probe at replay start, the
-                    // element verdict at stage release, and the kernel
-                    // span end when the stage offloaded.
-                    let track = stage.cpu_res.index() as u32;
-                    for &(flow, n, hit) in
-                        cache_probes.get(flat - 1).map(Vec::as_slice).unwrap_or(&[])
-                    {
-                        let point = if hit { "cache_hit" } else { "cache_miss" };
-                        stamp(sim, track, t, flow, point, n);
-                    }
-                    for (k, n) in &flows {
-                        if let Some([_, kernel, _]) = rp.gpu {
-                            stamp(sim, track, kernel.1, k.hash(), "kernel", *n);
-                        }
-                        stamp(sim, track, rp.end, k.hash(), "stage", *n);
-                    }
-                }
-                t = rp.end;
-            }
-            if bi == 0 {
-                t_b0 = t;
+                t = span.release;
             }
             t_join = t_join.max(t);
             branch_outputs.push(out);
@@ -1694,46 +1410,11 @@ impl PreparedSfc {
         let completed = egress_span.1;
         self.egress_packets += out.len() as u64;
         self.egress_bytes += out.total_bytes() as u64;
-        if forensics && !flows.is_empty() {
-            let tx = res.io_tx.index() as u32;
-            if merge_span.is_some() {
-                for (k, n) in &flows {
-                    stamp(sim, tx, t_done, k.hash(), "merge", *n);
-                }
-            }
-            // Egress recounts the flow from the egress batch, so an
-            // enforced drop shows up as a shrunk (or zero) packet count
-            // against the flow's ingress stamp.
-            for (k, _) in &flows {
-                let n_out = out.iter().filter(|p| p.meta.flow_hash == k.hash()).count() as u32;
-                stamp(sim, tx, completed, k.hash(), "egress", n_out);
-            }
-        }
-        if attribute {
-            self.attribute_batch(
-                sim,
-                res,
-                seq,
-                mean_arrival,
-                io_span,
-                split_span,
-                &hops,
-                t_b0,
-                t_join,
-                merge_span,
-                egress_span,
-                &out,
-            );
-        }
-        if recording {
-            sim.recorder_mut().set_batch(0);
-        }
-        if let Some(h) = &mut self.health {
-            let e2e = completed - mean_arrival;
-            h.state
-                .observe_batch(e2e, out.total_bytes() as u64, mean_arrival, completed);
-            h.e2e.record(e2e);
-            self.health_epoch_tick(sim, res, completed);
+        if observed {
+            timeline.t_join = t_join;
+            timeline.merge = merge_span;
+            timeline.egress = egress_span;
+            self.observer.completed(sim, res, &timeline, &out);
         }
         BatchResult::Completed {
             mean_arrival,
@@ -1742,137 +1423,31 @@ impl PreparedSfc {
         }
     }
 
-    /// Advances the health epoch counter by one processed batch and, at
-    /// the [`SloSpec::epoch_batches`] boundary, closes the epoch:
-    /// evaluates SLO burn rates and the drift watchdog, queues
-    /// controller signals for breaches/raises, and (while recording)
-    /// emits `health`-category instants and publishes the live gauges.
-    fn health_epoch_tick(&mut self, sim: &mut PipelineSim, res: &PlatformResources, now: f64) {
-        let Some(h) = &mut self.health else {
-            return;
-        };
-        h.since_epoch += 1;
-        if h.since_epoch < h.state.spec().epoch_batches.max(1) {
-            return;
-        }
-        h.since_epoch = 0;
-        h.epoch += 1;
-        let epoch = h.epoch;
-        let verdicts = h.state.epoch();
-        let drift = h.watchdog.epoch();
-        let recording = sim.recorder_mut().is_enabled();
-        let tx = res.io_tx.index() as u32;
-        for v in &verdicts {
-            if v.breached {
-                h.pending.push(HealthSignal {
-                    metric: slo_signal_metric(v.objective),
-                    drift: v.fast_burn,
-                });
-            }
-            if recording {
-                let kind = EventKind::SloBurn {
-                    epoch,
-                    objective: v.objective,
-                    fast_burn: v.fast_burn,
-                    slow_burn: v.slow_burn,
-                    breached: v.breached,
-                };
-                sim.recorder_mut().sim_instant(tx, now, kind.clone());
-                mirror_health_event(&mut self.flight, tx, now, kind);
-                if v.breached {
-                    trigger_flight_dump(&mut self.flight, sim, tx, now, "slo_burn");
-                }
-                self.tel.set_gauge(
-                    &format!(
-                        "health_slo_burn{{objective=\"{}\",window=\"fast\"}}",
-                        v.objective
-                    ),
-                    v.fast_burn,
-                );
-                self.tel.set_gauge(
-                    &format!(
-                        "health_slo_burn{{objective=\"{}\",window=\"slow\"}}",
-                        v.objective
-                    ),
-                    v.slow_burn,
-                );
-            }
-        }
-        if let Some(d) = &drift {
-            if d.raised {
-                h.drift_raised += 1;
-                h.pending.push(HealthSignal {
-                    metric: "model_drift",
-                    drift: d.drift,
-                });
-            }
-            if recording {
-                let n = h.drift_batches.max(1) as f64;
-                let kind = EventKind::ModelDrift {
-                    epoch,
-                    predicted_ns: h.pred_sum / n,
-                    observed_ns: h.obs_sum / n,
-                    drift: d.drift,
-                    raised: d.raised,
-                };
-                sim.recorder_mut().sim_instant(tx, now, kind.clone());
-                mirror_health_event(&mut self.flight, tx, now, kind);
-                if d.raised {
-                    trigger_flight_dump(&mut self.flight, sim, tx, now, "model_drift");
-                }
-            }
-        }
-        h.pred_sum = 0.0;
-        h.obs_sum = 0.0;
-        h.drift_batches = 0;
-        if recording {
-            if h.e2e.count() > 0 {
-                for q in [0.5, 0.95, 0.99, 0.999] {
-                    self.tel.set_gauge(
-                        &format!("health_e2e_ns{{quantile=\"{q}\"}}"),
-                        h.e2e.quantile(q),
-                    );
-                }
-            }
-            let ratios = h.watchdog.ratios();
-            if ratios.count() > 0 {
-                for q in [0.5, 0.99] {
-                    self.tel.set_gauge(
-                        &format!("health_drift_ratio{{quantile=\"{q}\"}}"),
-                        ratios.quantile(q),
-                    );
-                }
-            }
-            self.tel
-                .set_gauge("health_model_drift_raised", h.drift_raised as f64);
-        }
-    }
-
-    /// Drains the breach/drift signals queued since the adaptive
-    /// controller's last epoch boundary. Empty when no SLO is armed.
+    /// Drains the strongest breach/drift signal raised since the last
+    /// call (at most one: the only one the controller's detector would
+    /// act on). Empty when no SLO is armed.
     pub fn take_health_signals(&mut self) -> Vec<HealthSignal> {
-        self.health
-            .as_mut()
-            .map(|h| std::mem::take(&mut h.pending))
-            .unwrap_or_default()
+        self.observer.take_signal().into_iter().collect()
     }
 
     /// Whether the forensics sampler traces the flow with this RSS hash
     /// (false when disarmed) — the cluster layer asks before stamping
     /// shard/migration points.
     pub fn flow_sampled(&self, hash: u32) -> bool {
-        self.sampler.sampled(hash)
+        self.observer.sampled(hash)
     }
 
-    /// Sets the server id stamped into this chain's flow points so
-    /// cross-server timelines stitch (the cluster layer assigns shard
-    /// ids; standalone deployments stay at 0).
+    /// Marks this chain as server `server` of a multi-server rack: its
+    /// flow points carry the id, so cross-server timelines stitch, and
+    /// its health gauges gain a `server` label, so the servers' series
+    /// stay apart. Standalone chains and one-server racks stay unset
+    /// (flow points say server 0, gauges carry no server label).
     pub fn set_server(&mut self, server: u32) {
-        self.server = server;
+        self.observer.set_server(server);
     }
 
-    /// Emits one flow-forensics instant (and its flight-ring mirror)
-    /// from outside the batch pipeline — the cluster layer's hook for
+    /// Emits one flow-forensics instant (and its flight-ring copy) from
+    /// outside the batch pipeline — the cluster layer's hook for
     /// shard-routing and migration points.
     pub fn stamp_flow_point(
         &mut self,
@@ -1883,40 +1458,7 @@ impl PreparedSfc {
         point: &'static str,
         packets: u32,
     ) {
-        if !sim.recorder_mut().is_enabled() || !self.sampler.armed() {
-            return;
-        }
-        let seq = sim.recorder_mut().batch();
-        stamp_flow_point(
-            sim.recorder_mut(),
-            &mut self.flight,
-            seq,
-            track,
-            at,
-            flow,
-            point,
-            self.server,
-            packets,
-        );
-    }
-
-    /// On-demand flight-recorder dump (reason `manual` by convention):
-    /// writes the retained ring as a postmortem trace and returns the
-    /// path, or `None` when the recorder is disarmed, empty, or this
-    /// reason already dumped.
-    pub fn dump_flight(&mut self, reason: &'static str) -> Option<String> {
-        self.flight
-            .as_mut()
-            .and_then(|f| f.dump(reason).ok().flatten())
-    }
-
-    /// Flight-recorder dump files written so far, in order (empty when
-    /// the forensics plane is disarmed).
-    pub fn flight_dumps(&self) -> Vec<String> {
-        self.flight
-            .as_ref()
-            .map(|f| f.dumps().to_vec())
-            .unwrap_or_default()
+        self.observer.stamp(sim, track, at, flow, point, packets);
     }
 
     /// Total stateful-NF state held by this prepared chain, in bytes —
@@ -1945,125 +1487,6 @@ impl PreparedSfc {
             }
         }
         self.tel.absorb(rec);
-    }
-
-    /// Computes the five-bucket latency decomposition for one completed
-    /// batch, feeds the drift watchdog and — only while recording —
-    /// emits the egress/attribution instants. Walks the reference chain
-    /// (ingress I/O → split → branch-0 dominating spans → join → merge →
-    /// egress I/O): busy time lands in compute or transfer, the merge
-    /// barrier is charged as `merge_wait`, gap time overlapping a live
-    /// reconfiguration window becomes `drain`, and queueing is the exact
-    /// residual — so the buckets reconstruct the end-to-end latency
-    /// bit-for-bit.
-    #[allow(clippy::too_many_arguments)]
-    fn attribute_batch(
-        &mut self,
-        sim: &mut PipelineSim,
-        res: &PlatformResources,
-        seq: u64,
-        mean_arrival: f64,
-        io_span: (f64, f64),
-        split_span: Option<(f64, f64)>,
-        hops: &[((f64, f64), bool)],
-        t_b0: f64,
-        t_join: f64,
-        merge_span: Option<(f64, f64)>,
-        egress_span: (f64, f64),
-        out: &Batch,
-    ) {
-        let recording = sim.recorder_mut().is_enabled();
-        let completed = egress_span.1;
-        let e2e = completed - mean_arrival;
-        let mut compute = 0.0f64;
-        let mut transfer = 0.0f64;
-        // Gaps only ever become `drain`, a recorded bucket.
-        let mut gaps: Vec<(f64, f64)> = Vec::new();
-        let mut frontier = mean_arrival;
-        let mut walk = |span: (f64, f64), is_transfer: bool, frontier: &mut f64| {
-            if recording && span.0 > *frontier {
-                gaps.push((*frontier, span.0));
-            }
-            if is_transfer {
-                transfer += span.1 - span.0;
-            } else {
-                compute += span.1 - span.0;
-            }
-            *frontier = span.1;
-        };
-        walk(io_span, false, &mut frontier);
-        if let Some(s) = split_span {
-            walk(s, false, &mut frontier);
-        }
-        for &(span, is_transfer) in hops {
-            walk(span, is_transfer, &mut frontier);
-        }
-        // The merge barrier: branch 0's output sat from its own finish
-        // until the slowest sibling released the join.
-        let merge_wait = t_join - t_b0;
-        frontier = t_join;
-        if let Some(m) = merge_span {
-            walk(m, false, &mut frontier);
-        }
-        walk(egress_span, false, &mut frontier);
-        // Drift watchdog: the model's prediction for this batch is the
-        // busy time it generated (compute + transfer); everything else
-        // (queueing, merge barriers, drain) is emergent platform
-        // behaviour the model must have budgeted for. A sustained
-        // observed/predicted ratio above the threshold means the cost
-        // constants no longer describe the platform.
-        if let Some(h) = &mut self.health {
-            let predicted = compute + transfer;
-            h.watchdog.observe(predicted, e2e);
-            if predicted > 0.0 && e2e.is_finite() {
-                h.pred_sum += predicted;
-                h.obs_sum += e2e;
-                h.drift_batches += 1;
-            }
-        }
-        if !recording {
-            return;
-        }
-        // Gap time spent behind an in-flight reconfiguration is drain;
-        // prune spans that can no longer overlap any future batch.
-        self.swap_spans.retain(|&(_, se)| se > mean_arrival);
-        let mut drain = 0.0f64;
-        for &(gs, ge) in &gaps {
-            for &(ss, se) in &self.swap_spans {
-                let lo = gs.max(ss);
-                let hi = ge.min(se);
-                if hi > lo {
-                    drain += hi - lo;
-                }
-            }
-        }
-        // Queueing is the residual, so the five buckets telescope to
-        // the end-to-end latency exactly (modulo float rounding).
-        let queue = (e2e - compute - transfer - merge_wait - drain).max(0.0);
-        let rec = sim.recorder_mut();
-        let tx = res.io_tx.index() as u32;
-        rec.sim_instant(
-            tx,
-            completed,
-            EventKind::BatchEgress {
-                seq,
-                packets: out.len() as u32,
-                bytes: out.total_bytes() as u64,
-            },
-        );
-        rec.sim_instant(
-            tx,
-            completed,
-            EventKind::BatchAttribution {
-                seq,
-                e2e_ns: e2e,
-                compute_ns: compute,
-                transfer_ns: transfer,
-                queue_ns: queue,
-                drain_ns: drain,
-                merge_wait_ns: merge_wait,
-            },
-        );
     }
 
     /// Mean offload ratio per stage (branch-major) under the plans
@@ -2286,10 +1709,7 @@ impl PreparedSfc {
         // charges overlap — they all start at `now` — so recording them
         // individually would double-count drain in the bucket walk).
         if rec.is_enabled() && any && swap_end > now {
-            match self.swap_spans.last_mut() {
-                Some(last) if last.1 >= now => last.1 = last.1.max(swap_end),
-                _ => self.swap_spans.push((now, swap_end)),
-            }
+            self.observer.note_swap(now, swap_end);
         }
         self.tel.absorb(rec);
         if any {
@@ -2511,16 +1931,6 @@ fn exec_stage_functional(
     )
 }
 
-/// Timeline placement of one stage's replay: the CPU-side span always,
-/// plus the h2d → kernel → d2h chain when the stage offloads. `end` is
-/// the ordered-release completion (max of both sides); the spans feed
-/// the per-batch bucket walk in [`PreparedSfc::process_batch`].
-struct StageReplay {
-    end: f64,
-    cpu: (f64, f64),
-    gpu: Option<[(f64, f64); 3]>,
-}
-
 /// The GPU queue a stage's kernels run on. Persistent kernels run on the
 /// device the residency pass placed them on (one queue per device);
 /// launch-per-batch kernels run in the default stream and serialize the
@@ -2536,21 +1946,21 @@ fn stage_gpu_queue(stage: &StageExec, gpu_queues: &[ResourceId]) -> ResourceId {
     }
 }
 
-/// Replays one stage's charge onto the shared simulator, returning the
-/// placed spans and the stage completion time.
+/// Replays one stage's charge, ready at `t`, onto the shared simulator,
+/// returning its placement.
 fn replay_stage(
     sim: &mut PipelineSim,
     stage: &StageExec,
     charge: &StageCharge,
     t: f64,
-    gpu_queues: &[ResourceId],
-    pcie_h2d: ResourceId,
-    pcie_d2h: ResourceId,
-) -> StageReplay {
+    res: &PlatformResources,
+) -> StageSpan {
     let model = stage.model;
+    let (pcie_h2d, pcie_d2h) = (res.pcie_h2d, res.pcie_d2h);
+    let track = stage.cpu_res.index() as u32;
     let cpu = sim.schedule_span(stage.cpu_res, t, charge.cpu_ns, stage.user);
     if charge.any_offload {
-        let gpu = stage_gpu_queue(stage, gpu_queues);
+        let gpu = stage_gpu_queue(stage, &res.gpu_queues);
         // Co-residency pressure: kernel time stretches once the hosting
         // device's SM slots pass half utilization.
         let kernel_ns = charge.kernel_ns * stage.residency.map_or(1.0, |s| s.pressure);
@@ -2616,16 +2026,20 @@ fn replay_stage(
             );
         }
         // Ordered release (completion-queue) once both sides finish.
-        StageReplay {
-            end: cpu.1.max(d.1),
+        StageSpan {
+            track,
+            start: t,
             cpu,
             gpu: Some([h, k, d]),
+            release: cpu.1.max(d.1),
         }
     } else {
-        StageReplay {
-            end: cpu.1,
+        StageSpan {
+            track,
+            start: t,
             cpu,
             gpu: None,
+            release: cpu.1,
         }
     }
 }
@@ -3183,7 +2597,7 @@ mod flow_forensics_tests {
                 dep = if rate != 0 {
                     dep.with_flow_trace(rate)
                 } else {
-                    dep.without_flow_trace()
+                    dep.with_flow_trace(0)
                 };
                 dep.run_collect(&mut traffic(7), 12)
             };
@@ -3296,38 +2710,6 @@ mod flow_forensics_tests {
             body.contains("slo_burn"),
             "postmortem must contain the breach verdict"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The on-demand dump path works without any breach, and the
-    /// `manual` reason is kept distinct from breach-triggered dumps.
-    #[test]
-    fn manual_flight_dump_writes_postmortem() {
-        let dir = std::env::temp_dir().join(format!("nfc_manual_flight_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let stem = dir.join("flight").to_string_lossy().into_owned();
-        let dep = Deployment::new(chain(), Policy::CpuOnly)
-            .with_batch_size(128)
-            .with_telemetry(TelemetryMode::Memory)
-            .with_flow_trace(1)
-            .with_flight_stem(stem.clone());
-        let tel = Telemetry::new(dep.telemetry.clone());
-        let handle = tel.handle();
-        let mut sim = PipelineSim::new();
-        sim.set_recorder(handle.recorder());
-        let res = PlatformResources::register(&mut sim, &dep.model);
-        let mut user_base = 1u64;
-        let mut dep = dep;
-        let mut gen = traffic(7);
-        let mut prep = dep.prepare(&mut sim, &res, &mut gen, &[], &mut user_base, &handle);
-        for _ in 0..4 {
-            let batch = gen.batch(128);
-            prep.process_batch(&mut sim, &res, batch);
-        }
-        let path = prep.dump_flight("manual").expect("ring has events");
-        assert!(path.ends_with(".manual.json"), "{path}");
-        assert!(std::path::Path::new(&path).exists());
-        assert_eq!(prep.flight_dumps(), vec![path.clone()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,11 +10,11 @@
 //! kernel, shard routing, migration, merge, egress); `nfc-trace flow`
 //! stitches the instants back into one causal timeline.
 //!
-//! The [`FlightRecorder`] keeps a bounded ring of the most recent
-//! flow-tagged and health events. When the health plane raises
-//! `SloBurn` or `ModelDrift` (or on demand), the ring is dumped to a
-//! postmortem Chrome-trace file, so a breach arrives with the evidence
-//! attached even when full trace export is off.
+//! The [`FlightRecorder`] keeps a bounded ring of copies of the most
+//! recent flow-tagged and health events. When the health plane raises
+//! `SloBurn` or `ModelDrift`, the ring is dumped to a postmortem
+//! Chrome-trace file, so a breach arrives with its evidence attached
+//! even when the session only keeps the trace in memory.
 
 use crate::event::Event;
 use crate::export;
@@ -105,14 +105,13 @@ pub fn parse_rate(value: &str) -> u32 {
     }
 }
 
-/// Bounded always-on ring of recent flow-tagged and health events,
-/// dumped to a postmortem trace file on an SLO breach, a model-drift
-/// raise, or on demand.
+/// Bounded ring of recent flow-tagged and health events, dumped to a
+/// postmortem trace file on an SLO breach or a model-drift raise.
 ///
-/// The ring holds *copies* of events already emitted to the regular
-/// per-worker recorders, so a dump never steals evidence from the main
-/// trace; it only guarantees the evidence survives when full export is
-/// off or the main ring has already overwritten it.
+/// The ring holds *copies* of events already recorded for the main
+/// trace, so a dump never steals evidence from it; it only guarantees
+/// the evidence survives when the trace is not exported or the main
+/// ring has already overwritten it.
 #[derive(Debug)]
 pub struct FlightRecorder {
     ring: VecDeque<Event>,
@@ -120,8 +119,6 @@ pub struct FlightRecorder {
     stem: String,
     /// Total events ever observed (`seen - ring.len()` were evicted).
     seen: u64,
-    /// Dump files written so far, in order.
-    dumps: Vec<String>,
     /// Reasons already dumped; a flood of identical breaches produces
     /// one postmortem, not one file per offending epoch.
     dumped_reasons: Vec<&'static str>,
@@ -136,7 +133,6 @@ impl FlightRecorder {
             capacity: capacity.max(1),
             stem: stem.into(),
             seen: 0,
-            dumps: Vec::new(),
             dumped_reasons: Vec::new(),
         }
     }
@@ -175,35 +171,14 @@ impl FlightRecorder {
         self.ring.is_empty()
     }
 
-    /// Total events ever observed (including evicted ones).
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Events currently retained, oldest first (for dump-free
-    /// inspection in tests and the on-demand path).
-    pub fn events(&self) -> impl Iterator<Item = &Event> {
-        self.ring.iter()
-    }
-
-    /// Dump files written so far, in order.
-    pub fn dumps(&self) -> &[String] {
-        &self.dumps
-    }
-
-    /// Whether a breach with this reason should trigger a dump (first
-    /// occurrence per reason only).
-    pub fn should_dump(&self, reason: &'static str) -> bool {
-        !self.ring.is_empty() && !self.dumped_reasons.contains(&reason)
-    }
-
     /// Writes the retained ring as a Chrome-trace file named
     /// `<stem>.<reason>.json` (suffix-uniquified if that file already
-    /// exists) and returns the path. Repeated breaches with the same
-    /// reason are collapsed into the first dump; pass a fresh reason
-    /// (e.g. `manual`) to force another file.
+    /// exists) and returns the path; `None` when the ring is empty.
+    /// Repeated breaches with the same reason are collapsed into the
+    /// first dump; pass a fresh reason (e.g. `manual`) to force another
+    /// file.
     pub fn dump(&mut self, reason: &'static str) -> std::io::Result<Option<String>> {
-        if !self.should_dump(reason) {
+        if self.ring.is_empty() || self.dumped_reasons.contains(&reason) {
             return Ok(None);
         }
         let events: Vec<Event> = self.ring.iter().cloned().collect();
@@ -216,7 +191,6 @@ impl FlightRecorder {
         }
         std::fs::write(&path, body)?;
         self.dumped_reasons.push(reason);
-        self.dumps.push(path.clone());
         Ok(Some(path))
     }
 }
@@ -286,21 +260,19 @@ mod tests {
             fr.record(flow_event(7, i as f64 * 10.0));
         }
         assert_eq!(fr.len(), 4);
-        assert_eq!(fr.seen(), 6);
-        // Oldest two evicted: the retained window starts at t=20.
-        let first = fr.events().next().expect("retained");
-        assert_eq!(first.sim.expect("sim").start_ns, 20.0);
 
         let path = fr.dump("slo_burn").expect("io").expect("dumped");
         assert!(std::path::Path::new(&path).exists());
         let body = std::fs::read_to_string(&path).expect("readable");
         assert!(body.contains("flow_ingress"), "{body}");
+        // Oldest two evicted: the retained window starts at t=20 ns.
         assert!(body.contains("\"dropped\":2"), "{body}");
+        assert!(!body.contains("\"ts\":0.01,") && body.contains("\"ts\":0.02,"));
         // Same reason again: collapsed. New reason: a second file.
         assert_eq!(fr.dump("slo_burn").expect("io"), None);
         let second = fr.dump("manual").expect("io").expect("dumped");
         assert_ne!(path, second);
-        assert_eq!(fr.dumps().len(), 2);
+        assert!(std::path::Path::new(&second).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

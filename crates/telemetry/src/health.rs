@@ -298,6 +298,10 @@ impl HealthState {
 pub struct DriftVerdict {
     /// Median `observed / predicted` latency ratio this epoch.
     pub ratio: f64,
+    /// Mean model-predicted latency over the epoch's batches, ns.
+    pub predicted_ns: f64,
+    /// Mean observed latency over the epoch's batches, ns.
+    pub observed_ns: f64,
     /// Relative drift: `max(0, ratio - 1)`.
     pub drift: f64,
     /// True when the drift exceeded the ceiling for the configured
@@ -313,6 +317,9 @@ pub struct DriftWatchdog {
     hysteresis: usize,
     streak: usize,
     epoch_ratios: QuantileSketch,
+    /// Current-epoch sums behind the verdict's means.
+    epoch_predicted: f64,
+    epoch_observed: f64,
     ratios: QuantileSketch,
 }
 
@@ -325,12 +332,16 @@ impl DriftWatchdog {
             hysteresis: hysteresis.max(1),
             streak: 0,
             epoch_ratios: QuantileSketch::new(),
+            epoch_predicted: 0.0,
+            epoch_observed: 0.0,
             ratios: QuantileSketch::new(),
         }
     }
 
     /// Streams one batch's predicted-vs-observed pair into both the
     /// current epoch's sketch and the run-cumulative [`Self::ratios`].
+    /// Degenerate pairs (no prediction, non-finite observation) are
+    /// skipped everywhere, means included.
     pub fn observe(&mut self, predicted_ns: f64, observed_ns: f64) {
         if predicted_ns <= 0.0 || !observed_ns.is_finite() {
             return;
@@ -338,6 +349,8 @@ impl DriftWatchdog {
         let ratio = observed_ns / predicted_ns;
         self.epoch_ratios.record(ratio);
         self.ratios.record(ratio);
+        self.epoch_predicted += predicted_ns;
+        self.epoch_observed += observed_ns;
     }
 
     /// Every `observed / predicted` ratio streamed so far, across
@@ -350,10 +363,13 @@ impl DriftWatchdog {
     /// `None` when no batches were attributed this epoch (the streak
     /// is held, not reset, across empty epochs).
     pub fn epoch(&mut self) -> Option<DriftVerdict> {
-        if self.epoch_ratios.count() == 0 {
+        let n = self.epoch_ratios.count() as f64;
+        if n == 0.0 {
             return None;
         }
         let ratio = self.epoch_ratios.quantile(0.5);
+        let predicted_ns = std::mem::take(&mut self.epoch_predicted) / n;
+        let observed_ns = std::mem::take(&mut self.epoch_observed) / n;
         self.epoch_ratios = QuantileSketch::new();
         let drift = (ratio - 1.0).max(0.0);
         if drift > self.threshold {
@@ -363,6 +379,8 @@ impl DriftWatchdog {
         }
         Some(DriftVerdict {
             ratio,
+            predicted_ns,
+            observed_ns,
             drift,
             raised: self.streak >= self.hysteresis,
         })
@@ -552,6 +570,7 @@ mod tests {
             let v = wd.epoch().unwrap();
             assert_eq!(v.raised, epoch == 1, "{v:?}");
             assert!(v.drift > 1.0);
+            assert_eq!((v.predicted_ns, v.observed_ns), (1_000.0, 2_200.0));
         }
         // A healthy epoch resets the streak.
         for _ in 0..8 {

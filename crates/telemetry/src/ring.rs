@@ -190,6 +190,11 @@ impl Recorder {
         self.ring.iter()
     }
 
+    /// The most recently recorded event (`None` when disabled or empty).
+    pub fn last(&self) -> Option<&Event> {
+        self.ring.back()
+    }
+
     /// Consumes the recorder, yielding its events oldest first.
     pub fn into_events(self) -> impl Iterator<Item = Event> {
         self.ring.into_iter()

@@ -317,7 +317,7 @@ fn single_box_entry_points_agree() {
                 .with_exec_mode(ExecMode::Serial)
                 .with_telemetry(mode.clone())
                 .without_slo()
-                .without_flow_trace()
+                .with_flow_trace(0)
         };
         let collected = dep().run_collect(&mut gen(), N);
         // The batches `run_collect` processed: what the same generator
