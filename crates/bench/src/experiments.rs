@@ -467,7 +467,8 @@ pub fn fig14(quick: bool) -> ExperimentResult {
 // Figure 15: graph-based task allocation
 // ---------------------------------------------------------------------
 
-/// Figure 15: GTA vs CPU-only vs GPU-only vs exhaustive Optimal on IMIX
+/// Figure 15: GTA vs CPU-only vs GPU-only vs Optimal (an 11-point
+/// uniform-ratio search, see [`nfc_core::Policy::Optimal`]) on IMIX
 /// traffic (paper: GTA ≥ 90 % of optimal, gains grow for SFCs).
 pub fn fig15(quick: bool) -> ExperimentResult {
     header("Figure 15: graph-based task allocation on IMIX traffic");

@@ -444,6 +444,9 @@ impl ClusterDeployment {
                 }
                 let batch = traffic.batch(batch_size);
                 let first = batch.get(0).map(|p| p.meta.arrival_ns).unwrap_or(0) as f64;
+                // Every later link hop, shard, ring move and batch starts
+                // at or after the global batch's first arrival.
+                sim.retire_before(first);
                 let last = batch.iter().last().map(|p| p.meta.arrival_ns).unwrap_or(0) as f64;
                 let mean_arrival = (first + last) / 2.0;
                 if n == 1 {

@@ -25,7 +25,7 @@
 //!    functionally (real packets through real NFs) while scheduling their
 //!    calibrated costs on the simulated platform; policies cover
 //!    CPU-only (FastClick-like), GPU-only, fixed-ratio, NBA-like adaptive
-//!    offload, exhaustive-search Optimal, and full NFCompass.
+//!    offload, a uniform-ratio-search Optimal, and full NFCompass.
 //!
 //! # Quickstart
 //!

@@ -111,6 +111,12 @@ impl MultiDeployment {
                 .map(|(i, t)| (i, t.batch(batch_sizes[i])))
                 .collect();
             round.sort_by_key(|(_, b)| b.get(0).map(|p| p.meta.arrival_ns).unwrap_or(0));
+            // Each tenant's arrivals only move forward, so the earliest
+            // first arrival of this round bounds every later request; a
+            // single tenant's would not, since tenants interleave.
+            if let Some(p) = round.first().and_then(|(_, b)| b.get(0)) {
+                sim.retire_before(p.meta.arrival_ns as f64);
+            }
             for (i, batch) in round {
                 match prepared[i].process_batch(&mut sim, &res, batch) {
                     BatchResult::Completed {

@@ -16,9 +16,10 @@
 //! Policies reproduce the paper's comparison points: `CpuOnly` is the
 //! FastClick-like batched CPU baseline, `NbaAdaptive` mimics NBA's
 //! per-NF adaptive offloading (launch-per-batch kernels, local optima,
-//! no SFC re-organization), `Optimal` is the paper's manual exhaustive
-//! ratio search, and `NfCompass` applies chain parallelization, NF
-//! synthesis, graph-partition allocation and persistent kernels.
+//! no SFC re-organization), `Optimal` stands in for the paper's manual
+//! Optimal with an 11-point uniform-ratio search (one ratio for every
+//! offloadable element), and `NfCompass` applies chain parallelization,
+//! NF synthesis, graph-partition allocation and persistent kernels.
 
 use crate::allocator::{allocate_traced, allocate_warm_traced, AllocationPlan, PartitionAlgo};
 use crate::engine::{par_map_traced, Duplication, ExecMode};
@@ -66,8 +67,9 @@ pub enum Policy {
     /// NBA-like per-NF adaptive offloading: locally optimal ratio per
     /// NF, launch-per-batch kernels, no SFC re-organization.
     NbaAdaptive,
-    /// The paper's "Optimal": exhaustive per-NF ratio search with
-    /// persistent kernels (upper baseline of Figure 15).
+    /// Stands in for the paper's "Optimal" (upper baseline of Figure
+    /// 15): the best of 11 uniform offload ratios, one ratio applied to
+    /// every offloadable element, with persistent kernels.
     Optimal,
     /// SFC re-organization only, with a forced uniform offload ratio —
     /// the paper's §V-B setup ("We disable our graph-partition based
@@ -661,8 +663,19 @@ impl Deployment {
             let mut stats = nfc_hetero::sim::StatsAccumulator::new();
             for _ in 0..n_batches {
                 let batch = match replay {
+                    // Recorded batches need not arrive in order, so a
+                    // replay keeps its whole history.
                     Some(rec) => rec[fed].clone(),
-                    None => traffic.batch(batch_size),
+                    None => {
+                        let batch = traffic.batch(batch_size);
+                        // A generator's arrivals only move forward, and this
+                        // batch and the epoch boundary after it start every
+                        // request at or after its first arrival.
+                        if let Some(p) = batch.get(0) {
+                            sim.retire_before(p.meta.arrival_ns as f64);
+                        }
+                        batch
+                    }
                 };
                 fed += 1;
                 match prep.process_batch(&mut sim, &res, batch) {
@@ -962,8 +975,11 @@ impl Deployment {
         }
     }
 
-    /// Per-NF exhaustive ratio search on the δ grid (NBA's adaptive
-    /// balancing / the paper's manual Optimal).
+    /// Uniform-ratio search: predicts the cost of each of the 11 ratios
+    /// 0, 0.1, …, 1 with that ratio on every offloadable element, and
+    /// applies the cheapest through [`AllocationPlan::fixed_ratio`]
+    /// (stands in for NBA's adaptive balancing and the paper's manual
+    /// Optimal; not a per-NF search).
     fn grid_search_plan(
         model: &CostModel,
         weights: &GraphWeights,

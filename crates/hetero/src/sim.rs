@@ -11,6 +11,18 @@
 //! stage's backlog exceeds [`PipelineSim::max_queue_ns`], the batch is
 //! dropped (tail drop at the NIC ring), which is what bounds the paper's
 //! worst-case latencies at saturation.
+//!
+//! Each resource keeps its committed busy intervals sorted and
+//! non-overlapping, so their ends are sorted too. A request binary-searches
+//! to the first interval that does not end before its earliest start and
+//! walks only the `k` intervals it cannot fit in front of: a call costs
+//! O(log n + k) in the n intervals the resource holds, not O(n). Loops
+//! that own an arrival clock bound n by calling
+//! [`PipelineSim::retire_before`] with a time no later request starts
+//! before; history behind it leaves the simulator, except the one
+//! interval the context-switch penalty still reads.
+
+use std::collections::VecDeque;
 
 use nfc_telemetry::{EventKind, QuantileSketch, Recorder};
 
@@ -190,10 +202,14 @@ struct Busy {
 /// The simulator.
 #[derive(Debug, Clone)]
 pub struct PipelineSim {
-    // Per-resource busy intervals, sorted by start time. Gap-filling
-    // insertion keeps scheduling causal even when requests arrive out of
-    // simulated-time order (multi-tenant interleaving).
-    busy: Vec<Vec<Busy>>,
+    // Per-resource busy intervals, sorted by start time, and therefore
+    // by end time: they never overlap and none has negative length.
+    // Gap-filling insertion keeps scheduling causal even when requests
+    // arrive out of simulated-time order (multi-tenant interleaving).
+    busy: Vec<VecDeque<Busy>>,
+    /// The latest [`PipelineSim::retire_before`] bound: no request may
+    /// start its search before it.
+    watermark: f64,
     ctx_switch_ns: Vec<f64>,
     names: Vec<String>,
     stats: StatsAccumulator,
@@ -217,6 +233,7 @@ impl PipelineSim {
     pub fn new() -> Self {
         PipelineSim {
             busy: Vec::new(),
+            watermark: f64::NEG_INFINITY,
             ctx_switch_ns: Vec::new(),
             names: Vec::new(),
             stats: StatsAccumulator::new(),
@@ -263,7 +280,13 @@ impl PipelineSim {
     /// Registers a resource; `ctx_switch_ns` is charged whenever
     /// consecutive stages on it carry different user tags.
     pub fn add_resource(&mut self, name: impl Into<String>, ctx_switch_ns: f64) -> ResourceId {
-        self.busy.push(Vec::new());
+        // A negative penalty could start an interval before its
+        // predecessor ends and unsort the interval ends.
+        debug_assert!(
+            ctx_switch_ns.is_finite() && ctx_switch_ns >= 0.0,
+            "context-switch penalty {ctx_switch_ns} must be finite and non-negative"
+        );
+        self.busy.push(VecDeque::new());
         self.ctx_switch_ns.push(ctx_switch_ns);
         self.names.push(name.into());
         let id = ResourceId(self.busy.len() - 1);
@@ -312,6 +335,14 @@ impl PipelineSim {
     /// `(start, end)` interval, so callers building latency
     /// attributions can separate queueing delay (`start − earliest_ns`)
     /// from service time without re-deriving the schedule.
+    ///
+    /// Costs O(log n + k): a binary search over the resource's n live
+    /// intervals, then a walk over the k intervals that end at or after
+    /// `earliest_ns` but leave no gap the request fits.
+    ///
+    /// `earliest_ns` must be at or after the last
+    /// [`PipelineSim::retire_before`] bound, and `duration_ns` finite and
+    /// non-negative; debug builds assert both.
     pub fn schedule_span(
         &mut self,
         resource: ResourceId,
@@ -319,8 +350,25 @@ impl PipelineSim {
         duration_ns: f64,
         user: u64,
     ) -> (f64, f64) {
+        // A NaN or negative interval would unsort the interval ends the
+        // binary search below relies on.
+        debug_assert!(
+            earliest_ns.is_finite() && duration_ns.is_finite() && duration_ns >= 0.0,
+            "request at {earliest_ns} for {duration_ns} ns must be finite and non-negative"
+        );
+        debug_assert!(
+            earliest_ns >= self.watermark,
+            "request at {earliest_ns} ns precedes the retirement watermark {} ns",
+            self.watermark
+        );
         let r = resource.0;
-        let mut idx = 0usize;
+        // Every interval before the frontier ends strictly before
+        // `earliest_ns`, so any request, zero-length or not, ends after
+        // its start and the walk would step past it without moving
+        // `candidate`. An interval ending exactly at `earliest_ns` stays
+        // in the walk: a zero-length request can still take the slot in
+        // front of a zero-length interval there.
+        let mut idx = self.busy[r].partition_point(|b| b.end < earliest_ns);
         let mut candidate = earliest_ns;
         let (slot_idx, start, end, penalty, prev_user) = loop {
             let intervals = &self.busy[r];
@@ -381,9 +429,25 @@ impl PipelineSim {
     /// time until the last committed interval ends.
     pub fn backlog_ns(&self, resource: ResourceId, now_ns: f64) -> f64 {
         self.busy[resource.0]
-            .last()
+            .back()
             .map(|b| (b.end - now_ns).max(0.0))
             .unwrap_or(0.0)
+    }
+
+    /// Retires history: promises that no later request starts its
+    /// search before `t_ns` (debug builds assert it), and drops every
+    /// busy interval that ends before `t_ns` except the last one, whose
+    /// user the context-switch penalty still reads. The schedule is the
+    /// same as without retirement; only memory and search length shrink.
+    /// Amortised O(1) per retired interval, plus a binary search per
+    /// resource.
+    pub fn retire_before(&mut self, t_ns: f64) {
+        self.watermark = self.watermark.max(t_ns);
+        let t = self.watermark;
+        for intervals in &mut self.busy {
+            let settled = intervals.partition_point(|b| b.end < t);
+            intervals.drain(..settled.saturating_sub(1));
+        }
     }
 
     /// Records a completed batch that was scheduled manually via
@@ -438,8 +502,180 @@ impl PipelineSim {
 }
 
 #[cfg(test)]
+impl PipelineSim {
+    /// Busy intervals `resource` still holds.
+    fn live_intervals(&self, resource: ResourceId) -> usize {
+        self.busy[resource.0].len()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference `schedule_span` is checked against: the linear walk
+    /// over every interval ever committed, from the first, with no
+    /// retirement.
+    struct LinearWalk {
+        busy: Vec<Vec<Busy>>,
+        ctx_switch_ns: Vec<f64>,
+        recorder: Recorder,
+    }
+
+    impl LinearWalk {
+        fn new(ctx_switch_ns: &[f64], recorder: Recorder) -> Self {
+            LinearWalk {
+                busy: vec![Vec::new(); ctx_switch_ns.len()],
+                ctx_switch_ns: ctx_switch_ns.to_vec(),
+                recorder,
+            }
+        }
+
+        fn schedule_span(
+            &mut self,
+            r: usize,
+            earliest_ns: f64,
+            duration_ns: f64,
+            user: u64,
+        ) -> (f64, f64) {
+            let mut idx = 0usize;
+            let mut candidate = earliest_ns;
+            let (slot_idx, start, end, penalty, prev_user) = loop {
+                let intervals = &self.busy[r];
+                let prev_user = if idx == 0 {
+                    None
+                } else {
+                    Some(intervals[idx - 1].user)
+                };
+                let penalty = if prev_user.map(|u| u != user).unwrap_or(false) {
+                    self.ctx_switch_ns[r]
+                } else {
+                    0.0
+                };
+                let start = candidate + penalty;
+                let end = start + duration_ns;
+                match intervals.get(idx) {
+                    Some(next) if end > next.start => {
+                        candidate = candidate.max(next.end);
+                        idx += 1;
+                    }
+                    _ => break (idx, start, end, penalty, prev_user),
+                }
+            };
+            self.busy[r].insert(slot_idx, Busy { start, end, user });
+            if self.recorder.is_enabled() {
+                if penalty > 0.0 {
+                    if let Some(from_user) = prev_user {
+                        self.recorder.sim_instant(
+                            r as u32,
+                            candidate,
+                            EventKind::KernelTeardown {
+                                resource: r as u32,
+                                from_user,
+                                to_user: user,
+                                penalty_ns: penalty,
+                            },
+                        );
+                    }
+                }
+                self.recorder.sim_span(
+                    r as u32,
+                    start,
+                    end,
+                    EventKind::ResourceBusy {
+                        resource: r as u32,
+                        user,
+                        queued_ns: start - earliest_ns,
+                    },
+                );
+            }
+            (start, end)
+        }
+
+        fn backlog_ns(&self, r: usize, now_ns: f64) -> f64 {
+            self.busy[r]
+                .last()
+                .map(|b| (b.end - now_ns).max(0.0))
+                .unwrap_or(0.0)
+        }
+    }
+
+    /// Everything a recorded event says about the simulated timeline
+    /// (the wall stamp differs between any two runs).
+    fn sim_view(rec: &Recorder) -> Vec<(Option<nfc_telemetry::SimStamp>, u32, u64, EventKind)> {
+        rec.events()
+            .filter(|e| !matches!(e.kind, EventKind::ResourceName { .. }))
+            .map(|e| (e.sim, e.track, e.batch, e.kind.clone()))
+            .collect()
+    }
+
+    /// A batch-shaped run of about `calls` requests over I/O, CPU and
+    /// GPU, retiring behind each arrival when `retire` is set. Returns
+    /// the report and the most intervals any resource held at once.
+    fn batch_shaped_run(calls: usize, retire: bool) -> (SimReport, usize) {
+        let mut sim = PipelineSim::new();
+        let io = sim.add_resource("io", 0.0);
+        let cpu = sim.add_resource("cpu", 0.0);
+        let gpu = sim.add_resource("gpu", 300.0);
+        let mut most = 0;
+        for i in 0..calls.div_ceil(3) {
+            let arrival = i as f64 * 1_000.0;
+            if retire {
+                sim.retire_before(arrival);
+            }
+            // Service times around the arrival gap, so queues build and
+            // drain and the GPU switches between two users.
+            let jitter = ((i * 7_919) % 13) as f64 * 40.0;
+            sim.process_batch(
+                arrival,
+                32,
+                32 * 64,
+                &[
+                    Stage {
+                        resource: io,
+                        duration_ns: 200.0,
+                        user: 0,
+                    },
+                    Stage {
+                        resource: cpu,
+                        duration_ns: 700.0 + jitter,
+                        user: 1,
+                    },
+                    Stage {
+                        resource: gpu,
+                        duration_ns: 400.0,
+                        user: 1 + (i % 3 == 0) as u64,
+                    },
+                ],
+            );
+            most = [io, cpu, gpu]
+                .iter()
+                .map(|&r| sim.live_intervals(r))
+                .fold(most, usize::max);
+        }
+        (sim.report(), most)
+    }
+
+    #[test]
+    fn retired_history_stays_bounded_over_a_million_calls() {
+        let (retired, most) = batch_shaped_run(1_000_000, true);
+        assert!(most <= 8, "{most} live intervals on one resource");
+        let (kept, _) = batch_shaped_run(1_000_000, false);
+        assert_eq!(retired, kept);
+        assert!(retired.dropped_batches < retired.offered_batches);
+    }
+
+    #[test]
+    fn retirement_keeps_the_interval_the_penalty_reads() {
+        let mut sim = PipelineSim::new();
+        let gpu = sim.add_resource("gpu", 100.0);
+        sim.schedule(gpu, 0.0, 10.0, 1);
+        sim.schedule(gpu, 20.0, 10.0, 1);
+        sim.retire_before(1_000.0);
+        assert_eq!(sim.live_intervals(gpu), 1);
+        // The retained user-1 interval still charges the switch.
+        assert_eq!(sim.schedule(gpu, 1_000.0, 10.0, 2), 1_110.0);
+    }
 
     #[test]
     fn single_stage_underload_latency_is_service_time() {
@@ -767,6 +1003,47 @@ mod tests {
                 prop_assert_eq!(r.p99_latency_ns.to_bits(), pct(0.99).to_bits());
                 prop_assert_eq!(r.mean_latency_ns.to_bits(), mean.to_bits());
                 prop_assert_eq!(r.max_latency_ns.to_bits(), sorted[sorted.len() - 1].to_bits());
+            }
+
+            /// The frontier search with retirement commits the same
+            /// intervals, reports the same backlog and records the same
+            /// events as the linear walk over all history. Requests land
+            /// out of order behind a moving watermark on a 5 ns grid, so
+            /// zero-length and abutting intervals and user changes on
+            /// resources with a switch penalty all occur.
+            #[test]
+            fn frontier_matches_the_linear_walk(
+                ctx in proptest::collection::vec(0usize..3, 3),
+                ops in proptest::collection::vec(
+                    (0u8..8, 0usize..3, 0u32..12, 0usize..4, 1u64..4),
+                    1..300,
+                ),
+            ) {
+                let ctx_ns: Vec<f64> = ctx.iter().map(|&c| [0.0, 5.0, 7.5][c]).collect();
+                let durations = [0.0, 5.0, 10.0, 25.0];
+                let mut sim = PipelineSim::new();
+                sim.set_recorder(Recorder::with_capacity(1 << 12));
+                let ids: Vec<ResourceId> =
+                    ctx_ns.iter().map(|&c| sim.add_resource("r", c)).collect();
+                let mut walk = LinearWalk::new(&ctx_ns, Recorder::with_capacity(1 << 12));
+                let mut watermark = 0.0;
+                for &(op, r, step, d, user) in &ops {
+                    if op == 0 {
+                        watermark += step as f64 * 20.0;
+                        sim.retire_before(watermark);
+                        continue;
+                    }
+                    let earliest = watermark + step as f64 * 5.0;
+                    let (s, e) = sim.schedule_span(ids[r], earliest, durations[d], user);
+                    let (ws, we) = walk.schedule_span(r, earliest, durations[d], user);
+                    prop_assert_eq!((s.to_bits(), e.to_bits()), (ws.to_bits(), we.to_bits()));
+                    prop_assert_eq!(
+                        sim.backlog_ns(ids[r], earliest).to_bits(),
+                        walk.backlog_ns(r, earliest).to_bits()
+                    );
+                }
+                let sim_rec = sim.take_recorder().expect("recorder installed");
+                prop_assert_eq!(sim_view(&sim_rec), sim_view(&walk.recorder));
             }
         }
     }
