@@ -907,6 +907,11 @@ impl CompiledGraph {
     /// Returns `false` — with `traces` unspecified — if the graph is not
     /// flow-cacheable or any element declines a verdict for any row;
     /// callers fall back to the slow path for the whole batch.
+    ///
+    /// Each verdict column computed is recorded into `rec` as one
+    /// [`EventKind::Element`] wall span: `packets_in` counts the rows
+    /// standing at the node, `packets_out` those it did not drop. With a
+    /// disabled recorder this costs one branch per node.
     pub fn trace_flows(
         &self,
         entry: NodeId,
@@ -914,6 +919,7 @@ impl CompiledGraph {
         lanes: &HeaderLanes,
         rows: &[u32],
         traces: &mut FlowTraces,
+        rec: &mut Recorder,
     ) -> bool {
         if !self.flow_cacheable {
             return false;
@@ -946,7 +952,9 @@ impl CompiledGraph {
             let here = std::mem::take(&mut t.at_node[nid.0]);
             let mut verdicts = std::mem::take(&mut t.verdicts);
             verdicts.clear();
-            if !self.graph.nodes[nid.0].flow_verdicts(batch, lanes, &here, &mut verdicts) {
+            let t_el = rec.start();
+            let element = &self.graph.nodes[nid.0];
+            if !element.flow_verdicts(batch, lanes, &here, &mut verdicts) {
                 return false;
             }
             debug_assert_eq!(verdicts.len(), here.len(), "one verdict per row");
@@ -956,6 +964,18 @@ impl CompiledGraph {
                 if let PrefixEnd::Next(to) = t.prefixes[id as usize].end {
                     t.at_node[to.0].push(row);
                 }
+            }
+            if rec.is_enabled() {
+                let kept = verdicts.iter().filter(|&&v| v != FlowVerdict::Drop);
+                rec.wall_span(
+                    t_el,
+                    EventKind::Element {
+                        node: nid.0 as u32,
+                        name: element.name().to_string(),
+                        packets_in: here.len() as u32,
+                        packets_out: kept.count() as u32,
+                    },
+                );
             }
             t.verdicts = verdicts;
             t.at_node[nid.0] = here;
@@ -1342,7 +1362,8 @@ mod tests {
             traces: &mut FlowTraces,
         ) -> Result<(), TestCaseError> {
             let lanes = batch.header_lanes();
-            prop_assert!(run.trace_flows(entry, batch, &lanes, rows, traces));
+            let rec = &mut Recorder::disabled();
+            prop_assert!(run.trace_flows(entry, batch, &lanes, rows, traces, rec));
             prop_assert_eq!(traces.len(), rows.len());
             for (k, &row) in rows.iter().enumerate() {
                 let scalar = run.trace_flow(entry, batch.get(row as usize).unwrap());
@@ -1435,13 +1456,72 @@ mod tests {
             let run = g.compile().unwrap();
             let batch: Batch = [pkt_udp(0), pkt_tcp(1), pkt_udp(2)].into_iter().collect();
             let lanes = batch.header_lanes();
-            let mut traces = FlowTraces::default();
-            assert!(run.trace_flows(n, &batch, &lanes, &[0, 2], &mut traces));
+            let (mut traces, rec) = (FlowTraces::default(), &mut Recorder::disabled());
+            assert!(run.trace_flows(n, &batch, &lanes, &[0, 2], &mut traces, rec));
             assert_eq!(traces.distinct().len(), 1, "two rows, one shared path");
-            assert!(!run.trace_flows(n, &batch, &lanes, &[0, 1, 2], &mut traces));
+            assert!(!run.trace_flows(n, &batch, &lanes, &[0, 1, 2], &mut traces, rec));
             // The scratch survives a declined trace.
-            assert!(run.trace_flows(n, &batch, &lanes, &[2], &mut traces));
+            assert!(run.trace_flows(n, &batch, &lanes, &[2], &mut traces, rec));
             assert_eq!(traces.len(), 1);
+        }
+
+        /// Every verdict column traced is one `element` span: the rows
+        /// standing at the node in, the rows it did not drop out.
+        #[test]
+        fn each_traced_column_records_one_element_span() {
+            #[derive(Debug, Clone)]
+            struct DropTcp;
+            impl Element for DropTcp {
+                fn name(&self) -> &str {
+                    "drop-tcp"
+                }
+                fn class(&self) -> ElementClass {
+                    ElementClass::Classifier
+                }
+                fn actions(&self) -> ElementActions {
+                    ElementActions::read_header().with_drop()
+                }
+                fn process(&mut self, mut batch: Batch, _ctx: &mut RunCtx) -> Vec<Batch> {
+                    batch.retain(|p| p.ip_protocol() != Ok(ip_proto::TCP));
+                    vec![batch]
+                }
+                fn clone_box(&self) -> Box<dyn Element> {
+                    Box::new(self.clone())
+                }
+                fn verdict_capable(&self) -> bool {
+                    true
+                }
+                fn flow_verdict(&self, pkt: &Packet) -> Option<FlowVerdict> {
+                    Some(if pkt.ip_protocol() == Ok(ip_proto::TCP) {
+                        FlowVerdict::Drop
+                    } else {
+                        FlowVerdict::Forward { port: 0 }
+                    })
+                }
+            }
+            let mut g = ElementGraph::new();
+            let drop = g.add(DropTcp);
+            let cl = g.add(ProtocolClassifier::new("cl", vec![ip_proto::UDP]));
+            g.connect(drop, 0, cl).unwrap();
+            let run = g.compile().unwrap();
+            let batch: Batch = [pkt_udp(0), pkt_tcp(1), pkt_udp(2)].into_iter().collect();
+            let lanes = batch.header_lanes();
+            let mut rec = Recorder::with_capacity(16);
+            let mut traces = FlowTraces::default();
+            assert!(run.trace_flows(drop, &batch, &lanes, &[0, 1, 2], &mut traces, &mut rec));
+            let spans: Vec<_> = rec
+                .into_events()
+                .map(|e| match e.kind {
+                    EventKind::Element {
+                        node,
+                        packets_in,
+                        packets_out,
+                        ..
+                    } => (node, packets_in, packets_out),
+                    other => panic!("not an element span: {other:?}"),
+                })
+                .collect();
+            assert_eq!(spans, [(drop.0 as u32, 3, 2), (cl.0 as u32, 2, 2)]);
         }
     }
 

@@ -2,16 +2,16 @@
 //! element graphs.
 //!
 //! For stages whose element graph is fully verdict-capable (see
-//! `nfc_click::Element::verdict_capable`), the first packet of each flow
-//! walks the slow path while its whole-graph outcome — the exact
-//! node/edge walk, annotations and drop decision — is memoized as a
-//! [`FlowPath`] keyed by the packet's [`FlowKey`]. Subsequent packets of
-//! the flow skip straight to the verdict: statistics are replayed, the
-//! same annotations applied, and the packet forwarded or dropped without
-//! touching any element. Egress bytes and per-element [`GraphStats`] are
-//! bit-identical to the slow path; only elements' private telemetry
-//! (e.g. the firewall's denied counter) and the temporal simulation can
-//! diverge.
+//! `nfc_click::Element::verdict_capable`), a batch's cache misses are
+//! traced together through the elements' verdict columns, and each
+//! flow's whole-graph outcome — the exact node/edge walk, annotations
+//! and drop decision — is memoized as a [`FlowPath`] keyed by its
+//! [`FlowKey`]. Every packet, hit or miss, then takes its path: stats
+//! are replayed, the annotations applied, and the packet forwarded or
+//! dropped without running any element's `process`. Egress bytes and
+//! per-element [`GraphStats`] are bit-identical to the slow path; only
+//! elements' private telemetry (e.g. the firewall's denied counter) and
+//! the temporal simulation can diverge.
 //!
 //! Invalidation is generation-based and configuration-hashed: the cache
 //! stamps itself with the graph's `flow_config_hash` (which covers every
@@ -24,7 +24,7 @@
 use nfc_click::{CompiledGraph, FlowPath, FlowTraces, NodeId};
 use nfc_nf::flowcache::{CacheCounters, ClockTable};
 use nfc_packet::batch::BatchLineage;
-use nfc_packet::{Batch, FlowKey, Packet};
+use nfc_packet::{Batch, FlowKey, HeaderLanes, Packet};
 use nfc_telemetry::{EventKind, Recorder};
 use std::sync::Arc;
 
@@ -80,13 +80,13 @@ pub struct StageFlowCache {
     keys: Vec<FlowKey>,
     /// Per ingress packet: the table entry it hit, if any.
     lookups: Vec<Option<Hit>>,
-    /// Hit packets in ingress order; doubles as the egress assembly
-    /// buffer.
+    /// Hit packets in ingress order.
     hit_pkts: Vec<Packet>,
     /// `0..misses`: the rows handed to `trace_flows` (all of them).
     miss_rows: Vec<u32>,
     traces: FlowTraces,
-    node_traffic: Vec<NodeTraffic>,
+    /// Per node: whether any packet reached it this batch.
+    node_traffic: Vec<bool>,
     edge_traffic: Vec<bool>,
     /// `(node, port)` egress exits with at least one packet this batch.
     egress_live: Vec<(usize, usize)>,
@@ -102,13 +102,6 @@ struct Hit {
     path: Arc<FlowPath>,
 }
 
-/// Which partition(s) reached a node in the current batch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct NodeTraffic {
-    by_hit: bool,
-    by_miss: bool,
-}
-
 impl StageFlowCache {
     /// Creates a cache for `run` with room for `capacity` flows.
     pub fn new(capacity: usize, run: &CompiledGraph) -> Self {
@@ -121,7 +114,7 @@ impl StageFlowCache {
             hit_pkts: Vec::new(),
             miss_rows: Vec::new(),
             traces: FlowTraces::default(),
-            node_traffic: vec![NodeTraffic::default(); nodes],
+            node_traffic: vec![false; nodes],
             edge_traffic: vec![false; run.graph().edges().len()],
             egress_live: Vec::new(),
             lineage_out: vec![None; nodes],
@@ -166,10 +159,10 @@ impl StageFlowCache {
     }
 
     /// Pushes `batch` through `run` via the fast path: cache hits skip
-    /// straight to their memoized verdict, misses traverse the slow path
-    /// together as one batch. Egress packets, their order, and `run`'s
-    /// [`nfc_click::GraphStats`] are bit-identical to pushing the whole
-    /// batch through the slow path.
+    /// straight to their memoized verdict, misses are traced together
+    /// as one batch and take the paths just traced. Egress packets,
+    /// their order, and `run`'s [`nfc_click::GraphStats`] are
+    /// bit-identical to pushing the whole batch through the slow path.
     pub fn process(&mut self, run: &mut CompiledGraph, entry: NodeId, batch: Batch) -> CachedRun {
         self.process_traced(run, entry, batch, &mut Recorder::disabled())
     }
@@ -177,7 +170,8 @@ impl StageFlowCache {
     /// [`StageFlowCache::process`] recording telemetry into `rec`: a
     /// [`EventKind::FlowCacheBatch`] instant per cache-path batch, a
     /// [`EventKind::FlowCacheInvalidate`] instant per configuration-swap
-    /// bulk invalidation, and the miss partition's per-element spans.
+    /// bulk invalidation, and the miss partition's per-element trace
+    /// spans.
     pub fn process_traced(
         &mut self,
         run: &mut CompiledGraph,
@@ -233,9 +227,7 @@ impl StageFlowCache {
         }
         miss_batch.lineage = lineage_in;
         // ---- resolve every miss once: gather, column verdicts, paths --
-        // The gathered lanes stay memoized on the miss batch, so the slow
-        // path's first lane element below does not gather again.
-        let lanes = miss_batch.shared_lanes();
+        let lanes = HeaderLanes::gather(&miss_batch);
         self.miss_rows.clear();
         self.miss_rows.extend(0..misses as u32);
         if !run.trace_flows(
@@ -244,6 +236,7 @@ impl StageFlowCache {
             &lanes,
             &self.miss_rows,
             &mut self.traces,
+            rec,
         ) {
             // An element declined a verdict: put the ingress batch back
             // together in its original order and take the slow path.
@@ -259,40 +252,64 @@ impl StageFlowCache {
         }
         self.table
             .commit_lookups(self.lookups.iter().flatten().map(|h| h.slot), misses as u64);
-        // ---- apply hits -----------------------------------------------
-        self.node_traffic
-            .iter_mut()
-            .for_each(|t| *t = NodeTraffic::default());
+        // ---- lineage of the miss partition alone ----------------------
+        // What pushing just the misses through the slow path would stamp
+        // on its egress; the simulated split/merge charge reads it.
+        self.node_traffic.iter_mut().for_each(|t| *t = false);
         self.edge_traffic.iter_mut().for_each(|t| *t = false);
         self.egress_live.clear();
+        for path in self.traces.distinct() {
+            mark_traffic(
+                path,
+                &mut self.node_traffic,
+                &mut self.edge_traffic,
+                &mut self.egress_live,
+            );
+        }
+        let miss_lineage = self.simulate_lineage(run, entry, lineage_in);
+        // ---- apply every packet's path, in ingress order ---------------
+        // Hits replay their memoized path, misses the one just traced.
+        // Ingress order is the slow path's egress order: batches are
+        // seq-sorted throughout the engine, and verdict-capable elements
+        // neither reorder nor duplicate packets.
+        let miss_bytes = miss_batch.total_bytes() as u64;
+        let mut out = Batch::with_capacity(self.keys.len());
         {
             let Self {
                 lookups,
                 hit_pkts,
+                traces,
                 node_traffic,
                 edge_traffic,
                 egress_live,
                 ..
             } = self;
-            let mut hit = lookups.iter().flatten();
-            hit_pkts.retain_mut(|pkt| {
-                let path = &hit.next().expect("one lookup per hit packet").path;
-                mark_traffic(path, true, node_traffic, edge_traffic, egress_live);
+            let (mut hit, mut miss) = (hit_pkts.drain(..), miss_batch.into_iter().enumerate());
+            for lookup in lookups.iter() {
+                let (mut pkt, path) = match lookup {
+                    Some(h) => {
+                        mark_traffic(&h.path, node_traffic, edge_traffic, egress_live);
+                        (hit.next().expect("one packet per hit"), &h.path)
+                    }
+                    // Miss paths are marked already.
+                    None => {
+                        let (k, pkt) = miss.next().expect("one packet per miss");
+                        (pkt, traces.path(k))
+                    }
+                };
                 run.replay_flow_stats(path, pkt.len() as u64);
                 for &(slot, value) in &path.annos {
                     pkt.meta.anno[slot] = value;
                 }
-                !path.dropped
-            });
+                if !path.dropped {
+                    out.push(pkt);
+                }
+            }
         }
-        for path in self.traces.distinct() {
-            mark_traffic(
-                path,
-                false,
-                &mut self.node_traffic,
-                &mut self.edge_traffic,
-                &mut self.egress_live,
-            );
+        // Batch counters: the slow path counts one batch per node that
+        // receives non-empty input.
+        for (i, _) in self.node_traffic.iter().enumerate().filter(|(_, &t)| t) {
+            run.note_batch(NodeId(i));
         }
         // ---- insert the new paths ---------------------------------------
         // Only now: an insert may evict a same-set entry, and every hit
@@ -310,36 +327,14 @@ impl StageFlowCache {
             hits: hits as u32,
             misses: misses as u32,
         });
-        // ---- miss partition: one slow-path batch --------------------
-        let miss_bytes = miss_batch.total_bytes() as u64;
-        let (mut miss_new_splits, mut miss_new_merges) = (0, 0);
-        if !miss_batch.is_empty() {
-            let miss_out = run.push_merged_traced(entry, miss_batch, rec);
-            miss_new_splits = miss_out.lineage.splits.saturating_sub(lineage_in.splits);
-            miss_new_merges = miss_out.lineage.merges.saturating_sub(lineage_in.merges);
-            self.hit_pkts.extend(miss_out);
-        }
-        // Batch counters: the slow path counts one batch per node that
-        // receives non-empty input. The miss push covered miss-reached
-        // nodes; hit-only nodes get their batch now.
-        for (i, t) in self.node_traffic.iter().enumerate() {
-            if t.by_hit && !t.by_miss {
-                run.note_batch(NodeId(i));
-            }
-        }
-        // Restore slow-path packet order (batches are seq-sorted
-        // throughout the engine; verdict-capable graphs never duplicate
-        // packets, so seq order is total).
-        self.hit_pkts.sort_by_key(|p| p.meta.seq);
-        let mut out: Batch = self.hit_pkts.drain(..).collect();
         out.lineage = self.simulate_lineage(run, entry, lineage_in);
         CachedRun {
             out,
             hits: hits as u64,
             misses: misses as u64,
             miss_bytes,
-            miss_new_splits,
-            miss_new_merges,
+            miss_new_splits: miss_lineage.splits.saturating_sub(lineage_in.splits),
+            miss_new_merges: miss_lineage.merges.saturating_sub(lineage_in.merges),
             fell_back: false,
         }
     }
@@ -363,9 +358,9 @@ impl StageFlowCache {
         }
     }
 
-    /// Computes the lineage the slow path would stamp on this batch's
-    /// egress, from the per-node/per-edge traffic of the whole batch
-    /// (hits and misses alike): split counts bump at multi-output nodes,
+    /// Computes the lineage the slow path would stamp on the egress of
+    /// the traffic marked so far (see [`mark_traffic`]): split counts
+    /// bump at multi-output nodes,
     /// merges at nodes fed by several live edges and at the final
     /// egress merge — exactly `CompiledGraph::push_merged`'s accounting.
     fn simulate_lineage(
@@ -380,8 +375,7 @@ impl StageFlowCache {
         // Egress parts so far, and the largest counts among them.
         let (mut parts, mut splits, mut merges) = (0usize, 0, 0);
         for &nid in run.order() {
-            let t = self.node_traffic[nid.0];
-            if !t.by_hit && !t.by_miss {
+            if !self.node_traffic[nid.0] {
                 continue;
             }
             // Inbound lineages: the entry batch plus every live in-edge.
@@ -434,18 +428,12 @@ impl StageFlowCache {
 /// Marks the nodes, edges and egress exits one packet's path touches.
 fn mark_traffic(
     path: &FlowPath,
-    hit: bool,
-    node_traffic: &mut [NodeTraffic],
+    node_traffic: &mut [bool],
     edge_traffic: &mut [bool],
     egress_live: &mut Vec<(usize, usize)>,
 ) {
     for hop in &path.hops {
-        let t = &mut node_traffic[hop.node.0];
-        if hit {
-            t.by_hit = true;
-        } else {
-            t.by_miss = true;
-        }
+        node_traffic[hop.node.0] = true;
         match (hop.port, hop.edge) {
             (_, Some(e)) => edge_traffic[e] = true,
             (Some(port), None) => {
@@ -465,7 +453,10 @@ mod tests {
     use nfc_click::element::{ElementActions, ElementClass, FlowVerdict, RunCtx};
     use nfc_click::elements::ProtocolClassifier;
     use nfc_click::{Element, ElementGraph};
+    use nfc_nf::acl::{AclTable, Action, Rule};
+    use nfc_nf::elements::{FirewallFilter, LoadBalancer};
     use nfc_packet::headers::ip_proto;
+    use proptest::prelude::*;
 
     /// Destination port that [`DeclineMarked`] has no verdict for.
     const MARK: u16 = 9;
@@ -558,5 +549,165 @@ mod tests {
         assert_eq!(cache.counters(), twin.counters());
         assert_eq!(live(&cache), live(&twin));
         assert_eq!(live(&cache), [0, 4, 20, 21]);
+    }
+
+    /// A splitting, merging, dropping graph: an enforcing firewall feeds
+    /// a four-way load balancer whose ports 0 and 1 join again at a
+    /// protocol classifier; ports 2 and 3 and both classifier ports are
+    /// graph egress.
+    fn oracle_graph(rules: Vec<Rule>) -> (CompiledGraph, NodeId) {
+        let mut g = ElementGraph::new();
+        let acl = Arc::new(AclTable::new(rules, Action::Allow));
+        let fw = g.add(FirewallFilter::new(acl, true));
+        let lb = g.add(LoadBalancer::new("lb", 4));
+        let cl = g.add(ProtocolClassifier::new("cl", vec![ip_proto::UDP]));
+        g.connect(fw, 0, lb).unwrap();
+        g.connect(lb, 0, cl).unwrap();
+        g.connect(lb, 1, cl).unwrap();
+        let run = g.compile().unwrap();
+        assert!(run.flow_cacheable());
+        (run, fw)
+    }
+
+    /// Flow `id`'s packet number `seq`: UDP or TCP by `id`, to
+    /// `10.0.(id % 4).id`, with an `id`-dependent length.
+    fn oracle_pkt(id: u8, seq: u64) -> Packet {
+        let (src, dst) = ([10, 1, 0, id], [10, 0, id % 4, id]);
+        let payload = vec![id; usize::from(id % 7)];
+        let mut p = if id.is_multiple_of(3) {
+            Packet::ipv4_tcp(src, dst, 1000 + u16::from(id), 80, &payload, 0)
+        } else {
+            Packet::ipv4_udp(src, dst, 1000 + u16::from(id), 53, &payload)
+        };
+        p.meta.seq = seq;
+        p
+    }
+
+    /// One packet of each flow in `ids`, numbered on from `seq`, with
+    /// ingress lineage `(splits, merges)`.
+    fn oracle_batch(ids: &[u8], seq: &mut u64, splits: u32, merges: u32) -> Batch {
+        let mut b: Batch = ids
+            .iter()
+            .map(|&id| {
+                *seq += 1;
+                oracle_pkt(id, *seq)
+            })
+            .collect();
+        b.lineage = BatchLineage { splits, merges };
+        b
+    }
+
+    /// Runs `batch` through `cache` on `run` and checks it against the
+    /// slow path. `twin`, the same graph never cached, must produce the
+    /// same egress (lineage included) and the same `GraphStats`
+    /// (batch counters included). The charge inputs must be those of
+    /// the miss partition — the packets whose flows the cache did not
+    /// hold — pushed alone through a scratch copy of the graph.
+    fn assert_matches_slow_path(
+        cache: &mut StageFlowCache,
+        run: &mut CompiledGraph,
+        twin: &mut CompiledGraph,
+        entry: NodeId,
+        batch: Batch,
+    ) -> CachedRun {
+        let mut miss: Batch = batch
+            .iter()
+            .cloned()
+            .filter_map(|mut p| (!cache.probe(&p.flow_key().unwrap())).then_some(p))
+            .collect();
+        miss.lineage = batch.lineage;
+        let (misses, miss_bytes) = (miss.len() as u64, miss.total_bytes() as u64);
+        let miss_out = run.clone().push_merged(entry, miss);
+        let fast = cache.process(run, entry, batch.clone());
+        let slow = twin.push_merged(entry, batch.clone());
+        assert!(!fast.fell_back);
+        assert_eq!(fast.out, slow, "egress and lineage");
+        assert_eq!(run.stats(), twin.stats(), "GraphStats");
+        assert_eq!(
+            (fast.hits + fast.misses, fast.misses, fast.miss_bytes),
+            (batch.len() as u64, misses, miss_bytes),
+            "hit/miss partition"
+        );
+        assert_eq!(
+            (fast.miss_new_splits, fast.miss_new_merges),
+            (
+                miss_out.lineage.splits.saturating_sub(batch.lineage.splits),
+                miss_out.lineage.merges.saturating_sub(batch.lineage.merges),
+            ),
+            "miss lineage"
+        );
+        fast
+    }
+
+    /// Cold, warm, mixed, all-dropped-miss and empty batches each equal
+    /// the slow path on egress, statistics and the miss partition's
+    /// split/merge charge.
+    #[test]
+    fn misses_resolve_once_and_equal_the_slow_path() {
+        // Denies 10.0.3.0/24: every flow with `id % 4 == 3`.
+        let deny = Rule {
+            dst: (u32::from_be_bytes([10, 0, 3, 0]), 24),
+            ..Rule::any(Action::Deny)
+        };
+        let (mut run, entry) = oracle_graph(vec![deny]);
+        let mut twin = run.clone();
+        let mut cache = StageFlowCache::new(64, &run);
+        let mut seq = 0;
+        let mut batch = |ids: &[u8], splits, merges| oracle_batch(ids, &mut seq, splits, merges);
+        let cold: Vec<u8> = (0..16).collect();
+        let mixed: Vec<u8> = (8..24).collect();
+        let dropped_misses = [1, 2, 31, 35, 39, 5];
+        let cases = [
+            ("cold", batch(&cold, 0, 0), 16),
+            ("warm", batch(&cold, 1, 2), 0),
+            ("mixed", batch(&mixed, 2, 0), 8),
+            ("dropped misses", batch(&dropped_misses, 1, 1), 3),
+            ("empty", batch(&[], 3, 1), 0),
+        ];
+        for (label, b, misses) in cases {
+            let fast = assert_matches_slow_path(&mut cache, &mut run, &mut twin, entry, b);
+            assert_eq!(fast.misses, misses, "{label}");
+            if label == "dropped misses" {
+                assert_eq!((fast.miss_new_splits, fast.miss_new_merges), (0, 0));
+            }
+        }
+        assert!(run.stats().total_dropped() > 0, "the deny rule bites");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Over arbitrary traffic, capacity and ACL rules, the charge
+        /// inputs (`misses`, `miss_bytes`, `miss_new_splits`,
+        /// `miss_new_merges`) equal the slow-path oracle's, batch after
+        /// batch, while egress and statistics stay exact.
+        #[test]
+        fn charge_inputs_equal_the_slow_path_oracle(
+            batches in proptest::collection::vec(
+                (proptest::collection::vec(0u8..48, 0..40), 0u32..3, 0u32..3),
+                1..6,
+            ),
+            capacity in 1usize..64,
+            rules in proptest::collection::vec((0u8..4, 0u8..48, 24u8..=32, any::<bool>()), 0..6),
+        ) {
+            let rules = rules
+                .into_iter()
+                .map(|(net, host, len, deny)| {
+                    let ip = u32::from_be_bytes([10, 0, net, host]);
+                    Rule {
+                        dst: (ip & (u32::MAX << (32 - u32::from(len))), len),
+                        ..Rule::any(if deny { Action::Deny } else { Action::Allow })
+                    }
+                })
+                .collect();
+            let (mut run, entry) = oracle_graph(rules);
+            let mut twin = run.clone();
+            let mut cache = StageFlowCache::new(capacity, &run);
+            let mut seq = 0;
+            for (ids, splits, merges) in batches {
+                let b = oracle_batch(&ids, &mut seq, splits, merges);
+                assert_matches_slow_path(&mut cache, &mut run, &mut twin, entry, b);
+            }
+        }
     }
 }

@@ -867,9 +867,10 @@ impl Element for FirewallFilter {
 
     fn base_cost(&self) -> f64 {
         // Decision-tree classification: cost grows sublinearly with rule
-        // count (tree depth + node cache misses), calibrated so a
-        // FastClick-style CPU pipeline loses ~38 % of throughput at 1 000
-        // rules and ~84 % at 10 000 (the paper's Figure 17).
+        // count (tree depth + node cache misses). Aimed at the paper's
+        // Figure 17 FastClick drop (-38 % of throughput at 1 000 rules,
+        // -84 % at 10 000), it yields -24 % / -69 % (`results/fig17.json`);
+        // ROADMAP item 14 replaces it with a counted charge.
         100.0 + 1.17 * (self.acl.len() as f64).powf(0.7)
     }
 
@@ -878,8 +879,9 @@ impl Element for FirewallFilter {
     }
 
     fn flow_verdict(&self, pkt: &Packet) -> Option<FlowVerdict> {
-        // Note: the `denied` telemetry counter only advances on the slow
-        // path; cache hits bypass it by design (GraphStats stay exact).
+        // Note: the `denied` telemetry counter only advances in `process`,
+        // i.e. with the flow cache off or on its fallback; cached hits and
+        // misses bypass it by design (GraphStats stay exact).
         Some(self.verdict(self.denies_packet(pkt)))
     }
 
@@ -2614,7 +2616,8 @@ mod tests {
                     let run = graph.compile().expect("verdict-capable graph");
                     prop_assert!(run.flow_cacheable());
                     for rows in [&all, &sub] {
-                        prop_assert!(run.trace_flows(entry, &batch, &lanes, rows, &mut traces));
+                        let rec = &mut nfc_telemetry::Recorder::disabled();
+                        prop_assert!(run.trace_flows(entry, &batch, &lanes, rows, &mut traces, rec));
                         prop_assert_eq!(traces.len(), rows.len());
                         for (k, &row) in rows.iter().enumerate() {
                             let scalar = run.trace_flow(entry, batch.get(row as usize).unwrap());
