@@ -3,9 +3,7 @@
 //! exactly the events of its plane.
 
 use nfc_core::flowcache::FlowCacheMode;
-use nfc_core::{
-    ControllerConfig, Deployment, Duplication, ExecMode, PartitionAlgo, Policy, Sfc, TelemetryMode,
-};
+use nfc_core::{ControllerConfig, Deployment, ExecMode, PartitionAlgo, Policy, Sfc, TelemetryMode};
 use nfc_hetero::GpuMode;
 use nfc_nf::acl::synth;
 use nfc_nf::Nf;
@@ -63,7 +61,6 @@ fn exported_trace_covers_every_category_with_consistent_timestamps() {
     let (out, _) = Deployment::new(chain, policy)
         .with_batch_size(128)
         .with_exec_mode(ExecMode::Serial)
-        .with_duplication(Duplication::Cow)
         .with_flow_cache(FlowCacheMode::On { capacity: 2048 })
         .with_telemetry(TelemetryMode::Export { path })
         .run_collect(&mut TrafficGenerator::new(spec, 43), 10);

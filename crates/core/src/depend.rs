@@ -118,18 +118,20 @@ pub fn assign_branches(
             (Some((_, b)), _) => branches[b].push(j),
             (None, true) => branches.push(vec![j]),
             (None, false) => {
-                // No legal parallel placement: fall back to appending to
-                // the branch whose last element is j's chain predecessor
-                // (keeps sequential semantics); if none, use branch 0.
-                let target = branches
-                    .iter()
-                    .position(|m| m.last() == Some(&(j - 1)))
-                    .unwrap_or(0);
-                if branches.is_empty() {
-                    branches.push(vec![j]);
-                } else {
-                    branches[target].push(j);
+                // j depends on members of several branches, so no branch
+                // keeps it parallel to all of them: serialise those
+                // branches into the first of them, in chain order, and
+                // run j after them.
+                let mut conflicting =
+                    (0..branches.len()).filter(|&b| branches[b].iter().any(|&i| !pair_ok(i, j)));
+                let first = conflicting.next().expect("j conflicts somewhere");
+                let rest: Vec<usize> = conflicting.collect();
+                for &b in rest.iter().rev() {
+                    let members = branches.remove(b);
+                    branches[first].extend(members);
                 }
+                branches[first].sort_unstable();
+                branches[first].push(j);
             }
         }
     }
@@ -233,6 +235,20 @@ mod tests {
         for b in &branches {
             assert!(b.windows(2).all(|w| w[0] < w[1]));
         }
+    }
+
+    #[test]
+    fn an_nf_depending_on_two_branches_runs_after_both() {
+        // Proxy (payload writer) and router (header writer) parallelize;
+        // the WAN optimizer reads both regions, so it must follow both,
+        // and the two branches it depends on serialise into one.
+        let profiles = vec![
+            p(NfKind::Proxy),
+            p(NfKind::Ipv4Forwarder),
+            p(NfKind::WanOptimizer),
+        ];
+        let branches = assign_branches(&profiles, &[false, false, true], 4);
+        assert_eq!(branches, vec![vec![0, 1, 2]]);
     }
 
     #[test]

@@ -81,19 +81,6 @@ impl Default for ExecMode {
     }
 }
 
-/// How parallel branches receive their copy of the ingress batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Duplication {
-    /// Copy-on-write: duplication is a per-packet refcount bump; a
-    /// branch's buffers are materialized only when it actually writes.
-    #[default]
-    Cow,
-    /// Eagerly copy every packet buffer (the pre-CoW engine behavior).
-    /// Kept as the reference `tests/engine_determinism.rs` compares the
-    /// CoW engine against, not as a deployment setting.
-    DeepCopy,
-}
-
 /// Applies `f` to every item, returning results in input order.
 ///
 /// Under [`ExecMode::Parallel`] the units are claimed through an atomic

@@ -61,7 +61,7 @@ pub mod sfc;
 pub mod synthesizer;
 
 pub use allocator::{AllocationPlan, PartitionAlgo};
-pub use engine::{par_map, par_map_traced, Duplication, ExecMode};
+pub use engine::{par_map, par_map_traced, ExecMode};
 pub use flowcache::{FlowCacheMode, StageFlowCache};
 pub use multi::MultiDeployment;
 pub use nfc_control::{Action, AdaptationRecord, Controller, ControllerConfig, ControllerReport};

@@ -22,7 +22,7 @@
 //! NF synthesis, graph-partition allocation and persistent kernels.
 
 use crate::allocator::{allocate_traced, allocate_warm_traced, AllocationPlan, PartitionAlgo};
-use crate::engine::{par_map_traced, Duplication, ExecMode};
+use crate::engine::{par_map_traced, ExecMode};
 use crate::flowcache::{FlowCacheMode, StageFlowCache};
 use crate::observe::{BatchTimeline, Observer, StageSpan};
 use crate::orchestrator::{merge_branch_batches, ReorgSfc};
@@ -324,8 +324,6 @@ pub struct Deployment {
     pub forced_branches: Option<Vec<Vec<usize>>>,
     /// How parallel branches are executed (worker pool vs. serial).
     pub exec_mode: ExecMode,
-    /// How branches receive their copy of each ingress batch.
-    pub duplication: Duplication,
     /// Flow-aware fast path: cache-eligible stages memoize per-flow
     /// verdicts (egress stays bit-identical either way).
     pub flow_cache: FlowCacheMode,
@@ -384,7 +382,6 @@ impl Deployment {
             delta: 0.1,
             forced_branches: None,
             exec_mode: ExecMode::auto(),
-            duplication: Duplication::Cow,
             flow_cache: FlowCacheMode::Off,
             telemetry: TelemetryMode::auto(),
             lanes: true,
@@ -416,12 +413,6 @@ impl Deployment {
         self
     }
 
-    /// Sets the branch duplication strategy (CoW vs. eager deep copy).
-    pub fn with_duplication(mut self, duplication: Duplication) -> Self {
-        self.duplication = duplication;
-        self
-    }
-
     /// Sets the flow-cache mode (default [`FlowCacheMode::Off`]; this is
     /// the only way to turn the cache on). Cache-off is the differential
     /// baseline: egress and per-element statistics are bit-identical
@@ -441,9 +432,9 @@ impl Deployment {
 
     /// `with_lanes(false)` runs every stage on the per-packet reference
     /// path instead of the shipped SoA lane sweeps. It exists for the
-    /// differential tests (`tests/lanes_differential.rs`), which require
-    /// egress, statistics and the simulated timeline to be bit-identical
-    /// either way; it is not a deployment setting.
+    /// configuration-space differential (`tests/reference_differential.rs`),
+    /// which requires egress, statistics and the simulated timeline to be
+    /// bit-identical either way; it is not a deployment setting.
     pub fn with_lanes(mut self, on: bool) -> Self {
         self.lanes = on;
         self
@@ -501,7 +492,7 @@ impl Deployment {
     /// Runs `n_batches` batches from `traffic` through the deployment,
     /// returning functional and temporal results.
     pub fn run(&mut self, traffic: &mut TrafficGenerator, n_batches: usize) -> RunOutcome {
-        self.run_collect_inner(traffic, n_batches, None, false).0
+        self.run_collect_inner(traffic, n_batches, false).0
     }
 
     /// Like [`Deployment::run`], additionally returning every egress
@@ -513,19 +504,7 @@ impl Deployment {
         traffic: &mut TrafficGenerator,
         n_batches: usize,
     ) -> (RunOutcome, Vec<Batch>) {
-        self.run_collect_inner(traffic, n_batches, None, true)
-    }
-
-    /// Like [`Deployment::run_collect`], but processes pre-generated
-    /// `batches` instead of drawing from `traffic` (which is still used
-    /// for warm-up profiling). Lets benchmarks time the engine without
-    /// the traffic synthesizer, and replays recorded traffic exactly.
-    pub fn run_replay(
-        &mut self,
-        traffic: &mut TrafficGenerator,
-        batches: &[Batch],
-    ) -> (RunOutcome, Vec<Batch>) {
-        self.run_collect_inner(traffic, batches.len(), Some(batches), true)
+        self.run_collect_inner(traffic, n_batches, true)
     }
 
     /// The one-phase, no-controller face of [`Deployment::run_loop`].
@@ -533,11 +512,10 @@ impl Deployment {
         &mut self,
         traffic: &mut TrafficGenerator,
         n_batches: usize,
-        replay: Option<&[Batch]>,
         collect: bool,
     ) -> (RunOutcome, Vec<Batch>) {
         let phases = std::slice::from_mut(traffic);
-        let (mut outcomes, _, egress) = self.run_loop(phases, n_batches, None, replay, collect);
+        let (mut outcomes, _, egress) = self.run_loop(phases, n_batches, None, collect);
         (outcomes.pop().expect("one phase"), egress)
     }
 
@@ -584,7 +562,7 @@ impl Deployment {
         n_batches: usize,
         cfg: &ControllerConfig,
     ) -> (Vec<RunOutcome>, ControllerReport) {
-        let (outcomes, report, _) = self.run_loop(phases, n_batches, Some(cfg), None, false);
+        let (outcomes, report, _) = self.run_loop(phases, n_batches, Some(cfg), false);
         (outcomes, report)
     }
 
@@ -598,12 +576,11 @@ impl Deployment {
         n_batches: usize,
         cfg: &ControllerConfig,
     ) -> (Vec<RunOutcome>, ControllerReport, Vec<Batch>) {
-        self.run_loop(phases, n_batches, Some(cfg), None, true)
+        self.run_loop(phases, n_batches, Some(cfg), true)
     }
 
     /// The single-box batch loop behind every `run*` entry point:
-    /// `n_batches` per phase, drawn from the phase's generator or — with
-    /// `replay` — taken in order from pre-generated batches. Without a
+    /// `n_batches` per phase, drawn from the phase's generator. Without a
     /// controller there is no epoch cadence at all (no `Epoch` markers,
     /// no signature or snapshot work), so a plain run records exactly
     /// the per-batch events; with one, even a disabled one, the epoch
@@ -613,7 +590,6 @@ impl Deployment {
         phases: &mut [TrafficGenerator],
         n_batches: usize,
         cfg: Option<&ControllerConfig>,
-        replay: Option<&[Batch]>,
         collect: bool,
     ) -> (Vec<RunOutcome>, ControllerReport, Vec<Batch>) {
         assert!(!phases.is_empty(), "need at least one phase");
@@ -649,7 +625,6 @@ impl Deployment {
         let mut report = ControllerReport::default();
         let mut egress = Vec::new();
         let mut phase_results = Vec::with_capacity(phases.len());
-        let mut fed = 0usize;
         let mut since_epoch = 0usize;
         let mut now = 0f64;
         let mut traffic_clock = 0u64;
@@ -662,22 +637,13 @@ impl Deployment {
             }
             let mut stats = nfc_hetero::sim::StatsAccumulator::new();
             for _ in 0..n_batches {
-                let batch = match replay {
-                    // Recorded batches need not arrive in order, so a
-                    // replay keeps its whole history.
-                    Some(rec) => rec[fed].clone(),
-                    None => {
-                        let batch = traffic.batch(batch_size);
-                        // A generator's arrivals only move forward, and this
-                        // batch and the epoch boundary after it start every
-                        // request at or after its first arrival.
-                        if let Some(p) = batch.get(0) {
-                            sim.retire_before(p.meta.arrival_ns as f64);
-                        }
-                        batch
-                    }
-                };
-                fed += 1;
+                let batch = traffic.batch(batch_size);
+                // A generator's arrivals only move forward, and this batch
+                // and the epoch boundary after it start every request at or
+                // after its first arrival.
+                if let Some(p) = batch.get(0) {
+                    sim.retire_before(p.meta.arrival_ns as f64);
+                }
                 match prep.process_batch(&mut sim, &res, batch) {
                     BatchResult::Completed {
                         mean_arrival,
@@ -960,7 +926,6 @@ impl Deployment {
             mode,
             model: self.model,
             exec_mode: self.exec_mode,
-            duplication: self.duplication,
             egress_packets: 0,
             egress_bytes: 0,
             merge_conflicts: 0,
@@ -1190,7 +1155,6 @@ pub struct PreparedSfc {
     mode: GpuMode,
     model: CostModel,
     exec_mode: ExecMode,
-    duplication: Duplication,
     egress_packets: u64,
     egress_bytes: u64,
     merge_conflicts: u64,
@@ -1313,14 +1277,12 @@ impl PreparedSfc {
         // (each branch's element graphs and its CoW duplicate of the
         // batch), so the worker pool runs branches concurrently. Charges
         // are collected per stage and replayed below.
-        let dup = self.duplication;
         // With lanes enabled, gather the columnar header view once at
         // ingress: CoW duplicates share the memo by refcount, so every
         // read-only branch sweeps the same columns instead of each
         // paying its own gather.
         let mut batch = batch;
         if self.width > 1
-            && dup == Duplication::Cow
             && self
                 .stages
                 .first()
@@ -1345,12 +1307,8 @@ impl PreparedSfc {
             self.exec_mode,
             units,
             &self.tel,
-            move |bi, (mut branch, dup_batch), rec| {
+            move |bi, (mut branch, mut cur), rec| {
                 rec.set_batch(seq);
-                let mut cur = match dup {
-                    Duplication::Cow => dup_batch,
-                    Duplication::DeepCopy => dup_batch.deep_clone(),
-                };
                 let mut charges = Vec::with_capacity(branch.len());
                 for (si, stage) in branch.iter_mut().enumerate() {
                     let packets = cur.len();

@@ -196,20 +196,23 @@ fn dedup(work: &mut Work) -> usize {
         if work.nodes[v].is_none() {
             continue;
         }
-        // Node context = intersection of incoming edge contexts (an
-        // element is "already computed" only if every path agrees).
+        // An element is "already computed" at v only if every incoming
+        // path computed it; each path keeps its own port for rerouting.
         let preds = work.preds(v);
-        let mut ctx: Ctx = if preds.is_empty() {
-            Ctx::new()
-        } else {
-            let mut it = preds
-                .iter()
-                .map(|&(u, p)| edge_ctx.get(&(u, p)).cloned().unwrap_or_default());
-            let first = it.next().unwrap_or_default();
-            it.fold(first, |acc, c| {
-                acc.into_iter().filter(|(k, _)| c.contains_key(k)).collect()
-            })
+        let incoming: Vec<Ctx> = preds
+            .iter()
+            .map(|&(u, p)| edge_ctx.get(&(u, p)).cloned().unwrap_or_default())
+            .collect();
+        let computed = |sig: &ElementSignature| {
+            !incoming.is_empty() && incoming.iter().all(|c| c.contains_key(sig))
         };
+        // Past v, a port is known only where every path took the same one.
+        let mut ctx: Ctx = incoming.first().cloned().unwrap_or_default();
+        ctx.retain(|k, (_, port)| {
+            incoming
+                .iter()
+                .all(|c| c.get(k).is_some_and(|(_, p)| p == port))
+        });
         let el = work.nodes[v].as_ref().expect("live node");
         let sig = el.signature();
         let acts = el.actions();
@@ -219,7 +222,7 @@ fn dedup(work: &mut Work) -> usize {
         let dedupable = pure_reader
             && sig.kind != "unique"
             && matches!(class, ElementClass::Classifier | ElementClass::Inspector);
-        if dedupable && ctx.contains_key(&sig) {
+        if dedupable && computed(&sig) {
             // Redundant: reroute each incoming edge to this node's
             // successor on the port that edge's path already took at the
             // earlier duplicate.
@@ -472,6 +475,29 @@ mod tests {
         for (a, b) in seq_out.iter().zip(syn_out.iter()) {
             assert_eq!(a.data(), b.data());
         }
+    }
+
+    #[test]
+    fn a_duplicate_past_a_join_of_two_ports_survives() {
+        // The session log's classifier sends TCP/UDP through the log and
+        // everything else around it; both paths join at the probe. Past
+        // the join no single port is known, so the firewall's classifier
+        // stays: removing it would route TCP/UDP around the filter.
+        use nfc_nf::acl::{Action, Rule};
+        let deny = Rule {
+            dst: (u32::from_be_bytes([172, 16, 0, 0]), 12),
+            ..Rule::any(Action::Deny)
+        };
+        let log = Nf::session_log("log", 64, Vec::new());
+        let probe = Nf::probe("probe");
+        let fw = Nf::firewall_with("fw", vec![deny], true);
+        let (merged, report) = synthesize(&[&log, &probe, &fw]);
+        assert_eq!(report.removed, 0, "{report:?}");
+        let spec = TrafficSpec::udp(SizeDist::Fixed(128));
+        let batch = TrafficGenerator::new(spec, 3).batch(64);
+        // The rule denies the generator's whole destination pool.
+        assert!(drive(&fw, batch.clone()).is_empty());
+        assert!(drive(&merged, batch).is_empty());
     }
 
     #[test]

@@ -366,12 +366,18 @@ const ESP_HDR_LEN: usize = 16; // spi(4) + seq(4) + iv(8)
 /// 5-tuple classification keeps working (a deliberate, documented
 /// simplification of tunnel-mode ESP). Heavily payload-bound, hence the
 /// paper's best-at-70 %-offload behaviour.
+///
+/// The ESP sequence number (and IV) is the packet's ingress sequence
+/// number plus one, not a count of the packets this SA has sealed: a
+/// seal is then a function of the packet alone, so the gateway may run
+/// beside a dropper (Table III) and still emit exactly what the
+/// sequential chain emits. Numbers are unique per traffic source, where
+/// a real SA numbers what it sends.
 #[derive(Debug, Clone)]
 pub struct IpsecEncrypt {
     sa: IpsecSa,
     aes: Aes128,
     hmac: HmacSha1Key,
-    seq: u64,
 }
 
 impl IpsecEncrypt {
@@ -379,12 +385,7 @@ impl IpsecEncrypt {
     pub fn new(sa: IpsecSa) -> Self {
         let aes = Aes128::new(&sa.aes_key);
         let hmac = HmacSha1Key::new(&sa.hmac_key);
-        IpsecEncrypt {
-            sa,
-            aes,
-            hmac,
-            seq: 0,
-        }
+        IpsecEncrypt { sa, aes, hmac }
     }
 }
 
@@ -419,26 +420,22 @@ impl Element for IpsecEncrypt {
             let Ok(plain_len) = p.l4_payload().map(<[u8]>::len) else {
                 continue;
             };
-            let seq = self.seq + 1;
+            let seq = p.meta.seq + 1;
             // The ESP payload is assembled where it will stay: plaintext
-            // copied into its slot, encrypted there, tagged in place.
-            let wrote =
-                p.rewrite_l4_payload(ESP_HDR_LEN + plain_len + ESP_TAG_LEN, |plain, esp| {
-                    let (msg, tag) = esp.split_at_mut(ESP_HDR_LEN + plain_len);
-                    msg[0..4].copy_from_slice(&self.sa.spi.to_be_bytes());
-                    msg[4..8].copy_from_slice(&(seq as u32).to_be_bytes());
-                    msg[8..ESP_HDR_LEN].copy_from_slice(&seq.to_be_bytes());
-                    msg[ESP_HDR_LEN..].copy_from_slice(plain);
-                    self.aes
-                        .ctr_apply(self.sa.nonce, seq, &mut msg[ESP_HDR_LEN..]);
-                    tag.copy_from_slice(&self.hmac.tag(msg)[..ESP_TAG_LEN]);
-                });
-            // A frame that cannot take the encapsulation (cut inside its
-            // L4 header, or too long for the IP length field) is forwarded
-            // as it came and consumes no sequence number.
-            if wrote.is_ok() {
-                self.seq = seq;
-            }
+            // copied into its slot, encrypted there, tagged in place. A
+            // frame that cannot take the encapsulation (cut inside its L4
+            // header, or too long for the IP length field) is forwarded
+            // as it came.
+            let _ = p.rewrite_l4_payload(ESP_HDR_LEN + plain_len + ESP_TAG_LEN, |plain, esp| {
+                let (msg, tag) = esp.split_at_mut(ESP_HDR_LEN + plain_len);
+                msg[0..4].copy_from_slice(&self.sa.spi.to_be_bytes());
+                msg[4..8].copy_from_slice(&(seq as u32).to_be_bytes());
+                msg[8..ESP_HDR_LEN].copy_from_slice(&seq.to_be_bytes());
+                msg[ESP_HDR_LEN..].copy_from_slice(plain);
+                self.aes
+                    .ctr_apply(self.sa.nonce, seq, &mut msg[ESP_HDR_LEN..]);
+                tag.copy_from_slice(&self.hmac.tag(msg)[..ESP_TAG_LEN]);
+            });
         }
         vec![batch]
     }
@@ -1149,6 +1146,9 @@ impl Element for SessionLog {
 // NAT
 // ---------------------------------------------------------------------
 
+/// Size of the NAT's public port pool, `10_000..=65_535`.
+const NAT_PORTS: usize = (u16::MAX - 10_000) as usize + 1;
+
 /// Source NAT with a dynamic connection table (stateful; Table II: header
 /// write, no drop).
 ///
@@ -1184,6 +1184,13 @@ impl Nat {
             return p;
         }
         let mut port = self.next_port;
+        if self.by_port.len() >= NAT_PORTS {
+            // Pool exhausted: recycle the translation holding the next
+            // port in round-robin order instead of searching forever.
+            if let Some(old) = self.by_port.remove(&port) {
+                self.by_inside.remove(&old);
+            }
+        }
         while self.by_port.contains_key(&port) {
             port = port.wrapping_add(1).max(10_000);
         }
@@ -1929,12 +1936,15 @@ mod tests {
     fn ipsec_encrypt_equals_the_spelled_out_encapsulation() {
         let sa = IpsecSa::example();
         let payload: Vec<u8> = (0..1318).map(|i| (i * 31) as u8).collect();
-        let frames = [
+        let mut frames = [
             pkt(&payload),
             pkt(b""),
             Packet::ipv4_tcp([10, 0, 0, 1], [10, 0, 0, 2], 5, 443, &payload[..77], 0x18),
             Packet::ipv6_udp([3; 16], [4; 16], 9, 53, &payload[..64]),
         ];
+        for (i, f) in frames.iter_mut().enumerate() {
+            f.meta.seq = i as u64;
+        }
         let mut enc = IpsecEncrypt::new(sa.clone());
         // The input frames stay shared with `frames`, as they are with the
         // IDS branch of a re-organized chain.
@@ -1982,9 +1992,23 @@ mod tests {
             assert_eq!(out[0].get(i), Some(refused));
             assert!(out[0].get(i).unwrap().shares_buffer(refused));
         }
-        // None of the three consumed a sequence number.
-        let sealed = out[0].get(3).unwrap().l4_payload().unwrap();
-        assert_eq!(sealed[4..8], 1u32.to_be_bytes());
+        assert!(out[0].get(3).unwrap().l4_payload().unwrap().len() > 64);
+    }
+
+    #[test]
+    fn ipsec_seals_a_packet_alike_whatever_it_sealed_before() {
+        // Beside a dropper, the gateway seals packets the sequential chain
+        // never shows it; a survivor's bytes must not depend on them.
+        let mut a = pkt(b"first");
+        let mut b = pkt(b"second");
+        (a.meta.seq, b.meta.seq) = (7, 8);
+        let mut both = IpsecEncrypt::new(IpsecSa::example());
+        let mut alone = IpsecEncrypt::new(IpsecSa::example());
+        let out = both.process([a, b.clone()].into_iter().collect(), &mut ctx());
+        let solo = alone.process(one(b), &mut ctx());
+        assert_eq!(out[0].get(1), solo[0].get(0));
+        let sealed = solo[0].get(0).unwrap().l4_payload().unwrap();
+        assert_eq!(sealed[4..8], 9u32.to_be_bytes(), "ingress seq + 1");
     }
 
     #[test]
@@ -2071,6 +2095,27 @@ mod tests {
         let back = out[0].get(0).unwrap().five_tuple().unwrap();
         assert_eq!(back.dst, orig_tuple.src);
         assert_eq!(back.dst_port, orig_tuple.src_port);
+    }
+
+    #[test]
+    fn nat_recycles_ports_once_the_pool_is_full() {
+        let mut nat = Nat::new([203, 0, 113, 1]);
+        let flows = NAT_PORTS + 1;
+        for chunk in (0..flows).collect::<Vec<_>>().chunks(256) {
+            let batch: Batch = chunk
+                .iter()
+                .map(|&i| {
+                    Packet::ipv4_udp([10, 0, 0, 1], [172, 16, 0, 1], 1024 + i as u16, 80, b"")
+                })
+                .collect();
+            assert_eq!(nat.process(batch, &mut ctx())[0].len(), chunk.len());
+        }
+        assert_eq!(nat.table_size(), NAT_PORTS);
+        // The flow past the pool took the first port handed out, so the
+        // first flow's translation is gone and its return traffic stays
+        // untranslated.
+        assert_eq!(nat.by_port[&10_000].src_port, 1024 + NAT_PORTS as u16);
+        assert!(nat.by_port.values().all(|t| t.src_port != 1024));
     }
 
     #[test]

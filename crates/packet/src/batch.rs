@@ -241,17 +241,6 @@ impl Batch {
             lanes_memo: None,
         }
     }
-
-    /// Clones the batch with every packet buffer eagerly copied, never
-    /// shared — the pre-CoW duplication behavior, kept as a benchmarking
-    /// baseline against [`Batch::clone`]'s refcount-bump duplication.
-    pub fn deep_clone(&self) -> Batch {
-        Batch {
-            pkts: self.pkts.iter().map(Packet::deep_clone).collect(),
-            lineage: self.lineage,
-            lanes_memo: None,
-        }
-    }
 }
 
 impl FromIterator<Packet> for Batch {

@@ -99,17 +99,6 @@ impl Packet {
         Arc::strong_count(&self.buf)
     }
 
-    /// Clones the wire bytes eagerly, breaking buffer sharing. This
-    /// reproduces the pre-CoW engine's per-branch deep copy and exists
-    /// for benchmarking that baseline.
-    pub fn deep_clone(&self) -> Packet {
-        Packet {
-            buf: Arc::new(self.buf.as_ref().clone()),
-            meta: self.meta,
-            flow_memo: self.flow_memo,
-        }
-    }
-
     /// Builds an Ethernet/IPv4/UDP packet with the given payload.
     ///
     /// IPv4 and UDP checksums are computed; MAC addresses are locally
@@ -761,14 +750,6 @@ mod tests {
         // ...and never leaks into the original.
         assert_eq!(a.data()[0], b.data()[0] ^ 0xFF);
         assert_eq!(&a.data()[1..], &b.data()[1..]);
-    }
-
-    #[test]
-    fn deep_clone_never_shares() {
-        let a = Packet::ipv4_udp([1, 2, 3, 4], [5, 6, 7, 8], 1, 2, &[3u8; 32]);
-        let b = a.deep_clone();
-        assert!(!a.shares_buffer(&b));
-        assert_eq!(a, b);
     }
 
     #[test]

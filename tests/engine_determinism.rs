@@ -1,63 +1,24 @@
-//! Execution-engine determinism: the worker pool and CoW duplication are
-//! pure wall-clock optimizations. Serial deep-copy, serial CoW and
-//! parallel CoW runs of the same deployment must agree on every egress
-//! byte, every per-element statistic, and every simulated timing.
+//! Execution-engine cases outside the configuration-space differential
+//! (`tests/reference_differential.rs`): a forced four-branch join under
+//! an oversubscribed pool (forced structures are outside the contract,
+//! DESIGN §6), the single-box entry points agreeing with one another,
+//! and a chain poisoned by a panicking unit refusing later batches.
 
 use nfc_click::element::RunCtx;
 use nfc_click::{Element, ElementActions, ElementClass, ElementGraph};
 use nfc_core::{
-    BatchResult, ControllerConfig, ControllerReport, Deployment, Duplication, ExecMode,
-    FlowCacheMode, PlatformResources, Policy, RunOutcome, Sfc, TelemetryMode,
+    BatchResult, ControllerConfig, Deployment, ExecMode, PlatformResources, Policy, RunOutcome,
+    Sfc, TelemetryMode,
 };
 use nfc_hetero::{GpuMode, PipelineSim};
 use nfc_nf::{Nf, NfKind};
-use nfc_packet::traffic::{PayloadPolicy, SizeDist, TrafficGenerator, TrafficSpec};
+use nfc_packet::traffic::{SizeDist, TrafficGenerator, TrafficSpec};
 use nfc_packet::{Batch, Packet};
 use nfc_telemetry::{Event, EventKind, TelemetryHandle};
-use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// A mixed chain the analyzer re-organizes: read-only firewall and IDS
-/// parallelize; IDS also drops, exercising drop-wins merging.
-fn mixed_chain() -> Sfc {
-    Sfc::new(
-        "fw-ids-fw",
-        vec![
-            Nf::firewall("fw-a", 64, 1),
-            Nf::ids("ids"),
-            Nf::firewall("fw-b", 64, 2),
-        ],
-    )
-}
-
-fn traffic(seed: u64, pkt: usize, match_ratio: f64) -> TrafficGenerator {
-    let spec = if match_ratio > 0.0 {
-        TrafficSpec::udp(SizeDist::Fixed(pkt)).with_payload(PayloadPolicy::MatchRatio {
-            patterns: Nf::default_ids_signatures(),
-            ratio: match_ratio,
-        })
-    } else {
-        TrafficSpec::udp(SizeDist::Fixed(pkt))
-    };
-    TrafficGenerator::new(spec, seed)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_mode(
-    sfc: Sfc,
-    policy: Policy,
-    exec: ExecMode,
-    dup: Duplication,
-    seed: u64,
-    pkt: usize,
-    match_ratio: f64,
-    n_batches: usize,
-) -> (RunOutcome, Vec<Batch>) {
-    let mut dep = Deployment::new(sfc, policy)
-        .with_batch_size(128)
-        .with_exec_mode(exec)
-        .with_duplication(dup);
-    dep.run_collect(&mut traffic(seed, pkt, match_ratio), n_batches)
+fn traffic(pkt: usize) -> TrafficGenerator {
+    TrafficGenerator::new(TrafficSpec::udp(SizeDist::Fixed(pkt)), 7)
 }
 
 fn assert_equivalent(label: &str, a: &(RunOutcome, Vec<Batch>), b: &(RunOutcome, Vec<Batch>)) {
@@ -84,47 +45,6 @@ fn assert_equivalent(label: &str, a: &(RunOutcome, Vec<Batch>), b: &(RunOutcome,
 }
 
 #[test]
-fn parallel_equals_serial_across_seeds() {
-    for seed in [3u64, 17, 99] {
-        let baseline = run_mode(
-            mixed_chain(),
-            Policy::nfcompass(),
-            ExecMode::Serial,
-            Duplication::DeepCopy,
-            seed,
-            256,
-            0.3,
-            12,
-        );
-        for (label, exec, dup) in [
-            ("serial/cow", ExecMode::Serial, Duplication::Cow),
-            (
-                "parallel2/cow",
-                ExecMode::Parallel { threads: 2 },
-                Duplication::Cow,
-            ),
-            (
-                "parallel8/deepcopy",
-                ExecMode::Parallel { threads: 8 },
-                Duplication::DeepCopy,
-            ),
-        ] {
-            let got = run_mode(
-                mixed_chain(),
-                Policy::nfcompass(),
-                exec,
-                dup,
-                seed,
-                256,
-                0.3,
-                12,
-            );
-            assert_equivalent(&format!("seed {seed}, {label}"), &baseline, &got);
-        }
-    }
-}
-
-#[test]
 fn forced_four_branch_join_is_deterministic_under_repetition() {
     // Stress the branch join: four parallel branches of identical NFs,
     // repeated with an oversubscribed pool. Every repetition must
@@ -146,9 +66,8 @@ fn forced_four_branch_join_is_deterministic_under_repetition() {
         let mut dep = Deployment::new(mk(), policy)
             .with_batch_size(64)
             .with_forced_branches(branches.clone())
-            .with_exec_mode(exec)
-            .with_duplication(Duplication::Cow);
-        dep.run_collect(&mut traffic(7, 512, 0.0), 6)
+            .with_exec_mode(exec);
+        dep.run_collect(&mut traffic(512), 6)
     };
     let reference = run_once(ExecMode::Serial);
     assert_eq!(reference.0.width, 4);
@@ -159,124 +78,11 @@ fn forced_four_branch_join_is_deterministic_under_repetition() {
     }
 }
 
-#[test]
-fn dropped_packets_merge_identically_in_parallel() {
-    // IDS drops matching packets inside one branch; drop-wins merging
-    // must give the same survivor set in every mode.
-    let baseline = run_mode(
-        mixed_chain(),
-        Policy::nfcompass(),
-        ExecMode::Serial,
-        Duplication::DeepCopy,
-        5,
-        512,
-        1.0,
-        8,
-    );
-    let par = run_mode(
-        mixed_chain(),
-        Policy::nfcompass(),
-        ExecMode::Parallel { threads: 4 },
-        Duplication::Cow,
-        5,
-        512,
-        1.0,
-        8,
-    );
-    assert!(
-        baseline.0.egress_packets < 8 * 128,
-        "full-match traffic must see IDS drops"
-    );
-    assert_equivalent("drop merge", &baseline, &par);
-}
-
-/// Four phases swinging between benign and all-hostile payloads: the
-/// controller's detector trips at the boundaries and re-partitions.
-fn swinging_phases() -> Vec<TrafficGenerator> {
-    [0.0, 1.0, 0.0, 1.0]
-        .iter()
-        .enumerate()
-        .map(|(i, &ratio)| {
-            TrafficGenerator::new(
-                TrafficSpec::udp(SizeDist::Fixed(128))
-                    .with_rate_gbps(10.0)
-                    .with_payload(PayloadPolicy::MatchRatio {
-                        patterns: Nf::default_ids_signatures(),
-                        ratio,
-                    }),
-                61 + i as u64,
-            )
-        })
-        .collect()
-}
-
-fn long_lived_deployment(exec: ExecMode) -> Deployment {
-    Deployment::new(mixed_chain(), Policy::nfcompass())
-        .with_batch_size(32)
-        .with_exec_mode(exec)
-        .with_flow_cache(FlowCacheMode::On { capacity: 4096 })
-}
-
-/// Every branch's stages move out of the `PreparedSfc` into the pool's
-/// units and back on each batch, while the controller (`repartition`)
-/// rewrites those same stages between batches. One prepared SFC carried
-/// through more than 2000 batches of that must not depend on the engine
-/// mode in any observable.
-#[test]
-fn one_prepared_sfc_survives_plan_swaps_identically_in_every_mode() {
-    const PHASE_BATCHES: usize = 520; // x 4 phases = 2080 batches
-    let cfg = ControllerConfig {
-        epoch_batches: 8,
-        ..ControllerConfig::default()
-    };
-    let adaptive = |exec| -> (Vec<RunOutcome>, ControllerReport, Vec<Batch>) {
-        long_lived_deployment(exec).run_adaptive_collect(
-            &mut swinging_phases(),
-            PHASE_BATCHES,
-            &cfg,
-        )
-    };
-    let assert_phases = |label: &str, want: &[RunOutcome], got: &[RunOutcome]| {
-        assert_eq!(want.len(), got.len(), "{label}");
-        for (i, (a, b)) in want.iter().zip(got).enumerate() {
-            assert_eq!(a.report, b.report, "{label} phase {i}: SimReport");
-            assert_eq!(a.stage_stats, b.stage_stats, "{label} phase {i}");
-            assert_eq!(a.stage_offloads, b.stage_offloads, "{label} phase {i}");
-            assert_eq!(a.flow_cache, b.flow_cache, "{label} phase {i}");
-            assert_eq!(a.egress_packets, b.egress_packets, "{label} phase {i}");
-            assert_eq!(a.egress_bytes, b.egress_bytes, "{label} phase {i}");
-            assert_eq!(a.merge_conflicts, b.merge_conflicts, "{label} phase {i}");
-        }
-    };
-    let serial = adaptive(ExecMode::Serial);
-    assert!(
-        serial.0[0].width > 1,
-        "the chain must fan out to reach the pool"
-    );
-    assert!(
-        serial.1.applied() > 0,
-        "the controller must swap plans mid-run"
-    );
-    assert!(
-        serial.0[0].flow_cache.hits > 0,
-        "the firewall branches must run behind their flow caches"
-    );
-    for threads in [2, 4, 16] {
-        let label = format!("parallel{threads}");
-        let exec = ExecMode::Parallel { threads };
-        let got = adaptive(exec);
-        assert_eq!(serial.2, got.2, "{label}: egress must be byte-identical");
-        assert_eq!(serial.1, got.1, "{label}: controller timeline");
-        assert_phases(&label, &serial.0, &got.0);
-    }
-}
-
-/// `run_collect`, `run_replay` (of the very batches `run_collect`'s
-/// generator produced) and `run_adaptive_collect` with a disabled
-/// controller are one loop: on one phase they must agree on every
-/// `SimReport` field, every egress byte and every per-element counter,
-/// with telemetry off and recording. The only trace difference allowed
-/// is the controller's `Epoch` markers.
+/// `run_collect` and `run_adaptive_collect` with a disabled controller
+/// are one loop: on one phase they must agree on every `SimReport`
+/// field, every egress byte and every per-element counter, with
+/// telemetry off and recording. The only trace difference allowed is the
+/// controller's `Epoch` markers.
 #[test]
 fn single_box_entry_points_agree() {
     const BATCH: usize = 128;
@@ -320,33 +126,30 @@ fn single_box_entry_points_agree() {
                 .with_flow_trace(0)
         };
         let collected = dep().run_collect(&mut gen(), N);
-        // The batches `run_collect` processed: what the same generator
-        // yields once warm-up has drawn its share.
-        let mut source = gen();
-        for _ in 0..dep().warmup_batches {
-            source.batch(BATCH);
-        }
-        let recorded: Vec<Batch> = (0..N).map(|_| source.batch(BATCH)).collect();
-        let replayed = dep().run_replay(&mut gen(), &recorded);
         let (mut phases, report, egress) =
             dep().run_adaptive_collect(&mut [gen()], N, &ControllerConfig::disabled());
         assert_eq!(report.applied(), 0, "{mode:?}: a disabled controller holds");
         let adaptive = (phases.pop().expect("one phase"), egress);
         assert!(phases.is_empty());
-        for (label, got) in [("run_replay", &replayed), ("run_adaptive", &adaptive)] {
-            let label = format!("{mode:?} {label}");
-            assert_equivalent(&label, &collected, got);
-            assert_eq!(collected.0.report, got.0.report, "{label}: SimReport");
-            assert_eq!(collected.0.stage_offloads, got.0.stage_offloads, "{label}");
-            assert_eq!(collected.0.flow_cache, got.0.flow_cache, "{label}");
+        let label = format!("{mode:?} run_adaptive");
+        assert_equivalent(&label, &collected, &adaptive);
+        assert_eq!(collected.0.report, adaptive.0.report, "{label}: SimReport");
+        assert_eq!(
+            collected.0.stage_offloads, adaptive.0.stage_offloads,
+            "{label}"
+        );
+        assert_eq!(collected.0.flow_cache, adaptive.0.flow_cache, "{label}");
+        assert_eq!(
+            collected.0.telemetry.is_some(),
+            adaptive.0.telemetry.is_some(),
+            "{label}"
+        );
+        if mode.is_on() {
             assert_eq!(
-                collected.0.telemetry.is_some(),
-                got.0.telemetry.is_some(),
-                "{label}"
+                timeline(&collected.0),
+                timeline(&adaptive.0),
+                "{label}: trace"
             );
-            if mode.is_on() {
-                assert_eq!(timeline(&collected.0), timeline(&got.0), "{label}: trace");
-            }
         }
         if mode.is_on() {
             let epochs = |out: &RunOutcome| {
@@ -423,7 +226,7 @@ fn a_prepared_sfc_poisoned_by_a_unit_panic_refuses_later_batches() {
         let mut prep = dep.prepare(
             &mut sim,
             &res,
-            &mut traffic(7, 128, 0.0),
+            &mut traffic(128),
             &[],
             &mut 1,
             &TelemetryHandle::disabled(),
@@ -451,46 +254,6 @@ fn a_prepared_sfc_poisoned_by_a_unit_panic_refuses_later_batches() {
         assert!(
             msg.contains("poisoned"),
             "{exec:?}: unexpected panic: {msg}"
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Any (seed, packet size, thread count) combination: parallel CoW
-    /// execution reproduces the serial deep-copy engine exactly.
-    #[test]
-    fn engine_equivalence_holds_for_arbitrary_traffic(
-        seed in 1u64..10_000,
-        pkt in 64usize..1200,
-        threads in 2usize..9,
-    ) {
-        let a = run_mode(
-            mixed_chain(),
-            Policy::nfcompass(),
-            ExecMode::Serial,
-            Duplication::DeepCopy,
-            seed,
-            pkt,
-            0.2,
-            4,
-        );
-        let b = run_mode(
-            mixed_chain(),
-            Policy::nfcompass(),
-            ExecMode::Parallel { threads },
-            Duplication::Cow,
-            seed,
-            pkt,
-            0.2,
-            4,
-        );
-        prop_assert_eq!(&a.1, &b.1);
-        prop_assert_eq!(&a.0.stage_stats, &b.0.stage_stats);
-        prop_assert_eq!(
-            a.0.report.throughput_gbps.to_bits(),
-            b.0.report.throughput_gbps.to_bits()
         );
     }
 }

@@ -1,30 +1,18 @@
-//! Flow-cache differential testing: the flow-aware fast path is a pure
-//! wall-clock optimization. Cache-on and cache-off runs of the same
-//! deployment must agree on every egress byte (including batch lineage)
-//! and every per-element statistic, and a configuration swap (ACL rule
-//! reload) must invalidate the cache in one generation bump.
+//! Flow-cache cases outside the configuration-space differential
+//! (`tests/reference_differential.rs`, which toggles the cache on every
+//! generated chain): an ACL rule reload must invalidate a stage cache in
+//! one generation bump, also mid-churn, and the churn worst case must
+//! keep the cache's lookup and insert order.
 
 use nfc_core::flowcache::FlowCacheMode;
-use nfc_core::{Deployment, Duplication, ExecMode, Policy, RunOutcome, Sfc, StageFlowCache};
+use nfc_core::{BatchResult, Deployment, ExecMode, PlatformResources, Policy, Sfc, StageFlowCache};
+use nfc_hetero::{PipelineSim, SimReport};
 use nfc_nf::acl::{synth, Action, Rule};
 use nfc_nf::flowcache::CacheCounters;
 use nfc_nf::Nf;
 use nfc_packet::traffic::{FlowSpec, IpVersion, SizeDist, TrafficGenerator, TrafficSpec};
 use nfc_packet::Batch;
-use proptest::prelude::*;
-
-/// A fully cache-eligible chain: protocol classifier + enforcing ACL
-/// firewall (exercises `Drop` verdicts), then a load balancer
-/// (exercises multi-port `Forward` verdicts and lineage simulation).
-fn cacheable_chain(rules: usize, seed: u64) -> Sfc {
-    Sfc::new(
-        "fw-lb",
-        vec![
-            Nf::firewall_with("fw", synth::generate(rules, seed), true),
-            Nf::load_balancer("lb", 4),
-        ],
-    )
-}
+use nfc_telemetry::TelemetryHandle;
 
 /// Zipf-skewed traffic over a bounded flow population — the regime the
 /// fast path is built for.
@@ -34,151 +22,6 @@ fn skewed_traffic(seed: u64, flows: usize, skew: f64) -> TrafficGenerator {
         ..FlowSpec::default().with_skew(skew)
     });
     TrafficGenerator::new(spec, seed)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_cache_mode(
-    sfc: Sfc,
-    policy: Policy,
-    exec: ExecMode,
-    cache: FlowCacheMode,
-    seed: u64,
-    flows: usize,
-    skew: f64,
-    n_batches: usize,
-) -> (RunOutcome, Vec<Batch>) {
-    let mut dep = Deployment::new(sfc, policy)
-        .with_batch_size(128)
-        .with_exec_mode(exec)
-        .with_duplication(Duplication::Cow)
-        .with_flow_cache(cache);
-    dep.run_collect(&mut skewed_traffic(seed, flows, skew), n_batches)
-}
-
-/// The fast path may charge a different simulated cost (hits are nearly
-/// free), so unlike the engine-determinism suite the temporal report is
-/// *not* compared — only the functional outputs.
-fn assert_functionally_equal(
-    label: &str,
-    off: &(RunOutcome, Vec<Batch>),
-    on: &(RunOutcome, Vec<Batch>),
-) {
-    assert_eq!(
-        off.1, on.1,
-        "{label}: egress batches must be byte-identical"
-    );
-    assert_eq!(
-        off.0.stage_stats, on.0.stage_stats,
-        "{label}: per-element statistics must match"
-    );
-    assert_eq!(off.0.egress_packets, on.0.egress_packets, "{label}");
-    assert_eq!(off.0.egress_bytes, on.0.egress_bytes, "{label}");
-    assert_eq!(off.0.merge_conflicts, on.0.merge_conflicts, "{label}");
-}
-
-#[test]
-fn cache_on_matches_cache_off_across_seeds() {
-    for seed in [3u64, 17, 99] {
-        let off = run_cache_mode(
-            cacheable_chain(256, 1),
-            Policy::CpuOnly,
-            ExecMode::Serial,
-            FlowCacheMode::Off,
-            seed,
-            256,
-            1.0,
-            8,
-        );
-        let on = run_cache_mode(
-            cacheable_chain(256, 1),
-            Policy::CpuOnly,
-            ExecMode::Serial,
-            FlowCacheMode::On { capacity: 4096 },
-            seed,
-            256,
-            1.0,
-            8,
-        );
-        assert_functionally_equal(&format!("seed {seed}"), &off, &on);
-        assert_eq!(
-            off.0.flow_cache,
-            Default::default(),
-            "cache-off runs must not touch the flow table"
-        );
-        assert!(
-            on.0.flow_cache.hits > 0,
-            "seed {seed}: skewed traffic over 256 flows must produce cache hits \
-             (got {:?})",
-            on.0.flow_cache
-        );
-    }
-}
-
-#[test]
-fn tiny_cache_evicts_but_stays_correct() {
-    // Capacity far below the flow population: CLOCK eviction churns the
-    // table constantly, yet the differential must still hold exactly.
-    let off = run_cache_mode(
-        cacheable_chain(128, 2),
-        Policy::CpuOnly,
-        ExecMode::Serial,
-        FlowCacheMode::Off,
-        7,
-        512,
-        0.8,
-        10,
-    );
-    let on = run_cache_mode(
-        cacheable_chain(128, 2),
-        Policy::CpuOnly,
-        ExecMode::Serial,
-        FlowCacheMode::On { capacity: 64 },
-        7,
-        512,
-        0.8,
-        10,
-    );
-    assert_functionally_equal("tiny cache", &off, &on);
-    assert!(
-        on.0.flow_cache.evictions > 0,
-        "a 64-entry table under 512 flows must evict (got {:?})",
-        on.0.flow_cache
-    );
-}
-
-#[test]
-fn cache_composes_with_reorganized_parallel_execution() {
-    // Full NFCompass policy re-organizes the chain into parallel
-    // branches; each cache-eligible stage gets its own flow table and
-    // the merged egress must still be bit-identical, even under the
-    // parallel worker pool.
-    let off = run_cache_mode(
-        cacheable_chain(256, 3),
-        Policy::nfcompass(),
-        ExecMode::Serial,
-        FlowCacheMode::Off,
-        11,
-        128,
-        1.2,
-        8,
-    );
-    for (label, exec) in [
-        ("serial", ExecMode::Serial),
-        ("parallel4", ExecMode::Parallel { threads: 4 }),
-    ] {
-        let on = run_cache_mode(
-            cacheable_chain(256, 3),
-            Policy::nfcompass(),
-            exec,
-            FlowCacheMode::On { capacity: 2048 },
-            11,
-            128,
-            1.2,
-            8,
-        );
-        assert_functionally_equal(&format!("reorg/{label}"), &off, &on);
-        assert!(on.0.flow_cache.hits > 0, "reorg/{label}: expected hits");
-    }
 }
 
 /// Mid-stream ACL rule-table swap: a stage cache built against one
@@ -305,7 +148,8 @@ fn biting_rules(n: usize, seed: u64) -> Vec<Rule> {
 /// both execution modes, and the counters are pinned to what the
 /// per-packet miss path of PR 14 produced on this exact input — lookups
 /// and inserts happen in the same order with the same keys, so CLOCK
-/// picks the same victims.
+/// picks the same victims. The mixed batches are built by hand, so they
+/// go through `prepare` + `process_batch` directly.
 #[test]
 fn churn_mix_matches_cache_off_and_keeps_lookup_order() {
     const CAPACITY: usize = 64;
@@ -321,9 +165,23 @@ fn churn_mix_matches_cache_off_and_keeps_lookup_order() {
         let mut dep = Deployment::new(chain, Policy::CpuOnly)
             .with_batch_size(128)
             .with_exec_mode(exec)
-            .with_duplication(Duplication::Cow)
             .with_flow_cache(cache);
-        dep.run_replay(&mut skewed_traffic(21, 512, 0.0), &batches)
+        let mut sim = PipelineSim::new();
+        let res = PlatformResources::register(&mut sim, dep.model());
+        let mut warmup = skewed_traffic(21, 512, 0.0);
+        let tel = TelemetryHandle::disabled();
+        let mut prep = dep.prepare(&mut sim, &res, &mut warmup, &[], &mut 1, &tel);
+        let (mut egress, mut completions) = (Vec::new(), Vec::new());
+        for batch in &batches {
+            match prep.process_batch(&mut sim, &res, batch.clone()) {
+                BatchResult::Completed { completed, out, .. } => {
+                    completions.push(completed.to_bits());
+                    egress.push(out);
+                }
+                BatchResult::Dropped { .. } => panic!("the default queue admits every batch"),
+            }
+        }
+        (prep.into_outcome(SimReport::default()), egress, completions)
     };
     let off = run(ExecMode::Serial, FlowCacheMode::Off);
     let on_serial = run(ExecMode::Serial, FlowCacheMode::On { capacity: CAPACITY });
@@ -332,7 +190,10 @@ fn churn_mix_matches_cache_off_and_keeps_lookup_order() {
         FlowCacheMode::On { capacity: CAPACITY },
     );
     for (label, on) in [("serial", &on_serial), ("parallel2", &on_parallel)] {
-        assert_functionally_equal(&format!("churn/{label}"), &off, on);
+        assert_eq!(off.1, on.1, "churn/{label}: egress must be byte-identical");
+        assert_eq!(off.0.stage_stats, on.0.stage_stats, "churn/{label}");
+        assert_eq!(off.0.egress_packets, on.0.egress_packets, "churn/{label}");
+        assert_eq!(off.0.egress_bytes, on.0.egress_bytes, "churn/{label}");
         assert_eq!(
             on.0.flow_cache,
             CacheCounters {
@@ -344,9 +205,9 @@ fn churn_mix_matches_cache_off_and_keeps_lookup_order() {
             "churn/{label}: counters moved — lookup/insert order changed"
         );
     }
-    // The temporal layer charges misses only, so its report differs from
-    // the uncached run by design — but not between execution modes.
-    assert_eq!(on_serial.0.report, on_parallel.0.report, "churn: SimReport");
+    // The temporal layer charges misses only, so its timeline differs
+    // from the uncached run by design — but not between execution modes.
+    assert_eq!(on_serial.2, on_parallel.2, "churn: simulated completions");
 }
 
 /// `(hits, misses, evictions)` of the churn run above at the parent
@@ -405,43 +266,3 @@ fn rule_swap_under_churn_matches_slow_path() {
 /// `(hits, misses, evictions)` of the firewall and load-balancer caches
 /// in the swap run above at the parent commit.
 const PINNED_SWAP: [(u64, u64, u64); 2] = [(241, 1807, 1524), (247, 1619, 1404)];
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Arbitrary (seed, skew, flow population, capacity): the cached run
-    /// reproduces the uncached run's egress bytes and per-element
-    /// statistics exactly.
-    #[test]
-    fn flow_cache_differential_holds_for_arbitrary_traffic(
-        seed in 1u64..10_000,
-        skew in 0.0f64..1.5,
-        flows in 16usize..512,
-        capacity in 16usize..2048,
-    ) {
-        let off = run_cache_mode(
-            cacheable_chain(128, 9),
-            Policy::CpuOnly,
-            ExecMode::Serial,
-            FlowCacheMode::Off,
-            seed,
-            flows,
-            skew,
-            4,
-        );
-        let on = run_cache_mode(
-            cacheable_chain(128, 9),
-            Policy::CpuOnly,
-            ExecMode::Serial,
-            FlowCacheMode::On { capacity },
-            seed,
-            flows,
-            skew,
-            4,
-        );
-        prop_assert_eq!(&off.1, &on.1);
-        prop_assert_eq!(&off.0.stage_stats, &on.0.stage_stats);
-        prop_assert_eq!(off.0.egress_packets, on.0.egress_packets);
-        prop_assert_eq!(off.0.egress_bytes, on.0.egress_bytes);
-    }
-}
