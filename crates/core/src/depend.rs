@@ -111,10 +111,7 @@ pub fn assign_branches(
                 .flatten()
                 .all(|&i| pair_ok(i.min(j), i.max(j)));
         match (best, can_open) {
-            (Some((len, b)), true) if len > 1 => {
-                let _ = b;
-                branches.push(vec![j]);
-            }
+            (Some((len, _)), true) if len > 1 => branches.push(vec![j]),
             (Some((_, b)), _) => branches[b].push(j),
             (None, true) => branches.push(vec![j]),
             (None, false) => {

@@ -6,6 +6,14 @@
 //! exclusive-or logic: each branch's output is XORed with the original
 //! packet to extract its modified bits, the modifications are ORed
 //! together, and the aggregate is XORed back onto the original packet.
+//!
+//! [`xor_merge`] computes that result without paying for the formula's
+//! copies: with copy-on-write branch duplicates, a branch that never
+//! wrote a packet still shares its buffer and contributes nothing, and
+//! a packet exactly one branch wrote merges to that branch's output
+//! (`orig ^ (orig ^ out) = out`), passed through by refcount. Only
+//! packets two or more branches wrote get a new buffer. The simulated
+//! timeline still charges the full merge (`CostModel::merge_ns`).
 
 use crate::depend;
 use crate::sfc::Sfc;
@@ -68,60 +76,68 @@ impl ReorgSfc {
 /// * A packet dropped by any branch (absent from `outputs`) is dropped.
 /// * If exactly one branch resized the packet and every other branch
 ///   returned it unmodified, the resized packet wins.
-/// * Two branches resizing, or a resize combined with another branch's
-///   modification, is a merge conflict → packet dropped (the orchestrator
-///   only parallelizes NFs for which this cannot happen; the check is
-///   defense in depth).
+/// * Two branches resizing differently, or a resize combined with another
+///   branch's modification, is a merge conflict → packet dropped (the
+///   orchestrator only parallelizes NFs for which this cannot happen; the
+///   check is defense in depth).
+///
+/// The result always carries the original's `meta`, and its bytes are
+/// the formula's, computed without the formula's copies. An output that
+/// still shares the original's buffer (CoW: its branch never wrote it)
+/// is never read. With no same-length writer the result is a refcount
+/// clone of the original; with exactly one it is a refcount clone of
+/// that writer's output, since `orig ^ (orig ^ out) = out`. Only two or
+/// more writers build a new buffer, in one pass over the bytes.
 pub fn xor_merge(original: &Packet, outputs: &[Option<&Packet>]) -> Option<Packet> {
-    if outputs.iter().any(|o| o.is_none()) {
-        return None; // drop wins
-    }
-    let orig_bytes = original.data();
     let mut resized: Option<&Packet> = None;
-    let mut agg = vec![0u8; orig_bytes.len()];
-    let mut any_same_len_mod = false;
-    for out in outputs.iter().flatten() {
-        // CoW fast path: a branch that never wrote the packet still
-        // shares its buffer, so the diff is zero by construction.
-        if out.shares_buffer(original) {
-            continue;
-        }
+    for out in outputs {
+        let out = (*out)?; // drop wins
         if out.len() != original.len() {
             match resized {
                 // Identical resized outputs agree (e.g. the paper's
                 // prescribed chains of identical NFs): accept one copy.
-                Some(prev) if prev.data() == out.data() => continue,
+                Some(prev) if prev.data() == out.data() => {}
                 Some(_) => return None, // diverging resizers: conflict
-                None => {}
+                None => resized = Some(out),
             }
-            resized = Some(out);
-            continue;
         }
-        for (i, (a, b)) in agg
-            .iter_mut()
-            .zip(orig_bytes.iter().zip(out.data()))
-            .enumerate()
-        {
-            let diff = b.0 ^ b.1;
-            let _ = i;
-            if diff != 0 {
-                any_same_len_mod = true;
+    }
+    let mut written = outputs
+        .iter()
+        .flatten()
+        .copied()
+        .filter(|o| o.len() == original.len() && !o.shares_buffer(original));
+    let mut merged = match resized {
+        Some(r) => {
+            // An unshared copy whose bytes equal the original's is not a
+            // modification; any other same-length write is a conflict.
+            if written.any(|o| o.data() != original.data()) {
+                return None;
             }
-            *a |= diff;
+            r.clone()
         }
-    }
-    if let Some(r) = resized {
-        if any_same_len_mod {
-            return None; // resize + modification: conflict
-        }
-        let mut merged = r.clone();
-        merged.meta = original.meta;
-        return Some(merged);
-    }
-    let mut merged = original.clone();
-    for (dst, diff) in merged.data_mut().iter_mut().zip(agg.iter()) {
-        *dst ^= diff;
-    }
+        None => match (written.next(), written.next()) {
+            (None, _) => original.clone(),
+            (Some(w), None) => w.clone(),
+            (Some(a), Some(b)) => {
+                let orig = original.data();
+                let mut bytes: Vec<u8> = orig
+                    .iter()
+                    .zip(a.data())
+                    .zip(b.data())
+                    .map(|((&o, &x), &y)| o ^ ((o ^ x) | (o ^ y)))
+                    .collect();
+                // Further writers fold in: `o ^ r` is the aggregate so far.
+                for w in written {
+                    for ((r, &o), &y) in bytes.iter_mut().zip(orig).zip(w.data()) {
+                        *r = o ^ ((o ^ *r) | (o ^ y));
+                    }
+                }
+                Packet::from_bytes(bytes)
+            }
+        },
+    };
+    merged.meta = original.meta;
     Some(merged)
 }
 
@@ -140,8 +156,9 @@ fn is_seq_sorted(batch: &Batch) -> bool {
 /// branch outputs are normally sorted subsequences of the original and a
 /// cursor sweep matches packets with no per-batch allocation; packets
 /// every branch still shares (CoW) pass straight through without XOR
-/// work. The per-branch hash maps survive only as a fallback for
-/// out-of-order outputs.
+/// work, and a packet one branch wrote passes through as that branch's
+/// output (see [`xor_merge`]). The per-branch hash maps survive only as
+/// a fallback for out-of-order outputs.
 pub fn merge_branch_batches(original: &Batch, branch_outputs: &[Batch]) -> (Batch, u64) {
     let mut merged = Batch::with_capacity(original.len());
     let mut conflicts = 0u64;
@@ -213,11 +230,216 @@ pub fn merge_branch_batches(original: &Batch, branch_outputs: &[Batch]) -> (Batc
 mod tests {
     use super::*;
     use nfc_nf::Nf;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn pkt(seq: u64, payload: &[u8]) -> Packet {
         let mut p = Packet::ipv4_udp([10, 0, 0, 1], [172, 16, 0, 2], 1000, 2000, payload);
         p.meta.seq = seq;
         p
+    }
+
+    /// The merge as the formula reads, byte by byte: every same-length
+    /// output's diff is ORed into a zeroed aggregate, which is XORed back
+    /// onto a copy of the original. `xor_merge` must agree with it on
+    /// every input.
+    fn reference_xor_merge(original: &Packet, outputs: &[Option<&Packet>]) -> Option<Packet> {
+        if outputs.iter().any(|o| o.is_none()) {
+            return None; // drop wins
+        }
+        let orig_bytes = original.data();
+        let mut resized: Option<&Packet> = None;
+        let mut agg = vec![0u8; orig_bytes.len()];
+        let mut any_same_len_mod = false;
+        for out in outputs.iter().flatten() {
+            if out.shares_buffer(original) {
+                continue;
+            }
+            if out.len() != original.len() {
+                match resized {
+                    Some(prev) if prev.data() == out.data() => continue,
+                    Some(_) => return None, // diverging resizers: conflict
+                    None => {}
+                }
+                resized = Some(out);
+                continue;
+            }
+            for (a, b) in agg.iter_mut().zip(orig_bytes.iter().zip(out.data())) {
+                let diff = b.0 ^ b.1;
+                if diff != 0 {
+                    any_same_len_mod = true;
+                }
+                *a |= diff;
+            }
+        }
+        if let Some(r) = resized {
+            if any_same_len_mod {
+                return None; // resize + modification: conflict
+            }
+            let mut merged = r.clone();
+            merged.meta = original.meta;
+            return Some(merged);
+        }
+        let mut merged = original.clone();
+        for (dst, diff) in merged.data_mut().iter_mut().zip(agg.iter()) {
+            *dst ^= diff;
+        }
+        Some(merged)
+    }
+
+    /// `merge_branch_batches` through the reference: outputs matched by
+    /// seq, a conflict counted where every branch kept the packet.
+    fn reference_merge(original: &Batch, branch_outputs: &[Batch]) -> (Batch, u64) {
+        let mut merged = Batch::new();
+        let mut conflicts = 0u64;
+        for orig in original.iter() {
+            let outs: Vec<Option<&Packet>> = branch_outputs
+                .iter()
+                .map(|b| b.iter().find(|p| p.meta.seq == orig.meta.seq))
+                .collect();
+            match reference_xor_merge(orig, &outs) {
+                Some(p) => merged.push(p),
+                None if outs.iter().all(|o| o.is_some()) => conflicts += 1,
+                None => {}
+            }
+        }
+        merged.lineage = original.lineage;
+        merged.lineage.merges += 1;
+        (merged, conflicts)
+    }
+
+    /// Resized payloads: the original's payload is 3..=48 bytes, so each
+    /// resizes it; the first two have one length and diverge in content,
+    /// so two resizers agree only when they draw the same one.
+    const RESIZED: [&[u8]; 3] = [&[0xA5; 60], &[0x5A; 60], &[0xA5; 2]];
+
+    fn original_packet(rng: &mut SmallRng, seq: u64) -> Packet {
+        let payload: Vec<u8> = (0..rng.gen_range(3..=48)).map(|_| rng.gen()).collect();
+        let (a, b) = (rng.gen::<u16>(), rng.gen::<u16>());
+        let mut p = match rng.gen_range(0..3) {
+            0 => Packet::ipv4_udp([10, 0, 0, 1], [172, 16, 0, 2], a, b, &payload),
+            1 => Packet::ipv4_tcp([10, 0, 0, 1], [172, 16, 0, 2], a, b, &payload, 0x18),
+            _ => Packet::ipv6_udp([0xfd; 16], [0xfe; 16], a, b, &payload),
+        };
+        p.meta.seq = seq;
+        p.meta.arrival_ns = rng.gen();
+        p.meta.anno = [rng.gen(), rng.gen()];
+        p
+    }
+
+    /// One branch's output for `orig`: dropped, still shared, an unshared
+    /// identical copy, a same-length writer flipping header and/or
+    /// payload bytes, or a resizer. Outputs may carry their own
+    /// annotations, which the merge must not keep.
+    fn branch_output(orig: &Packet, rng: &mut SmallRng) -> Option<Packet> {
+        let mut out = orig.clone();
+        if rng.gen_bool(0.5) {
+            out.meta.anno = [rng.gen(), rng.gen()];
+        }
+        match rng.gen_range(0..5) {
+            0 => return None,
+            1 => {}
+            2 => {
+                out.data_mut();
+            }
+            3 => {
+                let split = orig.l4_payload_offset().unwrap();
+                let region = rng.gen_range(0..3); // header, payload, both
+                let data = out.data_mut();
+                for _ in 0..rng.gen_range(1..=4) {
+                    let header = region == 0 || (region == 2 && rng.gen_bool(0.5));
+                    let at = if header {
+                        rng.gen_range(0..split)
+                    } else {
+                        rng.gen_range(split..data.len())
+                    };
+                    data[at] ^= rng.gen_range(1..=255u8);
+                }
+            }
+            _ => out
+                .replace_l4_payload(RESIZED[rng.gen_range(0..RESIZED.len())])
+                .unwrap(),
+        }
+        Some(out)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `xor_merge` and `merge_branch_batches` equal the byte-wise
+        /// reference on batches of 1–4 branches: bytes, `meta`, drops,
+        /// conflicts and lineage, with branch outputs in seq order (the
+        /// cursor sweep) or shuffled (the hash-map fallback).
+        #[test]
+        fn merge_matches_bytewise_reference(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let width = rng.gen_range(1..=4usize);
+            let mut original: Batch =
+                (0..rng.gen_range(1..=12u64)).map(|i| original_packet(&mut rng, i)).collect();
+            original.lineage.splits = rng.gen_range(0..3);
+            let mut branches = vec![Batch::new(); width];
+            for orig in original.iter() {
+                let outs: Vec<Option<Packet>> =
+                    (0..width).map(|_| branch_output(orig, &mut rng)).collect();
+                let refs: Vec<Option<&Packet>> = outs.iter().map(Option::as_ref).collect();
+                let got = xor_merge(orig, &refs);
+                prop_assert_eq!(&got, &reference_xor_merge(orig, &refs), "seq {}", orig.meta.seq);
+                for (branch, out) in branches.iter_mut().zip(outs) {
+                    branch.extend(out);
+                }
+            }
+            if rng.gen_bool(0.5) {
+                let b = rng.gen_range(0..width);
+                let mut pkts: Vec<Packet> = branches[b].iter().cloned().collect();
+                for i in (1..pkts.len()).rev() {
+                    pkts.swap(i, rng.gen_range(0..=i));
+                }
+                branches[b] = pkts.into_iter().collect();
+            }
+            let (got, conflicts) = merge_branch_batches(&original, &branches);
+            let (want, want_conflicts) = reference_merge(&original, &branches);
+            prop_assert_eq!(conflicts, want_conflicts);
+            prop_assert_eq!(got.lineage, want.lineage);
+            let seqs = |b: &Batch| b.iter().map(|p| p.meta.seq).collect::<Vec<_>>();
+            prop_assert_eq!(seqs(&got), seqs(&want));
+            prop_assert_eq!(&got, &want);
+        }
+    }
+
+    #[test]
+    fn lone_writer_merge_shares_the_writers_buffer() {
+        let orig = pkt(5, &[0u8; 16]);
+        let reader = orig.clone();
+        let mut writer = orig.clone();
+        writer.l4_payload_mut().unwrap()[2] = 0x42;
+        let merged = xor_merge(&orig, &[Some(&reader), Some(&writer)]).unwrap();
+        assert!(merged.shares_buffer(&writer));
+        assert_eq!(merged.data(), writer.data());
+    }
+
+    #[test]
+    fn merged_meta_is_the_originals_not_the_writers() {
+        let mut orig = pkt(6, &[0u8; 16]);
+        orig.meta.anno = [1, 2];
+        let mut writer = orig.clone();
+        writer.data_mut()[0] ^= 0xFF;
+        writer.meta.anno = [7, 9];
+        writer.meta.arrival_ns = 99;
+        let merged = xor_merge(&orig, &[Some(&orig.clone()), Some(&writer)]).unwrap();
+        assert_eq!(merged.meta, orig.meta);
+    }
+
+    #[test]
+    fn identical_same_length_writers_are_accepted() {
+        // The forced-branch shape: every branch runs the same writer.
+        let orig = pkt(7, &[0u8; 16]);
+        let mut a = orig.clone();
+        a.l4_payload_mut().unwrap()[0] = 0xEE;
+        let b = Packet::from_bytes(a.data().to_vec());
+        let merged = xor_merge(&orig, &[Some(&a), Some(&b)]).unwrap();
+        assert_eq!(merged.data(), a.data());
+        assert_eq!(merged.meta, orig.meta);
     }
 
     #[test]

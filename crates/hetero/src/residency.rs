@@ -270,9 +270,8 @@ mod tests {
             let mut demands = Vec::new();
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let n = 1 + (state >> 33) as usize % 8;
-            for k in 0..n {
+            for _ in 0..n {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let _ = k;
                 demands.push(1 + (state >> 40) as usize % 24);
             }
             let ffd = bin_pack(&demands, &g);

@@ -200,10 +200,7 @@ impl<'a> Parser<'a> {
                     Ok(Ast::Class(ByteSet::single(b)))
                 }
             }
-            Some(b @ (b'*' | b'+' | b'?')) => {
-                let _ = b;
-                Err(self.err("quantifier with nothing to repeat"))
-            }
+            Some(b'*' | b'+' | b'?') => Err(self.err("quantifier with nothing to repeat")),
             Some(b) => Ok(Ast::Class(ByteSet::single(b))),
         }
     }
