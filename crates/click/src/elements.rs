@@ -277,78 +277,6 @@ impl Element for ProtocolClassifier {
     }
 }
 
-/// Routes packets by destination-port ranges: output `i` for the first
-/// matching range, last output for no match.
-#[derive(Debug, Clone)]
-pub struct PortClassifier {
-    name: String,
-    ranges: Vec<(u16, u16)>,
-}
-
-impl PortClassifier {
-    /// Creates a classifier with one output per `(lo, hi)` range plus a
-    /// default output.
-    pub fn new(name: impl Into<String>, ranges: Vec<(u16, u16)>) -> Self {
-        PortClassifier {
-            name: name.into(),
-            ranges,
-        }
-    }
-}
-
-impl Element for PortClassifier {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn class(&self) -> ElementClass {
-        ElementClass::Classifier
-    }
-
-    fn actions(&self) -> ElementActions {
-        ElementActions::read_header()
-    }
-
-    fn n_outputs(&self) -> usize {
-        self.ranges.len() + 1
-    }
-
-    fn process(&mut self, batch: Batch, _ctx: &mut RunCtx) -> Vec<Batch> {
-        let ranges = self.ranges.clone();
-        let default = ranges.len();
-        batch.split_by(default + 1, |_, p| {
-            let port = p
-                .udp()
-                .map(|u| u.dst_port)
-                .or_else(|_| p.tcp().map(|t| t.dst_port));
-            match port {
-                Ok(dp) => ranges
-                    .iter()
-                    .position(|&(lo, hi)| dp >= lo && dp <= hi)
-                    .unwrap_or(default),
-                Err(_) => default,
-            }
-        })
-    }
-
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
-    fn signature(&self) -> ElementSignature {
-        let mut cfg = Vec::new();
-        for (lo, hi) in &self.ranges {
-            cfg.extend_from_slice(&lo.to_be_bytes());
-            cfg.extend_from_slice(&hi.to_be_bytes());
-        }
-        ElementSignature::new("port-classifier", config_hash(&cfg))
-    }
-
-    fn base_cost(&self) -> f64 {
-        20.0
-    }
-}
-
 /// Validates IP headers, dropping malformed packets (Click
 /// `CheckIPHeader`). The shared "header classifier" stage the paper's
 /// Figure 10 de-duplicates between firewall and IDS.
@@ -502,117 +430,6 @@ impl Element for DecTtl {
     }
 }
 
-/// Distributes packets across `n` outputs by flow hash (the branch element
-/// used in the Figure 5 batch-split characterization; same-flow packets
-/// always take the same branch).
-#[derive(Debug, Clone)]
-pub struct HashSwitch {
-    name: String,
-    n: usize,
-}
-
-impl HashSwitch {
-    /// Creates a hash switch with `n` outputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(name: impl Into<String>, n: usize) -> Self {
-        assert!(n > 0, "HashSwitch needs at least one output");
-        HashSwitch {
-            name: name.into(),
-            n,
-        }
-    }
-}
-
-impl Element for HashSwitch {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn class(&self) -> ElementClass {
-        ElementClass::Classifier
-    }
-
-    fn actions(&self) -> ElementActions {
-        ElementActions::read_header()
-    }
-
-    fn n_outputs(&self) -> usize {
-        self.n
-    }
-
-    fn process(&mut self, batch: Batch, _ctx: &mut RunCtx) -> Vec<Batch> {
-        let n = self.n;
-        batch.split_by(n, |_, p| (p.meta.flow_hash as usize) % n)
-    }
-
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
-    fn signature(&self) -> ElementSignature {
-        ElementSignature::new("hash-switch", self.n as u64)
-    }
-
-    fn base_cost(&self) -> f64 {
-        18.0
-    }
-}
-
-/// Writes a color into a packet annotation slot (Click `Paint`); used by
-/// the orchestrator to tag which parallel branch a duplicate belongs to.
-#[derive(Debug, Clone)]
-pub struct Paint {
-    name: String,
-    color: u64,
-}
-
-impl Paint {
-    /// Creates a painter that writes `color` into annotation slot 0.
-    pub fn new(name: impl Into<String>, color: u64) -> Self {
-        Paint {
-            name: name.into(),
-            color,
-        }
-    }
-}
-
-impl Element for Paint {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn class(&self) -> ElementClass {
-        ElementClass::Inspector
-    }
-
-    fn actions(&self) -> ElementActions {
-        // Annotations are metadata, not packet bytes: no header/payload write.
-        ElementActions::default()
-    }
-
-    fn process(&mut self, mut batch: Batch, _ctx: &mut RunCtx) -> Vec<Batch> {
-        for p in batch.iter_mut() {
-            p.meta.anno[0] = self.color;
-        }
-        vec![batch]
-    }
-
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
-    fn signature(&self) -> ElementSignature {
-        ElementSignature::new("paint", self.color)
-    }
-
-    fn base_cost(&self) -> f64 {
-        4.0
-    }
-}
-
 /// A configurable synthetic element for characterization experiments:
 /// charges a chosen per-packet/per-byte work profile and optionally
 /// hash-splits its batch across `outputs` ports (the paper's Figure 5
@@ -758,18 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn port_classifier_ranges_and_default() {
-        let mut c = PortClassifier::new("p", vec![(1, 99), (100, 199)]);
-        assert_eq!(c.n_outputs(), 3);
-        let mk = |port| Packet::ipv4_udp([1, 1, 1, 1], [2, 2, 2, 2], 5, port, b"");
-        let batch: Batch = [mk(50), mk(150), mk(5000)].into_iter().collect();
-        let out = c.process(batch, &mut ctx());
-        assert_eq!(out[0].len(), 1);
-        assert_eq!(out[1].len(), 1);
-        assert_eq!(out[2].len(), 1);
-    }
-
-    #[test]
     fn check_ip_header_drops_garbage() {
         let mut c = CheckIpHeader::new();
         let mut batch = Batch::new();
@@ -809,29 +614,6 @@ mod tests {
         p.set_ipv4(&ip);
         let out = d.process([p].into_iter().collect(), &mut ctx());
         assert!(out[0].is_empty());
-    }
-
-    #[test]
-    fn hash_switch_is_flow_sticky() {
-        let mut h = HashSwitch::new("h", 4);
-        let batch: Batch = (0..16).map(udp).collect();
-        let out = h.process(batch, &mut ctx());
-        assert_eq!(out.iter().map(Batch::len).sum::<usize>(), 16);
-        // Same flow hash -> same port on a second run.
-        let batch2: Batch = (0..16).map(udp).collect();
-        let out2 = h.process(batch2, &mut ctx());
-        for (a, b) in out.iter().zip(&out2) {
-            let s1: Vec<u64> = a.iter().map(|p| p.meta.seq).collect();
-            let s2: Vec<u64> = b.iter().map(|p| p.meta.seq).collect();
-            assert_eq!(s1, s2);
-        }
-    }
-
-    #[test]
-    fn paint_tags_annotation() {
-        let mut p = Paint::new("p", 7);
-        let out = p.process((0..2).map(udp).collect(), &mut ctx());
-        assert!(out[0].iter().all(|pkt| pkt.meta.anno[0] == 7));
     }
 
     fn mixed_traffic() -> Batch {

@@ -293,7 +293,7 @@ impl ClusterDeployment {
         to: u32,
         now: f64,
         epoch: u64,
-        flow_owners: &mut [(u32, u32)],
+        sampled_flows: &[u32],
         pending_migrates: &mut Vec<u32>,
         link_busy: &mut [f64],
     ) -> (usize, u64) {
@@ -301,6 +301,7 @@ impl ClusterDeployment {
         if from >= n || to >= n {
             return (0, 0);
         }
+        let owners: Vec<u32> = sampled_flows.iter().map(|&h| ring.server_for(h)).collect();
         let (vnodes, span) = ring.move_vnodes(from, to, spec.rebalance.vnodes_per_move.max(1));
         if vnodes == 0 {
             return (0, 0);
@@ -347,13 +348,9 @@ impl ClusterDeployment {
         // delivery times, so stamping at decision (or transfer-end)
         // time would let the marker postdate the flow's next hand-off.
         // The transfer span itself lives in `cluster_rebalance::swap_ns`.
-        for (hash, owner) in flow_owners.iter_mut() {
-            let new_owner = ring.server_for(*hash);
-            if new_owner != *owner {
-                *owner = new_owner;
-                if !pending_migrates.contains(hash) {
-                    pending_migrates.push(*hash);
-                }
+        for (&hash, owner) in sampled_flows.iter().zip(owners) {
+            if ring.server_for(hash) != owner && !pending_migrates.contains(&hash) {
+                pending_migrates.push(hash);
             }
         }
         (vnodes, state as u64)
@@ -407,11 +404,12 @@ impl ClusterDeployment {
         let mut now = 0f64;
         let mut traffic_clock = 0u64;
         let mut b = 0usize;
-        // Forensics/observability bookkeeping: current ring owner of
-        // every sampled flow seen (for `migrate` stamps), per-link busy
-        // time, and distinct flows landed per server (for the cluster
-        // gauges). All recording-gated: the off path never touches them.
-        let mut flow_owners: Vec<(u32, u32)> = Vec::new();
+        // Forensics/observability bookkeeping: every sampled flow seen,
+        // in first-seen order (a ring move stamps `migrate` on those it
+        // re-owns), per-link busy time, and distinct flows landed per
+        // server (for the cluster gauges). All recording-gated: the off
+        // path never touches them.
+        let mut sampled_flows: Vec<u32> = Vec::new();
         let mut pending_migrates: Vec<u32> = Vec::new();
         let mut link_busy: Vec<f64> = vec![0.0; 2 * n];
         let mut server_flows: Vec<std::collections::HashSet<u32>> =
@@ -433,7 +431,7 @@ impl ClusterDeployment {
                         to,
                         now,
                         rebalance_epoch,
-                        &mut flow_owners,
+                        &sampled_flows,
                         &mut pending_migrates,
                         &mut link_busy,
                     );
@@ -518,9 +516,9 @@ impl ClusterDeployment {
                         }
                         if recording {
                             // Stamp the shard hand-off for sampled flows at
-                            // the instant the wire delivered them, and keep
-                            // the owner map current so a later ring move can
-                            // stamp `migrate` on the destination track.
+                            // the instant the wire delivered them, and note
+                            // each flow so a later ring move can stamp
+                            // `migrate` on the destination track.
                             let mut sampled: Vec<(u32, u32)> = Vec::new();
                             for p in part.iter() {
                                 server_flows[s].insert(p.meta.flow_hash);
@@ -545,9 +543,8 @@ impl ClusterDeployment {
                                 preps[s].stamp_flow_point(
                                     &mut sim, track, delivered, hash, "shard", count,
                                 );
-                                match flow_owners.iter_mut().find(|(h, _)| *h == hash) {
-                                    Some((_, owner)) => *owner = s as u32,
-                                    None => flow_owners.push((hash, s as u32)),
+                                if !sampled_flows.contains(&hash) {
+                                    sampled_flows.push(hash);
                                 }
                             }
                         }
@@ -629,7 +626,7 @@ impl ClusterDeployment {
                             mv.to,
                             now,
                             rebalance_epoch,
-                            &mut flow_owners,
+                            &sampled_flows,
                             &mut pending_migrates,
                             &mut link_busy,
                         );

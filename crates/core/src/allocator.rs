@@ -25,6 +25,18 @@ pub enum PartitionAlgo {
     Mfmc,
 }
 
+impl PartitionAlgo {
+    /// The algorithm's name in traces and controller reports, one of
+    /// [`nfc_telemetry::PARTITION_ALGOS`].
+    pub fn label(self) -> &'static str {
+        match self {
+            PartitionAlgo::Kl => "kl",
+            PartitionAlgo::Agglomerative => "agglomerative",
+            PartitionAlgo::Mfmc => "mfmc",
+        }
+    }
+}
+
 /// The allocation decision for one element graph.
 #[derive(Debug, Clone)]
 pub struct AllocationPlan {

@@ -18,7 +18,8 @@
 //!    offload-slice instances (δ = 10 %) so graph partitioning chooses
 //!    per-element offload ratios (§IV-C1, Figure 12).
 //! 5. **Runtime profiler** ([`profiler`]) — traffic statistics from live
-//!    element graphs plus an offline rate dictionary (§IV-C2).
+//!    element graphs priced by the calibrated cost model, kept as the
+//!    paper's vertex/edge dictionary (§IV-C2).
 //! 6. **Graph-partition task allocator** ([`allocator`]) — KL/METIS-style
 //!    or seed-agglomerative partitioning of the expanded graph (§IV-C3).
 //! 7. **Execution engine and baselines** ([`runtime`]) — runs deployments

@@ -13,8 +13,8 @@
 //!
 //! [`StatsAccumulator`]: nfc_hetero::sim::StatsAccumulator
 
-use crate::runtime::{BatchResult, Deployment, PlatformResources, RunOutcome};
-use nfc_click::{KernelClass, Offload};
+use crate::runtime::{dominant_kernel, BatchResult, Deployment, PlatformResources, RunOutcome};
+use nfc_click::KernelClass;
 use nfc_hetero::sim::StatsAccumulator;
 use nfc_hetero::PipelineSim;
 use nfc_packet::traffic::TrafficGenerator;
@@ -42,22 +42,6 @@ impl MultiDeployment {
         self.tenants.is_empty()
     }
 
-    fn dominant_kernels(dep: &Deployment) -> Vec<Option<KernelClass>> {
-        dep.sfc()
-            .nfs()
-            .iter()
-            .map(|nf| {
-                nf.graph()
-                    .node_ids()
-                    .filter_map(|id| match nf.graph().element(id).offload() {
-                        Offload::Offloadable { kernel } => Some(kernel),
-                        Offload::CpuOnly => None,
-                    })
-                    .next()
-            })
-            .collect()
-    }
-
     /// Runs `n_batches` batches per tenant (interleaved by arrival time),
     /// returning one outcome per tenant.
     ///
@@ -78,8 +62,11 @@ impl MultiDeployment {
         let res = PlatformResources::register(&mut sim, &model);
         // Cross-tenant interference: each tenant's stages see the other
         // tenants' dominant NF kernels as cache co-runners.
-        let all_kernels: Vec<Vec<Option<KernelClass>>> =
-            self.tenants.iter().map(Self::dominant_kernels).collect();
+        let all_kernels: Vec<Vec<Option<KernelClass>>> = self
+            .tenants
+            .iter()
+            .map(|dep| dep.sfc().nfs().iter().map(dominant_kernel).collect())
+            .collect();
         let mut user_base = 1u64;
         let mut prepared = Vec::with_capacity(self.tenants.len());
         for (i, (dep, traffic)) in self.tenants.iter_mut().zip(traffics.iter_mut()).enumerate() {

@@ -7,16 +7,15 @@
 //! statistics* from offline profiling (per-element processing rates on
 //! CPU and GPU across packet sizes and intensities, which the calibrated
 //! [`CostModel`] supplies). NFCompass "uses a dictionary to store the
-//! profiling information, indexed by vertex ID and edge ID" — here
-//! [`GraphWeights`] plus the persistable [`ProfileDictionary`].
+//! profiling information, indexed by vertex ID and edge ID" — that
+//! dictionary is [`GraphWeights`]: [`GraphWeights::nodes`] is indexed by
+//! vertex (`NodeId`) and [`GraphWeights::edge_transfer_ns`] by edge.
 //!
 //! [`GraphStats`]: nfc_click::GraphStats
 
 use nfc_click::{CompiledGraph, NodeId, Offload};
 use nfc_hetero::cost::GpuTime;
 use nfc_hetero::{CoRunContext, CostModel, ElementLoad, GpuMode};
-use serde_json::{json, Value};
-use std::collections::HashMap;
 
 /// Per-element profiled weight (averages per batch).
 #[derive(Debug, Clone, Copy)]
@@ -132,142 +131,10 @@ impl Profiler {
     }
 }
 
-/// One record of the offline profiling dictionary: processing rates for
-/// an element kind at a given packet size and batch size.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProfileRecord {
-    /// CPU-side throughput, packets per second.
-    pub cpu_pps: f64,
-    /// GPU-side throughput (kernel + transfers, persistent mode), pps.
-    pub gpu_pps: f64,
-    /// GPU transfer share of the batch time, 0–1.
-    pub gpu_transfer_share: f64,
-}
-
-/// The persistable offline profiling dictionary (paper §IV-C2: "The
-/// offline profiling collects the processing rates (packets/second) of
-/// all Click elements on CPU and GPU under various input traffic
-/// intensities ... and packet sizes").
-#[derive(Debug, Clone, Default)]
-pub struct ProfileDictionary {
-    map: HashMap<String, ProfileRecord>,
-}
-
-impl ProfileDictionary {
-    /// Builds the dictionary for a set of element kinds by sweeping
-    /// packet sizes 64–1500 B (step 64) and batch sizes 32–1024.
-    pub fn build_offline(
-        model: &CostModel,
-        kinds: &[(&str, nfc_click::WorkProfile, Option<nfc_click::KernelClass>)],
-    ) -> Self {
-        let solo = CoRunContext::solo();
-        let mut map = HashMap::new();
-        for (kind, work, kernel) in kinds {
-            for pkt in (64..=1500).step_by(64) {
-                for batch in [32usize, 64, 128, 256, 512, 1024] {
-                    let load = ElementLoad::new(*work, *kernel, batch, batch * pkt);
-                    let cpu_ns = model.cpu_batch_ns(&load, &solo);
-                    let gpu = model.gpu_batch_ns(&load, GpuMode::Persistent);
-                    let rec = ProfileRecord {
-                        cpu_pps: batch as f64 * 1e9 / cpu_ns.max(1.0),
-                        gpu_pps: if gpu.total().is_finite() {
-                            batch as f64 * 1e9 / gpu.total().max(1.0)
-                        } else {
-                            0.0
-                        },
-                        gpu_transfer_share: if gpu.total().is_finite() && gpu.total() > 0.0 {
-                            gpu.transfer_ns() / gpu.total()
-                        } else {
-                            0.0
-                        },
-                    };
-                    map.insert(Self::key(kind, pkt, batch), rec);
-                }
-            }
-        }
-        ProfileDictionary { map }
-    }
-
-    /// Dictionary key for an element kind / packet size / batch size.
-    pub fn key(kind: &str, pkt_size: usize, batch: usize) -> String {
-        format!("{kind}/{pkt_size}/{batch}")
-    }
-
-    /// Looks up a record, bucketing the packet size to the sweep grid
-    /// (64-byte steps, capped at the 1472 top bucket).
-    pub fn get(&self, kind: &str, pkt_size: usize, batch: usize) -> Option<ProfileRecord> {
-        let bucket = (pkt_size.clamp(64, 1472).div_ceil(64) * 64).min(1472);
-        let batch_bucket = [32usize, 64, 128, 256, 512, 1024]
-            .into_iter()
-            .min_by_key(|b| b.abs_diff(batch))
-            .unwrap_or(64);
-        self.map
-            .get(&Self::key(kind, bucket, batch_bucket))
-            .copied()
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Serializes to JSON (`{"map": {key: {cpu_pps, gpu_pps,
-    /// gpu_transfer_share}}}`, matching the former derive layout).
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization errors.
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        let mut records = Value::Object(Default::default());
-        for (k, r) in &self.map {
-            records[k.as_str()] = json!({
-                "cpu_pps": r.cpu_pps,
-                "gpu_pps": r.gpu_pps,
-                "gpu_transfer_share": r.gpu_transfer_share,
-            });
-        }
-        serde_json::to_string(&json!({ "map": records }))
-    }
-
-    /// Deserializes from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed JSON or on records missing a numeric field.
-    pub fn from_json(s: &str) -> serde_json::Result<Self> {
-        let root = serde_json::from_str(s)?;
-        let mut map = HashMap::new();
-        let records = root["map"]
-            .as_object()
-            .ok_or_else(|| serde_json::Error::custom("missing map"))?;
-        for (k, rec) in records {
-            let field = |name: &str| {
-                rec[name].as_f64().ok_or_else(|| {
-                    serde_json::Error::custom(format!("missing field {name} in record {k}"))
-                })
-            };
-            map.insert(
-                k.clone(),
-                ProfileRecord {
-                    cpu_pps: field("cpu_pps")?,
-                    gpu_pps: field("gpu_pps")?,
-                    gpu_transfer_share: field("gpu_transfer_share")?,
-                },
-            );
-        }
-        Ok(ProfileDictionary { map })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfc_click::{KernelClass, WorkProfile};
+    use nfc_click::KernelClass;
     use nfc_hetero::PlatformConfig;
     use nfc_nf::Nf;
     use nfc_packet::traffic::{SizeDist, TrafficGenerator, TrafficSpec};
@@ -328,42 +195,23 @@ mod tests {
     }
 
     #[test]
-    fn dictionary_roundtrip_and_lookup() {
-        let kinds = vec![
-            (
-                "ipsec",
-                WorkProfile::new(150.0, 22.0),
-                Some(KernelClass::Crypto),
-            ),
-            ("lookup", WorkProfile::per_packet(60.0), None),
-        ];
-        let dict = ProfileDictionary::build_offline(&model(), &kinds);
-        assert!(!dict.is_empty());
-        let rec = dict.get("ipsec", 777, 200).expect("bucketed lookup");
-        assert!(rec.cpu_pps > 0.0);
-        assert!(rec.gpu_pps > 0.0);
-        assert!(rec.gpu_transfer_share > 0.0 && rec.gpu_transfer_share < 1.0);
-        // Non-offloadable kind has zero GPU rate.
-        let rec = dict.get("lookup", 64, 32).unwrap();
-        assert_eq!(rec.gpu_pps, 0.0);
-        // JSON round-trip.
-        let json = dict.to_json().unwrap();
-        let back = ProfileDictionary::from_json(&json).unwrap();
-        assert_eq!(back.len(), dict.len());
-    }
-
-    #[test]
     fn crypto_gpu_beats_cpu_in_dictionary() {
-        let kinds = vec![(
-            "ipsec",
-            WorkProfile::new(150.0, 22.0),
-            Some(KernelClass::Crypto),
-        )];
-        let dict = ProfileDictionary::build_offline(&model(), &kinds);
-        let rec = dict.get("ipsec", 1024, 1024).unwrap();
+        // The vertex entries of the weights dictionary price the IPsec
+        // crypto element on both processors; at 1024 × 1024 B the GPU
+        // path (kernel + transfers) must win.
+        let nf = Nf::ipsec("ipsec");
+        let mut run = nf.graph().clone().compile().unwrap();
+        let mut gen = TrafficGenerator::new(TrafficSpec::udp(SizeDist::Fixed(1024)), 9);
+        run.push_merged(nf.entry(), gen.batch(1024));
+        let w = Profiler::new(model(), GpuMode::Persistent).measure(&run);
+        let crypto = w
+            .nodes
+            .iter()
+            .find(|n| n.load.kernel == Some(KernelClass::Crypto))
+            .expect("IPsec has a crypto element");
         assert!(
-            rec.gpu_pps > rec.cpu_pps,
-            "large-batch crypto should be faster on GPU: {rec:?}"
+            crypto.gpu.total() < crypto.cpu_ns,
+            "large-batch crypto should be faster on GPU: {crypto:?}"
         );
     }
 }

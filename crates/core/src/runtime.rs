@@ -29,7 +29,7 @@ use crate::orchestrator::{merge_branch_batches, ReorgSfc};
 use crate::profiler::{GraphWeights, Profiler};
 use crate::sfc::Sfc;
 use crate::synthesizer::{synthesize, SynthesisReport};
-use nfc_click::{CompiledGraph, GraphStats, Offload};
+use nfc_click::{CompiledGraph, GraphStats, KernelClass, Offload};
 use nfc_control::{
     Action, AdaptationRecord, Controller, ControllerConfig, ControllerReport, HealthSignal,
     StageSignature, WorkloadSignature,
@@ -46,6 +46,7 @@ use nfc_telemetry::{
     EventKind, FlowSampler, Recorder, SloSpec, Telemetry, TelemetryHandle, TelemetryMode,
     TelemetrySummary,
 };
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// How a deployment schedules work.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,18 +130,7 @@ impl Policy {
             Policy::ReorgOnly { .. } => "reorg-fixed-ratio",
             Policy::NbaAdaptive => "nba-adaptive",
             Policy::Optimal => "grid-search",
-            Policy::NfCompass {
-                algo: PartitionAlgo::Kl,
-                ..
-            } => "kl",
-            Policy::NfCompass {
-                algo: PartitionAlgo::Agglomerative,
-                ..
-            } => "agglomerative",
-            Policy::NfCompass {
-                algo: PartitionAlgo::Mfmc,
-                ..
-            } => "mfmc",
+            Policy::NfCompass { algo, .. } => algo.label(),
         }
     }
 
@@ -227,6 +217,8 @@ pub(crate) struct StageExec {
     mode: GpuMode,
     /// SM-slot grant when this stage's persistent kernel is resident.
     residency: Option<ResidencySlot>,
+    /// Observation window for the adaptive controller.
+    window: StageWindow,
 }
 
 /// Per-stage outcome of the SM-residency bin-pack.
@@ -615,11 +607,6 @@ impl Deployment {
             Policy::NfCompass { algo, .. } => (true, algo),
             _ => (false, PartitionAlgo::Kl),
         };
-        let refine_label: &'static str = match refine_algo {
-            PartitionAlgo::Kl => "kl",
-            PartitionAlgo::Agglomerative => "agglomerative",
-            PartitionAlgo::Mfmc => "mfmc",
-        };
         let mut controller = cfg.map(|c| Controller::new(c.clone()));
         let epoch_batches = cfg.map_or(1, |c| c.epoch_batches.max(1));
         let mut report = ControllerReport::default();
@@ -695,20 +682,19 @@ impl Deployment {
                     Action::Hold => None,
                     Action::FastRepartition(why) => {
                         report.triggers += 1;
-                        Some((PartitionAlgo::Agglomerative, "agglomerative", why.summary()))
+                        Some((PartitionAlgo::Agglomerative, why.summary()))
                     }
                     Action::Refine => {
                         report.refines += 1;
-                        Some((refine_algo, refine_label, "refine".to_string()))
+                        Some((refine_algo, "refine".to_string()))
                     }
                 };
-                if let Some((algo, label, reason)) = replan {
+                if let Some((algo, reason)) = replan {
                     if can_replan
                         && prep.repartition(
                             &mut sim,
                             &res,
                             algo,
-                            label,
                             &reason,
                             self.delta,
                             now,
@@ -754,7 +740,7 @@ impl Deployment {
         sim: &mut PipelineSim,
         _res: &PlatformResources,
         traffic: &mut TrafficGenerator,
-        extra_corun: &[Option<nfc_click::KernelClass>],
+        extra_corun: &[Option<KernelClass>],
         user_base: &mut u64,
         tel: &TelemetryHandle,
     ) -> PreparedSfc {
@@ -801,20 +787,10 @@ impl Deployment {
         // Co-run context per stage: the dominant kernels of all OTHER
         // stages plus any co-deployed tenants' NFs (single-socket L3
         // assumption, as in Figure 8e).
-        let all_kernels: Vec<Vec<Option<nfc_click::KernelClass>>> = branch_stages
+        let all_kernels: Vec<Option<KernelClass>> = branch_stages
             .iter()
             .flat_map(|b| b.iter())
-            .map(|(nf, _)| {
-                nf.graph()
-                    .node_ids()
-                    .map(|id| match nf.graph().element(id).offload() {
-                        Offload::Offloadable { kernel } => Some(kernel),
-                        Offload::CpuOnly => None,
-                    })
-                    .max_by_key(|k| k.is_some() as u8)
-                    .into_iter()
-                    .collect::<Vec<_>>()
-            })
+            .map(|(nf, _)| dominant_kernel(nf))
             .collect();
 
         let mode = self.policy.gpu_mode();
@@ -849,7 +825,7 @@ impl Deployment {
                         .iter()
                         .enumerate()
                         .filter(|(i, _)| *i != flat_idx)
-                        .flat_map(|(_, ks)| ks.iter().copied())
+                        .map(|(_, k)| *k)
                         .chain(extra_corun.iter().copied()),
                 );
                 execs.push(StageExec {
@@ -864,6 +840,7 @@ impl Deployment {
                     flow_cache,
                     mode,
                     residency: None,
+                    window: StageWindow::default(),
                 });
                 user += 1;
                 flat_idx += 1;
@@ -899,30 +876,13 @@ impl Deployment {
         // kernels do not fit are degraded per stage to launch-per-batch
         // instead of being adopted oversubscribed.
         let residency = apply_residency(&mut stages, &self.model, mode);
-        let stage_offloads: Vec<(String, f64)> = stages
-            .iter()
-            .flat_map(|b| b.iter())
-            .map(|s| {
-                let offloadable: Vec<bool> = s
-                    .weights
-                    .as_ref()
-                    .expect("profiled")
-                    .nodes
-                    .iter()
-                    .map(|n| n.offloadable)
-                    .collect();
-                (s.nf.name().to_string(), s.plan.mean_offload(&offloadable))
-            })
-            .collect();
 
         *user_base = user;
-        let n_stages = stages.iter().map(Vec::len).sum();
         PreparedSfc {
             stages,
             width,
             effective_length,
             synthesis,
-            stage_offloads,
             mode,
             model: self.model,
             exec_mode: self.exec_mode,
@@ -930,10 +890,6 @@ impl Deployment {
             egress_bytes: 0,
             merge_conflicts: 0,
             tel: tel.clone(),
-            obs: vec![StageObs::default(); n_stages],
-            obs_base: vec![StageObs::default(); n_stages],
-            stats_base: Vec::new(),
-            cache_base: Vec::new(),
             batch_seq: seq_base,
             residency,
             observer: Observer::new(self.slo, self.flow_trace, self.flight_stem.as_deref(), tel),
@@ -986,6 +942,18 @@ impl Deployment {
         plan.predicted_cost_ns = best.1;
         plan
     }
+}
+
+/// The kernel class an NF brings to its neighbours' co-run context: its
+/// last offloadable element's, `None` when every element is CPU-only.
+pub(crate) fn dominant_kernel(nf: &Nf) -> Option<KernelClass> {
+    nf.graph()
+        .node_ids()
+        .filter_map(|id| match nf.graph().element(id).offload() {
+            Offload::Offloadable { kernel } => Some(kernel),
+            Offload::CpuOnly => None,
+        })
+        .last()
 }
 
 /// Profiles one stage from its accumulated statistics and computes its
@@ -1151,7 +1119,6 @@ pub struct PreparedSfc {
     width: usize,
     effective_length: usize,
     synthesis: Vec<SynthesisReport>,
-    stage_offloads: Vec<(String, f64)>,
     mode: GpuMode,
     model: CostModel,
     exec_mode: ExecMode,
@@ -1159,19 +1126,6 @@ pub struct PreparedSfc {
     egress_bytes: u64,
     merge_conflicts: u64,
     tel: TelemetryHandle,
-    /// Cumulative per-stage charge observation (branch-major flat order),
-    /// maintained by every run path; the adaptive controller reads it in
-    /// windowed deltas. Purely additive bookkeeping: it never feeds back
-    /// into execution unless a controller acts on it.
-    obs: Vec<StageObs>,
-    /// [`PreparedSfc::obs`] snapshot at the last epoch boundary.
-    obs_base: Vec<StageObs>,
-    /// Per-stage [`GraphStats`] snapshots at the last epoch boundary, so
-    /// re-profiling measures one observation window via
-    /// [`GraphStats::delta`] without ever resetting live counters.
-    stats_base: Vec<GraphStats>,
-    /// Per-stage flow-cache counters at the last epoch boundary.
-    cache_base: Vec<CacheCounters>,
     /// Monotonic batch lineage tag; seeded from the tenant's user base
     /// (shifted high) so tags stay unique across co-deployed SFCs and
     /// `0` stays reserved for "untagged".
@@ -1195,30 +1149,52 @@ struct StageObs {
     gpu_packets: u64,
 }
 
+impl StageObs {
+    fn record(&mut self, charge: &StageCharge) {
+        self.batches += 1;
+        self.packets += charge.in_packets as u64;
+        self.bytes += charge.in_wire_bytes;
+        self.cpu_ns += charge.cpu_ns;
+        self.kernel_ns += charge.kernel_ns;
+        self.gpu_packets += charge.gpu_packets as u64;
+    }
+}
+
+/// One stage's observation window, which the adaptive controller reads
+/// in deltas. Purely additive bookkeeping: it never feeds back into
+/// execution unless a controller acts on it.
+#[derive(Default)]
+struct StageWindow {
+    /// Cumulative charge observation, maintained by every run path.
+    obs: StageObs,
+    /// `obs` at the last epoch boundary.
+    obs_base: StageObs,
+    /// [`GraphStats`] at the last epoch boundary, so re-profiling
+    /// measures one window via [`GraphStats::delta`] without ever
+    /// resetting live counters.
+    stats_base: GraphStats,
+    /// Flow-cache counters at the last epoch boundary.
+    cache_base: CacheCounters,
+}
+
 impl PreparedSfc {
     /// Pushes one batch through the prepared SFC, scheduling its costs on
     /// the shared simulator.
     ///
     /// # Panics
     ///
-    /// Re-raises a panic from a branch unit, and panics on every later
-    /// call: the unit took the chain's stages with it, and a chain
-    /// without stages would forward traffic unprocessed.
+    /// Re-raises a panic from a branch's stages once every branch has
+    /// handed its stages back, so a caller that catches the unwind keeps
+    /// a chain that processes later batches. The panicking batch is
+    /// lost: it reaches neither the temporal replay nor egress, and the
+    /// stages that ran before the panic keep what it did to their state
+    /// and statistics.
     pub fn process_batch(
         &mut self,
         sim: &mut PipelineSim,
         res: &PlatformResources,
         batch: Batch,
     ) -> BatchResult {
-        // Without its stages (see the unit hand-off below) the chain
-        // would run zero branches and merge every packet through as
-        // unmodified, i.e. fail open.
-        assert_eq!(
-            self.stages.len(),
-            self.width,
-            "PreparedSfc is poisoned: a branch unit panicked in an earlier process_batch \
-             and took the chain's stages with it"
-        );
         let first_arrival = batch.get(0).map(|p| p.meta.arrival_ns).unwrap_or(0) as f64;
         let arrival = batch.iter().last().map(|p| p.meta.arrival_ns).unwrap_or(0) as f64;
         let mean_arrival = (first_arrival + arrival) / 2.0;
@@ -1293,47 +1269,61 @@ impl PreparedSfc {
         }
         // Units are owned (the pool's threads outlive this call): each
         // branch's stages and its CoW duplicate of the batch move into
-        // the unit, and the stages come back with its results. A unit
-        // that panics takes its stages with it: `par_map_traced`
-        // re-raises the panic with `self.stages` left empty, so this
-        // `PreparedSfc` is poisoned, and the guard at the top of this
-        // function fails every later call after a caught unwind.
+        // the unit, and the stages come back with its results — also
+        // when a stage panics, which the unit catches and hands back.
         let units: Vec<(Vec<StageExec>, Batch)> = std::mem::take(&mut self.stages)
             .into_iter()
             .map(|branch| (branch, batch.clone()))
             .collect();
-        type BranchResult = (Batch, Vec<StageCharge>);
-        let (stages, results): (Vec<Vec<StageExec>>, Vec<BranchResult>) = par_map_traced(
+        let units = par_map_traced(
             self.exec_mode,
             units,
             &self.tel,
             move |bi, (mut branch, mut cur), rec| {
                 rec.set_batch(seq);
-                let mut charges = Vec::with_capacity(branch.len());
-                for (si, stage) in branch.iter_mut().enumerate() {
-                    let packets = cur.len();
-                    let t = rec.start();
-                    let (out, charge) = exec_stage_functional(stage, cur, rec);
-                    if rec.is_enabled() {
-                        rec.wall_span(
-                            t,
-                            EventKind::Stage {
-                                branch: bi as u32,
-                                stage: si as u32,
-                                name: stage.nf.name().to_string(),
-                                packets: packets as u32,
-                            },
-                        );
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    let mut charges = Vec::with_capacity(branch.len());
+                    for (si, stage) in branch.iter_mut().enumerate() {
+                        let packets = cur.len();
+                        let t = rec.start();
+                        let (out, charge) = exec_stage_functional(stage, cur, rec);
+                        if rec.is_enabled() {
+                            rec.wall_span(
+                                t,
+                                EventKind::Stage {
+                                    branch: bi as u32,
+                                    stage: si as u32,
+                                    name: stage.nf.name().to_string(),
+                                    packets: packets as u32,
+                                },
+                            );
+                        }
+                        cur = out;
+                        charges.push(charge);
                     }
-                    cur = out;
-                    charges.push(charge);
-                }
-                (branch, (cur, charges))
+                    (cur, charges)
+                }));
+                (branch, result)
             },
-        )
-        .into_iter()
-        .unzip();
-        self.stages = stages;
+        );
+        let mut outputs = Vec::with_capacity(units.len());
+        let mut panic = None;
+        for (branch, result) in units {
+            self.stages.push(branch);
+            match result {
+                Ok(output) => outputs.push(output),
+                Err(payload) => {
+                    panic.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = panic {
+            // The batch ends here: later events must not carry its tag.
+            if recording {
+                sim.recorder_mut().set_batch(0);
+            }
+            resume_unwind(payload);
+        }
         // Temporal replay: sequential, in fixed branch-major stage order —
         // exactly the order the serial engine schedules in, so the
         // simulated timeline is bit-identical regardless of ExecMode.
@@ -1348,18 +1338,10 @@ impl PreparedSfc {
         };
         let mut branch_outputs: Vec<Batch> = Vec::with_capacity(self.width);
         let mut t_join = t0;
-        let mut flat = 0usize;
-        for (branch, (out, charges)) in self.stages.iter().zip(results) {
+        for (branch, (out, charges)) in self.stages.iter_mut().zip(outputs) {
             let mut t = t0;
-            for (stage, charge) in branch.iter().zip(&charges) {
-                let o = &mut self.obs[flat];
-                o.batches += 1;
-                o.packets += charge.in_packets as u64;
-                o.bytes += charge.in_wire_bytes;
-                o.cpu_ns += charge.cpu_ns;
-                o.kernel_ns += charge.kernel_ns;
-                o.gpu_packets += charge.gpu_packets as u64;
-                flat += 1;
+            for (stage, charge) in branch.iter_mut().zip(&charges) {
+                stage.window.obs.record(charge);
                 let span = replay_stage(sim, stage, charge, t, res);
                 if observed {
                     timeline.stages.push(span);
@@ -1486,24 +1468,16 @@ impl PreparedSfc {
     /// windowed deltas, never cumulative state (and never reset live
     /// counters — resetting would perturb the differential oracle).
     pub fn snapshot_window(&mut self) {
-        self.obs_base = self.obs.clone();
-        self.stats_base = self
-            .stages
-            .iter()
-            .flat_map(|b| b.iter())
-            .map(|s| s.run.stats().clone())
-            .collect();
-        self.cache_base = self
-            .stages
-            .iter()
-            .flat_map(|b| b.iter())
-            .map(|s| {
-                s.flow_cache
-                    .as_ref()
-                    .map(|c| c.counters())
-                    .unwrap_or_default()
-            })
-            .collect();
+        for stage in self.stages.iter_mut().flat_map(|b| b.iter_mut()) {
+            let w = &mut stage.window;
+            w.obs_base = w.obs;
+            w.stats_base = stage.run.stats().clone();
+            w.cache_base = stage
+                .flow_cache
+                .as_ref()
+                .map(|c| c.counters())
+                .unwrap_or_default();
+        }
     }
 
     /// Condenses the observation window since the last
@@ -1513,10 +1487,9 @@ impl PreparedSfc {
     /// factors read from the elements, the SM-occupancy proxy, the DMA
     /// backlog sampled at the boundary, and the flow-cache hit rate.
     pub fn epoch_signature(&self, batch_size: usize, dma_backlog_ns: f64) -> WorkloadSignature {
-        let mut sigs = Vec::with_capacity(self.obs.len());
-        for (flat, stage) in self.stages.iter().flat_map(|b| b.iter()).enumerate() {
-            let o = self.obs[flat];
-            let b = self.obs_base.get(flat).copied().unwrap_or_default();
+        let mut sigs = Vec::new();
+        for stage in self.stages.iter().flat_map(|b| b.iter()) {
+            let (o, b) = (stage.window.obs, stage.window.obs_base);
             let batches = (o.batches.saturating_sub(b.batches)).max(1) as f64;
             let packets = o.packets.saturating_sub(b.packets) as f64;
             let bytes = o.bytes.saturating_sub(b.bytes) as f64;
@@ -1532,7 +1505,7 @@ impl PreparedSfc {
             let (hits, misses) = match stage.flow_cache.as_ref() {
                 Some(c) => {
                     let cur = c.counters();
-                    let base = self.cache_base.get(flat).copied().unwrap_or_default();
+                    let base = stage.window.cache_base;
                     (
                         cur.hits.saturating_sub(base.hits) as f64,
                         cur.misses.saturating_sub(base.misses) as f64,
@@ -1582,7 +1555,6 @@ impl PreparedSfc {
         sim: &mut PipelineSim,
         res: &PlatformResources,
         algo: PartitionAlgo,
-        algo_label: &'static str,
         reason: &str,
         delta: f64,
         now: f64,
@@ -1591,7 +1563,6 @@ impl PreparedSfc {
     ) -> bool {
         let mut rec = self.tel.recorder();
         let mut any = false;
-        let mut flat = 0usize;
         let mut swap_end = now;
         for branch in self.stages.iter_mut() {
             for stage in branch.iter_mut() {
@@ -1599,8 +1570,7 @@ impl PreparedSfc {
                 // the residency pass spilled is re-planned as
                 // launch-per-batch until a re-pack re-grants its slots.
                 let mode = stage.mode;
-                let base = self.stats_base.get(flat).cloned().unwrap_or_default();
-                let window = stage.run.stats().delta(&base);
+                let window = stage.run.stats().delta(&stage.window.stats_base);
                 let profiler = Profiler::new(stage.model, mode);
                 let weights = profiler.measure_stats_with_corun(&stage.run, &window, &stage.corun);
                 let offloadable: Vec<bool> = weights.nodes.iter().map(|n| n.offloadable).collect();
@@ -1669,14 +1639,13 @@ impl PreparedSfc {
                 report.adaptations.push(AdaptationRecord {
                     epoch,
                     reason: reason.to_string(),
-                    algo: algo_label,
+                    algo: algo.label(),
                     stage: stage.nf.name().to_string(),
                     old_ratio,
                     new_ratio,
                     swap_ns,
                     applied,
                 });
-                flat += 1;
             }
         }
         // One merged drain window per reconfiguration (per-stage swap
@@ -1699,13 +1668,13 @@ impl PreparedSfc {
     /// report.
     pub fn into_outcome(self, report: SimReport) -> RunOutcome {
         RunOutcome {
+            stage_offloads: self.current_offloads(),
             report,
             egress_packets: self.egress_packets,
             egress_bytes: self.egress_bytes,
             width: self.width,
             effective_length: self.effective_length,
             synthesis: self.synthesis,
-            stage_offloads: self.stage_offloads,
             merge_conflicts: self.merge_conflicts,
             stage_stats: self
                 .stages

@@ -229,8 +229,3 @@ pub const CACHE_PENALTY_SLOPE: f64 = 0.55;
 /// Default number of dedicated CPU cores per NF instance (the paper runs
 /// NFs as containers pinned to dedicated cores and scales with RSS).
 pub const DEFAULT_CORES_PER_NF: usize = 4;
-
-/// Queue capacity (in batches) ahead of each pipeline, bounding latency
-/// under overload. With GPU-only 4-NF chains this produces the paper's
-/// tens-of-ms worst-case latencies (Figure 14's 24 ms configuration a).
-pub const QUEUE_CAP_BATCHES: usize = 512;

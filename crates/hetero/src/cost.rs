@@ -99,11 +99,6 @@ impl GpuTime {
     pub fn total(&self) -> f64 {
         self.dispatch_ns + self.h2d_ns + self.kernel_ns + self.d2h_ns
     }
-
-    /// Transfer-only portion.
-    pub fn transfer_ns(&self) -> f64 {
-        self.h2d_ns + self.d2h_ns
-    }
 }
 
 /// The calibrated cost model over a [`PlatformConfig`].

@@ -20,8 +20,7 @@ pub struct RouteV4 {
     pub next_hop: u32,
 }
 
-/// Simple binary-trie LPM used as the construction representation and as a
-/// correctness oracle for [`Dir24_8`].
+/// Simple binary-trie LPM: the correctness oracle for [`Dir24_8`].
 #[derive(Debug, Clone, Default)]
 pub struct TrieV4 {
     // node = (children[2], next_hop)
@@ -99,12 +98,13 @@ pub struct Dir24_8 {
 const SECOND_LEVEL_FLAG: u32 = 1 << 31;
 
 impl Dir24_8 {
-    /// Builds the table from a trie.
+    /// Builds the table from routes: prefixes up to `first_bits` long
+    /// fill level 1, longer ones force their bucket into a level-2 block.
     ///
     /// # Panics
     ///
     /// Panics if `first_bits` is not in `8..=24`.
-    pub fn build(trie: &TrieV4, routes: &[RouteV4], first_bits: u8) -> Self {
+    pub fn from_routes(routes: &[RouteV4], first_bits: u8) -> Self {
         assert!((8..=24).contains(&first_bits), "first_bits must be 8..=24");
         let l1_size = 1usize << first_bits;
         let l2_block = 1usize << (32 - first_bits);
@@ -157,22 +157,11 @@ impl Dir24_8 {
                 *e = r.next_hop + 1;
             }
         }
-        let _ = trie; // trie kept in the signature as the canonical source
         Dir24_8 {
             first_bits,
             tbl1,
             tbl2,
         }
-    }
-
-    /// Builds directly from routes (constructing the oracle trie
-    /// internally for validation in debug builds).
-    pub fn from_routes(routes: &[RouteV4], first_bits: u8) -> Self {
-        let mut trie = TrieV4::new();
-        for r in routes {
-            trie.insert(*r);
-        }
-        Self::build(&trie, routes, first_bits)
     }
 
     /// Looks up `addr`, returning the next hop — one or two array reads.

@@ -233,19 +233,87 @@ pub struct EpochPath {
 /// extends the completion frontier and the gap before it counts as
 /// dependency wait, so `Σ(busy + wait) == e2e` exactly.
 pub fn critical_paths(events: &[Event]) -> Vec<EpochPath> {
-    let rows = batch_rows(events);
+    epoch_paths(events, &batch_rows(events), &BatchSpans::new(events))
+}
+
+/// Every tagged batch's `ResourceBusy` spans and ingress time, grouped
+/// once per trace for the frontier walks of [`critical_paths`] and
+/// [`whatif`].
+struct BatchSpans {
+    /// Ingress instant per lineage tag.
+    ingress: BTreeMap<u64, f64>,
+    /// `(start, end, resource)` per lineage tag, sorted by start then end
+    /// (ties keep trace order).
+    spans: BTreeMap<u64, Vec<(f64, f64, u32)>>,
+}
+
+/// One step of a frontier walk: a busy span that advanced the batch's
+/// completion frontier, and the dependency wait before it.
+struct Hop {
+    resource: u32,
+    start_ns: f64,
+    wait_ns: f64,
+    busy_ns: f64,
+}
+
+impl BatchSpans {
+    fn new(events: &[Event]) -> Self {
+        let mut ingress = BTreeMap::new();
+        let mut spans: BTreeMap<u64, Vec<(f64, f64, u32)>> = BTreeMap::new();
+        for ev in events {
+            let Some(s) = ev.sim else { continue };
+            match ev.kind {
+                EventKind::BatchIngress { seq, .. } => {
+                    ingress.insert(seq, s.start_ns);
+                }
+                EventKind::ResourceBusy { resource, .. } if ev.batch != 0 => spans
+                    .entry(ev.batch)
+                    .or_default()
+                    .push((s.start_ns, s.end_ns, resource)),
+                _ => {}
+            }
+        }
+        for list in spans.values_mut() {
+            list.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        }
+        BatchSpans { ingress, spans }
+    }
+
+    /// Walks `row`'s spans front to back from its ingress: a span counts
+    /// as busy where it extends the completion frontier, and the gap
+    /// before it as dependency wait, so the hops' `wait + busy`
+    /// telescopes to the end-to-end latency. `None` when the batch
+    /// recorded no spans.
+    fn walk(&self, row: &BatchRow) -> Option<Vec<Hop>> {
+        let spans = self.spans.get(&row.seq)?;
+        let mut frontier = self
+            .ingress
+            .get(&row.seq)
+            .copied()
+            .unwrap_or(row.end_ns - row.e2e_ns);
+        let mut hops = Vec::new();
+        for &(s, e, resource) in spans {
+            if e <= frontier {
+                continue; // fully shadowed by a faster sibling branch
+            }
+            hops.push(Hop {
+                resource,
+                start_ns: s,
+                wait_ns: (s - frontier).max(0.0),
+                busy_ns: e - frontier.max(s),
+            });
+            frontier = e;
+        }
+        Some(hops)
+    }
+}
+
+/// [`critical_paths`] over already-extracted rows and spans.
+fn epoch_paths(events: &[Event], rows: &[BatchRow], spans: &BatchSpans) -> Vec<EpochPath> {
     if rows.is_empty() {
         return Vec::new();
     }
     let names = resource_names(events);
-    let mut ingress: BTreeMap<u64, f64> = BTreeMap::new();
-    for ev in events {
-        if let EventKind::BatchIngress { seq, .. } = ev.kind {
-            if let Some(s) = ev.sim {
-                ingress.insert(seq, s.start_ns);
-            }
-        }
-    }
     let mut markers: Vec<(f64, u64)> = events
         .iter()
         .filter_map(|ev| match ev.kind {
@@ -264,7 +332,7 @@ pub fn critical_paths(events: &[Event]) -> Vec<EpochPath> {
     };
     // Worst-latency batch per epoch.
     let mut worst: BTreeMap<u64, &BatchRow> = BTreeMap::new();
-    for row in &rows {
+    for row in rows {
         let e = epoch_of(row.end_ns);
         match worst.get(&e) {
             Some(prev) if prev.e2e_ns >= row.e2e_ns => {}
@@ -276,48 +344,25 @@ pub fn critical_paths(events: &[Event]) -> Vec<EpochPath> {
     worst
         .into_iter()
         .map(|(epoch, row)| {
-            let start = ingress
-                .get(&row.seq)
-                .copied()
-                .unwrap_or(row.end_ns - row.e2e_ns);
-            let mut spans: Vec<(f64, f64, u32)> = events
-                .iter()
-                .filter_map(|ev| match ev.kind {
-                    EventKind::ResourceBusy { resource, .. } if ev.batch == row.seq => {
-                        ev.sim.map(|s| (s.start_ns, s.end_ns, resource))
-                    }
-                    _ => None,
-                })
-                .collect();
-            spans.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-            let mut frontier = start;
             let mut segments: Vec<PathSegment> = Vec::new();
-            for (s, e, resource) in spans {
-                if e <= frontier {
-                    continue; // fully shadowed by a faster sibling branch
-                }
-                let wait = (s - frontier).max(0.0);
-                let busy = e - frontier.max(s);
+            for hop in spans.walk(row).unwrap_or_default() {
                 // Coalesce back-to-back hops on the same resource.
                 match segments.last_mut() {
-                    Some(last) if last.resource == resource && wait == 0.0 => {
-                        last.busy_ns += busy;
+                    Some(last) if last.resource == hop.resource && hop.wait_ns == 0.0 => {
+                        last.busy_ns += hop.busy_ns;
                     }
                     _ => segments.push(PathSegment {
-                        resource,
+                        resource: hop.resource,
                         name: names
-                            .get(&resource)
+                            .get(&hop.resource)
                             .cloned()
-                            .unwrap_or_else(|| format!("res{resource}")),
-                        start_ns: s,
-                        busy_ns: busy,
-                        wait_ns: wait,
+                            .unwrap_or_else(|| format!("res{}", hop.resource)),
+                        start_ns: hop.start_ns,
+                        busy_ns: hop.busy_ns,
+                        wait_ns: hop.wait_ns,
                     }),
                 }
-                frontier = e;
             }
-            // Residual tail (egress instant beyond the last span never
-            // happens — the egress span is the last hop — but guard).
             let busy_ns = segments.iter().map(|s| s.busy_ns).sum();
             let wait_ns = segments.iter().map(|s| s.wait_ns).sum();
             EpochPath {
@@ -399,59 +444,27 @@ pub fn whatif(events: &[Event], element: &str, factor: f64) -> WhatIfReport {
         .filter_map(|id| names.get(id).cloned())
         .collect();
 
-    // Group every batch's busy spans in one pass.
-    let mut spans_by_batch: BTreeMap<u64, Vec<(f64, f64, u32)>> = BTreeMap::new();
-    for ev in events {
-        if let EventKind::ResourceBusy { resource, .. } = ev.kind {
-            if ev.batch != 0 {
-                if let Some(s) = ev.sim {
-                    spans_by_batch
-                        .entry(ev.batch)
-                        .or_default()
-                        .push((s.start_ns, s.end_ns, resource));
-                }
-            }
-        }
-    }
-    let mut ingress: BTreeMap<u64, f64> = BTreeMap::new();
-    for ev in events {
-        if let EventKind::BatchIngress { seq, .. } = ev.kind {
-            if let Some(s) = ev.sim {
-                ingress.insert(seq, s.start_ns);
-            }
-        }
-    }
-
-    // Frontier-walk one batch and return its predicted latency with
-    // matched busy time scaled by 1/factor.
-    let predict = |seq: u64, end_ns: f64, e2e_ns: f64| -> f64 {
-        let start = ingress.get(&seq).copied().unwrap_or(end_ns - e2e_ns);
-        let mut spans = match spans_by_batch.get(&seq) {
-            Some(s) => s.clone(),
-            None => return e2e_ns,
+    let spans = BatchSpans::new(events);
+    // Predicted latency of one batch, matched busy time scaled by
+    // 1/factor.
+    let predict = |row: &BatchRow| -> f64 {
+        let Some(hops) = spans.walk(row) else {
+            return row.e2e_ns;
         };
-        spans.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-        let mut frontier = start;
         let mut covered = 0.0; // busy + wait accounted by the walk
         let mut predicted = 0.0;
-        for (s, e, resource) in spans {
-            if e <= frontier {
-                continue;
-            }
-            let wait = (s - frontier).max(0.0);
-            let busy = e - frontier.max(s);
-            covered += wait + busy;
-            predicted += wait;
-            predicted += if matched_ids.contains(&resource) {
-                busy / factor
+        for hop in hops {
+            covered += hop.wait_ns + hop.busy_ns;
+            predicted += hop.wait_ns;
+            predicted += if matched_ids.contains(&hop.resource) {
+                hop.busy_ns / factor
             } else {
-                busy
+                hop.busy_ns
             };
-            frontier = e;
         }
         // Any residual the spans do not cover (none in well-formed
         // traces) is carried over unscaled.
-        predicted + (e2e_ns - covered).max(0.0)
+        predicted + (row.e2e_ns - covered).max(0.0)
     };
 
     let rows = batch_rows(events);
@@ -459,7 +472,7 @@ pub fn whatif(events: &[Event], element: &str, factor: f64) -> WhatIfReport {
     let mut predicted_sum = 0.0;
     for row in &rows {
         baseline_sum += row.e2e_ns;
-        predicted_sum += predict(row.seq, row.end_ns, row.e2e_ns);
+        predicted_sum += predict(row);
     }
     let batches = rows.len() as u64;
     let baseline_mean = if batches > 0 {
@@ -473,7 +486,7 @@ pub fn whatif(events: &[Event], element: &str, factor: f64) -> WhatIfReport {
         0.0
     };
 
-    let epochs = critical_paths(events)
+    let epochs = epoch_paths(events, &rows, &spans)
         .into_iter()
         .map(|path| {
             let mut predicted = 0.0;

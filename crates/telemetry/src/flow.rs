@@ -60,9 +60,10 @@ impl FlowSampler {
         FlowSampler { rate: 0 }
     }
 
-    /// Resolves the sampling rate from [`FLOW_TRACE_ENV`]:
-    /// unset/`0`/`off`/`false` disarm; `on`/`true` trace every flow;
-    /// a number `N` samples `hash % N == 0`.
+    /// Resolves the sampling rate from [`FLOW_TRACE_ENV`]: unset or an
+    /// off-word (empty, `0`, `off`, `false`, `no`) disarms; an on-word
+    /// (`1`, `on`, `true`, `yes`) traces every flow; a number `N` samples
+    /// `hash % N == 0`.
     pub fn from_env() -> Self {
         match std::env::var(FLOW_TRACE_ENV) {
             Ok(v) => FlowSampler::new(parse_rate(&v)),
@@ -90,18 +91,9 @@ impl FlowSampler {
 
 /// Parses a [`FLOW_TRACE_ENV`]-style value into a sampling rate.
 pub fn parse_rate(value: &str) -> u32 {
-    let v = value.trim();
-    if v.is_empty()
-        || v.eq_ignore_ascii_case("0")
-        || v.eq_ignore_ascii_case("off")
-        || v.eq_ignore_ascii_case("false")
-        || v.eq_ignore_ascii_case("no")
-    {
-        0
-    } else if v.eq_ignore_ascii_case("on") || v.eq_ignore_ascii_case("true") {
-        1
-    } else {
-        v.parse::<u32>().unwrap_or(0)
+    match crate::switch_word(value) {
+        Some(on) => u32::from(on),
+        None => value.trim().parse().unwrap_or(0),
     }
 }
 

@@ -95,19 +95,14 @@ impl SloSpec {
     /// `p99_ns=2500000,tput_gbps=10,drops=0.01,epoch=8,drift=0.5`.
     ///
     /// Keys: `p99_ns`, `tput_gbps`, `drops`, `epoch`, `fast`, `slow`,
-    /// `burn`, `drift`, `drift_epochs`. Empty strings and the usual
-    /// off-switches (`0`, `off`, `false`, `no`) yield `None`; unknown
+    /// `burn`, `drift`, `drift_epochs`. Off-words (empty, `0`, `off`,
+    /// `false`, `no`) yield `None`; unknown
     /// keys or unparsable values also yield `None` so a typo disables
     /// the health plane loudly (no events at all) rather than silently
     /// evaluating a half-understood spec.
     pub fn parse(raw: &str) -> Option<SloSpec> {
-        let raw = raw.trim();
-        if raw.is_empty() {
+        if crate::switch_word(raw) == Some(false) {
             return None;
-        }
-        match raw.to_ascii_lowercase().as_str() {
-            "0" | "off" | "false" | "no" => return None,
-            _ => {}
         }
         let mut spec = SloSpec::default();
         let mut any = false;

@@ -62,10 +62,11 @@ pub use sink::{HistogramSummary, MemorySink, Telemetry, TelemetryHandle, Telemet
 pub use sketch::{QuantileSketch, SKETCH_ALPHA};
 
 /// Environment variable controlling the default telemetry mode (read by
-/// [`TelemetryMode::auto`]): unset/`0`/`off`/`false` → off; `1`/`on`/
-/// `true`/`mem` → in-memory aggregation only; any other value → export
-/// path (Chrome trace, or a Prometheus snapshot when it ends in
-/// `.prom`).
+/// [`TelemetryMode::auto`]): unset or an off-word (empty, `0`, `off`,
+/// `false`, `no`) → off; an on-word (`1`, `on`, `true`, `yes`) or
+/// `mem`/`memory` → in-memory aggregation only; any
+/// other value → export path (Chrome trace, or a Prometheus snapshot
+/// when it ends in `.prom`).
 pub const TELEMETRY_ENV: &str = "NFC_TELEMETRY";
 
 /// What a telemetry session should collect and where it should go.
@@ -99,25 +100,15 @@ impl TelemetryMode {
     /// Parses an env-style value (see [`TELEMETRY_ENV`]).
     pub fn parse(value: &str) -> Self {
         let v = value.trim();
-        if v.is_empty()
-            || v.eq_ignore_ascii_case("0")
-            || v.eq_ignore_ascii_case("off")
-            || v.eq_ignore_ascii_case("false")
-            || v.eq_ignore_ascii_case("no")
-        {
-            TelemetryMode::Off
-        } else if v.eq_ignore_ascii_case("1")
-            || v.eq_ignore_ascii_case("on")
-            || v.eq_ignore_ascii_case("true")
-            || v.eq_ignore_ascii_case("yes")
-            || v.eq_ignore_ascii_case("mem")
-            || v.eq_ignore_ascii_case("memory")
-        {
-            TelemetryMode::Memory
-        } else {
-            TelemetryMode::Export {
-                path: v.to_string(),
+        match switch_word(v) {
+            Some(false) => TelemetryMode::Off,
+            Some(true) => TelemetryMode::Memory,
+            None if v.eq_ignore_ascii_case("mem") || v.eq_ignore_ascii_case("memory") => {
+                TelemetryMode::Memory
             }
+            None => TelemetryMode::Export {
+                path: v.to_string(),
+            },
         }
     }
 
@@ -127,9 +118,49 @@ impl TelemetryMode {
     }
 }
 
+/// The on/off vocabulary shared by every `NFC_*` switch: empty, `0`,
+/// `off`, `false` and `no` are `Some(false)`; `1`, `on`, `true` and `yes`
+/// are `Some(true)`, ignoring case and surrounding whitespace; anything
+/// else is `None`, for the caller to read as a value of its own.
+pub(crate) fn switch_word(value: &str) -> Option<bool> {
+    const OFF: [&str; 5] = ["", "0", "off", "false", "no"];
+    const ON: [&str; 4] = ["1", "on", "true", "yes"];
+    let v = value.trim();
+    if OFF.iter().any(|w| v.eq_ignore_ascii_case(w)) {
+        Some(false)
+    } else if ON.iter().any(|w| v.eq_ignore_ascii_case(w)) {
+        Some(true)
+    } else {
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_switch_word_means_the_same_to_every_parser() {
+        for off in ["", " ", "0", "off", "OFF", "false", "False", "no", " NO "] {
+            assert_eq!(switch_word(off), Some(false), "{off:?}");
+            assert_eq!(TelemetryMode::parse(off), TelemetryMode::Off, "{off:?}");
+            assert_eq!(flow::parse_rate(off), 0, "{off:?}");
+            assert_eq!(SloSpec::parse(off), None, "{off:?}");
+        }
+        for on in ["1", "on", "ON", "true", "True", "yes", " YES "] {
+            assert_eq!(switch_word(on), Some(true), "{on:?}");
+            assert_eq!(TelemetryMode::parse(on), TelemetryMode::Memory, "{on:?}");
+            assert_eq!(flow::parse_rate(on), 1, "{on:?}");
+            // An SLO needs at least one `key=value`: a bare on-word arms
+            // nothing.
+            assert_eq!(SloSpec::parse(on), None, "{on:?}");
+        }
+        for value in ["mem", "256", "p99_ns=1000", "trace.json"] {
+            assert_eq!(switch_word(value), None, "{value:?}");
+        }
+        assert_eq!(flow::parse_rate("256"), 256);
+        assert!(SloSpec::parse("p99_ns=1000").is_some());
+    }
 
     #[test]
     fn mode_parsing_matches_env_conventions() {

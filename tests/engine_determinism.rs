@@ -2,7 +2,7 @@
 //! (`tests/reference_differential.rs`): a forced four-branch join under
 //! an oversubscribed pool (forced structures are outside the contract,
 //! DESIGN §6), the single-box entry points agreeing with one another,
-//! and a chain poisoned by a panicking unit refusing later batches.
+//! and a chain that keeps processing after a panicking unit.
 
 use nfc_click::element::RunCtx;
 use nfc_click::{Element, ElementActions, ElementClass, ElementGraph};
@@ -199,61 +199,65 @@ impl Element for Tripwire {
     }
 }
 
-/// A unit that panics takes its branch's stages with it. If the embedding
-/// caller catches the unwind and keeps calling `process_batch`, the chain
-/// must refuse to run: with no stages left it would execute zero
-/// branches, merge every packet through as untouched and report the
-/// batch completed — a firewall failing open.
+/// A stage that panics hands its branch's stages back before the panic
+/// reaches the caller. A caller that catches the unwind keeps a chain
+/// that processes later batches exactly like a twin that never saw the
+/// panicking batch, instead of one that runs zero branches and merges
+/// every packet through untouched.
 #[test]
-fn a_prepared_sfc_poisoned_by_a_unit_panic_refuses_later_batches() {
+fn a_unit_panic_surfaces_and_the_chain_keeps_processing() {
     for exec in [ExecMode::Serial, ExecMode::Parallel { threads: 2 }] {
-        let mut probe = ElementGraph::new();
-        probe.add(Tripwire);
-        let sfc = Sfc::new(
-            "fw-probe",
-            vec![
-                Nf::firewall("fw", 64, 1),
-                Nf::from_graph("probe", NfKind::Probe, probe),
-            ],
-        );
-        let mut dep = Deployment::new(sfc, Policy::CpuOnly)
-            .with_batch_size(32)
-            .with_forced_branches(vec![vec![0], vec![1]])
-            .with_exec_mode(exec);
-        let mut sim = PipelineSim::new();
-        let res = PlatformResources::register(&mut sim, dep.model());
-        // Warm-up draws generated payloads, none of them the tripwire.
-        let mut prep = dep.prepare(
-            &mut sim,
-            &res,
-            &mut traffic(128),
-            &[],
-            &mut 1,
-            &TelemetryHandle::disabled(),
-        );
-        let marked = || -> Batch {
-            (0..32u8)
-                .map(|i| Packet::ipv4_udp([10, 0, 0, i], [172, 16, 0, 1], 4000, 80, TRIPWIRE))
-                .collect()
+        let prepare = || {
+            let mut probe = ElementGraph::new();
+            probe.add(Tripwire);
+            let sfc = Sfc::new(
+                "fw-probe",
+                vec![
+                    Nf::firewall("fw", 64, 1),
+                    Nf::from_graph("probe", NfKind::Probe, probe),
+                ],
+            );
+            let mut dep = Deployment::new(sfc, Policy::CpuOnly)
+                .with_batch_size(32)
+                .with_forced_branches(vec![vec![0], vec![1]])
+                .with_exec_mode(exec);
+            let mut sim = PipelineSim::new();
+            let res = PlatformResources::register(&mut sim, dep.model());
+            // Warm-up draws generated payloads, none of them the tripwire.
+            let prep = dep.prepare(
+                &mut sim,
+                &res,
+                &mut traffic(128),
+                &[],
+                &mut 1,
+                &TelemetryHandle::disabled(),
+            );
+            (sim, res, prep)
         };
+        let egress = |r: BatchResult| -> Vec<Vec<u8>> {
+            match r {
+                BatchResult::Completed { out, .. } => {
+                    out.iter().map(|p| p.data().to_vec()).collect()
+                }
+                BatchResult::Dropped { .. } => Vec::new(),
+            }
+        };
+        let (mut sim, res, mut prep) = prepare();
+        let (mut twin_sim, twin_res, mut twin) = prepare();
+        let marked: Batch = (0..32u8)
+            .map(|i| Packet::ipv4_udp([10, 0, 0, i], [172, 16, 0, 1], 4000, 80, TRIPWIRE))
+            .collect();
         let first = catch_unwind(AssertUnwindSafe(|| {
-            prep.process_batch(&mut sim, &res, marked());
+            prep.process_batch(&mut sim, &res, marked);
         }));
         assert!(first.is_err(), "{exec:?}: the probe's panic must surface");
-        let second = catch_unwind(AssertUnwindSafe(|| {
-            match prep.process_batch(&mut sim, &res, marked()) {
-                BatchResult::Completed { out, .. } => out.len(),
-                BatchResult::Dropped { .. } => 0,
-            }
-        }));
-        let payload = match second {
-            Ok(forwarded) => panic!("{exec:?}: poisoned chain forwarded {forwarded} packets"),
-            Err(payload) => payload,
-        };
-        let msg = payload.downcast_ref::<String>().map_or("", String::as_str);
-        assert!(
-            msg.contains("poisoned"),
-            "{exec:?}: unexpected panic: {msg}"
-        );
+        let mut gen = TrafficGenerator::new(TrafficSpec::udp(SizeDist::Fixed(128)), 11);
+        for i in 0..4 {
+            let batch = gen.batch(32);
+            let out = egress(prep.process_batch(&mut sim, &res, batch.clone()));
+            let twin_out = egress(twin.process_batch(&mut twin_sim, &twin_res, batch));
+            assert!(!out.is_empty(), "{exec:?}: batch {i} forwarded nothing");
+            assert_eq!(out, twin_out, "{exec:?}: batch {i} egress bytes");
+        }
     }
 }

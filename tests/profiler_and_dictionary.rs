@@ -1,10 +1,10 @@
 //! Integration tests for the profiling pipeline: live statistics, co-run
-//! aware weights, the offline dictionary, and their use by allocation.
+//! aware weights, and their use by allocation.
 
-use nfc_click::{KernelClass, WorkProfile};
+use nfc_click::KernelClass;
 use nfc_core::allocator::{allocate, stage_cost, PartitionAlgo};
 use nfc_core::expansion::Expansion;
-use nfc_core::profiler::{ProfileDictionary, Profiler};
+use nfc_core::profiler::Profiler;
 use nfc_hetero::{CoRunContext, CostModel, GpuMode, PlatformConfig};
 use nfc_nf::Nf;
 use nfc_packet::traffic::{SizeDist, TrafficGenerator, TrafficSpec};
@@ -102,42 +102,6 @@ fn expansion_edges_price_io_boundaries() {
         (cut - 2.0 * one_transfer).abs() / (2.0 * one_transfer) < 0.05,
         "cut {cut} vs 2x transfer {one_transfer}"
     );
-}
-
-#[test]
-fn offline_dictionary_covers_catalog_kinds_and_persists() {
-    let kinds = vec![
-        (
-            "ipsec",
-            WorkProfile::new(150.0, 22.0),
-            Some(KernelClass::Crypto),
-        ),
-        (
-            "dpi",
-            WorkProfile::new(120.0, 9.0),
-            Some(KernelClass::PatternMatch),
-        ),
-        (
-            "ipv4",
-            WorkProfile::per_packet(107.0),
-            Some(KernelClass::Lookup),
-        ),
-    ];
-    let dict = ProfileDictionary::build_offline(&model(), &kinds);
-    // 3 kinds x 23 sizes x 6 batch sizes.
-    assert_eq!(dict.len(), 3 * 23 * 6);
-    // Rates decrease with packet size for payload-bound kinds.
-    let small = dict.get("ipsec", 64, 256).expect("entry");
-    let large = dict.get("ipsec", 1500, 256).expect("entry");
-    assert!(small.cpu_pps > large.cpu_pps);
-    // Round-trip through JSON keeps every record.
-    let back = ProfileDictionary::from_json(&dict.to_json().expect("serialize")).expect("parse");
-    assert_eq!(back.len(), dict.len());
-    let a = dict.get("dpi", 512, 128).expect("entry");
-    let b = back.get("dpi", 512, 128).expect("entry");
-    // JSON may lose the last ULP of a float.
-    assert!((a.cpu_pps - b.cpu_pps).abs() / a.cpu_pps < 1e-12);
-    assert!((a.gpu_pps - b.gpu_pps).abs() / a.gpu_pps < 1e-12);
 }
 
 #[test]
