@@ -1,5 +1,6 @@
 //! The [`Element`] trait and its metadata types.
 
+use crate::engine::ExecMode;
 use nfc_packet::{Batch, HeaderLanes, Packet};
 
 /// Traffic classes of Click elements, as used by the NF synthesizer's
@@ -252,7 +253,7 @@ pub struct SessionRecord {
 }
 
 /// Per-run context handed to elements.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct RunCtx {
     /// Current simulated time in nanoseconds.
     pub now_ns: u64,
@@ -263,6 +264,22 @@ pub struct RunCtx {
     /// the per-packet reference the differential tests compare against,
     /// and either view must produce bit-identical output.
     pub lanes: bool,
+    /// How many cores a pure per-packet element may carve its batch
+    /// across ([`crate::engine`]). [`ExecMode::Serial`] (the `Default`
+    /// and a freshly compiled graph's setting) keeps every element on
+    /// the calling thread; a runtime hands its deployment's mode down
+    /// through [`CompiledGraph::set_exec_mode`](crate::CompiledGraph::set_exec_mode).
+    pub exec: ExecMode,
+}
+
+impl Default for RunCtx {
+    fn default() -> Self {
+        RunCtx {
+            now_ns: 0,
+            lanes: false,
+            exec: ExecMode::Serial,
+        }
+    }
 }
 
 /// A Click-style packet-processing element.

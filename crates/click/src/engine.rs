@@ -1,7 +1,7 @@
-//! The parallel branch execution engine: one lazily started,
-//! process-wide persistent worker pool that runs independent units
-//! (re-organized SFC branches, experiment sweep points) concurrently
-//! while preserving deterministic result order.
+//! The execution engine: one lazily started, process-wide persistent
+//! worker pool that runs independent units (re-organized SFC branches,
+//! experiment sweep points, the chunks of one element's batch)
+//! concurrently while preserving deterministic result order.
 //!
 //! A [`par_map`] call never hands its work away. It posts at most
 //! `min(threads, n) − 1` *advisory* help requests to the pool and then
@@ -13,7 +13,35 @@
 //! deploys a parallel SFC, eight cluster servers sharing one pool) can
 //! neither deadlock nor pile requests up in the queue.
 //!
-//! `nfc-core` forbids `unsafe`, so nothing borrowed can cross into a
+//! **Help while waiting.** A caller that has run out of units does not
+//! only spin and park: it takes queued requests (its own were withdrawn,
+//! so these are other calls', typically a call nested inside the very
+//! unit it is waiting for) and runs them like a pool worker would, and
+//! posting a request wakes a parked caller the way it wakes an idle
+//! worker. Without it a nested call finds no thread: on two cores the
+//! caller runs branch 0, the pool's one worker runs branch 1, and a
+//! request from inside branch 1 would sit in the queue while the caller
+//! sleeps. A waiting caller only ever runs whole units to completion,
+//! so waits still form no cycle.
+//!
+//! **Element carves.** A pure per-packet element may split its own
+//! batch into contiguous chunks and [`par_map`] them, with the mode the
+//! deployment handed it through
+//! [`RunCtx::exec`](crate::element::RunCtx::exec) (`Serial` unless a
+//! runtime set one, so standalone graphs and the per-packet reference
+//! run on one core). The chunks are concatenated back into the batch it
+//! was given, so its [`BatchLineage`](nfc_packet::batch::BatchLineage) is
+//! untouched: a split or merge there would be charged by the simulator
+//! and `merge_ordered` would re-sort by `seq`, and a carve is neither.
+//! A chunk must carry enough work to pay for the call (about 1.4 µs,
+//! `core.engine.par_map_us_per_call`) and for waking a parked thread (a
+//! median 45 µs from the call to the unit's first instruction, on a
+//! 2-vCPU VM), so each carving element keeps a private per-chunk
+//! minimum measured against those costs. IPsec encryption is the first
+//! such element; its minimum is 32 KiB of payload, about 250 µs of
+//! sealing.
+//!
+//! `nfc-click` forbids `unsafe`, so nothing borrowed can cross into a
 //! pool thread that outlives the call: units are *owned* (`'static`
 //! items and closure, moved in and handed back through the results).
 //!
@@ -21,9 +49,9 @@
 //! splits each stage into a *functional* phase (packets through element
 //! graphs — data-parallel across branches, dispatched through
 //! [`par_map`]) and a *temporal* phase (cost replay onto the shared
-//! [`PipelineSim`](nfc_hetero::PipelineSim) in a fixed branch-major
-//! order), so parallel and serial execution produce bit-identical
-//! functional output *and* bit-identical simulated timelines.
+//! pipeline simulator in a fixed branch-major order), so parallel and
+//! serial execution produce bit-identical functional output *and*
+//! bit-identical simulated timelines.
 
 use nfc_telemetry::{EventKind, Recorder, TelemetryHandle};
 use std::collections::VecDeque;
@@ -130,11 +158,11 @@ where
     POOL.map(mode, items, tel, f)
 }
 
-/// How long a caller that has run out of units spins for the stragglers
-/// before it parks. About two small-packet branch units: long enough
-/// that the common finish (a helper a few microseconds behind) costs no
-/// futex round trip, short enough that waiting out a millisecond-scale
-/// branch is done asleep.
+/// How long a caller that has run out of units (and finds no request to
+/// help with) spins for the stragglers before it parks. About two
+/// small-packet branch units: long enough that the common finish (a
+/// helper a few microseconds behind) costs no futex round trip, short
+/// enough that waiting out a millisecond-scale branch is done asleep.
 const STRAGGLER_SPIN: Duration = Duration::from_micros(50);
 
 /// The process-wide pool. Its threads start on the first parallel call,
@@ -153,6 +181,10 @@ struct Pool {
     state: Mutex<PoolState>,
     /// Signalled when a request is posted while a worker sleeps.
     work: Condvar,
+    /// `state.requests.len()`, kept beside the lock so a spinning caller
+    /// can look for requests without taking it. Only a hint: requests
+    /// are taken under the lock, so `Relaxed` publishes nothing.
+    queued: AtomicUsize,
 }
 
 struct PoolState {
@@ -162,6 +194,9 @@ struct PoolState {
     workers: usize,
     /// Of those, how many are asleep on `work`.
     idle: usize,
+    /// Callers parked in [`Call::wait`]; `post` wakes them as it wakes
+    /// idle workers, so they can help.
+    waiting: Vec<Thread>,
 }
 
 impl Pool {
@@ -171,8 +206,10 @@ impl Pool {
                 requests: VecDeque::new(),
                 workers: 0,
                 idle: 0,
+                waiting: Vec::new(),
             }),
             work: Condvar::new(),
+            queued: AtomicUsize::new(0),
         }
     }
 
@@ -197,18 +234,34 @@ impl Pool {
             state.workers += 1;
         }
         state.requests.extend(std::iter::repeat_n(call, helpers));
+        self.queued.store(state.requests.len(), Ordering::Relaxed);
         let wake = helpers.min(state.idle);
+        // Requests no idle worker will take go to the parked callers.
+        if helpers > wake {
+            for caller in &state.waiting {
+                caller.unpark();
+            }
+        }
         drop(state);
         for _ in 0..wake {
             self.work.notify_one();
         }
     }
 
-    /// Removes the requests for `call` that no worker picked up.
+    /// Removes the requests for `call` that no thread picked up.
     fn withdraw<C>(&self, call: &Arc<C>) {
-        self.lock()
+        let mut state = self.lock();
+        state
             .requests
             .retain(|r| !std::ptr::addr_eq(Arc::as_ptr(r), Arc::as_ptr(call)));
+        self.queued.store(state.requests.len(), Ordering::Relaxed);
+    }
+
+    /// Takes the oldest request, if any.
+    fn take(&self, state: &mut PoolState) -> Option<Arc<dyn Help>> {
+        let call = state.requests.pop_front()?;
+        self.queued.store(state.requests.len(), Ordering::Relaxed);
+        Some(call)
     }
 
     /// A worker's life: help with the oldest request, sleep when there
@@ -216,7 +269,7 @@ impl Pool {
     fn serve(&self) {
         let mut state = self.lock();
         loop {
-            match state.requests.pop_front() {
+            match self.take(&mut state) {
                 Some(call) => {
                     drop(state);
                     call.help();
@@ -270,7 +323,7 @@ impl Pool {
         self.post(Arc::clone(&call) as Arc<dyn Help>, threads - 1);
         call.run_units(0);
         self.withdraw(&call);
-        call.wait();
+        call.wait(self);
         // Deterministic merge: absorb per-unit buffers in input order,
         // not completion order.
         let mut out = Vec::with_capacity(n);
@@ -374,20 +427,43 @@ where
         }
     }
 
-    /// Caller side: blocks until every unit has finished. Only units
-    /// already claimed by a helper can be outstanding here.
-    fn wait(&self) {
+    /// Caller side: returns once every unit has finished. Only units
+    /// already claimed by a helper can be outstanding here; meanwhile the
+    /// caller runs whatever requests are queued, including ones posted
+    /// after it started waiting.
+    fn wait(&self, pool: &Pool) {
         let n = self.items.len();
-        let spin_until = Instant::now() + STRAGGLER_SPIN;
+        let mut spin_until = Instant::now() + STRAGGLER_SPIN;
         while self.finished.load(Ordering::Acquire) < n {
+            if pool.queued.load(Ordering::Relaxed) > 0 {
+                let call = pool.take(&mut pool.lock());
+                if let Some(call) = call {
+                    call.help();
+                    spin_until = Instant::now() + STRAGGLER_SPIN;
+                    continue;
+                }
+            }
             if Instant::now() < spin_until {
                 std::hint::spin_loop();
-            } else {
-                // The helper that finishes last unparks after its
-                // increment, so the token cannot be missed; a stale one
-                // from an earlier call only costs a re-check.
+                continue;
+            }
+            let mut state = pool.lock();
+            if !state.requests.is_empty() {
+                continue;
+            }
+            // Registered under the lock that `post` takes, so a request
+            // posted from here on unparks this thread. The helper that
+            // finishes last unparks after its increment, so that token
+            // cannot be missed either; a stale one from an earlier call
+            // only costs a re-check.
+            let me = std::thread::current();
+            let id = me.id();
+            state.waiting.push(me);
+            drop(state);
+            if self.finished.load(Ordering::Acquire) < n {
                 std::thread::park();
             }
+            pool.lock().waiting.retain(|t| t.id() != id);
         }
     }
 }
@@ -409,6 +485,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::sync::Barrier;
 
     #[test]
@@ -535,6 +612,55 @@ mod tests {
         let state = pool.lock();
         assert_eq!(state.workers, OUTER - 1);
         assert!(state.requests.is_empty(), "{} left", state.requests.len());
+    }
+
+    /// Polls `ready` for up to ten seconds, so a regression fails a test
+    /// instead of hanging it.
+    fn within_deadline(ready: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !ready() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    #[test]
+    fn a_waiting_caller_runs_a_call_posted_after_it_began_waiting() {
+        let pool = private_pool();
+        let caller = std::thread::current().id();
+        let worker_in = Arc::new(AtomicBool::new(false));
+        let ids = plain(pool, 2, vec![(); 2], move |_, ()| {
+            if std::thread::current().id() == caller {
+                // Leave the other outer unit to the pool's one worker.
+                assert!(within_deadline(|| worker_in.load(Ordering::Acquire)));
+                return Vec::new();
+            }
+            worker_in.store(true, Ordering::Release);
+            // The caller registers as a waiter only once it is in
+            // `wait`, past its spin; the nested call comes after that.
+            assert!(within_deadline(|| !pool.lock().waiting.is_empty()));
+            let started = Arc::new(AtomicUsize::new(0));
+            plain(pool, 2, vec![(); 2], move |_, ()| {
+                // Each nested unit holds its thread until the other one
+                // is claimed too; only the waiting caller can claim it.
+                started.fetch_add(1, Ordering::AcqRel);
+                within_deadline(|| started.load(Ordering::Acquire) == 2);
+                std::thread::current().id()
+            })
+        });
+        let nested: Vec<_> = ids.into_iter().flatten().collect();
+        assert_eq!(nested.len(), 2);
+        assert!(
+            nested.contains(&caller),
+            "the waiting caller ran no nested unit"
+        );
+        assert!(nested.iter().any(|&id| id != caller));
+        let state = pool.lock();
+        assert_eq!(state.workers, 1);
+        assert!(state.requests.is_empty() && state.waiting.is_empty());
     }
 
     #[test]

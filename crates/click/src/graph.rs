@@ -1,6 +1,7 @@
 //! Element graphs: validated DAGs with a push-based batch engine.
 
 use crate::element::{config_hash, Element, ElementClass, FlowVerdict, RunCtx};
+use crate::engine::ExecMode;
 use nfc_packet::{Batch, HeaderLanes, Packet};
 use nfc_telemetry::{EventKind, Recorder};
 use std::collections::HashMap;
@@ -305,6 +306,7 @@ impl ElementGraph {
             flow_cacheable,
             flow_config_hash,
             lanes: true,
+            exec: ExecMode::Serial,
         })
     }
 }
@@ -622,6 +624,9 @@ pub struct CompiledGraph {
     /// Whether elements are asked to sweep columnar header lanes;
     /// forwarded to every [`RunCtx`] (see [`CompiledGraph::set_lanes`]).
     lanes: bool,
+    /// The cores elements may carve a batch across; forwarded to every
+    /// [`RunCtx`] (see [`CompiledGraph::set_exec_mode`]).
+    exec: ExecMode,
 }
 
 impl CompiledGraph {
@@ -666,6 +671,13 @@ impl CompiledGraph {
         self.lanes = on;
     }
 
+    /// Lets elements carve their batches across `mode`'s cores. A
+    /// compiled graph starts [`ExecMode::Serial`]; a runtime sets its
+    /// deployment's mode here, beside the lanes.
+    pub fn set_exec_mode(&mut self, mode: ExecMode) {
+        self.exec = mode;
+    }
+
     /// Drains buffered session records from every element (see
     /// [`Element::take_session_records`]), in topological node order so
     /// the record stream is deterministic.
@@ -705,6 +717,7 @@ impl CompiledGraph {
         let mut ctx = RunCtx {
             now_ns,
             lanes: self.lanes,
+            exec: self.exec,
         };
         debug_assert!(
             self.inbox.iter().all(Vec::is_empty),

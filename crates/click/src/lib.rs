@@ -17,6 +17,10 @@
 //!   Figure 5 overheads).
 //! * A library of generic [`elements`] (classifiers, counters, tee,
 //!   discard, header checkers) shared by all NFs.
+//! * The [`engine`]: the one process-wide worker pool behind
+//!   [`engine::par_map`], which runs a chain's parallel branches and
+//!   lets a per-packet element carve its batch across cores
+//!   ([`RunCtx::exec`](element::RunCtx::exec)).
 //!
 //! # Example
 //!
@@ -42,6 +46,7 @@
 
 pub mod element;
 pub mod elements;
+pub mod engine;
 pub mod graph;
 
 pub use element::{

@@ -174,7 +174,8 @@ impl ClusterDeployment {
     /// Runs a sequence of traffic *phases* on one continuous timeline
     /// (`batches_per_phase` cluster batches each) — the benign→hostile
     /// sweep shape. Phase boundaries advance each generator to the
-    /// previous phase's traffic clock, so arrivals stay monotone.
+    /// previous phase's traffic clock and sequence number, so arrivals
+    /// stay monotone and no sequence number (an ESP number) repeats.
     ///
     /// # Panics
     ///
@@ -414,9 +415,14 @@ impl ClusterDeployment {
         let mut link_busy: Vec<f64> = vec![0.0; 2 * n];
         let mut server_flows: Vec<std::collections::HashSet<u32>> =
             (0..n).map(|_| std::collections::HashSet::new()).collect();
+        // Each later phase continues the one before it, clock and
+        // numbering: a sequence number is an ESP number and IV, and must
+        // not repeat.
+        let mut next_seq = 0u64;
         for (pi, traffic) in phases.iter_mut().enumerate() {
             if pi > 0 {
                 traffic.advance_to(traffic_clock);
+                traffic.advance_seq_to(next_seq);
             }
             for _ in 0..batches_per_phase {
                 for &(_, from, to) in forced_moves.iter().filter(|&&(at, _, _)| at == b) {
@@ -643,6 +649,7 @@ impl ClusterDeployment {
                 b += 1;
             }
             traffic_clock = traffic_clock.max(traffic.now_ns());
+            next_seq = next_seq.max(traffic.next_seq());
         }
         if recording {
             // Cluster-plane gauges: how hot each NIC link ran over the

@@ -117,6 +117,24 @@ fn sharded_cluster_preserves_per_flow_order_and_loses_nothing() {
     assert!(active > 1, "sharding should engage multiple servers");
 }
 
+/// IPsec's ESP number and IV are a packet's ingress sequence number plus
+/// one, so a phased run numbers its phases from one counter: the second
+/// phase starts where the first (warm-up included) stopped.
+#[test]
+fn phased_runs_continue_one_sequence_numbering() {
+    let batches = 4;
+    let spec = ClusterSpec::uniform(2);
+    let mut cluster = ClusterDeployment::build(spec, &sfc(), Policy::nfcompass(), configure);
+    let mut phases = [traffic(3), traffic(4)];
+    cluster.run_phased(&mut phases, batches);
+    let first_phase_end = phases[0].next_seq();
+    assert!(first_phase_end >= (batches * BATCH) as u64);
+    assert_eq!(
+        phases[1].next_seq(),
+        first_phase_end + (batches * BATCH) as u64
+    );
+}
+
 #[test]
 fn live_rebalancing_engages_on_skewed_traffic_and_stays_loss_free() {
     // Zipf-skewed flows pile most packets onto few flow hashes, so some

@@ -50,7 +50,6 @@
 
 pub mod allocator;
 pub mod depend;
-pub mod engine;
 pub mod expansion;
 pub mod flowcache;
 pub mod multi;
@@ -65,6 +64,9 @@ pub use allocator::{AllocationPlan, PartitionAlgo};
 pub use engine::{par_map, par_map_traced, ExecMode};
 pub use flowcache::{FlowCacheMode, StageFlowCache};
 pub use multi::MultiDeployment;
+// The worker pool lives in `nfc-click`, so elements can carve a batch
+// over it; it keeps its path here.
+pub use nfc_click::engine;
 pub use nfc_control::{Action, AdaptationRecord, Controller, ControllerConfig, ControllerReport};
 pub use nfc_telemetry::{TelemetryMode, TelemetrySummary};
 pub use orchestrator::ReorgSfc;

@@ -539,7 +539,8 @@ impl Deployment {
     ///
     /// Phase boundaries advance each generator to the previous phase's
     /// traffic clock (not the simulation clock), so the arrival process
-    /// is independent of scheduling decisions.
+    /// is independent of scheduling decisions, and to its next sequence
+    /// number, so no ESP number or IV repeats within the run.
     ///
     /// Re-planning requires a partitioned policy: under anything other
     /// than [`Policy::NfCompass`] the controller observes and reports
@@ -618,9 +619,14 @@ impl Deployment {
         if controller.is_some() {
             prep.snapshot_window();
         }
+        // Each later phase continues the one before it, clock and
+        // numbering: a sequence number is an ESP number and IV, and must
+        // not repeat.
+        let mut next_seq = 0u64;
         for (pi, traffic) in phases.iter_mut().enumerate() {
             if pi > 0 {
                 traffic.advance_to(traffic_clock);
+                traffic.advance_seq_to(next_seq);
             }
             let mut stats = nfc_hetero::sim::StatsAccumulator::new();
             for _ in 0..n_batches {
@@ -708,6 +714,7 @@ impl Deployment {
                 prep.snapshot_window();
             }
             traffic_clock = traffic_clock.max(traffic.now_ns());
+            next_seq = next_seq.max(traffic.next_seq());
             phase_results.push((stats, prep.current_offloads()));
         }
         if let Some(rec) = sim.take_recorder() {
@@ -814,6 +821,7 @@ impl Deployment {
                     .compile()
                     .expect("catalog/synthesized graphs compile");
                 run.set_lanes(self.lanes);
+                run.set_exec_mode(self.exec_mode);
                 let flow_cache = match self.flow_cache {
                     FlowCacheMode::On { capacity } if run.flow_cacheable() => {
                         Some(StageFlowCache::new(capacity, &run))

@@ -341,6 +341,18 @@ impl TrafficGenerator {
         self.now_ns = self.now_ns.max(ns as f64);
     }
 
+    /// The sequence number the next packet will carry.
+    pub fn next_seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Fast-forwards the sequence counter to at least `seq`, so spliced
+    /// phases continue one numbering instead of each restarting at 0
+    /// (IPsec derives its ESP number and IV from it).
+    pub fn advance_seq_to(&mut self, seq: u64) {
+        self.seq = self.seq.max(seq);
+    }
+
     fn fill_payload(&mut self, buf: &mut Vec<u8>, len: usize) {
         buf.clear();
         buf.resize(len, 0);

@@ -33,6 +33,7 @@ use nfc_core::{
 };
 use nfc_hetero::{GpuMode, PipelineSim, SimReport};
 use nfc_nf::acl::{synth, Action, Rule};
+use nfc_nf::elements::IpsecSa;
 use nfc_nf::Nf;
 use nfc_packet::headers::{ip_proto, Ethernet, Ipv4};
 use nfc_packet::traffic::{
@@ -43,7 +44,7 @@ use nfc_telemetry::{EventKind, SloSpec, Telemetry};
 use proptest::prelude::*;
 use proptest::test_runner::run;
 use rand::Rng;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 // ---------------------------------------------------------------------
 // The reference
@@ -444,19 +445,24 @@ impl Config {
     }
 
     /// The live batches every phase offers, warm-up excluded. A phase's
-    /// clock splice moves arrival times only, never bytes.
+    /// splice moves arrival times and continues the previous phase's
+    /// sequence numbers; it never moves payload bytes.
     fn offered(&self) -> Vec<Batch> {
         let phases = if self.controller.is_some() { 2 } else { 1 };
-        (0..phases)
-            .flat_map(|phase| {
-                let mut traffic = self.traffic.generator(phase);
-                let skip = if phase == 0 { self.warmup } else { 0 };
+        let mut next_seq = 0;
+        let mut offered = Vec::new();
+        for phase in 0..phases {
+            let mut traffic = self.traffic.generator(phase);
+            traffic.advance_seq_to(next_seq);
+            let skip = if phase == 0 { self.warmup } else { 0 };
+            offered.extend(
                 (0..skip + self.batches)
                     .map(|_| traffic.batch(self.batch))
-                    .skip(skip)
-                    .collect::<Vec<_>>()
-            })
-            .collect()
+                    .skip(skip),
+            );
+            next_seq = traffic.next_seq();
+        }
+        offered
     }
 
     /// Runs the configuration on `sfc` once with `knobs` and `cache`.
@@ -829,6 +835,129 @@ fn a_controller_swapping_plans_matches_the_reference() {
     let report = a.controller.expect("a controller run");
     assert!(report.applied() > 0, "no plan was swapped: {report:?}");
     assert!(a.admitted.is_some(), "a tail drop hid the reference");
+}
+
+/// IPsec carves a batch only when it carries at least two chunks' worth
+/// of payload, which the generator rarely draws together with IPsec and
+/// a worker pool. Here every live batch carries 128 frames of 1 360 B
+/// (about 170 KB of payload), sealed on 2 workers in run A and 8 in run
+/// B: alone, where nothing downstream restores the order the chunks
+/// come back in; beside the IDS branch as on the benchmark's
+/// `ids_ipsec_1360b`; and after a DPI under a controller, over two
+/// phases whose second continues the first one's ESP numbers.
+#[test]
+fn carved_ipsec_batches_match_the_reference_on_two_and_eight_workers() {
+    let traffic = Traffic {
+        size: SizeDist::Fixed(1360),
+        tcp: false,
+        ipv6: false,
+        flows: 1024,
+        skew: 0.0,
+        match_ratio: Some(0.1),
+        rate_gbps: 40.0,
+        seed: 7,
+    };
+    let knobs = [
+        Knobs {
+            exec: ExecMode::Parallel { threads: 2 },
+            ..NAMED_KNOBS[0]
+        },
+        Knobs {
+            exec: ExecMode::Parallel { threads: 8 },
+            ..NAMED_KNOBS[1]
+        },
+    ];
+    let beside_ids = Config {
+        chain: vec![Kind::Ids, Kind::Ipsec],
+        traffic: traffic.clone(),
+        policy: Policy::nfcompass(),
+        warmup: 2,
+        batch: 128,
+        batches: 3,
+        max_queue_ns: 50e6,
+        controller: None,
+        cache: None,
+        knobs,
+    };
+    let alone = Config {
+        chain: vec![Kind::Ipsec],
+        ..beside_ids.clone()
+    };
+    let after_dpi = Config {
+        chain: vec![Kind::Dpi, Kind::Ipsec],
+        traffic: Traffic {
+            match_ratio: Some(0.0),
+            ..traffic
+        },
+        controller: Some(ControllerConfig {
+            epoch_batches: 1,
+            window_epochs: 2,
+            hysteresis_epochs: 1,
+            cooldown_epochs: 0,
+            ..ControllerConfig::default()
+        }),
+        ..beside_ids.clone()
+    };
+    for cfg in [alone, beside_ids, after_dpi] {
+        let sfc = Catalog::default().sfc(&cfg.chain);
+        let (a, _, _) = check(&cfg, &sfc, &quiet_flight()).unwrap();
+        assert!(a.admitted.is_some(), "a tail drop hid the reference");
+    }
+}
+
+/// IPsec's ESP number and AES-CTR IV are the packet's ingress sequence
+/// number plus one, so one adaptive run must number its warm-up and
+/// every phase from one counter. A swapping controller over two phases:
+/// no two egress packets of the SA share a number or an IV, and none
+/// reuses a number the warm-up sealed.
+#[test]
+fn esp_numbers_never_repeat_across_warm_up_phases_and_plan_swaps() {
+    let cfg = Config {
+        chain: vec![Kind::Dpi, Kind::Ipsec],
+        traffic: Traffic {
+            size: SizeDist::Fixed(512),
+            tcp: false,
+            ipv6: false,
+            flows: 1024,
+            skew: 0.0,
+            match_ratio: Some(0.0),
+            rate_gbps: 40.0,
+            seed: 41,
+        },
+        policy: Policy::nfcompass(),
+        warmup: 4,
+        batch: 64,
+        batches: 6,
+        max_queue_ns: 50e6,
+        controller: Some(ControllerConfig {
+            epoch_batches: 1,
+            window_epochs: 2,
+            hysteresis_epochs: 1,
+            cooldown_epochs: 0,
+            ..ControllerConfig::default()
+        }),
+        cache: None,
+        knobs: NAMED_KNOBS,
+    };
+    let sfc = Catalog::default().sfc(&cfg.chain);
+    let (a, _, _) = check(&cfg, &sfc, &quiet_flight()).unwrap();
+    let report = a.controller.expect("a controller run");
+    assert!(report.applied() > 0, "no plan was swapped: {report:?}");
+    let warmed_up = (cfg.warmup * cfg.batch) as u64;
+    let (mut numbers, mut ivs) = (HashSet::new(), HashSet::new());
+    for p in a.egress.iter().flat_map(Batch::iter) {
+        let esp = p.l4_payload().expect("sealed frames keep their UDP header");
+        assert_eq!(esp[..4], IpsecSa::example().spi.to_be_bytes());
+        let number = u32::from_be_bytes(esp[4..8].try_into().unwrap());
+        let iv = u64::from_be_bytes(esp[8..16].try_into().unwrap());
+        assert!(
+            u64::from(number) > warmed_up,
+            "warm-up number {number} reused"
+        );
+        assert!(numbers.insert(number), "ESP number {number} reused");
+        assert!(ivs.insert(iv), "IV {iv} reused");
+    }
+    assert_eq!(numbers.len(), 2 * cfg.batches * cfg.batch);
 }
 
 /// The two runs the named cases compare: lanes, workers and observers
