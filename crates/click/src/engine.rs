@@ -22,7 +22,12 @@
 //! caller runs branch 0, the pool's one worker runs branch 1, and a
 //! request from inside branch 1 would sit in the queue while the caller
 //! sleeps. A waiting caller only ever runs whole units to completion,
-//! so waits still form no cycle.
+//! so waits still form no cycle, and it claims no further unit once its
+//! own call has finished: it returns at most one foreign unit late. The
+//! units it leaves are claimed by their own caller, as an advisory
+//! request nobody took would be. A unit run this way records under the
+//! helper track it was given, inside whatever span the waiting thread
+//! itself has open (an outer unit, when the wait is nested).
 //!
 //! **Element carves.** A pure per-packet element may split its own
 //! batch into contiguous chunks and [`par_map`] them, with the mode the
@@ -173,18 +178,15 @@ static POOL: Pool = Pool::new();
 
 /// What a pool worker sees of a `par_map*` call.
 trait Help: Send + Sync {
-    /// Claims and runs units until none are left.
-    fn help(&self);
+    /// Claims and runs units until none are left or, checked before
+    /// each claim, `enough()` holds.
+    fn help(&self, enough: &dyn Fn() -> bool);
 }
 
 struct Pool {
     state: Mutex<PoolState>,
     /// Signalled when a request is posted while a worker sleeps.
     work: Condvar,
-    /// `state.requests.len()`, kept beside the lock so a spinning caller
-    /// can look for requests without taking it. Only a hint: requests
-    /// are taken under the lock, so `Relaxed` publishes nothing.
-    queued: AtomicUsize,
 }
 
 struct PoolState {
@@ -209,7 +211,6 @@ impl Pool {
                 waiting: Vec::new(),
             }),
             work: Condvar::new(),
-            queued: AtomicUsize::new(0),
         }
     }
 
@@ -234,7 +235,6 @@ impl Pool {
             state.workers += 1;
         }
         state.requests.extend(std::iter::repeat_n(call, helpers));
-        self.queued.store(state.requests.len(), Ordering::Relaxed);
         let wake = helpers.min(state.idle);
         // Requests no idle worker will take go to the parked callers.
         if helpers > wake {
@@ -254,14 +254,6 @@ impl Pool {
         state
             .requests
             .retain(|r| !std::ptr::addr_eq(Arc::as_ptr(r), Arc::as_ptr(call)));
-        self.queued.store(state.requests.len(), Ordering::Relaxed);
-    }
-
-    /// Takes the oldest request, if any.
-    fn take(&self, state: &mut PoolState) -> Option<Arc<dyn Help>> {
-        let call = state.requests.pop_front()?;
-        self.queued.store(state.requests.len(), Ordering::Relaxed);
-        Some(call)
     }
 
     /// A worker's life: help with the oldest request, sleep when there
@@ -269,10 +261,10 @@ impl Pool {
     fn serve(&self) {
         let mut state = self.lock();
         loop {
-            match self.take(&mut state) {
+            match state.requests.pop_front() {
                 Some(call) => {
                     drop(state);
-                    call.help();
+                    call.help(&|| false);
                     drop(call);
                     state = self.lock();
                 }
@@ -321,7 +313,7 @@ impl Pool {
             caller: std::thread::current(),
         });
         self.post(Arc::clone(&call) as Arc<dyn Help>, threads - 1);
-        call.run_units(0);
+        call.run_units(0, &|| false);
         self.withdraw(&call);
         call.wait(self);
         // Deterministic merge: absorb per-unit buffers in input order,
@@ -399,9 +391,9 @@ impl<T, R, F> Call<T, R, F>
 where
     F: Fn(usize, T, &mut Recorder) -> R,
 {
-    fn run_units(&self, worker: u32) {
+    fn run_units(&self, worker: u32, enough: &dyn Fn() -> bool) {
         let n = self.items.len();
-        loop {
+        while !enough() {
             let i = self.cursor.fetch_add(1, Ordering::Relaxed);
             if i >= n {
                 break;
@@ -429,19 +421,25 @@ where
 
     /// Caller side: returns once every unit has finished. Only units
     /// already claimed by a helper can be outstanding here; meanwhile the
-    /// caller runs whatever requests are queued, including ones posted
-    /// after it started waiting.
+    /// caller runs units of whatever calls have queued requests,
+    /// including ones posted after it started waiting, until its own
+    /// call has finished.
     fn wait(&self, pool: &Pool) {
         let n = self.items.len();
+        let finished = || self.finished.load(Ordering::Acquire) >= n;
         let mut spin_until = Instant::now() + STRAGGLER_SPIN;
-        while self.finished.load(Ordering::Acquire) < n {
-            if pool.queued.load(Ordering::Relaxed) > 0 {
-                let call = pool.take(&mut pool.lock());
-                if let Some(call) = call {
-                    call.help();
-                    spin_until = Instant::now() + STRAGGLER_SPIN;
-                    continue;
-                }
+        while !finished() {
+            // `try_lock`: a spinning caller never queues behind a worker
+            // for the lock, it looks again on the next turn.
+            let queued = pool
+                .state
+                .try_lock()
+                .ok()
+                .and_then(|mut state| state.requests.pop_front());
+            if let Some(call) = queued {
+                call.help(&finished);
+                spin_until = Instant::now() + STRAGGLER_SPIN;
+                continue;
             }
             if Instant::now() < spin_until {
                 std::hint::spin_loop();
@@ -474,11 +472,11 @@ where
     R: Send,
     F: Fn(usize, T, &mut Recorder) -> R + Send + Sync,
 {
-    fn help(&self) {
+    fn help(&self, enough: &dyn Fn() -> bool) {
         // At most `threads − 1` requests exist and each is picked up
         // once, so worker ids stay below `threads`.
         let worker = 1 + self.helpers.fetch_add(1, Ordering::Relaxed);
-        self.run_units(worker);
+        self.run_units(worker, enough);
     }
 }
 
@@ -658,6 +656,53 @@ mod tests {
             "the waiting caller ran no nested unit"
         );
         assert!(nested.iter().any(|&id| id != caller));
+        let state = pool.lock();
+        assert_eq!(state.workers, 1);
+        assert!(state.requests.is_empty() && state.waiting.is_empty());
+    }
+
+    #[test]
+    fn a_waiting_caller_stops_helping_once_its_own_call_has_finished() {
+        let pool = private_pool();
+        let caller = std::thread::current().id();
+        let worker_in = Arc::new(AtomicBool::new(false));
+        let release = Arc::new(AtomicBool::new(false));
+        let returned = Arc::new(AtomicBool::new(false));
+        // Another thread's call, posted while the caller waits on its
+        // own call's one outstanding unit (the pool's one worker holds
+        // it): its single request can only go to the waiting caller.
+        // That thread runs its own units only once the caller's call
+        // has returned, so every unit the caller runs before then shows.
+        let other = {
+            let (release, returned) = (Arc::clone(&release), Arc::clone(&returned));
+            std::thread::spawn(move || {
+                assert!(within_deadline(|| !pool.lock().waiting.is_empty()));
+                plain(pool, 2, vec![(); 4], move |_, ()| {
+                    if std::thread::current().id() == caller {
+                        // Let the caller's own call finish: the worker
+                        // goes idle only after its unit has counted.
+                        release.store(true, Ordering::Release);
+                        assert!(within_deadline(|| pool.lock().idle == 1));
+                    } else {
+                        assert!(within_deadline(|| returned.load(Ordering::Acquire)));
+                    }
+                    std::thread::current().id()
+                })
+            })
+        };
+        let worker_in_unit = Arc::clone(&worker_in);
+        plain(pool, 2, vec![(); 2], move |_, ()| {
+            if std::thread::current().id() == caller {
+                assert!(within_deadline(|| worker_in_unit.load(Ordering::Acquire)));
+            } else {
+                worker_in_unit.store(true, Ordering::Release);
+                assert!(within_deadline(|| release.load(Ordering::Acquire)));
+            }
+        });
+        returned.store(true, Ordering::Release);
+        let ids = other.join().expect("the other call finishes");
+        let by_caller = ids.iter().filter(|&&id| id == caller).count();
+        assert_eq!(by_caller, 1, "units the waiting caller ran");
         let state = pool.lock();
         assert_eq!(state.workers, 1);
         assert!(state.requests.is_empty() && state.waiting.is_empty());

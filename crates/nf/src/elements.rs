@@ -372,8 +372,11 @@ const ESP_HDR_LEN: usize = 16; // spi(4) + seq(4) + iv(8)
 /// number plus one, not a count of the packets this SA has sealed: a
 /// seal is then a function of the packet alone, so the gateway may run
 /// beside a dropper (Table III) and still emit exactly what the
-/// sequential chain emits. Numbers are unique per traffic source, where
-/// a real SA numbers what it sends.
+/// sequential chain emits. Numbers are unique per run, where a real SA
+/// numbers what it sends: a deployment's warm-up and phases continue
+/// one numbering
+/// ([`TrafficGenerator::advance_seq_to`](nfc_packet::traffic::TrafficGenerator::advance_seq_to)),
+/// and a caller of `process_batch` keeps the numbers it passes in.
 ///
 /// Sealing is pure per packet, so a batch carrying at least two chunks'
 /// worth of payload (32 KiB each) is cut into contiguous chunks that
@@ -419,7 +422,7 @@ impl IpsecEncrypt {
 }
 
 /// How many chunks [`IpsecEncrypt`] carves `batch` into under `exec`
-/// (below 2: it seals on the calling thread). Not capped at the thread
+/// (below 2: one, sealed on the calling thread). Not capped at the thread
 /// count: a thread that joins late (the caller of a branch join, done
 /// with its own branch) takes what chunks are left, so smaller chunks
 /// keep the threads' finishes within one chunk of each other.
@@ -485,16 +488,12 @@ impl Element for IpsecEncrypt {
     }
 
     fn process(&mut self, mut batch: Batch, ctx: &mut RunCtx) -> Vec<Batch> {
-        let chunks = carve_chunks(&batch, ctx.exec);
-        if chunks < 2 {
-            for p in batch.iter_mut() {
-                self.keys.seal(p);
-            }
-            return vec![batch];
-        }
-        // Contiguous chunks, concatenated back into this very batch, so
-        // its lineage (which the simulator charges) does not move: the
-        // carve is host parallelism only, and records nothing.
+        // One chunk runs on the calling thread (`par_map` spawns nothing
+        // for one unit). Contiguous chunks, concatenated back into this
+        // very batch, so its lineage (which the simulator charges) does
+        // not move: the carve is host parallelism only, and records
+        // nothing.
+        let chunks = carve_chunks(&batch, ctx.exec).max(1);
         let mut rest: Vec<Packet> = batch.drain().collect();
         let per = rest.len().div_ceil(chunks);
         let mut parts = Vec::with_capacity(chunks);
