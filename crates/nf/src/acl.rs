@@ -67,10 +67,9 @@ impl Rule {
         self.matches_v4(src, dst, t.src_port, t.dst_port, t.proto)
     }
 
-    /// [`Rule::matches`] on raw IPv4 lane values (big-endian `u32`
-    /// addresses), skipping `IpAddr` construction — the header-lane sweep
-    /// entry point. `matches` delegates here for V4 tuples, so the two
-    /// paths cannot diverge.
+    /// [`Rule::matches`] on raw IPv4 values (big-endian `u32`
+    /// addresses), skipping `IpAddr` construction. `matches` delegates
+    /// here for V4 tuples, so the two paths cannot diverge.
     pub fn matches_v4(&self, src: u32, dst: u32, src_port: u16, dst_port: u16, proto: u8) -> bool {
         Self::prefix_matches(src, self.src)
             && Self::prefix_matches(dst, self.dst)
@@ -83,10 +82,10 @@ impl Rule {
 /// Protocol sentinel in a [`MaskRule`]: match any protocol.
 const PROTO_ANY: u16 = 256;
 
-/// A [`Rule`] pre-lowered for the columnar sweep: prefix tests become
-/// one AND + compare against a precomputed mask/value pair, and the
-/// protocol wildcard a sentinel compare, so [`AclTable::classify_v4`]'s
-/// inner loop is branch-light and free of per-row shift computation.
+/// A [`Rule`] pre-lowered for the index walk: prefix tests become one
+/// AND + compare against a precomputed mask/value pair, and the
+/// protocol wildcard a sentinel compare, so no row pays a per-rule
+/// shift or `IpAddr` unwrapping.
 #[derive(Debug, Clone, Copy)]
 struct MaskRule {
     smask: u32,
@@ -124,19 +123,37 @@ impl MaskRule {
             action: r.action,
         }
     }
+
+    /// [`Rule::matches_v4`] on the lowered form, destination first.
+    fn matches(&self, src: u32, dst: u32, src_port: u16, dst_port: u16, proto: u8) -> bool {
+        (dst & self.dmask) == self.dval
+            && (src & self.smask) == self.sval
+            && (self.dport.0..=self.dport.1).contains(&dst_port)
+            && (self.sport.0..=self.sport.1).contains(&src_port)
+            && (self.proto == PROTO_ANY || self.proto == u16::from(proto))
+    }
 }
 
-/// An ordered, first-match-wins rule table.
+/// Destination bits the index buckets rules on. A rule whose
+/// destination prefix is at least this long sits in exactly one bucket;
+/// ClassBench (and [`synth`]) destination prefixes are never shorter,
+/// and the `wide` list keeps any shorter rule correct. Keys are `u16`.
+const KEY_BITS: u32 = 16;
+
+/// An ordered, first-match-wins rule table, indexed on the destination
+/// prefix (a one-dimensional tuple-space search).
 #[derive(Debug, Clone)]
 pub struct AclTable {
     rules: Vec<Rule>,
     lowered: Vec<MaskRule>,
-    /// Indices (into `lowered`, priority order) of the rules a UDP
-    /// packet could match: protocol wildcard or UDP rules. A UDP packet
-    /// can never match a TCP-only rule, so the sweep skips them wholesale.
-    udp_rules: Vec<u32>,
-    /// Same partition for TCP packets.
-    tcp_rules: Vec<u32>,
+    /// Sorted bucket keys: the top [`KEY_BITS`] destination bits.
+    keys: Vec<u16>,
+    /// Bucket `k` holds `members[starts[k]..starts[k + 1]]`.
+    starts: Vec<u32>,
+    /// Every bucket's rule indices, each bucket in priority order.
+    members: Vec<u32>,
+    /// Rules with a destination shorter than /16, in priority order.
+    wide: Vec<u32>,
     default: Action,
 }
 
@@ -154,21 +171,32 @@ impl AclTable {
     /// unmatched traffic.
     pub fn new(rules: Vec<Rule>, default: Action) -> Self {
         let lowered: Vec<MaskRule> = rules.iter().map(MaskRule::lower).collect();
-        let partition = |p: u16| -> Vec<u32> {
-            lowered
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.proto == PROTO_ANY || r.proto == p)
-                .map(|(i, _)| i as u32)
-                .collect()
-        };
-        let udp_rules = partition(u16::from(nfc_packet::headers::ip_proto::UDP));
-        let tcp_rules = partition(u16::from(nfc_packet::headers::ip_proto::TCP));
+        let key_mask = u32::MAX << (32 - KEY_BITS);
+        let (mut bucketed, mut wide) = (Vec::new(), Vec::new());
+        for (i, r) in lowered.iter().enumerate() {
+            if r.dmask & key_mask == key_mask {
+                bucketed.push(((r.dval >> (32 - KEY_BITS)) as u16, i as u32));
+            } else {
+                wide.push(i as u32);
+            }
+        }
+        // Stable: each bucket keeps its rules in priority order.
+        bucketed.sort_by_key(|&(key, _)| key);
+        let (mut keys, mut starts) = (Vec::new(), Vec::new());
+        for (at, &(key, _)) in bucketed.iter().enumerate() {
+            if keys.last() != Some(&key) {
+                keys.push(key);
+                starts.push(at as u32);
+            }
+        }
+        starts.push(bucketed.len() as u32);
         AclTable {
             rules,
             lowered,
-            udp_rules,
-            tcp_rules,
+            keys,
+            starts,
+            members: bucketed.into_iter().map(|(_, i)| i).collect(),
+            wide,
             default,
         }
     }
@@ -188,10 +216,11 @@ impl AclTable {
         &self.rules
     }
 
-    /// First-match classification. Linear scan — the classification *tree*
-    /// cost growth with rule count that Figure 17 measures is modeled by
-    /// the element cost function, while this provides the functional
-    /// verdict.
+    /// First-match classification by a linear scan of every rule: the
+    /// reference the index ([`AclTable::classify_v4`]) is tested
+    /// against, and what the per-packet path runs. The classification
+    /// *tree* cost growth with rule count that Figure 17 measures is
+    /// modeled by the element cost function, not by this scan.
     pub fn classify(&self, t: &FiveTuple) -> Verdict {
         for (i, r) in self.rules.iter().enumerate() {
             if r.matches(t) {
@@ -207,19 +236,11 @@ impl AclTable {
         }
     }
 
-    /// [`AclTable::classify`] on raw IPv4 lane values, one row at a
-    /// time: the oracle [`AclTable::classify_v4_batch`] — what the
-    /// header-lane sweep runs — is tested against. Scans the pre-lowered
-    /// `MaskRule`s (one AND + compare per prefix, no per-row shifts or
-    /// `IpAddr` unwrapping).
-    /// UDP and TCP packets scan only their protocol partition — rules a
-    /// packet of that protocol could never match are skipped wholesale,
-    /// and the in-partition protocol compare is dropped (every rule in
-    /// the partition matches the protocol by construction). Conjuncts
-    /// run destination-prefix first: synthetic (and real ClassBench)
-    /// destination prefixes are never shorter than /16, making them the
-    /// most selective test. Verdicts are identical to `classify` for V4
-    /// tuples.
+    /// [`AclTable::classify`] on raw IPv4 lane values, through the
+    /// destination-prefix index: the first match in the packet's bucket,
+    /// then the first match among the `wide` rules that outrank it. The
+    /// lower rule index wins, so the verdict (rule included) is the
+    /// linear scan's.
     pub fn classify_v4(
         &self,
         src: u32,
@@ -228,83 +249,37 @@ impl AclTable {
         dst_port: u16,
         proto: u8,
     ) -> Verdict {
-        use nfc_packet::headers::ip_proto;
-        let partition = match proto {
-            ip_proto::UDP => &self.udp_rules,
-            ip_proto::TCP => &self.tcp_rules,
-            _ => return self.classify_v4_any(src, dst, src_port, dst_port, proto),
+        let key = (dst >> (32 - KEY_BITS)) as u16;
+        let bucket = match self.keys.binary_search(&key) {
+            Ok(k) => &self.members[self.starts[k] as usize..self.starts[k + 1] as usize],
+            Err(_) => &[],
         };
-        for &i in partition {
-            let r = &self.lowered[i as usize];
-            if (dst & r.dmask) == r.dval
-                && (src & r.smask) == r.sval
-                && dst_port >= r.dport.0
-                && dst_port <= r.dport.1
-                && src_port >= r.sport.0
-                && src_port <= r.sport.1
-            {
-                return Verdict {
-                    action: r.action,
-                    rule: Some(i as usize),
-                };
-            }
-        }
-        Verdict {
-            action: self.default,
-            rule: None,
-        }
-    }
-
-    /// Full-table scan for protocols without a precomputed partition.
-    fn classify_v4_any(
-        &self,
-        src: u32,
-        dst: u32,
-        src_port: u16,
-        dst_port: u16,
-        proto: u8,
-    ) -> Verdict {
-        let proto = u16::from(proto);
-        for (i, r) in self.lowered.iter().enumerate() {
-            if (dst & r.dmask) == r.dval
-                && (src & r.smask) == r.sval
-                && dst_port >= r.dport.0
-                && dst_port <= r.dport.1
-                && src_port >= r.sport.0
-                && src_port <= r.sport.1
-                && (r.proto == PROTO_ANY || r.proto == proto)
-            {
-                return Verdict {
-                    action: r.action,
-                    rule: Some(i),
-                };
-            }
-        }
-        Verdict {
-            action: self.default,
-            rule: None,
+        let hit =
+            |&&i: &&u32| self.lowered[i as usize].matches(src, dst, src_port, dst_port, proto);
+        let bucketed = bucket.iter().find(hit).copied();
+        // Only a wide rule that outranks the bucket's match can win.
+        let rank = bucketed.unwrap_or(u32::MAX);
+        let wide = self
+            .wide
+            .iter()
+            .take_while(|&&i| i < rank)
+            .find(hit)
+            .copied();
+        match wide.or(bucketed) {
+            Some(i) => Verdict {
+                action: self.lowered[i as usize].action,
+                rule: Some(i as usize),
+            },
+            None => Verdict {
+                action: self.default,
+                rule: None,
+            },
         }
     }
 
-    /// Wide-word batch form of [`AclTable::classify_v4`]: classifies
-    /// every row selected by the packed `tuple_bits` mask straight off
-    /// the lane columns, eight rows per compare
-    /// ([`nfc_packet::simd::and_eq_mask8`] /
-    /// [`nfc_packet::simd::range_mask8`]), returning one verdict per
-    /// selected row (`None` on unselected rows — the caller's per-packet
-    /// fallback).
-    ///
-    /// The scan preserves first-match-wins and the per-protocol
-    /// partitions exactly: selected rows are compacted per partition
-    /// (UDP / TCP / a scalar fallback for anything else), padded to a
-    /// multiple of eight with permanently-inactive lanes, and swept
-    /// rules-outer with a per-chunk active mask. A row's lane
-    /// deactivates at its first matching rule — later rules cannot
-    /// overwrite its verdict — and the destination-prefix compare runs
-    /// first with a chunk-level short-circuit, mirroring the scalar
-    /// conjunct order. Rows still active after the last rule take the
-    /// default action. Verdicts are identical to `classify_v4` row by
-    /// row.
+    /// [`AclTable::classify_v4`] over lane columns: one verdict per row
+    /// selected by the packed `tuple_bits` mask, `None` on unselected
+    /// rows (the caller's per-packet fallback).
     pub fn classify_v4_batch(
         &self,
         src: &[u32],
@@ -314,109 +289,12 @@ impl AclTable {
         proto: &[u8],
         tuple_bits: &[u64],
     ) -> Vec<Option<Verdict>> {
-        use nfc_packet::headers::ip_proto;
-        use nfc_packet::simd;
-        let n = dst.len();
-        let mut out: Vec<Option<Verdict>> = vec![None; n];
-        let mut udp_rows: Vec<u32> = Vec::new();
-        let mut tcp_rows: Vec<u32> = Vec::new();
-        for i in 0..n {
-            if !simd::get_bit(tuple_bits, i) {
-                continue;
-            }
-            match proto[i] {
-                ip_proto::UDP => udp_rows.push(i as u32),
-                ip_proto::TCP => tcp_rows.push(i as u32),
-                // The tuple mask only admits UDP/TCP, but stay total:
-                // anything else takes the scalar generic scan.
-                p => {
-                    out[i] = Some(self.classify_v4_any(src[i], dst[i], src_port[i], dst_port[i], p))
-                }
-            }
-        }
-        for (rows, partition) in [(&udp_rows, &self.udp_rules), (&tcp_rows, &self.tcp_rules)] {
-            if rows.is_empty() {
-                continue;
-            }
-            let chunks = rows.len().div_ceil(simd::LANES);
-            let padded = chunks * simd::LANES;
-            let mut csrc = vec![0u32; padded];
-            let mut cdst = vec![0u32; padded];
-            let mut csp = vec![0u16; padded];
-            let mut cdp = vec![0u16; padded];
-            for (k, &row) in rows.iter().enumerate() {
-                let row = row as usize;
-                csrc[k] = src[row];
-                cdst[k] = dst[row];
-                csp[k] = src_port[row];
-                cdp[k] = dst_port[row];
-            }
-            // Active lane masks; padding lanes start (and stay) dead.
-            let mut active = vec![0xFFu8; chunks];
-            if rows.len() % simd::LANES != 0 {
-                active[chunks - 1] = (1u8 << (rows.len() % simd::LANES)) - 1;
-            }
-            let mut remaining = rows.len();
-            'rules: for &ri in partition.iter() {
-                let r = &self.lowered[ri as usize];
-                for (c, slot) in active.iter_mut().enumerate() {
-                    let a = *slot;
-                    if a == 0 {
-                        continue;
-                    }
-                    let base = c * simd::LANES;
-                    let lane = |col: &[u32]| -> [u32; simd::LANES] {
-                        col[base..base + simd::LANES].try_into().expect("chunk")
-                    };
-                    let lane16 = |col: &[u16]| -> [u16; simd::LANES] {
-                        col[base..base + simd::LANES].try_into().expect("chunk")
-                    };
-                    let mut m = a & simd::and_eq_mask8(&lane(&cdst), r.dmask, r.dval);
-                    if m == 0 {
-                        continue;
-                    }
-                    m &= simd::and_eq_mask8(&lane(&csrc), r.smask, r.sval);
-                    if m != 0 {
-                        m &= simd::range_mask8(&lane16(&cdp), r.dport.0, r.dport.1);
-                    }
-                    if m != 0 {
-                        m &= simd::range_mask8(&lane16(&csp), r.sport.0, r.sport.1);
-                    }
-                    if m == 0 {
-                        continue;
-                    }
-                    *slot = a & !m;
-                    remaining -= m.count_ones() as usize;
-                    let verdict = Verdict {
-                        action: r.action,
-                        rule: Some(ri as usize),
-                    };
-                    for l in 0..simd::LANES {
-                        if m >> l & 1 == 1 {
-                            out[rows[base + l] as usize] = Some(verdict);
-                        }
-                    }
-                    if remaining == 0 {
-                        break 'rules;
-                    }
-                }
-            }
-            if remaining > 0 {
-                let default = Verdict {
-                    action: self.default,
-                    rule: None,
-                };
-                for (c, &a) in active.iter().enumerate() {
-                    for l in 0..simd::LANES {
-                        let k = c * simd::LANES + l;
-                        if a >> l & 1 == 1 && k < rows.len() {
-                            out[rows[k] as usize] = Some(default);
-                        }
-                    }
-                }
-            }
-        }
-        out
+        (0..dst.len())
+            .map(|i| {
+                nfc_packet::simd::get_bit(tuple_bits, i)
+                    .then(|| self.classify_v4(src[i], dst[i], src_port[i], dst_port[i], proto[i]))
+            })
+            .collect()
     }
 
     /// A configuration hash for element-signature de-duplication.
@@ -652,8 +530,8 @@ mod tests {
         for r in acl.rules().to_vec() {
             let mut tuple = synth::tuple_matching(&r, &mut rng);
             check(tuple);
-            // Exercise every protocol partition (UDP/TCP fast paths and
-            // the generic fallback) against the same address/port tuple.
+            // Every protocol, rule-bound or not, on the same address/port
+            // tuple.
             for proto in [ip_proto::UDP, ip_proto::TCP, 50u8, 1u8] {
                 tuple.proto = proto;
                 check(tuple);
@@ -719,6 +597,202 @@ mod tests {
                     );
                 } else {
                     assert_eq!(got[i], None, "n={n} row {i} outside mask");
+                }
+            }
+        }
+    }
+
+    /// One tuple through the index, by row and as a one-row batch; the
+    /// two must agree.
+    fn indexed(acl: &AclTable, t: &FiveTuple) -> Verdict {
+        let (IpAddr::V4(s), IpAddr::V4(d)) = (t.src, t.dst) else {
+            unreachable!("V4 tuples only")
+        };
+        let (s, d) = (u32::from(s), u32::from(d));
+        let row = acl.classify_v4(s, d, t.src_port, t.dst_port, t.proto);
+        let batch =
+            acl.classify_v4_batch(&[s], &[d], &[t.src_port], &[t.dst_port], &[t.proto], &[1]);
+        assert_eq!(batch, vec![Some(row)], "{t:?}");
+        row
+    }
+
+    const ICMP: u8 = 1;
+
+    fn dst_rule(dst: [u8; 4], len: u8, action: Action) -> Rule {
+        Rule {
+            dst: (u32::from_be_bytes(dst), len),
+            ..Rule::any(action)
+        }
+    }
+
+    #[test]
+    fn a_wide_rule_outranks_a_later_bucketed_rule() {
+        let acl = AclTable::new(
+            vec![
+                dst_rule([172, 16, 0, 0], 12, Action::Deny),
+                dst_rule([172, 17, 2, 0], 24, Action::Allow),
+            ],
+            Action::Allow,
+        );
+        let hit = t([10, 0, 0, 1], [172, 17, 2, 9], 1, 2, ip_proto::UDP);
+        let want = Verdict {
+            action: Action::Deny,
+            rule: Some(0),
+        };
+        assert_eq!(acl.classify(&hit), want);
+        assert_eq!(indexed(&acl, &hit), want);
+    }
+
+    #[test]
+    fn a_bucketed_rule_outranks_a_later_wide_rule() {
+        let acl = AclTable::new(
+            vec![
+                dst_rule([172, 17, 2, 0], 24, Action::Allow),
+                dst_rule([172, 16, 0, 0], 12, Action::Deny),
+            ],
+            Action::Allow,
+        );
+        for (dst, rule, action) in [
+            ([172, 17, 2, 9], 0, Action::Allow),
+            ([172, 17, 3, 9], 1, Action::Deny),
+        ] {
+            let hit = t([10, 0, 0, 1], dst, 1, 2, ip_proto::TCP);
+            let want = Verdict {
+                action,
+                rule: Some(rule),
+            };
+            assert_eq!(acl.classify(&hit), want);
+            assert_eq!(indexed(&acl, &hit), want);
+        }
+    }
+
+    #[test]
+    fn other_protocols_classify_through_the_index() {
+        let icmp = Rule {
+            proto: Some(ICMP),
+            ..dst_rule([172, 17, 0, 0], 16, Action::Deny)
+        };
+        let esp = Rule {
+            proto: Some(ip_proto::ESP),
+            ..dst_rule([172, 16, 0, 0], 12, Action::Deny)
+        };
+        let acl = AclTable::new(vec![icmp, esp], Action::Allow);
+        for (proto, rule) in [
+            (ICMP, Some(0)),
+            (ip_proto::ESP, Some(1)),
+            (ip_proto::UDP, None),
+        ] {
+            let pkt = t([10, 0, 0, 1], [172, 17, 2, 9], 0, 0, proto);
+            assert_eq!(acl.classify(&pkt).rule, rule, "proto {proto}");
+            assert_eq!(indexed(&acl, &pkt).rule, rule, "proto {proto}");
+        }
+    }
+
+    mod index_oracle {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::Rng;
+
+        const PROTOS: [Option<u8>; 4] =
+            [None, Some(ip_proto::TCP), Some(ip_proto::UDP), Some(ICMP)];
+
+        fn ports((a, b): (u16, u16), wildcard: bool) -> (u16, u16) {
+            if wildcard {
+                (0, u16::MAX)
+            } else {
+                (a.min(b), a.max(b))
+            }
+        }
+
+        /// Destinations /0–/32 over four /16s of 172.16.0.0/14, so
+        /// buckets repeat and the `wide` list interleaves with them by
+        /// rank; mixed ports, protocols and actions.
+        fn rule() -> impl Strategy<Value = Rule> {
+            (
+                (0u32..4, any::<u16>(), 0u8..=32),
+                (any::<u32>(), 0u8..=32),
+                (
+                    (any::<u16>(), any::<u16>()),
+                    (any::<u16>(), any::<u16>()),
+                    (any::<bool>(), any::<bool>()),
+                ),
+                0usize..PROTOS.len(),
+                any::<bool>(),
+            )
+                .prop_map(|((base, low, dlen), src, (sp, dp, wild), proto, deny)| {
+                    Rule {
+                        src,
+                        dst: (0xAC10_0000 | base << 16 | u32::from(low), dlen),
+                        sport: ports(sp, wild.0),
+                        dport: ports(dp, wild.1),
+                        proto: PROTOS[proto],
+                        action: if deny { Action::Deny } else { Action::Allow },
+                    }
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The index, by row and by batch, and the reference scan all
+            /// return the first rule that matches, on tuples built to
+            /// match a random rule and on uniform ones (destinations
+            /// inside the rules' /14, so buckets are probed and missed).
+            #[test]
+            fn index_matches_the_first_matching_rule(
+                rules in collection::vec(rule(), 0..48),
+                deny_default in any::<bool>(),
+                rows in collection::vec((any::<bool>(), any::<u64>(), any::<bool>()), 0..80),
+            ) {
+                let default = if deny_default { Action::Deny } else { Action::Allow };
+                let acl = AclTable::new(rules.clone(), default);
+                let tuples: Vec<FiveTuple> = rows
+                    .iter()
+                    .map(|&(from_rule, bits, _)| {
+                        let mut r = SmallRng::seed_from_u64(bits);
+                        if from_rule && !rules.is_empty() {
+                            synth::tuple_matching(&rules[r.gen_range(0..rules.len())], &mut r)
+                        } else {
+                            t(
+                                r.gen::<u32>().to_be_bytes(),
+                                (0xAC10_0000 | r.gen::<u32>() >> 14).to_be_bytes(),
+                                r.gen(),
+                                r.gen(),
+                                [ip_proto::UDP, ip_proto::TCP, ICMP, ip_proto::ESP][r.gen_range(0..4)],
+                            )
+                        }
+                    })
+                    .collect();
+                let (mut src, mut dst) = (Vec::new(), Vec::new());
+                for tuple in &tuples {
+                    let (IpAddr::V4(s), IpAddr::V4(d)) = (tuple.src, tuple.dst) else {
+                        unreachable!("V4 tuples only")
+                    };
+                    src.push(u32::from(s));
+                    dst.push(u32::from(d));
+                }
+                let sp: Vec<u16> = tuples.iter().map(|t| t.src_port).collect();
+                let dp: Vec<u16> = tuples.iter().map(|t| t.dst_port).collect();
+                let proto: Vec<u8> = tuples.iter().map(|t| t.proto).collect();
+                let selected: Vec<bool> = rows.iter().map(|&(_, _, selected)| selected).collect();
+                let batch = acl.classify_v4_batch(
+                    &src,
+                    &dst,
+                    &sp,
+                    &dp,
+                    &proto,
+                    &nfc_packet::simd::pack_bools(&selected),
+                );
+                prop_assert_eq!(batch.len(), tuples.len());
+                for (i, tuple) in tuples.iter().enumerate() {
+                    let first = rules.iter().position(|r| r.matches(tuple));
+                    let want = Verdict {
+                        action: first.map_or(default, |k| rules[k].action),
+                        rule: first,
+                    };
+                    prop_assert_eq!(acl.classify(tuple), want);
+                    prop_assert_eq!(acl.classify_v4(src[i], dst[i], sp[i], dp[i], proto[i]), want);
+                    prop_assert_eq!(batch[i], selected[i].then_some(want));
                 }
             }
         }

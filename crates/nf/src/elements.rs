@@ -835,11 +835,10 @@ impl FirewallFilter {
 
     /// The deny decision of each of `rows`, handed to `sink` in order.
     /// The tuple rows set in `selected` — which must cover every tuple
-    /// row of `rows` — classify straight off the u32/u16 columns in one
-    /// wide-word batch sweep (eight rows per rule compare, partitions
-    /// and first-match order preserved — see
-    /// [`AclTable::classify_v4_batch`]); rows outside the tuple mask
-    /// (IPv6, non-UDP/TCP) take the per-packet path so the verdicts stay
+    /// row of `rows` — classify straight off the u32/u16 columns through
+    /// the destination-prefix index ([`AclTable::classify_v4_batch`],
+    /// first-match order preserved); rows outside the tuple mask (IPv6,
+    /// non-UDP/TCP) take the per-packet path so the verdicts stay
     /// bit-identical.
     fn denies(
         &self,
@@ -940,7 +939,8 @@ impl Element for FirewallFilter {
         // count (tree depth + node cache misses). Aimed at the paper's
         // Figure 17 FastClick drop (-38 % of throughput at 1 000 rules,
         // -84 % at 10 000), it yields -24 % / -69 % (`results/fig17.json`);
-        // ROADMAP item 14 replaces it with a counted charge.
+        // ROADMAP item 14 replaces it with a counted charge. The host's
+        // prefix index (`AclTable`) is not what this prices, on purpose.
         100.0 + 1.17 * (self.acl.len() as f64).powf(0.7)
     }
 
@@ -2659,10 +2659,11 @@ mod tests {
                 prop_assert_eq!(nat_s.state_bytes(), nat_l.state_bytes());
             }
 
-            /// The wide-word (SWAR) kernels inside the lane sweeps must
-            /// be bit-identical to the per-packet reference on arbitrary
-            /// batches: ragged (non-multiple-of-8) sizes, invalid rows
-            /// interleaved (v6 / junk outside the masks), memoized +
+            /// The ACL index and the wide-word (SWAR) kernels inside the
+            /// lane sweeps must be bit-identical to the per-packet
+            /// reference on arbitrary batches: ragged (non-multiple-of-8)
+            /// sizes, invalid rows interleaved (v6 / junk outside the
+            /// masks), memoized +
             /// CoW-shared buffers, and mid-batch CoW mutations between
             /// stages. Output batches, element state and write-back
             /// scatters all compared via full batch equality.

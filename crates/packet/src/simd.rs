@@ -1,12 +1,11 @@
 //! Dependency-free wide-word (SWAR) kernels over contiguous lane columns.
 //!
 //! The SoA view in [`crate::lanes`] makes the hot header fields
-//! contiguous; this module supplies the fixed-width sweeps that consume
-//! them eight rows at a time without `unsafe` or any SIMD intrinsics:
-//! `[u32; 8]` / `[u16; 8]` chunks the compiler auto-vectorizes, and
-//! `u64` SWAR words treating eight `u8` lanes as one register. Callers
-//! handle the scalar tail (`len % 8` rows) themselves or go through the
-//! helpers here that do.
+//! contiguous; this module supplies the packed row masks the lane
+//! sweeps share and the TTL sweep that consumes eight rows at a time
+//! without `unsafe` or any SIMD intrinsics: `u64` SWAR words treating
+//! eight `u8` lanes as one register. Callers handle the scalar tail
+//! (`len % 8` rows) themselves or go through the helpers here that do.
 //!
 //! # Conventions
 //!
@@ -17,7 +16,7 @@
 //!   so a chunk never straddles words).
 //! * Everything is bit-identical to the scalar row-at-a-time loop it
 //!   replaces — the SWAR TTL sweep is proven equivalent exhaustively in
-//!   the tests, the compare kernels by construction.
+//!   the tests.
 
 /// Rows per wide-word chunk.
 pub const LANES: usize = 8;
@@ -61,29 +60,6 @@ pub fn pack_bools(mask: &[bool]) -> Vec<u64> {
         }
     }
     bits
-}
-
-/// 8-wide mask/value AND-compare: bit `i` set when
-/// `vals[i] & mask == value`. This is the ACL `MaskRule` prefix test;
-/// the fixed-width loop compiles to one vector compare.
-#[inline]
-pub fn and_eq_mask8(vals: &[u32; LANES], mask: u32, value: u32) -> u8 {
-    let mut m = 0u8;
-    for (i, &v) in vals.iter().enumerate() {
-        m |= u8::from(v & mask == value) << i;
-    }
-    m
-}
-
-/// 8-wide inclusive range test over `u16` lanes: bit `i` set when
-/// `lo <= vals[i] <= hi` (the ACL port-range conjunct).
-#[inline]
-pub fn range_mask8(vals: &[u16; LANES], lo: u16, hi: u16) -> u8 {
-    let mut m = 0u8;
-    for (i, &v) in vals.iter().enumerate() {
-        m |= u8::from(lo <= v && v <= hi) << i;
-    }
-    m
 }
 
 const SWAR_LO: u64 = 0x0101_0101_0101_0101;
@@ -202,42 +178,6 @@ mod tests {
         }
         // Probing past the packed words reads as empty.
         assert_eq!(mask8(&bits, 1000), 0);
-    }
-
-    #[test]
-    fn and_eq_matches_scalar() {
-        let vals = [
-            0x0a00_0001u32,
-            0x0a00_00ff,
-            0x0aff_0001,
-            0,
-            u32::MAX,
-            0x0a00_0001,
-            0xc0a8_0101,
-            0x0a12_3456,
-        ];
-        for (mask, value) in [
-            (0xff00_0000u32, 0x0a00_0000u32),
-            (u32::MAX, 0x0a00_0001),
-            (0, 0),
-            (0xffff_0000, 0x0a00_0000),
-        ] {
-            let m = and_eq_mask8(&vals, mask, value);
-            for (i, &v) in vals.iter().enumerate() {
-                assert_eq!(m >> i & 1 == 1, v & mask == value, "lane {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn range_matches_scalar() {
-        let vals = [0u16, 1, 52, 53, 54, 1023, 1024, u16::MAX];
-        for (lo, hi) in [(0u16, u16::MAX), (53, 53), (1024, u16::MAX), (100, 50)] {
-            let m = range_mask8(&vals, lo, hi);
-            for (i, &v) in vals.iter().enumerate() {
-                assert_eq!(m >> i & 1 == 1, lo <= v && v <= hi, "lane {i}");
-            }
-        }
     }
 
     /// Scalar model of the TTL sweep for differential checks.

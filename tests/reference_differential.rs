@@ -43,7 +43,7 @@ use nfc_packet::{checksum, Batch, Packet};
 use nfc_telemetry::{EventKind, SloSpec, Telemetry};
 use proptest::prelude::*;
 use proptest::test_runner::run;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 // ---------------------------------------------------------------------
@@ -171,13 +171,44 @@ impl Catalog {
 }
 
 /// Synthetic rules behind one deny rule that bites the generator's
-/// default population (a quarter of the destinations, half the ports).
+/// default population (a quarter of the destinations, half the ports),
+/// then pairs inside that population's 172.16.0.0/12: a /16–/24 rule and
+/// a /12–/15 rule over it with the other action and other ports, in
+/// either order. A packet in both takes whichever ranks first, so
+/// egress depends on the ACL index ordering its bucket against its
+/// wide rules.
 fn denying_rules(seed: u64) -> Vec<Rule> {
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
     let mut rules = vec![Rule {
         dst: (u32::from_be_bytes([172, 16, 0, 0]), 14),
         dport: (0, 32767),
         ..Rule::any(Action::Deny)
     }];
+    let ports = [(0, 32767), (16384, u16::MAX), (0, u16::MAX), (1024, 49151)];
+    for pair in 0..8 {
+        let dst = u32::from_be_bytes([172, 16, 0, 0]) | rng.gen::<u32>() >> 12;
+        let (narrow, wide) = if pair % 2 == 0 {
+            (Action::Allow, Action::Deny)
+        } else {
+            (Action::Deny, Action::Allow)
+        };
+        let mut two = [
+            Rule {
+                dst: (dst, rng.gen_range(16..=24)),
+                dport: ports[rng.gen_range(0..ports.len())],
+                ..Rule::any(narrow)
+            },
+            Rule {
+                dst: (dst, rng.gen_range(12..=15)),
+                dport: ports[rng.gen_range(0..ports.len())],
+                ..Rule::any(wide)
+            },
+        ];
+        if rng.gen() {
+            two.reverse();
+        }
+        rules.extend(two);
+    }
     rules.extend(synth::generate(64, seed));
     rules
 }
