@@ -6,12 +6,13 @@
 //! traced together through the elements' verdict columns, and each
 //! flow's whole-graph outcome — the exact node/edge walk, annotations
 //! and drop decision — is memoized as a [`FlowPath`] keyed by its
-//! [`FlowKey`]. Every packet, hit or miss, then takes its path: stats
-//! are replayed, the annotations applied, and the packet forwarded or
-//! dropped without running any element's `process`. Egress bytes and
-//! per-element [`GraphStats`] are bit-identical to the slow path; only
-//! elements' private telemetry (e.g. the firewall's denied counter) and
-//! the temporal simulation can diverge.
+//! [`FlowKey`]. Every packet, hit or miss, then takes its path in place
+//! in the ingress batch: stats are replayed, the annotations applied,
+//! and the packet kept or dropped without running any element's
+//! `process`; a batch whose flows are all cached traces nothing. Egress
+//! bytes and per-element [`GraphStats`] are bit-identical to the slow
+//! path; only elements' private telemetry (e.g. the firewall's denied
+//! counter) and the temporal simulation can diverge.
 //!
 //! Invalidation is generation-based and configuration-hashed: the cache
 //! stamps itself with the graph's `flow_config_hash` (which covers every
@@ -24,7 +25,7 @@
 use nfc_click::{CompiledGraph, FlowPath, FlowTraces, NodeId};
 use nfc_nf::flowcache::{CacheCounters, ClockTable};
 use nfc_packet::batch::BatchLineage;
-use nfc_packet::{Batch, FlowKey, HeaderLanes, Packet};
+use nfc_packet::{Batch, FlowKey, HeaderLanes};
 use nfc_telemetry::{EventKind, Recorder};
 use std::sync::Arc;
 
@@ -56,11 +57,13 @@ pub struct CachedRun {
     pub hits: u64,
     /// Packets that traversed the slow path (and filled the cache).
     pub misses: u64,
-    /// Wire bytes of the miss partition.
+    /// Wire bytes of the packets that missed.
     pub miss_bytes: u64,
-    /// Batch splits incurred by the miss partition's slow-path walk.
+    /// Batch splits the slow path would add pushing the missed packets
+    /// alone.
     pub miss_new_splits: u32,
-    /// Batch merges incurred by the miss partition's slow-path walk.
+    /// Batch merges the slow path would add pushing the missed packets
+    /// alone.
     pub miss_new_merges: u32,
     /// True when the whole batch took the slow path (non-cacheable
     /// graph, non-IP packets, or an element declined a verdict).
@@ -75,14 +78,12 @@ pub struct StageFlowCache {
     table: ClockTable<FlowKey, Arc<FlowPath>>,
     config_hash: u64,
     // Scratch reused across batches so the steady state allocates
-    // nothing per batch beyond the two batches handed on (the miss
-    // partition and the egress) and the distinct new paths.
+    // nothing per batch beyond the misses' header lanes and the distinct
+    // new paths.
     keys: Vec<FlowKey>,
-    /// Per ingress packet: the table entry it hit, if any.
-    lookups: Vec<Option<Hit>>,
-    /// Hit packets in ingress order.
-    hit_pkts: Vec<Packet>,
-    /// `0..misses`: the rows handed to `trace_flows` (all of them).
+    /// Per ingress packet: the table slot it hit, if any.
+    lookups: Vec<Option<u32>>,
+    /// Ingress rows that missed, in order: the rows `trace_flows` walks.
     miss_rows: Vec<u32>,
     traces: FlowTraces,
     /// Per node: whether any packet reached it this batch.
@@ -94,14 +95,6 @@ pub struct StageFlowCache {
     lineage_out: Vec<Option<BatchLineage>>,
 }
 
-/// A cache hit: the slot to account once the batch is known to take the
-/// fast path, and the memoized path.
-#[derive(Debug, Clone)]
-struct Hit {
-    slot: usize,
-    path: Arc<FlowPath>,
-}
-
 impl StageFlowCache {
     /// Creates a cache for `run` with room for `capacity` flows.
     pub fn new(capacity: usize, run: &CompiledGraph) -> Self {
@@ -111,7 +104,6 @@ impl StageFlowCache {
             config_hash: run.flow_config_hash(),
             keys: Vec::new(),
             lookups: Vec::new(),
-            hit_pkts: Vec::new(),
             miss_rows: Vec::new(),
             traces: FlowTraces::default(),
             node_traffic: vec![false; nodes],
@@ -170,8 +162,8 @@ impl StageFlowCache {
     /// [`StageFlowCache::process`] recording telemetry into `rec`: a
     /// [`EventKind::FlowCacheBatch`] instant per cache-path batch, a
     /// [`EventKind::FlowCacheInvalidate`] instant per configuration-swap
-    /// bulk invalidation, and the miss partition's per-element trace
-    /// spans.
+    /// bulk invalidation, and one per-element span per verdict column
+    /// the misses' trace computes (none when every packet hits).
     pub fn process_traced(
         &mut self,
         run: &mut CompiledGraph,
@@ -205,106 +197,88 @@ impl StageFlowCache {
         // ---- lookups against the pre-batch table state ---------------
         // Peeks only: counters and referenced bits move once the batch is
         // known to take the fast path, so a fallback leaves no trace.
+        // A hit keeps its slot; nothing moves in the table until the
+        // inserts at the end, so the slot still holds the path then.
         self.lookups.clear();
-        for key in &self.keys {
-            let found = self.table.peek_slot(u64::from(key.hash()), key);
-            self.lookups.push(found.map(|(slot, path)| Hit {
-                slot,
-                path: Arc::clone(path),
-            }));
-        }
-        // ---- partition: hit packets / one miss batch -----------------
-        let lineage_in = batch.lineage;
-        let hits = self.lookups.iter().flatten().count();
-        let misses = self.keys.len() - hits;
-        self.hit_pkts.clear();
-        let mut miss_batch = Batch::with_capacity(misses);
-        for (pkt, lookup) in batch.into_iter().zip(&self.lookups) {
-            match lookup {
-                Some(_) => self.hit_pkts.push(pkt),
-                None => miss_batch.push(pkt),
-            }
-        }
-        miss_batch.lineage = lineage_in;
-        // ---- resolve every miss once: gather, column verdicts, paths --
-        let lanes = HeaderLanes::gather(&miss_batch);
         self.miss_rows.clear();
-        self.miss_rows.extend(0..misses as u32);
-        if !run.trace_flows(
-            entry,
-            &miss_batch,
-            &lanes,
-            &self.miss_rows,
-            &mut self.traces,
-            rec,
-        ) {
-            // An element declined a verdict: put the ingress batch back
-            // together in its original order and take the slow path.
-            let (mut hit, mut miss) = (self.hit_pkts.drain(..), miss_batch.into_iter());
-            let mut whole: Batch = self
-                .lookups
-                .iter()
-                .map(|l| if l.is_some() { hit.next() } else { miss.next() })
-                .map(|p| p.expect("partitioned by the same flags"))
-                .collect();
-            whole.lineage = lineage_in;
-            return Self::fall_back(run, entry, whole, rec);
+        for (row, key) in self.keys.iter().enumerate() {
+            let slot = self.table.peek_slot(u64::from(key.hash()), key);
+            if slot.is_none() {
+                self.miss_rows.push(row as u32);
+            }
+            self.lookups.push(slot.map(|(slot, _)| slot as u32));
         }
-        self.table
-            .commit_lookups(self.lookups.iter().flatten().map(|h| h.slot), misses as u64);
-        // ---- lineage of the miss partition alone ----------------------
-        // What pushing just the misses through the slow path would stamp
-        // on its egress; the simulated split/merge charge reads it.
+        let misses = self.miss_rows.len();
+        let hits = self.keys.len() - misses;
+        // ---- resolve every miss once: gather, column verdicts, paths --
+        // An all-hit batch traces nothing. The traffic the miss paths
+        // mark is what pushing just the misses through the slow path
+        // would reach; the simulated split/merge charge reads its
+        // lineage.
         self.node_traffic.iter_mut().for_each(|t| *t = false);
         self.edge_traffic.iter_mut().for_each(|t| *t = false);
         self.egress_live.clear();
-        for path in self.traces.distinct() {
-            mark_traffic(
-                path,
-                &mut self.node_traffic,
-                &mut self.edge_traffic,
-                &mut self.egress_live,
-            );
+        if misses > 0 {
+            let lanes = HeaderLanes::gather(&batch);
+            if !run.trace_flows(
+                entry,
+                &batch,
+                &lanes,
+                &self.miss_rows,
+                &mut self.traces,
+                rec,
+            ) {
+                // An element declined a verdict: the untouched ingress
+                // batch takes the slow path.
+                return Self::fall_back(run, entry, batch, rec);
+            }
+            for path in self.traces.distinct() {
+                mark_traffic(
+                    path,
+                    &mut self.node_traffic,
+                    &mut self.edge_traffic,
+                    &mut self.egress_live,
+                );
+            }
         }
+        self.table.commit_lookups(
+            self.lookups.iter().flatten().map(|&slot| slot as usize),
+            misses as u64,
+        );
+        let lineage_in = batch.lineage;
         let miss_lineage = self.simulate_lineage(run, entry, lineage_in);
-        // ---- apply every packet's path, in ingress order ---------------
+        // ---- apply every packet's path in place, in ingress order ------
         // Hits replay their memoized path, misses the one just traced.
         // Ingress order is the slow path's egress order: batches are
         // seq-sorted throughout the engine, and verdict-capable elements
         // neither reorder nor duplicate packets.
-        let miss_bytes = miss_batch.total_bytes() as u64;
-        let mut out = Batch::with_capacity(self.keys.len());
-        {
-            let Self {
-                lookups,
-                hit_pkts,
-                traces,
-                node_traffic,
-                edge_traffic,
-                egress_live,
-                ..
-            } = self;
-            let (mut hit, mut miss) = (hit_pkts.drain(..), miss_batch.into_iter().enumerate());
-            for lookup in lookups.iter() {
-                let (mut pkt, path) = match lookup {
-                    Some(h) => {
-                        mark_traffic(&h.path, node_traffic, edge_traffic, egress_live);
-                        (hit.next().expect("one packet per hit"), &h.path)
-                    }
-                    // Miss paths are marked already.
-                    None => {
-                        let (k, pkt) = miss.next().expect("one packet per miss");
-                        (pkt, traces.path(k))
-                    }
-                };
-                run.replay_flow_stats(path, pkt.len() as u64);
-                for &(slot, value) in &path.annos {
-                    pkt.meta.anno[slot] = value;
-                }
-                if !path.dropped {
-                    out.push(pkt);
-                }
+        let (mut miss_bytes, mut dropped) = (0, false);
+        let mut last_hit: Option<&Arc<FlowPath>> = None;
+        let paths = paths_of(&self.lookups, &self.table, &self.traces);
+        for ((pkt, path), lookup) in batch.iter_mut().zip(paths).zip(&self.lookups) {
+            let bytes = pkt.len() as u64;
+            // Miss paths are marked already; a run of hits on one path
+            // marks it once.
+            if lookup.is_none() {
+                miss_bytes += bytes;
+            } else if !last_hit.is_some_and(|last| Arc::ptr_eq(last, path)) {
+                last_hit = Some(path);
+                mark_traffic(
+                    path,
+                    &mut self.node_traffic,
+                    &mut self.edge_traffic,
+                    &mut self.egress_live,
+                );
             }
+            run.replay_flow_stats(path, bytes);
+            for &(slot, value) in &path.annos {
+                pkt.meta.anno[slot] = value;
+            }
+            dropped |= path.dropped;
+        }
+        if dropped {
+            let mut paths = paths_of(&self.lookups, &self.table, &self.traces);
+            batch.retain(|_| !paths.next().expect("one path per packet").dropped);
         }
         // Batch counters: the slow path counts one batch per node that
         // receives non-empty input.
@@ -314,22 +288,18 @@ impl StageFlowCache {
         // ---- insert the new paths ---------------------------------------
         // Only now: an insert may evict a same-set entry, and every hit
         // above was classified against the pre-batch table state.
-        let missed = self
-            .keys
-            .iter()
-            .zip(&self.lookups)
-            .filter(|(_, l)| l.is_none());
-        for (k, (key, _)) in missed.enumerate() {
+        for (k, &row) in self.miss_rows.iter().enumerate() {
+            let key = self.keys[row as usize];
             let path = Arc::clone(self.traces.path(k));
-            self.table.insert(u64::from(key.hash()), *key, path);
+            self.table.insert(u64::from(key.hash()), key, path);
         }
         rec.instant(EventKind::FlowCacheBatch {
             hits: hits as u32,
             misses: misses as u32,
         });
-        out.lineage = self.simulate_lineage(run, entry, lineage_in);
+        batch.lineage = self.simulate_lineage(run, entry, lineage_in);
         CachedRun {
-            out,
+            out: batch,
             hits: hits as u64,
             misses: misses as u64,
             miss_bytes,
@@ -425,6 +395,23 @@ impl StageFlowCache {
     }
 }
 
+/// Every packet's path in ingress order: a hit's memoized path from its
+/// slot, a miss's from `traces`, in the order the misses were traced.
+fn paths_of<'a>(
+    lookups: &'a [Option<u32>],
+    table: &'a ClockTable<FlowKey, Arc<FlowPath>>,
+    traces: &'a FlowTraces,
+) -> impl Iterator<Item = &'a Arc<FlowPath>> {
+    let mut k = 0;
+    lookups.iter().map(move |lookup| match *lookup {
+        Some(slot) => table.value_at(slot as usize),
+        None => {
+            k += 1;
+            traces.path(k - 1)
+        }
+    })
+}
+
 /// Marks the nodes, edges and egress exits one packet's path touches.
 fn mark_traffic(
     path: &FlowPath,
@@ -454,8 +441,10 @@ mod tests {
     use nfc_click::elements::ProtocolClassifier;
     use nfc_click::{Element, ElementGraph};
     use nfc_nf::acl::{AclTable, Action, Rule};
-    use nfc_nf::elements::{FirewallFilter, LoadBalancer};
+    use nfc_nf::elements::{FirewallFilter, IpLookup, LoadBalancer, ANNO_NEXT_HOP};
+    use nfc_nf::lpm::{Dir24_8, RouteV4};
     use nfc_packet::headers::ip_proto;
+    use nfc_packet::Packet;
     use proptest::prelude::*;
 
     /// Destination port that [`DeclineMarked`] has no verdict for.
@@ -551,17 +540,34 @@ mod tests {
         assert_eq!(live(&cache), [0, 4, 20, 21]);
     }
 
-    /// A splitting, merging, dropping graph: an enforcing firewall feeds
-    /// a four-way load balancer whose ports 0 and 1 join again at a
-    /// protocol classifier; ports 2 and 3 and both classifier ports are
-    /// graph egress.
-    fn oracle_graph(rules: Vec<Rule>) -> (CompiledGraph, NodeId) {
+    /// A splitting, merging, dropping, annotating graph: an enforcing
+    /// firewall feeds a route lookup (two next hops over 10.0.0.0/16,
+    /// so every packet the firewall passes is annotated), then — with
+    /// `decline` — a [`DeclineMarked`] stage, then a four-way load
+    /// balancer whose ports 0 and 1 join again at a protocol classifier;
+    /// ports 2 and 3 and both classifier ports are graph egress.
+    fn oracle_graph(rules: Vec<Rule>, decline: bool) -> (CompiledGraph, NodeId) {
         let mut g = ElementGraph::new();
         let acl = Arc::new(AclTable::new(rules, Action::Allow));
         let fw = g.add(FirewallFilter::new(acl, true));
+        let route = |prefix, len, next_hop| RouteV4 {
+            prefix,
+            len,
+            next_hop,
+        };
+        let routes = [route(0x0a00_0000, 16, 1), route(0x0a00_0200, 24, 2)];
+        let lpm = Arc::new(Dir24_8::from_routes(&routes, 16));
+        let lpm = g.add(IpLookup::new(lpm, 1));
         let lb = g.add(LoadBalancer::new("lb", 4));
         let cl = g.add(ProtocolClassifier::new("cl", vec![ip_proto::UDP]));
-        g.connect(fw, 0, lb).unwrap();
+        g.connect(fw, 0, lpm).unwrap();
+        if decline {
+            let dm = g.add(DeclineMarked);
+            g.connect(lpm, 0, dm).unwrap();
+            g.connect(dm, 0, lb).unwrap();
+        } else {
+            g.connect(lpm, 0, lb).unwrap();
+        }
         g.connect(lb, 0, cl).unwrap();
         g.connect(lb, 1, cl).unwrap();
         let run = g.compile().unwrap();
@@ -570,31 +576,62 @@ mod tests {
     }
 
     /// Flow `id`'s packet number `seq`: UDP or TCP by `id`, to
-    /// `10.0.(id % 4).id`, with an `id`-dependent length.
-    fn oracle_pkt(id: u8, seq: u64) -> Packet {
+    /// `10.0.(id % 4).id`, with an `id`-dependent length; a `marked`
+    /// flow goes to port [`MARK`] instead.
+    fn oracle_pkt(id: u8, marked: bool, seq: u64) -> Packet {
         let (src, dst) = ([10, 1, 0, id], [10, 0, id % 4, id]);
         let payload = vec![id; usize::from(id % 7)];
+        let sport = 1000 + u16::from(id);
         let mut p = if id.is_multiple_of(3) {
-            Packet::ipv4_tcp(src, dst, 1000 + u16::from(id), 80, &payload, 0)
+            Packet::ipv4_tcp(src, dst, sport, if marked { MARK } else { 80 }, &payload, 0)
         } else {
-            Packet::ipv4_udp(src, dst, 1000 + u16::from(id), 53, &payload)
+            Packet::ipv4_udp(src, dst, sport, if marked { MARK } else { 53 }, &payload)
         };
         p.meta.seq = seq;
         p
     }
 
-    /// One packet of each flow in `ids`, numbered on from `seq`, with
+    /// One packet of each flow in `flows`, numbered on from `seq`, with
     /// ingress lineage `(splits, merges)`.
-    fn oracle_batch(ids: &[u8], seq: &mut u64, splits: u32, merges: u32) -> Batch {
-        let mut b: Batch = ids
+    fn flows_batch(flows: &[(u8, bool)], seq: &mut u64, splits: u32, merges: u32) -> Batch {
+        let mut b: Batch = flows
             .iter()
-            .map(|&id| {
+            .map(|&(id, marked)| {
                 *seq += 1;
-                oracle_pkt(id, *seq)
+                oracle_pkt(id, marked, *seq)
             })
             .collect();
         b.lineage = BatchLineage { splits, merges };
         b
+    }
+
+    /// [`flows_batch`] of unmarked flows.
+    fn oracle_batch(ids: &[u8], seq: &mut u64, splits: u32, merges: u32) -> Batch {
+        let flows: Vec<_> = ids.iter().map(|&id| (id, false)).collect();
+        flows_batch(&flows, seq, splits, merges)
+    }
+
+    /// One ACL rule per generated `(net, host, len, deny)`: allow or
+    /// deny the `/len` destination prefix that covers `10.0.net.host`.
+    fn oracle_rules(rules: Vec<(u8, u8, u8, bool)>) -> Vec<Rule> {
+        rules
+            .into_iter()
+            .map(|(net, host, len, deny)| {
+                let ip = u32::from_be_bytes([10, 0, net, host]);
+                Rule {
+                    dst: (ip & (u32::MAX << (32 - u32::from(len))), len),
+                    ..Rule::any(if deny { Action::Deny } else { Action::Allow })
+                }
+            })
+            .collect()
+    }
+
+    /// Denies 10.0.3.0/24: every flow with `id % 4 == 3`.
+    fn deny_net3() -> Rule {
+        Rule {
+            dst: (u32::from_be_bytes([10, 0, 3, 0]), 24),
+            ..Rule::any(Action::Deny)
+        }
     }
 
     /// Runs `batch` through `cache` on `run` and checks it against the
@@ -644,12 +681,7 @@ mod tests {
     /// split/merge charge.
     #[test]
     fn misses_resolve_once_and_equal_the_slow_path() {
-        // Denies 10.0.3.0/24: every flow with `id % 4 == 3`.
-        let deny = Rule {
-            dst: (u32::from_be_bytes([10, 0, 3, 0]), 24),
-            ..Rule::any(Action::Deny)
-        };
-        let (mut run, entry) = oracle_graph(vec![deny]);
+        let (mut run, entry) = oracle_graph(vec![deny_net3()], false);
         let mut twin = run.clone();
         let mut cache = StageFlowCache::new(64, &run);
         let mut seq = 0;
@@ -674,6 +706,47 @@ mod tests {
         assert!(run.stats().total_dropped() > 0, "the deny rule bites");
     }
 
+    /// A batch whose every flow is cached runs no trace: one
+    /// `FlowCacheBatch` instant, no `element` span, and still the slow
+    /// path's egress — dropped flows gone, annotations written.
+    #[test]
+    fn an_all_hit_batch_runs_no_trace() {
+        let (mut run, entry) = oracle_graph(vec![deny_net3()], false);
+        let mut twin = run.clone();
+        let mut cache = StageFlowCache::new(64, &run);
+        let mut seq = 0;
+        let ids: Vec<u8> = (0..16).collect();
+        let cold = oracle_batch(&ids, &mut seq, 0, 0);
+        assert_matches_slow_path(&mut cache, &mut run, &mut twin, entry, cold);
+
+        let warm = oracle_batch(&ids, &mut seq, 1, 2);
+        let slow = twin.push_merged(entry, warm.clone());
+        let mut rec = Recorder::with_capacity(1 << 10);
+        let fast = cache.process_traced(&mut run, entry, warm, &mut rec);
+        assert_eq!((fast.hits, fast.misses, fast.fell_back), (16, 0, false));
+        assert_eq!(fast.out, slow, "egress and lineage");
+        assert_eq!(run.stats(), twin.stats(), "GraphStats");
+        assert_eq!(fast.out.len(), 12, "flows 3, 7, 11 and 15 dropped");
+        let hops: Vec<u64> = fast
+            .out
+            .iter()
+            .map(|p| p.meta.anno[ANNO_NEXT_HOP])
+            .collect();
+        assert!(
+            hops.contains(&2) && hops.contains(&3),
+            "both next hops annotated"
+        );
+        let kinds: Vec<&EventKind> = rec.events().map(|e| &e.kind).collect();
+        let batches = kinds
+            .iter()
+            .filter(|k| matches!(k, EventKind::FlowCacheBatch { .. }));
+        assert_eq!(batches.count(), 1);
+        let spans = kinds
+            .iter()
+            .filter(|k| matches!(k, EventKind::Element { .. }));
+        assert_eq!(spans.count(), 0, "no verdict column computed");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -690,23 +763,65 @@ mod tests {
             capacity in 1usize..64,
             rules in proptest::collection::vec((0u8..4, 0u8..48, 24u8..=32, any::<bool>()), 0..6),
         ) {
-            let rules = rules
-                .into_iter()
-                .map(|(net, host, len, deny)| {
-                    let ip = u32::from_be_bytes([10, 0, net, host]);
-                    Rule {
-                        dst: (ip & (u32::MAX << (32 - u32::from(len))), len),
-                        ..Rule::any(if deny { Action::Deny } else { Action::Allow })
-                    }
-                })
-                .collect();
-            let (mut run, entry) = oracle_graph(rules);
+            let (mut run, entry) = oracle_graph(oracle_rules(rules), false);
             let mut twin = run.clone();
             let mut cache = StageFlowCache::new(capacity, &run);
             let mut seq = 0;
             for (ids, splits, merges) in batches {
                 let b = oracle_batch(&ids, &mut seq, splits, merges);
                 assert_matches_slow_path(&mut cache, &mut run, &mut twin, entry, b);
+            }
+        }
+
+        /// With a [`DeclineMarked`] stage mid-graph, a batch holding a
+        /// marked flow the firewall passes falls back whole after the
+        /// trace has started. Batch after batch, egress and `GraphStats`
+        /// equal the slow path, and the cache's counters and live flows
+        /// equal those of a twin cache that only saw the batches that took
+        /// the fast path — so a fallback leaves no referenced bit behind,
+        /// and the inserts of later batches (a final burst of fresh flows
+        /// included) pick the same victims.
+        #[test]
+        fn declined_batches_equal_the_slow_path_and_leave_no_trace(
+            batches in proptest::collection::vec(
+                (proptest::collection::vec((0u8..48, 0u8..16), 0..40), 0u32..3, 0u32..3),
+                1..8,
+            ),
+            capacity in 1usize..64,
+            rules in proptest::collection::vec((0u8..4, 0u8..48, 24u8..=32, any::<bool>()), 0..6),
+        ) {
+            let (mut run, entry) = oracle_graph(oracle_rules(rules), true);
+            let mut twin = run.clone();
+            let mut cache = StageFlowCache::new(capacity, &run);
+            let (mut shadow, mut shadow_run) = (cache.clone(), run.clone());
+            let live = |c: &StageFlowCache| -> Vec<(u8, bool)> {
+                (0..=u8::MAX)
+                    .flat_map(|id| [(id, false), (id, true)])
+                    .filter(|&(id, marked)| c.probe(&oracle_pkt(id, marked, 0).flow_key().unwrap()))
+                    .collect()
+            };
+            let mut seq = 0;
+            // About one packet in sixteen is marked.
+            let mut batches: Vec<_> = batches
+                .into_iter()
+                .map(|(flows, splits, merges)| {
+                    let flows: Vec<_> = flows.into_iter().map(|(id, m)| (id, m == 0)).collect();
+                    flows_batch(&flows, &mut seq, splits, merges)
+                })
+                .collect();
+            let fresh: Vec<u8> = (100..164).collect();
+            batches.push(oracle_batch(&fresh, &mut seq, 0, 0));
+            for b in batches {
+                let fast = cache.process(&mut run, entry, b.clone());
+                prop_assert_eq!(&fast.out, &twin.push_merged(entry, b.clone()), "egress");
+                prop_assert_eq!(run.stats(), twin.stats(), "GraphStats");
+                if fast.fell_back {
+                    prop_assert_eq!((fast.hits, fast.misses), (0, 0));
+                } else {
+                    shadow.process(&mut shadow_run, entry, b);
+                }
+                prop_assert_eq!(cache.counters(), shadow.counters(), "CacheCounters");
+                prop_assert_eq!(live(&cache), live(&shadow), "live flows");
             }
         }
     }

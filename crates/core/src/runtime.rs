@@ -1745,8 +1745,8 @@ fn exec_stage_functional(
     let in_merges = batch.lineage.merges;
     // Functional execution: flow-aware fast path when this stage has a
     // cache, slow path otherwise. Egress is bit-identical either way;
-    // only the temporal charge shrinks (hits are charged nothing — the
-    // verdict replay is orders of magnitude below element cost).
+    // only the temporal charge shrinks: the temporal model charges hits
+    // nothing, though replaying a verdict costs host time of its own.
     let StageExec {
         nf,
         run,
@@ -1857,7 +1857,7 @@ fn exec_stage_functional(
     }
     // Batch re-organization from functional splits (Figure 5) plus
     // the CPU/GPU carve when partially offloaded. Under the fast path
-    // only the miss partition is re-organized.
+    // only the missed packets' re-organization is charged.
     if new_splits > 0 {
         cpu_ns += new_splits as f64 * model.split_ns(charged_packets, 2);
     }

@@ -116,23 +116,20 @@ impl<K: Eq + Clone + Debug, V: Debug> ClockTable<K, V> {
         ((hash as usize) & self.set_mask) * WAYS
     }
 
+    /// The slot holding `key`'s live entry, if any.
+    fn find(&self, hash: u64, key: &K) -> Option<usize> {
+        let base = self.set_base(hash);
+        (base..base + WAYS).find(|&i| {
+            self.slots[i]
+                .as_ref()
+                .is_some_and(|slot| slot.generation == self.generation && slot.key == *key)
+        })
+    }
+
     /// Looks up `key`, marking the entry recently-used on a hit. Entries
     /// from before the last [`ClockTable::invalidate_all`] are misses.
     pub fn get(&mut self, hash: u64, key: &K) -> Option<&V> {
-        let base = self.set_base(hash);
-        let generation = self.generation;
-        for way in 0..WAYS {
-            if let Some(slot) = &self.slots[base + way] {
-                if slot.generation == generation && slot.key == *key {
-                    self.counters.hits += 1;
-                    let slot = self.slots[base + way].as_mut().expect("checked above");
-                    slot.referenced = true;
-                    return Some(&slot.value);
-                }
-            }
-        }
-        self.counters.misses += 1;
-        None
+        self.get_mut(hash, key).map(|v| &*v)
     }
 
     /// Looks up `key` without touching counters or referenced bits.
@@ -145,15 +142,22 @@ impl<K: Eq + Clone + Debug, V: Debug> ClockTable<K, V> {
     /// afterwards with [`ClockTable::commit_lookups`] — or not at all, if
     /// the batch ends up not using the table.
     pub fn peek_slot(&self, hash: u64, key: &K) -> Option<(usize, &V)> {
-        let base = self.set_base(hash);
-        for way in 0..WAYS {
-            if let Some(slot) = &self.slots[base + way] {
-                if slot.generation == self.generation && slot.key == *key {
-                    return Some((base + way, &slot.value));
-                }
-            }
-        }
-        None
+        self.find(hash, key).map(|i| (i, self.value_at(i)))
+    }
+
+    /// The value in `slot`, as named by [`ClockTable::peek_slot`]. Only
+    /// meaningful while the table is unmodified since that lookup:
+    /// [`ClockTable::commit_lookups`] sets referenced bits and moves
+    /// nothing, but an insert may overwrite the slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` does not name an occupied slot.
+    pub fn value_at(&self, slot: usize) -> &V {
+        &self.slots[slot]
+            .as_ref()
+            .expect("slot named by peek_slot")
+            .value
     }
 
     /// Accounts lookups classified by [`ClockTable::peek_slot`] exactly
@@ -177,20 +181,14 @@ impl<K: Eq + Clone + Debug, V: Debug> ClockTable<K, V> {
 
     /// Like [`ClockTable::get`] but returns a mutable value reference.
     pub fn get_mut(&mut self, hash: u64, key: &K) -> Option<&mut V> {
-        let base = self.set_base(hash);
-        let generation = self.generation;
-        for way in 0..WAYS {
-            if let Some(slot) = &self.slots[base + way] {
-                if slot.generation == generation && slot.key == *key {
-                    self.counters.hits += 1;
-                    let slot = self.slots[base + way].as_mut().expect("checked above");
-                    slot.referenced = true;
-                    return Some(&mut slot.value);
-                }
-            }
-        }
-        self.counters.misses += 1;
-        None
+        let Some(i) = self.find(hash, key) else {
+            self.counters.misses += 1;
+            return None;
+        };
+        self.counters.hits += 1;
+        let slot = self.slots[i].as_mut().expect("found live");
+        slot.referenced = true;
+        Some(&mut slot.value)
     }
 
     /// Inserts (or overwrites) `key`. Victim preference within the set:
