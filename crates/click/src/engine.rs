@@ -46,6 +46,18 @@
 //! such element; its minimum is 32 KiB of payload, about 250 µs of
 //! sealing.
 //!
+//! **Branch dispatch.** A call that recurs over the same unit positions
+//! (the branches of one prepared chain, batch after batch) keeps a
+//! [`UnitCosts`]: a running estimate of each unit's wall time, measured
+//! inside the unit whichever mode ran it. It posts to the pool only when
+//! the work outside its longest unit, which is the most a helper can
+//! take off the caller's critical path, reaches `HELPER_MIN` (100 µs,
+//! measured beside the constant); below that it runs its units in order
+//! on the calling thread. So [`ExecMode::Parallel`] means *up to*
+//! `threads` for branches and carves alike, and [`ExecMode::Serial`]
+//! never posts. A carve inside a branch keeps its own per-chunk minimum
+//! and the deployment's mode, whichever way its branch was dispatched.
+//!
 //! `nfc-click` forbids `unsafe`, so nothing borrowed can cross into a
 //! pool thread that outlives the call: units are *owned* (`'static`
 //! items and closure, moved in and handed back through the results).
@@ -75,7 +87,10 @@ pub enum ExecMode {
     /// Run units one after another on the calling thread.
     Serial,
     /// Run units on up to `threads` threads: the caller plus
-    /// `threads − 1` workers of the persistent pool.
+    /// `threads − 1` workers of the persistent pool. "Up to": a call
+    /// that measures its units through [`UnitCosts`] posts no request
+    /// unless the work off its critical path pays for a helper, and an
+    /// element carve posts none below its per-chunk minimum.
     Parallel {
         /// Worker count (values `<= 1` degrade to [`ExecMode::Serial`]).
         threads: usize,
@@ -111,6 +126,89 @@ impl ExecMode {
 impl Default for ExecMode {
     fn default() -> Self {
         ExecMode::auto()
+    }
+}
+
+/// Work off a call's critical path that pays for one helper: the
+/// estimated wall time of every unit but the longest, summed. Below it a
+/// call measured by [`UnitCosts`] runs on the calling thread.
+///
+/// Measured crossover (**clock = wall**, 2-vCPU VM, seed 7): two forced
+/// branches of one chain, the lighter one `k` firewalls (256 rules) in
+/// sequence, 256-packet batches. One prepared chain alternates blocks
+/// of 16 batches under `Parallel { threads: 2 }` and under `Serial`;
+/// "off path" is the serial estimate of the lighter branch; the ratio
+/// is serial over parallel wall per batch, median (min–max) of five
+/// rounds. The heavier branch is an IDS on 1 360 B frames (so the
+/// caller is busy when the helper wakes) or an equal firewall branch on
+/// 64 B frames (the helper's wake-up is on the critical path):
+///
+/// | k | beside IDS: off path | serial ÷ parallel | beside k FW: off path | serial ÷ parallel |
+/// |---|---|---|---|---|
+/// | 1 | 14 µs | 0.98 (0.94–1.00) | 14 µs | 0.74 (0.71–0.81) |
+/// | 2 | 44 | 1.03 (0.92–1.05) | 28 | 0.88 (0.85–1.04) |
+/// | 3 | 50 | 1.02 (0.98–1.07) | 42 | 0.93 (0.91–1.04) |
+/// | 4 | 55 | 1.12 (1.04–1.16) | 65 | 1.17 (0.97–1.27) |
+/// | 6 | 121 | 1.20 (1.13–1.25) | 94 | 1.27 (1.06–1.39) |
+/// | 8 | 140 | 1.30 (1.23–1.34) | 148 | 1.40 (1.11–1.44) |
+/// | 10 | 152 | 1.36 (1.22–1.42) | 187 | 1.36 (1.21–1.44) |
+///
+/// Over four such sessions parallel broke even at 25–40 µs off path
+/// beside the IDS and at 36–60 µs beside an equal branch, and lost a
+/// round at up to 81 µs; from there on it won every round of every
+/// session, and 100 µs keeps that margin on a host whose speed swings
+/// by a fifth between sessions. A helper also costs CPU that the wall
+/// clock does not show (the second core's cache misses, the caller's
+/// spin for stragglers): at 28 µs off path the pair burnt 181 µs of CPU
+/// a batch in parallel against 133 µs serially.
+const HELPER_MIN: Duration = Duration::from_micros(100);
+
+/// Weight of the newest measurement in a [`UnitCosts`] estimate.
+const COST_WEIGHT: f64 = 0.25;
+
+/// Running wall-time estimates for the units of a recurring call, one
+/// per unit position (a chain's branches, say), and the rule that turns
+/// them into the call's mode.
+#[derive(Debug, Clone)]
+pub struct UnitCosts {
+    /// Exponentially weighted nanoseconds per call; `None` until the
+    /// unit's first measurement.
+    ns: Vec<Option<f64>>,
+}
+
+impl UnitCosts {
+    /// No estimate yet for any of `units` positions.
+    pub fn new(units: usize) -> Self {
+        UnitCosts {
+            ns: vec![None; units],
+        }
+    }
+
+    /// Folds one measured run of unit `i` into its estimate.
+    pub fn record(&mut self, i: usize, wall: Duration) {
+        let x = wall.as_nanos() as f64;
+        let est = &mut self.ns[i];
+        *est = Some(est.map_or(x, |e| e + COST_WEIGHT * (x - e)));
+    }
+
+    /// The mode the next call runs under: `configured` when the
+    /// estimated work outside the longest unit reaches 100 µs,
+    /// [`ExecMode::Serial`] otherwise. A helper can at best take that
+    /// work off the caller's critical path; below the line, posting,
+    /// waking and joining it cost more than it saves (the measured
+    /// crossover is documented on the constant, `HELPER_MIN`). `Serial`
+    /// stays serial and a single unit never posts.
+    pub fn mode(&self, configured: ExecMode) -> ExecMode {
+        let (sum, max) = self
+            .ns
+            .iter()
+            .map(|e| e.unwrap_or(0.0))
+            .fold((0.0, 0.0_f64), |(s, m), x| (s + x, m.max(x)));
+        if sum - max >= HELPER_MIN.as_nanos() as f64 {
+            configured
+        } else {
+            ExecMode::Serial
+        }
     }
 }
 
@@ -374,7 +472,7 @@ struct Call<T, R, F> {
     tel: TelemetryHandle,
     // Slots are claimed exactly once via the cursor; the mutexes are
     // uncontended by construction and exist to keep the pool free of
-    // unsafe code (`nfc-core` forbids it).
+    // unsafe code (`nfc-click` forbids it).
     items: Vec<Mutex<Option<T>>>,
     done: Vec<Mutex<Option<Finished<R>>>>,
     /// Next unclaimed unit; publishes nothing, hence `Relaxed`.
@@ -541,6 +639,49 @@ mod tests {
             &TelemetryHandle::disabled(),
             move |i, x, _| f(i, x),
         )
+    }
+
+    #[test]
+    fn branches_post_only_when_the_work_off_the_critical_path_pays_for_a_helper() {
+        let par = ExecMode::Parallel { threads: 2 };
+        let units = |pool: &'static Pool, mode: ExecMode| {
+            pool.map(
+                mode,
+                vec![1u8, 2],
+                &TelemetryHandle::disabled(),
+                |_, x, _| x,
+            )
+        };
+        // Light branches: the lighter one is worth less than a helper,
+        // however long the critical one runs.
+        let mut light = UnitCosts::new(2);
+        assert_eq!(light.mode(par), ExecMode::Serial, "nothing measured yet");
+        light.record(0, HELPER_MIN * 20);
+        light.record(1, HELPER_MIN / 2);
+        assert_eq!(light.mode(par), ExecMode::Serial);
+        // A heavy branch off the critical path is worth one. Its
+        // estimate moves a quarter of the way towards each measurement.
+        let mut heavy = light.clone();
+        heavy.record(1, HELPER_MIN * 3);
+        assert_eq!(heavy.mode(par), par);
+        // A single unit has nothing off its critical path.
+        let mut lone = UnitCosts::new(1);
+        lone.record(0, HELPER_MIN * 20);
+        assert_eq!(lone.mode(par), ExecMode::Serial);
+        // Neither a configured `Serial` nor a serial verdict posts: the
+        // pool that would run them never starts a worker.
+        let pool = private_pool();
+        assert_eq!(heavy.mode(ExecMode::Serial), ExecMode::Serial);
+        for mode in [
+            heavy.mode(ExecMode::Serial),
+            light.mode(par),
+            lone.mode(par),
+        ] {
+            assert_eq!(units(pool, mode), vec![1, 2]);
+        }
+        assert_eq!(pool.lock().workers, 0);
+        assert_eq!(units(pool, heavy.mode(par)), vec![1, 2]);
+        assert_eq!(pool.lock().workers, 1);
     }
 
     #[test]

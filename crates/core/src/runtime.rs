@@ -22,7 +22,7 @@
 //! NF synthesis, graph-partition allocation and persistent kernels.
 
 use crate::allocator::{allocate_traced, allocate_warm_traced, AllocationPlan, PartitionAlgo};
-use crate::engine::{par_map_traced, ExecMode};
+use crate::engine::{par_map_traced, ExecMode, UnitCosts};
 use crate::flowcache::{FlowCacheMode, StageFlowCache};
 use crate::observe::{BatchTimeline, Observer, StageSpan};
 use crate::orchestrator::{merge_branch_batches, ReorgSfc};
@@ -47,6 +47,7 @@ use nfc_telemetry::{
     TelemetrySummary,
 };
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::time::Instant;
 
 /// How a deployment schedules work.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -857,13 +858,18 @@ impl Deployment {
         }
 
         // ---- warm-up + profiling + allocation ------------------------
+        // The warm-up also seeds each branch's wall-time estimate, which
+        // decides whether the first live batches post to the pool.
+        let mut branch_costs = UnitCosts::new(width);
         for _ in 0..self.warmup_batches {
             let batch = traffic.batch(self.batch_size);
-            for branch in stages.iter_mut() {
+            for (bi, branch) in stages.iter_mut().enumerate() {
+                let t = Instant::now();
                 let mut cur = batch.clone();
                 for stage in branch.iter_mut() {
                     cur = stage.run.push_merged(stage.nf.entry(), cur);
                 }
+                branch_costs.record(bi, t.elapsed());
             }
         }
         // Session records cut during warm-up belong to no recorded
@@ -894,6 +900,7 @@ impl Deployment {
             mode,
             model: self.model,
             exec_mode: self.exec_mode,
+            branch_costs,
             egress_packets: 0,
             egress_bytes: 0,
             merge_conflicts: 0,
@@ -1130,6 +1137,9 @@ pub struct PreparedSfc {
     mode: GpuMode,
     model: CostModel,
     exec_mode: ExecMode,
+    /// Functional wall time per batch of each branch, which decides per
+    /// batch whether the branches are worth the pool.
+    branch_costs: UnitCosts,
     egress_packets: u64,
     egress_bytes: u64,
     merge_conflicts: u64,
@@ -1259,8 +1269,10 @@ impl PreparedSfc {
         };
         // Branches: the functional phase touches only branch-local state
         // (each branch's element graphs and its CoW duplicate of the
-        // batch), so the worker pool runs branches concurrently. Charges
-        // are collected per stage and replayed below.
+        // batch), so the worker pool may run branches concurrently; it
+        // does when the branches' estimated work off the critical path
+        // pays for a helper (`UnitCosts::mode`). Charges are collected
+        // per stage and replayed below.
         // With lanes enabled, gather the columnar header view once at
         // ingress: CoW duplicates share the memo by refcount, so every
         // read-only branch sweeps the same columns instead of each
@@ -1279,16 +1291,23 @@ impl PreparedSfc {
         // branch's stages and its CoW duplicate of the batch move into
         // the unit, and the stages come back with its results — also
         // when a stage panics, which the unit catches and hands back.
-        let units: Vec<(Vec<StageExec>, Batch)> = std::mem::take(&mut self.stages)
-            .into_iter()
-            .map(|branch| (branch, batch.clone()))
-            .collect();
+        // A lone branch takes the batch itself: nothing reads the
+        // ingress after it, and a shared copy would make every write
+        // copy its packet.
+        let branches = std::mem::take(&mut self.stages);
+        let (units, ingress): (Vec<(Vec<StageExec>, Batch)>, _) = if self.width > 1 {
+            let units = branches.into_iter().map(|b| (b, batch.clone())).collect();
+            (units, Some(batch))
+        } else {
+            (branches.into_iter().zip([batch]).collect(), None)
+        };
         let units = par_map_traced(
-            self.exec_mode,
+            self.branch_costs.mode(self.exec_mode),
             units,
             &self.tel,
             move |bi, (mut branch, mut cur), rec| {
                 rec.set_batch(seq);
+                let t = Instant::now();
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     let mut charges = Vec::with_capacity(branch.len());
                     for (si, stage) in branch.iter_mut().enumerate() {
@@ -1311,12 +1330,13 @@ impl PreparedSfc {
                     }
                     (cur, charges)
                 }));
-                (branch, result)
+                (branch, result, t.elapsed())
             },
         );
         let mut outputs = Vec::with_capacity(units.len());
         let mut panic = None;
-        for (branch, result) in units {
+        for (bi, (branch, result, wall)) in units.into_iter().enumerate() {
+            self.branch_costs.record(bi, wall);
             self.stages.push(branch);
             match result {
                 Ok(output) => outputs.push(output),
@@ -1360,13 +1380,14 @@ impl PreparedSfc {
             branch_outputs.push(out);
         }
         // Merge parallel branches (XOR) or take the single output.
-        let (out, t_done, merge_span) = if self.width > 1 {
-            let (merged, conflicts) = merge_branch_batches(&batch, &branch_outputs);
-            self.merge_conflicts += conflicts;
-            let m = sim.schedule_span(res.io_tx, t_join, self.model.merge_ns(batch.len()), 0);
-            (merged, m.1, Some(m))
-        } else {
-            (branch_outputs.pop().expect("one branch"), t_join, None)
+        let (out, t_done, merge_span) = match ingress {
+            Some(batch) => {
+                let (merged, conflicts) = merge_branch_batches(&batch, &branch_outputs);
+                self.merge_conflicts += conflicts;
+                let m = sim.schedule_span(res.io_tx, t_join, self.model.merge_ns(batch.len()), 0);
+                (merged, m.1, Some(m))
+            }
+            None => (branch_outputs.pop().expect("one branch"), t_join, None),
         };
         // Egress I/O.
         let egress_span =

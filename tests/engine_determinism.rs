@@ -14,7 +14,8 @@ use nfc_hetero::{GpuMode, PipelineSim};
 use nfc_nf::{Nf, NfKind};
 use nfc_packet::traffic::{SizeDist, TrafficGenerator, TrafficSpec};
 use nfc_packet::{Batch, Packet};
-use nfc_telemetry::{Event, EventKind, TelemetryHandle};
+use nfc_telemetry::{Event, EventKind, Telemetry, TelemetryHandle};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn traffic(pkt: usize) -> TrafficGenerator {
@@ -259,5 +260,148 @@ fn a_unit_panic_surfaces_and_the_chain_keeps_processing() {
             assert!(!out.is_empty(), "{exec:?}: batch {i} forwarded nothing");
             assert_eq!(out, twin_out, "{exec:?}: batch {i} egress bytes");
         }
+    }
+}
+
+/// The per-batch branch dispatch: an IDS ∥ DPI pair posts to the pool
+/// only once the work off its critical path — the lighter scanner —
+/// pays for a helper. Light batches of 64 B frames keep both scanners
+/// below that line, 512-packet batches of 1 360 B frames far above it,
+/// so the decision flips once, at the first heavy batches. The light
+/// batches are as long as a debug build allows (it scans about ten
+/// times slower): in the optimised build a helper posted for them would
+/// often arrive while the caller is still on the first branch, so its
+/// spans show. Whatever the rule decides, egress bytes and order,
+/// per-element statistics and the simulated timeline equal a serial
+/// run's.
+#[test]
+fn branch_dispatch_flips_with_the_work_and_matches_a_serial_run() {
+    const LIGHT: usize = if cfg!(debug_assertions) { 8 } else { 96 };
+    const HEAVY: usize = 512;
+    const PHASE: usize = 24;
+    let run = |exec: ExecMode| {
+        let sfc = Sfc::new("ids-dpi", vec![Nf::ids("ids"), Nf::dpi("dpi")]);
+        let mut dep = Deployment::new(sfc, Policy::CpuOnly)
+            .with_batch_size(LIGHT)
+            .with_forced_branches(vec![vec![0], vec![1]])
+            .with_exec_mode(exec)
+            .with_telemetry(TelemetryMode::Memory)
+            .without_slo()
+            .with_flow_trace(0);
+        let gen = |size| {
+            TrafficGenerator::new(
+                TrafficSpec::udp(SizeDist::Fixed(size)).with_rate_gbps(1.0),
+                7,
+            )
+        };
+        let (mut light, mut heavy) = (gen(64), gen(1360));
+        let tel = Telemetry::new(dep.telemetry.clone());
+        let handle = tel.handle();
+        let mut sim = PipelineSim::new();
+        sim.set_recorder(handle.recorder());
+        let res = PlatformResources::register(&mut sim, dep.model());
+        // The warm-up seeds the estimates from light batches.
+        let mut prep = dep.prepare(&mut sim, &res, &mut light, &[], &mut 1, &handle);
+        let mut egress = Vec::new();
+        for i in 0..2 * PHASE {
+            let batch = if i < PHASE {
+                light.batch(LIGHT)
+            } else {
+                heavy.batch(HEAVY)
+            };
+            match prep.process_batch(&mut sim, &res, batch) {
+                BatchResult::Completed { out, .. } => egress.push(out),
+                BatchResult::Dropped { .. } => panic!("{exec:?}: batch {i} dropped"),
+            }
+        }
+        if let Some(rec) = sim.take_recorder() {
+            handle.absorb(rec);
+        }
+        let mut outcome = prep.into_outcome(sim.report());
+        outcome.telemetry = tel.finish();
+        (outcome, egress)
+    };
+    // Batches (by lineage tag) that the pool's helpers ran a branch of,
+    // split into light and heavy by their ingress size.
+    let helped = |out: &RunOutcome| {
+        let trace = &out.telemetry.as_ref().expect("memory telemetry").trace;
+        let heavy: HashSet<u64> = trace
+            .iter()
+            .filter_map(|ev| match ev.kind {
+                EventKind::BatchIngress { seq, packets, .. } if packets as usize == HEAVY => {
+                    Some(seq)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(heavy.len(), PHASE);
+        let mut by_phase = [0usize; 2];
+        for ev in trace {
+            if let EventKind::Worker { worker, .. } = ev.kind {
+                if worker > 0 {
+                    by_phase[usize::from(heavy.contains(&ev.batch))] += 1;
+                }
+            }
+        }
+        by_phase
+    };
+    let serial = run(ExecMode::Serial);
+    assert_eq!(helped(&serial.0), [0, 0], "a configured Serial never posts");
+    let parallel = run(ExecMode::Parallel { threads: 2 });
+    assert_equivalent("dispatch flip", &serial, &parallel);
+    assert_eq!(serial.0.report, parallel.0.report, "SimReport");
+    let [light, heavy] = helped(&parallel.0);
+    assert_eq!(light, 0, "a helper ran a light batch's branch");
+    assert!(heavy > 0, "no helper ran a heavy batch's branch");
+}
+
+/// A lone branch takes the ingress batch itself, so a width-1 NAT
+/// rewrites every packet in the buffer it arrived in. Its egress bytes
+/// equal those of a chain fed a batch whose buffers the caller still
+/// shares, which makes every rewrite copy.
+#[test]
+fn a_width_one_writer_rewrites_its_ingress_buffers_in_place() {
+    let prepare = || {
+        let sfc = Sfc::new("nat", vec![Nf::nat("nat", [192, 168, 0, 1])]);
+        let mut dep = Deployment::new(sfc, Policy::CpuOnly).with_batch_size(32);
+        let mut sim = PipelineSim::new();
+        let res = PlatformResources::register(&mut sim, dep.model());
+        let prep = dep.prepare(
+            &mut sim,
+            &res,
+            &mut traffic(128),
+            &[],
+            &mut 1,
+            &TelemetryHandle::disabled(),
+        );
+        (sim, res, prep)
+    };
+    let egress = |r: BatchResult| match r {
+        BatchResult::Completed { out, .. } => out,
+        BatchResult::Dropped { .. } => panic!("dropped"),
+    };
+    let (mut sim, res, mut prep) = prepare();
+    let (mut twin_sim, twin_res, mut twin) = prepare();
+    // Two generators with one seed: equal batches, separate buffers.
+    let gen = || TrafficGenerator::new(TrafficSpec::udp(SizeDist::Fixed(128)), 11);
+    let (mut gen, mut twin_gen) = (gen(), gen());
+    for i in 0..4 {
+        let batch = gen.batch(32);
+        let kept = twin_gen.batch(32);
+        let ingress: Vec<*const u8> = batch.iter().map(|p| p.data().as_ptr()).collect();
+        let out = egress(prep.process_batch(&mut sim, &res, batch));
+        let shared_out = egress(twin.process_batch(&mut twin_sim, &twin_res, kept.clone()));
+        let egress_ptrs: Vec<*const u8> = out.iter().map(|p| p.data().as_ptr()).collect();
+        assert_eq!(
+            egress_ptrs, ingress,
+            "batch {i}: a rewrite copied its packet"
+        );
+        assert_eq!(out, shared_out, "batch {i}: egress bytes");
+        assert!(
+            out.iter()
+                .zip(kept.iter())
+                .all(|(o, k)| o.data() != k.data()),
+            "batch {i}: the NAT rewrote nothing"
+        );
     }
 }
