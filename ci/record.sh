@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Re-records every deterministic artefact of record: results/*.json
-# (`figures all`) and ci/*_baseline.json (the --json digests of five
-# scenario traces on the simulated timeline). Check: run it, then
+# (`figures all`), ci/*_baseline.json (the --json digests of five
+# scenario traces on the simulated timeline) and ci/examples/*.txt (the
+# stdout of the five plain examples, which print only simulated-clock
+# figures and read the same under any NFC_THREADS). Check: run it, then
 # `git status --porcelain -- ci results` must print nothing. The traces
 # stay at the repo root for the CI smoke steps; a re-run overwrites them.
 set -euo pipefail
@@ -14,6 +16,10 @@ rm -f adapt_trace*.json health_trace*.json residency_trace*.json cluster_trace*.
   flow_trace*.json flight*.json
 
 "$bin"/figures all
+mkdir -p ci/examples
+for ex in quickstart sfc_reorganization heterogeneous_scheduling ids_pipeline multi_tenant; do
+  "$bin/examples/$ex" > "ci/examples/$ex.txt"
+done
 NFC_TELEMETRY=adapt_trace.json "$bin"/examples/adaptive_offload
 NFC_SLO="p99_ns=200000,epoch=8,drift=0.4" NFC_TELEMETRY=health_trace.json "$bin"/examples/adaptive_offload
 NFC_TELEMETRY=residency_trace.json "$bin"/examples/residency_spill

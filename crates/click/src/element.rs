@@ -147,36 +147,48 @@ impl ElementSignature {
     }
 }
 
-/// Abstract CPU work profile of an element, in cycles. The heterogeneous
-/// platform simulator charges `per_packet + per_byte * wire_len` cycles per
-/// packet on the CPU and derives GPU costs from the element's
-/// [`KernelClass`]. Values are calibrated in `nfc-hetero::calib`.
+/// What an element costs, in abstract CPU cycles: the one statement
+/// [`Element::work`] makes. The heterogeneous platform simulator charges
+/// `per_packet + per_byte * match_factor * wire_len` cycles per packet on
+/// the CPU and derives GPU costs from the element's [`KernelClass`], with
+/// `divergence` as the warp-divergence term. Values are calibrated in
+/// `nfc-hetero::calib`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkProfile {
     /// Fixed cycles per packet.
     pub per_packet: f64,
     /// Additional cycles per wire byte (payload-touching elements).
     pub per_byte: f64,
+    /// Work multiplier from the traffic's content, read live: a pattern
+    /// matcher on fully matching traffic reports its full-match slowdown
+    /// (≈ 4.5, `calib::DPI_FULL_MATCH_FACTOR`); content-neutral
+    /// elements report 1.
+    pub match_factor: f64,
+    /// Control-flow divergence of recent traffic, 0 (uniform) to 1
+    /// (fully divergent), read live: how unevenly packets take different
+    /// paths, which the GPU cost model turns into warp-divergence
+    /// penalties. Uniform elements report 0.
+    pub divergence: f64,
 }
 
 impl WorkProfile {
-    /// A header-only profile.
+    /// A header-only, content-neutral profile.
     pub fn per_packet(cycles: f64) -> Self {
-        WorkProfile {
-            per_packet: cycles,
-            per_byte: 0.0,
-        }
+        WorkProfile::new(cycles, 0.0)
     }
 
-    /// A payload-touching profile.
+    /// A payload-touching, content-neutral profile.
     pub fn new(per_packet: f64, per_byte: f64) -> Self {
         WorkProfile {
             per_packet,
             per_byte,
+            match_factor: 1.0,
+            divergence: 0.0,
         }
     }
 
-    /// Cycles to process one packet of `len` bytes.
+    /// Cycles to process one packet of `len` bytes, before the content
+    /// terms.
     pub fn cycles(&self, len: usize) -> f64 {
         self.per_packet + self.per_byte * len as f64
     }
@@ -287,8 +299,9 @@ impl Default for RunCtx {
 /// Elements receive a batch on their single input and emit batches on
 /// `n_outputs` output ports. Packets not placed on any output are dropped
 /// (the engine accounts for them). Elements must be deterministic and
-/// cloneable so the NF synthesizer can rebuild graphs.
-pub trait Element: std::fmt::Debug + Send {
+/// [`Clone`] so the NF synthesizer can rebuild graphs; [`ElementClone`]
+/// boxes the clone for every such type.
+pub trait Element: ElementClone + std::fmt::Debug + Send {
     /// Human-readable instance name.
     fn name(&self) -> &str;
 
@@ -326,36 +339,11 @@ pub trait Element: std::fmt::Debug + Send {
     /// engine validates this in debug builds.
     fn process(&mut self, batch: Batch, ctx: &mut RunCtx) -> Vec<Batch>;
 
-    /// Clones the element into a box (object-safe `Clone`).
-    fn clone_box(&self) -> Box<dyn Element>;
-
-    /// An estimate of per-packet CPU work in abstract cycles, used as the
-    /// default node weight before profiling refines it. Elements with
-    /// heavy per-byte work override this.
-    fn base_cost(&self) -> f64 {
-        50.0
-    }
-
-    /// Full work profile (per-packet + per-byte cycles). Defaults to the
-    /// header-only [`Element::base_cost`]; payload-touching elements
-    /// override this.
+    /// What the element costs per packet and per byte, with the live
+    /// content terms of recent traffic. The default is a header-only 50
+    /// cycles per packet.
     fn work(&self) -> WorkProfile {
-        WorkProfile::per_packet(self.base_cost())
-    }
-
-    /// Traffic-content work multiplier observed at runtime (≥ 1). The
-    /// DPI/IDS matcher reports the full-match slowdown here based on its
-    /// observed match fraction; most elements are content-neutral.
-    fn content_factor(&self) -> f64 {
-        1.0
-    }
-
-    /// Observed control-flow divergence of recent traffic, 0 (uniform)
-    /// to 1 (fully divergent). Classifiers and matchers report how
-    /// unevenly packets take different paths, which the GPU cost model
-    /// turns into warp-divergence penalties.
-    fn divergence(&self) -> f64 {
-        0.0
+        WorkProfile::per_packet(50.0)
     }
 
     /// Bytes of per-flow/per-connection state the element currently
@@ -422,6 +410,19 @@ pub trait Element: std::fmt::Debug + Send {
     /// Draining must not change packet-visible behaviour.
     fn take_session_records(&mut self) -> Vec<SessionRecord> {
         Vec::new()
+    }
+}
+
+/// Object-safe cloning of an [`Element`] into a box, provided for every
+/// element that is [`Clone`].
+pub trait ElementClone {
+    /// Clones the element into a box.
+    fn clone_box(&self) -> Box<dyn Element>;
+}
+
+impl<T: Element + Clone + 'static> ElementClone for T {
+    fn clone_box(&self) -> Box<dyn Element> {
+        Box::new(self.clone())
     }
 }
 

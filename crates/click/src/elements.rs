@@ -2,6 +2,7 @@
 
 use crate::element::{
     config_hash, Element, ElementActions, ElementClass, ElementSignature, FlowVerdict, RunCtx,
+    WorkProfile,
 };
 use nfc_packet::{Batch, HeaderLanes, Packet};
 
@@ -53,12 +54,8 @@ impl Element for Counter {
         vec![batch]
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
-    fn base_cost(&self) -> f64 {
-        5.0
+    fn work(&self) -> WorkProfile {
+        WorkProfile::per_packet(5.0)
     }
 }
 
@@ -94,16 +91,12 @@ impl Element for Discard {
         Vec::new()
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         ElementSignature::new("discard", 0)
     }
 
-    fn base_cost(&self) -> f64 {
-        1.0
+    fn work(&self) -> WorkProfile {
+        WorkProfile::per_packet(1.0)
     }
 }
 
@@ -155,17 +148,13 @@ impl Element for Tee {
         out
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         ElementSignature::new("tee", self.n as u64)
     }
 
-    fn base_cost(&self) -> f64 {
+    fn work(&self) -> WorkProfile {
         // Duplication copies packet buffers.
-        30.0 * self.n as f64
+        WorkProfile::per_packet(30.0 * self.n as f64)
     }
 }
 
@@ -237,16 +226,12 @@ impl Element for ProtocolClassifier {
         batch.split_by(2, |_, p| self.route(p))
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         ElementSignature::new("proto-classifier", config_hash(&self.protos))
     }
 
-    fn base_cost(&self) -> f64 {
-        15.0
+    fn work(&self) -> WorkProfile {
+        WorkProfile::per_packet(15.0)
     }
 
     fn verdict_capable(&self) -> bool {
@@ -318,16 +303,12 @@ impl Element for CheckIpHeader {
         vec![batch]
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         ElementSignature::new("check-ip-header", 0)
     }
 
-    fn base_cost(&self) -> f64 {
-        25.0
+    fn work(&self) -> WorkProfile {
+        WorkProfile::per_packet(25.0)
     }
 }
 
@@ -417,16 +398,12 @@ impl Element for DecTtl {
         vec![batch]
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         ElementSignature::new("dec-ttl", 0)
     }
 
-    fn base_cost(&self) -> f64 {
-        12.0
+    fn work(&self) -> WorkProfile {
+        WorkProfile::per_packet(12.0)
     }
 }
 
@@ -437,7 +414,7 @@ impl Element for DecTtl {
 #[derive(Debug, Clone)]
 pub struct SyntheticWork {
     name: String,
-    work: crate::element::WorkProfile,
+    work: WorkProfile,
     outputs: usize,
 }
 
@@ -446,7 +423,7 @@ impl SyntheticWork {
     pub fn new(name: impl Into<String>, per_packet: f64, per_byte: f64) -> Self {
         SyntheticWork {
             name: name.into(),
-            work: crate::element::WorkProfile::new(per_packet, per_byte),
+            work: WorkProfile::new(per_packet, per_byte),
             outputs: 1,
         }
     }
@@ -493,10 +470,6 @@ impl Element for SyntheticWork {
         }
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         ElementSignature::new(
             "synthetic-work",
@@ -510,11 +483,7 @@ impl Element for SyntheticWork {
         )
     }
 
-    fn base_cost(&self) -> f64 {
-        self.work.per_packet
-    }
-
-    fn work(&self) -> crate::element::WorkProfile {
+    fn work(&self) -> WorkProfile {
         self.work
     }
 }

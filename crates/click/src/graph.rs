@@ -1238,9 +1238,6 @@ mod tests {
             fn process(&mut self, batch: Batch, _ctx: &mut RunCtx) -> Vec<Batch> {
                 vec![batch]
             }
-            fn clone_box(&self) -> Box<dyn Element> {
-                Box::new(self.clone())
-            }
             fn verdict_capable(&self) -> bool {
                 true
             }
@@ -1306,9 +1303,6 @@ mod tests {
                     p.meta.anno[self.slot] = p.len() as u64;
                 }
                 vec![batch]
-            }
-            fn clone_box(&self) -> Box<dyn Element> {
-                Box::new(self.clone())
             }
             fn verdict_capable(&self) -> bool {
                 true
@@ -1453,9 +1447,6 @@ mod tests {
                 fn process(&mut self, batch: Batch, _ctx: &mut RunCtx) -> Vec<Batch> {
                     vec![batch]
                 }
-                fn clone_box(&self) -> Box<dyn Element> {
-                    Box::new(self.clone())
-                }
                 fn verdict_capable(&self) -> bool {
                     true
                 }
@@ -1497,9 +1488,6 @@ mod tests {
                 fn process(&mut self, mut batch: Batch, _ctx: &mut RunCtx) -> Vec<Batch> {
                     batch.retain(|p| p.ip_protocol() != Ok(ip_proto::TCP));
                     vec![batch]
-                }
-                fn clone_box(&self) -> Box<dyn Element> {
-                    Box::new(self.clone())
                 }
                 fn verdict_capable(&self) -> bool {
                     true

@@ -50,29 +50,8 @@ pub struct AllocationPlan {
 }
 
 impl AllocationPlan {
-    /// An all-CPU plan for `n` elements.
-    pub fn cpu_only(n: usize) -> Self {
-        AllocationPlan {
-            ratios: vec![0.0; n],
-            predicted_cost_ns: f64::NAN,
-            algo: PartitionAlgo::Kl,
-        }
-    }
-
-    /// A plan offloading every offloadable element fully; `offloadable`
-    /// flags per element.
-    pub fn gpu_only(offloadable: &[bool]) -> Self {
-        AllocationPlan {
-            ratios: offloadable
-                .iter()
-                .map(|&o| if o { 1.0 } else { 0.0 })
-                .collect(),
-            predicted_cost_ns: f64::NAN,
-            algo: PartitionAlgo::Kl,
-        }
-    }
-
-    /// A uniform fixed ratio on offloadable elements.
+    /// A uniform fixed ratio on offloadable elements: 0 is the all-CPU
+    /// plan, 1 offloads every offloadable element fully.
     pub fn fixed_ratio(offloadable: &[bool], ratio: f64) -> Self {
         AllocationPlan {
             ratios: offloadable
@@ -450,9 +429,9 @@ mod tests {
     #[test]
     fn helper_plans() {
         let offloadable = [true, false, true];
-        let gpu = AllocationPlan::gpu_only(&offloadable);
+        let gpu = AllocationPlan::fixed_ratio(&offloadable, 1.0);
         assert_eq!(gpu.ratios, vec![1.0, 0.0, 1.0]);
-        let cpu = AllocationPlan::cpu_only(3);
+        let cpu = AllocationPlan::fixed_ratio(&offloadable, 0.0);
         assert_eq!(cpu.ratios, vec![0.0; 3]);
         let fixed = AllocationPlan::fixed_ratio(&offloadable, 0.7);
         assert_eq!(fixed.ratios, vec![0.7, 0.0, 0.7]);

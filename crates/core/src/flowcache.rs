@@ -468,9 +468,6 @@ mod tests {
         fn process(&mut self, batch: Batch, _ctx: &mut RunCtx) -> Vec<Batch> {
             vec![batch]
         }
-        fn clone_box(&self) -> Box<dyn Element> {
-            Box::new(self.clone())
-        }
         fn verdict_capable(&self) -> bool {
             true
         }

@@ -99,9 +99,7 @@ impl Profiler {
                 Offload::Offloadable { kernel } => Some(kernel),
                 Offload::CpuOnly => None,
             };
-            let mut load = ElementLoad::new(el.work(), kernel, packets, bytes);
-            load.divergence = el.divergence();
-            load.match_factor = el.content_factor();
+            let load = ElementLoad::new(el.work(), kernel, packets, bytes);
             let cpu_ns = self.model.cpu_batch_ns(&load, &ctx);
             let gpu = self.model.gpu_batch_ns(&load, self.mode);
             nodes.push(NodeWeight {
@@ -189,9 +187,9 @@ mod tests {
         let matcher = w
             .nodes
             .iter()
-            .find(|n| n.load.match_factor > 1.0)
+            .find(|n| n.load.work.match_factor > 1.0)
             .expect("full-match traffic should raise the content factor");
-        assert!(matcher.load.match_factor > 3.0);
+        assert!(matcher.load.work.match_factor > 3.0);
     }
 
     #[test]

@@ -841,7 +841,7 @@ impl Deployment {
                     nf,
                     run,
                     weights: None,
-                    plan: AllocationPlan::cpu_only(0),
+                    plan: AllocationPlan::fixed_ratio(&[], 0.0),
                     cpu_res,
                     user,
                     corun,
@@ -988,8 +988,8 @@ fn plan_stage(
     let weights = profiler.measure_with_corun(&stage.run, &stage.corun);
     let offloadable: Vec<bool> = weights.nodes.iter().map(|n| n.offloadable).collect();
     stage.plan = match policy {
-        Policy::CpuOnly => AllocationPlan::cpu_only(weights.nodes.len()),
-        Policy::GpuOnly { .. } => AllocationPlan::gpu_only(&offloadable),
+        Policy::CpuOnly => AllocationPlan::fixed_ratio(&offloadable, 0.0),
+        Policy::GpuOnly { .. } => AllocationPlan::fixed_ratio(&offloadable, 1.0),
         Policy::FixedRatio { ratio, .. } | Policy::ReorgOnly { ratio, .. } => {
             AllocationPlan::fixed_ratio(&offloadable, ratio)
         }
@@ -1527,9 +1527,9 @@ impl PreparedSfc {
             let mut match_factor = 0.0;
             let mut divergence = 0.0;
             for id in g.node_ids() {
-                let el = g.element(id);
-                match_factor += el.content_factor();
-                divergence += el.divergence();
+                let work = g.element(id).work();
+                match_factor += work.match_factor;
+                divergence += work.divergence;
             }
             let (hits, misses) = match stage.flow_cache.as_ref() {
                 Some(c) => {
@@ -1856,9 +1856,9 @@ fn exec_stage_functional(
         // Traffic-content factors are read live from the element so
         // charged costs track the current traffic, not the profiling
         // window (the paper's fast-switching-traffic concern).
-        let el = run.graph().element(nfc_click::NodeId(i));
-        load.match_factor = el.content_factor();
-        load.divergence = el.divergence();
+        let live = run.graph().element(nfc_click::NodeId(i)).work();
+        load.work.match_factor = live.match_factor;
+        load.work.divergence = live.divergence;
         if r < 1.0 {
             let cpu_part = load.fraction(1.0 - r);
             cpu_ns += model.cpu_batch_ns(&cpu_part, corun);

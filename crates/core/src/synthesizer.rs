@@ -160,7 +160,7 @@ impl Work {
         let mut map: HashMap<usize, NodeId> = HashMap::new();
         for (i, n) in self.nodes.iter().enumerate() {
             if let Some(el) = n {
-                map.insert(i, g.add_boxed(el.clone_box()));
+                map.insert(i, g.add_boxed(el.clone()));
             }
         }
         for (u, ports) in self.succ.iter().enumerate() {

@@ -8,7 +8,7 @@ use nfc_click::{KernelClass, WorkProfile};
 /// The work one element performs on (a portion of) one batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElementLoad {
-    /// The element's per-packet/per-byte work profile.
+    /// The element's work profile, content terms included.
     pub work: WorkProfile,
     /// GPU kernel family, if offloadable.
     pub kernel: Option<KernelClass>,
@@ -16,17 +16,10 @@ pub struct ElementLoad {
     pub packets: usize,
     /// Total wire bytes in this portion.
     pub bytes: usize,
-    /// Control-flow divergence in the batch, 0 (uniform) to 1 (fully
-    /// divergent) — e.g. the fraction of packets taking a different
-    /// branch/match path than their warp neighbours.
-    pub divergence: f64,
-    /// Work multiplier from traffic content (DPI full-match ≈ 4.5,
-    /// no-match = 1; see [`calib::DPI_FULL_MATCH_FACTOR`]).
-    pub match_factor: f64,
 }
 
 impl ElementLoad {
-    /// A uniform, content-neutral load.
+    /// `work` over `packets` packets of `bytes` wire bytes in total.
     pub fn new(
         work: WorkProfile,
         kernel: Option<KernelClass>,
@@ -38,8 +31,6 @@ impl ElementLoad {
             kernel,
             packets,
             bytes,
-            divergence: 0.0,
-            match_factor: 1.0,
         }
     }
 
@@ -55,7 +46,7 @@ impl ElementLoad {
     /// Total CPU cycles of pure element work (no batching/cache effects).
     pub fn raw_cycles(&self) -> f64 {
         self.packets as f64 * self.work.per_packet
-            + self.bytes as f64 * self.work.per_byte * self.match_factor
+            + self.bytes as f64 * self.work.per_byte * self.work.match_factor
     }
 
     /// Scales the load to a fraction of the batch (used by offload-ratio
@@ -207,13 +198,13 @@ impl CostModel {
         if kernel == KernelClass::Classification {
             net_speedup *= calib::classification_rule_parallel_boost(load.work.per_packet);
         }
-        let divergence_factor = 1.0 + load.divergence * calib::divergence_sensitivity(kernel);
+        let divergence_factor = 1.0 + load.work.divergence * calib::divergence_sensitivity(kernel);
         let throughput_ns =
             load.raw_cycles() * self.ns_per_cycle() * divergence_factor / net_speedup;
         // Pipeline-latency floor: one packet's work on a GPU lane, times
         // the number of serialized waves beyond the parallel width.
         let waves = load.packets.div_ceil(calib::GPU_PARALLEL_WIDTH);
-        let per_pkt_cycles = load.work.cycles(load.avg_len() as usize) * load.match_factor;
+        let per_pkt_cycles = load.work.cycles(load.avg_len() as usize) * load.work.match_factor;
         let latency_floor =
             per_pkt_cycles * calib::GPU_LANE_SLOWDOWN * self.ns_per_cycle() * waves as f64;
         GpuTime {
@@ -439,7 +430,7 @@ mod tests {
         let m = model();
         let solo = CoRunContext::solo();
         let mut full = dpi_load(256, 512);
-        full.match_factor = calib::DPI_FULL_MATCH_FACTOR;
+        full.work.match_factor = calib::DPI_FULL_MATCH_FACTOR;
         let no_match = dpi_load(256, 512);
         let ratio = m.cpu_batch_ns(&full, &solo) / m.cpu_batch_ns(&no_match, &solo);
         assert!(
@@ -452,14 +443,14 @@ mod tests {
     fn divergence_penalizes_pattern_match_most() {
         let m = model();
         let mut diverged = dpi_load(256, 512);
-        diverged.divergence = 1.0;
+        diverged.work.divergence = 1.0;
         let uniform = dpi_load(256, 512);
         let kd = m.gpu_batch_ns(&diverged, GpuMode::Persistent).kernel_ns;
         let ku = m.gpu_batch_ns(&uniform, GpuMode::Persistent).kernel_ns;
         assert!(kd > 1.5 * ku);
         // Crypto barely cares.
         let mut c = ipsec_load(256, 512);
-        c.divergence = 1.0;
+        c.work.divergence = 1.0;
         let cu = ipsec_load(256, 512);
         let r = m.gpu_batch_ns(&c, GpuMode::Persistent).kernel_ns
             / m.gpu_batch_ns(&cu, GpuMode::Persistent).kernel_ns;

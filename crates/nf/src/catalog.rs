@@ -471,6 +471,7 @@ pub fn synth_routes_v6(n: usize, seed: u64) -> Vec<RouteV6> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nfc_click::{ElementSignature, WorkProfile};
     use nfc_packet::traffic::{PayloadPolicy, SizeDist, TrafficGenerator, TrafficSpec};
 
     fn drive(nf: &Nf, batch: nfc_packet::Batch) -> nfc_packet::Batch {
@@ -635,6 +636,121 @@ mod tests {
         ];
         let labels: std::collections::HashSet<_> = kinds.iter().map(|k| k.label()).collect();
         assert_eq!(labels.len(), kinds.len());
+    }
+
+    /// What every node of `g` reports about itself: its state, its
+    /// signature and its cost.
+    fn node_reports(g: &ElementGraph) -> Vec<(usize, ElementSignature, WorkProfile)> {
+        g.node_ids()
+            .map(|id| {
+                let el = g.element(id);
+                (el.state_bytes(), el.signature(), el.work())
+            })
+            .collect()
+    }
+
+    /// Cloning is the blanket `ElementClone`, so every element kind of
+    /// the catalog must clone deep: driving a clone of an NF with
+    /// stateful traffic leaves the original as built. A second clone
+    /// taken afterwards reports at every node what a freshly built NF
+    /// reports, and turns the same traffic into the same egress bytes
+    /// and `GraphStats`.
+    #[test]
+    fn a_driven_clone_leaves_every_catalog_nf_as_built() {
+        use crate::acl::Rule;
+        use nfc_packet::traffic::{FlowSpec, IpVersion};
+        // Each NF, and whether driving it changes what its nodes report
+        // (live flow state, or the matchers' content terms).
+        let catalog: [(fn() -> Nf, bool); 14] = [
+            (|| Nf::probe("probe"), false),
+            (|| Nf::firewall("fw", 64, 1), false),
+            (
+                || {
+                    let deny = Rule {
+                        dst: (u32::from_be_bytes([172, 16, 0, 0]), 14),
+                        dport: (0, 32767),
+                        ..Rule::any(Action::Deny)
+                    };
+                    Nf::firewall_with("fw-deny", vec![deny], true)
+                },
+                false,
+            ),
+            (
+                || Nf::session_log("session", 64, synth::generate(64, 2)),
+                true,
+            ),
+            (|| Nf::ids("ids"), true),
+            (|| Nf::dpi("dpi"), true),
+            (|| Nf::stream_ids("stream-ids"), true),
+            (|| Nf::nat("nat", [203, 0, 113, 1]), true),
+            (|| Nf::load_balancer("lb", 4), false),
+            (|| Nf::wan_optimizer("wan"), false),
+            (|| Nf::proxy("proxy"), false),
+            (|| Nf::ipv4_forwarder("r4", 64, 3), false),
+            (|| Nf::ipv6_forwarder("r6", 64, 4), false),
+            (|| Nf::ipsec("ipsec"), false),
+        ];
+        // Eight flows repeated over six batches, two of them IPv6, half
+        // the payloads carrying an IDS signature.
+        let traffic = |ip| {
+            let spec = TrafficSpec::tcp(SizeDist::Fixed(256))
+                .with_ip_version(ip)
+                .with_flows(FlowSpec {
+                    count: 8,
+                    ..FlowSpec::default()
+                })
+                .with_payload(PayloadPolicy::MatchRatio {
+                    patterns: Nf::default_ids_signatures(),
+                    ratio: 0.5,
+                });
+            TrafficGenerator::new(spec, 9)
+        };
+        let (mut v4, mut v6) = (traffic(IpVersion::V4), traffic(IpVersion::V6));
+        let batches: Vec<_> = (0..6)
+            .map(|i| {
+                if i % 3 == 2 {
+                    v6.batch(32)
+                } else {
+                    v4.batch(32)
+                }
+            })
+            .collect();
+        let drive_all = |g: ElementGraph, entry: NodeId| {
+            let mut run = g.compile().expect("compiles");
+            let mut egress = Vec::new();
+            for (t, b) in batches.iter().enumerate() {
+                let out = run.push_at(entry, b.clone(), t as u64 * 10_000);
+                egress.extend(out.into_iter().map(|e| (e.node, e.port, e.batch)));
+            }
+            (egress, run)
+        };
+        for (build, driving_shows) in catalog {
+            let original = build();
+            let (_, driven) = drive_all(original.graph().clone(), original.entry());
+            let second = original.clone();
+            let fresh = build();
+            let name = fresh.name();
+            assert_eq!(
+                node_reports(second.graph()),
+                node_reports(fresh.graph()),
+                "{name}: a clone taken after driving another is not as built"
+            );
+            assert_eq!(
+                node_reports(driven.graph()) != node_reports(fresh.graph()),
+                driving_shows,
+                "{name}: the traffic should (or should not) show in the driven clone"
+            );
+            let (second_out, second_run) = drive_all(second.into_graph(), original.entry());
+            let (fresh_out, fresh_run) = drive_all(fresh.graph().clone(), fresh.entry());
+            assert!(!fresh_out.is_empty(), "{name} forwarded nothing");
+            assert!(second_out == fresh_out, "{name}: egress differs");
+            assert_eq!(second_run.stats(), fresh_run.stats(), "{name}");
+            assert_eq!(
+                node_reports(second_run.graph()),
+                node_reports(fresh_run.graph()),
+                "{name}"
+            );
+        }
     }
 }
 

@@ -471,18 +471,6 @@ impl Dfa {
         }
         false
     }
-
-    /// Streaming variant carrying DFA state across packet boundaries.
-    /// Returns `(new_state, matched)`.
-    pub fn scan_streaming(&self, state: u32, chunk: &[u8]) -> (u32, bool) {
-        let mut s = state as usize;
-        let mut matched = self.accepting[s];
-        for &b in chunk {
-            s = self.next[s * 256 + b as usize] as usize;
-            matched |= self.accepting[s];
-        }
-        (s as u32, matched)
-    }
 }
 
 #[cfg(test)]
@@ -575,15 +563,6 @@ mod tests {
         // A pattern that blows up under subset construction with a tiny cap.
         let err = Dfa::compile_with_limit("a.....b", 3);
         assert!(matches!(err, Err(RegexError::TooManyStates { limit: 3 })));
-    }
-
-    #[test]
-    fn streaming_across_chunks() {
-        let d = Dfa::compile("SECRET").unwrap();
-        let (s, m1) = d.scan_streaming(0, b"xxSEC");
-        assert!(!m1);
-        let (_, m2) = d.scan_streaming(s, b"RETxx");
-        assert!(m2);
     }
 
     #[test]

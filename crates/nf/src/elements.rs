@@ -159,17 +159,13 @@ impl Element for IpLookup {
         vec![batch]
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         ElementSignature::new("ip-lookup", self.cfg)
     }
 
-    fn base_cost(&self) -> f64 {
+    fn work(&self) -> WorkProfile {
         // Two dependent memory accesses.
-        60.0
+        WorkProfile::per_packet(60.0)
     }
 
     fn verdict_capable(&self) -> bool {
@@ -252,17 +248,13 @@ impl Element for Ipv6Lookup {
         vec![batch]
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         ElementSignature::new("ipv6-lookup", self.cfg)
     }
 
-    fn base_cost(&self) -> f64 {
+    fn work(&self) -> WorkProfile {
         // Up to 7 hash probes plus binary-search control flow.
-        180.0
+        WorkProfile::per_packet(180.0)
     }
 }
 
@@ -306,16 +298,12 @@ impl Element for MacRewrite {
         vec![batch]
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         ElementSignature::new("mac-rewrite", config_hash(&self.own_mac.0))
     }
 
-    fn base_cost(&self) -> f64 {
-        10.0
+    fn work(&self) -> WorkProfile {
+        WorkProfile::per_packet(10.0)
     }
 }
 
@@ -513,16 +501,8 @@ impl Element for IpsecEncrypt {
         vec![batch]
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         ElementSignature::new("ipsec-encrypt", self.keys.sa.cfg())
-    }
-
-    fn base_cost(&self) -> f64 {
-        150.0
     }
 
     fn work(&self) -> WorkProfile {
@@ -632,16 +612,8 @@ impl Element for IpsecDecrypt {
         vec![batch]
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         ElementSignature::new("ipsec-decrypt", self.sa.cfg())
-    }
-
-    fn base_cost(&self) -> f64 {
-        150.0
     }
 
     fn work(&self) -> WorkProfile {
@@ -766,31 +738,20 @@ impl Element for IdsMatch {
         vec![batch]
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         ElementSignature::new("ids-match", self.cfg ^ (self.mode == IdsMode::Drop) as u64)
     }
 
-    fn base_cost(&self) -> f64 {
-        120.0
-    }
-
     fn work(&self) -> WorkProfile {
-        // One DFA transition (memory load) per payload byte.
-        WorkProfile::new(120.0, 9.0)
-    }
-
-    fn content_factor(&self) -> f64 {
-        1.0 + (Self::FULL_MATCH_SLOWDOWN - 1.0) * self.match_fraction()
-    }
-
-    fn divergence(&self) -> f64 {
-        // Warps diverge most when matching and non-matching packets mix.
+        // One DFA transition (memory load) per payload byte; matches walk
+        // the output lists too, and warps diverge most when matching and
+        // non-matching packets mix.
         let f = self.match_fraction();
-        4.0 * f * (1.0 - f)
+        WorkProfile {
+            match_factor: 1.0 + (Self::FULL_MATCH_SLOWDOWN - 1.0) * f,
+            divergence: 4.0 * f * (1.0 - f),
+            ..WorkProfile::new(120.0, 9.0)
+        }
     }
 }
 
@@ -923,10 +884,6 @@ impl Element for FirewallFilter {
         vec![batch]
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         ElementSignature::new(
             "firewall-filter",
@@ -934,14 +891,14 @@ impl Element for FirewallFilter {
         )
     }
 
-    fn base_cost(&self) -> f64 {
+    fn work(&self) -> WorkProfile {
         // Decision-tree classification: cost grows sublinearly with rule
         // count (tree depth + node cache misses). Aimed at the paper's
         // Figure 17 FastClick drop (-38 % of throughput at 1 000 rules,
         // -84 % at 10 000), it yields -24 % / -69 % (`results/fig17.json`);
         // ROADMAP item 14 replaces it with a counted charge. The host's
         // prefix index (`AclTable`) is not what this prices, on purpose.
-        100.0 + 1.17 * (self.acl.len() as f64).powf(0.7)
+        WorkProfile::per_packet(100.0 + 1.17 * (self.acl.len() as f64).powf(0.7))
     }
 
     fn verdict_capable(&self) -> bool {
@@ -1192,17 +1149,13 @@ impl Element for SessionLog {
         vec![batch]
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         ElementSignature::new("session-log", self.cfg ^ self.enforce as u64)
     }
 
-    fn base_cost(&self) -> f64 {
+    fn work(&self) -> WorkProfile {
         // One CLOCK-table probe plus counter bumps per packet.
-        80.0
+        WorkProfile::per_packet(80.0)
     }
 
     fn state_bytes(&self) -> usize {
@@ -1391,17 +1344,13 @@ impl Element for Nat {
         vec![batch]
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         ElementSignature::new("nat", config_hash(&self.public_ip))
     }
 
-    fn base_cost(&self) -> f64 {
+    fn work(&self) -> WorkProfile {
         // Flow-table probe plus header rewrite and checksum fixups.
-        70.0
+        WorkProfile::per_packet(70.0)
     }
 
     fn state_bytes(&self) -> usize {
@@ -1495,16 +1444,12 @@ impl Element for LoadBalancer {
         batch.split_by(n, |_, p| self.backend(p))
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         ElementSignature::new("load-balancer", self.backends as u64)
     }
 
-    fn base_cost(&self) -> f64 {
-        35.0
+    fn work(&self) -> WorkProfile {
+        WorkProfile::per_packet(35.0)
     }
 
     fn verdict_capable(&self) -> bool {
@@ -1581,16 +1526,12 @@ impl Element for Probe {
         vec![batch]
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         ElementSignature::new("probe", 0)
     }
 
-    fn base_cost(&self) -> f64 {
-        20.0
+    fn work(&self) -> WorkProfile {
+        WorkProfile::per_packet(20.0)
     }
 }
 
@@ -1664,18 +1605,10 @@ impl Element for Proxy {
         vec![batch]
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         let mut cfg = self.needle.clone();
         cfg.extend_from_slice(&self.replacement);
         ElementSignature::new("proxy", config_hash(&cfg))
-    }
-
-    fn base_cost(&self) -> f64 {
-        60.0
     }
 
     fn work(&self) -> WorkProfile {
@@ -1785,19 +1718,11 @@ impl Element for WanOptimizer {
         vec![batch]
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         ElementSignature::new(
             "wan-optimizer",
             (self.cache_cap as u64) << 32 | u64::from(self.drop_after),
         )
-    }
-
-    fn base_cost(&self) -> f64 {
-        80.0
     }
 
     fn work(&self) -> WorkProfile {
@@ -2214,7 +2139,7 @@ mod tests {
             Arc::new(AclTable::new(synth::generate(10_000, 1), Action::Allow)),
             false,
         );
-        assert!(big.base_cost() > 4.0 * small.base_cost());
+        assert!(big.work().per_packet > 4.0 * small.work().per_packet);
     }
 
     #[test]

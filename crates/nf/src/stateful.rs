@@ -133,17 +133,13 @@ impl Element for StreamReassembly {
         vec![out]
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         ElementSignature::new("stream-reassembly", 0)
     }
 
-    fn base_cost(&self) -> f64 {
+    fn work(&self) -> WorkProfile {
         // Flow-table probe plus occasional buffer churn.
-        90.0
+        WorkProfile::per_packet(90.0)
     }
 
     fn state_bytes(&self) -> usize {
@@ -244,16 +240,8 @@ impl Element for StreamIds {
         vec![batch]
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         ElementSignature::new("stream-ids", self.cfg)
-    }
-
-    fn base_cost(&self) -> f64 {
-        140.0
     }
 
     fn work(&self) -> WorkProfile {
@@ -335,10 +323,6 @@ impl Element for TokenBucketShaper {
         vec![batch]
     }
 
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-
     fn signature(&self) -> ElementSignature {
         ElementSignature::new(
             "token-bucket",
@@ -346,8 +330,8 @@ impl Element for TokenBucketShaper {
         )
     }
 
-    fn base_cost(&self) -> f64 {
-        15.0
+    fn work(&self) -> WorkProfile {
+        WorkProfile::per_packet(15.0)
     }
 
     fn state_bytes(&self) -> usize {

@@ -31,10 +31,10 @@
 //! and [`crate::FlowKey`] memos; changed packets go through
 //! [`Packet::data_mut`](crate::Packet::data_mut), which triggers exactly the same CoW clone and
 //! memo invalidation as the per-packet setters. Checksums are fixed
-//! incrementally (RFC 1624) in a canonical field order — src IP, dst IP,
-//! src port, dst port, TTL — matching the update sequences the
-//! per-packet rewrite paths (NAT, TTL decrement) emit, so the scattered
-//! bytes are identical to theirs.
+//! incrementally (RFC 1624) in a canonical field order — src IP, src
+//! port, dst port, TTL — matching the update sequences the per-packet
+//! rewrite paths (NAT, TTL decrement) emit, so the scattered bytes are
+//! identical to theirs.
 
 use crate::headers::ip_proto;
 use crate::{checksum, simd, Batch};
@@ -91,9 +91,8 @@ pub struct HeaderLanes {
     // Pre-mutation copies of the mutable columns, for dirty detection at
     // writeback. Materialized lazily by the first `set_*` call so the
     // read-only sweep path (shared, memoized views) never pays for them.
-    // `proto` and `wire_len` are read-only through this view.
+    // `dst_ip`, `proto` and `wire_len` are read-only through this view.
     orig_src_ip: Vec<u32>,
-    orig_dst_ip: Vec<u32>,
     orig_src_port: Vec<u16>,
     orig_dst_port: Vec<u16>,
     orig_ttl: Vec<u8>,
@@ -119,7 +118,6 @@ impl HeaderLanes {
             ipv4_bits: vec![0; simd::bit_capacity(n)],
             tuple_bits: vec![0; simd::bit_capacity(n)],
             orig_src_ip: Vec::new(),
-            orig_dst_ip: Vec::new(),
             orig_src_port: Vec::new(),
             orig_dst_port: Vec::new(),
             orig_ttl: Vec::new(),
@@ -186,7 +184,6 @@ impl HeaderLanes {
             return;
         }
         self.orig_src_ip = self.src_ip.clone();
-        self.orig_dst_ip = self.dst_ip.clone();
         self.orig_src_port = self.src_port.clone();
         self.orig_dst_port = self.dst_port.clone();
         self.orig_ttl = self.ttl.clone();
@@ -283,12 +280,6 @@ impl HeaderLanes {
         self.src_ip[i] = v;
     }
 
-    /// Rewrites the destination IP column for row `i`.
-    pub fn set_dst_ip(&mut self, i: usize, v: u32) {
-        self.ensure_orig();
-        self.dst_ip[i] = v;
-    }
-
     /// Rewrites the source port column for row `i`. Only meaningful
     /// under the tuple mask.
     pub fn set_src_port(&mut self, i: usize, v: u16) {
@@ -315,8 +306,8 @@ impl HeaderLanes {
     /// buffers stay shared and their flow-key memos survive. Changed
     /// packets take one [`Packet::data_mut`](crate::Packet::data_mut) (CoW clone + memo
     /// invalidation, exactly like the per-packet setters) and receive
-    /// per-field updates in the canonical order src IP, dst IP, src
-    /// port, dst port, TTL. A zero UDP checksum is left untouched
+    /// per-field updates in the canonical order src IP, src port, dst
+    /// port, TTL. A zero UDP checksum is left untouched
     /// ("checksum disabled"), mirroring NAT's rewrite rule; TCP
     /// checksums are always updated.
     ///
@@ -338,12 +329,11 @@ impl HeaderLanes {
                 continue;
             }
             let d_src = self.src_ip[i] != self.orig_src_ip[i];
-            let d_dst = self.dst_ip[i] != self.orig_dst_ip[i];
             let has_l4 = self.tuple[i];
             let d_sport = has_l4 && self.src_port[i] != self.orig_src_port[i];
             let d_dport = has_l4 && self.dst_port[i] != self.orig_dst_port[i];
             let d_ttl = self.ttl[i] != self.orig_ttl[i];
-            if !(d_src || d_dst || d_sport || d_dport || d_ttl) {
+            if !(d_src || d_sport || d_dport || d_ttl) {
                 continue;
             }
             let is_udp = self.proto[i] == ip_proto::UDP;
@@ -356,19 +346,6 @@ impl HeaderLanes {
                 let c = checksum::update32(rd16(buf, IP_CSUM), old, new);
                 buf[IP_CSUM..IP_CSUM + 2].copy_from_slice(&c.to_be_bytes());
                 buf[IP_SRC..IP_SRC + 4].copy_from_slice(&new.to_be_bytes());
-                if has_l4 {
-                    let lc = rd16(buf, l4_csum);
-                    if !(is_udp && lc == 0) {
-                        let lc = checksum::update32(lc, old, new);
-                        buf[l4_csum..l4_csum + 2].copy_from_slice(&lc.to_be_bytes());
-                    }
-                }
-            }
-            if d_dst {
-                let (old, new) = (self.orig_dst_ip[i], self.dst_ip[i]);
-                let c = checksum::update32(rd16(buf, IP_CSUM), old, new);
-                buf[IP_CSUM..IP_CSUM + 2].copy_from_slice(&c.to_be_bytes());
-                buf[IP_DST..IP_DST + 4].copy_from_slice(&new.to_be_bytes());
                 if has_l4 {
                     let lc = rd16(buf, l4_csum);
                     if !(is_udp && lc == 0) {

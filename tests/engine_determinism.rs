@@ -194,10 +194,6 @@ impl Element for Tripwire {
         );
         vec![batch]
     }
-
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
 }
 
 /// A stage that panics hands its branch's stages back before the panic

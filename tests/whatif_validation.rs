@@ -11,7 +11,7 @@
 //! predicted mean end-to-end latency is within 15% of the measured one.
 
 use nfc_click::element::RunCtx;
-use nfc_click::{Element, ElementActions, ElementClass, ElementGraph};
+use nfc_click::{Element, ElementActions, ElementClass, ElementGraph, WorkProfile};
 use nfc_core::{Deployment, Policy, Sfc, TelemetryMode};
 use nfc_nf::{Nf, NfKind};
 use nfc_packet::traffic::{FlowSpec, SizeDist, TrafficGenerator, TrafficSpec};
@@ -40,11 +40,8 @@ impl Element for Spin {
     fn process(&mut self, batch: Batch, _ctx: &mut RunCtx) -> Vec<Batch> {
         vec![batch]
     }
-    fn clone_box(&self) -> Box<dyn Element> {
-        Box::new(self.clone())
-    }
-    fn base_cost(&self) -> f64 {
-        self.cycles
+    fn work(&self) -> WorkProfile {
+        WorkProfile::per_packet(self.cycles)
     }
 }
 
