@@ -2,14 +2,16 @@
 //! up to one controller that moves ring vnodes from the hottest server
 //! to the coldest.
 //!
-//! The detector mirrors the single-box adaptive controller's shape —
-//! threshold, hysteresis, cooldown — but watches a *cluster* quantity:
-//! the ratio of the hottest server's windowed load to the cluster mean.
-//! Acting on it is loss-free by construction: shard moves happen between
-//! batches (never with a batch in flight), state migration is charged on
-//! the simulated timeline over the inter-server links, and both ends'
-//! flow-cache generations are bumped so no stale verdict survives the
-//! ownership change.
+//! The controller measures a *cluster* quantity, the ratio of the
+//! hottest server's windowed load to the cluster mean, and feeds it to
+//! the single-box gate, [`ChangeDetector::gate`], for the threshold,
+//! hysteresis and cooldown. Acting on it is loss-free by construction:
+//! shard moves happen between batches (never with a batch in flight),
+//! state migration is charged on the simulated timeline over the
+//! inter-server links, and both ends' flow-cache generations are bumped
+//! so no stale verdict survives the ownership change.
+
+use nfc_control::{ChangeDetector, Decision, TriggerReason};
 
 /// Configuration for the cluster rebalancer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,21 +60,25 @@ pub struct ShardMove {
 /// Rolls per-server epoch loads into rebalance decisions.
 #[derive(Debug, Clone)]
 pub struct ClusterController {
-    cfg: RebalanceConfig,
+    /// The imbalance gate; `None` when rebalancing is disabled.
+    gate: Option<ChangeDetector>,
     epoch: u64,
-    breach_streak: usize,
-    cooldown: usize,
     moves: u64,
 }
 
 impl ClusterController {
     /// Controller with the given configuration.
     pub fn new(cfg: RebalanceConfig) -> Self {
+        let gate = cfg.is_enabled().then(|| {
+            ChangeDetector::new(
+                cfg.imbalance_threshold,
+                cfg.hysteresis_epochs,
+                cfg.cooldown_epochs,
+            )
+        });
         ClusterController {
-            cfg,
+            gate,
             epoch: 0,
-            breach_streak: 0,
-            cooldown: 0,
             moves: 0,
         }
     }
@@ -90,54 +96,55 @@ impl ClusterController {
     /// Closes one epoch with per-server windowed loads (any monotone
     /// busy-time proxy; the cluster runtime feeds signature busy-ns).
     /// Returns a move when the imbalance has persisted past hysteresis
-    /// and the cooldown has expired.
+    /// and the cooldown has expired. A rack of fewer than two servers,
+    /// or a disabled controller, counts the epoch and nothing else.
     pub fn observe(&mut self, loads: &[f64]) -> Option<ShardMove> {
         self.epoch += 1;
-        if loads.len() < 2 || !self.cfg.is_enabled() {
-            return None;
+        let gate = self.gate.as_mut().filter(|_| loads.len() >= 2)?;
+        let (mv, imbalance) = imbalance(loads);
+        let reason = TriggerReason {
+            stage: mv.from as usize,
+            metric: "imbalance",
+            drift: imbalance,
+        };
+        match gate.gate(reason) {
+            Decision::Hold => None,
+            Decision::Trigger(_) => {
+                gate.swapped();
+                self.moves += 1;
+                Some(mv)
+            }
         }
-        if self.cooldown > 0 {
-            self.cooldown -= 1;
-            return None;
-        }
-        let mean = loads.iter().sum::<f64>() / loads.len() as f64;
-        if mean <= 0.0 || mean.is_nan() {
-            self.breach_streak = 0;
-            return None;
-        }
-        let (hot, hot_load) =
-            loads
-                .iter()
-                .copied()
-                .enumerate()
-                .fold(
-                    (0, f64::MIN),
-                    |acc, (i, l)| if l > acc.1 { (i, l) } else { acc },
-                );
-        let (cold, _) = loads
-            .iter()
-            .copied()
-            .enumerate()
-            .fold(
-                (0, f64::MAX),
-                |acc, (i, l)| if l < acc.1 { (i, l) } else { acc },
-            );
-        if hot_load / mean <= self.cfg.imbalance_threshold || hot == cold {
-            self.breach_streak = 0;
-            return None;
-        }
-        self.breach_streak += 1;
-        if self.breach_streak < self.cfg.hysteresis_epochs.max(1) {
-            return None;
-        }
-        self.breach_streak = 0;
-        self.cooldown = self.cfg.cooldown_epochs;
-        self.moves += 1;
-        Some(ShardMove {
-            from: hot as u32,
-            to: cold as u32,
-        })
     }
+}
+
+/// The hottest and coldest servers of one epoch (the first of equals)
+/// and the hottest load over the mean, the quantity the gate compares
+/// with [`RebalanceConfig::imbalance_threshold`]. A rack with no
+/// positive mean load (idle, or NaN) or no distinct coldest server
+/// measures `-inf`, which never breaches; an unbounded hot server over
+/// an unbounded mean (∞/∞) measures `+inf`, which always does.
+fn imbalance(loads: &[f64]) -> (ShardMove, f64) {
+    let mean = loads.iter().sum::<f64>() / loads.len() as f64;
+    let (mut hot, mut hot_load, mut cold, mut cold_load) = (0, f64::MIN, 0, f64::MAX);
+    for (i, &l) in loads.iter().enumerate() {
+        if l > hot_load {
+            (hot, hot_load) = (i, l);
+        }
+        if l < cold_load {
+            (cold, cold_load) = (i, l);
+        }
+    }
+    let ratio = hot_load / mean;
+    let drift = if mean.is_nan() || mean <= 0.0 || hot == cold {
+        f64::NEG_INFINITY
+    } else if ratio.is_nan() {
+        f64::INFINITY
+    } else {
+        ratio
+    };
+    let (from, to) = (hot as u32, cold as u32);
+    (ShardMove { from, to }, drift)
 }
 
 #[cfg(test)]
@@ -187,6 +194,136 @@ mod tests {
         c.observe(&skew); // re-arm
         assert!(c.observe(&skew).is_some(), "acts again after cooldown");
         assert_eq!(c.moves(), 2);
+    }
+
+    /// The controller as it stood with its own streak and cooldown, kept
+    /// as the oracle for the decisions it now takes through the shared
+    /// gate.
+    struct Standalone {
+        cfg: RebalanceConfig,
+        breach_streak: usize,
+        cooldown: usize,
+    }
+
+    impl Standalone {
+        fn observe(&mut self, loads: &[f64]) -> Option<ShardMove> {
+            if loads.len() < 2 || !self.cfg.is_enabled() {
+                return None;
+            }
+            if self.cooldown > 0 {
+                self.cooldown -= 1;
+                return None;
+            }
+            let mean = loads.iter().sum::<f64>() / loads.len() as f64;
+            if mean <= 0.0 || mean.is_nan() {
+                self.breach_streak = 0;
+                return None;
+            }
+            let (hot, hot_load) =
+                loads
+                    .iter()
+                    .copied()
+                    .enumerate()
+                    .fold(
+                        (0, f64::MIN),
+                        |acc, (i, l)| if l > acc.1 { (i, l) } else { acc },
+                    );
+            let (cold, _) = loads
+                .iter()
+                .copied()
+                .enumerate()
+                .fold(
+                    (0, f64::MAX),
+                    |acc, (i, l)| if l < acc.1 { (i, l) } else { acc },
+                );
+            if hot_load / mean <= self.cfg.imbalance_threshold || hot == cold {
+                self.breach_streak = 0;
+                return None;
+            }
+            self.breach_streak += 1;
+            if self.breach_streak < self.cfg.hysteresis_epochs.max(1) {
+                return None;
+            }
+            self.breach_streak = 0;
+            self.cooldown = self.cfg.cooldown_epochs;
+            Some(ShardMove {
+                from: hot as u32,
+                to: cold as u32,
+            })
+        }
+    }
+
+    /// Load corners: zero of both signs, negative, equal, NaN and
+    /// unbounded values, and a sum that overflows.
+    const LOADS: [f64; 11] = [
+        0.0,
+        -0.0,
+        1.0,
+        1.0,
+        5.0,
+        10.0,
+        -3.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+    ];
+
+    /// Thresholds: negative, zero, ordinary, and the disabled ones.
+    const THRESHOLDS: [f64; 8] = [
+        -1.0,
+        0.0,
+        1.0,
+        1.05,
+        1.25,
+        f64::INFINITY,
+        f64::NAN,
+        f64::NEG_INFINITY,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// For any configuration and any sequence of epochs, drawn from
+        /// a pool of three load vectors (so breaches repeat) of zero to
+        /// five servers mixing the corners with ordinary loads, the
+        /// controller suggests exactly the moves the standalone one did.
+        #[test]
+        fn decisions_equal_the_standalone_controller_on_any_loads(
+            threshold in 0usize..THRESHOLDS.len(),
+            hysteresis in 0usize..4,
+            cooldown in 0usize..4,
+            pool in proptest::collection::vec(
+                proptest::collection::vec((0usize..LOADS.len() + 4, 0.0f64..20.0), 0..6),
+                3..4,
+            ),
+            epochs in proptest::collection::vec(0usize..3, 1..40),
+        ) {
+            let cfg = RebalanceConfig {
+                imbalance_threshold: THRESHOLDS[threshold],
+                hysteresis_epochs: hysteresis,
+                cooldown_epochs: cooldown,
+                ..cfg()
+            };
+            let pool: Vec<Vec<f64>> = pool
+                .iter()
+                .map(|v| v.iter().map(|&(k, x)| LOADS.get(k).copied().unwrap_or(x)).collect())
+                .collect();
+            let mut c = ClusterController::new(cfg);
+            let mut oracle = Standalone {
+                cfg,
+                breach_streak: 0,
+                cooldown: 0,
+            };
+            let mut moves = 0;
+            for (e, &i) in epochs.iter().enumerate() {
+                let want = oracle.observe(&pool[i]);
+                moves += u64::from(want.is_some());
+                proptest::prop_assert_eq!(c.observe(&pool[i]), want, "epoch {} loads {:?}", e, &pool[i]);
+            }
+            proptest::prop_assert_eq!(c.epoch(), epochs.len() as u64);
+            proptest::prop_assert_eq!(c.moves(), moves);
+        }
     }
 
     #[test]

@@ -10,26 +10,31 @@
 //! shard hand-offs and state migrations are charged on per-server link
 //! resources exactly like DMA is charged on `pcie-h2d` inside a box.
 //!
-//! Two proof obligations anchor the design (tested in
+//! Every rack size runs every batch through one path, on one rack
+//! state. Two proof obligations anchor it (tested in
 //! `tests/cluster_differential.rs`):
 //!
-//! 1. **N=1 oracle identity** — a one-server cluster takes the
-//!    single-`Deployment` code path exactly (no split, no merge, no
-//!    link charges, no arrival shifts), so egress bytes, packet order
-//!    and per-element statistics are byte-identical to
-//!    [`Deployment::run_collect`].
+//! 1. **N=1 oracle identity** — a one-server rack has no fabric: its
+//!    one shard is the batch itself (no split, no link charge, no
+//!    arrival shift, no shard stamp), so the one path is proven to give
+//!    egress bytes, packet order, simulated reports and per-element
+//!    statistics byte-identical to [`Deployment::run_collect`] — under
+//!    capacity, under tail-drop overload, and on a branching chain
+//!    with the flow cache on.
 //! 2. **Order preservation at any N** — flows are sticky to shards
 //!    (one server per flow hash), each sub-batch preserves its packets'
 //!    relative order, and [`Batch::merge_ordered`] restores the global
 //!    sequence; rebalances happen strictly between batches, so no shift
 //!    schedule can reorder or lose a flow's packets.
 
+use std::collections::HashSet;
+
 use nfc_core::{BatchResult, Deployment, PlatformResources, Policy, PreparedSfc, RunOutcome, Sfc};
 use nfc_hetero::sim::StatsAccumulator;
 use nfc_hetero::{CostModel, LinkSpec, PipelineSim, PlatformConfig, ResourceId, SimReport};
 use nfc_packet::traffic::TrafficGenerator;
 use nfc_packet::Batch;
-use nfc_telemetry::{EventKind, Telemetry, TelemetrySummary};
+use nfc_telemetry::{EventKind, Telemetry, TelemetryHandle, TelemetrySummary};
 
 use crate::balance::{ClusterController, RebalanceConfig};
 use crate::ring::{HashRing, ShardRange, FLOW_SPACE};
@@ -105,12 +110,6 @@ pub struct ClusterOutcome {
     pub shard_map: Vec<ShardRange>,
     /// End-of-run telemetry digest (`None` when telemetry is off).
     pub telemetry: Option<TelemetrySummary>,
-}
-
-/// Per-server link endpoints registered with the shared simulator.
-struct ServerLinks {
-    rx: ResourceId,
-    tx: ResourceId,
 }
 
 /// One SFC deployed across a [`ClusterSpec`] rack.
@@ -204,43 +203,181 @@ impl ClusterDeployment {
         self.run_sharded(std::slice::from_mut(traffic), n_batches, true, moves)
     }
 
-    /// Registers one server's platform, prepares its chain, then
-    /// registers its link endpoints (after `prepare` so the N=1 resource
-    /// layout matches the single-box oracle exactly up to the links).
-    #[allow(clippy::too_many_arguments)]
-    fn prepare_server(
-        dep: &mut Deployment,
-        sim: &mut PipelineSim,
+    fn run_sharded(
+        &mut self,
+        phases: &mut [TrafficGenerator],
+        batches_per_phase: usize,
+        collect: bool,
+        forced_moves: &[(usize, u32, u32)],
+    ) -> (ClusterOutcome, Vec<Batch>) {
+        let tel = Telemetry::new(self.tenants[0].telemetry.clone());
+        let handle = tel.handle();
+        let mut rack = Rack::new(&self.spec, &mut self.tenants, &mut phases[0], &handle);
+        let epoch_batches = self.spec.rebalance.epoch_batches.max(1);
+        let mut egress = Vec::new();
+        let mut traffic_clock = 0u64;
+        let mut b = 0usize;
+        // Each later phase continues the one before it, clock and
+        // numbering: a sequence number is an ESP number and IV, and must
+        // not repeat.
+        let mut next_seq = 0u64;
+        for (pi, traffic) in phases.iter_mut().enumerate() {
+            if pi > 0 {
+                traffic.advance_to(traffic_clock);
+                traffic.advance_seq_to(next_seq);
+            }
+            for _ in 0..batches_per_phase {
+                for &(_, from, to) in forced_moves.iter().filter(|&&(at, _, _)| at == b) {
+                    rack.apply_move(from, to);
+                }
+                let out = rack.run_batch(traffic.batch(rack.batch_size), &handle);
+                if collect {
+                    egress.extend(out);
+                }
+                if (b + 1).is_multiple_of(epoch_batches) {
+                    rack.close_epoch();
+                }
+                b += 1;
+            }
+            traffic_clock = traffic_clock.max(traffic.now_ns());
+            next_seq = next_seq.max(traffic.next_seq());
+        }
+        (rack.finish(tel, &handle), egress)
+    }
+}
+
+/// Index of a server's ingress link endpoint in [`Server::links`].
+const RX: usize = 0;
+/// Index of a server's egress link endpoint in [`Server::links`].
+const TX: usize = 1;
+
+/// One server of a running rack.
+struct Server {
+    res: PlatformResources,
+    prep: PreparedSfc,
+    /// Link endpoints registered with the shared simulator, by [`RX`]
+    /// and [`TX`].
+    links: [ResourceId; 2],
+    /// Busy time charged on each link endpoint.
+    link_busy: [f64; 2],
+    stats: StatsAccumulator,
+    /// Batches processed since the last epoch boundary.
+    window_batches: u64,
+    /// Distinct flows landed here (recording only).
+    flows: HashSet<u32>,
+}
+
+/// Everything one rack run mutates: the shared simulator, the ring,
+/// every server, the controller, the cluster-level statistics and the
+/// flow-forensics bookkeeping.
+struct Rack<'a> {
+    spec: &'a ClusterSpec,
+    sim: PipelineSim,
+    ring: HashRing,
+    servers: Vec<Server>,
+    controller: ClusterController,
+    batch_size: usize,
+    /// Latest cluster completion on the simulated timeline.
+    now: f64,
+    /// Cluster-level completions: a batch completes when its slowest
+    /// shard clears the egress link.
+    stats: StatsAccumulator,
+    /// Shard moves applied, and the state bytes they migrated.
+    rebalances: u64,
+    migrated_bytes: u64,
+    /// Shard moves attempted (numbers the rebalance events).
+    rebalance_epoch: u64,
+    /// Every sampled flow seen, in first-seen order: a ring move stamps
+    /// `migrate` on those it re-owns. This, the pending migrates, each
+    /// server's flow set and the cluster gauges are recording-gated:
+    /// the off path never touches them.
+    sampled_flows: Vec<u32>,
+    /// Sampled flows a move re-owned, awaiting their next landing.
+    pending_migrates: Vec<u32>,
+}
+
+impl<'a> Rack<'a> {
+    /// One rack on a fresh simulator: every tenant prepared on
+    /// `traffic`'s warm-up draw, and the initial shard map emitted.
+    fn new(
+        spec: &'a ClusterSpec,
+        tenants: &mut [Deployment],
         traffic: &mut TrafficGenerator,
-        user_base: &mut u64,
-        handle: &nfc_telemetry::TelemetryHandle,
-        server: usize,
-    ) -> (PlatformResources, PreparedSfc, ServerLinks) {
-        let res = PlatformResources::register(sim, dep.model());
-        let prep = dep.prepare(sim, &res, traffic, &[], user_base, handle);
-        let links = ServerLinks {
-            rx: sim.add_resource(format!("link{server}-rx"), 0.0),
-            tx: sim.add_resource(format!("link{server}-tx"), 0.0),
+        handle: &TelemetryHandle,
+    ) -> Self {
+        let mut sim = PipelineSim::new();
+        sim.set_recorder(handle.recorder());
+        let mut rack = Rack {
+            spec,
+            sim,
+            ring: HashRing::new(tenants.len(), spec.vnodes_per_server),
+            servers: Vec::with_capacity(tenants.len()),
+            controller: ClusterController::new(spec.rebalance),
+            batch_size: tenants[0].batch_size,
+            now: 0.0,
+            stats: StatsAccumulator::new(),
+            rebalances: 0,
+            migrated_bytes: 0,
+            rebalance_epoch: 0,
+            sampled_flows: Vec::new(),
+            pending_migrates: Vec::new(),
         };
-        (res, prep, links)
+        let mut user_base = 1u64;
+        for dep in tenants.iter_mut() {
+            rack.prepare_server(dep, traffic, &mut user_base, handle);
+        }
+        rack.emit_shard_map(0, 0.0);
+        rack
     }
 
-    /// Charges one link hop and records its span.
-    fn charge_link(
-        sim: &mut PipelineSim,
-        link: &LinkSpec,
-        res: ResourceId,
-        earliest: f64,
-        packets: usize,
-        bytes: usize,
-    ) -> (f64, f64) {
-        let span = sim.schedule_span(res, earliest, link.transfer_ns(packets, bytes), 0);
-        let rec = sim.recorder_mut();
+    /// Registers one server's platform, prepares its chain, then
+    /// registers its link endpoints (after `prepare`, so a one-server
+    /// rack lays out the single box's resources before its links).
+    fn prepare_server(
+        &mut self,
+        dep: &mut Deployment,
+        traffic: &mut TrafficGenerator,
+        user_base: &mut u64,
+        handle: &TelemetryHandle,
+    ) {
+        let s = self.servers.len();
+        let res = PlatformResources::register(&mut self.sim, dep.model());
+        let mut prep = dep.prepare(&mut self.sim, &res, traffic, &[], user_base, handle);
+        // One server is the single box: its flow points say server 0
+        // and its health gauges keep the single-box names.
+        if self.spec.len() > 1 {
+            prep.set_server(s as u32);
+        }
+        prep.snapshot_window();
+        let links = [
+            self.sim.add_resource(format!("link{s}-rx"), 0.0),
+            self.sim.add_resource(format!("link{s}-tx"), 0.0),
+        ];
+        self.servers.push(Server {
+            res,
+            prep,
+            links,
+            link_busy: [0.0; 2],
+            stats: StatsAccumulator::new(),
+            window_batches: 0,
+            flows: HashSet::new(),
+        });
+    }
+
+    /// Charges one hop on server `s`'s link endpoint `dir` ([`RX`] or
+    /// [`TX`]) no earlier than `at`, records its span and busy time, and
+    /// returns when the hop ends.
+    fn charge_link(&mut self, s: usize, dir: usize, at: f64, packets: usize, bytes: usize) -> f64 {
+        let res = self.servers[s].links[dir];
+        let ns = self.spec.link.transfer_ns(packets, bytes);
+        let (start, end) = self.sim.schedule_span(res, at, ns, 0);
+        self.servers[s].link_busy[dir] += end - start;
+        let rec = self.sim.recorder_mut();
         if rec.is_enabled() {
             rec.sim_span(
                 res.index() as u32,
-                span.0,
-                span.1,
+                start,
+                end,
                 EventKind::LinkTransfer {
                     link: res.index() as u32,
                     packets: packets as u32,
@@ -248,24 +385,18 @@ impl ClusterDeployment {
                 },
             );
         }
-        span
+        end
     }
 
     /// Emits the full shard map as `ShardRange` instants (each arc on
     /// its owner's rx-link track).
-    fn emit_shard_map(
-        sim: &mut PipelineSim,
-        links: &[ServerLinks],
-        ring: &HashRing,
-        epoch: u64,
-        at_ns: f64,
-    ) {
-        if !sim.recorder_mut().is_enabled() {
+    fn emit_shard_map(&mut self, epoch: u64, at_ns: f64) {
+        if !self.sim.recorder_mut().is_enabled() {
             return;
         }
-        for r in ring.shard_map() {
-            let track = links[r.server as usize].rx.index() as u32;
-            sim.recorder_mut().sim_instant(
+        for r in self.ring.shard_map() {
+            let track = self.servers[r.server as usize].links[RX].index() as u32;
+            self.sim.recorder_mut().sim_instant(
                 track,
                 at_ns,
                 EventKind::ShardRange {
@@ -278,57 +409,49 @@ impl ClusterDeployment {
         }
     }
 
-    /// Applies one shard move through the two-phase swap: ring
-    /// ownership flips between batches, the migrated state share is
-    /// charged over both ends' links, and both ends' flow caches are
-    /// invalidated. Returns `(vnodes moved, migrated bytes)` —
-    /// `(0, 0)` when the move was a no-op.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_move(
-        sim: &mut PipelineSim,
-        spec: &ClusterSpec,
-        ring: &mut HashRing,
-        preps: &mut [PreparedSfc],
-        links: &[ServerLinks],
-        from: u32,
-        to: u32,
-        now: f64,
-        epoch: u64,
-        sampled_flows: &[u32],
-        pending_migrates: &mut Vec<u32>,
-        link_busy: &mut [f64],
-    ) -> (usize, u64) {
-        let n = preps.len() as u32;
+    /// Applies one shard move at the current instant through the
+    /// two-phase swap: ring ownership flips between batches, the
+    /// migrated state share is charged over both ends' links, and both
+    /// ends' flow caches are invalidated. Every call opens a rebalance
+    /// epoch; a move naming a server outside the rack, or one the ring
+    /// refuses, changes nothing else.
+    fn apply_move(&mut self, from: u32, to: u32) {
+        self.rebalance_epoch += 1;
+        let epoch = self.rebalance_epoch;
+        let n = self.servers.len() as u32;
         if from >= n || to >= n {
-            return (0, 0);
+            return;
         }
-        let owners: Vec<u32> = sampled_flows.iter().map(|&h| ring.server_for(h)).collect();
-        let (vnodes, span) = ring.move_vnodes(from, to, spec.rebalance.vnodes_per_move.max(1));
+        let owners: Vec<u32> = self
+            .sampled_flows
+            .iter()
+            .map(|&h| self.ring.server_for(h))
+            .collect();
+        let per_move = self.spec.rebalance.vnodes_per_move.max(1);
+        let (vnodes, span) = self.ring.move_vnodes(from, to, per_move);
         if vnodes == 0 {
-            return (0, 0);
+            return;
         }
         // The moved flows' share of the source server's stateful-NF
         // footprint ships over the wire: out the hot server's tx link,
         // into the cold server's rx link, serialized like any transfer.
+        let (src, dst) = (from as usize, to as usize);
+        let now = self.now;
         let frac = span as f64 / FLOW_SPACE as f64;
-        let state = (preps[from as usize].state_bytes() as f64 * frac).ceil() as usize;
+        let state = (self.servers[src].prep.state_bytes() as f64 * frac).ceil() as usize;
         let mut swap_end = now;
         if state > 0 {
             let pkts = state.div_ceil(MIGRATION_MTU);
-            let (s1, e1) =
-                Self::charge_link(sim, &spec.link, links[from as usize].tx, now, pkts, state);
-            let (s2, e2) =
-                Self::charge_link(sim, &spec.link, links[to as usize].rx, e1, pkts, state);
-            link_busy[from as usize * 2 + 1] += e1 - s1;
-            link_busy[to as usize * 2] += e2 - s2;
-            swap_end = e2;
+            let sent = self.charge_link(src, TX, now, pkts, state);
+            swap_end = self.charge_link(dst, RX, sent, pkts, state);
         }
-        preps[from as usize].invalidate_flow_caches();
-        preps[to as usize].invalidate_flow_caches();
-        let rec = sim.recorder_mut();
+        self.servers[src].prep.invalidate_flow_caches();
+        self.servers[dst].prep.invalidate_flow_caches();
+        let track = self.servers[src].links[TX].index() as u32;
+        let rec = self.sim.recorder_mut();
         if rec.is_enabled() {
             rec.sim_instant(
-                links[from as usize].tx.index() as u32,
+                track,
                 now,
                 EventKind::ClusterRebalance {
                     epoch,
@@ -340,7 +463,7 @@ impl ClusterDeployment {
                 },
             );
         }
-        Self::emit_shard_map(sim, links, ring, epoch, swap_end);
+        self.emit_shard_map(epoch, swap_end);
         // Sampled flows whose ring owner just changed get a `migrate`
         // point queued here and stamped on the *destination* server's
         // track when their next batch lands there. Deferring keeps each
@@ -349,347 +472,190 @@ impl ClusterDeployment {
         // delivery times, so stamping at decision (or transfer-end)
         // time would let the marker postdate the flow's next hand-off.
         // The transfer span itself lives in `cluster_rebalance::swap_ns`.
-        for (&hash, owner) in sampled_flows.iter().zip(owners) {
-            if ring.server_for(hash) != owner && !pending_migrates.contains(&hash) {
-                pending_migrates.push(hash);
+        for (&hash, owner) in self.sampled_flows.iter().zip(owners) {
+            if self.ring.server_for(hash) != owner && !self.pending_migrates.contains(&hash) {
+                self.pending_migrates.push(hash);
             }
         }
-        (vnodes, state as u64)
+        self.rebalances += 1;
+        self.migrated_bytes += state as u64;
     }
 
-    fn run_sharded(
-        &mut self,
-        phases: &mut [TrafficGenerator],
-        batches_per_phase: usize,
-        collect: bool,
-        forced_moves: &[(usize, u32, u32)],
-    ) -> (ClusterOutcome, Vec<Batch>) {
-        let n = self.tenants.len();
-        let tel = Telemetry::new(self.tenants[0].telemetry.clone());
-        let handle = tel.handle();
-        let mut sim = PipelineSim::new();
-        sim.set_recorder(handle.recorder());
-        let recording = sim.recorder_mut().is_enabled();
-        let mut user_base = 1u64;
-        let mut res = Vec::with_capacity(n);
-        let mut preps = Vec::with_capacity(n);
-        let mut links = Vec::with_capacity(n);
-        for (s, dep) in self.tenants.iter_mut().enumerate() {
-            let (r, mut p, l) =
-                Self::prepare_server(dep, &mut sim, &mut phases[0], &mut user_base, &handle, s);
-            // One server is the single box: its flow points say server 0
-            // and its health gauges keep the single-box names.
-            if n > 1 {
-                p.set_server(s as u32);
+    /// Runs one cluster batch and returns its merged egress when some
+    /// shard completed. Each server's shard crosses its rx link, runs
+    /// the chain and crosses its tx link back. A one-server rack has no
+    /// fabric: its one shard is the batch itself, and no link is
+    /// charged.
+    fn run_batch(&mut self, batch: Batch, handle: &TelemetryHandle) -> Option<Batch> {
+        let first = batch.get(0).map(|p| p.meta.arrival_ns).unwrap_or(0) as f64;
+        // Every later link hop, shard, ring move and batch starts at or
+        // after the global batch's first arrival.
+        self.sim.retire_before(first);
+        let last = batch.iter().last().map(|p| p.meta.arrival_ns).unwrap_or(0) as f64;
+        let mean_arrival = (first + last) / 2.0;
+        let n = self.servers.len();
+        let fabric = n > 1;
+        // `split_by` counts a split in each part's lineage, so the one
+        // server takes the batch as it came.
+        let parts = if fabric {
+            batch.split_by(n, |_, p| self.ring.server_for(p.meta.flow_hash) as usize)
+        } else {
+            vec![batch]
+        };
+        let mut outs: Vec<Batch> = Vec::with_capacity(n);
+        let mut done = mean_arrival;
+        for (s, mut part) in parts.into_iter().enumerate() {
+            if part.is_empty() {
+                continue;
             }
-            res.push(r);
-            preps.push(p);
-            links.push(l);
-        }
-        let mut ring = HashRing::new(n, self.spec.vnodes_per_server);
-        Self::emit_shard_map(&mut sim, &links, &ring, 0, 0.0);
-        let batch_size = self.tenants[0].batch_size;
-        let mut cluster_stats = StatsAccumulator::new();
-        let mut server_stats: Vec<StatsAccumulator> =
-            (0..n).map(|_| StatsAccumulator::new()).collect();
-        let mut controller = ClusterController::new(self.spec.rebalance);
-        let epoch_batches = self.spec.rebalance.epoch_batches.max(1);
-        let mut window_batches = vec![0u64; n];
-        for p in preps.iter_mut() {
-            p.snapshot_window();
-        }
-        let mut egress = Vec::new();
-        let (mut egress_packets, mut egress_bytes) = (0u64, 0u64);
-        let (mut rebalances, mut migrated_bytes) = (0u64, 0u64);
-        let mut rebalance_epoch = 0u64;
-        let mut now = 0f64;
-        let mut traffic_clock = 0u64;
-        let mut b = 0usize;
-        // Forensics/observability bookkeeping: every sampled flow seen,
-        // in first-seen order (a ring move stamps `migrate` on those it
-        // re-owns), per-link busy time, and distinct flows landed per
-        // server (for the cluster gauges). All recording-gated: the off
-        // path never touches them.
-        let mut sampled_flows: Vec<u32> = Vec::new();
-        let mut pending_migrates: Vec<u32> = Vec::new();
-        let mut link_busy: Vec<f64> = vec![0.0; 2 * n];
-        let mut server_flows: Vec<std::collections::HashSet<u32>> =
-            (0..n).map(|_| std::collections::HashSet::new()).collect();
-        // Each later phase continues the one before it, clock and
-        // numbering: a sequence number is an ESP number and IV, and must
-        // not repeat.
-        let mut next_seq = 0u64;
-        for (pi, traffic) in phases.iter_mut().enumerate() {
-            if pi > 0 {
-                traffic.advance_to(traffic_clock);
-                traffic.advance_seq_to(next_seq);
+            if fabric {
+                self.deliver(s, &mut part);
             }
-            for _ in 0..batches_per_phase {
-                for &(_, from, to) in forced_moves.iter().filter(|&&(at, _, _)| at == b) {
-                    rebalance_epoch += 1;
-                    let (vn, m) = Self::apply_move(
-                        &mut sim,
-                        &self.spec,
-                        &mut ring,
-                        &mut preps,
-                        &links,
-                        from,
-                        to,
-                        now,
-                        rebalance_epoch,
-                        &sampled_flows,
-                        &mut pending_migrates,
-                        &mut link_busy,
-                    );
-                    if vn > 0 {
-                        rebalances += 1;
-                        migrated_bytes += m;
-                    }
+            let server = &mut self.servers[s];
+            server.window_batches += 1;
+            match server.prep.process_batch(&mut self.sim, &server.res, part) {
+                BatchResult::Completed {
+                    mean_arrival: part_arrival,
+                    completed,
+                    out,
+                } => {
+                    // Egress hand-off back to the rack fabric.
+                    let (len, bytes) = (out.len(), out.total_bytes());
+                    let end = if fabric {
+                        self.charge_link(s, TX, completed, len, bytes)
+                    } else {
+                        completed
+                    };
+                    self.servers[s]
+                        .stats
+                        .record_completion(part_arrival, end, len, bytes);
+                    done = done.max(end);
+                    outs.push(out);
                 }
-                let batch = traffic.batch(batch_size);
-                let first = batch.get(0).map(|p| p.meta.arrival_ns).unwrap_or(0) as f64;
-                // Every later link hop, shard, ring move and batch starts
-                // at or after the global batch's first arrival.
-                sim.retire_before(first);
-                let last = batch.iter().last().map(|p| p.meta.arrival_ns).unwrap_or(0) as f64;
-                let mean_arrival = (first + last) / 2.0;
-                if n == 1 {
-                    // Single server: the oracle path, bit for bit — no
-                    // split, no merge, no link charges, no arrival shifts.
-                    match preps[0].process_batch(&mut sim, &res[0], batch) {
-                        BatchResult::Completed {
-                            mean_arrival,
-                            completed,
-                            out,
-                        } => {
-                            handle.observe_ns("batch_latency_ns", completed - mean_arrival);
-                            now = now.max(completed);
-                            egress_packets += out.len() as u64;
-                            egress_bytes += out.total_bytes() as u64;
-                            cluster_stats.record_completion(
-                                mean_arrival,
-                                completed,
-                                out.len(),
-                                out.total_bytes(),
-                            );
-                            server_stats[0].record_completion(
-                                mean_arrival,
-                                completed,
-                                out.len(),
-                                out.total_bytes(),
-                            );
-                            if collect {
-                                egress.push(out);
-                            }
-                        }
-                        BatchResult::Dropped { mean_arrival } => {
-                            cluster_stats.record_drop(mean_arrival);
-                            server_stats[0].record_drop(mean_arrival);
-                        }
-                    }
-                    window_batches[0] += 1;
-                } else {
-                    let parts =
-                        batch.split_by(n, |_, p| ring.server_for(p.meta.flow_hash) as usize);
-                    let mut outs: Vec<Batch> = Vec::with_capacity(n);
-                    let mut cluster_done = mean_arrival;
-                    let mut any_completion = false;
-                    for (s, mut part) in parts.into_iter().enumerate() {
-                        if part.is_empty() {
-                            continue;
-                        }
-                        // Ingress hand-off: the shard ships over the
-                        // server's rx link; its packets cannot be seen by
-                        // the server before the wire delivers them.
-                        let part_last =
-                            part.iter().last().map(|p| p.meta.arrival_ns).unwrap_or(0) as f64;
-                        let (rx_start, delivered) = Self::charge_link(
-                            &mut sim,
-                            &self.spec.link,
-                            links[s].rx,
-                            part_last,
-                            part.len(),
-                            part.total_bytes(),
-                        );
-                        link_busy[s * 2] += delivered - rx_start;
-                        let delivered_ns = delivered.ceil() as u64;
-                        for i in 0..part.len() {
-                            if let Some(p) = part.get_mut(i) {
-                                if p.meta.arrival_ns < delivered_ns {
-                                    p.meta.arrival_ns = delivered_ns;
-                                }
-                            }
-                        }
-                        if recording {
-                            // Stamp the shard hand-off for sampled flows at
-                            // the instant the wire delivered them, and note
-                            // each flow so a later ring move can stamp
-                            // `migrate` on the destination track.
-                            let mut sampled: Vec<(u32, u32)> = Vec::new();
-                            for p in part.iter() {
-                                server_flows[s].insert(p.meta.flow_hash);
-                                if preps[s].flow_sampled(p.meta.flow_hash) {
-                                    match sampled.iter_mut().find(|(h, _)| *h == p.meta.flow_hash) {
-                                        Some((_, c)) => *c += 1,
-                                        None => sampled.push((p.meta.flow_hash, 1)),
-                                    }
-                                }
-                            }
-                            let track = links[s].rx.index() as u32;
-                            for (hash, count) in sampled {
-                                // A queued ring move materializes as a
-                                // `migrate` point the instant the flow's
-                                // next batch lands on its new owner.
-                                if let Some(i) = pending_migrates.iter().position(|&h| h == hash) {
-                                    pending_migrates.swap_remove(i);
-                                    preps[s].stamp_flow_point(
-                                        &mut sim, track, delivered, hash, "migrate", 0,
-                                    );
-                                }
-                                preps[s].stamp_flow_point(
-                                    &mut sim, track, delivered, hash, "shard", count,
-                                );
-                                if !sampled_flows.contains(&hash) {
-                                    sampled_flows.push(hash);
-                                }
-                            }
-                        }
-                        match preps[s].process_batch(&mut sim, &res[s], part) {
-                            BatchResult::Completed {
-                                mean_arrival: part_arrival,
-                                completed,
-                                out,
-                            } => {
-                                // Egress hand-off back to the rack fabric.
-                                let (tx_start, e) = Self::charge_link(
-                                    &mut sim,
-                                    &self.spec.link,
-                                    links[s].tx,
-                                    completed,
-                                    out.len(),
-                                    out.total_bytes(),
-                                );
-                                link_busy[s * 2 + 1] += e - tx_start;
-                                server_stats[s].record_completion(
-                                    part_arrival,
-                                    e,
-                                    out.len(),
-                                    out.total_bytes(),
-                                );
-                                cluster_done = cluster_done.max(e);
-                                any_completion = true;
-                                outs.push(out);
-                            }
-                            BatchResult::Dropped {
-                                mean_arrival: part_arrival,
-                            } => {
-                                server_stats[s].record_drop(part_arrival);
-                                cluster_stats.record_drop(part_arrival);
-                            }
-                        }
-                        window_batches[s] += 1;
-                    }
-                    now = now.max(cluster_done);
-                    if any_completion {
-                        let merged = Batch::merge_ordered(outs);
-                        handle.observe_ns("batch_latency_ns", cluster_done - mean_arrival);
-                        egress_packets += merged.len() as u64;
-                        egress_bytes += merged.total_bytes() as u64;
-                        cluster_stats.record_completion(
-                            mean_arrival,
-                            cluster_done,
-                            merged.len(),
-                            merged.total_bytes(),
-                        );
-                        if collect {
-                            egress.push(merged);
-                        }
-                    }
+                BatchResult::Dropped {
+                    mean_arrival: part_arrival,
+                } => {
+                    self.servers[s].stats.record_drop(part_arrival);
+                    self.stats.record_drop(part_arrival);
                 }
-                // Cluster epoch: per-server signatures roll up to one load
-                // vector; the controller decides hottest → coldest.
-                if (b + 1).is_multiple_of(epoch_batches) {
-                    let loads: Vec<f64> = preps
-                        .iter()
-                        .enumerate()
-                        .map(|(s, p)| {
-                            let sig =
-                                p.epoch_signature(batch_size, sim.backlog_ns(res[s].pcie_h2d, now));
-                            let busy: f64 =
-                                sig.stages.iter().map(|st| st.cpu_ns + st.kernel_ns).sum();
-                            busy * window_batches[s] as f64
-                        })
-                        .collect();
-                    if let Some(mv) = controller.observe(&loads) {
-                        rebalance_epoch += 1;
-                        let (vn, m) = Self::apply_move(
-                            &mut sim,
-                            &self.spec,
-                            &mut ring,
-                            &mut preps,
-                            &links,
-                            mv.from,
-                            mv.to,
-                            now,
-                            rebalance_epoch,
-                            &sampled_flows,
-                            &mut pending_migrates,
-                            &mut link_busy,
-                        );
-                        if vn > 0 {
-                            rebalances += 1;
-                            migrated_bytes += m;
-                        }
-                    }
-                    for (s, p) in preps.iter_mut().enumerate() {
-                        p.snapshot_window();
-                        window_batches[s] = 0;
-                    }
-                }
-                b += 1;
             }
-            traffic_clock = traffic_clock.max(traffic.now_ns());
-            next_seq = next_seq.max(traffic.next_seq());
         }
-        if recording {
+        self.now = self.now.max(done);
+        if outs.is_empty() {
+            return None;
+        }
+        let merged = Batch::merge_ordered(outs);
+        handle.observe_ns("batch_latency_ns", done - mean_arrival);
+        self.stats
+            .record_completion(mean_arrival, done, merged.len(), merged.total_bytes());
+        Some(merged)
+    }
+
+    /// Ingress hand-off of server `s`'s shard: it ships over the
+    /// server's rx link, and the server cannot see its packets before
+    /// the wire delivers them. With recording on, each sampled flow gets
+    /// its `shard` point at the delivery instant, preceded by the
+    /// `migrate` point a ring move queued for it, if any.
+    fn deliver(&mut self, s: usize, part: &mut Batch) {
+        let part_last = part.iter().last().map(|p| p.meta.arrival_ns).unwrap_or(0) as f64;
+        let delivered = self.charge_link(s, RX, part_last, part.len(), part.total_bytes());
+        let delivered_ns = delivered.ceil() as u64;
+        for p in part.iter_mut() {
+            p.meta.arrival_ns = p.meta.arrival_ns.max(delivered_ns);
+        }
+        if !self.sim.recorder_mut().is_enabled() {
+            return;
+        }
+        let server = &mut self.servers[s];
+        let mut sampled: Vec<(u32, u32)> = Vec::new();
+        for p in part.iter() {
+            server.flows.insert(p.meta.flow_hash);
+            if server.prep.flow_sampled(p.meta.flow_hash) {
+                match sampled.iter_mut().find(|(h, _)| *h == p.meta.flow_hash) {
+                    Some((_, c)) => *c += 1,
+                    None => sampled.push((p.meta.flow_hash, 1)),
+                }
+            }
+        }
+        let track = server.links[RX].index() as u32;
+        for (hash, count) in sampled {
+            if let Some(i) = self.pending_migrates.iter().position(|&h| h == hash) {
+                self.pending_migrates.swap_remove(i);
+                server
+                    .prep
+                    .stamp_flow_point(&mut self.sim, track, delivered, hash, "migrate", 0);
+            }
+            server
+                .prep
+                .stamp_flow_point(&mut self.sim, track, delivered, hash, "shard", count);
+            if !self.sampled_flows.contains(&hash) {
+                self.sampled_flows.push(hash);
+            }
+        }
+    }
+
+    /// Closes one rebalance epoch: per-server signatures roll up to one
+    /// load vector, the controller decides hottest → coldest, and every
+    /// server's observation window restarts.
+    fn close_epoch(&mut self) {
+        let loads: Vec<f64> = self
+            .servers
+            .iter()
+            .map(|server| {
+                let backlog = self.sim.backlog_ns(server.res.pcie_h2d, self.now);
+                let sig = server.prep.epoch_signature(self.batch_size, backlog);
+                let busy: f64 = sig.stages.iter().map(|st| st.cpu_ns + st.kernel_ns).sum();
+                busy * server.window_batches as f64
+            })
+            .collect();
+        if let Some(mv) = self.controller.observe(&loads) {
+            self.apply_move(mv.from, mv.to);
+        }
+        for server in &mut self.servers {
+            server.prep.snapshot_window();
+            server.window_batches = 0;
+        }
+    }
+
+    /// Publishes the cluster gauges (recording only) and folds the run
+    /// into its outcome.
+    fn finish(mut self, tel: Telemetry, handle: &TelemetryHandle) -> ClusterOutcome {
+        if self.sim.recorder_mut().is_enabled() {
             // Cluster-plane gauges: how hot each NIC link ran over the
             // whole run, and how many distinct flows each shard owns.
-            let span = now.max(1.0);
-            for (s, link) in links.iter().enumerate() {
-                for (slot, res_id) in [(s * 2, link.rx), (s * 2 + 1, link.tx)] {
+            let span = self.now.max(1.0);
+            for (s, server) in self.servers.iter().enumerate() {
+                for (res, busy) in server.links.into_iter().zip(server.link_busy) {
+                    let link = self.sim.resource_name(res);
                     handle.set_gauge(
-                        &format!(
-                            "cluster_link_busy_ratio{{link=\"{}\"}}",
-                            sim.resource_name(res_id)
-                        ),
-                        link_busy[slot] / span,
+                        &format!("cluster_link_busy_ratio{{link=\"{link}\"}}"),
+                        busy / span,
                     );
                 }
                 handle.set_gauge(
                     &format!("cluster_shard_flows{{server=\"{s}\"}}"),
-                    server_flows[s].len() as f64,
+                    server.flows.len() as f64,
                 );
             }
         }
-        if let Some(rec) = sim.take_recorder() {
+        if let Some(rec) = self.sim.take_recorder() {
             handle.absorb(rec);
         }
-        let per_server: Vec<RunOutcome> = preps
-            .into_iter()
-            .zip(server_stats)
-            .map(|(p, s)| p.into_outcome(s.report()))
-            .collect();
-        let outcome = ClusterOutcome {
-            report: cluster_stats.report(),
-            per_server,
-            egress_packets,
-            egress_bytes,
-            rebalances,
-            migrated_bytes,
-            shard_map: ring.shard_map(),
+        let report = self.stats.report();
+        ClusterOutcome {
+            per_server: self
+                .servers
+                .into_iter()
+                .map(|s| s.prep.into_outcome(s.stats.report()))
+                .collect(),
+            egress_packets: report.packets,
+            egress_bytes: report.bytes,
+            report,
+            rebalances: self.rebalances,
+            migrated_bytes: self.migrated_bytes,
+            shard_map: self.ring.shard_map(),
             telemetry: tel.finish(),
-        };
-        (outcome, egress)
+        }
     }
 }
 

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use nfc_cluster::{ClusterDeployment, ClusterSpec, RebalanceConfig};
-use nfc_core::{Deployment, Policy, Sfc};
+use nfc_core::{Deployment, FlowCacheMode, Policy, Sfc};
 use nfc_nf::Nf;
 use nfc_packet::traffic::{FlowSpec, PayloadPolicy, SizeDist, TrafficGenerator, TrafficSpec};
 use nfc_packet::Batch;
@@ -61,37 +61,148 @@ fn assert_per_flow_order(egress: &[Batch], label: &str) {
     }
 }
 
+/// One input of the N=1 oracle: a chain, its policy and deployment
+/// settings, its traffic, and what the single box is meant to show on
+/// it: tail drops, its branch width, flow-cache hits.
+struct OracleCase {
+    label: &'static str,
+    sfc: fn() -> Sfc,
+    policy: Policy,
+    configure: fn(Deployment) -> Deployment,
+    traffic: fn() -> TrafficGenerator,
+    batches: usize,
+    overloaded: bool,
+    width: usize,
+    cache_hits: bool,
+}
+
+fn oracle_cases() -> [OracleCase; 3] {
+    [
+        // DPI then IPsec, under capacity.
+        OracleCase {
+            label: "dpi-ipsec under capacity",
+            sfc,
+            policy: Policy::nfcompass(),
+            configure,
+            traffic: || traffic(7),
+            batches: 60,
+            overloaded: false,
+            width: 2,
+            cache_hits: false,
+        },
+        // CPU-only DPI at 40 Gbit/s of 1 500 B packets, about six times
+        // what one box's cores scan: once the backlog passes the queue
+        // bound (some 500 batches in), the ingress tail-drops batches.
+        OracleCase {
+            label: "overloaded cpu-only dpi",
+            sfc: || Sfc::new("dpi", vec![Nf::dpi("dpi")]),
+            policy: Policy::CpuOnly,
+            configure: |d| d.with_batch_size(64),
+            traffic: || {
+                TrafficGenerator::new(
+                    TrafficSpec::udp(SizeDist::Fixed(1500)).with_rate_gbps(40.0),
+                    5,
+                )
+            },
+            batches: 800,
+            overloaded: true,
+            width: 1,
+            cache_hits: false,
+        },
+        // FW and IDS only read, so the re-organizer runs them as two
+        // branches ahead of NAT; repeated flows replay cached verdicts.
+        OracleCase {
+            label: "branching fw-ids-nat with the flow cache",
+            sfc: || {
+                Sfc::new(
+                    "fw-ids-nat",
+                    vec![
+                        Nf::firewall("fw", 256, 3),
+                        Nf::ids("ids"),
+                        Nf::nat("nat", [192, 168, 0, 1]),
+                    ],
+                )
+            },
+            policy: Policy::nfcompass(),
+            configure: |d| configure(d).with_flow_cache(FlowCacheMode::On { capacity: 1024 }),
+            traffic: || {
+                TrafficGenerator::new(
+                    TrafficSpec::udp(SizeDist::Fixed(256))
+                        .with_rate_gbps(4.0)
+                        .with_flows(FlowSpec {
+                            count: 64,
+                            ..FlowSpec::default()
+                        }),
+                    13,
+                )
+            },
+            batches: 60,
+            overloaded: false,
+            width: 2,
+            cache_hits: true,
+        },
+    ]
+}
+
 #[test]
 fn n1_shard_cluster_is_byte_identical_to_the_single_box_oracle() {
-    let spec = ClusterSpec::uniform(1);
-    let mut cluster = ClusterDeployment::build(spec, &sfc(), Policy::nfcompass(), configure);
-    let (outcome, egress) = cluster.run_collect(&mut traffic(7), 60);
+    for case in oracle_cases() {
+        let label = case.label;
+        let spec = ClusterSpec::uniform(1);
+        let mut cluster =
+            ClusterDeployment::build(spec, &(case.sfc)(), case.policy, case.configure);
+        let (outcome, egress) = cluster.run_collect(&mut (case.traffic)(), case.batches);
 
-    let mut oracle = configure(Deployment::new(sfc(), Policy::nfcompass()));
-    let (oracle_out, oracle_egress) = oracle.run_collect(&mut traffic(7), 60);
+        let mut oracle = (case.configure)(Deployment::new((case.sfc)(), case.policy));
+        let (oracle_out, oracle_egress) = oracle.run_collect(&mut (case.traffic)(), case.batches);
 
-    assert_eq!(oracle_out.report.dropped_batches, 0, "oracle dropped");
-    assert_eq!(egress, oracle_egress, "egress must be byte-identical");
-    // The whole simulated report, at the cluster level and for the one
-    // server.
-    assert_eq!(outcome.report, oracle_out.report);
-    let server = &outcome.per_server[0];
-    assert_eq!(server.report, oracle_out.report);
-    assert_eq!(
-        server.stage_stats, oracle_out.stage_stats,
-        "per-element statistics must match"
-    );
-    assert_eq!(server.stage_offloads, oracle_out.stage_offloads);
-    assert_eq!(server.flow_cache, oracle_out.flow_cache);
-    assert_eq!(
-        (server.width, server.effective_length),
-        (oracle_out.width, oracle_out.effective_length)
-    );
-    assert_eq!(server.merge_conflicts, oracle_out.merge_conflicts);
-    assert_eq!(
-        (outcome.egress_packets, outcome.egress_bytes),
-        (oracle_out.egress_packets, oracle_out.egress_bytes)
-    );
+        if case.overloaded {
+            assert!(
+                oracle_out.report.dropped_batches > 0,
+                "{label}: oracle never dropped"
+            );
+        } else {
+            assert_eq!(
+                oracle_out.report.dropped_batches, 0,
+                "{label}: oracle dropped"
+            );
+        }
+        assert_eq!(oracle_out.width, case.width, "{label}: oracle width");
+        assert_eq!(
+            oracle_out.flow_cache.hits > 0,
+            case.cache_hits,
+            "{label}: oracle cache hits"
+        );
+        assert_eq!(
+            egress, oracle_egress,
+            "{label}: egress must be byte-identical"
+        );
+        // The whole simulated report, at the cluster level and for the one
+        // server.
+        assert_eq!(outcome.report, oracle_out.report, "{label}");
+        let server = &outcome.per_server[0];
+        assert_eq!(server.report, oracle_out.report, "{label}");
+        assert_eq!(
+            server.stage_stats, oracle_out.stage_stats,
+            "{label}: per-element statistics must match"
+        );
+        assert_eq!(server.stage_offloads, oracle_out.stage_offloads, "{label}");
+        assert_eq!(server.flow_cache, oracle_out.flow_cache, "{label}");
+        assert_eq!(
+            (server.width, server.effective_length),
+            (oracle_out.width, oracle_out.effective_length),
+            "{label}"
+        );
+        assert_eq!(
+            server.merge_conflicts, oracle_out.merge_conflicts,
+            "{label}"
+        );
+        assert_eq!(
+            (outcome.egress_packets, outcome.egress_bytes),
+            (oracle_out.egress_packets, oracle_out.egress_bytes),
+            "{label}"
+        );
+    }
 }
 
 #[test]

@@ -139,11 +139,6 @@ impl ChangeDetector {
         reference: &WorkloadSignature,
         signals: &[HealthSignal],
     ) -> Decision {
-        if self.cooldown_left > 0 {
-            self.cooldown_left -= 1;
-            self.streak = 0;
-            return Decision::Hold;
-        }
         let mut worst = Self::drift(cur, reference);
         for s in signals {
             if s.drift.is_finite() && s.drift > worst.drift {
@@ -153,6 +148,19 @@ impl ChangeDetector {
                     drift: s.drift,
                 };
             }
+        }
+        self.gate(worst)
+    }
+
+    /// Feeds one epoch's worst drift, however it was measured (the
+    /// rack's load imbalance uses this too), through cooldown and
+    /// hysteresis; a drift not above the threshold, NaN included, resets
+    /// the streak.
+    pub fn gate(&mut self, worst: TriggerReason) -> Decision {
+        if self.cooldown_left > 0 {
+            self.cooldown_left -= 1;
+            self.streak = 0;
+            return Decision::Hold;
         }
         if worst.drift > self.threshold {
             self.streak += 1;

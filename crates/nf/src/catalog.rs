@@ -471,7 +471,7 @@ pub fn synth_routes_v6(n: usize, seed: u64) -> Vec<RouteV6> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfc_click::{ElementSignature, WorkProfile};
+    use nfc_click::{ElementClass, ElementSignature, WorkProfile};
     use nfc_packet::traffic::{PayloadPolicy, SizeDist, TrafficGenerator, TrafficSpec};
 
     fn drive(nf: &Nf, batch: nfc_packet::Batch) -> nfc_packet::Batch {
@@ -684,7 +684,7 @@ mod tests {
             (|| Nf::stream_ids("stream-ids"), true),
             (|| Nf::nat("nat", [203, 0, 113, 1]), true),
             (|| Nf::load_balancer("lb", 4), false),
-            (|| Nf::wan_optimizer("wan"), false),
+            (|| Nf::wan_optimizer("wan"), true),
             (|| Nf::proxy("proxy"), false),
             (|| Nf::ipv4_forwarder("r4", 64, 3), false),
             (|| Nf::ipv6_forwarder("r6", 64, 4), false),
@@ -740,6 +740,14 @@ mod tests {
                 driving_shows,
                 "{name}: the traffic should (or should not) show in the driven clone"
             );
+            for id in driven.graph().node_ids() {
+                let el = driven.graph().element(id);
+                assert!(
+                    el.class() != ElementClass::Stateful || el.state_bytes() > 0,
+                    "{name}: stateful `{}` reports no state after driving",
+                    el.name()
+                );
+            }
             let (second_out, second_run) = drive_all(second.into_graph(), original.entry());
             let (fresh_out, fresh_run) = drive_all(fresh.graph().clone(), fresh.entry());
             assert!(!fresh_out.is_empty(), "{name} forwarded nothing");

@@ -1729,6 +1729,11 @@ impl Element for WanOptimizer {
         // Payload hashing walks every byte.
         WorkProfile::new(80.0, 1.5)
     }
+
+    fn state_bytes(&self) -> usize {
+        // Fingerprint + hit count + generation stamp + CLOCK bit per entry.
+        self.cache.len() * 24
+    }
 }
 
 #[cfg(test)]

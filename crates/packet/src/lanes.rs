@@ -30,11 +30,13 @@
 //! packets are never written, preserving copy-on-write buffer sharing
 //! and [`crate::FlowKey`] memos; changed packets go through
 //! [`Packet::data_mut`](crate::Packet::data_mut), which triggers exactly the same CoW clone and
-//! memo invalidation as the per-packet setters. Checksums are fixed
-//! incrementally (RFC 1624) in a canonical field order — src IP, src
-//! port, dst port, TTL — matching the update sequences the per-packet
-//! rewrite paths (NAT, TTL decrement) emit, so the scattered bytes are
-//! identical to theirs.
+//! memo invalidation as the per-packet setters. The TTL is the one
+//! writable column: [`HeaderLanes::set_ttl`] and the wide-word
+//! [`HeaderLanes::dec_ttl_ipv4`] rewrite it, and write-back fixes the
+//! IPv4 header checksum incrementally (RFC 1624) with the same update
+//! the per-packet TTL decrement emits, so the scattered bytes are
+//! identical to its bytes. Every other column is read-only; header
+//! rewrites such as NAT's go through the per-packet setters.
 
 use crate::headers::ip_proto;
 use crate::{checksum, simd, Batch};
@@ -55,10 +57,6 @@ const IP_DST: usize = 30;
 const L4_SPORT: usize = 34;
 /// Byte offset of the L4 destination port.
 const L4_DPORT: usize = 36;
-/// Byte offset of the UDP checksum.
-const UDP_CSUM: usize = 40;
-/// Byte offset of the TCP checksum.
-const TCP_CSUM: usize = 50;
 /// Minimum wire length for a parsable IPv4 header (14 + 20).
 const MIN_V4: usize = 34;
 /// Minimum wire length for an in-bounds UDP header (34 + 8).
@@ -88,13 +86,10 @@ pub struct HeaderLanes {
     // ([`crate::simd`]) can slice 8-row chunk masks without re-packing.
     ipv4_bits: Vec<u64>,
     tuple_bits: Vec<u64>,
-    // Pre-mutation copies of the mutable columns, for dirty detection at
-    // writeback. Materialized lazily by the first `set_*` call so the
-    // read-only sweep path (shared, memoized views) never pays for them.
-    // `dst_ip`, `proto` and `wire_len` are read-only through this view.
-    orig_src_ip: Vec<u32>,
-    orig_src_port: Vec<u16>,
-    orig_dst_port: Vec<u16>,
+    // Pre-mutation copy of the TTL column, the one writable column, for
+    // dirty detection at writeback. Materialized lazily by the first
+    // mutation so the read-only sweep path (shared, memoized views)
+    // never pays for it.
     orig_ttl: Vec<u8>,
 }
 
@@ -117,9 +112,6 @@ impl HeaderLanes {
             tuple: vec![false; n],
             ipv4_bits: vec![0; simd::bit_capacity(n)],
             tuple_bits: vec![0; simd::bit_capacity(n)],
-            orig_src_ip: Vec::new(),
-            orig_src_port: Vec::new(),
-            orig_dst_port: Vec::new(),
             orig_ttl: Vec::new(),
         };
         for (i, pkt) in batch.iter().enumerate() {
@@ -177,16 +169,12 @@ impl HeaderLanes {
         lanes
     }
 
-    /// Snapshots the mutable columns before the first mutation (no-op on
+    /// Snapshots the TTL column before the first mutation (no-op on
     /// later calls), so writeback can diff against pre-mutation values.
     fn ensure_orig(&mut self) {
-        if !self.orig_src_ip.is_empty() || self.len == 0 {
-            return;
+        if self.orig_ttl.is_empty() {
+            self.orig_ttl = self.ttl.clone();
         }
-        self.orig_src_ip = self.src_ip.clone();
-        self.orig_src_port = self.src_port.clone();
-        self.orig_dst_port = self.dst_port.clone();
-        self.orig_ttl = self.ttl.clone();
     }
 
     /// Number of packets (rows).
@@ -273,43 +261,19 @@ impl HeaderLanes {
         simd::dec_ttl_swar(&mut self.ttl, &self.ipv4_bits)
     }
 
-    /// Rewrites the source IP column for row `i` (scattered home by
-    /// [`HeaderLanes::write_back`]). Only meaningful under the IPv4 mask.
-    pub fn set_src_ip(&mut self, i: usize, v: u32) {
-        self.ensure_orig();
-        self.src_ip[i] = v;
-    }
-
-    /// Rewrites the source port column for row `i`. Only meaningful
-    /// under the tuple mask.
-    pub fn set_src_port(&mut self, i: usize, v: u16) {
-        self.ensure_orig();
-        self.src_port[i] = v;
-    }
-
-    /// Rewrites the destination port column for row `i`.
-    pub fn set_dst_port(&mut self, i: usize, v: u16) {
-        self.ensure_orig();
-        self.dst_port[i] = v;
-    }
-
     /// Rewrites the TTL column for row `i`.
     pub fn set_ttl(&mut self, i: usize, v: u8) {
         self.ensure_orig();
         self.ttl[i] = v;
     }
 
-    /// Scatters modified columns back into `batch`, fixing the IPv4 and
-    /// UDP/TCP checksums incrementally.
+    /// Scatters the TTL column back into `batch`, fixing the IPv4 header
+    /// checksum incrementally.
     ///
-    /// Packets whose columns are unchanged are never touched: their
-    /// buffers stay shared and their flow-key memos survive. Changed
-    /// packets take one [`Packet::data_mut`](crate::Packet::data_mut) (CoW clone + memo
-    /// invalidation, exactly like the per-packet setters) and receive
-    /// per-field updates in the canonical order src IP, src port, dst
-    /// port, TTL. A zero UDP checksum is left untouched
-    /// ("checksum disabled"), mirroring NAT's rewrite rule; TCP
-    /// checksums are always updated.
+    /// Packets whose TTL is unchanged are never touched: their buffers
+    /// stay shared and their flow-key memos survive. Changed packets take
+    /// one [`Packet::data_mut`](crate::Packet::data_mut) (CoW clone + memo
+    /// invalidation, exactly like the per-packet setters).
     ///
     /// # Panics
     ///
@@ -321,64 +285,23 @@ impl HeaderLanes {
             self.len,
             "write_back on a batch of different size"
         );
-        if self.orig_src_ip.is_empty() {
+        if self.orig_ttl.is_empty() {
             return; // no column was ever mutated: strict no-op
         }
         for i in 0..self.len {
-            if !self.ipv4[i] {
+            if !self.ipv4[i] || self.ttl[i] == self.orig_ttl[i] {
                 continue;
             }
-            let d_src = self.src_ip[i] != self.orig_src_ip[i];
-            let has_l4 = self.tuple[i];
-            let d_sport = has_l4 && self.src_port[i] != self.orig_src_port[i];
-            let d_dport = has_l4 && self.dst_port[i] != self.orig_dst_port[i];
-            let d_ttl = self.ttl[i] != self.orig_ttl[i];
-            if !(d_src || d_sport || d_dport || d_ttl) {
-                continue;
-            }
-            let is_udp = self.proto[i] == ip_proto::UDP;
-            let l4_csum = if is_udp { UDP_CSUM } else { TCP_CSUM };
-            let pkt = batch.get_mut(i).expect("length checked above");
-            let buf = pkt.data_mut();
-            let rd16 = |b: &[u8], o: usize| u16::from_be_bytes([b[o], b[o + 1]]);
-            if d_src {
-                let (old, new) = (self.orig_src_ip[i], self.src_ip[i]);
-                let c = checksum::update32(rd16(buf, IP_CSUM), old, new);
-                buf[IP_CSUM..IP_CSUM + 2].copy_from_slice(&c.to_be_bytes());
-                buf[IP_SRC..IP_SRC + 4].copy_from_slice(&new.to_be_bytes());
-                if has_l4 {
-                    let lc = rd16(buf, l4_csum);
-                    if !(is_udp && lc == 0) {
-                        let lc = checksum::update32(lc, old, new);
-                        buf[l4_csum..l4_csum + 2].copy_from_slice(&lc.to_be_bytes());
-                    }
-                }
-            }
-            if d_sport {
-                let (old, new) = (self.orig_src_port[i], self.src_port[i]);
-                let lc = rd16(buf, l4_csum);
-                if !(is_udp && lc == 0) {
-                    let lc = checksum::update16(lc, old, new);
-                    buf[l4_csum..l4_csum + 2].copy_from_slice(&lc.to_be_bytes());
-                }
-                buf[L4_SPORT..L4_SPORT + 2].copy_from_slice(&new.to_be_bytes());
-            }
-            if d_dport {
-                let (old, new) = (self.orig_dst_port[i], self.dst_port[i]);
-                let lc = rd16(buf, l4_csum);
-                if !(is_udp && lc == 0) {
-                    let lc = checksum::update16(lc, old, new);
-                    buf[l4_csum..l4_csum + 2].copy_from_slice(&lc.to_be_bytes());
-                }
-                buf[L4_DPORT..L4_DPORT + 2].copy_from_slice(&new.to_be_bytes());
-            }
-            if d_ttl {
-                let old = u16::from_be_bytes([self.orig_ttl[i], self.proto[i]]);
-                let new = u16::from_be_bytes([self.ttl[i], self.proto[i]]);
-                let c = checksum::update16(rd16(buf, IP_CSUM), old, new);
-                buf[IP_CSUM..IP_CSUM + 2].copy_from_slice(&c.to_be_bytes());
-                buf[IP_TTL] = self.ttl[i];
-            }
+            let buf = batch.get_mut(i).expect("length checked above").data_mut();
+            let old = u16::from_be_bytes([self.orig_ttl[i], self.proto[i]]);
+            let new = u16::from_be_bytes([self.ttl[i], self.proto[i]]);
+            let c = checksum::update16(
+                u16::from_be_bytes([buf[IP_CSUM], buf[IP_CSUM + 1]]),
+                old,
+                new,
+            );
+            buf[IP_CSUM..IP_CSUM + 2].copy_from_slice(&c.to_be_bytes());
+            buf[IP_TTL] = self.ttl[i];
         }
     }
 }
@@ -546,32 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn address_and_port_writeback_keeps_checksums_valid() {
-        let mut batch = mixed_batch();
-        let mut lanes = batch.header_lanes();
-        for i in 0..lanes.len() {
-            if lanes.tuple_mask()[i] {
-                lanes.set_src_ip(i, 0x0a00_00fe);
-                lanes.set_src_port(i, 61000);
-            }
-        }
-        lanes.write_back(&mut batch);
-        for p in batch.iter() {
-            let Ok(ip) = p.ipv4() else { continue };
-            if ip.protocol != ip_proto::UDP && ip.protocol != ip_proto::TCP {
-                continue;
-            }
-            // IPv4 header checksum still verifies after the incremental
-            // updates (recompute and compare).
-            let mut copy = ip;
-            assert_eq!(ip.checksum, copy.compute_checksum());
-            assert_eq!(ip.src_u32(), 0x0a00_00fe);
-            let t = p.five_tuple().unwrap();
-            assert_eq!(t.src_port, 61000);
-        }
-    }
-
-    #[test]
     fn writeback_invalidates_memo_only_on_changed_rows() {
         let mut batch = mixed_batch();
         for p in batch.iter_mut() {
@@ -579,12 +476,14 @@ mod tests {
         }
         let mut lanes = batch.header_lanes();
         // Change only row 0 (IPv4/UDP).
-        lanes.set_dst_port(0, 9999);
+        lanes.set_ttl(0, 9);
         lanes.write_back(&mut batch);
         assert!(batch.get(0).unwrap().cached_flow_key().is_none());
         assert!(batch.get(1).unwrap().cached_flow_key().is_some());
-        let t = batch.get(0).unwrap().five_tuple().unwrap();
-        assert_eq!(t.dst_port, 9999);
+        let ip = batch.get(0).unwrap().ipv4().unwrap();
+        assert_eq!(ip.ttl, 9);
+        let mut copy = ip;
+        assert_eq!(copy.compute_checksum(), ip.checksum);
     }
 
     mod proptests {
@@ -657,9 +556,9 @@ mod tests {
                 }
             }
 
-            /// Gather → mutate → scatter: after arbitrary per-row header
+            /// Gather → mutate → scatter: after arbitrary per-row TTL
             /// rewrites through the lanes, every packet re-parses to the
-            /// mutated values, the IPv4 header checksum still verifies,
+            /// mutated value, the IPv4 header checksum still verifies,
             /// memos survive exactly on untouched rows, and untouched
             /// rows never pay a CoW clone.
             #[test]
@@ -669,8 +568,6 @@ mod tests {
                     1..24,
                 ),
                 touch_seed in any::<u64>(),
-                new_src in any::<u32>(),
-                new_port in 1u16..u16::MAX,
                 new_ttl in 1u8..255,
             ) {
                 let mut batch = build_batch(&rows);
@@ -685,15 +582,12 @@ mod tests {
                         continue;
                     }
                     if lanes.ipv4_mask()[i] {
+                        // Writing the TTL a row already has changes
+                        // nothing, so that row counts as untouched.
+                        *touch = lanes.ttl()[i] != new_ttl;
                         lanes.set_ttl(i, new_ttl);
-                        *touch = true;
-                    }
-                    if lanes.tuple_mask()[i] {
-                        lanes.set_src_ip(i, new_src);
-                        lanes.set_dst_port(i, new_port);
                     }
                 }
-                let tuple_mask = lanes.tuple_mask().to_vec();
                 let ipv4_mask = lanes.ipv4_mask().to_vec();
                 lanes.write_back(&mut batch);
                 for (i, (p, s)) in batch.iter().zip(shadow.iter()).enumerate() {
@@ -715,11 +609,6 @@ mod tests {
                     let mut copy = ip;
                     prop_assert_eq!(copy.compute_checksum(), ip.checksum);
                     prop_assert_eq!(ip.ttl, new_ttl);
-                    if tuple_mask[i] {
-                        prop_assert_eq!(ip.src_u32(), new_src);
-                        let t = p.five_tuple().unwrap();
-                        prop_assert_eq!(t.dst_port, new_port);
-                    }
                 }
             }
         }
