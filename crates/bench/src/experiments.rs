@@ -718,7 +718,7 @@ pub fn ablations(quick: bool) -> ExperimentResult {
     // NfCompass policy applies): predicted per-batch stage cost on a
     // profiled DPI stage.
     {
-        use nfc_core::allocator::{allocate, stage_cost};
+        use nfc_core::allocator::{allocate, stage_cost, Pricing};
         use nfc_core::profiler::Profiler;
         use nfc_hetero::{CoRunContext, CostModel, PlatformConfig};
         let nf = Nf::dpi("dpi");
@@ -729,14 +729,18 @@ pub fn ablations(quick: bool) -> ExperimentResult {
         }
         let model = CostModel::new(PlatformConfig::hpca18());
         let weights = Profiler::new(model, GpuMode::Persistent).measure(&rung);
-        let solo = CoRunContext::solo();
+        let solo = Pricing {
+            model,
+            corun: CoRunContext::solo(),
+            mode: GpuMode::Persistent,
+        };
         for algo in [
             PartitionAlgo::Kl,
             PartitionAlgo::Agglomerative,
             PartitionAlgo::Mfmc,
         ] {
             let plan = allocate(nf.graph(), &weights, algo, 0.1);
-            let cost = stage_cost(&model, &weights, &solo, &plan.ratios, GpuMode::Persistent);
+            let cost = stage_cost(&solo, &weights, &plan.ratios);
             println!(
                 "{:<34} {:>9} {:>12}",
                 format!("raw {algo:?} plan (us/batch)"),

@@ -6,12 +6,16 @@
 //! **seed-based agglomerative** clustering (scalable fallback), and the
 //! exact **MFMC** min-cut formulation (the model the paper cites; load-
 //! balance-blind, kept for ablation).
+//!
+//! Every plan is then ranked by [`stage_cost`], which is
+//! [`Pricing::charge`] at the profiled batch: the same charge the
+//! runtime computes for each batch and the simulator replays.
 
 use crate::expansion::Expansion;
-use crate::profiler::GraphWeights;
-use nfc_click::ElementGraph;
+use crate::profiler::{GraphWeights, Profiler};
+use nfc_click::{CompiledGraph, ElementGraph, GraphStats};
 use nfc_graphpart::{agglomerative, kl, maxflow, Objective, Partition, Side};
-use nfc_hetero::{CoRunContext, CostModel, GpuMode};
+use nfc_hetero::{CoRunContext, CostModel, ElementLoad, GpuMode};
 use nfc_telemetry::Recorder;
 
 /// Which partitioning algorithm the allocator runs.
@@ -80,62 +84,125 @@ impl AllocationPlan {
     }
 }
 
-/// Execution-consistent cost of one stage under per-element `ratios`:
-/// mirrors the engine's scheduling (CPU side with carve/re-merge for
-/// partial ratios; GPU side with DMA, dispatch and kernels), returning the
-/// pipeline bottleneck time per batch in ns.
-pub fn stage_cost(
-    model: &CostModel,
-    weights: &GraphWeights,
-    corun: &CoRunContext,
-    ratios: &[f64],
-    mode: GpuMode,
-) -> f64 {
+/// What prices a stage: its cost model (a synthesized stage keeps the
+/// cores of every NF merged into it), its co-run context and its
+/// effective GPU dispatch mode. The planners and the runtime price a
+/// stage only through it, so a plan is ranked by the charge the
+/// simulator replays.
+#[derive(Debug, Clone)]
+pub struct Pricing {
+    /// The stage's cost model.
+    pub model: CostModel,
+    /// The stage's cache co-runners.
+    pub corun: CoRunContext,
+    /// Dispatch mode in effect: the runtime downgrades a stage to
+    /// launch-per-batch when the SM-residency pass spills it.
+    pub mode: GpuMode,
+}
+
+/// The element sums of one stage's charge for one batch, from
+/// [`Pricing::charge`]. Callers add what is not per element: the
+/// carve and re-merge of a partial offload, one DMA each way sized by
+/// `gpu_bytes`, and at run time the batch's functional splits and
+/// merges.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Charge {
+    /// CPU time of every element's CPU share, ns.
+    pub cpu_ns: f64,
+    /// Kernel plus dispatch time of every element's GPU share, ns.
+    pub kernel_ns: f64,
+    /// Largest per-element payload shipped to the device, bytes.
+    pub gpu_bytes: f64,
+    /// Largest per-element packet count shipped to the device.
+    pub gpu_packets: usize,
+    /// Elements with a GPU share (one kernel dispatch each).
+    pub gpu_kernels: u32,
+    /// Whether some element is split between CPU and GPU.
+    pub partial: bool,
+}
+
+impl Pricing {
+    /// The one statement of what a stage is charged: walks its elements'
+    /// `(load, offload ratio)` pairs in graph order. A CPU-only element
+    /// keeps all of its load on the CPU whatever its ratio says.
+    pub fn charge(&self, elements: impl IntoIterator<Item = (ElementLoad, f64)>) -> Charge {
+        let mut c = Charge::default();
+        for (load, r) in elements {
+            let r = if load.kernel.is_some() { r } else { 0.0 };
+            if r < 1.0 {
+                c.cpu_ns += self
+                    .model
+                    .cpu_batch_ns(&load.fraction(1.0 - r), &self.corun);
+            }
+            if r > 0.0 {
+                let part = load.fraction(r);
+                let g = self.model.gpu_batch_ns(&part, self.mode);
+                c.kernel_ns += g.kernel_ns + g.dispatch_ns;
+                c.gpu_bytes = c.gpu_bytes.max(part.bytes as f64);
+                c.gpu_packets = c.gpu_packets.max(part.packets);
+                c.gpu_kernels += 1;
+            }
+            if r > 0.0 && r < 1.0 {
+                c.partial = true;
+            }
+        }
+        c
+    }
+
+    /// [`Pricing::charge`] of the profiled batch under per-element
+    /// `ratios` (a missing ratio is 0).
+    pub fn profiled_charge(&self, weights: &GraphWeights, ratios: &[f64]) -> Charge {
+        self.charge(
+            weights
+                .nodes
+                .iter()
+                .enumerate()
+                .map(|(i, w)| (w.load, ratios.get(i).copied().unwrap_or(0.0))),
+        )
+    }
+
+    /// One DMA of `bytes` over the PCIe link, ns.
+    pub fn dma_ns(&self, bytes: f64) -> f64 {
+        let pcie = self.model.platform().pcie;
+        pcie.dma_latency_ns + bytes / pcie.bw_gbs
+    }
+
+    /// Profiles `run` over the statistics window `stats` under this
+    /// stage's model, co-runners and dispatch mode.
+    pub fn profile(&self, run: &CompiledGraph, stats: &GraphStats) -> GraphWeights {
+        Profiler::new(self.model, self.mode).measure_stats_with_corun(run, stats, &self.corun)
+    }
+}
+
+/// Cost of one stage under per-element `ratios`, ns per batch: the
+/// [`Pricing::charge`] of the profiled batch, plus the carve and
+/// re-merge of a partial offload and one DMA each way, as the pipeline
+/// bottleneck max(CPU side, GPU side).
+pub fn stage_cost(pricing: &Pricing, weights: &GraphWeights, ratios: &[f64]) -> f64 {
+    let c = pricing.profiled_charge(weights, ratios);
     let batch = weights.entry_packets.round().max(1.0) as usize;
-    let mut cpu = 0.0;
-    let mut gpu = 0.0;
-    let mut gpu_bytes = 0.0f64;
-    let mut partial = false;
-    let mut any = false;
-    for (i, w) in weights.nodes.iter().enumerate() {
-        let r = ratios.get(i).copied().unwrap_or(0.0);
-        let r = if w.offloadable { r } else { 0.0 };
-        if r < 1.0 {
-            cpu += model.cpu_batch_ns(&w.load.fraction(1.0 - r), corun);
-        }
-        if r > 0.0 {
-            let g = model.gpu_batch_ns(&w.load.fraction(r), mode);
-            gpu += g.kernel_ns + g.dispatch_ns;
-            gpu_bytes = gpu_bytes.max(w.load.fraction(r).bytes as f64);
-            any = true;
-        }
-        if r > 0.0 && r < 1.0 {
-            partial = true;
-        }
+    let mut cpu = c.cpu_ns;
+    if c.partial {
+        cpu += pricing.model.carve_ns(batch) + pricing.model.offload_merge_ns(batch);
     }
-    if partial {
-        cpu += model.carve_ns(batch) + model.offload_merge_ns(batch);
-    }
-    if any {
-        let dma = model.platform().pcie.dma_latency_ns + gpu_bytes / model.platform().pcie.bw_gbs;
-        gpu += 2.0 * dma;
+    let mut gpu = c.kernel_ns;
+    if c.gpu_kernels > 0 {
+        gpu += 2.0 * pricing.dma_ns(c.gpu_bytes);
     }
     cpu.max(gpu)
 }
 
 /// The paper's "dynamic task adaption" (§IV-C3): coordinate descent on
-/// the δ grid refining a partitioner's ratios against the
-/// execution-consistent [`stage_cost`]. Converges in a few sweeps.
+/// the δ grid refining a partitioner's ratios against [`stage_cost`].
+/// Converges in a few sweeps.
 pub fn adapt_ratios(
-    model: &CostModel,
+    pricing: &Pricing,
     weights: &GraphWeights,
-    corun: &CoRunContext,
     plan: &mut AllocationPlan,
-    mode: GpuMode,
     delta: f64,
 ) {
     let steps = (1.0 / delta).round().max(1.0) as i64;
-    let mut best_cost = stage_cost(model, weights, corun, &plan.ratios, mode);
+    let mut best_cost = stage_cost(pricing, weights, &plan.ratios);
     for _ in 0..4 {
         let mut improved = false;
         for i in 0..plan.ratios.len() {
@@ -149,7 +216,7 @@ pub fn adapt_ratios(
                     continue;
                 }
                 plan.ratios[i] = r;
-                let c = stage_cost(model, weights, corun, &plan.ratios, mode);
+                let c = stage_cost(pricing, weights, &plan.ratios);
                 if c + 1e-9 < best_cost {
                     best_cost = c;
                     current = r;
@@ -242,20 +309,16 @@ pub fn allocate_traced(
 /// per-side nodes ([`agglomerative::seeds_from_partition`]), KL refines
 /// the previous cut directly instead of re-coarsening
 /// ([`kl::refine_partition_traced`]) — and keeps whichever of the cold
-/// and warm candidates scores better under the execution-consistent
-/// [`stage_cost`]. Warm-starting makes the fast path cheaper *and*, for
-/// nested δ grids, monotone: a finer δ can only improve on the coarser
-/// plan it starts from.
-#[allow(clippy::too_many_arguments)]
+/// and warm candidates scores better under [`stage_cost`]. Warm-starting
+/// makes the fast path cheaper *and*, for nested δ grids, monotone: a
+/// finer δ can only improve on the coarser plan it starts from.
 pub fn allocate_warm_traced(
     graph: &ElementGraph,
     weights: &GraphWeights,
     prev_ratios: &[f64],
     algo: PartitionAlgo,
     delta: f64,
-    model: &CostModel,
-    corun: &CoRunContext,
-    mode: GpuMode,
+    pricing: &Pricing,
     rec: &mut Recorder,
 ) -> AllocationPlan {
     let exp = Expansion::expand(graph, weights, delta);
@@ -297,9 +360,9 @@ pub fn allocate_warm_traced(
         algo,
     };
     let mut cold = allocate_traced(graph, weights, algo, delta, rec);
-    adapt_ratios(model, weights, corun, &mut warm, mode, delta);
-    adapt_ratios(model, weights, corun, &mut carry, mode, delta);
-    adapt_ratios(model, weights, corun, &mut cold, mode, delta);
+    adapt_ratios(pricing, weights, &mut warm, delta);
+    adapt_ratios(pricing, weights, &mut carry, delta);
+    adapt_ratios(pricing, weights, &mut cold, delta);
     // adapt_ratios scores every candidate with stage_cost, so the
     // comparison is apples-to-apples; ties prefer warm/carry (fewer
     // ratio changes to apply during the swap).
@@ -390,13 +453,15 @@ mod tests {
 
     #[test]
     fn warm_start_never_loses_to_cold() {
-        let model = CostModel::new(PlatformConfig::hpca18());
-        let corun = CoRunContext::solo();
-        let mode = GpuMode::Persistent;
+        let pricing = Pricing {
+            model: CostModel::new(PlatformConfig::hpca18()),
+            corun: CoRunContext::solo(),
+            mode: GpuMode::Persistent,
+        };
         for nf in [Nf::ipsec("ipsec"), Nf::dpi("dpi")] {
             let w = weights_for(&nf, 512, 256);
             let mut cold = allocate(nf.graph(), &w, PartitionAlgo::Kl, 0.1);
-            adapt_ratios(&model, &w, &corun, &mut cold, mode, 0.1);
+            adapt_ratios(&pricing, &w, &mut cold, 0.1);
             for algo in [
                 PartitionAlgo::Kl,
                 PartitionAlgo::Agglomerative,
@@ -408,17 +473,14 @@ mod tests {
                     &cold.ratios,
                     algo,
                     0.1,
-                    &model,
-                    &corun,
-                    mode,
+                    &pricing,
                     &mut Recorder::disabled(),
                 );
                 assert_eq!(warm.ratios.len(), nf.graph().node_count());
                 assert!(warm.ratios.iter().all(|r| (0.0..=1.0).contains(r)));
                 if algo != PartitionAlgo::Mfmc {
                     assert!(
-                        warm.predicted_cost_ns
-                            <= stage_cost(&model, &w, &corun, &cold.ratios, mode) + 1e-6,
+                        warm.predicted_cost_ns <= stage_cost(&pricing, &w, &cold.ratios) + 1e-6,
                         "{algo:?} warm plan must not be worse than its warm start"
                     );
                 }

@@ -18,15 +18,20 @@
 //! per-NF adaptive offloading (launch-per-batch kernels, local optima,
 //! no SFC re-organization), `Optimal` stands in for the paper's manual
 //! Optimal with an 11-point uniform-ratio search (one ratio for every
-//! offloadable element), and `NfCompass` applies chain parallelization,
-//! NF synthesis, graph-partition allocation and persistent kernels.
+//! offloadable element) ranked by [`stage_cost`], and `NfCompass`
+//! applies chain parallelization, NF synthesis, graph-partition
+//! allocation and persistent kernels. Every plan is priced by the
+//! [`Pricing::charge`] this module charges each batch.
 
-use crate::allocator::{allocate_traced, allocate_warm_traced, AllocationPlan, PartitionAlgo};
+use crate::allocator::{
+    adapt_ratios, allocate_traced, allocate_warm_traced, stage_cost, AllocationPlan, Charge,
+    PartitionAlgo, Pricing,
+};
 use crate::engine::{par_map_traced, ExecMode, UnitCosts};
 use crate::flowcache::{FlowCacheMode, StageFlowCache};
 use crate::observe::{BatchTimeline, Observer, StageSpan};
 use crate::orchestrator::{merge_branch_batches, ReorgSfc};
-use crate::profiler::{GraphWeights, Profiler};
+use crate::profiler::GraphWeights;
 use crate::sfc::Sfc;
 use crate::synthesizer::{synthesize, SynthesisReport};
 use nfc_click::{CompiledGraph, GraphStats, KernelClass, Offload};
@@ -66,12 +71,14 @@ pub enum Policy {
         /// Kernel dispatch mode.
         mode: GpuMode,
     },
-    /// NBA-like per-NF adaptive offloading: locally optimal ratio per
-    /// NF, launch-per-batch kernels, no SFC re-organization.
+    /// NBA-like per-NF adaptive offloading: the 11 uniform ratios of
+    /// `Optimal` ranked by [`stage_cost`] per NF, launch-per-batch
+    /// kernels, no SFC re-organization.
     NbaAdaptive,
     /// Stands in for the paper's "Optimal" (upper baseline of Figure
-    /// 15): the best of 11 uniform offload ratios, one ratio applied to
-    /// every offloadable element, with persistent kernels.
+    /// 15): the best of 11 uniform offload ratios by [`stage_cost`], one
+    /// ratio applied to every offloadable element, with persistent
+    /// kernels.
     Optimal,
     /// SFC re-organization only, with a forced uniform offload ratio —
     /// the paper's §V-B setup ("We disable our graph-partition based
@@ -206,16 +213,13 @@ pub(crate) struct StageExec {
     plan: AllocationPlan,
     cpu_res: ResourceId,
     user: u64,
-    corun: CoRunContext,
-    /// Stage-specific cost model: a synthesized stage inherits the CPU
-    /// cores of every NF merged into it.
-    model: CostModel,
+    /// The stage's model, co-runners and effective dispatch mode: the
+    /// policy's mode, downgraded to launch-per-batch when the
+    /// SM-residency pass spills this stage.
+    pricing: Pricing,
     /// Flow-aware fast path, present iff the deployment enables it and
     /// this stage's graph is fully verdict-capable.
     pub(crate) flow_cache: Option<StageFlowCache>,
-    /// Effective dispatch mode: the policy's mode, downgraded to
-    /// launch-per-batch when the SM-residency pass spills this stage.
-    mode: GpuMode,
     /// SM-slot grant when this stage's persistent kernel is resident.
     residency: Option<ResidencySlot>,
     /// Observation window for the adaptive controller.
@@ -698,16 +702,7 @@ impl Deployment {
                 };
                 if let Some((algo, reason)) = replan {
                     if can_replan
-                        && prep.repartition(
-                            &mut sim,
-                            &res,
-                            algo,
-                            &reason,
-                            self.delta,
-                            now,
-                            controller.epoch(),
-                            &mut report,
-                        )
+                        && prep.repartition(&mut sim, &res, algo, &reason, now, &mut report)
                     {
                         controller.note_swap();
                     }
@@ -844,10 +839,12 @@ impl Deployment {
                     plan: AllocationPlan::fixed_ratio(&[], 0.0),
                     cpu_res,
                     user,
-                    corun,
-                    model: stage_model,
+                    pricing: Pricing {
+                        model: stage_model,
+                        corun,
+                        mode,
+                    },
                     flow_cache,
-                    mode,
                     residency: None,
                     window: StageWindow::default(),
                 });
@@ -882,7 +879,7 @@ impl Deployment {
         let mut rec = tel.recorder();
         for branch in stages.iter_mut() {
             for stage in branch.iter_mut() {
-                plan_stage(stage, self.policy, mode, self.delta, &mut rec);
+                plan_stage(stage, self.policy, self.delta, &mut rec);
             }
         }
         tel.absorb(rec);
@@ -899,6 +896,7 @@ impl Deployment {
             synthesis,
             mode,
             model: self.model,
+            delta: self.delta,
             exec_mode: self.exec_mode,
             branch_costs,
             egress_packets: 0,
@@ -911,52 +909,31 @@ impl Deployment {
         }
     }
 
-    /// Uniform-ratio search: predicts the cost of each of the 11 ratios
-    /// 0, 0.1, …, 1 with that ratio on every offloadable element, and
-    /// applies the cheapest through [`AllocationPlan::fixed_ratio`]
-    /// (stands in for NBA's adaptive balancing and the paper's manual
-    /// Optimal; not a per-NF search).
-    fn grid_search_plan(
-        model: &CostModel,
-        weights: &GraphWeights,
-        mode: GpuMode,
-        corun: &CoRunContext,
-    ) -> AllocationPlan {
-        let offloadable: Vec<bool> = weights.nodes.iter().map(|n| n.offloadable).collect();
-        let batch = weights.entry_packets.round() as usize;
-        let mut best = (0.0, f64::INFINITY);
-        for i in 0..=10 {
-            let r = i as f64 / 10.0;
-            // Pipeline bottleneck: max(CPU side, GPU side), charging the
-            // CPU/GPU batch carve and ordered re-merge for partial ratios
-            // exactly as the execution engine does.
-            let mut cpu = 0.0;
-            let mut gpu = 0.0;
-            for w in &weights.nodes {
-                if w.offloadable {
-                    if r < 1.0 {
-                        cpu += model.cpu_batch_ns(&w.load.fraction(1.0 - r), corun);
-                    }
-                    if r > 0.0 {
-                        let g = model.gpu_batch_ns(&w.load.fraction(r), mode);
-                        gpu += g.total();
-                    }
+    /// Uniform-ratio search: prices each of the 11 ratios 0, 0.1, …, 1
+    /// with that ratio on every offloadable element by [`stage_cost`],
+    /// and applies the cheapest, the lowest ratio on a tie (stands in for
+    /// NBA's adaptive balancing and the paper's manual Optimal; not a
+    /// per-NF search).
+    fn grid_search_plan(pricing: &Pricing, weights: &GraphWeights) -> AllocationPlan {
+        (0..=10)
+            .map(|i| uniform_plan(pricing, weights, i as f64 / 10.0))
+            .reduce(|best, plan| {
+                if plan.predicted_cost_ns < best.predicted_cost_ns {
+                    plan
                 } else {
-                    cpu += model.cpu_batch_ns(&w.load, corun);
+                    best
                 }
-            }
-            if r > 0.0 && r < 1.0 {
-                cpu += model.carve_ns(batch) + model.offload_merge_ns(batch);
-            }
-            let cost = cpu.max(gpu);
-            if cost < best.1 {
-                best = (r, cost);
-            }
-        }
-        let mut plan = AllocationPlan::fixed_ratio(&offloadable, best.0);
-        plan.predicted_cost_ns = best.1;
-        plan
+            })
+            .expect("eleven candidate ratios")
     }
+}
+
+/// `ratio` on every offloadable element, priced by [`stage_cost`].
+fn uniform_plan(pricing: &Pricing, weights: &GraphWeights, ratio: f64) -> AllocationPlan {
+    let offloadable: Vec<bool> = weights.nodes.iter().map(|n| n.offloadable).collect();
+    let mut plan = AllocationPlan::fixed_ratio(&offloadable, ratio);
+    plan.predicted_cost_ns = stage_cost(pricing, weights, &plan.ratios);
+    plan
 }
 
 /// The kernel class an NF brings to its neighbours' co-run context: its
@@ -977,72 +954,34 @@ pub(crate) fn dominant_kernel(nf: &Nf) -> Option<KernelClass> {
 /// planning decision — whatever the policy — is recorded into `rec` as
 /// an [`EventKind::PartitionDecision`] instant; the graph-partition
 /// policies additionally stream their per-pass refinement events.
-fn plan_stage(
-    stage: &mut StageExec,
-    policy: Policy,
-    mode: GpuMode,
-    delta: f64,
-    rec: &mut Recorder,
-) {
-    let profiler = Profiler::new(stage.model, mode);
-    let weights = profiler.measure_with_corun(&stage.run, &stage.corun);
-    let offloadable: Vec<bool> = weights.nodes.iter().map(|n| n.offloadable).collect();
+fn plan_stage(stage: &mut StageExec, policy: Policy, delta: f64, rec: &mut Recorder) {
+    let pricing = &stage.pricing;
+    let weights = pricing.profile(&stage.run, stage.run.stats());
     stage.plan = match policy {
-        Policy::CpuOnly => AllocationPlan::fixed_ratio(&offloadable, 0.0),
-        Policy::GpuOnly { .. } => AllocationPlan::fixed_ratio(&offloadable, 1.0),
+        Policy::CpuOnly => uniform_plan(pricing, &weights, 0.0),
+        Policy::GpuOnly { .. } => uniform_plan(pricing, &weights, 1.0),
         Policy::FixedRatio { ratio, .. } | Policy::ReorgOnly { ratio, .. } => {
-            AllocationPlan::fixed_ratio(&offloadable, ratio)
+            uniform_plan(pricing, &weights, ratio)
         }
-        Policy::NbaAdaptive | Policy::Optimal => {
-            Deployment::grid_search_plan(&stage.model, &weights, mode, &stage.corun)
-        }
+        Policy::NbaAdaptive | Policy::Optimal => Deployment::grid_search_plan(pricing, &weights),
         Policy::NfCompass { algo, .. } => {
             let mut plan = allocate_traced(stage.nf.graph(), &weights, algo, delta, rec);
-            // Dynamic task adaption (§IV-C3) against the
-            // execution-consistent cost.
-            crate::allocator::adapt_ratios(
-                &stage.model,
-                &weights,
-                &stage.corun,
-                &mut plan,
-                mode,
-                delta,
-            );
+            // Dynamic task adaption (§IV-C3) against the stage charge.
+            adapt_ratios(pricing, &weights, &mut plan, delta);
             plan
         }
     };
     if rec.is_enabled() {
-        let predicted = stage.plan.predicted_cost_ns;
+        let offloadable: Vec<bool> = weights.nodes.iter().map(|n| n.offloadable).collect();
         rec.instant(EventKind::PartitionDecision {
             algo: policy.algo_label(),
             stage: stage.nf.name().to_string(),
-            predicted_cost_ns: if predicted.is_finite() {
-                predicted
-            } else {
-                0.0
-            },
+            predicted_cost_ns: stage.plan.predicted_cost_ns,
             mean_ratio: stage.plan.mean_offload(&offloadable),
         });
     }
     stage.run.reset_stats();
     stage.weights = Some(weights);
-}
-
-/// Estimated packets this stage ships to the device per batch under its
-/// current plan: the largest per-element offloaded packet count, exactly
-/// the quantity [`exec_stage_functional`] charges as `gpu_packets`.
-fn stage_gpu_packets(stage: &StageExec) -> usize {
-    let Some(weights) = stage.weights.as_ref() else {
-        return 0;
-    };
-    let mut packets = 0usize;
-    for (i, w) in weights.nodes.iter().enumerate() {
-        let r = stage.plan.ratios.get(i).copied().unwrap_or(0.0);
-        if r > 0.0 {
-            packets = packets.max(w.load.fraction(r).packets);
-        }
-    }
-    packets
 }
 
 /// SM-residency pass: packs every offloading stage's persistent
@@ -1065,7 +1004,7 @@ fn apply_residency(
     };
     let mut flat: Vec<&mut StageExec> = stages.iter_mut().flat_map(|b| b.iter_mut()).collect();
     for stage in flat.iter_mut() {
-        stage.mode = mode;
+        stage.pricing.mode = mode;
         stage.residency = None;
     }
     if mode != GpuMode::Persistent {
@@ -1074,7 +1013,13 @@ fn apply_residency(
     let mut idx = Vec::new();
     let mut demands = Vec::new();
     for (fi, stage) in flat.iter().enumerate() {
-        let packets = stage_gpu_packets(stage);
+        // Packets shipped to the device per batch under the current plan.
+        let packets = stage.weights.as_ref().map_or(0, |w| {
+            stage
+                .pricing
+                .profiled_charge(w, &stage.plan.ratios)
+                .gpu_packets
+        });
         if packets > 0 {
             idx.push(fi);
             demands.push(residency::slot_demand(packets));
@@ -1097,7 +1042,7 @@ fn apply_residency(
                     .push((flat[fi].nf.name().to_string(), device, slots));
             }
             residency::Placement::Spill => {
-                flat[fi].mode = GpuMode::LaunchPerBatch;
+                flat[fi].pricing.mode = GpuMode::LaunchPerBatch;
                 report.spilled.push(flat[fi].nf.name().to_string());
             }
         }
@@ -1136,6 +1081,8 @@ pub struct PreparedSfc {
     synthesis: Vec<SynthesisReport>,
     mode: GpuMode,
     model: CostModel,
+    /// Offload-ratio granularity δ of the controller's re-plans.
+    delta: f64,
     exec_mode: ExecMode,
     /// Functional wall time per batch of each branch, which decides per
     /// batch whether the branches are worth the pool.
@@ -1172,9 +1119,9 @@ impl StageObs {
         self.batches += 1;
         self.packets += charge.in_packets as u64;
         self.bytes += charge.in_wire_bytes;
-        self.cpu_ns += charge.cpu_ns;
-        self.kernel_ns += charge.kernel_ns;
-        self.gpu_packets += charge.gpu_packets as u64;
+        self.cpu_ns += charge.cost.cpu_ns;
+        self.kernel_ns += charge.cost.kernel_ns;
+        self.gpu_packets += charge.cost.gpu_packets as u64;
     }
 }
 
@@ -1561,8 +1508,8 @@ impl PreparedSfc {
 
     /// Re-profiles every stage over the current observation window and
     /// re-runs the partitioner warm-started from the plan in effect,
-    /// adopting a stage's new plan only when its execution-consistent
-    /// cost beats the carried plan. Adopted plans are applied via the
+    /// adopting a stage's new plan only when its [`stage_cost`] beats
+    /// the carried plan. Adopted plans are applied via the
     /// two-phase epoch swap, charged on the simulated timeline at `now`:
     ///
     /// 1. **Drain** — swap work is scheduled *behind* the existing
@@ -1575,21 +1522,20 @@ impl PreparedSfc {
     ///    generation is bumped so no stale verdict survives the swap.
     ///
     /// Returns `true` when at least one stage adopted a new plan. Every
-    /// evaluated stage is appended to `report` (with `applied: false`
-    /// when the warm re-partition kept the carried plan), and recorded as
-    /// an [`EventKind::ControllerDecision`] instant on the simulated clock.
-    #[allow(clippy::too_many_arguments)]
+    /// evaluated stage is appended to `report` under its current epoch,
+    /// `report.epochs` (with `applied: false` when the warm re-partition
+    /// kept the carried plan), and recorded as an
+    /// [`EventKind::ControllerDecision`] instant on the simulated clock.
     pub fn repartition(
         &mut self,
         sim: &mut PipelineSim,
         res: &PlatformResources,
         algo: PartitionAlgo,
         reason: &str,
-        delta: f64,
         now: f64,
-        epoch: u64,
         report: &mut ControllerReport,
     ) -> bool {
+        let epoch = report.epochs;
         let mut rec = self.tel.recorder();
         let mut any = false;
         let mut swap_end = now;
@@ -1598,10 +1544,8 @@ impl PreparedSfc {
                 // Evaluate against the stage's *effective* mode: a stage
                 // the residency pass spilled is re-planned as
                 // launch-per-batch until a re-pack re-grants its slots.
-                let mode = stage.mode;
                 let window = stage.run.stats().delta(&stage.window.stats_base);
-                let profiler = Profiler::new(stage.model, mode);
-                let weights = profiler.measure_stats_with_corun(&stage.run, &window, &stage.corun);
+                let weights = stage.pricing.profile(&stage.run, &window);
                 let offloadable: Vec<bool> = weights.nodes.iter().map(|n| n.offloadable).collect();
                 let old_ratio = stage.plan.mean_offload(&offloadable);
                 let plan = allocate_warm_traced(
@@ -1609,10 +1553,8 @@ impl PreparedSfc {
                     &weights,
                     &stage.plan.ratios,
                     algo,
-                    delta,
-                    &stage.model,
-                    &stage.corun,
-                    mode,
+                    self.delta,
+                    &stage.pricing,
                     &mut rec,
                 );
                 let new_ratio = plan.mean_offload(&offloadable);
@@ -1623,15 +1565,16 @@ impl PreparedSfc {
                     let will = plan.ratios.iter().any(|&r| r > 0.0);
                     let gpu = stage_gpu_queue(stage, &res.gpu_queues);
                     let mut t = now;
+                    let model = stage.pricing.model;
                     if was {
-                        t = sim.schedule(gpu, t, stage.model.kernel_teardown_ns(), stage.user);
+                        t = sim.schedule(gpu, t, model.kernel_teardown_ns(), stage.user);
                     }
                     let state = stage.run.state_bytes();
                     if state > 0 && (was || will) {
                         t = sim.schedule(
                             res.pcie_h2d,
                             t,
-                            stage.model.state_migration_ns(state),
+                            model.state_migration_ns(state),
                             stage.user,
                         );
                     }
@@ -1639,7 +1582,7 @@ impl PreparedSfc {
                         t = sim.schedule(
                             gpu,
                             t,
-                            stage.model.kernel_cold_launch_ns(mode),
+                            model.kernel_cold_launch_ns(stage.pricing.mode),
                             stage.user,
                         );
                     }
@@ -1730,17 +1673,9 @@ impl PreparedSfc {
 /// on simulator state — which is what lets branches run functionally in
 /// parallel while the timeline stays bit-identical to serial execution.
 struct StageCharge {
-    cpu_ns: f64,
-    kernel_ns: f64,
-    gpu_bytes: f64,
-    /// Largest per-element packet count shipped to the device (drives
-    /// the SM-occupancy telemetry proxy).
-    gpu_packets: usize,
-    any_offload: bool,
-    /// Offloaded elements aggregated into the device span (per-element
-    /// kernel dispatches; `calibrate` fits dispatch overhead only on
-    /// single-dispatch samples).
-    gpu_kernels: u32,
+    /// The stage's [`Pricing::charge`] for this batch, its CPU side
+    /// grown by the batch's re-organization.
+    cost: Charge,
     /// Packets entering the stage this batch (controller observation).
     in_packets: usize,
     /// Wire bytes entering the stage this batch (controller observation).
@@ -1757,9 +1692,6 @@ fn exec_stage_functional(
     batch: Batch,
     rec: &mut Recorder,
 ) -> (Batch, StageCharge) {
-    // Per-stage dispatch mode: the residency pass may have downgraded
-    // this stage to launch-per-batch while siblings stay persistent.
-    let mode = stage.mode;
     let in_packets = batch.len();
     let in_wire_bytes = batch.total_bytes() as u64;
     let in_splits = batch.lineage.splits;
@@ -1773,12 +1705,10 @@ fn exec_stage_functional(
         run,
         weights,
         plan,
-        corun,
-        model,
+        pricing,
         flow_cache,
         ..
     } = stage;
-    let model = *model;
     let (out, charged_packets, charged_bytes, lineage_delta) = match flow_cache.as_mut() {
         Some(cache) => {
             let cr = cache.process_traced(run, nf.entry(), batch, rec);
@@ -1837,16 +1767,10 @@ fn exec_stage_functional(
     } else {
         1.0
     };
-    // CPU portion + GPU portion, to be overlapped at replay.
-    let mut cpu_ns = 0.0;
-    let mut kernel_ns = 0.0;
-    let mut gpu_bytes = 0.0f64;
-    let mut gpu_packets = 0usize;
-    let mut gpu_kernels = 0u32;
-    let mut any_offload = false;
-    let mut partial = false;
-    for (i, w) in weights.nodes.iter().enumerate() {
-        let r = plan.ratios.get(i).copied().unwrap_or(0.0);
+    // CPU portion + GPU portion, to be overlapped at replay. Per-stage
+    // dispatch mode: the residency pass may have downgraded this stage
+    // to launch-per-batch while siblings stay persistent.
+    let mut cost = pricing.charge(weights.nodes.iter().enumerate().map(|(i, w)| {
         // Scale the profiled per-batch load to this batch: packet
         // count and byte volume scale independently so packet-size
         // shifts are charged honestly.
@@ -1859,44 +1783,25 @@ fn exec_stage_functional(
         let live = run.graph().element(nfc_click::NodeId(i)).work();
         load.work.match_factor = live.match_factor;
         load.work.divergence = live.divergence;
-        if r < 1.0 {
-            let cpu_part = load.fraction(1.0 - r);
-            cpu_ns += model.cpu_batch_ns(&cpu_part, corun);
-        }
-        if r > 0.0 {
-            let gpu_part = load.fraction(r);
-            let g = model.gpu_batch_ns(&gpu_part, mode);
-            kernel_ns += g.kernel_ns + g.dispatch_ns;
-            gpu_bytes = gpu_bytes.max(gpu_part.bytes as f64);
-            gpu_packets = gpu_packets.max(gpu_part.packets);
-            gpu_kernels += 1;
-            any_offload = true;
-        }
-        if r > 0.0 && r < 1.0 {
-            partial = true;
-        }
-    }
+        (load, plan.ratios.get(i).copied().unwrap_or(0.0))
+    }));
     // Batch re-organization from functional splits (Figure 5) plus
     // the CPU/GPU carve when partially offloaded. Under the fast path
     // only the missed packets' re-organization is charged.
+    let model = pricing.model;
     if new_splits > 0 {
-        cpu_ns += new_splits as f64 * model.split_ns(charged_packets, 2);
+        cost.cpu_ns += new_splits as f64 * model.split_ns(charged_packets, 2);
     }
     if new_merges > 0 {
-        cpu_ns += new_merges as f64 * model.merge_ns(charged_packets);
+        cost.cpu_ns += new_merges as f64 * model.merge_ns(charged_packets);
     }
-    if partial {
-        cpu_ns += model.carve_ns(charged_packets) + model.offload_merge_ns(charged_packets);
+    if cost.partial {
+        cost.cpu_ns += model.carve_ns(charged_packets) + model.offload_merge_ns(charged_packets);
     }
     (
         out,
         StageCharge {
-            cpu_ns,
-            kernel_ns,
-            gpu_bytes,
-            gpu_packets,
-            any_offload,
-            gpu_kernels,
+            cost,
             in_packets,
             in_wire_bytes,
         },
@@ -1909,7 +1814,7 @@ fn exec_stage_functional(
 /// whole device — the root of the paper's aggregated offloading
 /// overhead (Figure 7).
 fn stage_gpu_queue(stage: &StageExec, gpu_queues: &[ResourceId]) -> ResourceId {
-    match stage.mode {
+    match stage.pricing.mode {
         GpuMode::Persistent => match stage.residency {
             Some(slot) => gpu_queues[slot.device % gpu_queues.len()],
             None => gpu_queues[(stage.user as usize) % gpu_queues.len()],
@@ -1927,21 +1832,19 @@ fn replay_stage(
     t: f64,
     res: &PlatformResources,
 ) -> StageSpan {
-    let model = stage.model;
+    let charge = &charge.cost;
     let (pcie_h2d, pcie_d2h) = (res.pcie_h2d, res.pcie_d2h);
     let track = stage.cpu_res.index() as u32;
     let cpu = sim.schedule_span(stage.cpu_res, t, charge.cpu_ns, stage.user);
-    if charge.any_offload {
+    if charge.gpu_kernels > 0 {
         let gpu = stage_gpu_queue(stage, &res.gpu_queues);
         // Co-residency pressure: kernel time stretches once the hosting
         // device's SM slots pass half utilization.
         let kernel_ns = charge.kernel_ns * stage.residency.map_or(1.0, |s| s.pressure);
-        let dma = |bytes: f64| {
-            model.platform().pcie.dma_latency_ns + bytes / model.platform().pcie.bw_gbs
-        };
-        let h = sim.schedule_span(pcie_h2d, t, dma(charge.gpu_bytes), stage.user);
+        let dma = stage.pricing.dma_ns(charge.gpu_bytes);
+        let h = sim.schedule_span(pcie_h2d, t, dma, stage.user);
         let k = sim.schedule_span(gpu, h.1, kernel_ns, stage.user);
-        let d = sim.schedule_span(pcie_d2h, k.1, dma(charge.gpu_bytes), stage.user);
+        let d = sim.schedule_span(pcie_d2h, k.1, dma, stage.user);
         let rec = sim.recorder_mut();
         if rec.is_enabled() {
             // Semantic GPU events on the simulated timeline, alongside
@@ -2351,6 +2254,46 @@ mod tests {
             "70% offload"
         );
         assert!(Policy::nfcompass().label().contains("NFCompass"));
+    }
+
+    /// The planner and the timeline price a stage alike: one uncontended
+    /// batch of the profiled size through a one-NF chain without split
+    /// or merge elements, and whose packets keep their size, is released
+    /// exactly its `stage_cost` after it was ready: all on the CPU, all
+    /// offloaded and split between them. The IPv4 forwarder is bound by
+    /// headers, the stream IDS by payload.
+    #[test]
+    fn uncontended_stage_service_time_equals_its_stage_cost() {
+        for nf in [Nf::ipv4_forwarder("r", 100, 1), Nf::stream_ids("ids")] {
+            for ratio in [0.0, 0.4, 1.0] {
+                let policy = Policy::FixedRatio {
+                    ratio,
+                    mode: GpuMode::Persistent,
+                };
+                let sfc = Sfc::new("one-nf", vec![nf.clone()]);
+                let mut dep = Deployment::new(sfc, policy).with_batch_size(256);
+                let tel = Telemetry::new(TelemetryMode::Off);
+                let mut sim = PipelineSim::new();
+                let res = PlatformResources::register(&mut sim, dep.model());
+                let mut gen = traffic(512, 7);
+                let mut prep = dep.prepare(&mut sim, &res, &mut gen, &[], &mut 1, &tel.handle());
+                let stage = &mut prep.stages[0][0];
+                assert_eq!(stage.residency.map_or(1.0, |s| s.pressure), 1.0);
+                let batch = gen.batch(256);
+                let ready = batch.iter().last().expect("a full batch").meta.arrival_ns as f64;
+                let (_, charge) = exec_stage_functional(stage, batch, &mut Recorder::disabled());
+                let span = replay_stage(&mut sim, stage, &charge, ready, &res);
+                assert_eq!(span.gpu.is_some(), ratio > 0.0, "{} at {ratio}", nf.name());
+                let weights = stage.weights.as_ref().expect("profiled");
+                let planned = stage_cost(&stage.pricing, weights, &stage.plan.ratios);
+                let served = span.release - ready;
+                assert!(
+                    (served - planned).abs() <= 1e-9 * planned,
+                    "{} at {ratio}: simulated {served} ns, planned {planned} ns",
+                    nf.name()
+                );
+            }
+        }
     }
 }
 

@@ -192,7 +192,7 @@ proptest! {
 /// plan is always representable on the finer grid and the warm
 /// allocator's carry candidate guarantees monotonicity.
 mod delta_ablation {
-    use nfc_core::allocator::{allocate_warm_traced, PartitionAlgo};
+    use nfc_core::allocator::{allocate_warm_traced, PartitionAlgo, Pricing};
     use nfc_core::profiler::{GraphWeights, Profiler};
     use nfc_core::{Policy, Sfc};
     use nfc_hetero::{CoRunContext, CostModel, GpuMode, PlatformConfig};
@@ -223,9 +223,11 @@ mod delta_ablation {
                 &prev_ratios,
                 algo,
                 delta,
-                &model,
-                &corun,
-                GpuMode::Persistent,
+                &Pricing {
+                    model,
+                    corun: corun.clone(),
+                    mode: GpuMode::Persistent,
+                },
                 &mut Recorder::disabled(),
             );
             assert!(

@@ -2,7 +2,7 @@
 //! aware weights, and their use by allocation.
 
 use nfc_click::KernelClass;
-use nfc_core::allocator::{allocate, stage_cost, PartitionAlgo};
+use nfc_core::allocator::{allocate, stage_cost, PartitionAlgo, Pricing};
 use nfc_core::expansion::Expansion;
 use nfc_core::profiler::Profiler;
 use nfc_hetero::{CoRunContext, CostModel, GpuMode, PlatformConfig};
@@ -56,23 +56,20 @@ fn stage_cost_tracks_plan_quality() {
     // extremes under the same evaluator.
     let nf = Nf::ipsec("e");
     let w = profiled(&nf, 512, 256);
-    let m = model();
-    let solo = CoRunContext::solo();
+    let solo = Pricing {
+        model: model(),
+        corun: CoRunContext::solo(),
+        mode: GpuMode::Persistent,
+    };
     let plan = allocate(nf.graph(), &w, PartitionAlgo::Kl, 0.1);
-    let chosen = stage_cost(&m, &w, &solo, &plan.ratios, GpuMode::Persistent);
-    let all_cpu = stage_cost(
-        &m,
-        &w,
-        &solo,
-        &vec![0.0; w.nodes.len()],
-        GpuMode::Persistent,
-    );
+    let chosen = stage_cost(&solo, &w, &plan.ratios);
+    let all_cpu = stage_cost(&solo, &w, &vec![0.0; w.nodes.len()]);
     let all_gpu_ratios: Vec<f64> = w
         .nodes
         .iter()
         .map(|n| if n.offloadable { 1.0 } else { 0.0 })
         .collect();
-    let all_gpu = stage_cost(&m, &w, &solo, &all_gpu_ratios, GpuMode::Persistent);
+    let all_gpu = stage_cost(&solo, &w, &all_gpu_ratios);
     assert!(
         chosen <= all_cpu.min(all_gpu) * 1.3,
         "chosen {chosen} vs cpu {all_cpu} / gpu {all_gpu}"

@@ -352,6 +352,46 @@ impl ConfigSpace {
             flow_trace: [0, 1, 3][rng.gen_range(0..3usize)],
         }
     }
+
+    /// The one fixed configuration of the space: IDS ∥ IPsec on 1 360 B
+    /// frames, two branches of hundreds of µs a batch each, so the work
+    /// off the critical path clears the engine's 100 µs helper minimum
+    /// and the branches are posted to the pool in the optimised build
+    /// too, where the drawn chains are too light to be. Both runs record
+    /// their worker units.
+    fn two_heavy_branches() -> Config {
+        let knobs = |lanes, exec| Knobs {
+            lanes,
+            exec,
+            telemetry: true,
+            slo: false,
+            flow_trace: 0,
+        };
+        Config {
+            chain: vec![Kind::Ids, Kind::Ipsec],
+            traffic: Traffic {
+                size: SizeDist::Fixed(1360),
+                tcp: false,
+                ipv6: false,
+                flows: 1024,
+                skew: 0.0,
+                match_ratio: Some(0.1),
+                rate_gbps: 5.0,
+                seed: 7,
+            },
+            policy: Policy::nfcompass(),
+            warmup: 2,
+            batch: 256,
+            batches: 4,
+            max_queue_ns: 50e6,
+            controller: None,
+            cache: None,
+            knobs: [
+                knobs(true, ExecMode::Parallel { threads: 2 }),
+                knobs(false, ExecMode::Parallel { threads: 8 }),
+            ],
+        }
+    }
 }
 
 impl Strategy for ConfigSpace {
@@ -686,7 +726,7 @@ fn paths_reached(
     a: &Run,
     b: &Run,
     cache_compared: bool,
-) -> [(&'static str, bool); 9] {
+) -> [(&'static str, bool); 10] {
     let o = &a.outcome;
     let offered = cfg.batches * if cfg.controller.is_some() { 2 } else { 1 };
     let ingress: usize = a.admitted.iter().flatten().map(Batch::len).sum();
@@ -697,6 +737,13 @@ fn paths_reached(
             .any(|ev| matches!(ev.kind, EventKind::SloBurn { breached: true, .. }))
     });
     let digests = a.digest.is_some() && b.digest.is_some();
+    // A unit run by a helper (worker 1 and up) means the batch's
+    // branches were posted to the pool.
+    let pooled = [a, b].iter().filter_map(|r| r.digest.as_ref()).any(|d| {
+        d.trace
+            .iter()
+            .any(|ev| matches!(ev.kind, EventKind::Worker { worker, .. } if worker > 0))
+    });
     [
         ("branches", o.width > 1),
         ("synthesis", !o.synthesis.is_empty()),
@@ -713,6 +760,7 @@ fn paths_reached(
             "health gauges compared",
             digests && cfg.knobs.iter().all(|k| k.slo),
         ),
+        ("branches on the pool", pooled),
     ]
 }
 
@@ -764,22 +812,23 @@ fn every_configuration_matches_the_reference() {
     let flight = dir.join("flight").to_string_lossy().into_owned();
     let mut reached = BTreeMap::<&str, u32>::new();
     let mut catalog = Catalog::default();
+    let mut case = |cfg: Config| {
+        let sfc = catalog.sfc(&cfg.chain);
+        let (a, b, same_batches) = check(&cfg, &sfc, &flight).map_err(|e| match e {
+            TestCaseError::Fail(msg) => TestCaseError::fail(format!("{msg}\n  in {cfg:#?}")),
+            other => other,
+        })?;
+        for (path, hit) in paths_reached(&cfg, &a, &b, same_batches) {
+            *reached.entry(path).or_default() += hit as u32;
+        }
+        Ok(())
+    };
     run(
         &ProptestConfig::with_cases(96),
         "every_configuration_matches_the_reference",
-        |rng| {
-            let cfg = ConfigSpace.sample(rng);
-            let sfc = catalog.sfc(&cfg.chain);
-            let (a, b, same_batches) = check(&cfg, &sfc, &flight).map_err(|e| match e {
-                TestCaseError::Fail(msg) => TestCaseError::fail(format!("{msg}\n  in {cfg:#?}")),
-                other => other,
-            })?;
-            for (path, hit) in paths_reached(&cfg, &a, &b, same_batches) {
-                *reached.entry(path).or_default() += hit as u32;
-            }
-            Ok(())
-        },
+        |rng| case(ConfigSpace.sample(rng)),
     );
+    case(ConfigSpace::two_heavy_branches()).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
     assert!(
         reached.values().all(|&n| n > 0),
