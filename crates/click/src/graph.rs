@@ -5,6 +5,7 @@ use crate::engine::ExecMode;
 use nfc_packet::{Batch, HeaderLanes, Packet};
 use nfc_telemetry::{EventKind, Recorder};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Identifier of a node (element instance) within one graph.
@@ -483,18 +484,57 @@ struct Prefix {
 enum PrefixEnd {
     /// The rows move on to this node.
     Next(NodeId),
-    /// The walk ended (drop or graph egress); index of the finished path
-    /// in [`FlowTraces::distinct`].
+    /// The walk ended (drop or graph egress); id of the finished path.
     Path(u32),
 }
 
-/// Reusable scratch and result of [`CompiledGraph::trace_flows`]: one
-/// shared [`FlowPath`] per *distinct* walk the traced rows took, plus
-/// which of them each row took. Keep one per caller and hand it back
-/// for every batch, so the steady state allocates only the distinct
-/// paths themselves.
+/// FxHash-style multiply–rotate hasher for the prefix tree's small
+/// integer keys: SipHash's resistance to chosen keys buys nothing for
+/// keys the walk itself computes, and it cost half the trace.
+#[derive(Debug, Clone, Copy, Default)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+}
+
+/// Reusable scratch of [`CompiledGraph::trace_flows`], its result, and
+/// the intern table of the walks it has resolved: each distinct complete
+/// walk is one shared [`FlowPath`] with a stable id, and each traced row
+/// names the id of its walk.
+///
+/// The prefix tree that groups rows by walk persists from call to call
+/// while the graph's configuration and the entry node stay the same, so
+/// a row whose walk is already known finds its id without allocating;
+/// only a new walk materialises a path. Calls under another
+/// configuration or entry start over, as does [`FlowTraces::reset`].
+/// Keep one per caller and hand it back for every batch: the store
+/// holds the distinct walks seen since the last start, which the live
+/// configuration bounds.
 #[derive(Debug, Clone, Default)]
 pub struct FlowTraces {
+    /// `(entry, flow_config_hash)` the interned walks were traced under.
+    stamp: Option<(NodeId, u64)>,
     /// Rows waiting at each node (node-indexed, drained as the walk
     /// passes the node).
     at_node: Vec<Vec<u32>>,
@@ -504,9 +544,10 @@ pub struct FlowTraces {
     verdicts: Vec<FlowVerdict>,
     prefixes: Vec<Prefix>,
     /// `(prefix, verdict at the next node)` → child prefix.
-    children: HashMap<(u32, FlowVerdict), u32>,
-    distinct: Vec<Arc<FlowPath>>,
-    /// Per traced row `k`: index into `distinct`.
+    children: HashMap<(u32, FlowVerdict), u32, BuildHasherDefault<MulHasher>>,
+    /// Interned paths, indexed by id.
+    paths: Vec<Arc<FlowPath>>,
+    /// Per traced row `k`: its path id.
     row_path: Vec<u32>,
 }
 
@@ -528,16 +569,36 @@ impl FlowTraces {
     ///
     /// Panics if `k` is out of range.
     pub fn path(&self, k: usize) -> &Arc<FlowPath> {
-        &self.distinct[self.row_path[k] as usize]
+        &self.paths[self.row_path[k] as usize]
     }
 
-    /// Every distinct path of the last trace, each exactly once.
+    /// The id of [`FlowTraces::path`]`(k)`: its index in
+    /// [`FlowTraces::distinct`], stable until the store starts over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is out of range.
+    pub fn path_id(&self, k: usize) -> u32 {
+        self.row_path[k]
+    }
+
+    /// Every distinct path interned since the store last started over,
+    /// each exactly once, indexed by id.
     pub fn distinct(&self) -> &[Arc<FlowPath>] {
-        &self.distinct
+        &self.paths
+    }
+
+    /// Forgets every interned walk: ids handed out before are void.
+    pub fn reset(&mut self) {
+        self.stamp = None;
+        self.prefixes.clear();
+        self.children.clear();
+        self.paths.clear();
+        self.row_path.clear();
     }
 
     /// The child of `parent` for `verdict` taken at `node`, created (and,
-    /// if the walk ends there, materialised as a path) on first sight.
+    /// if the walk ends there, interned as a path) on first sight.
     fn child(
         &mut self,
         wiring: &[Vec<Option<(NodeId, usize)>>],
@@ -572,12 +633,12 @@ impl FlowTraces {
                 }
                 hops.reverse();
                 annos.reverse();
-                self.distinct.push(Arc::new(FlowPath {
+                self.paths.push(Arc::new(FlowPath {
                     hops,
                     dropped: port.is_none(),
                     annos,
                 }));
-                PrefixEnd::Path(self.distinct.len() as u32 - 1)
+                PrefixEnd::Path(self.paths.len() as u32 - 1)
             }
         };
         let id = self.prefixes.len() as u32;
@@ -905,21 +966,25 @@ impl CompiledGraph {
 
     /// [`CompiledGraph::trace_flow`] for many packets at once: resolves
     /// the walk of every `batch[rows[k]]` into `traces`
-    /// ([`FlowTraces::path`]`(k)`), mutating no element and no counter.
-    /// `lanes` must be `batch`'s gathered [`HeaderLanes`] view and `rows`
-    /// distinct indices into `batch`.
+    /// ([`FlowTraces::path`]`(k)` and its id [`FlowTraces::path_id`]),
+    /// mutating no element and no counter. `lanes` must be `batch`'s
+    /// gathered [`HeaderLanes`] view and `rows` distinct indices into
+    /// `batch`.
     ///
     /// Instead of walking the graph once per packet, the graph is walked
     /// once, node by node in topological order, over the *set* of rows
     /// standing at each node: the element answers with one verdict
     /// column ([`Element::flow_verdicts`] — a lane sweep where the
-    /// element has one), rows are grouped by `(walk so far, verdict)`,
-    /// and each distinct complete walk becomes one shared [`FlowPath`].
-    /// Paths are equal, field by field, to what `trace_flow` returns.
+    /// element has one), and each row moves to the child of its walk so
+    /// far for its verdict in the prefix tree `traces` keeps. Each
+    /// distinct complete walk is interned once as a shared [`FlowPath`],
+    /// equal, field by field, to what `trace_flow` returns; walks known
+    /// from earlier calls on this configuration and entry keep their ids.
     ///
-    /// Returns `false` — with `traces` unspecified — if the graph is not
-    /// flow-cacheable or any element declines a verdict for any row;
-    /// callers fall back to the slow path for the whole batch.
+    /// Returns `false` — with the rows' paths unspecified, the walks
+    /// interned so far kept — if the graph is not flow-cacheable or any
+    /// element declines a verdict for any row; callers fall back to the
+    /// slow path for the whole batch.
     ///
     /// Each verdict column computed is recorded into `rec` as one
     /// [`EventKind::Element`] wall span: `packets_in` counts the rows
@@ -946,13 +1011,15 @@ impl CompiledGraph {
             "rows must be distinct"
         );
         let t = traces;
+        let stamp = Some((entry, self.flow_config_hash));
+        if t.stamp != stamp {
+            t.reset();
+            t.stamp = stamp;
+        }
         t.at_node.resize_with(self.graph.node_count(), Vec::new);
         t.at_node.iter_mut().for_each(Vec::clear);
         t.prefix_of.clear();
         t.prefix_of.resize(batch.len(), NO_PREFIX);
-        t.prefixes.clear();
-        t.children.clear();
-        t.distinct.clear();
         t.row_path.clear();
         t.at_node[entry.0].extend_from_slice(rows);
         for &nid in &self.order {
@@ -971,8 +1038,16 @@ impl CompiledGraph {
                 return false;
             }
             debug_assert_eq!(verdicts.len(), here.len(), "one verdict per row");
+            // Neighbouring rows mostly share their walk and verdict: the
+            // last child found answers them without a probe.
+            let mut last: Option<((u32, FlowVerdict), u32)> = None;
             for (&row, &verdict) in here.iter().zip(&verdicts) {
-                let id = t.child(&self.wiring, t.prefix_of[row as usize], nid, verdict);
+                let key = (t.prefix_of[row as usize], verdict);
+                let id = match last {
+                    Some((k, id)) if k == key => id,
+                    _ => t.child(&self.wiring, key.0, nid, verdict),
+                };
+                last = Some((key, id));
                 t.prefix_of[row as usize] = id;
                 if let PrefixEnd::Next(to) = t.prefixes[id as usize].end {
                     t.at_node[to.0].push(row);
@@ -1002,29 +1077,29 @@ impl CompiledGraph {
         true
     }
 
-    /// Accounts one packet of `bytes` wire bytes travelling `path`, as if
-    /// the slow path had processed it: per-node packet/byte/drop counters
-    /// and per-edge counters advance identically. The byte count is
-    /// constant along the path because verdict-capable elements never
-    /// modify or resize packets. Batch counters are *not* touched — see
-    /// [`CompiledGraph::note_batch`].
-    pub fn replay_flow_stats(&mut self, path: &FlowPath, bytes: u64) {
+    /// Accounts `packets` packets of `bytes` wire bytes in all
+    /// travelling `path`, as if the slow path had processed them:
+    /// per-node packet/byte/drop counters and per-edge counters advance
+    /// identically. The byte count is constant along the path because
+    /// verdict-capable elements never modify or resize packets. Batch
+    /// counters are *not* touched — see [`CompiledGraph::note_batch`].
+    pub fn replay_flow_stats(&mut self, path: &FlowPath, packets: u64, bytes: u64) {
         for hop in &path.hops {
             let st = &mut self.stats.nodes[hop.node.0];
-            st.packets_in += 1;
+            st.packets_in += packets;
             st.bytes_in += bytes;
             match hop.port {
-                None => st.dropped += 1,
-                Some(_) => st.packets_out += 1,
+                None => st.dropped += packets,
+                Some(_) => st.packets_out += packets,
             }
             match hop.edge {
                 Some(e) => {
-                    self.stats.edge_packets[e] += 1;
+                    self.stats.edge_packets[e] += packets;
                     self.stats.edge_bytes[e] += bytes;
                 }
                 None => {
                     if hop.port.is_some() {
-                        self.stats.egress_packets += 1;
+                        self.stats.egress_packets += packets;
                     }
                 }
             }
@@ -1199,13 +1274,14 @@ mod tests {
         assert_eq!(t_path.egress(), Some((cl, 0)));
         assert_eq!(u_path.egress(), Some((cl, 1)));
 
-        // Replaying the trace's stats matches a real push of the same
-        // packet (modulo the batch counter, which note_batch covers).
+        // Replaying the trace's stats once for both packets of the flow
+        // matches a real push of them (modulo the batch counter, which
+        // note_batch covers).
         let mut replayed = run.clone();
-        let bytes = tcp.len() as u64;
-        replayed.replay_flow_stats(&t_path, bytes);
+        let bytes = 2 * tcp.len() as u64;
+        replayed.replay_flow_stats(&t_path, 2, bytes);
         replayed.note_batch(cl);
-        run.push(cl, std::iter::once(tcp).collect());
+        run.push(cl, [tcp.clone(), tcp].into_iter().collect());
         assert_eq!(run.stats(), replayed.stats());
     }
 
@@ -1467,6 +1543,29 @@ mod tests {
             // The scratch survives a declined trace.
             assert!(run.trace_flows(n, &batch, &lanes, &[2], &mut traces, rec));
             assert_eq!(traces.len(), 1);
+        }
+
+        /// A walk keeps its id from trace to trace: tracing the same
+        /// rows again interns nothing new, and another entry node starts
+        /// the store over.
+        #[test]
+        fn walks_keep_their_ids_across_traces() {
+            let mut g = ElementGraph::new();
+            let cl = g.add(ProtocolClassifier::new("cl", vec![ip_proto::TCP]));
+            let rest = g.add(ProtocolClassifier::new("rest", vec![ip_proto::UDP]));
+            g.connect(cl, 1, rest).unwrap();
+            let run = g.compile().unwrap();
+            let batch: Batch = [pkt_udp(0), pkt_tcp(1), pkt_udp(2)].into_iter().collect();
+            let lanes = batch.header_lanes();
+            let (mut traces, rec) = (FlowTraces::default(), &mut Recorder::disabled());
+            assert!(run.trace_flows(cl, &batch, &lanes, &[0, 1], &mut traces, rec));
+            let ids = [traces.path_id(0), traces.path_id(1)];
+            assert_eq!(traces.distinct().len(), 2);
+            assert!(run.trace_flows(cl, &batch, &lanes, &[1, 2], &mut traces, rec));
+            assert_eq!([traces.path_id(0), traces.path_id(1)], [ids[1], ids[0]]);
+            assert_eq!(traces.distinct().len(), 2, "no walk interned twice");
+            assert!(run.trace_flows(rest, &batch, &lanes, &[0], &mut traces, rec));
+            assert_eq!(traces.distinct().len(), 1, "a new entry starts over");
         }
 
         /// Every verdict column traced is one `element` span: the rows

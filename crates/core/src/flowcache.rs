@@ -5,11 +5,13 @@
 //! `nfc_click::Element::verdict_capable`), a batch's cache misses are
 //! traced together through the elements' verdict columns, and each
 //! flow's whole-graph outcome — the exact node/edge walk, annotations
-//! and drop decision — is memoized as a [`FlowPath`] keyed by its
-//! [`FlowKey`]. Every packet, hit or miss, then takes its path in place
-//! in the ingress batch: stats are replayed, the annotations applied,
-//! and the packet kept or dropped without running any element's
-//! `process`; a batch whose flows are all cached traces nothing. Egress
+//! and drop decision — is a [`FlowPath`], interned once per stage, whose
+//! id is memoized under the flow's [`FlowKey`]. Every packet, hit or
+//! miss, then takes its path in place in the ingress batch: each
+//! distinct path replays its stats once for all of its packets, the
+//! annotations are applied, and the packet kept or dropped without
+//! running any element's `process`; a batch whose flows are all cached
+//! traces nothing. Egress
 //! bytes and per-element [`GraphStats`] are bit-identical to the slow
 //! path; only elements' private telemetry (e.g. the firewall's denied
 //! counter) and the temporal simulation can diverge.
@@ -25,9 +27,8 @@
 use nfc_click::{CompiledGraph, FlowPath, FlowTraces, NodeId};
 use nfc_nf::flowcache::{CacheCounters, ClockTable};
 use nfc_packet::batch::BatchLineage;
-use nfc_packet::{Batch, FlowKey, HeaderLanes};
+use nfc_packet::{Batch, FlowKey};
 use nfc_telemetry::{EventKind, Recorder};
-use std::sync::Arc;
 
 /// Whether deployments run the flow-aware fast path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,29 +71,86 @@ pub struct CachedRun {
     pub fell_back: bool,
 }
 
-/// One stage's flow table: a bounded CLOCK cache of whole-graph
-/// [`FlowPath`]s stamped with the graph configuration it was filled
-/// under. Flows that walk the graph the same way share one path.
+/// One stage's flow table: a bounded CLOCK cache from flow key to the
+/// id of a whole-graph [`FlowPath`], stamped with the graph
+/// configuration it was filled under.
+///
+/// The paths themselves live once each in the stage's [`FlowTraces`],
+/// which interns every distinct walk the stage's misses take: flows that
+/// walk the graph the same way share one id, across batches too. The
+/// store holds the distinct walks of the live configuration (route
+/// lookups' next hops times ports, not flows) and starts over with the
+/// table on a configuration swap or [`StageFlowCache::invalidate`].
 #[derive(Debug, Clone)]
 pub struct StageFlowCache {
-    table: ClockTable<FlowKey, Arc<FlowPath>>,
+    table: ClockTable<FlowKey, u32>,
     config_hash: u64,
-    // Scratch reused across batches so the steady state allocates
-    // nothing per batch beyond the misses' header lanes and the distinct
-    // new paths.
-    keys: Vec<FlowKey>,
-    /// Per ingress packet: the table slot it hit, if any.
-    lookups: Vec<Option<u32>>,
+    /// The interned paths, and the scratch of each batch's trace.
+    traces: FlowTraces,
+    // Scratch reused across batches: the steady state allocates nothing
+    // per batch but the paths of walks never seen before.
+    /// Per ingress packet: its path id (a miss's once traced).
+    ids: Vec<u32>,
+    /// Per hit, in ingress order: its row and the table slot it hit.
+    hits: Vec<(u32, u32)>,
     /// Ingress rows that missed, in order: the rows `trace_flows` walks.
     miss_rows: Vec<u32>,
-    traces: FlowTraces,
-    /// Per node: whether any packet reached it this batch.
-    node_traffic: Vec<bool>,
-    edge_traffic: Vec<bool>,
-    /// `(node, port)` egress exits with at least one packet this batch.
-    egress_live: Vec<(usize, usize)>,
+    credit: Credit,
+    traffic: Traffic,
     /// Per node: the lineage its output carries this batch.
     lineage_out: Vec<Option<BatchLineage>>,
+}
+
+/// Per path id, the packets and bytes that take it this batch.
+#[derive(Debug, Clone, Default)]
+struct Credit {
+    per_id: Vec<(u64, u64)>,
+    /// The ids credited, each once, in first-credit order.
+    ids: Vec<u32>,
+}
+
+impl Credit {
+    fn add(&mut self, id: u32, bytes: u64) {
+        let c = &mut self.per_id[id as usize];
+        if c.0 == 0 {
+            self.ids.push(id);
+        }
+        c.0 += 1;
+        c.1 += bytes;
+    }
+}
+
+/// What a batch's paths reach: per node and per edge whether any packet
+/// did, and the `(node, port)` egress exits some packet leaves through.
+#[derive(Debug, Clone)]
+struct Traffic {
+    nodes: Vec<bool>,
+    edges: Vec<bool>,
+    egress: Vec<(usize, usize)>,
+}
+
+impl Traffic {
+    fn clear(&mut self) {
+        self.nodes.iter_mut().for_each(|t| *t = false);
+        self.edges.iter_mut().for_each(|t| *t = false);
+        self.egress.clear();
+    }
+
+    /// Marks the nodes, edges and egress exit `path` touches.
+    fn mark(&mut self, path: &FlowPath) {
+        for hop in &path.hops {
+            self.nodes[hop.node.0] = true;
+            match (hop.port, hop.edge) {
+                (_, Some(e)) => self.edges[e] = true,
+                (Some(port), None) => {
+                    if !self.egress.contains(&(hop.node.0, port)) {
+                        self.egress.push((hop.node.0, port));
+                    }
+                }
+                (None, None) => {} // dropped here
+            }
+        }
+    }
 }
 
 impl StageFlowCache {
@@ -102,13 +160,16 @@ impl StageFlowCache {
         StageFlowCache {
             table: ClockTable::with_capacity(capacity),
             config_hash: run.flow_config_hash(),
-            keys: Vec::new(),
-            lookups: Vec::new(),
-            miss_rows: Vec::new(),
             traces: FlowTraces::default(),
-            node_traffic: vec![false; nodes],
-            edge_traffic: vec![false; run.graph().edges().len()],
-            egress_live: Vec::new(),
+            ids: Vec::new(),
+            hits: Vec::new(),
+            miss_rows: Vec::new(),
+            credit: Credit::default(),
+            traffic: Traffic {
+                nodes: vec![false; nodes],
+                edges: vec![false; run.graph().edges().len()],
+                egress: Vec::new(),
+            },
             lineage_out: vec![None; nodes],
         }
     }
@@ -124,8 +185,15 @@ impl StageFlowCache {
     /// verdicts must not survive into the new plan even though the
     /// functional configuration hash is unchanged.
     pub fn invalidate(&mut self, run: &CompiledGraph, rec: &mut Recorder) {
-        self.table.invalidate_all();
         self.config_hash = run.flow_config_hash();
+        self.flush(rec);
+    }
+
+    /// Empties the table and the path store together (the table's ids
+    /// name the store's paths).
+    fn flush(&mut self, rec: &mut Recorder) {
+        self.table.invalidate_all();
+        self.traces.reset();
         rec.instant(EventKind::FlowCacheInvalidate {
             generation: self.table.generation(),
         });
@@ -148,6 +216,12 @@ impl StageFlowCache {
     /// True if no flows are cached.
     pub fn is_empty(&self) -> bool {
         self.table.is_empty()
+    }
+
+    /// Distinct walks the path store holds.
+    #[cfg(test)]
+    fn interned_paths(&self) -> usize {
+        self.traces.distinct().len()
     }
 
     /// Pushes `batch` through `run` via the fast path: cache hits skip
@@ -177,49 +251,42 @@ impl StageFlowCache {
         // Configuration swap (rule-table reload, rewire): O(1) bulk
         // invalidation, then restamp.
         if self.config_hash != run.flow_config_hash() {
-            self.table.invalidate_all();
             self.config_hash = run.flow_config_hash();
-            rec.instant(EventKind::FlowCacheInvalidate {
-                generation: self.table.generation(),
-            });
+            self.flush(rec);
         }
         let mut batch = batch;
-        // ---- flow keys (memoized on the packet) ----------------------
-        self.keys.clear();
-        for p in batch.iter_mut() {
-            match p.flow_key() {
-                Ok(k) => self.keys.push(k),
-                // Non-IP traffic: the whole batch takes the slow path so
-                // ordering against its flow-mates is trivially preserved.
-                Err(_) => return Self::fall_back(run, entry, batch, rec),
-            }
+        // ---- one lanes view per batch, flow keys from it --------------
+        // The view is memoized on the batch, and this path writes only
+        // metadata and key memos, so the next cached stage finds both.
+        let lanes = batch.shared_lanes();
+        if batch.memoize_flow_keys(&lanes).is_err() {
+            // Non-IP traffic: the whole batch takes the slow path so
+            // ordering against its flow-mates is trivially preserved.
+            return Self::fall_back(run, entry, batch, rec);
         }
         // ---- lookups against the pre-batch table state ---------------
         // Peeks only: counters and referenced bits move once the batch is
         // known to take the fast path, so a fallback leaves no trace.
-        // A hit keeps its slot; nothing moves in the table until the
-        // inserts at the end, so the slot still holds the path then.
-        self.lookups.clear();
+        self.ids.clear();
+        self.hits.clear();
         self.miss_rows.clear();
-        for (row, key) in self.keys.iter().enumerate() {
-            let slot = self.table.peek_slot(u64::from(key.hash()), key);
-            if slot.is_none() {
-                self.miss_rows.push(row as u32);
+        for (row, pkt) in batch.iter().enumerate() {
+            let key = pkt.cached_flow_key().expect("memoized above");
+            match self.table.peek_slot(u64::from(key.hash()), &key) {
+                Some((slot, &id)) => {
+                    self.hits.push((row as u32, slot as u32));
+                    self.ids.push(id);
+                }
+                None => {
+                    self.miss_rows.push(row as u32);
+                    self.ids.push(u32::MAX);
+                }
             }
-            self.lookups.push(slot.map(|(slot, _)| slot as u32));
         }
-        let misses = self.miss_rows.len();
-        let hits = self.keys.len() - misses;
-        // ---- resolve every miss once: gather, column verdicts, paths --
-        // An all-hit batch traces nothing. The traffic the miss paths
-        // mark is what pushing just the misses through the slow path
-        // would reach; the simulated split/merge charge reads its
-        // lineage.
-        self.node_traffic.iter_mut().for_each(|t| *t = false);
-        self.edge_traffic.iter_mut().for_each(|t| *t = false);
-        self.egress_live.clear();
+        let (hits, misses) = (self.hits.len(), self.miss_rows.len());
+        // ---- resolve every miss once: column verdicts, path ids --------
+        // An all-hit batch traces nothing.
         if misses > 0 {
-            let lanes = HeaderLanes::gather(&batch);
             if !run.trace_flows(
                 entry,
                 &batch,
@@ -232,66 +299,78 @@ impl StageFlowCache {
                 // batch takes the slow path.
                 return Self::fall_back(run, entry, batch, rec);
             }
-            for path in self.traces.distinct() {
-                mark_traffic(
-                    path,
-                    &mut self.node_traffic,
-                    &mut self.edge_traffic,
-                    &mut self.egress_live,
-                );
+            for (k, &row) in self.miss_rows.iter().enumerate() {
+                self.ids[row as usize] = self.traces.path_id(k);
             }
         }
+        // ---- account the lookups, then insert the misses --------------
+        // Inserts only after every hit is committed: an insert may evict
+        // a same-set entry, and every hit was classified against the
+        // pre-batch table state.
         self.table.commit_lookups(
-            self.lookups.iter().flatten().map(|&slot| slot as usize),
+            self.hits.iter().map(|&(_, slot)| slot as usize),
             misses as u64,
         );
+        for &row in &self.miss_rows {
+            let pkt = batch.get(row as usize).expect("row of the batch");
+            let key = pkt.cached_flow_key().expect("memoized above");
+            self.table
+                .insert(u64::from(key.hash()), key, self.ids[row as usize]);
+        }
+        // ---- credit every path with its packets and bytes --------------
+        // The traffic the misses' paths mark is what pushing just the
+        // misses through the slow path would reach; the simulated
+        // split/merge charge reads its lineage.
+        let paths = self.traces.distinct();
+        self.credit.per_id.resize(paths.len(), (0, 0));
+        self.credit.ids.clear();
+        self.traffic.clear();
+        let mut miss_bytes = 0;
+        for &row in &self.miss_rows {
+            let bytes = batch.get(row as usize).expect("row of the batch").len() as u64;
+            miss_bytes += bytes;
+            self.credit.add(self.ids[row as usize], bytes);
+        }
+        for &id in &self.credit.ids {
+            self.traffic.mark(&paths[id as usize]);
+        }
         let lineage_in = batch.lineage;
         let miss_lineage = self.simulate_lineage(run, entry, lineage_in);
-        // ---- apply every packet's path in place, in ingress order ------
-        // Hits replay their memoized path, misses the one just traced.
-        // Ingress order is the slow path's egress order: batches are
-        // seq-sorted throughout the engine, and verdict-capable elements
-        // neither reorder nor duplicate packets.
-        let (mut miss_bytes, mut dropped) = (0, false);
-        let mut last_hit: Option<&Arc<FlowPath>> = None;
-        let paths = paths_of(&self.lookups, &self.table, &self.traces);
-        for ((pkt, path), lookup) in batch.iter_mut().zip(paths).zip(&self.lookups) {
-            let bytes = pkt.len() as u64;
-            // Miss paths are marked already; a run of hits on one path
-            // marks it once.
-            if lookup.is_none() {
-                miss_bytes += bytes;
-            } else if !last_hit.is_some_and(|last| Arc::ptr_eq(last, path)) {
-                last_hit = Some(path);
-                mark_traffic(
-                    path,
-                    &mut self.node_traffic,
-                    &mut self.edge_traffic,
-                    &mut self.egress_live,
-                );
-            }
-            run.replay_flow_stats(path, bytes);
-            for &(slot, value) in &path.annos {
-                pkt.meta.anno[slot] = value;
-            }
-            dropped |= path.dropped;
+        let traced = self.credit.ids.len();
+        for &(row, _) in &self.hits {
+            let bytes = batch.get(row as usize).expect("row of the batch").len() as u64;
+            self.credit.add(self.ids[row as usize], bytes);
         }
-        if dropped {
-            let mut paths = paths_of(&self.lookups, &self.table, &self.traces);
-            batch.retain(|_| !paths.next().expect("one path per packet").dropped);
+        // Each distinct path replays its statistics once, for all of its
+        // packets.
+        let paths = self.traces.distinct();
+        let mut dropped = false;
+        for &id in &self.credit.ids[traced..] {
+            self.traffic.mark(&paths[id as usize]);
+        }
+        for &id in &self.credit.ids {
+            let path = &paths[id as usize];
+            let (packets, bytes) = std::mem::take(&mut self.credit.per_id[id as usize]);
+            run.replay_flow_stats(path, packets, bytes);
+            dropped |= path.dropped;
         }
         // Batch counters: the slow path counts one batch per node that
         // receives non-empty input.
-        for (i, _) in self.node_traffic.iter().enumerate().filter(|(_, &t)| t) {
+        for (i, _) in self.traffic.nodes.iter().enumerate().filter(|(_, &t)| t) {
             run.note_batch(NodeId(i));
         }
-        // ---- insert the new paths ---------------------------------------
-        // Only now: an insert may evict a same-set entry, and every hit
-        // above was classified against the pre-batch table state.
-        for (k, &row) in self.miss_rows.iter().enumerate() {
-            let key = self.keys[row as usize];
-            let path = Arc::clone(self.traces.path(k));
-            self.table.insert(u64::from(key.hash()), key, path);
+        // ---- apply every packet's path in place, in ingress order ------
+        // Ingress order is the slow path's egress order: batches are
+        // seq-sorted throughout the engine, and verdict-capable elements
+        // neither reorder nor duplicate packets.
+        for (meta, &id) in batch.metas_mut().zip(&self.ids) {
+            for &(slot, value) in &paths[id as usize].annos {
+                meta.anno[slot] = value;
+            }
+        }
+        if dropped {
+            let mut ids = self.ids.iter();
+            batch.retain(|_| !paths[*ids.next().expect("one id per packet") as usize].dropped);
         }
         rec.instant(EventKind::FlowCacheBatch {
             hits: hits as u32,
@@ -329,7 +408,7 @@ impl StageFlowCache {
     }
 
     /// Computes the lineage the slow path would stamp on the egress of
-    /// the traffic marked so far (see [`mark_traffic`]): split counts
+    /// the traffic marked so far: split counts
     /// bump at multi-output nodes,
     /// merges at nodes fed by several live edges and at the final
     /// egress merge — exactly `CompiledGraph::push_merged`'s accounting.
@@ -345,14 +424,14 @@ impl StageFlowCache {
         // Egress parts so far, and the largest counts among them.
         let (mut parts, mut splits, mut merges) = (0usize, 0, 0);
         for &nid in run.order() {
-            if !self.node_traffic[nid.0] {
+            if !self.traffic.nodes[nid.0] {
                 continue;
             }
             // Inbound lineages: the entry batch plus every live in-edge.
             let mut l_in: Option<BatchLineage> = (nid == entry).then_some(lineage_in);
             let mut merged = false;
             for (e_idx, e) in edges.iter().enumerate() {
-                if e.to != nid || !self.edge_traffic[e_idx] {
+                if e.to != nid || !self.traffic.edges[e_idx] {
                     continue;
                 }
                 let up = l_out[e.from.0].expect("topological order");
@@ -379,7 +458,8 @@ impl StageFlowCache {
             l_out[nid.0] = Some(l);
             // Live unwired ports of this node are egress parts.
             for port in 0..run.graph().element(nid).n_outputs() {
-                if run.port_target(nid, port).is_none() && self.egress_live.contains(&(nid.0, port))
+                if run.port_target(nid, port).is_none()
+                    && self.traffic.egress.contains(&(nid.0, port))
                 {
                     parts += 1;
                     splits = splits.max(l.splits);
@@ -391,45 +471,6 @@ impl StageFlowCache {
         BatchLineage {
             splits,
             merges: merges + u32::from(parts > 1),
-        }
-    }
-}
-
-/// Every packet's path in ingress order: a hit's memoized path from its
-/// slot, a miss's from `traces`, in the order the misses were traced.
-fn paths_of<'a>(
-    lookups: &'a [Option<u32>],
-    table: &'a ClockTable<FlowKey, Arc<FlowPath>>,
-    traces: &'a FlowTraces,
-) -> impl Iterator<Item = &'a Arc<FlowPath>> {
-    let mut k = 0;
-    lookups.iter().map(move |lookup| match *lookup {
-        Some(slot) => table.value_at(slot as usize),
-        None => {
-            k += 1;
-            traces.path(k - 1)
-        }
-    })
-}
-
-/// Marks the nodes, edges and egress exits one packet's path touches.
-fn mark_traffic(
-    path: &FlowPath,
-    node_traffic: &mut [bool],
-    edge_traffic: &mut [bool],
-    egress_live: &mut Vec<(usize, usize)>,
-) {
-    for hop in &path.hops {
-        node_traffic[hop.node.0] = true;
-        match (hop.port, hop.edge) {
-            (_, Some(e)) => edge_traffic[e] = true,
-            (Some(port), None) => {
-                let exit = (hop.node.0, port);
-                if !egress_live.contains(&exit) {
-                    egress_live.push(exit);
-                }
-            }
-            (None, None) => {} // dropped here
         }
     }
 }
@@ -446,6 +487,7 @@ mod tests {
     use nfc_packet::headers::ip_proto;
     use nfc_packet::Packet;
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     /// Destination port that [`DeclineMarked`] has no verdict for.
     const MARK: u16 = 9;
@@ -742,6 +784,59 @@ mod tests {
             .iter()
             .filter(|k| matches!(k, EventKind::Element { .. }));
         assert_eq!(spans.count(), 0, "no verdict column computed");
+    }
+
+    /// Distinct walks the packets of `batches` take through `run`, by
+    /// the per-packet trace.
+    fn walks(run: &CompiledGraph, entry: NodeId, batches: &[Batch]) -> usize {
+        let mut seen: Vec<FlowPath> = Vec::new();
+        for p in batches.iter().flatten() {
+            let path = run.trace_flow(entry, p).expect("verdict-capable graph");
+            if !seen.contains(&path) {
+                seen.push(path);
+            }
+        }
+        seen.len()
+    }
+
+    /// A stage holds one path per distinct walk, not one per batch that
+    /// took it: 32 batches of 8 new flows leave as many interned paths
+    /// as the flows take walks. A rule-table swap and an explicit
+    /// invalidation each start the store over, so it holds the walks of
+    /// the live configuration only.
+    #[test]
+    fn paths_are_interned_once_per_walk() {
+        let (mut run, entry) = oracle_graph(vec![deny_net3()], false);
+        let mut cache = StageFlowCache::new(1024, &run);
+        let mut seq = 0;
+        let batches: Vec<Batch> = (0..32u8)
+            .map(|b| {
+                let ids: Vec<u8> = (0..8).map(|i| b * 8 + i).collect();
+                oracle_batch(&ids, &mut seq, 0, 0)
+            })
+            .collect();
+        for b in &batches {
+            assert_eq!(cache.process(&mut run, entry, b.clone()).misses, 8);
+        }
+        let taken = walks(&run, entry, &batches);
+        assert_eq!(cache.interned_paths(), taken);
+        assert!(taken < batches.len(), "{taken} walks");
+
+        // Without the deny rule the configuration hash moves: the flows
+        // all miss again, and only the new configuration's walks remain.
+        let (mut swapped, entry) = oracle_graph(Vec::new(), false);
+        assert_ne!(swapped.flow_config_hash(), run.flow_config_hash());
+        let later = &batches[..4];
+        for b in later {
+            assert_eq!(cache.process(&mut swapped, entry, b.clone()).misses, 8);
+        }
+        assert_eq!(cache.interned_paths(), walks(&swapped, entry, later));
+
+        cache.invalidate(&swapped, &mut Recorder::disabled());
+        assert_eq!(cache.interned_paths(), 0);
+        cache.process(&mut swapped, entry, batches[5].clone());
+        let live = walks(&swapped, entry, &batches[5..6]);
+        assert_eq!(cache.interned_paths(), live);
     }
 
     proptest! {

@@ -937,12 +937,12 @@ impl Element for FirewallFilter {
 // ---------------------------------------------------------------------
 
 /// Connection state tracked for one session in the [`SessionLog`] table.
-#[derive(Debug, Clone, Copy, Default)]
-struct SessionEntry {
-    packets: u64,
-    bytes: u64,
-    denied: bool,
-    closed: bool,
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SessionEntry {
+    pub(crate) packets: u64,
+    pub(crate) bytes: u64,
+    pub(crate) denied: bool,
+    pub(crate) closed: bool,
 }
 
 /// Stateful session-logging firewall element (NetScreen/ASA-style

@@ -8,7 +8,7 @@
 //! packet sequence numbers (the Snap `GPUCompletionQueue` design).
 
 use crate::lanes::HeaderLanes;
-use crate::Packet;
+use crate::{FlowKey, Packet, PacketMeta, Result};
 use std::sync::Arc;
 
 /// How a batch came to exist; used by the performance model to charge
@@ -107,6 +107,44 @@ impl Batch {
     pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, Packet> {
         self.lanes_memo = None;
         self.pkts.iter_mut()
+    }
+
+    /// Mutable metadata of every packet, in order. Metadata is not header
+    /// bytes, so the memoized lanes view stays valid.
+    pub fn metas_mut(&mut self) -> impl Iterator<Item = &mut PacketMeta> {
+        self.pkts.iter_mut().map(|p| &mut p.meta)
+    }
+
+    /// Memoizes every packet's [`Packet::flow_key`]: a packet that holds
+    /// a memo keeps it, IPv4 UDP/TCP rows are keyed from `lanes` (this
+    /// batch's view) and the rest parsed. Only the memos are written, so
+    /// the memoized lanes view stays valid; read the keys back with
+    /// [`Packet::cached_flow_key`].
+    ///
+    /// # Errors
+    ///
+    /// Fails at the first packet that has no flow key (non-IP, or an IP
+    /// protocol other than UDP/TCP).
+    pub fn memoize_flow_keys(&mut self, lanes: &HeaderLanes) -> Result<()> {
+        debug_assert_eq!(lanes.len(), self.pkts.len(), "lanes of this batch");
+        for (i, p) in self.pkts.iter_mut().enumerate() {
+            if p.cached_flow_key().is_some() {
+                continue;
+            }
+            let key = if lanes.tuple_mask()[i] {
+                FlowKey::from_v4(
+                    lanes.src_ip()[i],
+                    lanes.dst_ip()[i],
+                    lanes.src_port()[i],
+                    lanes.dst_port()[i],
+                    lanes.proto()[i],
+                )
+            } else {
+                FlowKey::of(p)?
+            };
+            p.memoize_flow_key(key);
+        }
+        Ok(())
     }
 
     /// Access by index.
@@ -334,6 +372,31 @@ mod tests {
         let dropped = batch.retain(|p| p.meta.seq % 2 == 0);
         assert_eq!(dropped, 5);
         assert_eq!(batch.len(), 5);
+    }
+
+    /// Keys read off the lanes equal the parsed keys (an IPv6 row is
+    /// parsed), and neither memoizing them nor writing metadata drops
+    /// the lanes memo; a packet without a flow key fails the call.
+    #[test]
+    fn flow_keys_from_lanes_equal_parsed_keys_and_keep_the_lanes() {
+        let mut b: Batch = [
+            Packet::ipv4_udp([10, 0, 0, 1], [10, 0, 0, 2], 1111, 53, b"u"),
+            Packet::ipv4_tcp([192, 168, 1, 9], [172, 16, 0, 1], 40000, 443, b"t", 7),
+            Packet::ipv6_udp([1; 16], [2; 16], 5353, 53, b"six"),
+        ]
+        .into_iter()
+        .collect();
+        let lanes = b.shared_lanes();
+        b.memoize_flow_keys(&lanes).unwrap();
+        b.metas_mut().for_each(|m| m.anno[0] = 7);
+        assert!(b.cached_lanes().is_some_and(|l| Arc::ptr_eq(l, &lanes)));
+        for p in b.iter() {
+            assert_eq!(p.cached_flow_key(), Some(FlowKey::of(p).unwrap()));
+            assert_eq!(p.meta.anno[0], 7);
+        }
+        b.push(Packet::from_bytes(vec![0u8; 10]));
+        let lanes = b.shared_lanes();
+        assert!(b.memoize_flow_keys(&lanes).is_err());
     }
 
     #[test]

@@ -150,6 +150,22 @@ impl FlowKey {
         }
     }
 
+    /// The key of an IPv4 tuple given as header-lane values (big-endian
+    /// `u32` addresses), hashed with [`rss_hash_v4`]: equal to
+    /// [`FlowKey::of`] on the packet the lanes were gathered from.
+    pub(crate) fn from_v4(src: u32, dst: u32, src_port: u16, dst_port: u16, proto: u8) -> FlowKey {
+        FlowKey {
+            tuple: FiveTuple {
+                src: IpAddr::V4(Ipv4Addr::from(src)),
+                dst: IpAddr::V4(Ipv4Addr::from(dst)),
+                src_port,
+                dst_port,
+                proto,
+            },
+            hash: rss_hash_v4(src, dst, src_port, dst_port, proto),
+        }
+    }
+
     /// The underlying 5-tuple.
     pub fn tuple(&self) -> &FiveTuple {
         &self.tuple
@@ -306,5 +322,7 @@ mod tests {
         assert_eq!(k.hash(), t.rss_hash());
         let pkt = Packet::ipv4_tcp([10, 0, 0, 1], [10, 0, 0, 2], 1234, 80, b"", 0);
         assert_eq!(FlowKey::of(&pkt).unwrap(), k);
+        let v4 = FlowKey::from_v4(0x0a00_0001, 0x0a00_0002, 1234, 80, ip_proto::TCP);
+        assert_eq!(v4, k);
     }
 }

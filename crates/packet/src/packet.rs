@@ -541,6 +541,12 @@ impl Packet {
         Ok(k)
     }
 
+    /// Stores `key` as the flow-key memo; it must equal
+    /// [`FlowKey::of`] on this packet.
+    pub(crate) fn memoize_flow_key(&mut self, key: FlowKey) {
+        self.flow_memo = Some(key);
+    }
+
     /// The flow-key memo, if currently valid (no write since computation).
     pub fn cached_flow_key(&self) -> Option<FlowKey> {
         self.flow_memo
